@@ -1,9 +1,9 @@
-# Targets mirror .github/workflows/ci.yml exactly, so `make ci` locally
-# reproduces what the workflow checks.
+# .github/workflows/ci.yml calls these targets and nothing else, so
+# `make ci` locally reproduces what the workflow checks.
 
 GO ?= go
 
-.PHONY: build test race fuzz-smoke lint apicheck analyze docs-check bench bench-smoke bench-diff admin-smoke vulncheck ci
+.PHONY: build test race fuzz-smoke lint apicheck analyze docs-check bench bench-smoke bench-diff bench-e2e bench-compare admin-smoke vulncheck ci
 
 build:
 	$(GO) build ./...
@@ -87,6 +87,22 @@ bench-diff:
 	done
 	sh scripts/benchdiff.sh BENCH_evolve.json BENCH_evolve.fresh.1.json BENCH_evolve.fresh.2.json BENCH_evolve.fresh.3.json
 	@rm -f BENCH_evolve.fresh.*.json
+
+# The repo's end-to-end benchmark (BENCHMARK.json, bench/README.md): one
+# workload per process, the full record appended to
+# bench/out/results.jsonl.
+#   make bench-e2e WORKLOAD=svc-wire SEED=3
+# and the comparison of two such result sets — median and quartiles per
+# workload × metric, gaps beyond the declared bound flagged:
+#   make bench-compare A=before.jsonl B=after.jsonl
+WORKLOAD ?= svc-wire
+SEED ?= 1
+bench-e2e:
+	bash bench/run.sh --workload $(WORKLOAD) --seed $(SEED)
+
+bench-compare:
+	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-compare A=<a.jsonl> B=<b.jsonl>" >&2; exit 2; }
+	bash bench/run.sh -compare $(abspath $(A)) $(abspath $(B))
 
 # Smoke the HTTP admin endpoint: short-lived pnserver -admin, curl
 # /healthz and /metrics, assert the instrument families render.

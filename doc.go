@@ -74,8 +74,10 @@
 // Underneath sit the internal packages: the GA engine with incremental
 // fitness evaluation (internal/ga, internal/core), the parallel island
 // model (internal/island), the discrete-event simulator
-// (internal/sim), the live scheduler/worker runtime (internal/dist),
-// and the figure-regeneration harness (internal/experiments). See
+// (internal/sim), the one live runtime — a worker-pool core in
+// internal/dist that Serve (one workload) and ServeJobs (internal/jobs,
+// many tenants' jobs) both sit on as thin owners — and the
+// figure-regeneration harness (internal/experiments). See
 // README.md for the layout and performance notes, and
 // docs/wire-protocol.md for the wire protocol. The runnable entry
 // points are:
@@ -90,13 +92,14 @@
 //	cmd/pnworker   — live worker client (Linpack-rated)
 //	examples/*     — annotated programs against the public API
 //
-// Build and test with the Makefile (make ci mirrors the GitHub Actions
-// workflow): go build, vet + gofmt, the apicheck layering gate, go
-// test -race, and a benchmark smoke pass.
+// Build and test with the Makefile (the GitHub Actions workflow calls
+// its targets and nothing else): go build, vet + gofmt, the apicheck
+// layering gate, go test -race, and a benchmark smoke pass.
 //
 // Contributing: the architectural invariants — the import DAG, the
 // no-hidden-entropy rule in the GA core, the nothing-blocks-under-a-
-// mutex rule in internal/dist, slog hygiene, and explicit json tags on
+// mutex rule (which covers every function named …Locked), slog
+// hygiene, and explicit json tags on
 // wire structs — are machine-checked by the pnanalyze suite in tools/
 // (run `make analyze`; docs/static-analysis.md lists each invariant
 // with its rationale). New code must pass the suite; a finding is

@@ -253,8 +253,8 @@ func TestServerValidation(t *testing.T) {
 		t.Error("NewServer accepted a nil scheduler")
 	}
 	if _, err := dist.NewServer(dist.ServerConfig{
-		Scheduler: core.NewPN(fastConfig(), rng.New(1)),
-		Nu:        1.5,
+		Scheduler:  core.NewPN(fastConfig(), rng.New(1)),
+		PoolConfig: dist.PoolConfig{Nu: 1.5},
 	}); err == nil {
 		t.Error("NewServer accepted smoothing factor 1.5")
 	}

@@ -3,10 +3,21 @@
 // processor assigning batches of independent tasks to heterogeneous
 // client processors — as a real TCP service.
 //
-// The Server plays the scheduling processor. Workers (started with
-// RunWorker, or the pnworker binary on another machine) connect, declare
-// a Linpack-style execution rating, and process the tasks they are
-// assigned strictly in order. The server drives any sched.Batch
+// There is one runtime, in two layers. The Pool is the scheduling
+// processor's whole conversation with its client processors: the accept
+// loop and handshake, worker registration, assign and done frames,
+// §3.6 smoothing, loss detection and reissue, the watch, stats and
+// trace exchanges, and the batch loop (Pool.Run). It decides nothing
+// about whose work a worker does; that is its Owner's job. Server is
+// the owner with one implicit, unbounded, never-finishing stream of
+// work and one FCFS queue; the job dispatcher (internal/jobs) is the
+// owner that leases workers to jobs. Both run the same code below the
+// Owner interface, under one lock (Pool.Mu).
+//
+// Workers (started with RunWorker, or the pnworker binary on another
+// machine) connect, declare a Linpack-style execution rating, and
+// process the tasks they are assigned strictly in order. The pool
+// drives any sched.Batch
 // scheduler — in production the PN genetic algorithm (internal/core),
 // or its parallel island-model variant (core.PNIsland, opted into with
 // pnserver's -islands flag) when the scheduling processor has cores to
@@ -21,7 +32,7 @@
 //     — the paper's dynamic rescheduling. Tasks scheduled onto a worker
 //     that vanished before dispatch are reissued the same way.
 //   - Dispatch is paced by a per-worker backlog threshold: while every
-//     worker holds ServerConfig.Backlog unfinished tasks, further
+//     worker holds PoolConfig.Backlog unfinished tasks, further
 //     batches stay in the unscheduled queue. Work is therefore placed
 //     shortly before it runs, against current beliefs and the current
 //     machine set, rather than pinned to workers up front.
@@ -37,7 +48,9 @@
 // per client ("JSON lines"): one object per line, bounded at 1 MiB per
 // frame. A connection's first frame decides its role: a hello makes it
 // a worker, a watch makes it an event subscriber, a stats or trace
-// frame makes it a one-shot snapshot request. docs/wire-protocol.md is the
+// frame makes it a one-shot snapshot request, and anything else is
+// offered to the owner (the dispatcher takes the job_* requests, Server
+// takes none). docs/wire-protocol.md is the
 // authoritative spec — grammar, versioning, delivery and replay
 // semantics, each frame kind pinned by a committed golden file; this
 // section is the summary.

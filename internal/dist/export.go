@@ -9,39 +9,26 @@ import (
 	"pnsched/internal/task"
 )
 
-// This file is the package's surface for sibling runtimes — today the
-// job dispatcher (internal/jobs) — that speak the same wire protocol
-// without living inside this package. The protocol types stay
-// unexported (their lowercase names are what the docs-drift gate and
-// the wire spec key on); aliases and thin wrappers re-export exactly
-// what a sibling server needs: the envelope, framing, task conversion,
-// and the watch-serving loop.
+// This file is the package's wire surface for code outside it — the
+// job dispatcher (internal/jobs), which builds and reads job_* frames
+// as a Pool owner, and the benchmark's codec probes. The protocol
+// types stay unexported (their lowercase names are what the docs-drift
+// gate and the wire spec key on); aliases and thin wrappers re-export
+// exactly what those callers need: the envelope, framing, task
+// conversion, and the watch-serving loop.
 
 // Message is the control envelope of the JSON-lines protocol — the
 // exported name of the message type, for sibling runtimes building and
 // decoding frames.
 type Message = message
 
-// EventFrame is the versioned wire form of one Observer event.
-type EventFrame = eventFrame
-
-// WireVersion is the protocol version stamp carried on handshakes and
-// replies.
-type WireVersion = wireVersion
-
 // WireTask is the on-the-wire form of one task.
 type WireTask = wireTask
 
 // Exported message-type constants, aliasing the wire grammar.
 const (
-	MsgHello     = msgHello
 	MsgAssign    = msgAssign
 	MsgDone      = msgDone
-	MsgWatch     = msgWatch
-	MsgWelcome   = msgWelcome
-	MsgEvent     = msgEvent
-	MsgStats     = msgStats
-	MsgTrace     = msgTrace
 	MsgJobSubmit = msgJobSubmit
 	MsgJobStatus = msgJobStatus
 	MsgJobCancel = msgJobCancel
@@ -65,18 +52,10 @@ func TasksToWire(ts []task.Task) []WireTask { return toWire(ts) }
 // TasksFromWire converts wire tasks back to tasks.
 func TasksFromWire(ws []WireTask) []task.Task { return fromWire(ws) }
 
-// IsClosedErr reports whether err is the normal teardown of a
-// connection rather than a protocol failure.
-func IsClosedErr(err error) bool { return isClosedErr(err) }
-
 // Close terminates every subscription and marks the broadcaster
-// closed; subsequent subscriptions are stillborn. For sibling runtimes
-// shutting down a broadcaster they own (a dist.Server closes its own
-// internally).
+// closed; subsequent subscriptions are stillborn. For callers shutting
+// down a broadcaster no Pool owns (a Pool closes its own).
 func (b *Broadcaster) Close() { b.closeAll() }
-
-// ToWire converts the snapshot to its stats-reply wire form.
-func (s Snapshot) ToWire() *wireStats { return s.toWire() }
 
 // ServeWatch runs one already-handshaken watch client against a
 // broadcaster: it subscribes, sends the versioned welcome, and streams

@@ -7,12 +7,11 @@ import (
 	"pnsched/internal/telemetry"
 )
 
-// serverMetrics holds the server's telemetry instruments. The zero
-// value (telemetry disabled) is fully usable: every instrument field
-// is nil and the telemetry instruments are nil-safe no-ops, so the hot
-// paths carry no conditionals.
-type serverMetrics struct {
-	submitted    *telemetry.Counter
+// poolMetrics holds a pool's telemetry instruments. The zero value
+// (telemetry disabled) is fully usable: every instrument field is nil
+// and the telemetry instruments are nil-safe no-ops, so the hot paths
+// carry no conditionals.
+type poolMetrics struct {
 	completed    *telemetry.Counter
 	reissued     *telemetry.Counter
 	dispatched   *telemetry.Counter
@@ -23,113 +22,107 @@ type serverMetrics struct {
 	batchWall       *telemetry.Histogram
 }
 
-// newServerMetrics registers the server's counters and histograms and
-// its scrape-time collectors (queue depths, the worker pool, watcher
-// queues, broadcaster fan-out totals) on reg.
-func newServerMetrics(reg *telemetry.Registry, s *Server) *serverMetrics {
-	m := &serverMetrics{
-		submitted: reg.Counter("pnsched_tasks_submitted_total",
-			"Tasks handed to Submit over the server lifetime."),
-		completed: reg.Counter("pnsched_tasks_completed_total",
+// newPoolMetrics registers the pool's counters and histograms and its
+// scrape-time collectors (queue depths, the worker pool, watcher
+// queues, broadcaster fan-out totals) on reg, every name under the
+// owner's family prefix — the one table both pnsched_* (Serve) and
+// pnsched_jobs_* (ServeJobs) come from, so a process hosting both can
+// share one registry.
+func newPoolMetrics(reg *telemetry.Registry, family string, p *Pool) *poolMetrics {
+	if reg == nil {
+		return &poolMetrics{}
+	}
+	m := &poolMetrics{
+		completed: reg.Counter(family+"tasks_completed_total",
 			"Tasks acknowledged done by workers."),
-		reissued: reg.Counter("pnsched_tasks_reissued_total",
+		reissued: reg.Counter(family+"tasks_reissued_total",
 			"Tasks pulled back from departed workers and requeued."),
-		dispatched: reg.Counter("pnsched_tasks_dispatched_total",
+		dispatched: reg.Counter(family+"tasks_dispatched_total",
 			"Tasks sent to workers (reissues dispatch again)."),
-		batches: reg.Counter("pnsched_batches_total",
+		batches: reg.Counter(family+"batches_total",
 			"Committed batch-scheduling decisions."),
-		decodeErrors: reg.Counter("pnsched_protocol_decode_errors_total",
+		decodeErrors: reg.Counter(family+"protocol_decode_errors_total",
 			"Malformed or invalid wire frames received."),
-		dispatchLatency: reg.Histogram("pnsched_dispatch_latency_seconds",
+		dispatchLatency: reg.Histogram(family+"dispatch_latency_seconds",
 			"Dispatch-to-done wall-clock round trip per task.",
 			telemetry.ExpBuckets(0.001, 4, 10)),
-		batchWall: reg.Histogram("pnsched_batch_wall_seconds",
+		batchWall: reg.Histogram(family+"batch_wall_seconds",
 			"Wall-clock time one ScheduleBatch call took.",
 			telemetry.ExpBuckets(0.0001, 4, 10)),
 	}
 
-	reg.GaugeFunc("pnsched_pending_tasks",
+	reg.GaugeFunc(family+"pending_tasks",
 		"Tasks awaiting a batch decision.", func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(s.queue.Len())
+			p.Mu.Lock()
+			defer p.Mu.Unlock()
+			var snap Snapshot
+			p.owner.StatsLocked(&snap)
+			return float64(snap.Pending)
 		})
-	reg.GaugeFunc("pnsched_running_tasks",
+	reg.GaugeFunc(family+"running_tasks",
 		"Tasks dispatched but not yet reported done.", func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
+			p.Mu.Lock()
+			defer p.Mu.Unlock()
 			n := 0
-			for _, w := range s.workers {
+			for _, w := range p.workers {
 				n += len(w.outstanding)
 			}
 			return float64(n)
 		})
-	reg.GaugeFunc("pnsched_workers",
+	reg.GaugeFunc(family+"workers",
 		"Currently connected workers.", func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(len(s.workers))
+			p.Mu.Lock()
+			defer p.Mu.Unlock()
+			return float64(len(p.workers))
 		})
-	reg.SampleFunc("pnsched_worker_believed_rate_mflops",
+	perWorker := func(value func(WorkerStatus) float64) func() []telemetry.Sample {
+		return func() []telemetry.Sample {
+			var out []telemetry.Sample
+			for _, w := range p.Workers() {
+				out = append(out, telemetry.Sample{
+					Labels: []telemetry.Label{telemetry.L("worker", w.Name)},
+					Value:  value(w),
+				})
+			}
+			return out
+		}
+	}
+	reg.SampleFunc(family+"worker_believed_rate_mflops",
 		"Smoothed observed execution rate per worker (§3.6).", true,
-		func() []telemetry.Sample {
-			var out []telemetry.Sample
-			for _, w := range s.Workers() {
-				out = append(out, telemetry.Sample{
-					Labels: []telemetry.Label{telemetry.L("worker", w.Name)},
-					Value:  float64(w.Believed),
-				})
-			}
-			return out
-		})
-	reg.SampleFunc("pnsched_worker_tasks_completed",
+		perWorker(func(w WorkerStatus) float64 { return float64(w.Believed) }))
+	reg.SampleFunc(family+"worker_tasks_completed",
 		"Tasks finished per connected worker.", false,
-		func() []telemetry.Sample {
-			var out []telemetry.Sample
-			for _, w := range s.Workers() {
-				out = append(out, telemetry.Sample{
-					Labels: []telemetry.Label{telemetry.L("worker", w.Name)},
-					Value:  float64(w.Completed),
-				})
-			}
-			return out
-		})
+		perWorker(func(w WorkerStatus) float64 { return float64(w.Completed) }))
 
-	if b := s.cfg.Events; b != nil {
-		reg.SampleFunc("pnsched_events_published_total",
+	if b := p.events; b != nil {
+		reg.SampleFunc(family+"events_published_total",
 			"Event frames published to the broadcaster.", false,
 			func() []telemetry.Sample {
 				return []telemetry.Sample{{Value: float64(b.Published())}}
 			})
-		reg.SampleFunc("pnsched_events_dropped_total",
+		reg.SampleFunc(family+"events_dropped_total",
 			"Event frames dropped across all watchers, past and present.", false,
 			func() []telemetry.Sample {
 				return []telemetry.Sample{{Value: float64(b.DroppedTotal())}}
 			})
-		reg.SampleFunc("pnsched_watcher_queue_depth",
+		perWatcher := func(value func(WatcherSnapshot) float64) func() []telemetry.Sample {
+			return func() []telemetry.Sample {
+				var out []telemetry.Sample
+				for i, w := range b.Watchers() {
+					out = append(out, telemetry.Sample{
+						Labels: []telemetry.Label{telemetry.L("watcher", strconv.Itoa(i))},
+						Value:  value(w),
+					})
+				}
+				return out
+			}
+		}
+		reg.SampleFunc(family+"watcher_queue_depth",
 			"Send-queue depth per attached watcher.", true,
-			func() []telemetry.Sample {
-				var out []telemetry.Sample
-				for i, w := range b.Watchers() {
-					out = append(out, telemetry.Sample{
-						Labels: []telemetry.Label{telemetry.L("watcher", strconv.Itoa(i))},
-						Value:  float64(w.Queued),
-					})
-				}
-				return out
-			})
-		reg.SampleFunc("pnsched_watcher_dropped_total",
+			perWatcher(func(w WatcherSnapshot) float64 { return float64(w.Queued) }))
+		reg.SampleFunc(family+"watcher_dropped_total",
 			"Frames dropped per attached watcher.", false,
-			func() []telemetry.Sample {
-				var out []telemetry.Sample
-				for i, w := range b.Watchers() {
-					out = append(out, telemetry.Sample{
-						Labels: []telemetry.Label{telemetry.L("watcher", strconv.Itoa(i))},
-						Value:  float64(w.Dropped),
-					})
-				}
-				return out
-			})
+			perWatcher(func(w WatcherSnapshot) float64 { return float64(w.Dropped) }))
 	}
 	return m
 }

@@ -126,9 +126,8 @@ func TestBroadcasterDropsSurfaceInMetrics(t *testing.T) {
 	b := NewBroadcaster(1, 0)
 	reg := telemetry.NewRegistry()
 	srv, err := NewServer(ServerConfig{
-		Scheduler: idleScheduler{},
-		Events:    b,
-		Metrics:   reg,
+		Scheduler:  idleScheduler{},
+		PoolConfig: PoolConfig{Events: b, Metrics: reg},
 	})
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)

@@ -1,34 +1,17 @@
 package dist
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"log/slog"
 	"net"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"pnsched/internal/observe"
 	"pnsched/internal/sched"
-	"pnsched/internal/smoothing"
-	"pnsched/internal/stats"
 	"pnsched/internal/task"
 	"pnsched/internal/telemetry"
 	"pnsched/internal/units"
 )
-
-// DefaultNu is the smoothing factor used for the server's per-worker
-// rate and per-link communication estimates when ServerConfig.Nu is
-// zero; it matches the paper's ν = 0.5.
-const DefaultNu = 0.5
-
-// DefaultBacklog is the per-worker outstanding-task threshold that
-// pauses batch scheduling when ServerConfig.Backlog is zero.
-const DefaultBacklog = 4
 
 // ErrServerClosed is returned by Wait when the server is closed before
 // all submitted tasks complete.
@@ -41,127 +24,32 @@ type ServerConfig struct {
 	// PN scheduler does), it chooses its own batch sizes per §3.7;
 	// otherwise sched.DefaultBatchSize is used.
 	Scheduler sched.Batch
-	// Log receives structured progress logging (worker joins/leaves,
-	// batch dispatches, reissues, protocol rejections) as levelled
-	// key-value records. Nil disables logging.
-	Log *slog.Logger
-	// Observer, when non-nil, receives the typed public-API events the
-	// live runtime emits: OnBatchDecided after every committed batch
-	// decision and OnDispatch for every task sent to a worker (with
-	// At in seconds since the server started). GA-level events come
-	// from the scheduler itself via core.Config.Observer. Events are
-	// delivered from the scheduling loop goroutine, outside the
-	// server's lock; implementations must not block.
-	Observer observe.Observer
-	// Events, when non-nil, turns on remote observation: the server
-	// accepts watch connections (the msgWatch handshake) and streams
-	// its events — the same ones Observer sees, plus whatever the
-	// scheduler publishes into the broadcaster — to every subscriber
-	// as versioned event frames. Watch connections arriving while
-	// Events is nil are rejected.
-	Events *Broadcaster
-	// Nu is the exponential-smoothing factor for observed worker rates
-	// and link overheads; 0 selects DefaultNu.
-	Nu float64
-	// Backlog paces dispatch: while every connected worker holds at
-	// least this many unfinished tasks, further batches stay in the
-	// unscheduled queue. Keeping most work undispatched is what makes
-	// the scheduling dynamic — late-joining workers receive their share
-	// from subsequent batches, and smoothed rate observations steer
-	// placement instead of being decided once up front. 0 selects
-	// DefaultBacklog.
-	Backlog int
-	// Metrics, when non-nil, instruments the server on the given
-	// telemetry registry: task counters, queue-depth gauges, the
-	// dispatch-latency and batch-wall histograms, per-worker and
-	// per-watcher collectors, and protocol decode errors. The registry
-	// is typically also serving /metrics via telemetry.AdminMux.
-	Metrics *telemetry.Registry
 	// Traces, when non-nil, is the recorder answering the trace wire
 	// request (protocol 1.2) with recent per-batch decision traces.
 	// The caller is responsible for wiring the same recorder into the
 	// observer chain the scheduler and server emit into; the server
 	// only reads it.
 	Traces *TraceRecorder
+	PoolConfig
 }
 
 // Server is the dedicated scheduling processor of the paper's §3,
-// serving a TCP endpoint that pnworker clients connect to. Create with
-// NewServer; all methods are safe for concurrent use.
+// serving a TCP endpoint that pnworker clients connect to: the Pool
+// owner with one implicit, unbounded, never-finishing stream of work —
+// every worker carries the nil lease and every task joins one FCFS
+// queue. Create with NewServer; all methods are safe for concurrent
+// use.
 type Server struct {
-	cfg     ServerConfig
-	nu      float64
-	backlog int
-	log     *slog.Logger
-	// met is never nil; with telemetry disabled it is the zero
-	// serverMetrics whose nil instruments no-op.
-	met *serverMetrics
-	// observer is the effective event sink: cfg.Observer fanned
-	// together with cfg.Events, so every server-emitted event reaches
-	// both the in-process observer and the wire subscribers.
-	observer observe.Observer
+	pool *Pool
+	// metSubmitted is nil (a no-op) with telemetry disabled.
+	metSubmitted *telemetry.Counter
 
-	mu        sync.Mutex
-	cond      *sync.Cond // broadcast on every state change
-	ln        net.Listener
-	workers   []*remoteWorker // connected, in registration order
-	queue     *task.Queue     // unscheduled FCFS queue (incl. reissues)
+	// Guarded by pool.Mu.
+	queue     *task.Queue // unscheduled FCFS queue (incl. reissues)
 	submitted int
 	completed int
 	reissued  int
 	batches   int // committed batch-scheduling decisions
-	closed    bool
-	start     time.Time
-
-	// latency is a sliding window of dispatch→done wall-clock round
-	// trips in seconds (latencyWindow samples, written circularly at
-	// latW, latN valid) feeding the Snapshot quantiles.
-	latency    []float64
-	latW, latN int
-}
-
-// latencyWindow is the number of recent dispatch→done round trips kept
-// for the Snapshot latency quantiles. Bounded so a long-lived server's
-// snapshot reflects current behaviour, not its whole history.
-const latencyWindow = 512
-
-// remoteWorker is the server-side record of one connected client
-// processor. All mutable fields are guarded by the owning Server's mu;
-// the out channel is drained by a dedicated writer goroutine so no
-// TCP write ever happens under the lock.
-type remoteWorker struct {
-	name    string
-	claimed units.Rate
-	conn    net.Conn
-	out     chan message // assign messages; closed on unregister
-
-	rate        *smoothing.Smoother // observed Mflop/s, primed with claimed
-	comm        *smoothing.Smoother // per-task link overhead, seconds
-	outstanding map[task.ID]pendingTask
-	pending     units.MFlops // total outstanding work
-	completed   int          // tasks this worker finished
-	gone        bool         // unregistered; no further dispatches
-}
-
-// pendingTask is a dispatched-but-unfinished task plus the bookkeeping
-// for the Γc link-overhead estimate.
-type pendingTask struct {
-	t      task.Task
-	sentAt time.Time
-	// soloDispatch marks tasks dispatched to a worker with an empty
-	// queue: for those, round-trip minus processing time approximates
-	// the link overhead without queueing noise.
-	soloDispatch bool
-}
-
-// WorkerStatus is a point-in-time summary of one connected worker,
-// exposed for monitoring and tests.
-type WorkerStatus struct {
-	Name      string
-	Claimed   units.Rate   // rate declared in the hello message
-	Believed  units.Rate   // smoothed observed rate (§3.6)
-	Pending   units.MFlops // dispatched but unfinished work
-	Completed int          // tasks finished on this worker
 }
 
 // NewServer returns a server driving the given scheduler. It does not
@@ -170,94 +58,33 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Scheduler == nil {
 		return nil, errors.New("dist: ServerConfig.Scheduler is required")
 	}
-	if cfg.Nu < 0 || cfg.Nu > 1 {
-		return nil, fmt.Errorf("dist: smoothing factor %v outside [0,1]", cfg.Nu)
+	s := &Server{queue: task.NewQueue(64)}
+	pool, err := NewPool(cfg.PoolConfig, s, "pnsched_")
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Backlog < 0 {
-		return nil, fmt.Errorf("dist: negative backlog %d", cfg.Backlog)
-	}
-	nu := cfg.Nu
-	if nu == 0 {
-		nu = DefaultNu
-	}
-	backlog := cfg.Backlog
-	if backlog == 0 {
-		backlog = DefaultBacklog
-	}
-	log := cfg.Log
-	if log == nil {
-		log = slog.New(slog.DiscardHandler)
-	}
-	s := &Server{
-		cfg:     cfg,
-		nu:      nu,
-		backlog: backlog,
-		log:     log,
-		queue:   task.NewQueue(64),
-		start:   time.Now(),
-	}
-	s.observer = cfg.Observer
-	if cfg.Events != nil {
-		s.observer = observe.Multi(cfg.Observer, cfg.Events)
-	}
+	pool.traces = cfg.Traces
+	s.pool = pool
 	if cfg.Metrics != nil {
-		s.met = newServerMetrics(cfg.Metrics, s)
-	} else {
-		s.met = &serverMetrics{}
+		s.metSubmitted = cfg.Metrics.Counter("pnsched_tasks_submitted_total",
+			"Tasks handed to Submit over the server lifetime.")
 	}
-	s.cond = sync.NewCond(&s.mu)
-	go s.scheduleLoop()
+	go pool.Run(nil, s.queue, cfg.Scheduler)
 	return s, nil
 }
 
 // ListenAndServe listens on the given TCP address and serves worker
 // connections until Close. Like net/http, it returns nil (not an error)
 // when the server is shut down with Close.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
+func (s *Server) ListenAndServe(addr string) error { return s.pool.ListenAndServe(addr) }
 
 // Serve accepts worker connections on ln until Close. It takes ownership
 // of the listener. It returns nil when the server is closed.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return nil // already shut down: nil, as documented
-	}
-	s.ln = ln
-	s.mu.Unlock()
-
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed || isClosedErr(err) {
-				return nil
-			}
-			return err
-		}
-		go s.handleConn(conn)
-	}
-}
+func (s *Server) Serve(ln net.Listener) error { return s.pool.Serve(ln) }
 
 // Addr returns the listening address, or nil before Serve has installed
 // a listener — useful with ":0" ephemeral ports.
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
+func (s *Server) Addr() net.Addr { return s.pool.Addr() }
 
 // Submit appends tasks to the unscheduled FCFS queue. Tasks are
 // scheduled onto workers in batches as capacity and the batch sizer
@@ -268,49 +95,50 @@ func (s *Server) Submit(ts []task.Task) {
 	if len(ts) == 0 {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
+	s.pool.Mu.Lock()
+	defer s.pool.Mu.Unlock()
+	if s.pool.closed {
 		return
 	}
 	s.submitted += len(ts)
-	s.met.submitted.Add(float64(len(ts)))
+	s.metSubmitted.Add(float64(len(ts)))
 	s.queue.PushAll(ts)
-	s.cond.Broadcast()
+	s.pool.cond.Broadcast()
 }
 
 // Wait blocks until every submitted task has completed (at least one
 // task must have been submitted), the timeout elapses, or the server is
 // closed. A non-positive timeout means wait indefinitely.
 func (s *Server) Wait(timeout time.Duration) error {
+	p := s.pool
 	var timedOut atomic.Bool
 	if timeout > 0 {
 		t := time.AfterFunc(timeout, func() {
 			timedOut.Store(true)
-			// Take mu so the store cannot slip between a waiter's check
+			// Take Mu so the store cannot slip between a waiter's check
 			// of timedOut and its cond.Wait registration — an unlocked
 			// Broadcast there would be lost and Wait could block past
 			// its deadline.
-			s.mu.Lock()
-			s.cond.Broadcast()
-			s.mu.Unlock()
+			p.Mu.Lock()
+			p.cond.Broadcast()
+			p.Mu.Unlock()
 		})
 		defer t.Stop()
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	p.Mu.Lock()
+	defer p.Mu.Unlock()
 	for {
 		if s.submitted > 0 && s.completed == s.submitted {
 			return nil
 		}
-		if s.closed {
+		if p.closed {
 			return ErrServerClosed
 		}
 		if timedOut.Load() {
 			return fmt.Errorf("dist: wait: %d/%d tasks complete after %v",
 				s.completed, s.submitted, timeout)
 		}
-		s.cond.Wait()
+		p.cond.Wait()
 	}
 }
 
@@ -318,581 +146,72 @@ func (s *Server) Wait(timeout time.Duration) error {
 // tasks reissued after losing their worker, and the number of currently
 // connected workers.
 func (s *Server) Stats() (submitted, completed, reissued, workers int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.submitted, s.completed, s.reissued, len(s.workers)
+	s.pool.Mu.Lock()
+	defer s.pool.Mu.Unlock()
+	return s.submitted, s.completed, s.reissued, len(s.pool.workers)
 }
 
 // Workers returns a snapshot of the connected workers.
-func (s *Server) Workers() []WorkerStatus {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]WorkerStatus, len(s.workers))
-	for i, w := range s.workers {
-		out[i] = WorkerStatus{
-			Name:      w.name,
-			Claimed:   w.claimed,
-			Believed:  units.Rate(w.rate.ValueOr(float64(w.claimed))),
-			Pending:   w.pending,
-			Completed: w.completed,
-		}
-	}
-	return out
-}
+func (s *Server) Workers() []WorkerStatus { return s.pool.Workers() }
 
 // Snapshot returns a point-in-time operational view of the server:
 // uptime, cumulative counters, queue depths, the per-worker pool,
 // attached watchers, and dispatch-latency quantiles. It is the
 // in-process form of what the stats wire message serves to remote
 // clients.
-func (s *Server) Snapshot() Snapshot {
-	s.mu.Lock()
-	snap := Snapshot{
-		Uptime:    units.Seconds(time.Since(s.start).Seconds()),
-		Submitted: s.submitted,
-		Completed: s.completed,
-		Reissued:  s.reissued,
-		Pending:   s.queue.Len(),
-		Batches:   s.batches,
-	}
-	for _, w := range s.workers {
-		snap.Running += len(w.outstanding)
-		snap.Workers = append(snap.Workers, WorkerSnapshot{
-			Name:      w.name,
-			Rate:      units.Rate(w.rate.ValueOr(float64(w.claimed))),
-			Running:   len(w.outstanding),
-			Completed: w.completed,
-		})
-	}
-	var window []float64
-	if s.latN > 0 {
-		window = make([]float64, s.latN)
-		first := s.latW - s.latN
-		if first < 0 {
-			first += latencyWindow
-		}
-		for i := 0; i < s.latN; i++ {
-			window[i] = s.latency[(first+i)%latencyWindow]
-		}
-	}
-	s.mu.Unlock()
-	if len(window) > 0 {
-		snap.Latency = LatencySummary{
-			Samples: len(window),
-			P50:     units.Seconds(stats.Quantile(window, 0.50)),
-			P90:     units.Seconds(stats.Quantile(window, 0.90)),
-			P99:     units.Seconds(stats.Quantile(window, 0.99)),
-		}
-	}
-	if s.cfg.Events != nil {
-		snap.Watchers = s.cfg.Events.Watchers()
-	}
-	return snap
-}
+func (s *Server) Snapshot() Snapshot { return s.pool.Snapshot() }
 
 // Close shuts the server down: the listener is closed, every worker and
 // watch connection is dropped, and blocked Wait calls return
 // ErrServerClosed. Close is idempotent.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	ln := s.ln
-	conns := make([]net.Conn, len(s.workers))
-	for i, w := range s.workers {
-		conns[i] = w.conn
-	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
+func (s *Server) Close() error { return s.pool.Close() }
 
-	if ln != nil {
-		ln.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	if s.cfg.Events != nil {
-		// Ending each subscriber's queue ends its writer loop, which
-		// closes the watch connection.
-		s.cfg.Events.closeAll()
-	}
+// The Owner methods: one lease (nil), one queue, nothing to decide.
+
+// LeaseLocked implements Owner: every worker serves the one queue.
+func (s *Server) LeaseLocked(*Worker) any { return nil }
+
+// LiveLocked implements Owner: the server's work never finishes.
+func (s *Server) LiveLocked(any) bool { return true }
+
+// BatchLocked implements Owner.
+func (s *Server) BatchLocked(any) int {
+	s.batches++
+	return s.batches
+}
+
+// WireIDLocked implements Owner: one workload, so a task's own ID is
+// unambiguous on the wire.
+func (s *Server) WireIDLocked(t task.Task) int32 { return int32(t.ID) }
+
+// DoneLocked implements Owner.
+func (s *Server) DoneLocked(any, string, task.Task, units.Seconds, time.Time) []JobEvent {
+	s.completed++
 	return nil
 }
 
-// helloTimeout bounds how long an accepted connection may sit silent
-// before sending its hello. Without it, a port scanner or half-open
-// connection would pin a goroutine and fd for the process lifetime
-// (pre-registration conns are not yet tracked, so Close cannot reach
-// them).
-const helloTimeout = 10 * time.Second
-
-// handleConn owns one inbound connection. The first frame decides what
-// the peer is: a hello registers a worker, a watch subscribes an event
-// stream; anything else is rejected. Both paths read through the same
-// bounded framing, so no client — registered or not — can make the
-// server buffer an unbounded line.
-func (s *Server) handleConn(conn net.Conn) {
-	conn.SetReadDeadline(time.Now().Add(helloTimeout))
-	br := bufio.NewReader(conn)
-	line, err := readFrame(br)
-	var m *message
-	if err == nil {
-		m, _, err = decodeWireMessage(line)
-		if err == nil && m == nil {
-			err = errors.New("dist: connection opened with a non-handshake frame")
-		}
-	}
-	if err != nil {
-		if !isClosedErr(err) {
-			s.met.decodeErrors.Inc()
-			s.log.Warn("connection rejected", "remote", conn.RemoteAddr(), "err", err)
-		}
-		conn.Close()
-		return
-	}
-	conn.SetReadDeadline(time.Time{}) // handshake done: read blocks indefinitely
-
-	switch m.Type {
-	case msgHello:
-		s.serveWorker(conn, br, m.Name, units.Rate(m.Rate))
-	case msgWatch:
-		s.serveWatch(conn, br)
-	case msgStats:
-		s.serveStats(conn)
-	case msgTrace:
-		s.serveTrace(conn)
-	default:
-		s.met.decodeErrors.Inc()
-		s.log.Warn("connection rejected: first frame is not a handshake",
-			"remote", conn.RemoteAddr(), "type", m.Type)
-		conn.Close()
-	}
+// LostLocked implements Owner: everything a departed worker held goes
+// back on the queue, without limit.
+func (s *Server) LostLocked(_ any, _ string, lost []task.Task, _ time.Time) (int, []JobEvent) {
+	s.UnsentLocked(nil, lost)
+	return len(lost), nil
 }
 
-// serveWorker registers a worker and runs its read loop (done messages)
-// until the connection drops, then tears it down with task reissue.
-func (s *Server) serveWorker(conn net.Conn, br *bufio.Reader, name string, claimed units.Rate) {
-	w := &remoteWorker{
-		name:        name,
-		claimed:     claimed,
-		conn:        conn,
-		out:         make(chan message, 16),
-		rate:        smoothing.New(s.nu),
-		comm:        smoothing.New(s.nu),
-		outstanding: make(map[task.ID]pendingTask),
-	}
-	w.rate.Observe(float64(claimed)) // prime beliefs with the claimed rating
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		conn.Close()
-		return
-	}
-	s.workers = append(s.workers, w)
-	pool := len(s.workers)
-	s.cond.Broadcast() // queued work may now be schedulable
-	s.mu.Unlock()
-	s.log.Info("worker joined", "worker", name, "remote", conn.RemoteAddr(),
-		"rate", float64(claimed), "workers", pool)
-	if s.observer != nil {
-		s.observer.OnWorkerJoined(observe.WorkerJoined{
-			Name:    name,
-			Rate:    claimed,
-			Workers: pool,
-			At:      units.Seconds(time.Since(s.start).Seconds()),
-		})
-	}
-
-	go s.writeLoop(w)
-
-	// Read loop: done messages until the connection drops. Unknown
-	// frame types decode to (nil, nil, nil) and are skipped, so the
-	// protocol can evolve; malformed or oversized frames drop the
-	// worker (its tasks are reissued).
-	for {
-		line, err := readFrame(br)
-		if err != nil {
-			if !isClosedErr(err) {
-				s.log.Warn("worker read error", "worker", name, "err", err)
-			}
-			break
-		}
-		m, _, err := decodeWireMessage(line)
-		if err != nil {
-			s.met.decodeErrors.Inc()
-			s.log.Warn("worker sent bad frame", "worker", name, "err", err)
-			break
-		}
-		if m != nil && m.Type == msgDone {
-			s.handleDone(w, task.ID(m.Task), units.Seconds(m.Elapsed), m.Real)
-		}
-	}
-	s.unregister(w)
+// UnsentLocked implements Owner: requeued and counted as reissued.
+func (s *Server) UnsentLocked(_ any, ts []task.Task) {
+	s.reissued += len(ts)
+	s.queue.PushAll(ts)
 }
 
-// serveWatch subscribes one watch client to the event broadcaster and
-// streams frames to it until either side hangs up, via the shared
-// ServeWatch loop.
-func (s *Server) serveWatch(conn net.Conn, br *bufio.Reader) {
-	b := s.cfg.Events
-	if b == nil {
-		s.log.Warn("watch rejected: event streaming not enabled", "remote", conn.RemoteAddr())
-		conn.Close()
-		return
-	}
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		conn.Close()
-		return
-	}
-	s.log.Info("watch client subscribed", "remote", conn.RemoteAddr())
-	ServeWatch(conn, br, b, s.log)
+// StatsLocked implements Owner.
+func (s *Server) StatsLocked(snap *Snapshot) {
+	snap.Submitted = s.submitted
+	snap.Completed = s.completed
+	snap.Reissued = s.reissued
+	snap.Pending = s.queue.Len()
+	snap.Batches = s.batches
 }
 
-// serveStats answers a one-shot stats request (protocol 1.1): one
-// versioned reply carrying the current Snapshot, then close. The
-// request itself was the connection's first frame — already consumed
-// and validated by handleConn.
-func (s *Server) serveStats(conn net.Conn) {
-	defer conn.Close()
-	snap := s.Snapshot()
-	if err := json.NewEncoder(conn).Encode(&message{
-		Type:  msgStats,
-		Proto: &wireVersion{Major: ProtoMajor, Minor: ProtoMinor},
-		Stats: snap.toWire(),
-	}); err != nil {
-		s.log.Warn("stats reply failed", "remote", conn.RemoteAddr(), "err", err)
-	}
-}
-
-// serveTrace answers a one-shot trace request (protocol 1.2): one
-// versioned reply carrying the retained decision traces, oldest first,
-// then close. A server without a TraceRecorder replies with an empty
-// list — the request is still understood.
-func (s *Server) serveTrace(conn net.Conn) {
-	defer conn.Close()
-	var traces []Trace
-	if s.cfg.Traces != nil {
-		traces = s.cfg.Traces.Traces()
-	}
-	if err := json.NewEncoder(conn).Encode(&message{
-		Type:   msgTrace,
-		Proto:  &wireVersion{Major: ProtoMajor, Minor: ProtoMinor},
-		Traces: tracesToWire(traces),
-	}); err != nil {
-		s.log.Warn("trace reply failed", "remote", conn.RemoteAddr(), "err", err)
-	}
-}
-
-// writeLoop drains a worker's outbound queue onto its connection. A
-// write failure closes the connection, which surfaces in the read loop
-// and triggers unregistration there.
-func (s *Server) writeLoop(w *remoteWorker) {
-	enc := json.NewEncoder(w.conn)
-	for m := range w.out {
-		if err := enc.Encode(&m); err != nil {
-			w.conn.Close()
-			return
-		}
-	}
-}
-
-// handleDone records one completed task: counters, load accounting, and
-// the §3.6 smoothed rate / link-overhead observations. real is the
-// worker-reported wall-clock processing time in seconds (0 if absent).
-func (s *Server) handleDone(w *remoteWorker, id task.ID, elapsed units.Seconds, real float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, ok := w.outstanding[id]
-	if !ok {
-		return // stale or duplicate report
-	}
-	delete(w.outstanding, id)
-	w.pending -= p.t.Size
-	if w.pending < 0 {
-		w.pending = 0
-	}
-	w.completed++
-	s.completed++
-	s.met.completed.Inc()
-	lat := time.Since(p.sentAt).Seconds()
-	s.observeLatencyLocked(lat)
-	s.met.dispatchLatency.Observe(lat)
-	if elapsed > 0 {
-		w.rate.Observe(float64(p.t.Size) / float64(elapsed))
-	}
-	if p.soloDispatch && real > 0 && elapsed > 0 {
-		// For tasks that never queued, round-trip slack — wall time from
-		// dispatch to report minus wall processing time — is the link
-		// overhead in real seconds. Scale it by elapsed/real (the
-		// worker's simulated:real clock ratio) so Γc lives on the same
-		// simulated clock as every other scheduler quantity, whatever
-		// the worker's TimeScale. Smoothing and the solo-dispatch gate
-		// bound the jitter this amplifies under heavy compression, and
-		// slack below commNoiseFloor is discarded outright: at that
-		// magnitude the measurement is goroutine-scheduling noise, and
-		// the elapsed/real ratio would amplify it into a phantom link
-		// cost large enough to distort placement (loopback tests under
-		// the race detector hit exactly this).
-		if slack := time.Since(p.sentAt).Seconds() - real; slack > commNoiseFloor {
-			w.comm.Observe(slack * float64(elapsed) / real)
-		}
-	}
-	s.cond.Broadcast()
-}
-
-// commNoiseFloor is the smallest round-trip slack, in real seconds,
-// accepted as a Γc link-overhead observation. Sub-millisecond slack on
-// a local network is indistinguishable from scheduler jitter.
-const commNoiseFloor = 1e-3
-
-// observeLatencyLocked appends one dispatch→done round trip to the
-// sliding latency window. Caller holds mu.
-func (s *Server) observeLatencyLocked(sec float64) {
-	if s.latency == nil {
-		s.latency = make([]float64, latencyWindow)
-	}
-	s.latency[s.latW] = sec
-	s.latW = (s.latW + 1) % latencyWindow
-	if s.latN < latencyWindow {
-		s.latN++
-	}
-}
-
-// unregister removes a worker and returns its unfinished tasks to the
-// unscheduled queue (the paper's dynamic rescheduling on machine loss).
-func (s *Server) unregister(w *remoteWorker) {
-	w.conn.Close()
-	s.mu.Lock()
-	if w.gone {
-		s.mu.Unlock()
-		return
-	}
-	w.gone = true
-	for i, x := range s.workers {
-		if x == w {
-			s.workers = append(s.workers[:i], s.workers[i+1:]...)
-			break
-		}
-	}
-	lost := make([]task.Task, 0, len(w.outstanding))
-	for _, p := range w.outstanding {
-		lost = append(lost, p.t)
-	}
-	w.outstanding = nil
-	// Reissue in deterministic (ID) order so reruns behave alike.
-	sort.Slice(lost, func(i, j int) bool { return lost[i].ID < lost[j].ID })
-	s.reissued += len(lost)
-	s.met.reissued.Add(float64(len(lost)))
-	s.queue.PushAll(lost)
-	close(w.out)
-	pool := len(s.workers)
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	s.log.Info("worker left", "worker", w.name, "reissued", len(lost), "workers", pool)
-	if s.observer != nil {
-		s.observer.OnWorkerLeft(observe.WorkerLeft{
-			Name:     w.name,
-			Reissued: len(lost),
-			Workers:  pool,
-			At:       units.Seconds(time.Since(s.start).Seconds()),
-		})
-	}
-}
-
-// scheduleLoop is the scheduling processor proper: whenever unscheduled
-// tasks and at least one worker exist, it snapshots the system, sizes
-// the next batch (§3.7 when the scheduler implements sched.BatchSizer),
-// runs the batch scheduler outside the lock, and dispatches the
-// resulting assignment.
-func (s *Server) scheduleLoop() {
-	for {
-		s.mu.Lock()
-		for !s.closed && (s.queue.Empty() || !s.wantsWorkLocked()) {
-			s.cond.Wait()
-		}
-		if s.closed {
-			s.mu.Unlock()
-			return
-		}
-		snap := s.snapshotLocked()
-		n := sched.DefaultBatchSize
-		if bs, ok := s.cfg.Scheduler.(sched.BatchSizer); ok {
-			n = bs.NextBatchSize(s.queue.Len(), snap)
-		}
-		if n > s.queue.Len() {
-			n = s.queue.Len()
-		}
-		if n < 1 {
-			n = 1
-		}
-		batch := s.queue.PopN(n)
-		s.mu.Unlock()
-
-		// The GA runs for real wall-clock time here; the lock is free so
-		// workers keep reporting completions and joining/leaving.
-		t0 := time.Now()
-		asg, cost := s.cfg.Scheduler.ScheduleBatch(batch, snap)
-		wall := time.Since(t0).Seconds()
-		s.met.batchWall.Observe(wall)
-		s.met.batches.Inc()
-		s.log.Info("batch scheduled", "tasks", len(batch), "workers", snap.M(),
-			"cost", float64(cost), "wall", wall)
-		s.mu.Lock()
-		s.batches++
-		invocations := s.batches
-		s.mu.Unlock()
-		if s.observer != nil {
-			s.observer.OnBatchDecided(observe.BatchDecision{
-				Invocation: invocations,
-				Scheduler:  s.cfg.Scheduler.Name(),
-				Tasks:      len(batch),
-				Procs:      snap.M(),
-				Cost:       cost,
-				At:         units.Seconds(time.Since(s.start).Seconds()),
-				Wall:       units.Seconds(wall),
-			})
-		}
-
-		s.mu.Lock()
-		dispatched := s.dispatchLocked(snap.workers, asg) //pnanalyze:ok locksend — its only I/O is Conn.Close on a wedged peer, which does not block
-		s.mu.Unlock()
-		if s.observer != nil {
-			for _, d := range dispatched {
-				s.observer.OnDispatch(d)
-			}
-		}
-	}
-}
-
-// wantsWorkLocked reports whether some connected worker is running low
-// on dispatched work — the pacing condition of the scheduling loop.
-// Caller holds mu.
-func (s *Server) wantsWorkLocked() bool {
-	for _, w := range s.workers {
-		if len(w.outstanding) < s.backlog {
-			return true
-		}
-	}
-	return false
-}
-
-// dispatchLocked sends an assignment to the workers it was computed
-// for. Tasks assigned to a worker that disconnected while the scheduler
-// ran are pushed back onto the queue and counted as reissued. It
-// returns the dispatch events for the observer; the caller emits them
-// after releasing the lock.
-func (s *Server) dispatchLocked(workers []*remoteWorker, asg sched.Assignment) []observe.Dispatch {
-	now := time.Now()
-	at := units.Seconds(now.Sub(s.start).Seconds())
-	var events []observe.Dispatch
-	for j, ts := range asg {
-		if len(ts) == 0 {
-			continue
-		}
-		w := workers[j]
-		if w.gone || s.closed {
-			s.reissued += len(ts)
-			s.queue.PushAll(ts)
-			continue
-		}
-		solo := len(w.outstanding) == 0
-		s.met.dispatched.Add(float64(len(ts)))
-		for _, t := range ts {
-			w.outstanding[t.ID] = pendingTask{t: t, sentAt: now, soloDispatch: solo}
-			w.pending += t.Size
-			solo = false
-			if s.observer != nil {
-				events = append(events, observe.Dispatch{Proc: j, Task: t.ID, At: at})
-			}
-		}
-		m := message{Type: msgAssign, Tasks: toWire(ts)}
-		select {
-		case w.out <- m:
-		default:
-			// The writer is wedged (worker stopped reading); drop the
-			// connection — the read loop will reissue everything.
-			w.conn.Close()
-		}
-	}
-	s.cond.Broadcast()
-	return events
-}
-
-// snapshot implements sched.State over a fixed view of the connected
-// workers, so the batch scheduler sees a coherent system while the live
-// one keeps moving underneath.
-type snapshot struct {
-	workers []*remoteWorker
-	rates   []units.Rate
-	loads   []units.MFlops
-	comm    []units.Seconds
-	now     units.Seconds
-}
-
-// snapshotLocked captures the scheduler-visible state. Caller holds mu.
-func (s *Server) snapshotLocked() *snapshot {
-	m := len(s.workers)
-	v := &snapshot{
-		workers: append([]*remoteWorker(nil), s.workers...),
-		rates:   make([]units.Rate, m),
-		loads:   make([]units.MFlops, m),
-		comm:    make([]units.Seconds, m),
-		now:     units.Seconds(time.Since(s.start).Seconds()),
-	}
-	for j, w := range s.workers {
-		v.rates[j] = units.Rate(w.rate.ValueOr(float64(w.claimed)))
-		v.loads[j] = w.pending
-		v.comm[j] = units.Seconds(w.comm.ValueOr(0))
-	}
-	return v
-}
-
-// M implements sched.State.
-func (v *snapshot) M() int { return len(v.workers) }
-
-// Rate implements sched.State.
-func (v *snapshot) Rate(j int) units.Rate { return v.rates[j] }
-
-// PendingLoad implements sched.State.
-func (v *snapshot) PendingLoad(j int) units.MFlops { return v.loads[j] }
-
-// CommEstimate implements sched.State.
-func (v *snapshot) CommEstimate(j int) units.Seconds { return v.comm[j] }
-
-// Now implements sched.State; live time is wall-clock seconds since the
-// server started.
-func (v *snapshot) Now() units.Seconds { return v.now }
-
-// TimeUntilFirstIdle implements sched.State with the semantics the
-// simulator uses: the soonest moment a loaded worker runs dry, 0 if some
-// worker already idles while others hold work, +Inf when nothing is
-// loaded.
-func (v *snapshot) TimeUntilFirstIdle() units.Seconds {
-	anyLoaded := false
-	min := units.Inf()
-	for j := range v.workers {
-		if v.loads[j] == 0 {
-			continue
-		}
-		anyLoaded = true
-		if d := v.loads[j].TimeOn(v.rates[j]); d < min {
-			min = d
-		}
-	}
-	if !anyLoaded {
-		return units.Inf()
-	}
-	for j := range v.workers {
-		if v.loads[j] == 0 {
-			return 0 // an idle worker exists while work is pending elsewhere
-		}
-	}
-	return min
-}
+// ServeRequest implements Owner: a plain server has no job layer, so
+// job_* first frames are rejected like any other non-handshake.
+func (s *Server) ServeRequest(net.Conn, *Message) bool { return false }

@@ -54,8 +54,8 @@ func newStreamingServer(t *testing.T, b *dist.Broadcaster) *dist.Server {
 	cfg := fastConfig()
 	cfg.Observer = b // GA-level events flow straight into the stream
 	srv, err := dist.NewServer(dist.ServerConfig{
-		Scheduler: core.NewPN(cfg, rng.New(1)),
-		Events:    b,
+		Scheduler:  core.NewPN(cfg, rng.New(1)),
+		PoolConfig: dist.PoolConfig{Events: b},
 	})
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)

@@ -1,32 +1,31 @@
-// Package jobs implements the multi-tenant job dispatcher: a
-// persistent scheduling service layered on the internal/dist wire
-// protocol (1.3) that owns a queue of jobs — each a workload plus its
-// own scheduler, tenant and priority — instead of the single workload
-// a dist.Server runs.
+// Package jobs implements the multi-tenant job dispatcher: the
+// dist.Pool owner that holds a queue of jobs — each a workload plus its
+// own scheduler, tenant and priority — where dist.Server, the other
+// owner, holds a single workload.
 //
-// Clients submit jobs over the job_submit/job_status/job_cancel/
-// job_result one-shot exchanges; workers connect with the exact same
-// hello/assign/done conversation they have always spoken (pnworker
-// needs no changes); watch clients subscribe to the same event stream
-// and additionally see the job lifecycle kinds job_queued /
-// job_started / job_done.
+// The pool carries the whole worker conversation (hello/assign/done,
+// §3.6 smoothing, loss detection, watch, stats, trace and the batch
+// loop; pnworker cannot tell the two owners apart). This package adds
+// only what is about jobs: the job_submit/job_status/job_cancel/
+// job_result one-shot exchanges, the job lifecycle kinds job_queued /
+// job_started / job_done on the shared event stream, admission, leases,
+// retry budgets and the journal.
 //
 // The dispatcher admits queued jobs under a configurable policy —
 // FIFO, priority, or weighted fair-share across tenants (stride
 // scheduling over admitted work) — and leases workers from the shared
 // pool to the active jobs: a worker belongs to at most one job at a
 // time, runs that job's batches through the job's own scheduler, and
-// is reclaimed when the job ends. Worker loss generalises the dist
-// server's reissue-on-disconnect into per-job retry budgets: a lost
-// task returns to its job's queue and spends one retry; a job that
-// exhausts its budget fails, releasing its workers to the next job.
+// is reclaimed when the job ends. Worker loss is charged to per-job
+// retry budgets: a lost task returns to its job's queue and spends one
+// retry; a job that exhausts its budget fails, releasing its workers
+// to the next job.
 package jobs
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log/slog"
 	"math"
 	"net"
 	"os"
@@ -37,9 +36,7 @@ import (
 	"pnsched/internal/dist"
 	"pnsched/internal/observe"
 	"pnsched/internal/sched"
-	"pnsched/internal/stats"
 	"pnsched/internal/task"
-	"pnsched/internal/telemetry"
 	"pnsched/internal/units"
 )
 
@@ -152,24 +149,10 @@ type Config struct {
 	// records; 0 selects DefaultSnapshotEvery, negative disables
 	// periodic snapshots (one is still written after each recovery).
 	SnapshotEvery int
-	// Log receives structured serving logs. Nil disables logging.
-	Log *slog.Logger
-	// Observer, when non-nil, receives the dispatcher's events —
-	// batch/dispatch/worker events exactly as a dist.Server emits
-	// them, plus the job lifecycle events via observe.JobObserver.
-	Observer observe.Observer
-	// Events, when non-nil, enables watch subscriptions and streams
-	// every event (including the job kinds) to wire watchers.
-	Events *dist.Broadcaster
-	// Metrics, when non-nil, registers the pnsched_jobs_* instrument
-	// families.
-	Metrics *telemetry.Registry
-	// Nu is the §3.6 smoothing factor for worker rate and link
-	// estimates; 0 selects dist.DefaultNu.
-	Nu float64
-	// Backlog paces per-worker dispatch as in dist.ServerConfig; 0
-	// selects dist.DefaultBacklog.
-	Backlog int
+	// PoolConfig is the worker pool's share — logging, observers, wire
+	// events, metrics (registered as the pnsched_jobs_* families),
+	// smoothing and dispatch pacing.
+	dist.PoolConfig
 }
 
 // job is the dispatcher-side record of one submitted job. All mutable
@@ -210,54 +193,40 @@ type job struct {
 	batches    int
 }
 
+// String names the job where the pool logs its lease.
+func (j *job) String() string { return j.id }
+
 // workerTally accumulates one worker's share of a job.
 type workerTally struct {
 	tasks int
 	work  units.MFlops
 }
 
-// event is one observer event a locked transition produced (exactly
-// one field is set); emits is the ordered list of them, delivered
-// after the lock is released (the events-outside-the-lock rule
-// locksend enforces). Ordering is preserved end to end so watchers
-// see, e.g., a predecessor's job_done before its successor's
-// job_started.
-type event struct {
-	queued  *observe.JobQueued
-	started *observe.JobStarted
-	done    *observe.JobDone
-	left    *observe.WorkerLeft
-}
-
-type emits []event
+// emits is the ordered list of job events a locked transition
+// produced, delivered by the pool after the lock is released (the
+// events-outside-the-lock rule locksend enforces).
+type emits = []dist.JobEvent
 
 // Dispatcher is the multi-tenant job service. Create with New; all
 // methods are safe for concurrent use.
 type Dispatcher struct {
 	cfg         Config
 	policy      Policy
-	nu          float64
-	backlog     int
 	maxAct      int
 	retain      int
 	retainGrace time.Duration
-	log         *slog.Logger
 	met         *jobMetrics
-	observer    observe.Observer // cfg.Observer fanned with cfg.Events
-
-	mu      sync.Mutex
-	cond    *sync.Cond // broadcast on every state change
-	ln      net.Listener
-	closed  bool
-	start   time.Time
-	workers []*worker // connected pool, registration order
+	// pool holds the workers and their conversation; mu is its lock,
+	// which guards everything below as well.
+	pool *dist.Pool
+	mu   *sync.Mutex
 
 	jobsByID map[string]*job
 	order    []*job // every retained job, submission order
 	pending  []*job // queued jobs, submission order
 	active   []*job // running jobs, admission order
 	nextSeq  int
-	nextWire int32 // dispatcher-global wire task IDs (see dispatchLocked)
+	nextWire int32 // dispatcher-global wire task IDs (see WireIDLocked)
 
 	// served is the fair-share ledger: admitted work (MFLOPs) per
 	// tenant; virtual time is served/weight.
@@ -276,15 +245,7 @@ type Dispatcher struct {
 	doneCount      int
 	failedCount    int
 	cancelCount    int
-
-	// latency is the sliding dispatch→done round-trip window feeding
-	// Snapshot quantiles, as in dist.Server.
-	latency    []float64
-	latW, latN int
 }
-
-// latencyWindow matches dist's snapshot window size.
-const latencyWindow = 512
 
 // New returns a dispatcher ready to serve; call ListenAndServe or
 // Serve.
@@ -301,9 +262,6 @@ func New(cfg Config) (*Dispatcher, error) {
 			return nil, fmt.Errorf("jobs: tenant %q has non-positive weight %v", t, w)
 		}
 	}
-	if cfg.Nu < 0 || cfg.Nu > 1 {
-		return nil, fmt.Errorf("jobs: smoothing factor %v outside [0,1]", cfg.Nu)
-	}
 	if cfg.MaxActive < 0 {
 		return nil, fmt.Errorf("jobs: negative MaxActive %d", cfg.MaxActive)
 	}
@@ -313,22 +271,17 @@ func New(cfg Config) (*Dispatcher, error) {
 	d := &Dispatcher{
 		cfg:         cfg,
 		policy:      policy,
-		nu:          cfg.Nu,
-		backlog:     cfg.Backlog,
 		maxAct:      cfg.MaxActive,
 		retain:      cfg.Retain,
 		retainGrace: cfg.RetainGrace,
-		log:         cfg.Log,
 		jobsByID:    map[string]*job{},
 		served:      map[string]float64{},
-		start:       time.Now(),
 	}
-	if d.nu == 0 {
-		d.nu = dist.DefaultNu
+	d.pool, err = dist.NewPool(cfg.PoolConfig, d, "pnsched_jobs_")
+	if err != nil {
+		return nil, err
 	}
-	if d.backlog == 0 {
-		d.backlog = dist.DefaultBacklog
-	}
+	d.mu = &d.pool.Mu
 	if d.maxAct == 0 {
 		d.maxAct = DefaultMaxActive
 	}
@@ -344,19 +297,7 @@ func New(cfg Config) (*Dispatcher, error) {
 	case d.retainGrace < 0:
 		d.retainGrace = 0
 	}
-	if d.log == nil {
-		d.log = slog.New(slog.DiscardHandler)
-	}
-	d.observer = cfg.Observer
-	if cfg.Events != nil {
-		d.observer = observe.Multi(cfg.Observer, cfg.Events)
-	}
-	if cfg.Metrics != nil {
-		d.met = newJobMetrics(cfg.Metrics, d)
-	} else {
-		d.met = &jobMetrics{}
-	}
-	d.cond = sync.NewCond(&d.mu)
+	d.met = newJobMetrics(cfg.Metrics, d)
 	if cfg.JournalDir != "" {
 		every := cfg.SnapshotEvery
 		switch {
@@ -371,47 +312,9 @@ func New(cfg Config) (*Dispatcher, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.emit(ems)
+		d.pool.Emit(ems)
 	}
 	return d, nil
-}
-
-// sinceStart converts an absolute time to the dispatcher clock —
-// seconds since start, the clock every event and timestamp uses.
-func (d *Dispatcher) sinceStart(t time.Time) units.Seconds {
-	if t.IsZero() {
-		return 0
-	}
-	return units.Seconds(t.Sub(d.start).Seconds())
-}
-
-// emit delivers a transition's collected events in order. Must be
-// called without holding mu.
-func (d *Dispatcher) emit(e emits) {
-	for _, ev := range e {
-		switch {
-		case ev.queued != nil:
-			observe.EmitJobQueued(d.observer, *ev.queued)
-			d.log.Info("job queued", "job", ev.queued.ID, "tenant", ev.queued.Tenant,
-				"priority", ev.queued.Priority, "tasks", ev.queued.Tasks,
-				"queued", ev.queued.Queued)
-		case ev.started != nil:
-			observe.EmitJobStarted(d.observer, *ev.started)
-			d.log.Info("job started", "job", ev.started.ID, "tenant", ev.started.Tenant,
-				"workers", ev.started.Workers, "waited", float64(ev.started.Waited))
-		case ev.done != nil:
-			observe.EmitJobDone(d.observer, *ev.done)
-			d.log.Info("job finished", "job", ev.done.ID, "tenant", ev.done.Tenant,
-				"state", ev.done.State, "completed", ev.done.Completed,
-				"retries", ev.done.Retries, "duration", float64(ev.done.Duration))
-		case ev.left != nil:
-			d.log.Info("worker left", "worker", ev.left.Name,
-				"reissued", ev.left.Reissued, "workers", ev.left.Workers)
-			if d.observer != nil {
-				d.observer.OnWorkerLeft(*ev.left)
-			}
-		}
-	}
 }
 
 // Submit validates and enqueues one job, returning its accepted state.
@@ -453,7 +356,7 @@ func (d *Dispatcher) Submit(sub dist.JobSubmission) (dist.JobInfo, error) {
 
 	now := time.Now()
 	d.mu.Lock()
-	if d.closed {
+	if d.pool.ClosedLocked() {
 		d.mu.Unlock()
 		return dist.JobInfo{}, errors.New("jobs: dispatcher closed")
 	}
@@ -481,19 +384,19 @@ func (d *Dispatcher) Submit(sub dist.JobSubmission) (dist.JobInfo, error) {
 	d.tasksSubmitted += j.total
 	d.met.submitted.Inc()
 	d.journalSubmitLocked(j)
-	ems := emits{{queued: &observe.JobQueued{
+	ems := emits{{Queued: &observe.JobQueued{
 		ID:       j.id,
 		Tenant:   j.tenant,
 		Priority: j.priority,
 		Tasks:    j.total,
 		Queued:   len(d.pending),
-		At:       d.sinceStart(now),
+		At:       d.pool.Since(now),
 	}}}
 	ems = append(ems, d.admitLocked(now)...)
 	info := d.infoLocked(j)
-	d.cond.Broadcast()
+	d.pool.Broadcast()
 	d.mu.Unlock()
-	d.emit(ems)
+	d.pool.Emit(ems)
 	return info, nil
 }
 
@@ -602,14 +505,14 @@ func (d *Dispatcher) admitLocked(now time.Time) emits {
 		d.rebalanceLocked()
 		waited := now.Sub(j.submittedAt).Seconds()
 		d.met.schedLatency.Observe(waited)
-		ems = append(ems, event{started: &observe.JobStarted{
+		ems = append(ems, dist.JobEvent{Started: &observe.JobStarted{
 			ID:      j.id,
 			Tenant:  j.tenant,
 			Workers: j.leased,
 			Waited:  units.Seconds(waited),
-			At:      d.sinceStart(now),
+			At:      d.pool.Since(now),
 		}})
-		go d.runJob(j)
+		go d.pool.Run(j, j.queue, j.sch)
 	}
 	return ems
 }
@@ -619,31 +522,17 @@ func (d *Dispatcher) admitLocked(now time.Time) emits {
 // a worker stays with its job until the job ends or the worker leaves,
 // so running batches keep a stable worker set. Caller holds mu.
 func (d *Dispatcher) rebalanceLocked() {
-	if len(d.active) == 0 {
-		return
-	}
-	for _, w := range d.workers {
-		if w.gone || w.lease != nil {
-			continue
+	for _, w := range d.pool.WorkersLocked() {
+		if w.Lease == nil {
+			w.Lease = d.LeaseLocked(w)
 		}
-		best := d.active[0]
-		bestKey := float64(best.leased) / d.weight(best.tenant)
-		for _, j := range d.active[1:] {
-			if key := float64(j.leased) / d.weight(j.tenant); key < bestKey {
-				best, bestKey = j, key
-			}
-		}
-		w.lease = best
-		best.leased++
 	}
-	d.cond.Broadcast()
+	d.pool.Broadcast()
 }
 
 // finishLocked moves a job to a terminal state: removes it from the
-// queues, releases its worker leases, discards its unscheduled and
-// outstanding tasks, and admits successors. Outstanding tasks already
-// on workers cannot be recalled (the protocol has no abort message) —
-// their eventual done reports no longer resolve and are ignored.
+// queues, releases its worker leases (and with them its outstanding
+// tasks), discards its unscheduled tasks, and admits successors.
 // Caller holds mu; no-op if the job is already terminal.
 func (d *Dispatcher) finishLocked(j *job, state, errMsg string, now time.Time) emits {
 	if j.state == StateDone || j.state == StateFailed || j.state == StateCancelled {
@@ -654,20 +543,7 @@ func (d *Dispatcher) finishLocked(j *job, state, errMsg string, now time.Time) e
 	j.finishedAt = now
 	d.pending = removeJob(d.pending, j)
 	d.active = removeJob(d.active, j)
-	for _, w := range d.workers {
-		if w.lease == j {
-			w.lease = nil
-		}
-		for wid, p := range w.outstanding {
-			if p.j == j {
-				delete(w.outstanding, wid)
-				w.pending -= p.t.Size
-				if w.pending < 0 {
-					w.pending = 0
-				}
-			}
-		}
-	}
+	d.pool.ReleaseLocked(j)
 	j.leased = 0
 	j.queue.PopN(j.queue.Len()) // drop the unscheduled remainder
 	d.refundLocked(j)
@@ -687,19 +563,19 @@ func (d *Dispatcher) finishLocked(j *job, state, errMsg string, now time.Time) e
 	if !j.startedAt.IsZero() {
 		dur = now.Sub(j.startedAt).Seconds()
 	}
-	ems := emits{{done: &observe.JobDone{
+	ems := emits{{Done: &observe.JobDone{
 		ID:        j.id,
 		Tenant:    j.tenant,
 		State:     state,
 		Completed: j.completed,
 		Retries:   j.retries,
 		Duration:  units.Seconds(dur),
-		At:        d.sinceStart(now),
+		At:        d.pool.Since(now),
 	}}}
 	d.trimLocked(now)
 	ems = append(ems, d.admitLocked(now)...)
 	d.rebalanceLocked()
-	d.cond.Broadcast()
+	d.pool.Broadcast()
 	return ems
 }
 
@@ -801,7 +677,7 @@ func (d *Dispatcher) Cancel(id string) (dist.JobInfo, error) {
 	ems := d.finishLocked(j, StateCancelled, "", now)
 	info := d.infoLocked(j)
 	d.mu.Unlock()
-	d.emit(ems)
+	d.pool.Emit(ems)
 	return info, nil
 }
 
@@ -826,7 +702,7 @@ func (d *Dispatcher) Result(id string) (dist.JobResult, error) {
 		Retries:   j.retries,
 		Error:     j.errMsg,
 		Elapsed:   j.elapsedSum,
-		Duration:  float64(d.sinceStart(j.finishedAt) - d.sinceStart(j.startedAt)),
+		Duration:  float64(d.pool.Since(j.finishedAt) - d.pool.Since(j.startedAt)),
 	}
 	if j.startedAt.IsZero() {
 		res.Duration = 0
@@ -856,7 +732,7 @@ func (d *Dispatcher) Wait(id string, timeout time.Duration) (dist.JobInfo, error
 		deadline = time.Now().Add(timeout)
 		t := time.AfterFunc(timeout, func() {
 			d.mu.Lock()
-			d.cond.Broadcast()
+			d.pool.Broadcast()
 			d.mu.Unlock()
 		})
 		defer t.Stop()
@@ -871,13 +747,13 @@ func (d *Dispatcher) Wait(id string, timeout time.Duration) (dist.JobInfo, error
 		if j.state == StateDone || j.state == StateFailed || j.state == StateCancelled {
 			return d.infoLocked(j), nil
 		}
-		if d.closed {
+		if d.pool.ClosedLocked() {
 			return d.infoLocked(j), errors.New("jobs: dispatcher closed")
 		}
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
 			return d.infoLocked(j), fmt.Errorf("jobs: job %s still %s after %v", id, j.state, timeout)
 		}
-		d.cond.Wait()
+		d.pool.WaitLocked()
 	}
 }
 
@@ -895,9 +771,9 @@ func (d *Dispatcher) infoLocked(j *job) dist.JobInfo {
 		RetryBudget: j.budget,
 		Workers:     j.leased,
 		Error:       j.errMsg,
-		SubmittedAt: float64(d.sinceStart(j.submittedAt)),
-		StartedAt:   float64(d.sinceStart(j.startedAt)),
-		FinishedAt:  float64(d.sinceStart(j.finishedAt)),
+		SubmittedAt: float64(d.pool.Since(j.submittedAt)),
+		StartedAt:   float64(d.pool.Since(j.startedAt)),
+		FinishedAt:  float64(d.pool.Since(j.finishedAt)),
 	}
 	if j.state == StateQueued {
 		for i, p := range d.pending {
@@ -912,160 +788,35 @@ func (d *Dispatcher) infoLocked(j *job) dist.JobInfo {
 
 // Snapshot returns the dispatcher's operational view in the same
 // shape a dist.Server serves, with the job counts block filled in.
-func (d *Dispatcher) Snapshot() dist.Snapshot {
-	d.mu.Lock()
-	snap := dist.Snapshot{
-		Uptime:    d.sinceStart(time.Now()),
-		Submitted: d.tasksSubmitted,
-		Completed: d.tasksDone,
-		Reissued:  d.reissued,
-		Batches:   d.batches,
-		Jobs: &dist.JobCounts{
-			Queued:    len(d.pending),
-			Running:   len(d.active),
-			Done:      d.doneCount,
-			Failed:    d.failedCount,
-			Cancelled: d.cancelCount,
-		},
-	}
-	for _, j := range d.pending {
-		snap.Pending += j.queue.Len()
-	}
-	for _, j := range d.active {
-		snap.Pending += j.queue.Len()
-	}
-	for _, w := range d.workers {
-		snap.Running += len(w.outstanding)
-		snap.Workers = append(snap.Workers, dist.WorkerSnapshot{
-			Name:      w.name,
-			Rate:      units.Rate(w.rate.ValueOr(float64(w.claimed))),
-			Running:   len(w.outstanding),
-			Completed: w.completed,
-		})
-	}
-	var window []float64
-	if d.latN > 0 {
-		window = make([]float64, d.latN)
-		first := d.latW - d.latN
-		if first < 0 {
-			first += latencyWindow
-		}
-		for i := 0; i < d.latN; i++ {
-			window[i] = d.latency[(first+i)%latencyWindow]
-		}
-	}
-	d.mu.Unlock()
-	if len(window) > 0 {
-		snap.Latency = dist.LatencySummary{
-			Samples: len(window),
-			P50:     units.Seconds(stats.Quantile(window, 0.50)),
-			P90:     units.Seconds(stats.Quantile(window, 0.90)),
-			P99:     units.Seconds(stats.Quantile(window, 0.99)),
-		}
-	}
-	if d.cfg.Events != nil {
-		snap.Watchers = d.cfg.Events.Watchers()
-	}
-	return snap
-}
-
-// observeLatencyLocked appends one dispatch→done round trip to the
-// sliding window. Caller holds mu.
-func (d *Dispatcher) observeLatencyLocked(sec float64) {
-	if d.latency == nil {
-		d.latency = make([]float64, latencyWindow)
-	}
-	d.latency[d.latW] = sec
-	d.latW = (d.latW + 1) % latencyWindow
-	if d.latN < latencyWindow {
-		d.latN++
-	}
-}
+func (d *Dispatcher) Snapshot() dist.Snapshot { return d.pool.Snapshot() }
 
 // ListenAndServe listens on addr and serves connections until Close.
 // Like net/http, it returns nil when shut down with Close.
-func (d *Dispatcher) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return d.Serve(ln)
-}
+func (d *Dispatcher) ListenAndServe(addr string) error { return d.pool.ListenAndServe(addr) }
 
 // Serve accepts connections on ln until Close, taking ownership of the
 // listener. Returns nil when closed.
-func (d *Dispatcher) Serve(ln net.Listener) error {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		ln.Close()
-		return nil
-	}
-	d.ln = ln
-	d.mu.Unlock()
-
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			d.mu.Lock()
-			closed := d.closed
-			d.mu.Unlock()
-			if closed || dist.IsClosedErr(err) {
-				return nil
-			}
-			return err
-		}
-		go d.handleConn(conn)
-	}
-}
+func (d *Dispatcher) Serve(ln net.Listener) error { return d.pool.Serve(ln) }
 
 // Addr returns the listening address, or nil before Serve installed a
 // listener.
-func (d *Dispatcher) Addr() net.Addr {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.ln == nil {
-		return nil
-	}
-	return d.ln.Addr()
-}
+func (d *Dispatcher) Addr() net.Addr { return d.pool.Addr() }
 
 // Close shuts the dispatcher down: listener and worker connections are
 // closed, runners stop, blocked Wait calls return. Queued and running
 // jobs stay in their last state — Close is shutdown, not cancellation.
 // Idempotent.
 func (d *Dispatcher) Close() error {
+	err := d.pool.Close()
 	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return nil
-	}
-	d.closed = true
-	ln := d.ln
-	conns := make([]net.Conn, len(d.workers))
-	for i, w := range d.workers {
-		conns[i] = w.conn
-	}
 	var jf *os.File
 	if d.jour != nil {
 		jf = d.jour.f
 		d.jour = nil // journaled state stays on disk for the next New
 	}
-	d.cond.Broadcast()
 	d.mu.Unlock()
-
 	if jf != nil {
 		jf.Close()
 	}
-
-	if ln != nil {
-		ln.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	if d.cfg.Events != nil {
-		d.cfg.Events.Close()
-	}
-	return nil
+	return err
 }

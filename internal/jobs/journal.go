@@ -305,8 +305,8 @@ func openJournal(dir string, every int) (*journal, *JournalSnapshot, []*JournalR
 // d.mu.
 func (d *Dispatcher) appendLocked(rec *JournalRecord) {
 	jr := d.jour
-	if jr == nil || jr.broken {
-		return
+	if jr == nil || jr.broken || d.pool.ClosedLocked() {
+		return // Close stops journaling at the instant it stops serving
 	}
 	jr.lsn++
 	rec.LSN = jr.lsn
@@ -316,7 +316,7 @@ func (d *Dispatcher) appendLocked(rec *JournalRecord) {
 	}
 	if err != nil {
 		jr.broken = true
-		d.log.Error("journal append failed; journaling disabled", "dir", jr.dir, "err", err)
+		d.pool.Log.Error("journal append failed; journaling disabled", "dir", jr.dir, "err", err)
 		return
 	}
 	d.met.journalRecords.Inc()
@@ -325,7 +325,7 @@ func (d *Dispatcher) appendLocked(rec *JournalRecord) {
 	if jr.every > 0 && jr.appends >= jr.every {
 		if err := d.snapshotJournalLocked(); err != nil {
 			jr.broken = true
-			d.log.Error("journal snapshot failed; journaling disabled", "dir", jr.dir, "err", err)
+			d.pool.Log.Error("journal snapshot failed; journaling disabled", "dir", jr.dir, "err", err)
 		}
 	}
 }
@@ -338,7 +338,7 @@ func (d *Dispatcher) snapshotJournalLocked() error {
 	jr := d.jour
 	snap := &JournalSnapshot{
 		LSN:            jr.lsn,
-		Start:          d.start.UnixNano(),
+		Start:          d.pool.Start.UnixNano(),
 		NextSeq:        d.nextSeq,
 		NextWire:       d.nextWire,
 		TasksSubmitted: d.tasksSubmitted,
@@ -419,17 +419,7 @@ func (d *Dispatcher) journalJobLocked(j *job, full bool) JournalJob {
 		rj.FinishedAt = j.finishedAt.UnixNano()
 	}
 	if full || (j.state != StateDone && j.state != StateFailed && j.state != StateCancelled) {
-		ts := j.queue.Snapshot()
-		var inflight []task.Task
-		for _, w := range d.workers {
-			for _, p := range w.outstanding {
-				if p.j == j {
-					inflight = append(inflight, p.t)
-				}
-			}
-		}
-		sort.Slice(inflight, func(a, b int) bool { return inflight[a].ID < inflight[b].ID })
-		rj.Tasks = dist.TasksToWire(append(ts, inflight...))
+		rj.Tasks = dist.TasksToWire(append(j.queue.Snapshot(), d.pool.InFlightLocked(j)...))
 	}
 	names := make([]string, 0, len(j.perWorker))
 	for name := range j.perWorker {
@@ -540,7 +530,7 @@ func (d *Dispatcher) recover(dir string, every int) (emits, error) {
 	d.jour = jr
 
 	if snap != nil {
-		d.start = time.Unix(0, snap.Start)
+		d.pool.Start = time.Unix(0, snap.Start)
 		d.nextSeq = snap.NextSeq
 		d.nextWire = snap.NextWire
 		d.tasksSubmitted = snap.TasksSubmitted
@@ -620,7 +610,7 @@ func (d *Dispatcher) recover(dir string, every int) (emits, error) {
 	}
 	d.replaySec = time.Since(t0).Seconds()
 	if snap != nil || len(tail) > 0 {
-		d.log.Info("journal replayed", "dir", dir, "jobs", len(d.order),
+		d.pool.Log.Info("journal replayed", "dir", dir, "jobs", len(d.order),
 			"pending", len(d.pending), "tail_records", len(tail),
 			"seconds", d.replaySec)
 	}

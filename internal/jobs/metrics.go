@@ -13,25 +13,20 @@ type jobMetrics struct {
 	finishedDone      *telemetry.Counter
 	finishedFailed    *telemetry.Counter
 	finishedCancelled *telemetry.Counter
-	tasksCompleted    *telemetry.Counter
-	reissuedTasks     *telemetry.Counter
-	dispatched        *telemetry.Counter
-	batchesTotal      *telemetry.Counter
-	decodeErrors      *telemetry.Counter
 	journalRecords    *telemetry.Counter
 	journalBytes      *telemetry.Counter
 	journalSnapshots  *telemetry.Counter
 
-	schedLatency    *telemetry.Histogram
-	dispatchLatency *telemetry.Histogram
-	batchWall       *telemetry.Histogram
+	schedLatency *telemetry.Histogram
 }
 
-// newJobMetrics registers the pnsched_jobs_* instrument families and
-// the dispatcher's scrape-time collectors on reg. Names are disjoint
-// from the dist server's pnsched_* families so a process hosting both
-// can share one registry.
+// newJobMetrics registers the job-level pnsched_jobs_* instruments and
+// the dispatcher's scrape-time collectors on reg; the pool registers
+// the task-, worker- and watcher-level ones under the same prefix.
 func newJobMetrics(reg *telemetry.Registry, d *Dispatcher) *jobMetrics {
+	if reg == nil {
+		return &jobMetrics{}
+	}
 	m := &jobMetrics{
 		submitted: reg.Counter("pnsched_jobs_submitted_total",
 			"Jobs accepted by the dispatcher over its lifetime."),
@@ -44,16 +39,6 @@ func newJobMetrics(reg *telemetry.Registry, d *Dispatcher) *jobMetrics {
 		finishedCancelled: reg.Counter("pnsched_jobs_finished_total",
 			"Jobs reaching a terminal state, by state.",
 			telemetry.L("state", StateCancelled)),
-		tasksCompleted: reg.Counter("pnsched_jobs_tasks_completed_total",
-			"Tasks acknowledged done across all jobs."),
-		reissuedTasks: reg.Counter("pnsched_jobs_tasks_reissued_total",
-			"Tasks pulled back from departed workers and requeued (each one spends a retry)."),
-		dispatched: reg.Counter("pnsched_jobs_tasks_dispatched_total",
-			"Tasks sent to leased workers (reissues dispatch again)."),
-		batchesTotal: reg.Counter("pnsched_jobs_batches_total",
-			"Committed batch-scheduling decisions across all jobs."),
-		decodeErrors: reg.Counter("pnsched_jobs_protocol_decode_errors_total",
-			"Malformed or invalid wire frames received by the dispatcher."),
 		journalRecords: reg.Counter("pnsched_jobs_journal_records_total",
 			"State-transition records appended to the job journal."),
 		journalBytes: reg.Counter("pnsched_jobs_journal_bytes_total",
@@ -63,12 +48,6 @@ func newJobMetrics(reg *telemetry.Registry, d *Dispatcher) *jobMetrics {
 		schedLatency: reg.Histogram("pnsched_jobs_scheduling_latency_seconds",
 			"Submission-to-start wait per job (time spent queued).",
 			telemetry.ExpBuckets(0.001, 4, 10)),
-		dispatchLatency: reg.Histogram("pnsched_jobs_dispatch_latency_seconds",
-			"Dispatch-to-done wall-clock round trip per task.",
-			telemetry.ExpBuckets(0.001, 4, 10)),
-		batchWall: reg.Histogram("pnsched_jobs_batch_wall_seconds",
-			"Wall-clock time one ScheduleBatch call took.",
-			telemetry.ExpBuckets(0.0001, 4, 10)),
 	}
 
 	reg.SampleFunc("pnsched_jobs_queue_depth",
@@ -119,59 +98,17 @@ func newJobMetrics(reg *telemetry.Registry, d *Dispatcher) *jobMetrics {
 			defer d.mu.Unlock()
 			return d.replaySec
 		})
-	reg.GaugeFunc("pnsched_jobs_workers",
-		"Currently connected workers in the dispatcher pool.", func() float64 {
-			d.mu.Lock()
-			defer d.mu.Unlock()
-			return float64(len(d.workers))
-		})
 	reg.GaugeFunc("pnsched_jobs_workers_leased",
 		"Workers currently leased to a running job.", func() float64 {
 			d.mu.Lock()
 			defer d.mu.Unlock()
 			n := 0
-			for _, w := range d.workers {
-				if w.lease != nil {
+			for _, w := range d.pool.WorkersLocked() {
+				if w.Lease != nil {
 					n++
 				}
 			}
 			return float64(n)
 		})
-	reg.GaugeFunc("pnsched_jobs_pending_tasks",
-		"Unscheduled tasks across queued and running jobs.", func() float64 {
-			d.mu.Lock()
-			defer d.mu.Unlock()
-			n := 0
-			for _, j := range d.pending {
-				n += j.queue.Len()
-			}
-			for _, j := range d.active {
-				n += j.queue.Len()
-			}
-			return float64(n)
-		})
-	reg.GaugeFunc("pnsched_jobs_running_tasks",
-		"Tasks dispatched to leased workers but not yet reported done.", func() float64 {
-			d.mu.Lock()
-			defer d.mu.Unlock()
-			n := 0
-			for _, w := range d.workers {
-				n += len(w.outstanding)
-			}
-			return float64(n)
-		})
-
-	if b := d.cfg.Events; b != nil {
-		reg.SampleFunc("pnsched_jobs_events_published_total",
-			"Event frames published to the dispatcher broadcaster.", false,
-			func() []telemetry.Sample {
-				return []telemetry.Sample{{Value: float64(b.Published())}}
-			})
-		reg.SampleFunc("pnsched_jobs_events_dropped_total",
-			"Event frames dropped across all dispatcher watchers.", false,
-			func() []telemetry.Sample {
-				return []telemetry.Sample{{Value: float64(b.DroppedTotal())}}
-			})
-	}
 	return m
 }

@@ -1,0 +1,170 @@
+package jobs
+
+import (
+	"fmt"
+	"net"
+	"time"
+
+	"pnsched/internal/dist"
+	"pnsched/internal/task"
+	"pnsched/internal/units"
+)
+
+// This file is the dispatcher as a dist.Owner: the answers the worker
+// pool needs from whoever owns it. A lease is the *job a worker
+// executes for.
+
+// LeaseLocked implements dist.Owner: a free worker goes to the active
+// job furthest below its weight-proportional share.
+func (d *Dispatcher) LeaseLocked(*dist.Worker) any {
+	if len(d.active) == 0 {
+		return nil
+	}
+	best := d.active[0]
+	bestKey := float64(best.leased) / d.weight(best.tenant)
+	for _, j := range d.active[1:] {
+		if key := float64(j.leased) / d.weight(j.tenant); key < bestKey {
+			best, bestKey = j, key
+		}
+	}
+	best.leased++
+	return best
+}
+
+// LiveLocked implements dist.Owner: a job takes batches while it runs.
+func (d *Dispatcher) LiveLocked(lease any) bool {
+	return lease.(*job).state == StateRunning
+}
+
+// BatchLocked implements dist.Owner; invocations count per job.
+func (d *Dispatcher) BatchLocked(lease any) int {
+	j := lease.(*job)
+	d.batches++
+	j.batches++
+	return j.batches
+}
+
+// WireIDLocked implements dist.Owner: each dispatched task gets a fresh
+// dispatcher-global wire ID, so tasks of different jobs — whose own ID
+// spaces may collide — never alias on one connection.
+func (d *Dispatcher) WireIDLocked(task.Task) int32 {
+	d.nextWire++
+	return d.nextWire
+}
+
+// DoneLocked implements dist.Owner: counters, per-worker tallies, the
+// journal record, and — when this was the job's last task — the job's
+// completion.
+func (d *Dispatcher) DoneLocked(lease any, worker string, t task.Task, elapsed units.Seconds, now time.Time) emits {
+	j := lease.(*job)
+	d.tasksDone++
+	j.completed++
+	j.servedWork += float64(t.Size)
+	j.elapsedSum += float64(elapsed)
+	tally := j.perWorker[worker]
+	if tally == nil {
+		tally = &workerTally{}
+		j.perWorker[worker] = tally
+	}
+	tally.tasks++
+	tally.work += t.Size
+	d.journalTaskLocked(j, worker, t, elapsed)
+	if j.state == StateRunning && j.completed == j.total {
+		return d.finishLocked(j, StateDone, "", now)
+	}
+	return nil
+}
+
+// LostLocked implements dist.Owner. Unlike the single-workload server,
+// reissue here is charged against the job's retry budget — a job that
+// exhausts it fails rather than retrying forever.
+func (d *Dispatcher) LostLocked(lease any, worker string, lost []task.Task, now time.Time) (int, emits) {
+	j, _ := lease.(*job)
+	if j == nil {
+		return 0, nil // the worker was free
+	}
+	if j.leased > 0 {
+		j.leased--
+	}
+	if len(lost) == 0 {
+		return 0, nil
+	}
+	j.queue.PushAll(lost)
+	j.retries += len(lost)
+	d.journalRetryLocked(j, len(lost))
+	d.reissued += len(lost)
+	var ems emits
+	if j.retries > j.budget {
+		ems = d.finishLocked(j, StateFailed,
+			fmt.Sprintf("retry budget exhausted: %d reissues exceed budget %d (worker %q lost)",
+				j.retries, j.budget, worker), now)
+	}
+	return len(lost), ems
+}
+
+// UnsentLocked implements dist.Owner: the tasks were never sent, so
+// they go back silently — no retry is charged.
+func (d *Dispatcher) UnsentLocked(lease any, ts []task.Task) {
+	lease.(*job).queue.PushAll(ts)
+}
+
+// StatsLocked implements dist.Owner.
+func (d *Dispatcher) StatsLocked(snap *dist.Snapshot) {
+	snap.Submitted = d.tasksSubmitted
+	snap.Completed = d.tasksDone
+	snap.Reissued = d.reissued
+	snap.Batches = d.batches
+	snap.Jobs = &dist.JobCounts{
+		Queued:    len(d.pending),
+		Running:   len(d.active),
+		Done:      d.doneCount,
+		Failed:    d.failedCount,
+		Cancelled: d.cancelCount,
+	}
+	for _, j := range d.pending {
+		snap.Pending += j.queue.Len()
+	}
+	for _, j := range d.active {
+		snap.Pending += j.queue.Len()
+	}
+}
+
+// ServeRequest implements dist.Owner with the job_* exchanges: a single
+// versioned reply echoing the request type, carrying either the result
+// or an application-level Error string, then close. Failures are
+// reported in-band (not by dropping the connection) so clients can
+// distinguish "no such job" from "server does not speak 1.3".
+func (d *Dispatcher) ServeRequest(conn net.Conn, m *dist.Message) bool {
+	reply := dist.Message{Type: m.Type}
+	one := func(info dist.JobInfo, err error) error {
+		if err == nil {
+			reply.Jobs = []dist.JobInfo{info}
+		}
+		return err
+	}
+	var err error
+	switch m.Type {
+	case dist.MsgJobSubmit:
+		err = one(d.Submit(*m.Job))
+	case dist.MsgJobStatus:
+		if m.JobID == "" {
+			reply.Jobs = d.Queue()
+		} else {
+			err = one(d.Status(m.JobID))
+		}
+	case dist.MsgJobCancel:
+		err = one(d.Cancel(m.JobID))
+	case dist.MsgJobResult:
+		var res dist.JobResult
+		if res, err = d.Result(m.JobID); err == nil {
+			reply.Result = &res
+		}
+	default:
+		return false
+	}
+	if err != nil {
+		reply.Error = err.Error()
+	}
+	d.pool.Reply(conn, &reply)
+	return true
+}

@@ -78,7 +78,7 @@ func manyTasks(tenant string, n int, size float64) dist.JobSubmission {
 // path: submit over the wire, watch it complete, fetch status, queue,
 // result and stats over the wire.
 func TestJobLifecycleOverWire(t *testing.T) {
-	d, addr := startDispatcher(t, jobs.Config{Events: dist.NewBroadcaster(64, 0)})
+	d, addr := startDispatcher(t, jobs.Config{PoolConfig: dist.PoolConfig{Events: dist.NewBroadcaster(64, 0)}})
 	startWorkers(t, addr, 2, 100)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -241,7 +241,7 @@ func TestCancelReleasesWorkers(t *testing.T) {
 // numbers crossing them must stay contiguous, so an old client's
 // gap detection sees no loss when it ignores the new kinds.
 func TestOldMinorWatcherSkipsJobKinds(t *testing.T) {
-	d, addr := startDispatcher(t, jobs.Config{Events: dist.NewBroadcaster(256, 0)})
+	d, addr := startDispatcher(t, jobs.Config{PoolConfig: dist.PoolConfig{Events: dist.NewBroadcaster(256, 0)}})
 	startWorkers(t, addr, 1, 100)
 
 	conn, err := net.Dial("tcp", addr)
@@ -359,9 +359,9 @@ func TestFairShareOverWire(t *testing.T) {
 	}
 
 	d, addr := startDispatcher(t, jobs.Config{
-		Policy:   jobs.PolicyFair,
-		Weights:  map[string]float64{"gold": 3, "free": 1},
-		Observer: obs,
+		Policy:     jobs.PolicyFair,
+		Weights:    map[string]float64{"gold": 3, "free": 1},
+		PoolConfig: dist.PoolConfig{Observer: obs},
 	})
 
 	// Interleaved submissions, equal work everywhere, no workers yet.

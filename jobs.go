@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	"net/http"
-	"sync"
 	"time"
 
 	"pnsched/internal/dist"
@@ -86,21 +84,13 @@ type JobRequest struct {
 type JobsOption func(*jobsOpts)
 
 type jobsOpts struct {
-	addr      string
-	ln        net.Listener
-	log       *slog.Logger
-	observer  Observer
+	commonOpts
 	policy    AdmissionPolicy
 	weights   map[string]float64
 	maxActive int
 	retry     int
 	retain    int
 	journal   string
-	nu        float64
-	backlog   int
-	queue     int
-	replay    int
-	adminAddr string
 }
 
 // WithJobsListenAddr sets the TCP address the dispatcher listens on;
@@ -187,17 +177,8 @@ func WithJobsAdminAddr(addr string) JobsOption { return func(o *jobsOpts) { o.ad
 // methods here or over the wire through SubmitJob and friends (the
 // pnjobs binary). All methods are safe for concurrent use.
 type JobService struct {
-	d      *jobs.Dispatcher
-	events *dist.Broadcaster
-	addr   net.Addr
-	stop   func() bool
-
-	adminLn  net.Listener
-	adminSrv *http.Server
-
-	closeOnce sync.Once
-	closeErr  error
-	serveErr  chan error
+	service
+	d *jobs.Dispatcher
 }
 
 // ServeJobs starts the multi-tenant job dispatcher: a persistent
@@ -214,7 +195,7 @@ type JobService struct {
 //
 // Cancelling ctx closes the service.
 func ServeJobs(ctx context.Context, opts ...JobsOption) (*JobService, error) {
-	jo := jobsOpts{addr: "127.0.0.1:0"}
+	jo := jobsOpts{commonOpts: commonOpts{addr: "127.0.0.1:0"}}
 	for _, o := range opts {
 		o(&jo)
 	}
@@ -254,40 +235,14 @@ func ServeJobs(ctx context.Context, opts ...JobsOption) (*JobService, error) {
 		RetryBudget: jo.retry,
 		Retain:      jo.retain,
 		JournalDir:  jo.journal,
-		Log:         jo.log,
-		Observer:    local,
-		Events:      events,
-		Metrics:     reg,
-		Nu:          jo.nu,
-		Backlog:     jo.backlog,
+		PoolConfig:  jo.poolConfig(local, events, reg),
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	ln := jo.ln
-	if ln == nil {
-		ln, err = net.Listen("tcp", jo.addr)
-		if err != nil {
-			d.Close()
-			return nil, err
-		}
-	}
-	s := &JobService{d: d, events: events, addr: ln.Addr(), serveErr: make(chan error, 1)}
-	if jo.adminAddr != "" {
-		adminLn, err := net.Listen("tcp", jo.adminAddr)
-		if err != nil {
-			d.Close()
-			ln.Close()
-			return nil, fmt.Errorf("pnsched: admin listener: %w", err)
-		}
-		s.adminLn = adminLn
-		s.adminSrv = &http.Server{Handler: telemetry.AdminMux(reg, nil)}
-		go s.adminSrv.Serve(adminLn)
-	}
-	go func() { s.serveErr <- d.Serve(ln) }()
-	if ctx != nil && ctx.Done() != nil {
-		s.stop = context.AfterFunc(ctx, func() { s.Close() })
+	s := &JobService{service: service{rt: d, events: events}, d: d}
+	if err := s.start(ctx, &jo.commonOpts, reg); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -298,27 +253,31 @@ func (s *JobService) Addr() net.Addr { return s.addr }
 
 // AdminAddr returns the admin HTTP endpoint's bound address, or nil
 // when the service was started without WithJobsAdminAddr.
-func (s *JobService) AdminAddr() net.Addr {
-	if s.adminLn == nil {
-		return nil
-	}
-	return s.adminLn.Addr()
-}
+func (s *JobService) AdminAddr() net.Addr { return s.adminAddr() }
 
 // Submit validates and enqueues one job, returning its accepted state
 // (ID assigned, queued or already running).
 func (s *JobService) Submit(req JobRequest) (JobInfo, error) {
+	sub, err := req.submission()
+	if err != nil {
+		return JobInfo{}, err
+	}
+	return s.d.Submit(sub)
+}
+
+// submission lowers the request to its wire form.
+func (req JobRequest) submission() (dist.JobSubmission, error) {
 	spec, err := json.Marshal(req.Scheduler)
 	if err != nil {
-		return JobInfo{}, fmt.Errorf("pnsched: job spec: %w", err)
+		return dist.JobSubmission{}, fmt.Errorf("pnsched: job spec: %w", err)
 	}
-	return s.d.Submit(dist.JobSubmission{
+	return dist.JobSubmission{
 		Tenant:      req.Tenant,
 		Priority:    req.Priority,
 		Spec:        spec,
 		RetryBudget: req.RetryBudget,
 		Tasks:       dist.TasksToWire(req.Tasks),
-	})
+	}, nil
 }
 
 // Status returns one job's current state.
@@ -349,37 +308,17 @@ func (s *JobService) Snapshot() ServerSnapshot { return s.d.Snapshot() }
 // close, runners stop, blocked WaitJob calls return. Queued and
 // running jobs keep their last state — Close is shutdown, not
 // cancellation. Idempotent.
-func (s *JobService) Close() error {
-	s.closeOnce.Do(func() {
-		if s.stop != nil {
-			s.stop()
-		}
-		if s.adminSrv != nil {
-			s.adminSrv.Close()
-		}
-		s.closeErr = s.d.Close()
-		if err := <-s.serveErr; err != nil && s.closeErr == nil {
-			s.closeErr = err
-		}
-	})
-	return s.closeErr
-}
+func (s *JobService) Close() error { return s.close() }
 
 // SubmitJob submits one job to a dispatcher at addr over the wire
 // (protocol 1.3) — the client side of JobService.Submit, used by
 // `pnjobs submit`.
 func SubmitJob(ctx context.Context, addr string, req JobRequest) (JobInfo, error) {
-	spec, err := json.Marshal(req.Scheduler)
+	sub, err := req.submission()
 	if err != nil {
-		return JobInfo{}, fmt.Errorf("pnsched: job spec: %w", err)
+		return JobInfo{}, err
 	}
-	return dist.SubmitJob(ctx, addr, dist.JobSubmission{
-		Tenant:      req.Tenant,
-		Priority:    req.Priority,
-		Spec:        spec,
-		RetryBudget: req.RetryBudget,
-		Tasks:       dist.TasksToWire(req.Tasks),
-	})
+	return dist.SubmitJob(ctx, addr, sub)
 }
 
 // JobStatus fetches one job's current state from a dispatcher at addr

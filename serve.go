@@ -18,7 +18,11 @@ import (
 // WithListen* functions.
 type ServeOption func(*serveOpts)
 
-type serveOpts struct {
+type serveOpts struct{ commonOpts }
+
+// commonOpts are the settings Serve and ServeJobs share, behind their
+// separately named options.
+type commonOpts struct {
 	addr      string
 	ln        net.Listener
 	log       *slog.Logger
@@ -28,6 +32,95 @@ type serveOpts struct {
 	queue     int
 	replay    int
 	adminAddr string
+}
+
+// poolConfig lowers the shared options onto the worker pool's
+// configuration, with local as the in-process observer chain.
+func (o *commonOpts) poolConfig(local Observer, events *dist.Broadcaster, reg *telemetry.Registry) dist.PoolConfig {
+	return dist.PoolConfig{
+		Log:      o.log,
+		Observer: local,
+		Events:   events,
+		Metrics:  reg,
+		Nu:       o.nu,
+		Backlog:  o.backlog,
+	}
+}
+
+// service is what a live Server and JobService share: the bound
+// listener, the event broadcaster, the optional admin endpoint, the
+// context watcher and the idempotent Close around the runtime they
+// front.
+type service struct {
+	rt interface {
+		Serve(net.Listener) error
+		Close() error
+	}
+	events *dist.Broadcaster
+	addr   net.Addr
+	stop   func() bool // detaches the context watcher
+
+	adminLn  net.Listener // nil without an admin address
+	adminSrv *http.Server
+
+	closeOnce sync.Once
+	closeErr  error
+	serveErr  chan error
+}
+
+// start binds the listener (and the admin endpoint, serving reg) and
+// begins serving s.rt; on failure everything opened so far, s.rt
+// included, is closed again.
+func (s *service) start(ctx context.Context, o *commonOpts, reg *telemetry.Registry) error {
+	ln := o.ln
+	if ln == nil {
+		var err error
+		if ln, err = net.Listen("tcp", o.addr); err != nil {
+			s.rt.Close()
+			return err
+		}
+	}
+	s.addr = ln.Addr()
+	s.serveErr = make(chan error, 1)
+	if o.adminAddr != "" {
+		adminLn, err := net.Listen("tcp", o.adminAddr)
+		if err != nil {
+			s.rt.Close()
+			ln.Close()
+			return fmt.Errorf("pnsched: admin listener: %w", err)
+		}
+		s.adminLn = adminLn
+		s.adminSrv = &http.Server{Handler: telemetry.AdminMux(reg, nil)}
+		go s.adminSrv.Serve(adminLn)
+	}
+	go func() { s.serveErr <- s.rt.Serve(ln) }()
+	if ctx != nil && ctx.Done() != nil {
+		s.stop = context.AfterFunc(ctx, func() { s.close() })
+	}
+	return nil
+}
+
+func (s *service) adminAddr() net.Addr {
+	if s.adminLn == nil {
+		return nil
+	}
+	return s.adminLn.Addr()
+}
+
+func (s *service) close() error {
+	s.closeOnce.Do(func() {
+		if s.stop != nil {
+			s.stop()
+		}
+		if s.adminSrv != nil {
+			s.adminSrv.Close()
+		}
+		s.closeErr = s.rt.Close()
+		if err := <-s.serveErr; err != nil && s.closeErr == nil {
+			s.closeErr = err
+		}
+	})
+	return s.closeErr
 }
 
 // WithListenAddr sets the TCP address the server listens on. The
@@ -111,18 +204,9 @@ type ServerStats struct {
 // with RunWorker (or the pnworker binary); remote observers connect
 // with Watch. All methods are safe for concurrent use.
 type Server struct {
+	service
 	srv    *dist.Server
-	events *dist.Broadcaster
 	traces *dist.TraceRecorder
-	addr   net.Addr
-	stop   func() bool // detaches the context watcher
-
-	adminLn  net.Listener // nil without WithAdminAddr
-	adminSrv *http.Server
-
-	closeOnce sync.Once
-	closeErr  error
-	serveErr  chan error
 }
 
 // Serve starts the live counterpart of Run: it constructs the batch
@@ -141,7 +225,7 @@ type Server struct {
 // Cancelling ctx closes the server, releasing workers, watchers and
 // blocked Wait calls.
 func Serve(ctx context.Context, spec Spec, opts ...ServeOption) (*Server, error) {
-	so := serveOpts{addr: "127.0.0.1:0"}
+	so := serveOpts{commonOpts{addr: "127.0.0.1:0"}}
 	for _, o := range opts {
 		o(&so)
 	}
@@ -165,42 +249,16 @@ func Serve(ctx context.Context, spec Spec, opts ...ServeOption) (*Server, error)
 		return nil, fmt.Errorf("pnsched: scheduler %s is immediate-mode; Serve needs a batch scheduler", sch.Name())
 	}
 	srv, err := dist.NewServer(dist.ServerConfig{
-		Scheduler: batch,
-		Log:       so.log,
-		Observer:  local,
-		Events:    events,
-		Nu:        so.nu,
-		Backlog:   so.backlog,
-		Metrics:   reg,
-		Traces:    traces,
+		Scheduler:  batch,
+		Traces:     traces,
+		PoolConfig: so.poolConfig(local, events, reg),
 	})
 	if err != nil {
 		return nil, err
 	}
-	ln := so.ln
-	if ln == nil {
-		ln, err = net.Listen("tcp", so.addr)
-		if err != nil {
-			srv.Close()
-			return nil, err
-		}
-	}
-
-	s := &Server{srv: srv, events: events, traces: traces, addr: ln.Addr(), serveErr: make(chan error, 1)}
-	if so.adminAddr != "" {
-		adminLn, err := net.Listen("tcp", so.adminAddr)
-		if err != nil {
-			srv.Close()
-			ln.Close()
-			return nil, fmt.Errorf("pnsched: admin listener: %w", err)
-		}
-		s.adminLn = adminLn
-		s.adminSrv = &http.Server{Handler: telemetry.AdminMux(reg, nil)}
-		go s.adminSrv.Serve(adminLn)
-	}
-	go func() { s.serveErr <- srv.Serve(ln) }()
-	if ctx != nil && ctx.Done() != nil {
-		s.stop = context.AfterFunc(ctx, func() { s.Close() })
+	s := &Server{service: service{rt: srv, events: events}, srv: srv, traces: traces}
+	if err := s.start(ctx, &so.commonOpts, reg); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -211,12 +269,7 @@ func (s *Server) Addr() net.Addr { return s.addr }
 
 // AdminAddr returns the admin HTTP endpoint's bound address, or nil
 // when the server was started without WithAdminAddr.
-func (s *Server) AdminAddr() net.Addr {
-	if s.adminLn == nil {
-		return nil
-	}
-	return s.adminLn.Addr()
-}
+func (s *Server) AdminAddr() net.Addr { return s.adminAddr() }
 
 // Traces returns the server's retained per-batch decision traces,
 // oldest first: for every recent batch decision, the scheduler, batch
@@ -280,21 +333,7 @@ func FetchTraces(ctx context.Context, addr string) ([]DecisionTrace, error) {
 // Close shuts the server down: the listener closes, worker and watch
 // connections drop, and blocked Wait calls return ErrServerClosed.
 // Close is idempotent.
-func (s *Server) Close() error {
-	s.closeOnce.Do(func() {
-		if s.stop != nil {
-			s.stop()
-		}
-		if s.adminSrv != nil {
-			s.adminSrv.Close()
-		}
-		s.closeErr = s.srv.Close()
-		if err := <-s.serveErr; err != nil && s.closeErr == nil {
-			s.closeErr = err
-		}
-	})
-	return s.closeErr
-}
+func (s *Server) Close() error { return s.close() }
 
 // RunWorker connects a worker processor to a scheduling server at addr
 // and processes assigned tasks strictly in FIFO order until ctx is

@@ -276,10 +276,12 @@ func TestServeRejectsImmediateSchedulers(t *testing.T) {
 	}
 }
 
-// TestServeValidationParity feeds the same invalid Specs to Run and
-// Serve and requires identical rejections: both funnel through the
-// shared Validate, so a spec that cannot run in the simulator cannot
-// be served live either — with the same explanation.
+// TestServeValidationParity feeds the same invalid Specs to Run, Serve
+// and a ServeJobs submission and requires identical rejections: all
+// funnel through the shared Validate, so a spec that cannot run in the
+// simulator cannot be served live either — with the same explanation.
+// The one documented difference is the zero Spec, which a job
+// submission reads as "the default scheduler".
 func TestServeValidationParity(t *testing.T) {
 	w, err := pnsched.GenerateWorkload(pnsched.WorkloadConfig{Tasks: 5, Procs: 2, Seed: 1})
 	if err != nil {
@@ -287,6 +289,11 @@ func TestServeValidationParity(t *testing.T) {
 	}
 	four := 4
 	zero := 0
+	svc, err := pnsched.ServeJobs(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
 	cases := []struct {
 		name string
 		spec pnsched.Spec
@@ -316,6 +323,14 @@ func TestServeValidationParity(t *testing.T) {
 			if runErr.Error() != serveErr.Error() {
 				t.Errorf("divergent rejections:\n  Run:   %v\n  Serve: %v", runErr, serveErr)
 			}
+			_, jobErr := svc.Submit(pnsched.JobRequest{Scheduler: c.spec, Tasks: w.Tasks})
+			if c.spec.Name == "" {
+				if jobErr != nil {
+					t.Errorf("job submission rejected the zero Spec: %v", jobErr)
+				}
+			} else if jobErr == nil || jobErr.Error() != runErr.Error() {
+				t.Errorf("divergent rejections:\n  Run:       %v\n  ServeJobs: %v", runErr, jobErr)
+			}
 		})
 	}
 }
@@ -341,5 +356,87 @@ func TestServeContextCancel(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Wait did not unblock after ctx cancel")
+	}
+}
+
+// TestLiveGAEvolvesOnDrainedWorkers is the end-to-end regression for
+// the float residue a drained worker's pending load used to keep: with
+// fractional task sizes the residue made TimeUntilFirstIdle ≈ 0, the
+// §3.4 budget was spent before it started, and every GA run after the
+// first stopped at generation 0 — the paper's scheduler was not really
+// running in the live service. Both runtimes sit on one worker pool, so
+// both rows must evolve their second batch.
+func TestLiveGAEvolvesOnDrainedWorkers(t *testing.T) {
+	// The first batch's placement is a function of the seeds alone
+	// (equal claimed rates, nothing loaded); workload seed 3 is one
+	// whose sizes, summed and un-summed in dispatch order, used to
+	// leave a positive residue on both workers.
+	batches := [][]pnsched.Task{
+		pnsched.GenerateTasks(40, pnsched.Uniform{Lo: 10, Hi: 1000}, pnsched.NewRNG(3)),
+		pnsched.GenerateTasks(40, pnsched.Uniform{Lo: 10, Hi: 1000}, pnsched.NewRNG(8)),
+	}
+	// start brings one runtime up with obs attached and returns its
+	// address, its worker count, and how to run one batch to completion.
+	rows := map[string]func(t *testing.T, ctx context.Context, obs pnsched.Observer) (addr string, workers func() int, run func([]pnsched.Task) error){
+		"Serve": func(t *testing.T, ctx context.Context, obs pnsched.Observer) (string, func() int, func([]pnsched.Task) error) {
+			srv, err := pnsched.Serve(ctx, fastServeSpec(t), pnsched.WithServeObserver(obs))
+			if err != nil {
+				t.Fatalf("Serve: %v", err)
+			}
+			t.Cleanup(func() { srv.Close() })
+			return srv.Addr().String(), func() int { return srv.Stats().Workers }, func(ts []pnsched.Task) error {
+				srv.Submit(ts)
+				return srv.Wait(30 * time.Second)
+			}
+		},
+		"ServeJobs": func(t *testing.T, ctx context.Context, obs pnsched.Observer) (string, func() int, func([]pnsched.Task) error) {
+			svc, err := pnsched.ServeJobs(ctx, pnsched.WithJobsObserver(obs))
+			if err != nil {
+				t.Fatalf("ServeJobs: %v", err)
+			}
+			t.Cleanup(func() { svc.Close() })
+			return svc.Addr().String(), func() int { return len(svc.Snapshot().Workers) }, func(ts []pnsched.Task) error {
+				info, err := svc.Submit(pnsched.JobRequest{Scheduler: fastServeSpec(t), Tasks: ts})
+				if err != nil {
+					return err
+				}
+				_, err = svc.WaitJob(info.ID, 30*time.Second)
+				return err
+			}
+		},
+	}
+	for name, start := range rows {
+		t.Run(name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			var wg sync.WaitGroup
+			defer wg.Wait()
+			defer cancel()
+			var mu sync.Mutex
+			var generations []int
+			addr, workers, run := start(t, ctx, pnsched.ObserverFuncs{
+				EvolveDone: func(e pnsched.EvolveDoneEvent) {
+					mu.Lock()
+					generations = append(generations, e.Generations)
+					mu.Unlock()
+				},
+			})
+			startJobWorker(ctx, t, &wg, addr, "w1")
+			startJobWorker(ctx, t, &wg, addr, "w2")
+			for deadline := time.Now().Add(10 * time.Second); workers() != 2; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("workers never registered")
+				}
+			}
+			for i, ts := range batches {
+				if err := run(ts); err != nil {
+					t.Fatalf("batch %d: %v", i, err)
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(generations) != 2 || generations[0] == 0 || generations[1] == 0 {
+				t.Errorf("generations per evolve = %v, want two runs that both evolved", generations)
+			}
+		})
 	}
 }

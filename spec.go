@@ -60,11 +60,6 @@ type Spec struct {
 	// scenario's own seed — but a non-zero value here wins.
 	Seed uint64 `json:"seed,omitempty"`
 
-	// Incremental selects the evaluation engine: nil or true is the
-	// incremental path (the default), false the legacy full
-	// re-evaluation (for equivalence testing and benchmarks).
-	Incremental *bool `json:"incremental,omitempty"`
-
 	// Runtime-only attachments, set via WithRNG / WithObserver; never
 	// serialized.
 	rng      *rng.RNG
@@ -136,10 +131,6 @@ func WithMigrants(n int) Option { return func(s *Spec) { s.Migrants = n } }
 
 // WithSeed seeds the scheduler's random stream.
 func WithSeed(seed uint64) Option { return func(s *Spec) { s.Seed = seed } }
-
-// WithIncremental selects the evaluation engine (true, the default:
-// incremental; false: legacy full re-evaluation).
-func WithIncremental(on bool) Option { return func(s *Spec) { s.Incremental = &on } }
 
 // WithRNG attaches an explicit random stream, overriding Seed —
 // used by callers that derive all their randomness from one base
@@ -221,9 +212,6 @@ func (s Spec) gaConfig() core.Config {
 		cfg.InitialBatch = s.Batch
 	}
 	cfg.FixedBatch = !s.DynamicBatch
-	if s.Incremental != nil {
-		cfg.NaiveEvaluation = !*s.Incremental
-	}
 	cfg.Observer = s.observer
 	return cfg
 }

@@ -18,7 +18,6 @@ func TestNewSpecOptions(t *testing.T) {
 		WithMigrationInterval(10),
 		WithMigrants(3),
 		WithSeed(7),
-		WithIncremental(false),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -30,12 +29,9 @@ func TestNewSpecOptions(t *testing.T) {
 	if spec.Islands == nil || *spec.Islands != 4 || spec.MigrationInterval != 10 || spec.Migrants != 3 {
 		t.Errorf("island options not applied: %+v", spec)
 	}
-	if spec.Incremental == nil || *spec.Incremental {
-		t.Errorf("WithIncremental(false) not applied: %+v", spec)
-	}
 	cfg := spec.gaConfig()
 	if cfg.Generations != 500 || cfg.Population != 30 || cfg.Rebalances != 2 ||
-		cfg.InitialBatch != 100 || cfg.FixedBatch || !cfg.NaiveEvaluation {
+		cfg.InitialBatch != 100 || cfg.FixedBatch {
 		t.Errorf("gaConfig lowering wrong: %+v", cfg)
 	}
 	icfg := spec.islandConfig()
@@ -107,7 +103,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		MustSpec("PN", WithGenerations(500), WithBatch(100), WithDynamicBatch(true), WithSeed(9)),
 		MustSpec("pn-island", WithIslands(4), WithMigrationInterval(10), WithMigrants(3), WithPopulation(30)),
 		MustSpec("KPB", WithK(40)),
-		MustSpec("ZO", WithIncremental(false), WithRebalances(-1)),
+		MustSpec("ZO", WithRebalances(-1)),
 	}
 	for _, spec := range specs {
 		raw, err := json.Marshal(spec)

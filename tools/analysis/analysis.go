@@ -95,6 +95,22 @@ func Filter(fset *token.FileSet, files []*ast.File, name string, diags []Diagnos
 	if len(diags) == 0 {
 		return diags
 	}
+	waived := Waived(fset, files, name)
+	kept := diags[:0]
+	for _, d := range diags {
+		if !waived(d.Pos) {
+			kept = append(kept, d)
+		}
+	}
+	return kept
+}
+
+// Waived returns a predicate reporting whether the line holding pos
+// carries a //pnanalyze:ok comment for the named analyzer. Filter
+// applies it to finished diagnostics; an analyzer that propagates
+// facts between sites (locksend's call-chain taint) uses it so that a
+// reviewed operation does not resurface at every caller.
+func Waived(fset *token.FileSet, files []*ast.File, name string) func(token.Pos) bool {
 	// line key "file:line" → set of analyzer names waived ("" = all).
 	waived := make(map[string]map[string]bool)
 	for _, f := range files {
@@ -118,17 +134,9 @@ func Filter(fset *token.FileSet, files []*ast.File, name string, diags []Diagnos
 			}
 		}
 	}
-	if len(waived) == 0 {
-		return diags
+	return func(p token.Pos) bool {
+		pos := fset.Position(p)
+		w := waived[fmt.Sprintf("%s:%d", pos.Filename, pos.Line)]
+		return w[""] || w[name]
 	}
-	kept := diags[:0]
-	for _, d := range diags {
-		pos := fset.Position(d.Pos)
-		key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
-		if w := waived[key]; w != nil && (w[""] || w[name]) {
-			continue
-		}
-		kept = append(kept, d)
-	}
-	return kept
 }

@@ -72,8 +72,7 @@ var Rules = []Rule{
 		Scope: "internal/jobs",
 		Only: []string{
 			"internal/dist", "internal/observe", "internal/sched",
-			"internal/smoothing", "internal/stats", "internal/task",
-			"internal/telemetry", "internal/units",
+			"internal/task", "internal/telemetry", "internal/units",
 		},
 		Reason: "the job dispatcher composes the distribution layer and the " +
 			"scheduling seam; reaching into the GA internals (core, ga, rng) " +
