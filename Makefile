@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race fuzz-smoke lint apicheck analyze docs-check bench bench-smoke bench-diff bench-e2e bench-compare admin-smoke vulncheck ci
+.PHONY: build test race fuzz-smoke lint apicheck analyze docs-check bench bench-smoke bench-e2e bench-compare admin-smoke vulncheck ci
 
 build:
 	$(GO) build ./...
@@ -66,27 +66,14 @@ bench:
 # One pass of the island-vs-sequential and naive-vs-incremental
 # benchmarks plus the pnbench island and evolve studies;
 # BENCH_island.json and BENCH_evolve.json are the machine-readable
-# records CI uploads as artifacts (BENCH_evolve.json evidences the
-# incremental engine's per-generation evaluation saving at paper
-# scale).
+# records CI uploads as artifacts. Neither is a gate: the evolve loop's
+# speed is measured by bench/ (core.evolve_ms_h200_m50 and
+# core.evolve_allocs_h200_m50 from `bash bench/run.sh --trace 1`).
 bench-smoke:
 	$(GO) test ./internal/core -run=NONE -bench=BenchmarkIslandEvolve -benchtime=1x
 	$(GO) test ./internal/core -run=NONE -bench='BenchmarkEvolve(Naive|Incremental)' -benchtime=1x
 	$(GO) run ./cmd/pnbench -figure island -profile fast -json BENCH_island.json
 	$(GO) run ./cmd/pnbench -figure evolve -profile fast -json BENCH_evolve.json
-
-# The benchmark regression gate: three fresh evolve-study runs against
-# the committed BENCH_evolve.json baseline, failing on >15% wall-clock
-# regression of the per-row minimum (BENCHDIFF_MAX_PCT overrides the
-# threshold). An intentional perf change regenerates the baseline with
-# `make bench-smoke` and commits it.
-bench-diff:
-	@rm -f BENCH_evolve.fresh.*.json
-	for i in 1 2 3; do \
-		$(GO) run ./cmd/pnbench -figure evolve -profile fast -json BENCH_evolve.fresh.$$i.json >/dev/null || exit 1; \
-	done
-	sh scripts/benchdiff.sh BENCH_evolve.json BENCH_evolve.fresh.1.json BENCH_evolve.fresh.2.json BENCH_evolve.fresh.3.json
-	@rm -f BENCH_evolve.fresh.*.json
 
 # The repo's end-to-end benchmark (BENCHMARK.json, bench/README.md): one
 # workload per process, the full record appended to
@@ -118,4 +105,4 @@ vulncheck:
 		echo "vulncheck: govulncheck not installed; skipping (CI runs it)"; \
 	fi
 
-ci: build lint apicheck analyze docs-check test race fuzz-smoke bench bench-diff bench-smoke admin-smoke vulncheck
+ci: build lint apicheck analyze docs-check test race fuzz-smoke bench bench-smoke admin-smoke vulncheck

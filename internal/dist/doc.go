@@ -98,8 +98,13 @@
 // worker_joined and worker_left, and — since 1.2 — evolve_done, the
 // GA work ledger emitted once per evolution (generations, evaluations,
 // budget granted and spent, stop reason); batch_decided also gained a
-// wall field, the real seconds the decision took. Each kind carries
-// its payload under a kind-specific field. seq is the shared publication counter; a frame
+// wall field, the real seconds the decision took, which a watcher's
+// observer receives like every other field. Each kind carries its
+// payload under a kind-specific field, and the payload is the
+// internal/observe event struct itself: its json tags are the payload
+// grammar, so the Broadcaster publishes what it was handed and the
+// watch client delivers what it decoded, with no wire-only copy in
+// between. seq is the shared publication counter; a frame
 // with a newer minor version decodes fine (unknown fields and kinds
 // ignored — golden tests pin this), a different major is rejected at
 // the handshake.
@@ -118,17 +123,17 @@
 // # Stats snapshots and decision traces
 //
 // A connection whose first frame is {"type":"stats"} (protocol 1.1)
-// receives one reply — the server's Snapshot flattened to JSON: queue
-// depths, task counters, per-worker believed rates and completions,
-// per-watcher queue/drop counters, and dispatch-latency quantiles —
-// and is then closed. FetchStats is the client side; pnserver -stats
+// receives one reply — the server's Snapshot, encoded by its own json
+// tags: queue depths, task counters, per-worker believed rates and
+// completions, per-watcher queue/drop counters, and dispatch-latency
+// quantiles — and is then closed. FetchStats is the client side; pnserver -stats
 // and the periodic line in pnserver -watch are its CLI surface.
 //
 // Its sibling {"type":"trace"} (protocol 1.2) returns the server's
 // retained ring of per-batch decision traces — which tasks went where,
 // the GA work ledger, and the generation-best makespan curve for each
-// scheduling decision. FetchTraces is the client side; pnserver -trace
-// prints the curves.
+// scheduling decision, each a Trace encoded by its own json tags.
+// FetchTraces is the client side; pnserver -trace prints the curves.
 //
 // # Time scaling
 //

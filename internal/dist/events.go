@@ -217,81 +217,40 @@ func (b *Broadcaster) Watchers() []WatcherSnapshot {
 
 // OnBatchDecided implements observe.Observer.
 func (b *Broadcaster) OnBatchDecided(e observe.BatchDecision) {
-	b.publish(eventFrame{Kind: kindBatchDecided, Batch: &wireBatchDecision{
-		Invocation: e.Invocation,
-		Scheduler:  e.Scheduler,
-		Tasks:      e.Tasks,
-		Procs:      e.Procs,
-		Cost:       float64(e.Cost),
-		At:         float64(e.At),
-		Wall:       float64(e.Wall),
-	}})
+	b.publish(eventFrame{Kind: kindBatchDecided, Batch: &e})
 }
 
 // OnGenerationBest implements observe.Observer.
 func (b *Broadcaster) OnGenerationBest(e observe.GenerationBest) {
-	b.publish(eventFrame{Kind: kindGenerationBest, Generation: &wireGenerationBest{
-		Generation: e.Generation,
-		Makespan:   float64(e.Makespan),
-	}})
+	b.publish(eventFrame{Kind: kindGenerationBest, Generation: &e})
 }
 
 // OnMigration implements observe.Observer.
 func (b *Broadcaster) OnMigration(e observe.Migration) {
-	b.publish(eventFrame{Kind: kindMigration, Migration: &wireMigration{
-		Round:    e.Round,
-		Migrants: e.Migrants,
-	}})
+	b.publish(eventFrame{Kind: kindMigration, Migration: &e})
 }
 
 // OnDispatch implements observe.Observer.
 func (b *Broadcaster) OnDispatch(e observe.Dispatch) {
-	b.publish(eventFrame{Kind: kindDispatch, Dispatch: &wireDispatch{
-		Proc: e.Proc,
-		Task: int32(e.Task),
-		At:   float64(e.At),
-	}})
+	b.publish(eventFrame{Kind: kindDispatch, Dispatch: &e})
 }
 
 // OnBudgetStop implements observe.Observer.
 func (b *Broadcaster) OnBudgetStop(e observe.BudgetStop) {
-	b.publish(eventFrame{Kind: kindBudgetStop, Budget: &wireBudgetStop{
-		Generation: e.Generation,
-		Budget:     float64(e.Budget),
-		Spent:      float64(e.Spent),
-	}})
+	b.publish(eventFrame{Kind: kindBudgetStop, Budget: &e})
 }
 
 // OnEvolveDone implements observe.Observer (protocol 1.2).
 func (b *Broadcaster) OnEvolveDone(e observe.EvolveDone) {
-	b.publish(eventFrame{Kind: kindEvolveDone, Evolve: &wireEvolveDone{
-		Generations:    e.Generations,
-		Evaluations:    e.Evaluations,
-		Genes:          e.Genes,
-		RebalanceEvals: e.RebalanceEvals,
-		Budget:         float64(e.Budget),
-		Spent:          float64(e.Spent),
-		BestMakespan:   float64(e.BestMakespan),
-		Reason:         e.Reason,
-	}})
+	b.publish(eventFrame{Kind: kindEvolveDone, Evolve: &e})
 }
 
 // OnWorkerJoined implements observe.Observer (protocol 1.1).
 func (b *Broadcaster) OnWorkerJoined(e observe.WorkerJoined) {
-	b.publish(eventFrame{Kind: kindWorkerJoined, Joined: &wireWorkerJoined{
-		Name:    e.Name,
-		Rate:    float64(e.Rate),
-		Workers: e.Workers,
-		At:      float64(e.At),
-	}})
+	b.publish(eventFrame{Kind: kindWorkerJoined, Joined: &e})
 }
 
 // OnWorkerLeft implements observe.Observer (protocol 1.1).
 func (b *Broadcaster) OnWorkerLeft(e observe.WorkerLeft) {
-	b.publish(eventFrame{Kind: kindWorkerLeft, Left: &wireWorkerLeft{
-		Name:     e.Name,
-		Reissued: e.Reissued,
-		Workers:  e.Workers,
-		At:       float64(e.At),
-	}})
+	b.publish(eventFrame{Kind: kindWorkerLeft, Left: &e})
 }

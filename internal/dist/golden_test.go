@@ -22,28 +22,28 @@ func canonicalFrames() map[string]eventFrame {
 	v := wireVersion{Major: ProtoMajor, Minor: ProtoMinor}
 	return map[string]eventFrame{
 		"event_batch_decided": {Type: msgEvent, V: v, Seq: 1, Kind: kindBatchDecided,
-			Batch: &wireBatchDecision{Invocation: 3, Scheduler: "PN", Tasks: 200, Procs: 50, Cost: 0.125, At: 17.5, Wall: 0.0625}},
+			Batch: &observe.BatchDecision{Invocation: 3, Scheduler: "PN", Tasks: 200, Procs: 50, Cost: 0.125, At: 17.5, Wall: 0.0625}},
 		"event_generation_best": {Type: msgEvent, V: v, Seq: 2, Kind: kindGenerationBest,
-			Generation: &wireGenerationBest{Generation: 41, Makespan: 96.875}},
+			Generation: &observe.GenerationBest{Generation: 41, Makespan: 96.875}},
 		"event_migration": {Type: msgEvent, V: v, Seq: 3, Kind: kindMigration,
-			Migration: &wireMigration{Round: 2, Migrants: 8}},
+			Migration: &observe.Migration{Round: 2, Migrants: 8}},
 		"event_dispatch": {Type: msgEvent, V: v, Seq: 4, Dropped: 7, Kind: kindDispatch,
-			Dispatch: &wireDispatch{Proc: 12, Task: 0, At: 18.25}},
+			Dispatch: &observe.Dispatch{Proc: 12, Task: 0, At: 18.25}},
 		"event_budget_stop": {Type: msgEvent, V: v, Seq: 5, Kind: kindBudgetStop,
-			Budget: &wireBudgetStop{Generation: 77, Budget: 1.5, Spent: 1.4375}},
+			Budget: &observe.BudgetStop{Generation: 77, Budget: 1.5, Spent: 1.4375}},
 		"event_evolve_done": {Type: msgEvent, V: v, Seq: 8, Kind: kindEvolveDone,
-			Evolve: &wireEvolveDone{Generations: 312, Evaluations: 6240, Genes: 48000,
+			Evolve: &observe.EvolveDone{Generations: 312, Evaluations: 6240, Genes: 48000,
 				RebalanceEvals: 40, Budget: 1.5, Spent: 1.4375, BestMakespan: 96.875, Reason: "budget"}},
 		"event_worker_joined": {Type: msgEvent, V: v, Seq: 6, Kind: kindWorkerJoined,
-			Joined: &wireWorkerJoined{Name: "node7-4412", Rate: 87.5, Workers: 3, At: 21.5}},
+			Joined: &observe.WorkerJoined{Name: "node7-4412", Rate: 87.5, Workers: 3, At: 21.5}},
 		"event_worker_left": {Type: msgEvent, V: v, Seq: 7, Kind: kindWorkerLeft,
-			Left: &wireWorkerLeft{Name: "node7-4412", Reissued: 5, Workers: 2, At: 44.25}},
+			Left: &observe.WorkerLeft{Name: "node7-4412", Reissued: 5, Workers: 2, At: 44.25}},
 		"event_job_queued": {Type: msgEvent, V: v, Seq: 9, Kind: kindJobQueued,
-			Queued: &wireJobQueued{ID: "job-0007", Tenant: "gold", Priority: 2, Tasks: 200, Queued: 3, At: 52.5}},
+			Queued: &observe.JobQueued{ID: "job-0007", Tenant: "gold", Priority: 2, Tasks: 200, Queued: 3, At: 52.5}},
 		"event_job_started": {Type: msgEvent, V: v, Seq: 10, Kind: kindJobStarted,
-			Started: &wireJobStarted{ID: "job-0007", Tenant: "gold", Workers: 3, Waited: 4.25, At: 56.75}},
+			Started: &observe.JobStarted{ID: "job-0007", Tenant: "gold", Workers: 3, Waited: 4.25, At: 56.75}},
 		"event_job_done": {Type: msgEvent, V: v, Seq: 11, Kind: kindJobDone,
-			Finished: &wireJobDone{ID: "job-0007", Tenant: "gold", State: "done", Completed: 200, Retries: 5, Duration: 30.5, At: 87.25}},
+			Finished: &observe.JobDone{ID: "job-0007", Tenant: "gold", State: "done", Completed: 200, Retries: 5, Duration: 30.5, At: 87.25}},
 	}
 }
 
@@ -54,7 +54,7 @@ func TestGoldenStatsReply(t *testing.T) {
 	reply := message{
 		Type:  msgStats,
 		Proto: &wireVersion{Major: ProtoMajor, Minor: ProtoMinor},
-		Stats: Snapshot{
+		Stats: &Snapshot{
 			Uptime:    120.5,
 			Submitted: 1000,
 			Completed: 640,
@@ -69,7 +69,7 @@ func TestGoldenStatsReply(t *testing.T) {
 			Watchers: []WatcherSnapshot{{Queued: 12, Dropped: 3}},
 			Latency:  LatencySummary{Samples: 512, P50: 0.125, P90: 0.5, P99: 1.25},
 			Jobs:     &JobCounts{Queued: 2, Running: 1, Done: 14, Failed: 1, Cancelled: 3},
-		}.toWire(),
+		},
 	}
 	path := filepath.Join("testdata", "golden", "stats_reply.json")
 	encoded, err := json.Marshal(&reply)
@@ -97,7 +97,7 @@ func TestGoldenStatsReply(t *testing.T) {
 	if m.Stats == nil {
 		t.Fatal("stats reply decoded without its snapshot")
 	}
-	snap := m.Stats.toSnapshot()
+	snap := *m.Stats
 	if snap.Completed != 640 || len(snap.Workers) != 2 || snap.Latency.Samples != 512 {
 		t.Errorf("snapshot round trip lost data: %+v", snap)
 	}
@@ -110,7 +110,7 @@ func TestGoldenTraceReply(t *testing.T) {
 	reply := message{
 		Type:  msgTrace,
 		Proto: &wireVersion{Major: ProtoMajor, Minor: ProtoMinor},
-		Traces: tracesToWire([]Trace{{
+		Traces: []Trace{{
 			Invocation: 3, Scheduler: "PN", Tasks: 200, Procs: 50,
 			Cost: 0.125, At: 17.5, Wall: 0.0625,
 			Generations: 312, Evaluations: 6240, Genes: 48000,
@@ -121,7 +121,7 @@ func TestGoldenTraceReply(t *testing.T) {
 				{Generation: 12, Makespan: 112.25},
 				{Generation: 288, Makespan: 96.875},
 			},
-		}}),
+		}},
 	}
 	path := filepath.Join("testdata", "golden", "trace_reply.json")
 	encoded, err := json.Marshal(&reply)
@@ -149,7 +149,7 @@ func TestGoldenTraceReply(t *testing.T) {
 	if len(m.Traces) != 1 {
 		t.Fatalf("trace reply decoded with %d traces, want 1", len(m.Traces))
 	}
-	tr := m.Traces[0].toTrace()
+	tr := m.Traces[0]
 	if tr.Generations != 312 || len(tr.Curve) != 3 || tr.Curve[2].Makespan != 96.875 {
 		t.Errorf("trace round trip lost data: %+v", tr)
 	}

@@ -112,36 +112,15 @@ type JobCounts struct {
 
 // OnJobQueued implements observe.JobObserver (protocol 1.3).
 func (b *Broadcaster) OnJobQueued(e observe.JobQueued) {
-	b.publish(eventFrame{Kind: kindJobQueued, Queued: &wireJobQueued{
-		ID:       e.ID,
-		Tenant:   e.Tenant,
-		Priority: e.Priority,
-		Tasks:    e.Tasks,
-		Queued:   e.Queued,
-		At:       float64(e.At),
-	}})
+	b.publish(eventFrame{Kind: kindJobQueued, Queued: &e})
 }
 
 // OnJobStarted implements observe.JobObserver (protocol 1.3).
 func (b *Broadcaster) OnJobStarted(e observe.JobStarted) {
-	b.publish(eventFrame{Kind: kindJobStarted, Started: &wireJobStarted{
-		ID:      e.ID,
-		Tenant:  e.Tenant,
-		Workers: e.Workers,
-		Waited:  float64(e.Waited),
-		At:      float64(e.At),
-	}})
+	b.publish(eventFrame{Kind: kindJobStarted, Started: &e})
 }
 
 // OnJobDone implements observe.JobObserver (protocol 1.3).
 func (b *Broadcaster) OnJobDone(e observe.JobDone) {
-	b.publish(eventFrame{Kind: kindJobDone, Finished: &wireJobDone{
-		ID:        e.ID,
-		Tenant:    e.Tenant,
-		State:     e.State,
-		Completed: e.Completed,
-		Retries:   e.Retries,
-		Duration:  float64(e.Duration),
-		At:        float64(e.At),
-	}})
+	b.publish(eventFrame{Kind: kindJobDone, Finished: &e})
 }

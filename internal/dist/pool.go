@@ -508,7 +508,8 @@ func (p *Pool) handleConn(conn net.Conn) {
 	case msgWatch:
 		p.serveWatch(conn, br)
 	case msgStats:
-		p.Reply(conn, &message{Type: msgStats, Stats: p.Snapshot().toWire()})
+		snap := p.Snapshot()
+		p.Reply(conn, &message{Type: msgStats, Stats: &snap})
 	case msgTrace:
 		// A pool without a TraceRecorder replies with an empty list —
 		// the request is still understood.
@@ -516,7 +517,7 @@ func (p *Pool) handleConn(conn net.Conn) {
 		if p.traces != nil {
 			traces = p.traces.Traces()
 		}
-		p.Reply(conn, &message{Type: msgTrace, Traces: tracesToWire(traces)})
+		p.Reply(conn, &message{Type: msgTrace, Traces: traces})
 	default:
 		if !p.owner.ServeRequest(conn, m) {
 			p.met.decodeErrors.Inc()

@@ -103,10 +103,10 @@ type message struct {
 	Proto *wireVersion `json:"proto,omitempty"`
 
 	// stats reply (absent on the request)
-	Stats *wireStats `json:"stats,omitempty"`
+	Stats *Snapshot `json:"stats,omitempty"`
 
 	// trace reply (absent on the request); oldest decision first
-	Traces []wireTrace `json:"traces,omitempty"`
+	Traces []Trace `json:"traces,omitempty"`
 
 	// job_submit request (1.3)
 	Job *JobSubmission `json:"job,omitempty"`
@@ -182,114 +182,17 @@ type eventFrame struct {
 	Dropped uint64 `json:"dropped,omitempty"`
 	Kind    string `json:"kind"`
 
-	Batch      *wireBatchDecision  `json:"batch,omitempty"`
-	Generation *wireGenerationBest `json:"generation,omitempty"`
-	Migration  *wireMigration      `json:"migration,omitempty"`
-	Dispatch   *wireDispatch       `json:"dispatch,omitempty"`
-	Budget     *wireBudgetStop     `json:"budget,omitempty"`
-	Joined     *wireWorkerJoined   `json:"joined,omitempty"`
-	Left       *wireWorkerLeft     `json:"left,omitempty"`
-	Evolve     *wireEvolveDone     `json:"evolve,omitempty"`
-	Queued     *wireJobQueued      `json:"queued,omitempty"`
-	Started    *wireJobStarted     `json:"started,omitempty"`
-	Finished   *wireJobDone        `json:"finished,omitempty"`
-}
-
-// The event payloads mirror internal/observe's types field for field,
-// flattened onto plain JSON scalars so the wire format is independent
-// of the unit types' Go representation.
-
-type wireBatchDecision struct {
-	Invocation int     `json:"invocation"`
-	Scheduler  string  `json:"scheduler"`
-	Tasks      int     `json:"tasks"`
-	Procs      int     `json:"procs"`
-	Cost       float64 `json:"cost"`
-	At         float64 `json:"at"`
-	// Wall is real wall-clock decision time in seconds (1.2; absent
-	// from older peers and from simulator-driven decisions).
-	Wall float64 `json:"wall,omitempty"`
-}
-
-type wireGenerationBest struct {
-	Generation int     `json:"generation"`
-	Makespan   float64 `json:"makespan"`
-}
-
-type wireMigration struct {
-	Round    int `json:"round"`
-	Migrants int `json:"migrants"`
-}
-
-type wireDispatch struct {
-	Proc int     `json:"proc"`
-	Task int32   `json:"task"`
-	At   float64 `json:"at"`
-}
-
-type wireBudgetStop struct {
-	Generation int     `json:"generation"`
-	Budget     float64 `json:"budget"`
-	Spent      float64 `json:"spent"`
-}
-
-type wireWorkerJoined struct {
-	Name    string  `json:"name"`
-	Rate    float64 `json:"rate"` // claimed Mflop/s
-	Workers int     `json:"workers"`
-	At      float64 `json:"at"`
-}
-
-type wireWorkerLeft struct {
-	Name     string  `json:"name"`
-	Reissued int     `json:"reissued"`
-	Workers  int     `json:"workers"`
-	At       float64 `json:"at"`
-}
-
-// wireEvolveDone is the per-run GA evaluation ledger (protocol 1.2):
-// what one batch decision's evolution actually spent, summarised once
-// at the end of the run.
-type wireEvolveDone struct {
-	Generations    int     `json:"generations"`
-	Evaluations    int     `json:"evaluations"`
-	Genes          int     `json:"genes"`
-	RebalanceEvals int     `json:"rebalance_evals,omitempty"`
-	Budget         float64 `json:"budget,omitempty"` // 0 = unlimited
-	Spent          float64 `json:"spent"`
-	BestMakespan   float64 `json:"best_makespan"`
-	Reason         string  `json:"reason"`
-}
-
-// wireJobQueued reports a job admitted to the dispatcher queue (1.3).
-type wireJobQueued struct {
-	ID       string  `json:"id"`
-	Tenant   string  `json:"tenant"`
-	Priority int     `json:"priority,omitempty"`
-	Tasks    int     `json:"tasks"`
-	Queued   int     `json:"queued"` // queued-job count after this enqueue
-	At       float64 `json:"at"`
-}
-
-// wireJobStarted reports a job leaving the queue with its initial
-// worker lease (1.3).
-type wireJobStarted struct {
-	ID      string  `json:"id"`
-	Tenant  string  `json:"tenant"`
-	Workers int     `json:"workers"` // workers leased at start
-	Waited  float64 `json:"waited"`  // queue wait in seconds
-	At      float64 `json:"at"`
-}
-
-// wireJobDone reports a job reaching a terminal state (1.3).
-type wireJobDone struct {
-	ID        string  `json:"id"`
-	Tenant    string  `json:"tenant"`
-	State     string  `json:"state"` // done | failed | cancelled
-	Completed int     `json:"completed"`
-	Retries   int     `json:"retries,omitempty"`
-	Duration  float64 `json:"duration"` // start→finish wall seconds
-	At        float64 `json:"at"`
+	Batch      *observe.BatchDecision  `json:"batch,omitempty"`
+	Generation *observe.GenerationBest `json:"generation,omitempty"`
+	Migration  *observe.Migration      `json:"migration,omitempty"`
+	Dispatch   *observe.Dispatch       `json:"dispatch,omitempty"`
+	Budget     *observe.BudgetStop     `json:"budget,omitempty"`
+	Joined     *observe.WorkerJoined   `json:"joined,omitempty"`
+	Left       *observe.WorkerLeft     `json:"left,omitempty"`
+	Evolve     *observe.EvolveDone     `json:"evolve,omitempty"`
+	Queued     *observe.JobQueued      `json:"queued,omitempty"`
+	Started    *observe.JobStarted     `json:"started,omitempty"`
+	Finished   *observe.JobDone        `json:"finished,omitempty"`
 }
 
 // validate checks an event frame's internal consistency: version
@@ -350,92 +253,30 @@ func (f *eventFrame) deliver(o observe.Observer) {
 	}
 	switch f.Kind {
 	case kindBatchDecided:
-		b := f.Batch
-		o.OnBatchDecided(observe.BatchDecision{
-			Invocation: b.Invocation,
-			Scheduler:  b.Scheduler,
-			Tasks:      b.Tasks,
-			Procs:      b.Procs,
-			Cost:       units.Seconds(b.Cost),
-			At:         units.Seconds(b.At),
-		})
+		o.OnBatchDecided(*f.Batch)
 	case kindGenerationBest:
-		o.OnGenerationBest(observe.GenerationBest{
-			Generation: f.Generation.Generation,
-			Makespan:   units.Seconds(f.Generation.Makespan),
-		})
+		o.OnGenerationBest(*f.Generation)
 	case kindMigration:
-		o.OnMigration(observe.Migration{
-			Round:    f.Migration.Round,
-			Migrants: f.Migration.Migrants,
-		})
+		o.OnMigration(*f.Migration)
 	case kindDispatch:
-		o.OnDispatch(observe.Dispatch{
-			Proc: f.Dispatch.Proc,
-			Task: task.ID(f.Dispatch.Task),
-			At:   units.Seconds(f.Dispatch.At),
-		})
+		o.OnDispatch(*f.Dispatch)
 	case kindBudgetStop:
-		o.OnBudgetStop(observe.BudgetStop{
-			Generation: f.Budget.Generation,
-			Budget:     units.Seconds(f.Budget.Budget),
-			Spent:      units.Seconds(f.Budget.Spent),
-		})
+		o.OnBudgetStop(*f.Budget)
 	case kindWorkerJoined:
-		o.OnWorkerJoined(observe.WorkerJoined{
-			Name:    f.Joined.Name,
-			Rate:    units.Rate(f.Joined.Rate),
-			Workers: f.Joined.Workers,
-			At:      units.Seconds(f.Joined.At),
-		})
+		o.OnWorkerJoined(*f.Joined)
 	case kindWorkerLeft:
-		o.OnWorkerLeft(observe.WorkerLeft{
-			Name:     f.Left.Name,
-			Reissued: f.Left.Reissued,
-			Workers:  f.Left.Workers,
-			At:       units.Seconds(f.Left.At),
-		})
+		o.OnWorkerLeft(*f.Left)
 	case kindEvolveDone:
-		o.OnEvolveDone(observe.EvolveDone{
-			Generations:    f.Evolve.Generations,
-			Evaluations:    f.Evolve.Evaluations,
-			Genes:          f.Evolve.Genes,
-			RebalanceEvals: f.Evolve.RebalanceEvals,
-			Budget:         units.Seconds(f.Evolve.Budget),
-			Spent:          units.Seconds(f.Evolve.Spent),
-			BestMakespan:   units.Seconds(f.Evolve.BestMakespan),
-			Reason:         f.Evolve.Reason,
-		})
+		o.OnEvolveDone(*f.Evolve)
 	case kindJobQueued:
 		// The job kinds ride the JobObserver extension; plain Observers
 		// skip them (Emit* no-ops), matching how pre-1.3 peers never see
 		// the kinds at all.
-		observe.EmitJobQueued(o, observe.JobQueued{
-			ID:       f.Queued.ID,
-			Tenant:   f.Queued.Tenant,
-			Priority: f.Queued.Priority,
-			Tasks:    f.Queued.Tasks,
-			Queued:   f.Queued.Queued,
-			At:       units.Seconds(f.Queued.At),
-		})
+		observe.EmitJobQueued(o, *f.Queued)
 	case kindJobStarted:
-		observe.EmitJobStarted(o, observe.JobStarted{
-			ID:      f.Started.ID,
-			Tenant:  f.Started.Tenant,
-			Workers: f.Started.Workers,
-			Waited:  units.Seconds(f.Started.Waited),
-			At:      units.Seconds(f.Started.At),
-		})
+		observe.EmitJobStarted(o, *f.Started)
 	case kindJobDone:
-		observe.EmitJobDone(o, observe.JobDone{
-			ID:        f.Finished.ID,
-			Tenant:    f.Finished.Tenant,
-			State:     f.Finished.State,
-			Completed: f.Finished.Completed,
-			Retries:   f.Finished.Retries,
-			Duration:  units.Seconds(f.Finished.Duration),
-			At:        units.Seconds(f.Finished.At),
-		})
+		observe.EmitJobDone(o, *f.Finished)
 	}
 }
 

@@ -19,49 +19,49 @@ import (
 type Snapshot struct {
 	// Uptime is seconds since the server started — the same clock the
 	// event frames' At fields use.
-	Uptime units.Seconds
+	Uptime units.Seconds `json:"uptime"`
 	// Submitted, Completed and Reissued are cumulative task counters:
 	// tasks handed to Submit, tasks acknowledged done by workers, and
 	// tasks pulled back from departed workers for rescheduling.
-	Submitted int
-	Completed int
-	Reissued  int
+	Submitted int `json:"submitted"`
+	Completed int `json:"completed"`
+	Reissued  int `json:"reissued"`
 	// Pending and Running are current queue depths: tasks awaiting a
 	// batch decision, and tasks dispatched but not yet done.
-	Pending int
-	Running int
+	Pending int `json:"pending"`
+	Running int `json:"running"`
 	// Batches is the number of batch-scheduling decisions committed.
-	Batches int
+	Batches int `json:"batches"`
 	// Workers describes the connected pool, in registration order.
-	Workers []WorkerSnapshot
+	Workers []WorkerSnapshot `json:"workers,omitempty"`
 	// Watchers describes the attached event-stream subscribers, in
 	// unspecified order.
-	Watchers []WatcherSnapshot
+	Watchers []WatcherSnapshot `json:"watchers,omitempty"`
 	// Latency summarises recent dispatch→done wall-clock round trips.
-	Latency LatencySummary
+	Latency LatencySummary `json:"latency,omitzero"`
 	// Jobs counts the dispatcher's jobs by state (protocol 1.3). Nil
 	// for plain Serve servers, which have no job layer.
-	Jobs *JobCounts
+	Jobs *JobCounts `json:"jobs,omitempty"`
 }
 
 // WorkerSnapshot is one connected worker's slice of a Snapshot.
 type WorkerSnapshot struct {
 	// Name is the worker's hello identity.
-	Name string
+	Name string `json:"name"`
 	// Rate is the execution rate the worker claimed, in Mflop/s.
-	Rate units.Rate
+	Rate units.Rate `json:"rate"`
 	// Running and Completed are this worker's in-flight and finished
 	// task counts.
-	Running   int
-	Completed int
+	Running   int `json:"running"`
+	Completed int `json:"completed"`
 }
 
 // WatcherSnapshot is one event-stream subscriber's slice of a
 // Snapshot: how full its send queue currently is and how many frames
 // the drop-and-count policy has discarded for it so far.
 type WatcherSnapshot struct {
-	Queued  int
-	Dropped uint64
+	Queued  int    `json:"queued"`
+	Dropped uint64 `json:"dropped,omitempty"`
 }
 
 // LatencySummary holds quantiles over the server's sliding window of
@@ -69,118 +69,10 @@ type WatcherSnapshot struct {
 // Samples means no task has completed yet and the quantiles are
 // meaningless.
 type LatencySummary struct {
-	Samples       int
-	P50, P90, P99 units.Seconds
-}
-
-// wireStats is the JSON form of Snapshot carried by the stats reply.
-// Like the event payloads it is flattened onto plain scalars so the
-// wire format is independent of the unit types' Go representation.
-type wireStats struct {
-	Uptime    float64           `json:"uptime"`
-	Submitted int               `json:"submitted"`
-	Completed int               `json:"completed"`
-	Reissued  int               `json:"reissued"`
-	Pending   int               `json:"pending"`
-	Running   int               `json:"running"`
-	Batches   int               `json:"batches"`
-	Workers   []wireWorkerStat  `json:"workers,omitempty"`
-	Watchers  []wireWatcherStat `json:"watchers,omitempty"`
-	Latency   *wireLatency      `json:"latency,omitempty"`
-	// Jobs is present only on dispatcher snapshots (1.3); older readers
-	// skip the unknown field.
-	Jobs *JobCounts `json:"jobs,omitempty"`
-}
-
-type wireWorkerStat struct {
-	Name      string  `json:"name"`
-	Rate      float64 `json:"rate"`
-	Running   int     `json:"running"`
-	Completed int     `json:"completed"`
-}
-
-type wireWatcherStat struct {
-	Queued  int    `json:"queued"`
-	Dropped uint64 `json:"dropped,omitempty"`
-}
-
-type wireLatency struct {
-	Samples int     `json:"samples"`
-	P50     float64 `json:"p50"`
-	P90     float64 `json:"p90"`
-	P99     float64 `json:"p99"`
-}
-
-func (s Snapshot) toWire() *wireStats {
-	w := &wireStats{
-		Uptime:    float64(s.Uptime),
-		Submitted: s.Submitted,
-		Completed: s.Completed,
-		Reissued:  s.Reissued,
-		Pending:   s.Pending,
-		Running:   s.Running,
-		Batches:   s.Batches,
-	}
-	for _, ws := range s.Workers {
-		w.Workers = append(w.Workers, wireWorkerStat{
-			Name:      ws.Name,
-			Rate:      float64(ws.Rate),
-			Running:   ws.Running,
-			Completed: ws.Completed,
-		})
-	}
-	for _, ws := range s.Watchers {
-		w.Watchers = append(w.Watchers, wireWatcherStat{Queued: ws.Queued, Dropped: ws.Dropped})
-	}
-	if s.Latency.Samples > 0 {
-		w.Latency = &wireLatency{
-			Samples: s.Latency.Samples,
-			P50:     float64(s.Latency.P50),
-			P90:     float64(s.Latency.P90),
-			P99:     float64(s.Latency.P99),
-		}
-	}
-	if s.Jobs != nil {
-		jc := *s.Jobs
-		w.Jobs = &jc
-	}
-	return w
-}
-
-func (w *wireStats) toSnapshot() Snapshot {
-	s := Snapshot{
-		Uptime:    units.Seconds(w.Uptime),
-		Submitted: w.Submitted,
-		Completed: w.Completed,
-		Reissued:  w.Reissued,
-		Pending:   w.Pending,
-		Running:   w.Running,
-		Batches:   w.Batches,
-	}
-	for _, ws := range w.Workers {
-		s.Workers = append(s.Workers, WorkerSnapshot{
-			Name:      ws.Name,
-			Rate:      units.Rate(ws.Rate),
-			Running:   ws.Running,
-			Completed: ws.Completed,
-		})
-	}
-	for _, ws := range w.Watchers {
-		s.Watchers = append(s.Watchers, WatcherSnapshot{Queued: ws.Queued, Dropped: ws.Dropped})
-	}
-	if w.Latency != nil {
-		s.Latency = LatencySummary{
-			Samples: w.Latency.Samples,
-			P50:     units.Seconds(w.Latency.P50),
-			P90:     units.Seconds(w.Latency.P90),
-			P99:     units.Seconds(w.Latency.P99),
-		}
-	}
-	if w.Jobs != nil {
-		jc := *w.Jobs
-		s.Jobs = &jc
-	}
-	return s
+	Samples int           `json:"samples"`
+	P50     units.Seconds `json:"p50"`
+	P90     units.Seconds `json:"p90"`
+	P99     units.Seconds `json:"p99"`
 }
 
 // FetchStats dials a running server, requests one stats snapshot, and
@@ -219,5 +111,5 @@ func FetchStats(ctx context.Context, addr string) (Snapshot, error) {
 	if m.Stats == nil {
 		return Snapshot{}, errors.New("dist: stats reply without snapshot")
 	}
-	return m.Stats.toSnapshot(), nil
+	return *m.Stats, nil
 }

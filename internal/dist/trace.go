@@ -27,8 +27,8 @@ const maxTracePoints = 512
 // TracePoint is one improvement on a trace's generation-best makespan
 // curve: at Generation the best predicted makespan dropped to Makespan.
 type TracePoint struct {
-	Generation int
-	Makespan   units.Seconds
+	Generation int           `json:"generation"`
+	Makespan   units.Seconds `json:"makespan"`
 }
 
 // Trace is the full record of one batch-scheduling decision — the
@@ -38,29 +38,29 @@ type TracePoint struct {
 type Trace struct {
 	// Invocation, Scheduler, Tasks, Procs, Cost, At and Wall mirror the
 	// batch_decided event that closed the trace.
-	Invocation int
-	Scheduler  string
-	Tasks      int
-	Procs      int
-	Cost       units.Seconds
-	At         units.Seconds
-	Wall       units.Seconds
+	Invocation int           `json:"invocation"`
+	Scheduler  string        `json:"scheduler"`
+	Tasks      int           `json:"tasks"`
+	Procs      int           `json:"procs"`
+	Cost       units.Seconds `json:"cost"`
+	At         units.Seconds `json:"at"`
+	Wall       units.Seconds `json:"wall,omitempty"`
 	// Generations, Evaluations, Genes, RebalanceEvals, Budget, Spent,
 	// BestMakespan and Reason are the GA run's EvolveDone ledger; all
 	// zero for heuristic schedulers, which run no GA.
-	Generations    int
-	Evaluations    int
-	Genes          int
-	RebalanceEvals int
-	Budget         units.Seconds
-	Spent          units.Seconds
-	BestMakespan   units.Seconds
-	Reason         string
+	Generations    int           `json:"generations,omitempty"`
+	Evaluations    int           `json:"evaluations,omitempty"`
+	Genes          int           `json:"genes,omitempty"`
+	RebalanceEvals int           `json:"rebalance_evals,omitempty"`
+	Budget         units.Seconds `json:"budget,omitempty"`
+	Spent          units.Seconds `json:"spent,omitempty"`
+	BestMakespan   units.Seconds `json:"best_makespan,omitempty"`
+	Reason         string        `json:"reason,omitempty"`
 	// Migrations is the number of island ring exchanges during the run.
-	Migrations int
+	Migrations int `json:"migrations,omitempty"`
 	// Curve is the generation-best makespan trajectory, one point per
 	// improvement, in generation order.
-	Curve []TracePoint
+	Curve []TracePoint `json:"curve,omitempty"`
 }
 
 // TraceRecorder assembles decision traces from the observer stream: it
@@ -169,92 +169,6 @@ func (t *TraceRecorder) Traces() []Trace {
 	return out
 }
 
-// wireTrace is the JSON form of Trace carried by the trace reply
-// (protocol 1.2), flattened onto plain scalars like every other wire
-// payload.
-type wireTrace struct {
-	Invocation     int              `json:"invocation"`
-	Scheduler      string           `json:"scheduler"`
-	Tasks          int              `json:"tasks"`
-	Procs          int              `json:"procs"`
-	Cost           float64          `json:"cost"`
-	At             float64          `json:"at"`
-	Wall           float64          `json:"wall,omitempty"`
-	Generations    int              `json:"generations,omitempty"`
-	Evaluations    int              `json:"evaluations,omitempty"`
-	Genes          int              `json:"genes,omitempty"`
-	RebalanceEvals int              `json:"rebalance_evals,omitempty"`
-	Budget         float64          `json:"budget,omitempty"`
-	Spent          float64          `json:"spent,omitempty"`
-	BestMakespan   float64          `json:"best_makespan,omitempty"`
-	Reason         string           `json:"reason,omitempty"`
-	Migrations     int              `json:"migrations,omitempty"`
-	Curve          []wireTracePoint `json:"curve,omitempty"`
-}
-
-type wireTracePoint struct {
-	Generation int     `json:"generation"`
-	Makespan   float64 `json:"makespan"`
-}
-
-func (t Trace) toWire() wireTrace {
-	w := wireTrace{
-		Invocation:     t.Invocation,
-		Scheduler:      t.Scheduler,
-		Tasks:          t.Tasks,
-		Procs:          t.Procs,
-		Cost:           float64(t.Cost),
-		At:             float64(t.At),
-		Wall:           float64(t.Wall),
-		Generations:    t.Generations,
-		Evaluations:    t.Evaluations,
-		Genes:          t.Genes,
-		RebalanceEvals: t.RebalanceEvals,
-		Budget:         float64(t.Budget),
-		Spent:          float64(t.Spent),
-		BestMakespan:   float64(t.BestMakespan),
-		Reason:         t.Reason,
-		Migrations:     t.Migrations,
-	}
-	for _, p := range t.Curve {
-		w.Curve = append(w.Curve, wireTracePoint{Generation: p.Generation, Makespan: float64(p.Makespan)})
-	}
-	return w
-}
-
-func (w wireTrace) toTrace() Trace {
-	t := Trace{
-		Invocation:     w.Invocation,
-		Scheduler:      w.Scheduler,
-		Tasks:          w.Tasks,
-		Procs:          w.Procs,
-		Cost:           units.Seconds(w.Cost),
-		At:             units.Seconds(w.At),
-		Wall:           units.Seconds(w.Wall),
-		Generations:    w.Generations,
-		Evaluations:    w.Evaluations,
-		Genes:          w.Genes,
-		RebalanceEvals: w.RebalanceEvals,
-		Budget:         units.Seconds(w.Budget),
-		Spent:          units.Seconds(w.Spent),
-		BestMakespan:   units.Seconds(w.BestMakespan),
-		Reason:         w.Reason,
-		Migrations:     w.Migrations,
-	}
-	for _, p := range w.Curve {
-		t.Curve = append(t.Curve, TracePoint{Generation: p.Generation, Makespan: units.Seconds(p.Makespan)})
-	}
-	return t
-}
-
-func tracesToWire(ts []Trace) []wireTrace {
-	out := make([]wireTrace, len(ts))
-	for i, t := range ts {
-		out[i] = t.toWire()
-	}
-	return out
-}
-
 // FetchTraces dials a running server, requests its retained decision
 // traces, and returns them oldest first. Like FetchStats it is a
 // one-shot exchange: the request is a bare {"type":"trace"}, the reply
@@ -287,9 +201,5 @@ func FetchTraces(ctx context.Context, addr string) ([]Trace, error) {
 	if m == nil || m.Type != msgTrace {
 		return nil, errors.New("dist: unexpected reply to trace request")
 	}
-	out := make([]Trace, 0, len(m.Traces))
-	for _, w := range m.Traces {
-		out = append(out, w.toTrace())
-	}
-	return out, nil
+	return m.Traces, nil
 }

@@ -179,11 +179,10 @@ func (p Profile) schedulerSpecs(names []string, fixedBatch bool) []SchedulerSpec
 // scenario binds everything one simulation run needs except the repeat
 // seed.
 type scenario struct {
-	profile  Profile
-	tasks    int
-	dist     workload.SizeDistribution
-	netCfg   network.Config
-	batchCap int // 0: scheduler's own sizing; >0: fixed cap for heuristic batch schedulers
+	profile Profile
+	tasks   int
+	dist    workload.SizeDistribution
+	netCfg  network.Config
 
 	// procs overrides the profile's processor count when non-zero
 	// (scalability sweeps).
@@ -228,23 +227,13 @@ func runOne(sc scenario, spec SchedulerSpec, repeatSeed uint64) metrics.Sample {
 		Sizes:   sc.dist,
 		Arrival: sc.arrival,
 	}, base.Stream(streamTasks))
-	s := spec.New(repeatSeed ^ 0x5eed)
-
-	cfg := sim.Config{
+	return metrics.FromSim(sim.Run(sim.Config{
 		Cluster:        clu,
 		Net:            net,
 		Tasks:          tasks,
-		Scheduler:      s,
+		Scheduler:      spec.New(repeatSeed ^ 0x5eed),
 		ReissueTimeout: sc.reissue,
-	}
-	// Heuristic batch schedulers have no sizing of their own; pin them
-	// to the same fixed batch the GA schedulers use.
-	if b, ok := s.(sched.Batch); ok {
-		if _, sizes := s.(sched.BatchSizer); !sizes && sc.batchCap > 0 {
-			cfg.BatchSizer = sched.FixedBatch{Batch: b, Size: sc.batchCap}
-		}
-	}
-	return metrics.FromSim(sim.Run(cfg))
+	}))
 }
 
 // repeatSeed derives the deterministic seed for a repeat of a figure.

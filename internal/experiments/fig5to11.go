@@ -6,7 +6,6 @@ import (
 
 	"pnsched/internal/metrics"
 	"pnsched/internal/network"
-	"pnsched/internal/sched"
 	"pnsched/internal/units"
 	"pnsched/internal/workload"
 )
@@ -91,7 +90,6 @@ func efficiencySweep(p Profile, figure int, dist workload.SizeDistribution) *Eff
 				LinkSpread: 0.3,
 				Jitter:     0.2,
 			},
-			batchCap: sched.DefaultBatchSize,
 		}
 		samples[i] = runOne(sc, specs[j.si], p.repeatSeed(figure*100+j.xi, j.rep))
 	})
@@ -232,7 +230,6 @@ func makespanBars(p Profile, figure int, dist workload.SizeDistribution, fixedBa
 				LinkSpread: 0.3,
 				Jitter:     0.2,
 			},
-			batchCap: sched.DefaultBatchSize,
 		}
 		samples[i] = runOne(sc, specs[j.si], p.repeatSeed(figure, j.rep))
 	})

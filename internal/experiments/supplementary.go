@@ -8,7 +8,6 @@ import (
 	"pnsched/internal/metrics"
 	"pnsched/internal/network"
 	"pnsched/internal/rng"
-	"pnsched/internal/sched"
 	"pnsched/internal/workload"
 )
 
@@ -76,11 +75,10 @@ func Extended(p Profile) *MakespanBars {
 	parallelFor(len(jobs), p.workers(), func(i int) {
 		j := jobs[i]
 		sc := scenario{
-			profile:  p,
-			tasks:    p.Tasks,
-			dist:     dist,
-			netCfg:   network.Config{MeanCost: p.BarMeanComm, LinkSpread: 0.3, Jitter: 0.2},
-			batchCap: sched.DefaultBatchSize,
+			profile: p,
+			tasks:   p.Tasks,
+			dist:    dist,
+			netCfg:  network.Config{MeanCost: p.BarMeanComm, LinkSpread: 0.3, Jitter: 0.2},
 		}
 		samples[i] = runOne(sc, specs[j.si], p.repeatSeed(90, j.rep))
 	})
@@ -147,12 +145,11 @@ func Scalability(p Profile) *ScalabilityResult {
 	parallelFor(len(jobs), p.workers(), func(i int) {
 		j := jobs[i]
 		sc := scenario{
-			profile:  p,
-			tasks:    p.Tasks,
-			dist:     workload.Normal{Mean: 1000, Variance: 9e5},
-			netCfg:   network.Config{MeanCost: p.BarMeanComm, LinkSpread: 0.3, Jitter: 0.2},
-			batchCap: sched.DefaultBatchSize,
-			procs:    procs[j.mi],
+			profile: p,
+			tasks:   p.Tasks,
+			dist:    workload.Normal{Mean: 1000, Variance: 9e5},
+			netCfg:  network.Config{MeanCost: p.BarMeanComm, LinkSpread: 0.3, Jitter: 0.2},
+			procs:   procs[j.mi],
 		}
 		samples[i] = runOne(sc, specs[j.si], p.repeatSeed(91+j.mi, j.rep))
 	})
@@ -214,11 +211,10 @@ func dynamicScenarios(p Profile) []struct {
 	sc   scenario
 } {
 	base := scenario{
-		profile:  p,
-		tasks:    p.Tasks,
-		dist:     workload.Uniform{Lo: 10, Hi: 1000},
-		netCfg:   network.Config{MeanCost: p.BarMeanComm, LinkSpread: 0.3, Jitter: 0.2},
-		batchCap: sched.DefaultBatchSize,
+		profile: p,
+		tasks:   p.Tasks,
+		dist:    workload.Uniform{Lo: 10, Hi: 1000},
+		netCfg:  network.Config{MeanCost: p.BarMeanComm, LinkSpread: 0.3, Jitter: 0.2},
 	}
 	arrivals := base
 	arrivals.arrival = workload.PoissonArrivals{MeanGap: 0.05}

@@ -43,6 +43,13 @@
 // Observers. Funcs and Multi-composed observers forward job events
 // to every member that implements JobObserver.
 //
+// The event structs are also the payloads of the live runtime's event
+// stream: internal/dist puts them on the wire as themselves, so their
+// json tags are the payload grammar of docs/wire-protocol.md and a
+// remote watcher's Observer receives exactly the value the in-process
+// one does. A new field needs a tag (the wirejson analyzer insists) and
+// a protocol minor bump.
+//
 // Implementations must be cheap and must not block: events are
 // delivered synchronously from the emitting runtime's hot path. For
 // island-model runs, GenerationBest, Migration and BudgetStop may be
@@ -59,24 +66,24 @@ import (
 type BatchDecision struct {
 	// Invocation is the 1-based count of batch decisions so far in
 	// this run or server lifetime.
-	Invocation int
+	Invocation int `json:"invocation"`
 	// Scheduler is the deciding scheduler's Name().
-	Scheduler string
+	Scheduler string `json:"scheduler"`
 	// Tasks is the number of tasks in the batch.
-	Tasks int
+	Tasks int `json:"tasks"`
 	// Procs is the number of processors / workers the batch was
 	// spread over.
-	Procs int
+	Procs int `json:"procs"`
 	// Cost is the modelled scheduler compute time the decision
 	// consumed (zero for the O(n·M) heuristics).
-	Cost units.Seconds
+	Cost units.Seconds `json:"cost"`
 	// At is the decision time: simulated seconds in the simulator,
 	// seconds since server start in the live runtime.
-	At units.Seconds
+	At units.Seconds `json:"at"`
 	// Wall is real wall-clock time the decision took, in seconds.
 	// The live server always fills it; simulator paths may leave it
 	// zero (the modelled Cost is the honest figure there).
-	Wall units.Seconds
+	Wall units.Seconds `json:"wall,omitempty"`
 }
 
 // GenerationBest reports the best predicted makespan after one GA
@@ -84,31 +91,31 @@ type BatchDecision struct {
 type GenerationBest struct {
 	// Generation is the generation number within the current batch
 	// decision (island runs report the most advanced island's count).
-	Generation int
+	Generation int `json:"generation"`
 	// Makespan is the lowest predicted makespan seen so far in this
 	// GA run.
-	Makespan units.Seconds
+	Makespan units.Seconds `json:"makespan"`
 }
 
 // Migration reports one island-model ring exchange.
 type Migration struct {
 	// Round is the 1-based migration round.
-	Round int
+	Round int `json:"round"`
 	// Migrants is the number of individuals injected across the whole
 	// ring this round.
-	Migrants int
+	Migrants int `json:"migrants"`
 }
 
 // Dispatch reports one task leaving the scheduler for a processor.
 type Dispatch struct {
 	// Proc is the destination processor (simulator) or worker index
 	// (live runtime, registration order at decision time).
-	Proc int
+	Proc int `json:"proc"`
 	// Task identifies the dispatched task.
-	Task task.ID
+	Task task.ID `json:"task"`
 	// At is the dispatch time on the same clock as
 	// BatchDecision.At.
-	At units.Seconds
+	At units.Seconds `json:"at"`
 }
 
 // BudgetStop reports a GA run terminating on the §3.4 stop-when-idle
@@ -116,11 +123,11 @@ type Dispatch struct {
 // time-until-first-idle budget.
 type BudgetStop struct {
 	// Generation is the generation at which the budget fired.
-	Generation int
+	Generation int `json:"generation"`
 	// Budget is the time-to-first-idle allowance the run was given.
-	Budget units.Seconds
+	Budget units.Seconds `json:"budget"`
 	// Spent is the modelled cost billed when the run stopped.
-	Spent units.Seconds
+	Spent units.Seconds `json:"spent"`
 }
 
 // EvolveDone reports the end-of-run ledger of one GA evolution — the
@@ -129,110 +136,110 @@ type BudgetStop struct {
 // generation.
 type EvolveDone struct {
 	// Generations is the number of generations the run completed.
-	Generations int
+	Generations int `json:"generations"`
 	// Evaluations is the number of full fitness evaluations performed.
-	Evaluations int
+	Evaluations int `json:"evaluations"`
 	// Genes is the number of genes touched by fitness evaluation
 	// (full and incremental); Evaluations×genes() for the naive engine,
 	// less for the incremental one.
-	Genes int
+	Genes int `json:"genes"`
 	// RebalanceEvals counts load-balancing evaluations by the §3.5
 	// rebalancer.
-	RebalanceEvals int
+	RebalanceEvals int `json:"rebalance_evals,omitempty"`
 	// Budget is the §3.4 time-to-first-idle allowance the run was
 	// given (zero means unlimited).
-	Budget units.Seconds
+	Budget units.Seconds `json:"budget,omitempty"`
 	// Spent is the modelled evaluation cost the run billed against
 	// the budget.
-	Spent units.Seconds
+	Spent units.Seconds `json:"spent"`
 	// BestMakespan is the final best predicted makespan.
-	BestMakespan units.Seconds
+	BestMakespan units.Seconds `json:"best_makespan"`
 	// Reason is the engine's stop reason ("max-generations",
 	// "target-fitness", "callback" — the latter covering budget stops).
-	Reason string
+	Reason string `json:"reason"`
 }
 
 // WorkerJoined reports a worker registering with the live server.
 type WorkerJoined struct {
 	// Name is the worker's wire identity (hello name).
-	Name string
+	Name string `json:"name"`
 	// Rate is the execution rate the worker claimed when joining, in
 	// Mflop/s (its Linpack rating for pnworker).
-	Rate units.Rate
+	Rate units.Rate `json:"rate"`
 	// Workers is the connected-worker count after this join.
-	Workers int
+	Workers int `json:"workers"`
 	// At is the join time in seconds since the server started.
-	At units.Seconds
+	At units.Seconds `json:"at"`
 }
 
 // WorkerLeft reports a worker disconnecting from the live server.
 type WorkerLeft struct {
 	// Name is the worker's wire identity.
-	Name string
+	Name string `json:"name"`
 	// Reissued is the number of unfinished tasks the worker held, all
 	// returned to the unscheduled queue (the paper's dynamic
 	// rescheduling on machine loss).
-	Reissued int
+	Reissued int `json:"reissued"`
 	// Workers is the connected-worker count after this departure.
-	Workers int
+	Workers int `json:"workers"`
 	// At is the departure time in seconds since the server started.
-	At units.Seconds
+	At units.Seconds `json:"at"`
 }
 
 // JobQueued reports a job admitted to the dispatcher queue.
 type JobQueued struct {
 	// ID is the dispatcher-assigned job identity.
-	ID string
+	ID string `json:"id"`
 	// Tenant is the submitting tenant.
-	Tenant string
+	Tenant string `json:"tenant"`
 	// Priority is the job's admission priority (higher first under the
 	// priority policy).
-	Priority int
+	Priority int `json:"priority,omitempty"`
 	// Tasks is the number of tasks the job carries.
-	Tasks int
+	Tasks int `json:"tasks"`
 	// Queued is the number of queued (not yet started) jobs after this
 	// enqueue.
-	Queued int
+	Queued int `json:"queued"`
 	// At is the enqueue time in seconds since the dispatcher started.
-	At units.Seconds
+	At units.Seconds `json:"at"`
 }
 
 // JobStarted reports a job leaving the queue: it was admitted to run
 // and leased its initial worker set.
 type JobStarted struct {
 	// ID is the job identity.
-	ID string
+	ID string `json:"id"`
 	// Tenant is the submitting tenant.
-	Tenant string
+	Tenant string `json:"tenant"`
 	// Workers is the number of workers leased to the job at start
 	// (zero when the job starts ahead of any worker joining).
-	Workers int
+	Workers int `json:"workers"`
 	// Waited is the time the job spent queued, in seconds.
-	Waited units.Seconds
+	Waited units.Seconds `json:"waited"`
 	// At is the start time in seconds since the dispatcher started.
-	At units.Seconds
+	At units.Seconds `json:"at"`
 }
 
 // JobDone reports a job reaching a terminal state.
 type JobDone struct {
 	// ID is the job identity.
-	ID string
+	ID string `json:"id"`
 	// Tenant is the submitting tenant.
-	Tenant string
+	Tenant string `json:"tenant"`
 	// State is the terminal state: "done", "failed" or "cancelled".
-	State string
+	State string `json:"state"`
 	// Completed is the number of tasks that finished before the
 	// terminal state (equal to the job's task count when State is
 	// "done").
-	Completed int
+	Completed int `json:"completed"`
 	// Retries is the number of task reissues the job consumed from its
 	// retry budget.
-	Retries int
+	Retries int `json:"retries,omitempty"`
 	// Duration is start→finish wall time in seconds (zero when the job
 	// never started).
-	Duration units.Seconds
+	Duration units.Seconds `json:"duration"`
 	// At is the finish time in seconds since the dispatcher started.
-	At units.Seconds
+	At units.Seconds `json:"at"`
 }
 
 // Observer receives scheduling events. All methods must be safe to

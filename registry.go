@@ -165,10 +165,12 @@ func MustNew(spec Spec) Scheduler {
 }
 
 // SizerFor returns the batch sizer a runtime should drive the
-// scheduler with: nil when the scheduler sizes its own batches (PN's
-// §3.7 rule) or is immediate-mode, and a fixed cap of spec.Batch
-// (default sched.DefaultBatchSize, the paper's 200) for batch
-// heuristics with no sizing of their own (MM, MX, SUF).
+// scheduler with: nil when the scheduler sizes its own batches — every
+// built-in batch scheduler does: PN by the §3.7 rule, MM, MX and SUF
+// through the fixed cap of spec.Batch their factories wrap them in —
+// or is immediate-mode, and a fixed cap of spec.Batch (default
+// sched.DefaultBatchSize, the paper's 200) for Registered batch
+// schedulers with no sizing of their own.
 func SizerFor(s Scheduler, spec Spec) BatchSizer {
 	if _, own := s.(BatchSizer); own {
 		return nil

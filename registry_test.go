@@ -152,15 +152,30 @@ func TestSizerFor(t *testing.T) {
 	if s := SizerFor(pn, Spec{Name: "PN"}); s != nil {
 		t.Errorf("PN got external sizer %T", s)
 	}
-	// Heuristic batch schedulers are pinned to the spec's batch cap.
-	mm := MustNew(Spec{Name: "MM", Batch: 64})
-	s := SizerFor(mm, Spec{Name: "MM", Batch: 64})
-	fb, ok := s.(sched.FixedBatch)
-	if !ok || fb.Size != 64 {
-		t.Errorf("MM sizer = %#v, want FixedBatch{Size: 64}", s)
+	// So do the built-in batch heuristics, pinned to the spec's batch
+	// cap — a runtime handed only the scheduler (Serve, ServeJobs)
+	// honours Spec.Batch without consulting SizerFor.
+	for _, name := range []string{"MM", "MX", "SUF"} {
+		spec := Spec{Name: name, Batch: 64}
+		s := MustNew(spec)
+		if got := s.(BatchSizer).NextBatchSize(1000, nil); got != 64 {
+			t.Errorf("%s with Batch 64 sized a batch of %d", name, got)
+		}
+		if ext := SizerFor(s, spec); ext != nil {
+			t.Errorf("%s got external sizer %T", name, ext)
+		}
 	}
 	// ... defaulting to the paper's 200.
-	if fb := SizerFor(mm, Spec{Name: "MM"}).(sched.FixedBatch); fb.Size != sched.DefaultBatchSize {
+	if got := MustNew(Spec{Name: "MM"}).(BatchSizer).NextBatchSize(1000, nil); got != sched.DefaultBatchSize {
+		t.Errorf("default cap = %d, want %d", got, sched.DefaultBatchSize)
+	}
+	// A Registered batch scheduler with no sizing of its own still gets
+	// the spec's cap from SizerFor.
+	bare := SizerFor(sched.MM{}, Spec{Name: "x-bare", Batch: 64})
+	if fb, ok := bare.(sched.FixedBatch); !ok || fb.Size != 64 {
+		t.Errorf("bare batch scheduler sizer = %#v, want FixedBatch{Size: 64}", bare)
+	}
+	if fb := SizerFor(sched.MM{}, Spec{Name: "x-bare"}).(sched.FixedBatch); fb.Size != sched.DefaultBatchSize {
 		t.Errorf("default cap = %d, want %d", fb.Size, sched.DefaultBatchSize)
 	}
 	// Immediate schedulers need no sizer at all.

@@ -359,6 +359,69 @@ func TestServeContextCancel(t *testing.T) {
 	}
 }
 
+// runTasks takes one batch of tasks to completion on a live runtime.
+type runTasks = func([]pnsched.Task) error
+
+// liveRuntimes is the live half of the Serve/Run parity table: the two
+// runtimes that sit on the one worker pool, each brought up under spec
+// with obs attached. A row returns its address, its worker count, and
+// how to run one batch of tasks to completion; what a row must do is
+// what the tests ranging over the table require of both.
+var liveRuntimes = map[string]func(t *testing.T, ctx context.Context, spec pnsched.Spec, obs pnsched.Observer) (addr string, workers func() int, run runTasks){
+	"Serve": func(t *testing.T, ctx context.Context, spec pnsched.Spec, obs pnsched.Observer) (string, func() int, runTasks) {
+		srv, err := pnsched.Serve(ctx, spec, pnsched.WithServeObserver(obs))
+		if err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		return srv.Addr().String(), func() int { return srv.Stats().Workers }, func(ts []pnsched.Task) error {
+			srv.Submit(ts)
+			return srv.Wait(30 * time.Second)
+		}
+	},
+	"ServeJobs": func(t *testing.T, ctx context.Context, spec pnsched.Spec, obs pnsched.Observer) (string, func() int, runTasks) {
+		svc, err := pnsched.ServeJobs(ctx, pnsched.WithJobsObserver(obs))
+		if err != nil {
+			t.Fatalf("ServeJobs: %v", err)
+		}
+		t.Cleanup(func() { svc.Close() })
+		return svc.Addr().String(), func() int { return len(svc.Snapshot().Workers) }, func(ts []pnsched.Task) error {
+			info, err := svc.Submit(pnsched.JobRequest{Scheduler: spec, Tasks: ts})
+			if err != nil {
+				return err
+			}
+			_, err = svc.WaitJob(info.ID, 30*time.Second)
+			return err
+		}
+	},
+}
+
+// forEachLiveRuntime runs body as one subtest per liveRuntimes row.
+// body's start brings the row up under spec with obs attached and two
+// equal workers registered, and returns how to run one batch of tasks
+// to completion.
+func forEachLiveRuntime(t *testing.T, spec pnsched.Spec, body func(t *testing.T, start func(pnsched.Observer) runTasks)) {
+	for name, row := range liveRuntimes {
+		t.Run(name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			var wg sync.WaitGroup
+			defer wg.Wait()
+			defer cancel()
+			body(t, func(obs pnsched.Observer) runTasks {
+				addr, workers, run := row(t, ctx, spec, obs)
+				startJobWorker(ctx, t, &wg, addr, "w1")
+				startJobWorker(ctx, t, &wg, addr, "w2")
+				for deadline := time.Now().Add(10 * time.Second); workers() != 2; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatal("workers never registered")
+					}
+				}
+				return run
+			})
+		})
+	}
+}
+
 // TestLiveGAEvolvesOnDrainedWorkers is the end-to-end regression for
 // the float residue a drained worker's pending load used to keep: with
 // fractional task sizes the residue made TimeUntilFirstIdle ≈ 0, the
@@ -375,68 +438,57 @@ func TestLiveGAEvolvesOnDrainedWorkers(t *testing.T) {
 		pnsched.GenerateTasks(40, pnsched.Uniform{Lo: 10, Hi: 1000}, pnsched.NewRNG(3)),
 		pnsched.GenerateTasks(40, pnsched.Uniform{Lo: 10, Hi: 1000}, pnsched.NewRNG(8)),
 	}
-	// start brings one runtime up with obs attached and returns its
-	// address, its worker count, and how to run one batch to completion.
-	rows := map[string]func(t *testing.T, ctx context.Context, obs pnsched.Observer) (addr string, workers func() int, run func([]pnsched.Task) error){
-		"Serve": func(t *testing.T, ctx context.Context, obs pnsched.Observer) (string, func() int, func([]pnsched.Task) error) {
-			srv, err := pnsched.Serve(ctx, fastServeSpec(t), pnsched.WithServeObserver(obs))
-			if err != nil {
-				t.Fatalf("Serve: %v", err)
-			}
-			t.Cleanup(func() { srv.Close() })
-			return srv.Addr().String(), func() int { return srv.Stats().Workers }, func(ts []pnsched.Task) error {
-				srv.Submit(ts)
-				return srv.Wait(30 * time.Second)
-			}
-		},
-		"ServeJobs": func(t *testing.T, ctx context.Context, obs pnsched.Observer) (string, func() int, func([]pnsched.Task) error) {
-			svc, err := pnsched.ServeJobs(ctx, pnsched.WithJobsObserver(obs))
-			if err != nil {
-				t.Fatalf("ServeJobs: %v", err)
-			}
-			t.Cleanup(func() { svc.Close() })
-			return svc.Addr().String(), func() int { return len(svc.Snapshot().Workers) }, func(ts []pnsched.Task) error {
-				info, err := svc.Submit(pnsched.JobRequest{Scheduler: fastServeSpec(t), Tasks: ts})
-				if err != nil {
-					return err
-				}
-				_, err = svc.WaitJob(info.ID, 30*time.Second)
-				return err
-			}
-		},
-	}
-	for name, start := range rows {
-		t.Run(name, func(t *testing.T) {
-			ctx, cancel := context.WithCancel(context.Background())
-			var wg sync.WaitGroup
-			defer wg.Wait()
-			defer cancel()
-			var mu sync.Mutex
-			var generations []int
-			addr, workers, run := start(t, ctx, pnsched.ObserverFuncs{
-				EvolveDone: func(e pnsched.EvolveDoneEvent) {
-					mu.Lock()
-					generations = append(generations, e.Generations)
-					mu.Unlock()
-				},
-			})
-			startJobWorker(ctx, t, &wg, addr, "w1")
-			startJobWorker(ctx, t, &wg, addr, "w2")
-			for deadline := time.Now().Add(10 * time.Second); workers() != 2; time.Sleep(time.Millisecond) {
-				if time.Now().After(deadline) {
-					t.Fatal("workers never registered")
-				}
-			}
-			for i, ts := range batches {
-				if err := run(ts); err != nil {
-					t.Fatalf("batch %d: %v", i, err)
-				}
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if len(generations) != 2 || generations[0] == 0 || generations[1] == 0 {
-				t.Errorf("generations per evolve = %v, want two runs that both evolved", generations)
-			}
+	forEachLiveRuntime(t, fastServeSpec(t), func(t *testing.T, start func(pnsched.Observer) runTasks) {
+		var mu sync.Mutex
+		var generations []int
+		run := start(pnsched.ObserverFuncs{
+			EvolveDone: func(e pnsched.EvolveDoneEvent) {
+				mu.Lock()
+				generations = append(generations, e.Generations)
+				mu.Unlock()
+			},
 		})
-	}
+		for i, ts := range batches {
+			if err := run(ts); err != nil {
+				t.Fatalf("batch %d: %v", i, err)
+			}
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if len(generations) != 2 || generations[0] == 0 || generations[1] == 0 {
+			t.Errorf("generations per evolve = %v, want two runs that both evolved", generations)
+		}
+	})
+}
+
+// TestLiveRuntimesHonourSpecBatch is the regression for the batch cap
+// the live runtimes used to drop: they are handed only the scheduler,
+// never SizerFor's verdict, so a batch heuristic built from a Spec must
+// size its own batches or MM with Batch 64 runs at the default 200.
+func TestLiveRuntimesHonourSpecBatch(t *testing.T) {
+	tasks := pnsched.GenerateTasks(256, pnsched.Uniform{Lo: 10, Hi: 1000}, pnsched.NewRNG(5))
+	forEachLiveRuntime(t, pnsched.Spec{Name: "MM", Batch: 64}, func(t *testing.T, start func(pnsched.Observer) runTasks) {
+		var mu sync.Mutex
+		var sizes []int
+		run := start(pnsched.ObserverFuncs{
+			BatchDecided: func(e pnsched.BatchDecision) {
+				mu.Lock()
+				sizes = append(sizes, e.Tasks)
+				mu.Unlock()
+			},
+		})
+		if err := run(tasks); err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		total, largest := 0, 0
+		for _, n := range sizes {
+			total += n
+			largest = max(largest, n)
+		}
+		if largest > 64 || total != len(tasks) {
+			t.Errorf("batch sizes %v: want all %d tasks in batches of at most Spec.Batch 64", sizes, len(tasks))
+		}
+	})
 }

@@ -24,7 +24,7 @@ import (
 // on heuristic schedulers: comparison sweeps (pnsim -sched all, the
 // experiments harness) configure one Spec per run and apply it to
 // every scheduler, GA and heuristic alike; heuristics simply ignore
-// them (Batch still caps their batch size via SizerFor).
+// them (Batch still caps the batch heuristics' batch size).
 type Spec struct {
 	// Name selects a registered scheduler, case-insensitively:
 	// EF, LL, RR, MM, MX, ZO, PN, PN-ISLAND, MET, OLB, KPB, SUF (plus
@@ -40,7 +40,7 @@ type Spec struct {
 	Rebalances int `json:"rebalances,omitempty"`
 	// Batch is the initial (and, without DynamicBatch, fixed) batch
 	// size; 0 selects the paper's 200. For heuristic batch schedulers
-	// (MM, MX, SUF) it is the fixed batch cap SizerFor applies.
+	// (MM, MX, SUF) it is the fixed batch cap.
 	Batch int `json:"batch,omitempty"`
 	// DynamicBatch enables the §3.7 dynamic batch-size rule.
 	DynamicBatch bool `json:"dynamic_batch,omitempty"`

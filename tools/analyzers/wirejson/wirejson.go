@@ -9,7 +9,9 @@
 // which silently widens the protocol outside the documented grammar
 // (docs/wire-protocol.md) and outside docscheck's drift gate. Making
 // the tag mandatory turns that drift into a CI failure. The same
-// discipline automatically covers the scenario-file and Spec structs,
+// discipline automatically covers the payload types that go on the
+// wire as themselves (the internal/observe event structs,
+// dist.Snapshot, dist.Trace) and the scenario-file and Spec structs,
 // which are serialized contracts too.
 package wirejson
 

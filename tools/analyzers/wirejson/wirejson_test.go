@@ -9,5 +9,5 @@ import (
 
 func TestWireJSON(t *testing.T) {
 	analysistest.Run(t, "testdata", wirejson.Analyzer,
-		"pnsched/internal/dist", "pnsched/internal/jobs")
+		"pnsched/internal/dist", "pnsched/internal/jobs", "pnsched/internal/observe")
 }
