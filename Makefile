@@ -18,8 +18,10 @@ race:
 
 # Ten seconds of coverage-guided fuzzing over the JSON-lines wire
 # decoder (malformed hellos, oversized frames, unknown event kinds
-# must error cleanly, never panic). The seed corpus lives under
-# internal/dist/testdata/fuzz.
+# must error cleanly, never panic), and as long over the job-journal
+# record decoder plus the apply functions behind it (a record that
+# decodes is refused or applied, never a panic or a negative counter).
+# The seed corpora live under internal/{dist,jobs}/testdata/fuzz.
 fuzz-smoke:
 	$(GO) test ./internal/dist -run='^FuzzWireMessage$$' -fuzz=FuzzWireMessage -fuzztime=10s
 	$(GO) test ./internal/jobs -run='^FuzzJournalRecord$$' -fuzz=FuzzJournalRecord -fuzztime=10s

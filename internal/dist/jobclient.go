@@ -9,12 +9,13 @@ import (
 	"net"
 )
 
-// jobExchange runs one one-shot job request/reply connection: dial,
-// send req, read and decode the single reply frame, check it answers
-// req and carries no application error. The shape matches FetchStats /
-// FetchTraces: pre-1.3 dispatchers do not know the job messages and
-// drop the connection, which surfaces as the read error.
-func jobExchange(ctx context.Context, addr string, req *message) (*message, error) {
+// exchange runs one one-shot request/reply connection — the shape of
+// every stats, trace and job_* client: dial, send req, read and decode
+// the single reply frame, check it answers req and carries no
+// application error. since is the protocol minor that introduced the
+// request: an older server does not know the message and drops the
+// connection, which surfaces as the read error.
+func exchange(ctx context.Context, addr string, req *message, since string) (*message, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -32,7 +33,7 @@ func jobExchange(ctx context.Context, addr string, req *message) (*message, erro
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		return nil, fmt.Errorf("dist: %s reply: %w (server may predate protocol 1.3)", req.Type, err)
+		return nil, fmt.Errorf("dist: %s reply: %w (server may predate protocol %s)", req.Type, err, since)
 	}
 	m, _, err := decodeWireMessage(line)
 	if err != nil {
@@ -45,6 +46,11 @@ func jobExchange(ctx context.Context, addr string, req *message) (*message, erro
 		return nil, errors.New(m.Error)
 	}
 	return m, nil
+}
+
+// jobExchange is exchange for the job_* requests of protocol 1.3.
+func jobExchange(ctx context.Context, addr string, req *message) (*message, error) {
+	return exchange(ctx, addr, req, "1.3")
 }
 
 // oneJob extracts the single JobInfo a submit/status/cancel reply must

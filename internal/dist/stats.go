@@ -1,12 +1,8 @@
 package dist
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"net"
 
 	"pnsched/internal/units"
 )
@@ -82,31 +78,9 @@ type LatencySummary struct {
 // message and drops the connection, which surfaces here as an error —
 // stats require a 1.1+ server.
 func FetchStats(ctx context.Context, addr string) (Snapshot, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return Snapshot{}, fmt.Errorf("dist: stats dial: %w", err)
-	}
-	defer conn.Close()
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	defer stop()
-
-	if encErr := json.NewEncoder(conn).Encode(&message{Type: msgStats}); encErr != nil {
-		return Snapshot{}, fmt.Errorf("dist: stats request: %w", encErr)
-	}
-	line, err := readFrame(bufio.NewReader(conn))
-	if err != nil {
-		if ctx.Err() != nil {
-			return Snapshot{}, ctx.Err()
-		}
-		return Snapshot{}, fmt.Errorf("dist: stats reply: %w (server may predate protocol 1.1)", err)
-	}
-	m, _, err := decodeWireMessage(line)
+	m, err := exchange(ctx, addr, &message{Type: msgStats}, "1.1")
 	if err != nil {
 		return Snapshot{}, err
-	}
-	if m == nil || m.Type != msgStats {
-		return Snapshot{}, errors.New("dist: unexpected reply to stats request")
 	}
 	if m.Stats == nil {
 		return Snapshot{}, errors.New("dist: stats reply without snapshot")

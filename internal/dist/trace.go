@@ -1,12 +1,7 @@
 package dist
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"net"
 	"sync"
 
 	"pnsched/internal/observe"
@@ -175,31 +170,9 @@ func (t *TraceRecorder) Traces() []Trace {
 // a versioned trace list. Servers predating protocol 1.2 do not know
 // the message and drop the connection, which surfaces as an error.
 func FetchTraces(ctx context.Context, addr string) ([]Trace, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("dist: trace dial: %w", err)
-	}
-	defer conn.Close()
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	defer stop()
-
-	if encErr := json.NewEncoder(conn).Encode(&message{Type: msgTrace}); encErr != nil {
-		return nil, fmt.Errorf("dist: trace request: %w", encErr)
-	}
-	line, err := readFrame(bufio.NewReader(conn))
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, fmt.Errorf("dist: trace reply: %w (server may predate protocol 1.2)", err)
-	}
-	m, _, err := decodeWireMessage(line)
+	m, err := exchange(ctx, addr, &message{Type: msgTrace}, "1.2")
 	if err != nil {
 		return nil, err
-	}
-	if m == nil || m.Type != msgTrace {
-		return nil, errors.New("dist: unexpected reply to trace request")
 	}
 	return m.Traces, nil
 }

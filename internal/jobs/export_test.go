@@ -20,3 +20,39 @@ func (d *Dispatcher) ServedForTest(tenant string) float64 {
 	defer d.mu.Unlock()
 	return d.served[tenant]
 }
+
+// ReplayForTest loads a journal directory into a fresh, journal-less
+// dispatcher exactly as recovery's first half does and stops there:
+// none of what a restart changes happens — no retry spend, no re-queue,
+// no scheduler resolution, no admission, no snapshot. What it returns
+// is what the journal says, to be compared with the live dispatcher
+// that wrote it.
+func ReplayForTest(cfg Config, dir string) (*Dispatcher, error) {
+	cfg.JournalDir = ""
+	d, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	jr, snap, tail, err := openJournal(dir, 0)
+	if err != nil {
+		d.Close()
+		return nil, err
+	}
+	jr.f.Close()
+	d.mu.Lock()
+	err = d.replayLocked(snap, tail)
+	d.mu.Unlock()
+	if err != nil {
+		d.Close()
+		return nil, err
+	}
+	return d, nil
+}
+
+// DurableStateForTest renders the dispatcher's durable state in
+// snapshot form.
+func (d *Dispatcher) DurableStateForTest() *JournalSnapshot {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.snapshotLocked()
+}

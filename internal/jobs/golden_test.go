@@ -102,7 +102,7 @@ func canonicalJournalSnapshot() *JournalSnapshot {
 				SubmittedAt: 1754559100000000000,
 				StartedAt:   1754559101000000000,
 				FinishedAt:  1754559900000000000,
-				Workers:     []JournalWorkerTally{{Name: "node7", Tasks: 120, Work: 48000.75}},
+				Workers:     []dist.JobWorkerResult{{Name: "node7", Tasks: 120, Work: 48000.75}},
 			},
 			{
 				ID:          "job-0007",
@@ -122,7 +122,7 @@ func canonicalJournalSnapshot() *JournalSnapshot {
 				SubmittedAt: 1754560000000000000,
 				StartedAt:   1754560001000000000,
 				Tasks:       []dist.WireTask{{ID: 1, Size: 33}},
-				Workers:     []JournalWorkerTally{{Name: "node7", Tasks: 1, Work: 420.5}},
+				Workers:     []dist.JobWorkerResult{{Name: "node7", Tasks: 1, Work: 420.5}},
 			},
 		},
 	}

@@ -20,6 +20,14 @@
 // retry budgets: a lost task returns to its job's queue and spends one
 // retry; a job that exhausts its budget fails, releasing its workers
 // to the next job.
+//
+// Job state has one writer. Every transition — submit, admit, task
+// done, retry spend, finish — is a journal record payload (journal.go),
+// and the apply…Locked function for that payload is the only code that
+// changes a job's durable fields, the fair-share ledger or the lifetime
+// counters. The live paths here and in owner.go decide, build the
+// payload, apply it and append it when Config.JournalDir is set;
+// recovery applies the same payloads read back from disk.
 package jobs
 
 import (
@@ -29,7 +37,8 @@ import (
 	"math"
 	"net"
 	"os"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -196,6 +205,26 @@ type job struct {
 // String names the job where the pool logs its lease.
 func (j *job) String() string { return j.id }
 
+// terminal reports whether the job has reached one of the three end
+// states.
+func (j *job) terminal() bool {
+	return j.state == StateDone || j.state == StateFailed || j.state == StateCancelled
+}
+
+// workerResults renders the per-worker completion tallies sorted by
+// worker name, as job_result replies and snapshots carry them.
+func (j *job) workerResults() []dist.JobWorkerResult {
+	if len(j.perWorker) == 0 {
+		return nil
+	}
+	out := make([]dist.JobWorkerResult, 0, len(j.perWorker))
+	for name, t := range j.perWorker {
+		out = append(out, dist.JobWorkerResult{Name: name, Tasks: t.tasks, Work: float64(t.work)})
+	}
+	slices.SortFunc(out, func(a, b dist.JobWorkerResult) int { return strings.Compare(a.Name, b.Name) })
+	return out
+}
+
 // workerTally accumulates one worker's share of a job.
 type workerTally struct {
 	tasks int
@@ -352,7 +381,6 @@ func (d *Dispatcher) Submit(sub dist.JobSubmission) (dist.JobInfo, error) {
 	if sub.RetryBudget != nil {
 		budget = *sub.RetryBudget
 	}
-	ts := dist.TasksFromWire(sub.Tasks)
 
 	now := time.Now()
 	d.mu.Lock()
@@ -360,30 +388,35 @@ func (d *Dispatcher) Submit(sub dist.JobSubmission) (dist.JobInfo, error) {
 		d.mu.Unlock()
 		return dist.JobInfo{}, errors.New("jobs: dispatcher closed")
 	}
-	d.nextSeq++
-	j := &job{
-		id:          fmt.Sprintf("job-%04d", d.nextSeq),
-		seq:         d.nextSeq,
-		tenant:      tenant,
-		priority:    sub.Priority,
-		spec:        sub.Spec,
-		sch:         sch,
-		schName:     sch.Name(),
-		state:       StateQueued,
-		queue:       task.NewQueue(len(ts)),
-		total:       len(ts),
-		budget:      budget,
-		submittedAt: now,
-		perWorker:   map[string]*workerTally{},
+	seq := d.nextSeq + 1
+	p := JournalSubmit{Job: JournalJob{
+		ID:          fmt.Sprintf("job-%04d", seq),
+		Seq:         seq,
+		Tenant:      tenant,
+		Priority:    sub.Priority,
+		Spec:        sub.Spec,
+		Scheduler:   sch.Name(),
+		State:       StateQueued,
+		Total:       len(sub.Tasks),
+		Budget:      budget,
+		SubmittedAt: now.UnixNano(),
+		Tasks:       sub.Tasks,
+	}}
+	if d.policy == PolicyFair {
+		v := d.liftedLocked(tenant) // before the job joins the queues and looks live
+		p.Served = &v
 	}
-	j.queue.PushAll(ts)
-	d.liftTenantLocked(tenant) // before j joins the queues and looks live
-	d.jobsByID[j.id] = j
-	d.order = append(d.order, j)
+	j, err := d.applySubmitLocked(&p)
+	if err != nil {
+		d.mu.Unlock()
+		return dist.JobInfo{}, err
+	}
+	j.sch = sch
 	d.pending = append(d.pending, j)
-	d.tasksSubmitted += j.total
 	d.met.submitted.Inc()
-	d.journalSubmitLocked(j)
+	if d.jour != nil {
+		d.appendLocked(p.record())
+	}
 	ems := emits{{Queued: &observe.JobQueued{
 		ID:       j.id,
 		Tenant:   j.tenant,
@@ -400,14 +433,13 @@ func (d *Dispatcher) Submit(sub dist.JobSubmission) (dist.JobInfo, error) {
 	return info, nil
 }
 
-// liftTenantLocked implements the fair-share no-hoarding rule: a
-// tenant submitting after an idle spell (no pending or active jobs)
-// is lifted to the minimum virtual time among live tenants, so credit
-// accrued by absence cannot starve everyone else. Caller holds mu.
-func (d *Dispatcher) liftTenantLocked(tenant string) {
-	if d.policy != PolicyFair {
-		return
-	}
+// liftedLocked implements the fair-share no-hoarding rule: a tenant
+// submitting after an idle spell (no pending or active jobs) is lifted
+// to the minimum virtual time among live tenants, so credit accrued by
+// absence cannot starve everyone else. It returns the tenant's ledger
+// after the lift — unchanged when none applies — for the submit record
+// to carry. Caller holds mu.
+func (d *Dispatcher) liftedLocked(tenant string) float64 {
 	live := func(t string) bool {
 		for _, j := range d.pending {
 			if j.tenant == t {
@@ -422,7 +454,7 @@ func (d *Dispatcher) liftTenantLocked(tenant string) {
 		return false
 	}
 	if live(tenant) {
-		return // already competing: no adjustment mid-stream
+		return d.served[tenant] // already competing: no adjustment mid-stream
 	}
 	minVT := math.Inf(1)
 	any := false
@@ -436,8 +468,9 @@ func (d *Dispatcher) liftTenantLocked(tenant string) {
 	}
 	w := d.weight(tenant)
 	if any && minVT > d.served[tenant]/w {
-		d.served[tenant] = minVT * w
+		return minVT * w
 	}
+	return d.served[tenant]
 }
 
 // weight is a tenant's fair-share weight (1 when unconfigured).
@@ -490,18 +523,19 @@ func (d *Dispatcher) admitLocked(now time.Time) emits {
 	for len(d.active) < d.maxAct && len(d.pending) > 0 {
 		j := d.pickLocked()
 		d.pending = removeJob(d.pending, j)
-		j.state = StateRunning
-		j.startedAt = now
 		d.active = append(d.active, j)
 		// The admission charge is the job's unscheduled work *now* —
 		// identical to its total on first admission, and only the
 		// remainder when a recovered job is re-admitted after a restart.
-		j.charge = float64(j.queue.TotalSize())
-		j.servedWork = 0
+		p := JournalAdmit{ID: j.id, At: now.UnixNano(), Charge: float64(j.queue.TotalSize())}
 		if d.policy == PolicyFair {
-			d.served[j.tenant] += j.charge
+			v := d.served[j.tenant] + p.Charge
+			p.Served = &v
 		}
-		d.journalAdmitLocked(j, now)
+		d.applyAdmitLocked(j, &p)
+		if d.jour != nil {
+			d.appendLocked(p.record())
+		}
 		d.rebalanceLocked()
 		waited := now.Sub(j.submittedAt).Seconds()
 		d.met.schedLatency.Observe(waited)
@@ -530,48 +564,14 @@ func (d *Dispatcher) rebalanceLocked() {
 	d.pool.Broadcast()
 }
 
-// finishLocked moves a job to a terminal state: removes it from the
-// queues, releases its worker leases (and with them its outstanding
-// tasks), discards its unscheduled tasks, and admits successors.
-// Caller holds mu; no-op if the job is already terminal.
+// finishLocked moves a job to a terminal state and lets its successors
+// in: retire, evict beyond the retention cap, admit, re-lease. Caller
+// holds mu; no-op if the job is already terminal.
 func (d *Dispatcher) finishLocked(j *job, state, errMsg string, now time.Time) emits {
-	if j.state == StateDone || j.state == StateFailed || j.state == StateCancelled {
+	if j.terminal() {
 		return emits{}
 	}
-	j.state = state
-	j.errMsg = errMsg
-	j.finishedAt = now
-	d.pending = removeJob(d.pending, j)
-	d.active = removeJob(d.active, j)
-	d.pool.ReleaseLocked(j)
-	j.leased = 0
-	j.queue.PopN(j.queue.Len()) // drop the unscheduled remainder
-	d.refundLocked(j)
-	switch state {
-	case StateDone:
-		d.doneCount++
-		d.met.finishedDone.Inc()
-	case StateFailed:
-		d.failedCount++
-		d.met.finishedFailed.Inc()
-	case StateCancelled:
-		d.cancelCount++
-		d.met.finishedCancelled.Inc()
-	}
-	d.journalFinishLocked(j, now)
-	var dur float64
-	if !j.startedAt.IsZero() {
-		dur = now.Sub(j.startedAt).Seconds()
-	}
-	ems := emits{{Done: &observe.JobDone{
-		ID:        j.id,
-		Tenant:    j.tenant,
-		State:     state,
-		Completed: j.completed,
-		Retries:   j.retries,
-		Duration:  units.Seconds(dur),
-		At:        d.pool.Since(now),
-	}}}
+	ems := emits{d.retireLocked(j, state, errMsg, now)}
 	d.trimLocked(now)
 	ems = append(ems, d.admitLocked(now)...)
 	d.rebalanceLocked()
@@ -579,24 +579,56 @@ func (d *Dispatcher) finishLocked(j *job, state, errMsg string, now time.Time) e
 	return ems
 }
 
-// refundLocked returns a job's unserved admission charge to its
-// tenant's fair-share ledger: a job cancelled or failed mid-run was
-// charged for its whole remaining work up front, and without the
-// refund the tenant's next job would be unfairly delayed by work that
-// was never served. A job that ran to completion has served exactly
-// its charge, so the refund degenerates to (float-dust) zero. Caller
-// holds mu; idempotent because the charge is zeroed.
-func (d *Dispatcher) refundLocked(j *job) {
-	if d.policy == PolicyFair && j.charge > 0 {
-		if refund := j.charge - j.servedWork; refund > 0 {
-			if s := d.served[j.tenant] - refund; s > 0 {
-				d.served[j.tenant] = s
-			} else {
-				d.served[j.tenant] = 0
-			}
-		}
+// retireLocked is the finish transition itself: the job leaves the
+// queues, its worker leases are released (and with them its outstanding
+// tasks), the finish record settles the fair-share charge and drops the
+// unscheduled remainder. Returns the job_done event. Caller holds mu
+// and has checked the job is not already terminal.
+func (d *Dispatcher) retireLocked(j *job, state, errMsg string, now time.Time) dist.JobEvent {
+	p := JournalFinish{ID: j.id, State: state, Error: errMsg, At: now.UnixNano()}
+	if d.policy == PolicyFair {
+		v := d.refundedLocked(j)
+		p.Served = &v
 	}
-	j.charge, j.servedWork = 0, 0
+	d.pending = removeJob(d.pending, j)
+	d.active = removeJob(d.active, j)
+	d.pool.ReleaseLocked(j)
+	j.leased = 0
+	d.applyFinishLocked(j, &p)
+	d.met.finished[state].Inc()
+	if d.jour != nil {
+		d.appendLocked(p.record())
+	}
+	var dur float64
+	if !j.startedAt.IsZero() {
+		dur = now.Sub(j.startedAt).Seconds()
+	}
+	return dist.JobEvent{Done: &observe.JobDone{
+		ID:        j.id,
+		Tenant:    j.tenant,
+		State:     state,
+		Completed: j.completed,
+		Retries:   j.retries,
+		Duration:  units.Seconds(dur),
+		At:        d.pool.Since(now),
+	}}
+}
+
+// refundedLocked returns what the tenant's fair-share ledger is once a
+// job's unserved admission charge has gone back to it: a job cancelled
+// or failed mid-run was charged for its whole remaining work up front,
+// and without the refund the tenant's next job would be unfairly
+// delayed by work that was never served. A job that ran to completion
+// has served exactly its charge, so the refund degenerates to
+// (float-dust) zero. Whoever installs the value also zeroes the charge,
+// which is what keeps a second refund from finding anything. Caller
+// holds mu.
+func (d *Dispatcher) refundedLocked(j *job) float64 {
+	served := d.served[j.tenant]
+	if refund := j.charge - j.servedWork; j.charge > 0 && refund > 0 {
+		served = math.Max(served-refund, 0)
+	}
+	return served
 }
 
 // trimLocked evicts the oldest terminal jobs beyond the retention cap
@@ -607,14 +639,13 @@ func (d *Dispatcher) refundLocked(j *job) {
 func (d *Dispatcher) trimLocked(now time.Time) {
 	terminal := 0
 	for _, j := range d.order {
-		if j.state == StateDone || j.state == StateFailed || j.state == StateCancelled {
+		if j.terminal() {
 			terminal++
 		}
 	}
 	for i := 0; terminal > d.retain && i < len(d.order); {
 		j := d.order[i]
-		if (j.state == StateDone || j.state == StateFailed || j.state == StateCancelled) &&
-			now.Sub(j.finishedAt) >= d.retainGrace {
+		if j.terminal() && now.Sub(j.finishedAt) >= d.retainGrace {
 			delete(d.jobsByID, j.id)
 			d.order = append(d.order[:i], d.order[i+1:]...)
 			terminal--
@@ -669,7 +700,7 @@ func (d *Dispatcher) Cancel(id string) (dist.JobInfo, error) {
 		d.mu.Unlock()
 		return dist.JobInfo{}, fmt.Errorf("jobs: unknown job %q", id)
 	}
-	if j.state != StateQueued && j.state != StateRunning {
+	if j.terminal() {
 		state := j.state
 		d.mu.Unlock()
 		return dist.JobInfo{}, fmt.Errorf("jobs: job %s already %s", id, state)
@@ -690,7 +721,7 @@ func (d *Dispatcher) Result(id string) (dist.JobResult, error) {
 	if !ok {
 		return dist.JobResult{}, fmt.Errorf("jobs: unknown job %q", id)
 	}
-	if j.state == StateQueued || j.state == StateRunning {
+	if !j.terminal() {
 		return dist.JobResult{}, fmt.Errorf("jobs: job %s still %s", id, j.state)
 	}
 	res := dist.JobResult{
@@ -703,22 +734,10 @@ func (d *Dispatcher) Result(id string) (dist.JobResult, error) {
 		Error:     j.errMsg,
 		Elapsed:   j.elapsedSum,
 		Duration:  float64(d.pool.Since(j.finishedAt) - d.pool.Since(j.startedAt)),
+		Workers:   j.workerResults(),
 	}
 	if j.startedAt.IsZero() {
 		res.Duration = 0
-	}
-	names := make([]string, 0, len(j.perWorker))
-	for name := range j.perWorker {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		t := j.perWorker[name]
-		res.Workers = append(res.Workers, dist.JobWorkerResult{
-			Name:  name,
-			Tasks: t.tasks,
-			Work:  float64(t.work),
-		})
 	}
 	return res, nil
 }
@@ -744,7 +763,7 @@ func (d *Dispatcher) Wait(id string, timeout time.Duration) (dist.JobInfo, error
 		if !ok {
 			return dist.JobInfo{}, fmt.Errorf("jobs: unknown job %q", id)
 		}
-		if j.state == StateDone || j.state == StateFailed || j.state == StateCancelled {
+		if j.terminal() {
 			return d.infoLocked(j), nil
 		}
 		if d.pool.ClosedLocked() {

@@ -5,13 +5,21 @@ package jobs
 // transition the dispatcher commits — submit, admit, task completion
 // tally, retry spend, finish (done/failed/cancelled) — is appended as
 // one JournalRecord line *before* the transition is acknowledged over
-// the wire: the hooks run under d.mu, and replies/events are only
-// written after the lock is released, so an acknowledged transition is
-// always on disk. A snapshot (the full retained queue, the per-tenant
-// fair-share ledger, and the lifetime counters) is written every
-// SnapshotEvery records and truncates the replayed history; New
-// replays snapshot+tail on startup. See docs/job-journal.md for the
-// record grammar and the recovery rules.
+// the wire: records are appended under d.mu, and replies/events are
+// only written after the lock is released, so an acknowledged
+// transition is always on disk. A snapshot (the full retained queue,
+// the per-tenant fair-share ledger, and the lifetime counters) is
+// written every SnapshotEvery records and truncates the replayed
+// history; New replays snapshot+tail on startup. See
+// docs/job-journal.md for the record grammar and the recovery rules.
+//
+// The record payloads are also the only vocabulary of job-state change
+// (see the package comment): a live transition builds the payload with
+// the post-operation absolutes the record carries, applies it with the
+// kind's apply…Locked function below, and appends it when a journal is
+// open; replay looks the job up and calls the same function, so there
+// is no second copy of the arithmetic for recovered state to disagree
+// with.
 //
 // Appending under d.mu is deliberate: the journal is a plain
 // os.File write of an already-marshalled line (no connection I/O, no
@@ -25,6 +33,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -116,34 +125,26 @@ type JournalFinish struct {
 // completed tasks exist only as their tallies). Timestamps are unix
 // nanoseconds; zero means "not yet".
 type JournalJob struct {
-	ID          string               `json:"id"`
-	Seq         int                  `json:"seq"`
-	Tenant      string               `json:"tenant"`
-	Priority    int                  `json:"priority,omitempty"`
-	Spec        json.RawMessage      `json:"spec,omitempty"`
-	Scheduler   string               `json:"scheduler,omitempty"`
-	State       string               `json:"state"`
-	Total       int                  `json:"total"`
-	Completed   int                  `json:"completed,omitempty"`
-	Retries     int                  `json:"retries,omitempty"`
-	Budget      int                  `json:"retry_budget"`
-	Error       string               `json:"error,omitempty"`
-	Charge      float64              `json:"charge,omitempty"`
-	ServedWork  float64              `json:"served_work,omitempty"`
-	Elapsed     float64              `json:"elapsed,omitempty"`
-	SubmittedAt int64                `json:"submitted_at"`
-	StartedAt   int64                `json:"started_at,omitempty"`
-	FinishedAt  int64                `json:"finished_at,omitempty"`
-	Tasks       []dist.WireTask      `json:"tasks,omitempty"`
-	Workers     []JournalWorkerTally `json:"workers,omitempty"`
-}
-
-// JournalWorkerTally is one worker's completion tally within a
-// JournalJob.
-type JournalWorkerTally struct {
-	Name  string  `json:"name"`
-	Tasks int     `json:"tasks"`
-	Work  float64 `json:"work"`
+	ID          string                 `json:"id"`
+	Seq         int                    `json:"seq"`
+	Tenant      string                 `json:"tenant"`
+	Priority    int                    `json:"priority,omitempty"`
+	Spec        json.RawMessage        `json:"spec,omitempty"`
+	Scheduler   string                 `json:"scheduler,omitempty"`
+	State       string                 `json:"state"`
+	Total       int                    `json:"total"`
+	Completed   int                    `json:"completed,omitempty"`
+	Retries     int                    `json:"retries,omitempty"`
+	Budget      int                    `json:"retry_budget"`
+	Error       string                 `json:"error,omitempty"`
+	Charge      float64                `json:"charge,omitempty"`
+	ServedWork  float64                `json:"served_work,omitempty"`
+	Elapsed     float64                `json:"elapsed,omitempty"`
+	SubmittedAt int64                  `json:"submitted_at"`
+	StartedAt   int64                  `json:"started_at,omitempty"`
+	FinishedAt  int64                  `json:"finished_at,omitempty"`
+	Tasks       []dist.WireTask        `json:"tasks,omitempty"`
+	Workers     []dist.JobWorkerResult `json:"workers,omitempty"`
 }
 
 // JournalSnapshot is the snapshot file: the whole retained queue plus
@@ -218,6 +219,31 @@ func decodeJournalRecord(line []byte) (*JournalRecord, error) {
 		return nil, fmt.Errorf("jobs: journal record %d kind %q does not match its payload", r.LSN, r.Kind)
 	}
 	return &r, nil
+}
+
+// record wraps a payload as its journal record. The value receivers are
+// deliberate: it is the receiver's copy that escapes to the heap, so a
+// live transition builds its payload on the stack and, with no journal
+// open, allocates nothing for a record it never writes.
+
+func (p JournalSubmit) record() *JournalRecord {
+	return &JournalRecord{Kind: JournalKindSubmit, Submit: &p}
+}
+
+func (p JournalAdmit) record() *JournalRecord {
+	return &JournalRecord{Kind: JournalKindAdmit, Admit: &p}
+}
+
+func (p JournalTask) record() *JournalRecord {
+	return &JournalRecord{Kind: JournalKindTask, Task: &p}
+}
+
+func (p JournalRetry) record() *JournalRecord {
+	return &JournalRecord{Kind: JournalKindRetry, Retry: &p}
+}
+
+func (p JournalFinish) record() *JournalRecord {
+	return &JournalRecord{Kind: JournalKindFinish, Finish: &p}
 }
 
 // journal is the dispatcher's open journal. All fields are guarded by
@@ -330,14 +356,10 @@ func (d *Dispatcher) appendLocked(rec *JournalRecord) {
 	}
 }
 
-// snapshotJournalLocked writes the full dispatcher state to the
-// snapshot file (write-temp, fsync, atomic rename) and truncates the
-// journal: everything at or below the snapshot's LSN is now covered by
-// the snapshot. Caller holds d.mu.
-func (d *Dispatcher) snapshotJournalLocked() error {
-	jr := d.jour
+// snapshotLocked renders the dispatcher's whole durable state; the
+// caller stamps the LSN it covers. Caller holds d.mu.
+func (d *Dispatcher) snapshotLocked() *JournalSnapshot {
 	snap := &JournalSnapshot{
-		LSN:            jr.lsn,
 		Start:          d.pool.Start.UnixNano(),
 		NextSeq:        d.nextSeq,
 		NextWire:       d.nextWire,
@@ -350,14 +372,22 @@ func (d *Dispatcher) snapshotJournalLocked() error {
 		Cancelled:      d.cancelCount,
 	}
 	if len(d.served) > 0 {
-		snap.Served = make(map[string]float64, len(d.served))
-		for t, v := range d.served {
-			snap.Served[t] = v
-		}
+		snap.Served = maps.Clone(d.served)
 	}
 	for _, j := range d.order {
-		snap.Jobs = append(snap.Jobs, d.journalJobLocked(j, false))
+		snap.Jobs = append(snap.Jobs, d.journalJobLocked(j))
 	}
+	return snap
+}
+
+// snapshotJournalLocked writes the full dispatcher state to the
+// snapshot file (write-temp, fsync, atomic rename) and truncates the
+// journal: everything at or below the snapshot's LSN is now covered by
+// the snapshot. Caller holds d.mu.
+func (d *Dispatcher) snapshotJournalLocked() error {
+	jr := d.jour
+	snap := d.snapshotLocked()
+	snap.LSN = jr.lsn
 	b, err := json.MarshalIndent(snap, "", "\t")
 	if err != nil {
 		return err
@@ -388,12 +418,11 @@ func (d *Dispatcher) snapshotJournalLocked() error {
 	return nil
 }
 
-// journalJobLocked renders one job in its durable form. full selects
-// the complete task list (submit records); otherwise only unfinished
-// tasks — the job's unscheduled queue in order, then its in-flight
-// tasks in ID order — are included, and none for terminal jobs.
-// Caller holds d.mu.
-func (d *Dispatcher) journalJobLocked(j *job, full bool) JournalJob {
+// journalJobLocked renders one job in its snapshot form: a live job
+// carries its unfinished tasks — the unscheduled queue in order, then
+// the in-flight tasks in ID order — and a terminal job none. Caller
+// holds d.mu.
+func (d *Dispatcher) journalJobLocked(j *job) JournalJob {
 	rj := JournalJob{
 		ID:          j.id,
 		Seq:         j.seq,
@@ -411,6 +440,7 @@ func (d *Dispatcher) journalJobLocked(j *job, full bool) JournalJob {
 		ServedWork:  j.servedWork,
 		Elapsed:     j.elapsedSum,
 		SubmittedAt: j.submittedAt.UnixNano(),
+		Workers:     j.workerResults(),
 	}
 	if !j.startedAt.IsZero() {
 		rj.StartedAt = j.startedAt.UnixNano()
@@ -418,216 +448,32 @@ func (d *Dispatcher) journalJobLocked(j *job, full bool) JournalJob {
 	if !j.finishedAt.IsZero() {
 		rj.FinishedAt = j.finishedAt.UnixNano()
 	}
-	if full || (j.state != StateDone && j.state != StateFailed && j.state != StateCancelled) {
+	if !j.terminal() {
 		rj.Tasks = dist.TasksToWire(append(j.queue.Snapshot(), d.pool.InFlightLocked(j)...))
-	}
-	names := make([]string, 0, len(j.perWorker))
-	for name := range j.perWorker {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		t := j.perWorker[name]
-		rj.Workers = append(rj.Workers, JournalWorkerTally{
-			Name: name, Tasks: t.tasks, Work: float64(t.work),
-		})
 	}
 	return rj
 }
 
-// servedPtr returns the tenant's post-transition ledger value for a
-// record, or nil outside the fair policy (the ledger is meaningless
-// then and omitted from the record). Caller holds d.mu.
-func (d *Dispatcher) servedPtr(tenant string) *float64 {
-	if d.policy != PolicyFair {
-		return nil
-	}
-	v := d.served[tenant]
-	return &v
-}
+// The apply functions, one per record kind. Each installs exactly what
+// its payload says — ledger values are the payload's post-operation
+// absolutes, never recomputed. Callers hold d.mu; payloads read from
+// disk are checked first (addJobLocked, replayRecord).
 
-// The transition hooks, one per record kind. Each is called under d.mu
-// at the exact point the transition commits, before any reply or event
-// leaves the lock.
-
-func (d *Dispatcher) journalSubmitLocked(j *job) {
-	if d.jour == nil {
-		return
-	}
-	d.appendLocked(&JournalRecord{Kind: JournalKindSubmit, Submit: &JournalSubmit{
-		Job:    d.journalJobLocked(j, true),
-		Served: d.servedPtr(j.tenant),
-	}})
-}
-
-func (d *Dispatcher) journalAdmitLocked(j *job, now time.Time) {
-	if d.jour == nil {
-		return
-	}
-	d.appendLocked(&JournalRecord{Kind: JournalKindAdmit, Admit: &JournalAdmit{
-		ID:     j.id,
-		At:     now.UnixNano(),
-		Charge: j.charge,
-		Served: d.servedPtr(j.tenant),
-	}})
-}
-
-func (d *Dispatcher) journalTaskLocked(j *job, workerName string, t task.Task, elapsed units.Seconds) {
-	if d.jour == nil {
-		return
-	}
-	d.appendLocked(&JournalRecord{Kind: JournalKindTask, Task: &JournalTask{
-		ID:      j.id,
-		Task:    int32(t.ID),
-		Worker:  workerName,
-		Elapsed: float64(elapsed),
-		Work:    float64(t.Size),
-	}})
-}
-
-func (d *Dispatcher) journalRetryLocked(j *job, n int) {
-	if d.jour == nil {
-		return
-	}
-	d.appendLocked(&JournalRecord{Kind: JournalKindRetry, Retry: &JournalRetry{ID: j.id, Tasks: n}})
-}
-
-func (d *Dispatcher) journalFinishLocked(j *job, now time.Time) {
-	if d.jour == nil {
-		return
-	}
-	d.appendLocked(&JournalRecord{Kind: JournalKindFinish, Finish: &JournalFinish{
-		ID:     j.id,
-		State:  j.state,
-		Error:  j.errMsg,
-		At:     now.UnixNano(),
-		Served: d.servedPtr(j.tenant),
-	}})
-}
-
-// recover opens the journal, replays snapshot+tail into the freshly
-// constructed dispatcher, and normalizes what a restart changes:
-//
-//   - terminal jobs stay queryable exactly as they finished;
-//   - queued jobs re-enter the pending queue (submission order) with
-//     their tenant's virtual time intact;
-//   - jobs that were running are re-queued with one retry spent (their
-//     worker leases are gone) and their unserved admission charge
-//     refunded; a job whose budget that spend exhausts fails instead;
-//   - a job whose scheduler spec no longer resolves fails rather than
-//     aborting recovery.
-//
-// Recovery ends with a fresh snapshot (truncating the replayed tail)
-// and normal admission, so the journal is immediately ready for the
-// next crash. Called from New before the dispatcher is shared; returns
-// the admission events for New to emit.
-func (d *Dispatcher) recover(dir string, every int) (emits, error) {
-	t0 := time.Now()
-	jr, snap, tail, err := openJournal(dir, every)
-	if err != nil {
-		return nil, err
-	}
-	d.jour = jr
-
-	if snap != nil {
-		d.pool.Start = time.Unix(0, snap.Start)
-		d.nextSeq = snap.NextSeq
-		d.nextWire = snap.NextWire
-		d.tasksSubmitted = snap.TasksSubmitted
-		d.tasksDone = snap.TasksDone
-		d.reissued = snap.Reissued
-		d.batches = snap.Batches
-		d.doneCount = snap.Done
-		d.failedCount = snap.Failed
-		d.cancelCount = snap.Cancelled
-		for t, v := range snap.Served {
-			d.served[t] = v
-		}
-		for _, rj := range snap.Jobs {
-			if err := d.replayJob(rj); err != nil {
-				return nil, err
-			}
-		}
-	}
-	base := uint64(0)
-	if snap != nil {
-		base = snap.LSN
-	}
-	for _, rec := range tail {
-		if rec.LSN <= base {
-			continue // already covered by the snapshot
-		}
-		if err := d.replayRecord(rec); err != nil {
-			return nil, err
-		}
-	}
-
-	// Normalize interrupted jobs: every lease died with the old
-	// process, so a running job spends one retry and goes back to the
-	// pending queue — unless that spend exhausts its budget.
-	now := time.Now()
-	for _, j := range d.order {
-		if j.state != StateRunning {
-			continue
-		}
-		d.refundLocked(j)
-		j.state = StateQueued
-		j.startedAt = time.Time{}
-		j.retries++
-		d.reissued++
-		if j.retries > j.budget {
-			j.state = StateFailed
-			j.errMsg = fmt.Sprintf("retry budget exhausted: %d reissues exceed budget %d (dispatcher restarted mid-run)", j.retries, j.budget)
-			j.finishedAt = now
-			d.failedCount++
-		}
-	}
-
-	// Rebuild the derived queues in submission order and resolve each
-	// live job's scheduler; a spec that stopped resolving fails the job
-	// rather than the recovery.
-	sort.Slice(d.order, func(a, b int) bool { return d.order[a].seq < d.order[b].seq })
-	for _, j := range d.order {
-		if j.state != StateQueued {
-			continue
-		}
-		sch, err := d.cfg.NewScheduler(j.spec)
-		if err != nil {
-			j.state = StateFailed
-			j.errMsg = fmt.Sprintf("scheduler spec no longer resolves: %v", err)
-			j.finishedAt = now
-			d.failedCount++
-			continue
-		}
-		j.sch = sch
-		j.schName = sch.Name()
-		d.pending = append(d.pending, j)
-	}
-	d.trimLocked(now)
-	ems := d.admitLocked(now)
-	if err := d.snapshotJournalLocked(); err != nil {
-		return nil, err
-	}
-	d.replaySec = time.Since(t0).Seconds()
-	if snap != nil || len(tail) > 0 {
-		d.pool.Log.Info("journal replayed", "dir", dir, "jobs", len(d.order),
-			"pending", len(d.pending), "tail_records", len(tail),
-			"seconds", d.replaySec)
-	}
-	return ems, nil
-}
-
-// replayJob reconstructs one job from its durable form. Schedulers are
-// resolved later (recover's normalization pass), once the job's final
-// post-replay state is known.
-func (d *Dispatcher) replayJob(rj JournalJob) error {
+// addJobLocked installs one job from its durable form — a submit
+// record's payload or a snapshot entry. It is the only place a job is
+// constructed. The scheduler is not part of the durable form: Submit
+// sets the one it built, recovery resolves the spec again.
+func (d *Dispatcher) addJobLocked(rj *JournalJob) (*job, error) {
 	if rj.ID == "" || rj.Seq <= 0 {
-		return fmt.Errorf("jobs: journal job without id/seq (%q, %d)", rj.ID, rj.Seq)
+		return nil, fmt.Errorf("jobs: journal job without id/seq (%q, %d)", rj.ID, rj.Seq)
 	}
 	if _, dup := d.jobsByID[rj.ID]; dup {
-		return fmt.Errorf("jobs: journal replays job %s twice", rj.ID)
+		return nil, fmt.Errorf("jobs: journal replays job %s twice", rj.ID)
 	}
-	ts := dist.TasksFromWire(rj.Tasks)
+	if rj.Total < 0 || rj.Completed < 0 || rj.Retries < 0 {
+		return nil, fmt.Errorf("jobs: journal job %s has a negative count (total %d, completed %d, retries %d)",
+			rj.ID, rj.Total, rj.Completed, rj.Retries)
+	}
 	j := &job{
 		id:          rj.ID,
 		seq:         rj.Seq,
@@ -636,7 +482,7 @@ func (d *Dispatcher) replayJob(rj JournalJob) error {
 		spec:        rj.Spec,
 		schName:     rj.Scheduler,
 		state:       rj.State,
-		queue:       task.NewQueue(len(ts)),
+		queue:       task.NewQueue(len(rj.Tasks)),
 		total:       rj.Total,
 		completed:   rj.Completed,
 		retries:     rj.Retries,
@@ -646,9 +492,9 @@ func (d *Dispatcher) replayJob(rj JournalJob) error {
 		servedWork:  rj.ServedWork,
 		elapsedSum:  rj.Elapsed,
 		submittedAt: time.Unix(0, rj.SubmittedAt),
-		perWorker:   map[string]*workerTally{},
+		perWorker:   make(map[string]*workerTally, len(rj.Workers)),
 	}
-	j.queue.PushAll(ts)
+	j.queue.PushAll(dist.TasksFromWire(rj.Tasks))
 	if rj.StartedAt != 0 {
 		j.startedAt = time.Unix(0, rj.StartedAt)
 	}
@@ -663,11 +509,199 @@ func (d *Dispatcher) replayJob(rj JournalJob) error {
 	if j.seq > d.nextSeq {
 		d.nextSeq = j.seq
 	}
+	return j, nil
+}
+
+func (d *Dispatcher) applySubmitLocked(p *JournalSubmit) (*job, error) {
+	j, err := d.addJobLocked(&p.Job)
+	if err != nil {
+		return nil, err
+	}
+	d.tasksSubmitted += j.total
+	if p.Served != nil {
+		d.served[j.tenant] = *p.Served
+	}
+	return j, nil
+}
+
+func (d *Dispatcher) applyAdmitLocked(j *job, p *JournalAdmit) {
+	j.state = StateRunning
+	j.startedAt = time.Unix(0, p.At)
+	j.charge = p.Charge
+	j.servedWork = 0
+	if p.Served != nil {
+		d.served[j.tenant] = *p.Served
+	}
+}
+
+func (d *Dispatcher) applyTaskLocked(j *job, p *JournalTask) {
+	j.completed++
+	j.servedWork += p.Work
+	j.elapsedSum += p.Elapsed
+	tally := j.perWorker[p.Worker]
+	if tally == nil {
+		tally = &workerTally{}
+		j.perWorker[p.Worker] = tally
+	}
+	tally.tasks++
+	tally.work += units.MFlops(p.Work)
+	d.tasksDone++
+}
+
+func (d *Dispatcher) applyRetryLocked(j *job, p *JournalRetry) {
+	j.retries += p.Tasks
+	d.reissued += p.Tasks
+}
+
+// applyFinishLocked takes a job to the terminal state the payload
+// names: the unscheduled remainder is dropped and the admission charge
+// is settled (the refund is already inside p.Served).
+func (d *Dispatcher) applyFinishLocked(j *job, p *JournalFinish) {
+	j.state = p.State
+	j.errMsg = p.Error
+	j.finishedAt = time.Unix(0, p.At)
+	j.charge, j.servedWork = 0, 0
+	j.queue.PopN(j.queue.Len())
+	switch p.State {
+	case StateDone:
+		d.doneCount++
+	case StateFailed:
+		d.failedCount++
+	case StateCancelled:
+		d.cancelCount++
+	}
+	if p.Served != nil {
+		d.served[j.tenant] = *p.Served
+	}
+}
+
+// recover opens the journal, replays snapshot+tail into the freshly
+// constructed dispatcher, and normalizes what a restart changes:
+//
+//   - terminal jobs stay queryable exactly as they finished;
+//   - queued jobs re-enter the pending queue (submission order) with
+//     their tenant's virtual time intact;
+//   - jobs that were running are re-queued with one retry spent (their
+//     worker leases are gone) and their unserved admission charge
+//     refunded; a job whose budget that spend exhausts fails instead;
+//   - a job whose scheduler spec no longer resolves fails rather than
+//     aborting recovery.
+//
+// Recovery ends with normal admission and a fresh snapshot (truncating
+// the replayed tail), so the journal is immediately ready for the next
+// crash. The journal is installed only for that snapshot: nothing
+// recovery does is appended record by record, so a crash mid-recovery
+// leaves the directory as it was found. Called from New before the
+// dispatcher is shared; returns the events for New to emit.
+func (d *Dispatcher) recover(dir string, every int) (emits, error) {
+	t0 := time.Now()
+	jr, snap, tail, err := openJournal(dir, every)
+	if err != nil {
+		return nil, err
+	}
+	if err := d.replayLocked(snap, tail); err != nil {
+		jr.f.Close()
+		return nil, err
+	}
+
+	// Every lease died with the old process, so a running job goes back
+	// to the pending queue with one retry spent — unless that spend
+	// exhausts its budget. Pending is rebuilt in submission order with
+	// each live job's scheduler resolved again.
+	now := time.Now()
+	sort.Slice(d.order, func(a, b int) bool { return d.order[a].seq < d.order[b].seq })
+	var ems emits
+	for _, j := range d.order {
+		why := ""
+		if j.state == StateRunning {
+			if d.policy == PolicyFair {
+				d.served[j.tenant] = d.refundedLocked(j)
+			}
+			j.charge, j.servedWork = 0, 0
+			j.state = StateQueued
+			j.startedAt = time.Time{}
+			d.applyRetryLocked(j, &JournalRetry{ID: j.id, Tasks: 1})
+			if j.retries > j.budget {
+				why = fmt.Sprintf("retry budget exhausted: %d reissues exceed budget %d (dispatcher restarted mid-run)", j.retries, j.budget)
+			}
+		}
+		if j.state != StateQueued {
+			continue // terminal: stays queryable as it finished
+		}
+		if why == "" {
+			sch, err := d.cfg.NewScheduler(j.spec)
+			if err == nil {
+				j.sch = sch
+				j.schName = sch.Name()
+				d.pending = append(d.pending, j)
+				continue
+			}
+			why = fmt.Sprintf("scheduler spec no longer resolves: %v", err)
+		}
+		ems = append(ems, d.retireLocked(j, StateFailed, why, now))
+	}
+	d.trimLocked(now)
+	ems = append(ems, d.admitLocked(now)...)
+	d.jour = jr
+	if err := d.snapshotJournalLocked(); err != nil {
+		jr.f.Close()
+		return nil, err
+	}
+	d.replaySec = time.Since(t0).Seconds()
+	if snap != nil || len(tail) > 0 {
+		d.pool.Log.Info("journal replayed", "dir", dir, "jobs", len(d.order),
+			"pending", len(d.pending), "tail_records", len(tail),
+			"seconds", d.replaySec)
+	}
+	return ems, nil
+}
+
+// replayLocked loads a snapshot and applies the tail records above its
+// LSN: the journal's content and nothing else — what a restart changes
+// is recover's business. Caller holds d.mu on an empty dispatcher.
+func (d *Dispatcher) replayLocked(snap *JournalSnapshot, tail []*JournalRecord) error {
+	base := uint64(0)
+	if snap != nil {
+		base = snap.LSN
+		d.pool.Start = time.Unix(0, snap.Start)
+		d.nextSeq = snap.NextSeq
+		d.nextWire = snap.NextWire
+		d.tasksSubmitted = snap.TasksSubmitted
+		d.tasksDone = snap.TasksDone
+		d.reissued = snap.Reissued
+		d.batches = snap.Batches
+		d.doneCount = snap.Done
+		d.failedCount = snap.Failed
+		d.cancelCount = snap.Cancelled
+		maps.Copy(d.served, snap.Served)
+		for i := range snap.Jobs {
+			if _, err := d.addJobLocked(&snap.Jobs[i]); err != nil {
+				return err
+			}
+		}
+	}
+	// A task record's job still holds the task in its rebuilt queue; the
+	// completed IDs are collected per job and each queue filtered once.
+	retired := map[*job][]task.ID{}
+	for _, rec := range tail {
+		if rec.LSN <= base {
+			continue // already covered by the snapshot
+		}
+		if err := d.replayRecord(rec, retired); err != nil {
+			return err
+		}
+	}
+	for j, ids := range retired {
+		j.retireQueued(ids)
+	}
 	return nil
 }
 
-// replayRecord applies one tail record on top of the replayed state.
-func (d *Dispatcher) replayRecord(rec *JournalRecord) error {
+// replayRecord applies one decoded record: look the job up, check what
+// only a record from disk can get wrong, call the apply function the
+// live transition called. A completed task is noted in retired for
+// replayLocked to drop from the job's queue.
+func (d *Dispatcher) replayRecord(rec *JournalRecord, retired map[*job][]task.ID) error {
 	lookup := func(id string) (*job, error) {
 		j, ok := d.jobsByID[id]
 		if !ok {
@@ -677,86 +711,63 @@ func (d *Dispatcher) replayRecord(rec *JournalRecord) error {
 	}
 	switch rec.Kind {
 	case JournalKindSubmit:
-		if err := d.replayJob(rec.Submit.Job); err != nil {
-			return err
+		if rj := &rec.Submit.Job; rj.Total != len(rj.Tasks) {
+			return fmt.Errorf("jobs: journal record %d submits job %s with %d of its %d tasks",
+				rec.LSN, rj.ID, len(rj.Tasks), rj.Total)
 		}
-		d.tasksSubmitted += rec.Submit.Job.Total
-		if rec.Submit.Served != nil {
-			d.served[rec.Submit.Job.Tenant] = *rec.Submit.Served
-		}
+		_, err := d.applySubmitLocked(rec.Submit)
+		return err
 	case JournalKindAdmit:
 		j, err := lookup(rec.Admit.ID)
 		if err != nil {
 			return err
 		}
-		j.state = StateRunning
-		j.startedAt = time.Unix(0, rec.Admit.At)
-		j.charge = rec.Admit.Charge
-		j.servedWork = 0
-		if rec.Admit.Served != nil {
-			d.served[j.tenant] = *rec.Admit.Served
-		}
+		d.applyAdmitLocked(j, rec.Admit)
 	case JournalKindTask:
 		j, err := lookup(rec.Task.ID)
 		if err != nil {
 			return err
 		}
-		j.removeQueuedTask(task.ID(rec.Task.Task))
-		j.completed++
-		j.servedWork += rec.Task.Work
-		j.elapsedSum += rec.Task.Elapsed
-		tally := j.perWorker[rec.Task.Worker]
-		if tally == nil {
-			tally = &workerTally{}
-			j.perWorker[rec.Task.Worker] = tally
-		}
-		tally.tasks++
-		tally.work += units.MFlops(rec.Task.Work)
-		d.tasksDone++
+		d.applyTaskLocked(j, rec.Task)
+		retired[j] = append(retired[j], task.ID(rec.Task.Task))
 	case JournalKindRetry:
 		j, err := lookup(rec.Retry.ID)
 		if err != nil {
 			return err
 		}
-		j.retries += rec.Retry.Tasks
-		d.reissued += rec.Retry.Tasks
+		if rec.Retry.Tasks < 0 {
+			return fmt.Errorf("jobs: journal record %d spends %d retries on job %s", rec.LSN, rec.Retry.Tasks, j.id)
+		}
+		d.applyRetryLocked(j, rec.Retry)
 	case JournalKindFinish:
 		j, err := lookup(rec.Finish.ID)
 		if err != nil {
 			return err
 		}
-		j.state = rec.Finish.State
-		j.errMsg = rec.Finish.Error
-		j.finishedAt = time.Unix(0, rec.Finish.At)
-		j.charge, j.servedWork = 0, 0
-		j.queue.PopN(j.queue.Len())
 		switch rec.Finish.State {
-		case StateDone:
-			d.doneCount++
-		case StateFailed:
-			d.failedCount++
-		case StateCancelled:
-			d.cancelCount++
+		case StateDone, StateFailed, StateCancelled:
 		default:
 			return fmt.Errorf("jobs: journal record %d finishes job %s into non-terminal state %q",
 				rec.LSN, j.id, rec.Finish.State)
 		}
-		if rec.Finish.Served != nil {
-			d.served[j.tenant] = *rec.Finish.Served
-		}
+		d.applyFinishLocked(j, rec.Finish)
 	}
 	return nil
 }
 
-// removeQueuedTask drops one task (by the job's own task ID) from the
-// job's unscheduled queue; replay uses it to retire completed tasks.
-func (j *job) removeQueuedTask(id task.ID) {
-	ts := j.queue.PopN(j.queue.Len())
-	for i, t := range ts {
-		if t.ID == id {
-			ts = append(ts[:i], ts[i+1:]...)
-			break
+// retireQueued drops the given tasks (by the job's own task IDs) from
+// the unscheduled queue in one pass, keeping the order of the rest.
+func (j *job) retireQueued(ids []task.ID) {
+	gone := make(map[task.ID]struct{}, len(ids))
+	for _, id := range ids {
+		gone[id] = struct{}{}
+	}
+	queued := j.queue.PopN(j.queue.Len())
+	kept := queued[:0]
+	for _, t := range queued {
+		if _, ok := gone[t.ID]; !ok {
+			kept = append(kept, t)
 		}
 	}
-	j.queue.PushAll(ts)
+	j.queue.PushAll(kept)
 }

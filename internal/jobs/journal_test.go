@@ -10,6 +10,8 @@ import (
 
 	"pnsched/internal/dist"
 	"pnsched/internal/sched"
+	"pnsched/internal/task"
+	"pnsched/internal/telemetry"
 )
 
 func journalFactory(json.RawMessage) (sched.Batch, error) {
@@ -99,10 +101,14 @@ func TestJournalRecoverRestart(t *testing.T) {
 
 // TestJournalRestartExhaustsBudget: the restart's retry spend obeys
 // the budget — a running job with no retries left fails at recovery
-// instead of re-queueing.
+// instead of re-queueing, and it fails through the same finish
+// transition a lost worker would have taken it through: its unscheduled
+// tasks are dropped and the finished-jobs counter sees it.
 func TestJournalRestartExhaustsBudget(t *testing.T) {
 	dir := t.TempDir()
-	d1, err := New(journalConfig(dir))
+	cfg := journalConfig(dir)
+	cfg.Metrics = telemetry.NewRegistry()
+	d1, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -117,7 +123,8 @@ func TestJournalRestartExhaustsBudget(t *testing.T) {
 	}
 	d1.Close()
 
-	d2, err := New(journalConfig(dir))
+	cfg.Metrics = telemetry.NewRegistry()
+	d2, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New after restart: %v", err)
 	}
@@ -128,6 +135,15 @@ func TestJournalRestartExhaustsBudget(t *testing.T) {
 	}
 	if got.State != StateFailed {
 		t.Errorf("zero-budget interrupted job in state %s, want failed", got.State)
+	}
+	d2.mu.Lock()
+	queued := d2.jobsByID[info.ID].queue.Len()
+	d2.mu.Unlock()
+	if queued != 0 {
+		t.Errorf("job failed by recovery still holds %d unscheduled tasks, want 0", queued)
+	}
+	if n := d2.met.finished[StateFailed].Value(); n != 1 {
+		t.Errorf(`pnsched_jobs_finished_total{state="failed"} = %v after recovery failed one job, want 1`, n)
 	}
 }
 
@@ -281,13 +297,17 @@ func TestJournalSnapshotTruncates(t *testing.T) {
 	}
 }
 
-// FuzzJournalRecord fuzzes the journal record decoder, mirroring
-// dist's FuzzWireMessage. The invariants, whatever the input:
+// FuzzJournalRecord fuzzes the journal record decoder and the code that
+// applies what it accepts, mirroring dist's FuzzWireMessage. The
+// invariants, whatever the input:
 //
 //   - decodeJournalRecord never panics — malformed JSON, unknown
 //     kinds, missing or doubled payloads all surface as errors;
 //   - anything accepted survives an encode→decode→encode round trip
-//     byte-identically (the record really is well-formed).
+//     byte-identically (the record really is well-formed);
+//   - anything accepted, applied to a dispatcher holding one known
+//     running job, is refused with an error or applied — never a panic,
+//     never a negative counter.
 func FuzzJournalRecord(f *testing.F) {
 	seeds := []string{
 		`{"lsn":1,"kind":"submit","submit":{"job":{"id":"job-0001","seq":1,"tenant":"gold","spec":{"name":"PN"},"scheduler":"PN","state":"queued","total":2,"retry_budget":64,"submitted_at":1754560000000000000,"tasks":[{"id":0,"size":420.5},{"id":1,"size":33}]},"served":0}}`,
@@ -296,6 +316,10 @@ func FuzzJournalRecord(f *testing.F) {
 		`{"lsn":4,"kind":"retry","retry":{"id":"job-0001","tasks":1}}`,
 		`{"lsn":5,"kind":"finish","finish":{"id":"job-0001","state":"done","at":1754560002000000000,"served":453.5}}`,
 		`{"lsn":6,"kind":"finish","finish":{"id":"job-0002","state":"failed","error":"retry budget exhausted","at":1754560003000000000}}`,
+		`{"lsn":4,"kind":"retry","retry":{"id":"job-0001","tasks":-3}}`,
+		`{"lsn":5,"kind":"finish","finish":{"id":"job-0001","state":"running","at":1}}`,
+		`{"lsn":6,"kind":"submit","submit":{"job":{"id":"job-0002","seq":2,"tenant":"gold","state":"queued","total":-1,"retry_budget":1,"submitted_at":1}}}`,
+		`{"lsn":6,"kind":"submit","submit":{"job":{"id":"job-0002","seq":2,"tenant":"gold","state":"queued","total":9223372036854775807,"retry_budget":1,"submitted_at":1}}}`,
 		`{"lsn":7,"kind":"retry"}`,
 		`{"lsn":8,"kind":"retry","retry":{"id":"x"},"task":{"id":"x"}}`,
 		`{"lsn":9,"kind":"mystery","retry":{"id":"x"}}`,
@@ -336,6 +360,32 @@ func FuzzJournalRecord(f *testing.F) {
 		// invariant; spot-check the envelope survived too.
 		if rec2.LSN != rec.LSN || rec2.Kind != rec.Kind {
 			t.Fatalf("round trip changed the envelope: %+v vs %+v", rec, rec2)
+		}
+
+		d, err := New(Config{NewScheduler: journalFactory, Policy: PolicyFair})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		defer d.Close()
+		mustSubmit(t, d, "gold", 420.5, 33) // job-0001, admitted at once
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		if err := d.replayRecord(rec, map[*job][]task.ID{}); err != nil {
+			return
+		}
+		for name, n := range map[string]int{
+			"tasks submitted": d.tasksSubmitted, "tasks done": d.tasksDone, "reissued": d.reissued,
+			"done": d.doneCount, "failed": d.failedCount, "cancelled": d.cancelCount,
+		} {
+			if n < 0 {
+				t.Fatalf("applied record left the %s counter at %d\n%s", name, n, enc)
+			}
+		}
+		for _, j := range d.order {
+			if j.total < 0 || j.completed < 0 || j.retries < 0 {
+				t.Fatalf("applied record left job %s with total %d, completed %d, retries %d\n%s",
+					j.id, j.total, j.completed, j.retries, enc)
+			}
 		}
 	})
 }

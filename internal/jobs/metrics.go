@@ -9,13 +9,11 @@ import (
 // fully usable: every instrument is nil and the telemetry instruments
 // are nil-safe no-ops.
 type jobMetrics struct {
-	submitted         *telemetry.Counter
-	finishedDone      *telemetry.Counter
-	finishedFailed    *telemetry.Counter
-	finishedCancelled *telemetry.Counter
-	journalRecords    *telemetry.Counter
-	journalBytes      *telemetry.Counter
-	journalSnapshots  *telemetry.Counter
+	submitted        *telemetry.Counter
+	finished         map[string]*telemetry.Counter // by terminal state
+	journalRecords   *telemetry.Counter
+	journalBytes     *telemetry.Counter
+	journalSnapshots *telemetry.Counter
 
 	schedLatency *telemetry.Histogram
 }
@@ -30,15 +28,7 @@ func newJobMetrics(reg *telemetry.Registry, d *Dispatcher) *jobMetrics {
 	m := &jobMetrics{
 		submitted: reg.Counter("pnsched_jobs_submitted_total",
 			"Jobs accepted by the dispatcher over its lifetime."),
-		finishedDone: reg.Counter("pnsched_jobs_finished_total",
-			"Jobs reaching a terminal state, by state.",
-			telemetry.L("state", StateDone)),
-		finishedFailed: reg.Counter("pnsched_jobs_finished_total",
-			"Jobs reaching a terminal state, by state.",
-			telemetry.L("state", StateFailed)),
-		finishedCancelled: reg.Counter("pnsched_jobs_finished_total",
-			"Jobs reaching a terminal state, by state.",
-			telemetry.L("state", StateCancelled)),
+		finished: map[string]*telemetry.Counter{},
 		journalRecords: reg.Counter("pnsched_jobs_journal_records_total",
 			"State-transition records appended to the job journal."),
 		journalBytes: reg.Counter("pnsched_jobs_journal_bytes_total",
@@ -48,6 +38,11 @@ func newJobMetrics(reg *telemetry.Registry, d *Dispatcher) *jobMetrics {
 		schedLatency: reg.Histogram("pnsched_jobs_scheduling_latency_seconds",
 			"Submission-to-start wait per job (time spent queued).",
 			telemetry.ExpBuckets(0.001, 4, 10)),
+	}
+	for _, state := range []string{StateDone, StateFailed, StateCancelled} {
+		m.finished[state] = reg.Counter("pnsched_jobs_finished_total",
+			"Jobs reaching a terminal state, by state.",
+			telemetry.L("state", state))
 	}
 
 	reg.SampleFunc("pnsched_jobs_queue_depth",

@@ -52,23 +52,16 @@ func (d *Dispatcher) WireIDLocked(task.Task) int32 {
 	return d.nextWire
 }
 
-// DoneLocked implements dist.Owner: counters, per-worker tallies, the
-// journal record, and — when this was the job's last task — the job's
-// completion.
+// DoneLocked implements dist.Owner: the task record — counters and
+// per-worker tallies — and, when this was the job's last task, the
+// job's completion.
 func (d *Dispatcher) DoneLocked(lease any, worker string, t task.Task, elapsed units.Seconds, now time.Time) emits {
 	j := lease.(*job)
-	d.tasksDone++
-	j.completed++
-	j.servedWork += float64(t.Size)
-	j.elapsedSum += float64(elapsed)
-	tally := j.perWorker[worker]
-	if tally == nil {
-		tally = &workerTally{}
-		j.perWorker[worker] = tally
+	p := JournalTask{ID: j.id, Task: int32(t.ID), Worker: worker, Elapsed: float64(elapsed), Work: float64(t.Size)}
+	d.applyTaskLocked(j, &p)
+	if d.jour != nil {
+		d.appendLocked(p.record())
 	}
-	tally.tasks++
-	tally.work += t.Size
-	d.journalTaskLocked(j, worker, t, elapsed)
 	if j.state == StateRunning && j.completed == j.total {
 		return d.finishLocked(j, StateDone, "", now)
 	}
@@ -90,9 +83,11 @@ func (d *Dispatcher) LostLocked(lease any, worker string, lost []task.Task, now 
 		return 0, nil
 	}
 	j.queue.PushAll(lost)
-	j.retries += len(lost)
-	d.journalRetryLocked(j, len(lost))
-	d.reissued += len(lost)
+	p := JournalRetry{ID: j.id, Tasks: len(lost)}
+	d.applyRetryLocked(j, &p)
+	if d.jour != nil {
+		d.appendLocked(p.record())
+	}
 	var ems emits
 	if j.retries > j.budget {
 		ems = d.finishLocked(j, StateFailed,
