@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race fuzz-smoke lint apicheck analyze docs-check bench bench-smoke bench-e2e bench-compare admin-smoke vulncheck ci
+.PHONY: build test race fuzz-smoke lint apicheck analyze docs-check bench bench-e2e bench-compare admin-smoke vulncheck ci
 
 build:
 	$(GO) build ./...
@@ -65,18 +65,6 @@ docs-check:
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# One pass of the island-vs-sequential and naive-vs-incremental
-# benchmarks plus the pnbench island and evolve studies;
-# BENCH_island.json and BENCH_evolve.json are the machine-readable
-# records CI uploads as artifacts. Neither is a gate: the evolve loop's
-# speed is measured by bench/ (core.evolve_ms_h200_m50 and
-# core.evolve_allocs_h200_m50 from `bash bench/run.sh --trace 1`).
-bench-smoke:
-	$(GO) test ./internal/core -run=NONE -bench=BenchmarkIslandEvolve -benchtime=1x
-	$(GO) test ./internal/core -run=NONE -bench='BenchmarkEvolve(Naive|Incremental)' -benchtime=1x
-	$(GO) run ./cmd/pnbench -figure island -profile fast -json BENCH_island.json
-	$(GO) run ./cmd/pnbench -figure evolve -profile fast -json BENCH_evolve.json
-
 # The repo's end-to-end benchmark (BENCHMARK.json, bench/README.md): one
 # workload per process, the full record appended to
 # bench/out/results.jsonl.
@@ -107,4 +95,4 @@ vulncheck:
 		echo "vulncheck: govulncheck not installed; skipping (CI runs it)"; \
 	fi
 
-ci: build lint apicheck analyze docs-check test race fuzz-smoke bench bench-smoke admin-smoke vulncheck
+ci: build lint apicheck analyze docs-check test race fuzz-smoke bench admin-smoke vulncheck

@@ -303,3 +303,100 @@ func TestServeDecisionTraces(t *testing.T) {
 	cancel()
 	wg.Wait()
 }
+
+// poolSeries are the series the worker pool exports — under Serve and
+// ServeJobs alike, since both sit on the one pool.
+var poolSeries = []string{
+	"pnsched_tasks_submitted_total",
+	"pnsched_tasks_completed_total",
+	"pnsched_tasks_reissued_total",
+	"pnsched_tasks_dispatched_total",
+	"pnsched_batches_total",
+	"pnsched_protocol_decode_errors_total",
+	"pnsched_dispatch_latency_seconds",
+	"pnsched_batch_wall_seconds",
+	"pnsched_pending_tasks",
+	"pnsched_running_tasks",
+	"pnsched_workers",
+	"pnsched_worker_believed_rate_mflops",
+	"pnsched_worker_tasks_completed",
+	"pnsched_events_published_total",
+	"pnsched_events_dropped_total",
+	"pnsched_watcher_queue_depth",
+	"pnsched_watcher_dropped_total",
+}
+
+// scrapeFamilies returns each family's "TYPE / HELP" as /metrics
+// declares it, failing on a family declared twice.
+func scrapeFamilies(t *testing.T, base string) map[string]string {
+	t.Helper()
+	help := map[string]string{}
+	fams := map[string]string{}
+	for _, line := range strings.Split(scrapeMetrics(t, base), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
+			name, text, _ := strings.Cut(rest, " ")
+			help[name] = text
+		} else if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, typ, _ := strings.Cut(rest, " ")
+			if _, dup := fams[name]; dup {
+				t.Errorf("%s: family %s rendered twice", base, name)
+			}
+			fams[name] = typ + " / " + help[name]
+		}
+	}
+	return fams
+}
+
+// TestPoolSeriesIdenticalUnderBothServices scrapes a Serve and a
+// ServeJobs and requires one set of pool-level series: same names, TYPE
+// and HELP from both, pnsched_jobs_* only on the dispatcher and never a
+// second name for a pool-level series.
+func TestPoolSeriesIdenticalUnderBothServices(t *testing.T) {
+	ctx := context.Background()
+	srv, err := pnsched.Serve(ctx, fastServeSpec(t), pnsched.WithAdminAddr("127.0.0.1:0"))
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	defer srv.Close()
+	svc, err := pnsched.ServeJobs(ctx, pnsched.WithAdminAddr("127.0.0.1:0"))
+	if err != nil {
+		t.Fatalf("ServeJobs: %v", err)
+	}
+	defer svc.Close()
+	serve := scrapeFamilies(t, "http://"+srv.AdminAddr().String())
+	jobs := scrapeFamilies(t, "http://"+svc.AdminAddr().String())
+
+	for _, name := range poolSeries {
+		if serve[name] == "" {
+			t.Errorf("Serve does not export the pool-level series %s", name)
+		}
+	}
+	for name, decl := range serve {
+		if strings.HasPrefix(name, "pnsched_jobs_") {
+			t.Errorf("Serve exports the job-level series %s", name)
+		} else if jobs[name] != decl {
+			t.Errorf("%s: Serve declares %q, ServeJobs %q", name, decl, jobs[name])
+		}
+	}
+	for name := range jobs {
+		rest, ok := strings.CutPrefix(name, "pnsched_jobs_")
+		if !ok {
+			if _, shared := serve[name]; !shared {
+				t.Errorf("ServeJobs exports %s, which is neither job-level nor exported by Serve", name)
+			}
+			continue
+		}
+		if _, dup := serve["pnsched_"+rest]; dup {
+			t.Errorf("%s is a second name for the pool-level pnsched_%s", name, rest)
+		}
+	}
+	for _, name := range []string{
+		"pnsched_jobs_journal_records_total",
+		"pnsched_jobs_journal_bytes_total",
+		"pnsched_jobs_journal_snapshots_total",
+	} {
+		if jobs[name] == "" {
+			t.Errorf("ServeJobs no longer exports %s", name)
+		}
+	}
+}

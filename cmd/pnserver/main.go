@@ -45,6 +45,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"os"
 	"os/signal"
 	"strconv"
@@ -98,8 +99,39 @@ func main() {
 		watchMain(*watch)
 		return
 	}
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if err := modeConflict(*jobsMode, set); err != nil {
+		fmt.Fprintf(os.Stderr, "pnserver: %v (pnserver -h lists the flags)\n", err)
+		os.Exit(2)
+	}
+
+	// Structured, levelled logging: -quiet keeps warnings and errors
+	// but drops the per-batch / per-worker progress records.
+	level := slog.LevelInfo
+	if *quiet {
+		level = slog.LevelWarn
+	}
+	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
+	slog.SetDefault(logger)
+	// The lifecycle records — listening, run complete, shutting down —
+	// survive -quiet: they are the run's summary, not progress.
+	life := logger
+	if *quiet {
+		life = slog.New(slog.NewTextHandler(os.Stderr, nil))
+	}
+	ctx, cancelSignal := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer cancelSignal()
+	// What both services take: every ServeOption is a JobsOption too.
+	common := []pnsched.ServeOption{
+		pnsched.WithListenAddr(*listen),
+		pnsched.WithServeLog(logger),
+	}
+	if *admin != "" {
+		common = append(common, pnsched.WithAdminAddr(*admin))
+	}
 	if *jobsMode {
-		jobsMain(*listen, *admin, *policy, *weights, *journal, *maxActive, *retry, *quiet)
+		jobsMain(ctx, life, common, *policy, *weights, *journal, *maxActive, *retry)
 		return
 	}
 
@@ -122,20 +154,6 @@ func main() {
 		fatal(fmt.Errorf("empty workload: nothing to schedule"))
 	}
 
-	// Structured, levelled logging: -quiet keeps warnings and errors
-	// but drops the per-batch / per-worker progress records.
-	level := slog.LevelInfo
-	if *quiet {
-		level = slog.LevelWarn
-	}
-	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
-	slog.SetDefault(logger)
-	// The two lifecycle records — listening and run complete — survive
-	// -quiet: they are the run's summary, not progress.
-	life := logger
-	if *quiet {
-		life = slog.New(slog.NewTextHandler(os.Stderr, nil))
-	}
 	// Lower the flags onto the same public Spec scenario files and
 	// library callers use; -islands != 0 selects the island-model
 	// variant from the registry.
@@ -162,25 +180,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	ctx, cancelSignal := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer cancelSignal()
-	serveOpts := []pnsched.ServeOption{
-		pnsched.WithListenAddr(*listen),
-		pnsched.WithServeLog(logger),
-	}
-	if *admin != "" {
-		serveOpts = append(serveOpts, pnsched.WithAdminAddr(*admin))
-	}
-	srv, err := pnsched.Serve(ctx, spec, serveOpts...)
+	srv, err := pnsched.Serve(ctx, spec, common...)
 	if err != nil {
 		fatal(err)
 	}
 	defer srv.Close()
-	logArgs := []any{"addr", srv.Addr(), "tasks", len(tasks)}
-	if a := srv.AdminAddr(); a != nil {
-		logArgs = append(logArgs, "admin", a)
-	}
-	life.Info("pnserver listening", logArgs...)
+	listening(life, "pnserver listening", srv.Addr(), srv.AdminAddr(), "tasks", len(tasks))
 
 	srv.Submit(tasks)
 
@@ -211,25 +216,48 @@ func main() {
 	}
 }
 
+// modeFlags are the flags only one of the two serving modes reads, each
+// with whether that mode is -jobs. Setting one in the other mode is
+// refused rather than dropped: an operator who passes -journal without
+// -jobs believes job state is durable.
+var modeFlags = map[string]bool{
+	"policy": true, "weights": true, "max-active": true, "retry-budget": true, "journal": true,
+
+	"tasks": false, "workload": false, "batch": false, "dynamic-batch": false,
+	"generations": false, "islands": false, "migration-interval": false,
+	"migrants": false, "seed": false,
+}
+
+// modeConflict names the first of the flags given on the command line
+// that the chosen serving mode would ignore.
+func modeConflict(jobs bool, set []string) error {
+	for _, name := range set {
+		if needsJobs, ok := modeFlags[name]; ok && needsJobs != jobs {
+			if needsJobs {
+				return fmt.Errorf("-%s is only read by the job dispatcher; add -jobs", name)
+			}
+			return fmt.Errorf("-%s is not read with -jobs: jobs bring their own workload and scheduler spec", name)
+		}
+	}
+	return nil
+}
+
+// listening logs a service's one start-up record.
+func listening(life *slog.Logger, msg string, addr, admin net.Addr, args ...any) {
+	args = append([]any{"addr", addr}, args...)
+	if admin != nil {
+		args = append(args, "admin", admin)
+	}
+	life.Info(msg, args...)
+}
+
 // jobsMain runs the multi-tenant job dispatcher until interrupted:
 // workers connect exactly as they do to the single-workload server,
 // and jobs arrive over the wire from pnjobs clients.
-func jobsMain(listen, admin, policy, weights, journal string, maxActive, retry int, quiet bool) {
-	level := slog.LevelInfo
-	if quiet {
-		level = slog.LevelWarn
-	}
-	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
-	slog.SetDefault(logger)
-	life := logger
-	if quiet {
-		life = slog.New(slog.NewTextHandler(os.Stderr, nil))
-	}
-
-	opts := []pnsched.JobsOption{
-		pnsched.WithJobsListenAddr(listen),
-		pnsched.WithJobsLog(logger),
-		pnsched.WithAdmissionPolicy(pnsched.AdmissionPolicy(policy)),
+func jobsMain(ctx context.Context, life *slog.Logger, common []pnsched.ServeOption, policy, weights, journal string, maxActive, retry int) {
+	opts := []pnsched.JobsOption{pnsched.WithAdmissionPolicy(pnsched.AdmissionPolicy(policy))}
+	for _, o := range common {
+		opts = append(opts, o)
 	}
 	if weights != "" {
 		for _, pair := range strings.Split(weights, ",") {
@@ -250,25 +278,16 @@ func jobsMain(listen, admin, policy, weights, journal string, maxActive, retry i
 	if retry > 0 {
 		opts = append(opts, pnsched.WithJobRetryBudget(retry))
 	}
-	if admin != "" {
-		opts = append(opts, pnsched.WithJobsAdminAddr(admin))
-	}
 	if journal != "" {
 		opts = append(opts, pnsched.WithJobsJournal(journal))
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 	svc, err := pnsched.ServeJobs(ctx, opts...)
 	if err != nil {
 		fatal(err)
 	}
 	defer svc.Close()
-	logArgs := []any{"addr", svc.Addr(), "policy", policy}
-	if a := svc.AdminAddr(); a != nil {
-		logArgs = append(logArgs, "admin", a)
-	}
-	life.Info("pnserver job dispatcher listening", logArgs...)
+	listening(life, "pnserver job dispatcher listening", svc.Addr(), svc.AdminAddr(), "policy", policy)
 
 	tick := time.NewTicker(5 * time.Second)
 	defer tick.Stop()

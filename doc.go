@@ -57,12 +57,24 @@
 // point-in-time ServerSnapshot — queue depths, per-worker counts,
 // dispatch-latency quantiles — from any live server.
 //
+// ServeJobs is the multi-tenant form of the same service: a dispatcher
+// that queues whole jobs (workload + Spec + tenant + priority), admits
+// them under a policy and leases the connected workers to the running
+// ones, optionally journaling its state (WithJobsJournal). Serve and
+// ServeJobs sit on one worker pool and share one surface: every
+// ServeOption — listener, logging, observer, smoothing, backlog, event
+// buffers, admin endpoint — is accepted by both, and ServeJobs adds its
+// job-only JobsOptions on top.
+//
 // Every served run is instrumented: task counters, queue-depth gauges,
 // dispatch-latency histograms, per-watcher drop accounting, and the
 // GA's own work ledger (generations, evaluations, genes scanned,
 // budget granted vs. spent) accumulate in a zero-dependency registry
-// (internal/telemetry). WithAdminAddr exposes them over HTTP in
-// Prometheus text exposition format at /metrics, next to /healthz and
+// (internal/telemetry) as the pnsched_* series — the same names under
+// either service; ServeJobs adds the job-level pnsched_jobs_* ones.
+// WithAdminAddr exposes them over HTTP in
+// Prometheus text exposition format at /metrics, next to /healthz
+// (503 once a journal write has failed) and
 // /debug/pprof/ — the ExampleServe_adminEndpoint example scrapes a
 // live run; `pnserver -admin :9090` is the CLI form. The server also
 // retains a bounded ring of per-batch decision traces (DecisionTrace):

@@ -192,3 +192,12 @@ type firstProc struct{}
 
 func (firstProc) Name() string                               { return "FIRST" }
 func (firstProc) Assign(_ pnsched.Task, _ pnsched.State) int { return 0 }
+
+// The option shapes bench/ hands ServeJobs, pinned where tier-1 compiles
+// them: a ServeOption is a JobsOption as it stands, and the two options
+// kept under their ServeJobs-only names forward to the shared ones.
+var _ = []pnsched.JobsOption{
+	pnsched.WithAdminAddr("127.0.0.1:0"),
+	pnsched.WithJobsAdminAddr("127.0.0.1:0"),
+	pnsched.WithJobsObserver(pnsched.ObserverFuncs{}),
+}

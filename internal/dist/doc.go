@@ -12,7 +12,9 @@
 // the owner with one implicit, unbounded, never-finishing stream of
 // work and one FCFS queue; the job dispatcher (internal/jobs) is the
 // owner that leases workers to jobs. Both run the same code below the
-// Owner interface, under one lock (Pool.Mu).
+// Owner interface, under one lock (Pool.Mu), and export the same
+// pool-level telemetry: the pool registers one set of pnsched_* series
+// (metrics.go), whoever owns it.
 //
 // Workers (started with RunWorker, or the pnworker binary on another
 // machine) connect, declare a Linpack-style execution rating, and

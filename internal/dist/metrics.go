@@ -23,43 +23,49 @@ type poolMetrics struct {
 }
 
 // newPoolMetrics registers the pool's counters and histograms and its
-// scrape-time collectors (queue depths, the worker pool, watcher
-// queues, broadcaster fan-out totals) on reg, every name under the
-// owner's family prefix — the one table both pnsched_* (Serve) and
-// pnsched_jobs_* (ServeJobs) come from, so a process hosting both can
-// share one registry.
-func newPoolMetrics(reg *telemetry.Registry, family string, p *Pool) *poolMetrics {
+// scrape-time collectors (the owner's task counters and queue depth, the
+// worker pool, watcher queues, broadcaster fan-out totals) on reg. These
+// are the pool-level series: one name each, whichever owner sits on the
+// pool. What an owner adds of its own (the job dispatcher's
+// pnsched_jobs_*) it registers itself.
+func newPoolMetrics(reg *telemetry.Registry, p *Pool) *poolMetrics {
 	if reg == nil {
 		return &poolMetrics{}
 	}
 	m := &poolMetrics{
-		completed: reg.Counter(family+"tasks_completed_total",
+		completed: reg.Counter("pnsched_tasks_completed_total",
 			"Tasks acknowledged done by workers."),
-		reissued: reg.Counter(family+"tasks_reissued_total",
+		reissued: reg.Counter("pnsched_tasks_reissued_total",
 			"Tasks pulled back from departed workers and requeued."),
-		dispatched: reg.Counter(family+"tasks_dispatched_total",
+		dispatched: reg.Counter("pnsched_tasks_dispatched_total",
 			"Tasks sent to workers (reissues dispatch again)."),
-		batches: reg.Counter(family+"batches_total",
+		batches: reg.Counter("pnsched_batches_total",
 			"Committed batch-scheduling decisions."),
-		decodeErrors: reg.Counter(family+"protocol_decode_errors_total",
+		decodeErrors: reg.Counter("pnsched_protocol_decode_errors_total",
 			"Malformed or invalid wire frames received."),
-		dispatchLatency: reg.Histogram(family+"dispatch_latency_seconds",
+		dispatchLatency: reg.Histogram("pnsched_dispatch_latency_seconds",
 			"Dispatch-to-done wall-clock round trip per task.",
 			telemetry.ExpBuckets(0.001, 4, 10)),
-		batchWall: reg.Histogram(family+"batch_wall_seconds",
+		batchWall: reg.Histogram("pnsched_batch_wall_seconds",
 			"Wall-clock time one ScheduleBatch call took.",
 			telemetry.ExpBuckets(0.0001, 4, 10)),
 	}
 
-	reg.GaugeFunc(family+"pending_tasks",
-		"Tasks awaiting a batch decision.", func() float64 {
-			p.Mu.Lock()
-			defer p.Mu.Unlock()
-			var snap Snapshot
-			p.owner.StatsLocked(&snap)
-			return float64(snap.Pending)
+	ownerStats := func() Snapshot {
+		p.Mu.Lock()
+		defer p.Mu.Unlock()
+		var snap Snapshot
+		p.owner.StatsLocked(&snap)
+		return snap
+	}
+	reg.SampleFunc("pnsched_tasks_submitted_total",
+		"Tasks accepted for scheduling over the service lifetime.", false,
+		func() []telemetry.Sample {
+			return []telemetry.Sample{{Value: float64(ownerStats().Submitted)}}
 		})
-	reg.GaugeFunc(family+"running_tasks",
+	reg.GaugeFunc("pnsched_pending_tasks",
+		"Tasks awaiting a batch decision.", func() float64 { return float64(ownerStats().Pending) })
+	reg.GaugeFunc("pnsched_running_tasks",
 		"Tasks dispatched but not yet reported done.", func() float64 {
 			p.Mu.Lock()
 			defer p.Mu.Unlock()
@@ -69,7 +75,7 @@ func newPoolMetrics(reg *telemetry.Registry, family string, p *Pool) *poolMetric
 			}
 			return float64(n)
 		})
-	reg.GaugeFunc(family+"workers",
+	reg.GaugeFunc("pnsched_workers",
 		"Currently connected workers.", func() float64 {
 			p.Mu.Lock()
 			defer p.Mu.Unlock()
@@ -87,20 +93,20 @@ func newPoolMetrics(reg *telemetry.Registry, family string, p *Pool) *poolMetric
 			return out
 		}
 	}
-	reg.SampleFunc(family+"worker_believed_rate_mflops",
+	reg.SampleFunc("pnsched_worker_believed_rate_mflops",
 		"Smoothed observed execution rate per worker (§3.6).", true,
 		perWorker(func(w WorkerStatus) float64 { return float64(w.Believed) }))
-	reg.SampleFunc(family+"worker_tasks_completed",
+	reg.SampleFunc("pnsched_worker_tasks_completed",
 		"Tasks finished per connected worker.", false,
 		perWorker(func(w WorkerStatus) float64 { return float64(w.Completed) }))
 
 	if b := p.events; b != nil {
-		reg.SampleFunc(family+"events_published_total",
+		reg.SampleFunc("pnsched_events_published_total",
 			"Event frames published to the broadcaster.", false,
 			func() []telemetry.Sample {
 				return []telemetry.Sample{{Value: float64(b.Published())}}
 			})
-		reg.SampleFunc(family+"events_dropped_total",
+		reg.SampleFunc("pnsched_events_dropped_total",
 			"Event frames dropped across all watchers, past and present.", false,
 			func() []telemetry.Sample {
 				return []telemetry.Sample{{Value: float64(b.DroppedTotal())}}
@@ -117,10 +123,10 @@ func newPoolMetrics(reg *telemetry.Registry, family string, p *Pool) *poolMetric
 				return out
 			}
 		}
-		reg.SampleFunc(family+"watcher_queue_depth",
+		reg.SampleFunc("pnsched_watcher_queue_depth",
 			"Send-queue depth per attached watcher.", true,
 			perWatcher(func(w WatcherSnapshot) float64 { return float64(w.Queued) }))
-		reg.SampleFunc(family+"watcher_dropped_total",
+		reg.SampleFunc("pnsched_watcher_dropped_total",
 			"Frames dropped per attached watcher.", false,
 			perWatcher(func(w WatcherSnapshot) float64 { return float64(w.Dropped) }))
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -53,11 +54,11 @@ type PoolConfig struct {
 	// Events is nil are rejected.
 	Events *Broadcaster
 	// Metrics, when non-nil, instruments the pool on the given
-	// telemetry registry under its owner's family prefix: task and
-	// batch counters, queue-depth gauges, the dispatch-latency and
-	// batch-wall histograms, per-worker and per-watcher collectors, and
-	// protocol decode errors. The registry is typically also serving
-	// /metrics via telemetry.AdminMux.
+	// telemetry registry as the pnsched_* series, the same names whoever
+	// the owner is: task and batch counters, queue-depth gauges, the
+	// dispatch-latency and batch-wall histograms, per-worker and
+	// per-watcher collectors, and protocol decode errors. The registry
+	// is typically also serving /metrics via telemetry.AdminMux.
 	Metrics *telemetry.Registry
 	// Nu is the exponential-smoothing factor for observed worker rates
 	// and link overheads; 0 selects DefaultNu.
@@ -159,6 +160,13 @@ type Pool struct {
 	ln      net.Listener
 	workers []*Worker // connected, in registration order
 	closed  bool
+	// scheduling holds, per lease, the batch Run has popped from the
+	// queue and not yet dispatched — the scheduler is deciding it with
+	// the lock released. Invariant, under Mu: every unfinished task of a
+	// live lease is in exactly one of its queue, a worker's outstanding
+	// set, or this map, and InFlightLocked reports the last two, so a
+	// durable snapshot taken at any instant misses no task.
+	scheduling map[any][]task.Task
 
 	// latency is a sliding window of dispatch→done wall-clock round
 	// trips in seconds (written circularly at latW, latN valid) feeding
@@ -216,10 +224,9 @@ type WorkerStatus struct {
 	Completed int          // tasks finished on this worker
 }
 
-// NewPool returns a pool serving owner, its instruments registered
-// under the given metric family prefix ("pnsched_", "pnsched_jobs_").
-// It does not listen yet; call ListenAndServe or Serve.
-func NewPool(cfg PoolConfig, owner Owner, family string) (*Pool, error) {
+// NewPool returns a pool serving owner. It does not listen yet; call
+// Serve.
+func NewPool(cfg PoolConfig, owner Owner) (*Pool, error) {
 	if cfg.Nu < 0 || cfg.Nu > 1 {
 		return nil, fmt.Errorf("dist: smoothing factor %v outside [0,1]", cfg.Nu)
 	}
@@ -234,6 +241,8 @@ func NewPool(cfg PoolConfig, owner Owner, family string) (*Pool, error) {
 		backlog:  cfg.Backlog,
 		observer: cfg.Observer,
 		events:   cfg.Events,
+
+		scheduling: map[any][]task.Task{},
 	}
 	if p.nu == 0 {
 		p.nu = DefaultNu
@@ -248,23 +257,13 @@ func NewPool(cfg PoolConfig, owner Owner, family string) (*Pool, error) {
 		p.observer = observe.Multi(cfg.Observer, cfg.Events)
 	}
 	p.cond = sync.NewCond(&p.Mu)
-	p.met = newPoolMetrics(cfg.Metrics, family, p)
+	p.met = newPoolMetrics(cfg.Metrics, p)
 	return p, nil
 }
 
-// ListenAndServe listens on the given TCP address and serves
-// connections until Close. Like net/http, it returns nil (not an error)
-// when the pool is shut down with Close.
-func (p *Pool) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return p.Serve(ln)
-}
-
 // Serve accepts connections on ln until Close. It takes ownership of
-// the listener. It returns nil when the pool is closed.
+// the listener. Like net/http, it returns nil (not an error) when the
+// pool is shut down with Close.
 func (p *Pool) Serve(ln net.Listener) error {
 	p.Mu.Lock()
 	if p.closed {
@@ -288,17 +287,6 @@ func (p *Pool) Serve(ln net.Listener) error {
 		}
 		go p.handleConn(conn)
 	}
-}
-
-// Addr returns the listening address, or nil before Serve has installed
-// a listener — useful with ":0" ephemeral ports.
-func (p *Pool) Addr() net.Addr {
-	p.Mu.Lock()
-	defer p.Mu.Unlock()
-	if p.ln == nil {
-		return nil
-	}
-	return p.ln.Addr()
 }
 
 // Close shuts the pool down: the listener is closed, every worker and
@@ -372,10 +360,11 @@ func (p *Pool) ReleaseLocked(lease any) {
 	}
 }
 
-// InFlightLocked returns the tasks dispatched under the lease and not
-// yet reported done, in task-ID order.
+// InFlightLocked returns the tasks that have left the lease's queue and
+// are not yet reported done — dispatched to a worker, or in the batch
+// the scheduler is deciding right now — in task-ID order.
 func (p *Pool) InFlightLocked(lease any) []task.Task {
-	var ts []task.Task
+	ts := slices.Clone(p.scheduling[lease])
 	for _, w := range p.workers {
 		if w.Lease == lease {
 			for _, pt := range w.outstanding {
@@ -773,6 +762,7 @@ func (p *Pool) Run(lease any, q *task.Queue, sch sched.Batch) {
 			n = 1
 		}
 		batch := q.PopN(n)
+		p.scheduling[lease] = batch
 		p.Mu.Unlock()
 
 		// The scheduler (possibly a GA) runs for real wall-clock time
@@ -801,6 +791,7 @@ func (p *Pool) Run(lease any, q *task.Queue, sch sched.Batch) {
 		}
 
 		p.Mu.Lock()
+		delete(p.scheduling, lease)
 		dispatched := p.dispatchLocked(lease, snap.workers, asg)
 		p.Mu.Unlock()
 		if p.observer != nil {

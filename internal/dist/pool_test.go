@@ -178,10 +178,9 @@ func (o *fakeOwner) StatsLocked(s *dist.Snapshot) {
 
 // runtime is one owner under test behind a pipeListener.
 type runtime struct {
-	ln     *pipeListener
-	sch    *pipeSched
-	reg    *telemetry.Registry
-	family string
+	ln  *pipeListener
+	sch *pipeSched
+	reg *telemetry.Registry
 	// jobs is whether job_* first frames are served.
 	jobs   bool
 	submit func([]task.Task)
@@ -200,9 +199,9 @@ type runtime struct {
 // exactly the same conversation.
 var runtimes = map[string]func(t *testing.T, batch int, events bool) *runtime{
 	"fake": func(t *testing.T, batch int, events bool) *runtime {
-		rt := newRuntime(batch, "fake_")
+		rt := newRuntime(batch)
 		o := &fakeOwner{q: task.NewQueue(8)}
-		pool, err := dist.NewPool(rt.config(events), o, rt.family)
+		pool, err := dist.NewPool(rt.config(events), o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +224,7 @@ var runtimes = map[string]func(t *testing.T, batch int, events bool) *runtime{
 		return rt
 	},
 	"Server": func(t *testing.T, batch int, events bool) *runtime {
-		rt := newRuntime(batch, "pnsched_")
+		rt := newRuntime(batch)
 		srv, err := dist.NewServer(dist.ServerConfig{Scheduler: rt.sch, PoolConfig: rt.config(events)})
 		if err != nil {
 			t.Fatal(err)
@@ -238,7 +237,7 @@ var runtimes = map[string]func(t *testing.T, batch int, events bool) *runtime{
 		return rt
 	},
 	"Dispatcher": func(t *testing.T, batch int, events bool) *runtime {
-		rt := newRuntime(batch, "pnsched_jobs_")
+		rt := newRuntime(batch)
 		d, err := jobs.New(jobs.Config{
 			NewScheduler: func(json.RawMessage) (sched.Batch, error) { return rt.sch, nil },
 			PoolConfig:   rt.config(events),
@@ -259,12 +258,11 @@ var runtimes = map[string]func(t *testing.T, batch int, events bool) *runtime{
 	},
 }
 
-func newRuntime(batch int, family string) *runtime {
+func newRuntime(batch int) *runtime {
 	return &runtime{
-		ln:     newPipeListener(),
-		sch:    &pipeSched{size: batch},
-		reg:    telemetry.NewRegistry(),
-		family: family,
+		ln:  newPipeListener(),
+		sch: &pipeSched{size: batch},
+		reg: telemetry.NewRegistry(),
 	}
 }
 
@@ -310,14 +308,15 @@ func (rt *runtime) worker(t *testing.T, name string) *peer {
 	return w
 }
 
-// decodeErrors reads the family's protocol_decode_errors_total.
+// decodeErrors reads pnsched_protocol_decode_errors_total, the same
+// series under every owner.
 func (rt *runtime) decodeErrors(t *testing.T) string {
 	t.Helper()
 	var b strings.Builder
 	if err := rt.reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	name := rt.family + "protocol_decode_errors_total "
+	const name = "pnsched_protocol_decode_errors_total "
 	for _, line := range strings.Split(b.String(), "\n") {
 		if v, ok := strings.CutPrefix(line, name); ok {
 			return v

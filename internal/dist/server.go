@@ -9,7 +9,6 @@ import (
 
 	"pnsched/internal/sched"
 	"pnsched/internal/task"
-	"pnsched/internal/telemetry"
 	"pnsched/internal/units"
 )
 
@@ -41,8 +40,6 @@ type ServerConfig struct {
 // use.
 type Server struct {
 	pool *Pool
-	// metSubmitted is nil (a no-op) with telemetry disabled.
-	metSubmitted *telemetry.Counter
 
 	// Guarded by pool.Mu.
 	queue     *task.Queue // unscheduled FCFS queue (incl. reissues)
@@ -53,38 +50,25 @@ type Server struct {
 }
 
 // NewServer returns a server driving the given scheduler. It does not
-// listen yet; call ListenAndServe or Serve.
+// listen yet; call Serve.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Scheduler == nil {
 		return nil, errors.New("dist: ServerConfig.Scheduler is required")
 	}
 	s := &Server{queue: task.NewQueue(64)}
-	pool, err := NewPool(cfg.PoolConfig, s, "pnsched_")
+	pool, err := NewPool(cfg.PoolConfig, s)
 	if err != nil {
 		return nil, err
 	}
 	pool.traces = cfg.Traces
 	s.pool = pool
-	if cfg.Metrics != nil {
-		s.metSubmitted = cfg.Metrics.Counter("pnsched_tasks_submitted_total",
-			"Tasks handed to Submit over the server lifetime.")
-	}
 	go pool.Run(nil, s.queue, cfg.Scheduler)
 	return s, nil
 }
 
-// ListenAndServe listens on the given TCP address and serves worker
-// connections until Close. Like net/http, it returns nil (not an error)
-// when the server is shut down with Close.
-func (s *Server) ListenAndServe(addr string) error { return s.pool.ListenAndServe(addr) }
-
 // Serve accepts worker connections on ln until Close. It takes ownership
 // of the listener. It returns nil when the server is closed.
 func (s *Server) Serve(ln net.Listener) error { return s.pool.Serve(ln) }
-
-// Addr returns the listening address, or nil before Serve has installed
-// a listener — useful with ":0" ephemeral ports.
-func (s *Server) Addr() net.Addr { return s.pool.Addr() }
 
 // Submit appends tasks to the unscheduled FCFS queue. Tasks are
 // scheduled onto workers in batches as capacity and the batch sizer
@@ -101,7 +85,6 @@ func (s *Server) Submit(ts []task.Task) {
 		return
 	}
 	s.submitted += len(ts)
-	s.metSubmitted.Add(float64(len(ts)))
 	s.queue.PushAll(ts)
 	s.pool.cond.Broadcast()
 }

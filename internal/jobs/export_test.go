@@ -56,3 +56,11 @@ func (d *Dispatcher) DurableStateForTest() *JournalSnapshot {
 	defer d.mu.Unlock()
 	return d.snapshotLocked()
 }
+
+// BreakJournalForTest closes the journal's file descriptor under the
+// dispatcher, so the next append fails the way a yanked disk would.
+func (d *Dispatcher) BreakJournalForTest() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.jour.f.Close()
+}

@@ -9,7 +9,8 @@
 // only what is about jobs: the job_submit/job_status/job_cancel/
 // job_result one-shot exchanges, the job lifecycle kinds job_queued /
 // job_started / job_done on the shared event stream, admission, leases,
-// retry budgets and the journal.
+// retry budgets, the journal, and the job-level pnsched_jobs_* series
+// beside the pool's own pnsched_* ones.
 //
 // The dispatcher admits queued jobs under a configurable policy —
 // FIFO, priority, or weighted fair-share across tenants (stride
@@ -159,8 +160,9 @@ type Config struct {
 	// periodic snapshots (one is still written after each recovery).
 	SnapshotEvery int
 	// PoolConfig is the worker pool's share — logging, observers, wire
-	// events, metrics (registered as the pnsched_jobs_* families),
-	// smoothing and dispatch pacing.
+	// events, metrics (the pool registers its pnsched_* series, the
+	// dispatcher adds the job-level pnsched_jobs_*), smoothing and
+	// dispatch pacing.
 	dist.PoolConfig
 }
 
@@ -276,8 +278,7 @@ type Dispatcher struct {
 	cancelCount    int
 }
 
-// New returns a dispatcher ready to serve; call ListenAndServe or
-// Serve.
+// New returns a dispatcher ready to serve; call Serve.
 func New(cfg Config) (*Dispatcher, error) {
 	if cfg.NewScheduler == nil {
 		return nil, errors.New("jobs: Config.NewScheduler is required")
@@ -306,7 +307,7 @@ func New(cfg Config) (*Dispatcher, error) {
 		jobsByID:    map[string]*job{},
 		served:      map[string]float64{},
 	}
-	d.pool, err = dist.NewPool(cfg.PoolConfig, d, "pnsched_jobs_")
+	d.pool, err = dist.NewPool(cfg.PoolConfig, d)
 	if err != nil {
 		return nil, err
 	}
@@ -809,17 +810,9 @@ func (d *Dispatcher) infoLocked(j *job) dist.JobInfo {
 // shape a dist.Server serves, with the job counts block filled in.
 func (d *Dispatcher) Snapshot() dist.Snapshot { return d.pool.Snapshot() }
 
-// ListenAndServe listens on addr and serves connections until Close.
-// Like net/http, it returns nil when shut down with Close.
-func (d *Dispatcher) ListenAndServe(addr string) error { return d.pool.ListenAndServe(addr) }
-
 // Serve accepts connections on ln until Close, taking ownership of the
 // listener. Returns nil when closed.
 func (d *Dispatcher) Serve(ln net.Listener) error { return d.pool.Serve(ln) }
-
-// Addr returns the listening address, or nil before Serve installed a
-// listener.
-func (d *Dispatcher) Addr() net.Addr { return d.pool.Addr() }
 
 // Close shuts the dispatcher down: listener and worker connections are
 // closed, runners stop, blocked Wait calls return. Queued and running

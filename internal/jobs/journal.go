@@ -254,7 +254,7 @@ type journal struct {
 	lsn     uint64 // last assigned LSN
 	appends int    // records appended since the last snapshot
 	every   int    // snapshot cadence in records; 0 disables
-	broken  bool   // an append failed: journaling stopped, logged once
+	failed  error  // why journaling stopped, once an append or snapshot failed
 }
 
 // openJournal creates the directory if needed and opens the journal
@@ -327,11 +327,11 @@ func openJournal(dir string, every int) (*journal, *JournalSnapshot, []*JournalR
 // appendLocked assigns the next LSN, writes the record, and triggers a
 // snapshot when the cadence is due. A write failure permanently stops
 // journaling (better a loud degraded dispatcher than a journal with
-// holes) — it is logged once and counted nowhere else. Caller holds
-// d.mu.
+// holes) — it is logged once and reported by Health from then on.
+// Caller holds d.mu.
 func (d *Dispatcher) appendLocked(rec *JournalRecord) {
 	jr := d.jour
-	if jr == nil || jr.broken || d.pool.ClosedLocked() {
+	if jr == nil || jr.failed != nil || d.pool.ClosedLocked() {
 		return // Close stops journaling at the instant it stops serving
 	}
 	jr.lsn++
@@ -340,20 +340,31 @@ func (d *Dispatcher) appendLocked(rec *JournalRecord) {
 	if err == nil {
 		_, err = jr.f.Write(line)
 	}
-	if err != nil {
-		jr.broken = true
-		d.pool.Log.Error("journal append failed; journaling disabled", "dir", jr.dir, "err", err)
-		return
-	}
-	d.met.journalRecords.Inc()
-	d.met.journalBytes.Add(float64(len(line)))
-	jr.appends++
-	if jr.every > 0 && jr.appends >= jr.every {
-		if err := d.snapshotJournalLocked(); err != nil {
-			jr.broken = true
-			d.pool.Log.Error("journal snapshot failed; journaling disabled", "dir", jr.dir, "err", err)
+	if err == nil {
+		d.met.journalRecords.Inc()
+		d.met.journalBytes.Add(float64(len(line)))
+		jr.appends++
+		if jr.every > 0 && jr.appends >= jr.every {
+			err = d.snapshotJournalLocked()
 		}
 	}
+	if err != nil {
+		jr.failed = fmt.Errorf("jobs: journal write failed, job state is no longer durable: %w", err)
+		d.pool.Log.Error("journal write failed; journaling disabled", "dir", jr.dir, "err", err)
+	}
+}
+
+// Health reports whether the dispatcher still keeps its promises: nil
+// while every acknowledged transition reaches the journal (or no
+// journal was asked for), the write failure that stopped journaling
+// from then on — the dispatcher keeps serving, without durability.
+func (d *Dispatcher) Health() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.jour == nil {
+		return nil
+	}
+	return d.jour.failed
 }
 
 // snapshotLocked renders the dispatcher's whole durable state; the

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pnsched/internal/dist"
@@ -388,4 +392,37 @@ func FuzzJournalRecord(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestHealthReportsLostDurability: a journal write failure is not only
+// a log line. The dispatcher keeps serving, but Health — which the root
+// package hands to /healthz — reports the failure from then on.
+func TestHealthReportsLostDurability(t *testing.T) {
+	d, err := New(journalConfig(t.TempDir()))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer d.Close()
+	admin := httptest.NewServer(telemetry.AdminMux(telemetry.NewRegistry(), d.Health))
+	defer admin.Close()
+	healthz := func() (int, string) {
+		resp, err := http.Get(admin.URL + "/healthz")
+		if err != nil {
+			t.Fatalf("GET /healthz: %v", err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+
+	mustSubmit(t, d, "a", 100)
+	if code, body := healthz(); code != http.StatusOK {
+		t.Fatalf("/healthz with a working journal: %d %q, want 200", code, body)
+	}
+	d.BreakJournalForTest()
+	mustSubmit(t, d, "a", 100) // still accepted: degraded, not down
+	code, body := healthz()
+	if code != http.StatusServiceUnavailable || !strings.Contains(body, "no longer durable") {
+		t.Errorf("/healthz after a failed journal write: %d %q, want 503 naming the lost durability", code, body)
+	}
 }

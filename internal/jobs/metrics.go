@@ -5,9 +5,8 @@ import (
 )
 
 // jobMetrics holds the dispatcher's telemetry instruments. As with the
-// dist server's serverMetrics, the zero value (telemetry disabled) is
-// fully usable: every instrument is nil and the telemetry instruments
-// are nil-safe no-ops.
+// pool's own, the zero value (telemetry disabled) is fully usable: every
+// instrument is nil and the telemetry instruments are nil-safe no-ops.
 type jobMetrics struct {
 	submitted        *telemetry.Counter
 	finished         map[string]*telemetry.Counter // by terminal state
@@ -18,9 +17,10 @@ type jobMetrics struct {
 	schedLatency *telemetry.Histogram
 }
 
-// newJobMetrics registers the job-level pnsched_jobs_* instruments and
-// the dispatcher's scrape-time collectors on reg; the pool registers
-// the task-, worker- and watcher-level ones under the same prefix.
+// newJobMetrics registers the job-level instruments and scrape-time
+// collectors on reg — everything named pnsched_jobs_*. The task-,
+// worker- and watcher-level series are the pool's pnsched_*, the same
+// under this owner as under dist.Server.
 func newJobMetrics(reg *telemetry.Registry, d *Dispatcher) *jobMetrics {
 	if reg == nil {
 		return &jobMetrics{}

@@ -4,14 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"log/slog"
-	"net"
 	"time"
 
 	"pnsched/internal/dist"
 	"pnsched/internal/jobs"
 	"pnsched/internal/observe"
-	"pnsched/internal/telemetry"
 )
 
 // The job-service vocabulary, re-exported like alias.go's: the types
@@ -80,8 +77,16 @@ type JobRequest struct {
 	RetryBudget *int
 }
 
-// JobsOption adjusts one ServeJobs invocation.
-type JobsOption func(*jobsOpts)
+// JobsOption adjusts one ServeJobs invocation: any ServeOption — the
+// settings the dispatcher's worker pool shares with Serve's — or one of
+// the job-only options below, which Serve does not accept.
+type JobsOption interface{ applyJobs(*jobsOpts) }
+
+// jobsOnly is a JobsOption that is not a ServeOption, so handing one to
+// Serve does not compile.
+type jobsOnly func(*jobsOpts)
+
+func (f jobsOnly) applyJobs(o *jobsOpts) { f(o) }
 
 type jobsOpts struct {
 	commonOpts
@@ -93,51 +98,35 @@ type jobsOpts struct {
 	journal   string
 }
 
-// WithJobsListenAddr sets the TCP address the dispatcher listens on;
-// the default is an ephemeral loopback port, read back with
-// JobService.Addr.
-func WithJobsListenAddr(addr string) JobsOption { return func(o *jobsOpts) { o.addr = addr } }
-
-// WithJobsListener hands ServeJobs an existing listener instead of an
-// address; the service takes ownership and closes it on Close.
-func WithJobsListener(ln net.Listener) JobsOption { return func(o *jobsOpts) { o.ln = ln } }
-
-// WithJobsLog routes the dispatcher's structured logging to a slog
-// logger; the default is silent.
-func WithJobsLog(log *slog.Logger) JobsOption { return func(o *jobsOpts) { o.log = log } }
-
-// WithJobsObserver delivers the dispatcher's events — worker
-// lifecycle, batch decisions, dispatches, and (via JobObserver) the
-// job lifecycle — to an in-process observer.
-func WithJobsObserver(obs Observer) JobsOption { return func(o *jobsOpts) { o.observer = obs } }
-
 // WithAdmissionPolicy selects the admission policy; the default is
 // AdmissionFIFO.
-func WithAdmissionPolicy(p AdmissionPolicy) JobsOption { return func(o *jobsOpts) { o.policy = p } }
+func WithAdmissionPolicy(p AdmissionPolicy) JobsOption {
+	return jobsOnly(func(o *jobsOpts) { o.policy = p })
+}
 
 // WithTenantWeight sets one tenant's fair-share weight (must be
 // positive; unconfigured tenants weigh 1). Only AdmissionFairShare
 // reads the weights.
 func WithTenantWeight(tenant string, weight float64) JobsOption {
-	return func(o *jobsOpts) {
+	return jobsOnly(func(o *jobsOpts) {
 		if o.weights == nil {
 			o.weights = map[string]float64{}
 		}
 		o.weights[tenant] = weight
-	}
+	})
 }
 
 // WithMaxActiveJobs bounds how many jobs run concurrently; 0 selects
 // the default of 1, which keeps admission ordering exact.
-func WithMaxActiveJobs(n int) JobsOption { return func(o *jobsOpts) { o.maxActive = n } }
+func WithMaxActiveJobs(n int) JobsOption { return jobsOnly(func(o *jobsOpts) { o.maxActive = n }) }
 
 // WithJobRetryBudget sets the default per-job reissue allowance for
 // submissions that carry none; 0 selects the package default (64).
-func WithJobRetryBudget(n int) JobsOption { return func(o *jobsOpts) { o.retry = n } }
+func WithJobRetryBudget(n int) JobsOption { return jobsOnly(func(o *jobsOpts) { o.retry = n }) }
 
 // WithJobRetention bounds how many terminal jobs stay queryable via
 // status/result; 0 selects the default (256).
-func WithJobRetention(n int) JobsOption { return func(o *jobsOpts) { o.retain = n } }
+func WithJobRetention(n int) JobsOption { return jobsOnly(func(o *jobsOpts) { o.retain = n }) }
 
 // WithJobsJournal makes the dispatcher's job state durable: every
 // state transition is appended to a journal under dir before the
@@ -146,30 +135,19 @@ func WithJobRetention(n int) JobsOption { return func(o *jobsOpts) { o.retain = 
 // fair-share standing intact, jobs interrupted mid-run are re-queued
 // with one retry spent, terminal jobs stay queryable, and job IDs
 // keep counting where they left off. The default is no journal
-// (state is lost on restart). See docs/job-journal.md.
-func WithJobsJournal(dir string) JobsOption { return func(o *jobsOpts) { o.journal = dir } }
+// (state is lost on restart). Should a journal write fail, the service
+// keeps running without durability and /healthz (WithAdminAddr) turns
+// 503. See docs/job-journal.md.
+func WithJobsJournal(dir string) JobsOption { return jobsOnly(func(o *jobsOpts) { o.journal = dir }) }
 
-// WithJobsSmoothing sets the §3.6 smoothing factor for worker rate and
-// link estimates (0 selects the paper's 0.5).
-func WithJobsSmoothing(nu float64) JobsOption { return func(o *jobsOpts) { o.nu = nu } }
+// WithJobsAdminAddr is WithAdminAddr under the name it had when
+// ServeJobs took its own copy of each shared option; new code passes
+// WithAdminAddr to ServeJobs directly.
+func WithJobsAdminAddr(addr string) JobsOption { return WithAdminAddr(addr) }
 
-// WithJobsBacklog sets the per-worker outstanding-task threshold that
-// paces dispatch (0 selects the default of 4).
-func WithJobsBacklog(n int) JobsOption { return func(o *jobsOpts) { o.backlog = n } }
-
-// WithJobsEventQueue sets the per-watch-client event buffer in frames,
-// as WithEventQueue does for Serve.
-func WithJobsEventQueue(frames int) JobsOption { return func(o *jobsOpts) { o.queue = frames } }
-
-// WithJobsEventReplay sets the catch-up ring in frames, as
-// WithEventReplay does for Serve.
-func WithJobsEventReplay(frames int) JobsOption { return func(o *jobsOpts) { o.replay = frames } }
-
-// WithJobsAdminAddr additionally serves the HTTP admin endpoint
-// (/metrics with the pnsched_jobs_* families, /healthz,
-// /debug/pprof/) on the given address, as WithAdminAddr does for
-// Serve.
-func WithJobsAdminAddr(addr string) JobsOption { return func(o *jobsOpts) { o.adminAddr = addr } }
+// WithJobsObserver is WithServeObserver under its former ServeJobs-only
+// name; new code passes WithServeObserver to ServeJobs directly.
+func WithJobsObserver(obs Observer) JobsOption { return WithServeObserver(obs) }
 
 // JobService is a live multi-tenant job dispatcher started with
 // ServeJobs. Workers connect exactly as they do to a Server (RunWorker
@@ -190,23 +168,18 @@ type JobService struct {
 // Every job's scheduler is constructed through the same Spec registry
 // Run and Serve use, at submission time, so a bad spec is rejected
 // up front. Worker, batch, dispatch, and job lifecycle events reach
-// the WithJobsObserver observer and — as versioned event frames —
+// the WithServeObserver observer and — as versioned event frames —
 // every remote Watch client.
 //
 // Cancelling ctx closes the service.
 func ServeJobs(ctx context.Context, opts ...JobsOption) (*JobService, error) {
 	jo := jobsOpts{commonOpts: commonOpts{addr: "127.0.0.1:0"}}
 	for _, o := range opts {
-		o(&jo)
+		o.applyJobs(&jo)
 	}
 
-	events := dist.NewBroadcaster(jo.queue, jo.replay)
-	reg := telemetry.NewRegistry()
-	// The dispatcher fans its own events to local+events; each job's
-	// scheduler gets the full chain so GA-level events stream too.
-	local := observe.Multi(jo.observer, dist.NewMetricsObserver(reg))
-	full := observe.Multi(local, events)
-
+	s := &JobService{}
+	pool, full := s.wire(&jo.commonOpts, nil, nil)
 	d, err := jobs.New(jobs.Config{
 		NewScheduler: func(raw json.RawMessage) (BatchScheduler, error) {
 			spec := Spec{}
@@ -218,16 +191,7 @@ func ServeJobs(ctx context.Context, opts ...JobsOption) (*JobService, error) {
 			if spec.Name == "" {
 				spec.Name = "PN"
 			}
-			spec = spec.With(WithObserver(full))
-			sch, err := New(spec)
-			if err != nil {
-				return nil, err
-			}
-			batch, ok := sch.(BatchScheduler)
-			if !ok {
-				return nil, fmt.Errorf("pnsched: scheduler %s is immediate-mode; jobs need a batch scheduler", sch.Name())
-			}
-			return batch, nil
+			return newBatch(spec.With(WithObserver(full)), "jobs need")
 		},
 		Policy:      jo.policy,
 		Weights:     jo.weights,
@@ -235,25 +199,17 @@ func ServeJobs(ctx context.Context, opts ...JobsOption) (*JobService, error) {
 		RetryBudget: jo.retry,
 		Retain:      jo.retain,
 		JournalDir:  jo.journal,
-		PoolConfig:  jo.poolConfig(local, events, reg),
+		PoolConfig:  pool,
 	})
 	if err != nil {
 		return nil, err
 	}
-	s := &JobService{service: service{rt: d, events: events}, d: d}
-	if err := s.start(ctx, &jo.commonOpts, reg); err != nil {
+	s.d, s.rt = d, d
+	if err := s.start(ctx, &jo.commonOpts, d.Health); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
-
-// Addr returns the dispatcher's listening address — what workers,
-// watchers and job clients dial.
-func (s *JobService) Addr() net.Addr { return s.addr }
-
-// AdminAddr returns the admin HTTP endpoint's bound address, or nil
-// when the service was started without WithJobsAdminAddr.
-func (s *JobService) AdminAddr() net.Addr { return s.adminAddr() }
 
 // Submit validates and enqueues one job, returning its accepted state
 // (ID assigned, queued or already running).
@@ -303,12 +259,6 @@ func (s *JobService) WaitJob(id string, timeout time.Duration) (JobInfo, error) 
 // Snapshot returns the dispatcher's operational snapshot — the same
 // shape Server.Snapshot returns, with the Jobs counts present.
 func (s *JobService) Snapshot() ServerSnapshot { return s.d.Snapshot() }
-
-// Close shuts the service down: the listener and worker connections
-// close, runners stop, blocked WaitJob calls return. Queued and
-// running jobs keep their last state — Close is shutdown, not
-// cancellation. Idempotent.
-func (s *JobService) Close() error { return s.close() }
 
 // SubmitJob submits one job to a dispatcher at addr over the wire
 // (protocol 1.3) — the client side of JobService.Submit, used by

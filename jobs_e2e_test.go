@@ -50,15 +50,15 @@ func TestJobServiceEndToEnd(t *testing.T) {
 		pnsched.WithAdmissionPolicy(pnsched.AdmissionFairShare),
 		pnsched.WithTenantWeight("gold", 3),
 		pnsched.WithTenantWeight("free", 1),
-		pnsched.WithJobsObserver(pnsched.ObserverFuncs{
+		pnsched.WithServeObserver(pnsched.ObserverFuncs{
 			JobStarted: func(e pnsched.JobStartedEvent) {
 				mu.Lock()
 				started = append(started, e.Tenant)
 				mu.Unlock()
 			},
 		}),
-		pnsched.WithJobsAdminAddr("127.0.0.1:0"),
-		pnsched.WithJobsEventQueue(1<<14))
+		pnsched.WithAdminAddr("127.0.0.1:0"),
+		pnsched.WithEventQueue(1<<14))
 	if err != nil {
 		t.Fatalf("ServeJobs: %v", err)
 	}
@@ -164,21 +164,23 @@ func TestJobServiceEndToEnd(t *testing.T) {
 		t.Errorf("snapshot keeps %d workers, want the 2 steady ones", len(snap.Workers))
 	}
 
-	// The admin endpoint exposes the pnsched_jobs_* families.
+	// The admin endpoint exposes the job-level pnsched_jobs_* series next
+	// to the pool-level pnsched_* ones every service exports.
 	metrics := parsePrometheus(t, scrapeMetrics(t, "http://"+svc.AdminAddr().String()))
 	for name, want := range map[string]float64{
 		"pnsched_jobs_submitted_total":                   9,
 		`pnsched_jobs_finished_total{state="done"}`:      8,
 		`pnsched_jobs_finished_total{state="cancelled"}`: 1,
-		"pnsched_jobs_tasks_completed_total":             8 * 12,
-		"pnsched_jobs_workers":                           2,
+		"pnsched_tasks_completed_total":                  8 * 12,
+		"pnsched_tasks_submitted_total":                  9 * 12,
+		"pnsched_workers":                                2,
 	} {
 		if got := metrics[name]; got != want {
 			t.Errorf("%s = %v, want %v", name, got, want)
 		}
 	}
-	if metrics["pnsched_jobs_batches_total"] <= 0 {
-		t.Error("pnsched_jobs_batches_total not incremented")
+	if metrics["pnsched_batches_total"] <= 0 {
+		t.Error("pnsched_batches_total not incremented")
 	}
 
 	if err := svc.Close(); err != nil {

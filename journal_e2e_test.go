@@ -2,6 +2,10 @@ package pnsched_test
 
 import (
 	"context"
+	"io"
+	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -27,10 +31,10 @@ func TestJobJournalCrashRestart(t *testing.T) {
 			pnsched.WithAdmissionPolicy(pnsched.AdmissionFairShare),
 			pnsched.WithTenantWeight("gold", 3),
 			pnsched.WithTenantWeight("free", 1),
-			pnsched.WithJobsAdminAddr("127.0.0.1:0"),
+			pnsched.WithAdminAddr("127.0.0.1:0"),
 		}
 		if obs != nil {
-			opts = append(opts, pnsched.WithJobsObserver(obs))
+			opts = append(opts, pnsched.WithServeObserver(obs))
 		}
 		return opts
 	}
@@ -196,4 +200,49 @@ func TestJobJournalCrashRestart(t *testing.T) {
 	}
 	cancel()
 	wg2.Wait()
+}
+
+// TestJobsHealthzReportsLostDurability: the admin endpoint of a
+// journaled dispatcher answers /healthz from the dispatcher's own
+// health. The journal directory disappears under the running service;
+// appends to the unlinked file still succeed, but the next snapshot
+// (due after 256 records) cannot be written, journaling stops, and the
+// probe must turn from 200 to 503 with the reason — while the service
+// keeps accepting jobs.
+func TestJobsHealthzReportsLostDurability(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "journal")
+	svc, err := pnsched.ServeJobs(context.Background(),
+		pnsched.WithJobsJournal(dir),
+		pnsched.WithAdminAddr("127.0.0.1:0"))
+	if err != nil {
+		t.Fatalf("ServeJobs: %v", err)
+	}
+	defer svc.Close()
+	healthz := func() (int, string) {
+		resp, err := http.Get("http://" + svc.AdminAddr().String() + "/healthz")
+		if err != nil {
+			t.Fatalf("GET /healthz: %v", err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	if code, body := healthz(); code != http.StatusOK {
+		t.Fatalf("/healthz on a healthy journaled dispatcher: %d %q", code, body)
+	}
+
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	job := pnsched.JobRequest{Scheduler: pnsched.MustSpec("MX"), Tasks: jobWorkload(1)[:1]}
+	code, body := healthz()
+	for i := 0; i < 300 && code == http.StatusOK; i++ {
+		if _, err := svc.Submit(job); err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+		code, body = healthz()
+	}
+	if code != http.StatusServiceUnavailable || !strings.Contains(body, "no longer durable") {
+		t.Errorf("/healthz after the journal failed: %d %q, want 503 naming the lost durability", code, body)
+	}
 }

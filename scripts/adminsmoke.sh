@@ -3,13 +3,15 @@
 #
 # Phase 1 starts a short-lived pnserver with -admin, curls /healthz
 # and /metrics, and asserts the scrape is Prometheus exposition format
-# carrying the pnsched instrument families. No workers connect; the
+# carrying the pool-level pnsched_* series. No workers connect; the
 # point is that the admin plane answers independently of scheduling
 # traffic.
 #
 # Phase 2 does the same for the job dispatcher: pnserver -jobs plus
-# one pnworker, a job submitted and run to completion with pnjobs,
-# and the pnsched_jobs_* families asserted non-zero on /metrics.
+# one pnworker, a job submitted and run to completion with pnjobs. The
+# same pool-level series must be there under the same names (both
+# services sit on one worker pool), plus the job-level pnsched_jobs_*
+# ones, with the run's counts on them.
 #
 # Phase 3 proves the job journal survives a real crash: a dispatcher
 # started with -journal runs a job to completion, dies by kill -9,
@@ -33,6 +35,33 @@ fetch() { # URL
 		echo "adminsmoke: neither curl nor wget available" >&2
 		exit 2
 	fi
+}
+
+# The pool-level series, exported under these names by pnserver and
+# pnserver -jobs alike, and the job-level ones only the dispatcher adds.
+pool_series="pnsched_tasks_submitted_total pnsched_tasks_completed_total
+	pnsched_tasks_reissued_total pnsched_tasks_dispatched_total
+	pnsched_batches_total pnsched_protocol_decode_errors_total
+	pnsched_dispatch_latency_seconds pnsched_batch_wall_seconds
+	pnsched_pending_tasks pnsched_running_tasks pnsched_workers
+	pnsched_worker_believed_rate_mflops pnsched_worker_tasks_completed
+	pnsched_events_published_total pnsched_events_dropped_total
+	pnsched_watcher_queue_depth pnsched_watcher_dropped_total"
+job_series="pnsched_jobs_submitted_total pnsched_jobs_finished_total
+	pnsched_jobs_scheduling_latency_seconds pnsched_jobs_queue_depth
+	pnsched_jobs_by_state pnsched_jobs_workers_leased
+	pnsched_jobs_journal_records_total"
+
+have_series() { # WHO METRICS NAME...
+	who=$1 scrape=$2
+	shift 2
+	for family in "$@"; do
+		if ! printf '%s\n' "$scrape" | grep -q "^# TYPE $family "; then
+			echo "adminsmoke: $who /metrics missing series $family" >&2
+			printf '%s\n' "$scrape" | head -20 >&2
+			exit 1
+		fi
+	done
 }
 
 bindir=$(mktemp -d)
@@ -59,18 +88,12 @@ health=$(fetch "$base/healthz")
 [ "$health" = "ok" ] || { echo "adminsmoke: /healthz said \"$health\", want ok" >&2; exit 1; }
 
 metrics=$(fetch "$base/metrics")
-for family in \
-	pnsched_tasks_submitted_total \
-	pnsched_pending_tasks \
-	pnsched_workers \
-	pnsched_dispatch_latency_seconds \
-	pnsched_ga_runs_total; do
-	if ! printf '%s\n' "$metrics" | grep -q "^# TYPE $family "; then
-		echo "adminsmoke: /metrics missing family $family" >&2
-		printf '%s\n' "$metrics" | head -20 >&2
-		exit 1
-	fi
-done
+# $pool_series is word-split on purpose.
+have_series pnserver "$metrics" $pool_series pnsched_ga_runs_total
+if printf '%s\n' "$metrics" | grep -q '^# TYPE pnsched_jobs_'; then
+	echo "adminsmoke: pnserver without -jobs exports job-level series" >&2
+	exit 1
+fi
 if ! printf '%s\n' "$metrics" | grep -q "^pnsched_tasks_submitted_total 50$"; then
 	echo "adminsmoke: /metrics does not show the 50 submitted tasks" >&2
 	exit 1
@@ -107,32 +130,22 @@ workerpid=$!
 "$bindir/pnjobs" -addr "$jobsaddr" submit -tenant gold -tasks 40 -wait >/dev/null
 
 metrics=$(fetch "$jobsbase/metrics")
-for family in \
-	pnsched_jobs_submitted_total \
-	pnsched_jobs_finished_total \
-	pnsched_jobs_tasks_completed_total \
-	pnsched_jobs_batches_total \
-	pnsched_jobs_workers \
-	pnsched_jobs_queue_depth; do
-	if ! printf '%s\n' "$metrics" | grep -q "^# TYPE $family "; then
-		echo "adminsmoke: dispatcher /metrics missing family $family" >&2
-		printf '%s\n' "$metrics" | head -20 >&2
-		exit 1
-	fi
-done
+have_series "pnserver -jobs" "$metrics" $pool_series pnsched_ga_runs_total $job_series
 for want in \
 	'^pnsched_jobs_submitted_total 1$' \
 	'^pnsched_jobs_finished_total{state="done"} 1$' \
-	'^pnsched_jobs_tasks_completed_total 40$' \
-	'^pnsched_jobs_workers 1$'; do
+	'^pnsched_tasks_submitted_total 40$' \
+	'^pnsched_tasks_completed_total 40$' \
+	'^pnsched_batches_total [1-9]' \
+	'^pnsched_workers 1$'; do
 	if ! printf '%s\n' "$metrics" | grep -q "$want"; then
 		echo "adminsmoke: dispatcher /metrics does not match $want" >&2
-		printf '%s\n' "$metrics" | grep '^pnsched_jobs' >&2 || true
+		printf '%s\n' "$metrics" | grep '^pnsched_' >&2 || true
 		exit 1
 	fi
 done
 
-echo "adminsmoke: dispatcher ran 1 job and exported pnsched_jobs_* on $jobsadmin"
+echo "adminsmoke: dispatcher ran 1 job and exported the pool-level pnsched_* and job-level pnsched_jobs_* series on $jobsadmin"
 
 kill "$jobspid" 2>/dev/null || true
 kill "$workerpid" 2>/dev/null || true

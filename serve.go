@@ -2,191 +2,10 @@ package pnsched
 
 import (
 	"context"
-	"fmt"
-	"log/slog"
-	"net"
-	"net/http"
-	"sync"
 	"time"
 
 	"pnsched/internal/dist"
-	"pnsched/internal/observe"
-	"pnsched/internal/telemetry"
 )
-
-// ServeOption adjusts one Serve invocation; see the WithServe* and
-// WithListen* functions.
-type ServeOption func(*serveOpts)
-
-type serveOpts struct{ commonOpts }
-
-// commonOpts are the settings Serve and ServeJobs share, behind their
-// separately named options.
-type commonOpts struct {
-	addr      string
-	ln        net.Listener
-	log       *slog.Logger
-	observer  Observer
-	nu        float64
-	backlog   int
-	queue     int
-	replay    int
-	adminAddr string
-}
-
-// poolConfig lowers the shared options onto the worker pool's
-// configuration, with local as the in-process observer chain.
-func (o *commonOpts) poolConfig(local Observer, events *dist.Broadcaster, reg *telemetry.Registry) dist.PoolConfig {
-	return dist.PoolConfig{
-		Log:      o.log,
-		Observer: local,
-		Events:   events,
-		Metrics:  reg,
-		Nu:       o.nu,
-		Backlog:  o.backlog,
-	}
-}
-
-// service is what a live Server and JobService share: the bound
-// listener, the event broadcaster, the optional admin endpoint, the
-// context watcher and the idempotent Close around the runtime they
-// front.
-type service struct {
-	rt interface {
-		Serve(net.Listener) error
-		Close() error
-	}
-	events *dist.Broadcaster
-	addr   net.Addr
-	stop   func() bool // detaches the context watcher
-
-	adminLn  net.Listener // nil without an admin address
-	adminSrv *http.Server
-
-	closeOnce sync.Once
-	closeErr  error
-	serveErr  chan error
-}
-
-// start binds the listener (and the admin endpoint, serving reg) and
-// begins serving s.rt; on failure everything opened so far, s.rt
-// included, is closed again.
-func (s *service) start(ctx context.Context, o *commonOpts, reg *telemetry.Registry) error {
-	ln := o.ln
-	if ln == nil {
-		var err error
-		if ln, err = net.Listen("tcp", o.addr); err != nil {
-			s.rt.Close()
-			return err
-		}
-	}
-	s.addr = ln.Addr()
-	s.serveErr = make(chan error, 1)
-	if o.adminAddr != "" {
-		adminLn, err := net.Listen("tcp", o.adminAddr)
-		if err != nil {
-			s.rt.Close()
-			ln.Close()
-			return fmt.Errorf("pnsched: admin listener: %w", err)
-		}
-		s.adminLn = adminLn
-		s.adminSrv = &http.Server{Handler: telemetry.AdminMux(reg, nil)}
-		go s.adminSrv.Serve(adminLn)
-	}
-	go func() { s.serveErr <- s.rt.Serve(ln) }()
-	if ctx != nil && ctx.Done() != nil {
-		s.stop = context.AfterFunc(ctx, func() { s.close() })
-	}
-	return nil
-}
-
-func (s *service) adminAddr() net.Addr {
-	if s.adminLn == nil {
-		return nil
-	}
-	return s.adminLn.Addr()
-}
-
-func (s *service) close() error {
-	s.closeOnce.Do(func() {
-		if s.stop != nil {
-			s.stop()
-		}
-		if s.adminSrv != nil {
-			s.adminSrv.Close()
-		}
-		s.closeErr = s.rt.Close()
-		if err := <-s.serveErr; err != nil && s.closeErr == nil {
-			s.closeErr = err
-		}
-	})
-	return s.closeErr
-}
-
-// WithListenAddr sets the TCP address the server listens on. The
-// default is "127.0.0.1:0" — an ephemeral loopback port, read back
-// with Server.Addr — so tests and single-machine demos need no
-// configuration; production servers pass ":9000"-style addresses.
-func WithListenAddr(addr string) ServeOption { return func(o *serveOpts) { o.addr = addr } }
-
-// WithListener hands Serve an existing listener instead of an address;
-// the server takes ownership and closes it on Close.
-func WithListener(ln net.Listener) ServeOption { return func(o *serveOpts) { o.ln = ln } }
-
-// WithServeLog routes the server's structured progress logging (worker
-// joins and leaves, batch decisions, reissues, watch subscriptions,
-// protocol rejections) to a slog logger as levelled key-value records.
-// The default is silent.
-func WithServeLog(log *slog.Logger) ServeOption {
-	return func(o *serveOpts) { o.log = log }
-}
-
-// WithAdminAddr additionally serves an HTTP admin endpoint on the
-// given address (e.g. "127.0.0.1:9090"):
-//
-//	/metrics       runtime telemetry in Prometheus text format —
-//	               task/batch counters, queue depths, the
-//	               dispatch-latency and batch-wall histograms, GA
-//	               generation/evaluation/budget counters, per-worker
-//	               and per-watcher series
-//	/healthz       liveness probe (200 "ok")
-//	/debug/pprof/  the standard Go profiling handlers
-//
-// The admin listener binds when Serve is called (a bind failure fails
-// Serve) and closes with the server; read the bound address back with
-// Server.AdminAddr. The default is no admin endpoint; metrics are
-// still collected either way.
-func WithAdminAddr(addr string) ServeOption {
-	return func(o *serveOpts) { o.adminAddr = addr }
-}
-
-// WithServeObserver delivers the run's events to an in-process
-// observer, in addition to any observer already attached to the Spec
-// and to every remote watch client.
-func WithServeObserver(obs Observer) ServeOption { return func(o *serveOpts) { o.observer = obs } }
-
-// WithSmoothing sets the §3.6 exponential-smoothing factor ν for
-// observed worker rates and link overheads (0 selects the paper's
-// 0.5).
-func WithSmoothing(nu float64) ServeOption { return func(o *serveOpts) { o.nu = nu } }
-
-// WithBacklog sets the per-worker outstanding-task threshold that
-// paces dispatch (0 selects the default of 4).
-func WithBacklog(n int) ServeOption { return func(o *serveOpts) { o.backlog = n } }
-
-// WithEventQueue sets the per-watch-client event buffer, in frames.
-// A client that falls further behind than this loses frames — counted
-// in its stream's Dropped field, never blocking the scheduler. 0
-// selects the default (dist.DefaultEventQueue, 256).
-func WithEventQueue(frames int) ServeOption { return func(o *serveOpts) { o.queue = frames } }
-
-// WithEventReplay sets the catch-up ring, in frames: a watcher that
-// subscribes mid-run first receives up to this many of the most recent
-// event frames — with their original sequence numbers, seamlessly
-// followed by the live stream — before going live. 0 selects the
-// default (dist.DefaultEventReplay, 64); a negative value disables
-// catch-up. The ring never exceeds the event queue size.
-func WithEventReplay(frames int) ServeOption { return func(o *serveOpts) { o.replay = frames } }
 
 // ServerStats is a point-in-time summary of a live server.
 type ServerStats struct {
@@ -225,51 +44,30 @@ type Server struct {
 // Cancelling ctx closes the server, releasing workers, watchers and
 // blocked Wait calls.
 func Serve(ctx context.Context, spec Spec, opts ...ServeOption) (*Server, error) {
-	so := serveOpts{commonOpts{addr: "127.0.0.1:0"}}
+	so := commonOpts{addr: "127.0.0.1:0"}
 	for _, o := range opts {
 		o(&so)
 	}
 
-	events := dist.NewBroadcaster(so.queue, so.replay)
-	reg := telemetry.NewRegistry()
-	traces := dist.NewTraceRecorder(0)
-	// The scheduler publishes its GA-level events straight into the
-	// broadcaster (and the in-process observers); the server's own
-	// events reach the broadcaster via ServerConfig.Events. The trace
-	// recorder and the GA metrics observer sit in the local chain so
-	// both GA-run and server-batch events reach them.
-	local := observe.Multi(spec.observer, so.observer, traces, dist.NewMetricsObserver(reg))
-	spec.observer = observe.Multi(local, events)
-	sch, err := New(spec)
+	// The trace recorder sits in the local chain so both the scheduler's
+	// GA-run events and the pool's batch events reach it.
+	s := &Server{traces: dist.NewTraceRecorder(0)}
+	pool, full := s.wire(&so, spec.observer, s.traces)
+	spec.observer = full
+	batch, err := newBatch(spec, "Serve needs")
 	if err != nil {
 		return nil, err
 	}
-	batch, ok := sch.(BatchScheduler)
-	if !ok {
-		return nil, fmt.Errorf("pnsched: scheduler %s is immediate-mode; Serve needs a batch scheduler", sch.Name())
-	}
-	srv, err := dist.NewServer(dist.ServerConfig{
-		Scheduler:  batch,
-		Traces:     traces,
-		PoolConfig: so.poolConfig(local, events, reg),
-	})
+	s.srv, err = dist.NewServer(dist.ServerConfig{Scheduler: batch, Traces: s.traces, PoolConfig: pool})
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{service: service{rt: srv, events: events}, srv: srv, traces: traces}
-	if err := s.start(ctx, &so.commonOpts, reg); err != nil {
+	s.rt = s.srv
+	if err := s.start(ctx, &so, nil); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
-
-// Addr returns the server's listening address — with the default
-// ephemeral port, the address workers and watchers should dial.
-func (s *Server) Addr() net.Addr { return s.addr }
-
-// AdminAddr returns the admin HTTP endpoint's bound address, or nil
-// when the server was started without WithAdminAddr.
-func (s *Server) AdminAddr() net.Addr { return s.adminAddr() }
 
 // Traces returns the server's retained per-batch decision traces,
 // oldest first: for every recent batch decision, the scheduler, batch
@@ -329,11 +127,6 @@ func FetchStats(ctx context.Context, addr string) (ServerSnapshot, error) {
 func FetchTraces(ctx context.Context, addr string) ([]DecisionTrace, error) {
 	return dist.FetchTraces(ctx, addr)
 }
-
-// Close shuts the server down: the listener closes, worker and watch
-// connections drop, and blocked Wait calls return ErrServerClosed.
-// Close is idempotent.
-func (s *Server) Close() error { return s.close() }
 
 // RunWorker connects a worker processor to a scheduling server at addr
 // and processes assigned tasks strictly in FIFO order until ctx is

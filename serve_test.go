@@ -3,6 +3,8 @@ package pnsched_test
 import (
 	"context"
 	"errors"
+	"log/slog"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -333,6 +335,86 @@ func TestServeValidationParity(t *testing.T) {
 			}
 		})
 	}
+
+	// The shared options: every ServeOption goes to both constructors,
+	// which must accept, reject and honour it alike.
+	type live interface {
+		Addr() net.Addr
+		AdminAddr() net.Addr
+		Close() error
+	}
+	ctx := context.Background()
+	constructors := map[string]func(...pnsched.ServeOption) (live, error){
+		"Serve": func(opts ...pnsched.ServeOption) (live, error) {
+			s, err := pnsched.Serve(ctx, pnsched.MustSpec("MM"), opts...)
+			if err != nil {
+				return nil, err
+			}
+			return s, nil
+		},
+		"ServeJobs": func(opts ...pnsched.ServeOption) (live, error) {
+			jobsOpts := make([]pnsched.JobsOption, len(opts))
+			for i, o := range opts {
+				jobsOpts[i] = o
+			}
+			s, err := pnsched.ServeJobs(ctx, jobsOpts...)
+			if err != nil {
+				return nil, err
+			}
+			return s, nil
+		},
+	}
+	for name, bad := range map[string]pnsched.ServeOption{
+		"negative backlog":        pnsched.WithBacklog(-1),
+		"smoothing outside [0,1]": pnsched.WithSmoothing(2),
+	} {
+		t.Run(name, func(t *testing.T) {
+			var texts []string
+			for ctor, start := range constructors {
+				s, err := start(bad)
+				if err == nil {
+					s.Close()
+					t.Fatalf("%s accepted it", ctor)
+				}
+				texts = append(texts, err.Error())
+			}
+			if texts[0] != texts[1] {
+				t.Errorf("divergent rejections: %q vs %q", texts[0], texts[1])
+			}
+		})
+	}
+	for ctor, start := range constructors {
+		t.Run("all nine shared options/"+ctor, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := start(
+				pnsched.WithListenAddr("127.0.0.1:1"), // the listener below wins
+				pnsched.WithListener(ln),
+				pnsched.WithServeLog(slog.New(slog.DiscardHandler)),
+				pnsched.WithAdminAddr("127.0.0.1:0"),
+				pnsched.WithServeObserver(pnsched.ObserverFuncs{}),
+				pnsched.WithSmoothing(0.3),
+				pnsched.WithBacklog(2),
+				pnsched.WithEventQueue(8),
+				pnsched.WithEventReplay(4))
+			if err != nil {
+				ln.Close()
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if s.Addr().String() != ln.Addr().String() {
+				t.Errorf("listening on %v, want the WithListener listener %v", s.Addr(), ln.Addr())
+			}
+			if s.AdminAddr() == nil {
+				t.Error("no admin endpoint despite WithAdminAddr")
+			}
+			if _, err := pnsched.FetchStats(ctx, ln.Addr().String()); err != nil {
+				t.Errorf("the handed-in listener is not served: %v", err)
+			}
+		})
+	}
 }
 
 // TestServeContextCancel checks cancelling the Serve context closes
@@ -380,7 +462,7 @@ var liveRuntimes = map[string]func(t *testing.T, ctx context.Context, spec pnsch
 		}
 	},
 	"ServeJobs": func(t *testing.T, ctx context.Context, spec pnsched.Spec, obs pnsched.Observer) (string, func() int, runTasks) {
-		svc, err := pnsched.ServeJobs(ctx, pnsched.WithJobsObserver(obs))
+		svc, err := pnsched.ServeJobs(ctx, pnsched.WithServeObserver(obs))
 		if err != nil {
 			t.Fatalf("ServeJobs: %v", err)
 		}
