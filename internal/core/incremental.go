@@ -78,10 +78,20 @@ func (ev *IncrementalEvaluator) Fitness(c ga.Chromosome) float64 {
 	return fitnessFromError(ev.p.relativeErrorFrom(ev.p.CompletionTimes(c, nil)))
 }
 
-// InitSlots implements ga.SlotEvaluator.
+// InitSlots implements ga.SlotEvaluator: every slot state — the n
+// current, the n next-generation and the best-so-far — gets its M
+// completion times and room for M−1 delimiter positions here, once,
+// from one backing array each, so no evaluation allocates.
 func (ev *IncrementalEvaluator) InitSlots(n int) {
-	ev.cur = make([]slotState, n)
-	ev.nxt = make([]slotState, n)
+	m := ev.p.M
+	times := make([]units.Seconds, (2*n+1)*m)
+	delims := make([]int, (2*n+1)*(m-1))
+	states := make([]slotState, 2*n+1)
+	for k := range states {
+		states[k].times = times[k*m : (k+1)*m : (k+1)*m]
+		states[k].delims = delims[k*(m-1) : k*(m-1) : (k+1)*(m-1)]
+	}
+	ev.cur, ev.nxt, ev.best = states[:n:n], states[n:2*n:2*n], states[2*n]
 }
 
 // BeginGeneration implements ga.SlotEvaluator.
@@ -175,11 +185,8 @@ func (ev *IncrementalEvaluator) BestMakespan() (units.Seconds, bool) {
 
 // fullEval scores c from scratch into s, charging the whole chromosome.
 func (ev *IncrementalEvaluator) fullEval(s *slotState, c ga.Chromosome) {
-	if cap(s.times) < ev.p.M {
-		s.times = make([]units.Seconds, ev.p.M)
-	}
-	s.times = ev.p.CompletionTimes(c, s.times[:ev.p.M])
-	s.delims = delimiterPositions(c, s.delims[:0])
+	found := ev.p.scan(c, s.times, s.delims[:cap(s.delims)])
+	s.delims = s.delims[:found]
 	s.fitness = fitnessFromError(ev.p.relativeErrorFrom(s.times))
 	s.valid = true
 	ev.genes += len(c)
@@ -207,17 +214,6 @@ func (ev *IncrementalEvaluator) ensureValid(i int, c ga.Chromosome) bool {
 	}
 	ev.fullEval(s, c)
 	return true
-}
-
-// delimiterPositions appends the positions of the negative (delimiter)
-// symbols of c to buf, in increasing order.
-func delimiterPositions(c ga.Chromosome, buf []int) []int {
-	for i, sym := range c {
-		if sym < 0 {
-			buf = append(buf, i)
-		}
-	}
-	return buf
 }
 
 // segmentOf returns the queue (segment) index of task position pos

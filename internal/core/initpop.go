@@ -3,7 +3,6 @@ package core
 import (
 	"pnsched/internal/ga"
 	"pnsched/internal/rng"
-	"pnsched/internal/task"
 	"pnsched/internal/units"
 )
 
@@ -16,42 +15,70 @@ import (
 // The random percentage varies across individuals — individual 0 is
 // pure earliest-finish, the last is fully random — giving the population
 // both quality and diversity.
+//
+// Each individual is laid out by counting rather than by growing M
+// queues: one pass draws the tasks' processors (roughly frac of them
+// uniformly at random, the rest earliest-finishing given the loads and
+// communication estimates accumulated so far) and counts each
+// processor's tasks, a prefix sum turns the counts into queue offsets,
+// and a second pass drops every task id into place. The chromosomes
+// share one backing array and the passes one scratch.
 func ListPopulation(p *Problem, size int, r *rng.RNG) []ga.Chromosome {
 	if size < 1 {
 		size = 1
 	}
+	h, m := len(p.Batch), p.M
+	length := ChromosomeLen(h, m)
+	genes := make([]int, size*length)
+	order := make([]int, h)  // batch indices in draw order
+	proc := make([]int, h)   // processor drawn for order[k]
+	counts := make([]int, m) // tasks per queue
+	cursor := make([]int, m) // next free gene per queue
+	loads := make([]units.MFlops, m)
+
 	out := make([]ga.Chromosome, size)
 	for i := range out {
 		frac := 0.0
 		if size > 1 {
 			frac = float64(i) / float64(size-1)
 		}
-		out[i] = listSchedule(p, frac, r)
+		copy(loads, p.Loads)
+		clear(counts)
+		for k := range order {
+			order[k] = k
+		}
+		r.ShuffleInts(order)
+		for k, idx := range order {
+			t := p.Batch[idx]
+			var j int
+			if r.Float64() < frac {
+				j = r.Intn(m)
+			} else {
+				j = p.earliestFinish(t.Size, loads, counts)
+			}
+			proc[k] = j
+			loads[j] += t.Size
+			counts[j]++
+		}
+
+		c := genes[i*length : (i+1)*length : (i+1)*length]
+		at := 0
+		for j := 0; j < m; j++ {
+			if j > 0 {
+				c[at] = Delimiter(j)
+				at++
+			}
+			cursor[j] = at
+			at += counts[j]
+		}
+		for k, idx := range order {
+			j := proc[k]
+			c[cursor[j]] = int(p.Batch[idx].ID)
+			cursor[j]++
+		}
+		out[i] = c
 	}
 	return out
-}
-
-// listSchedule builds one individual, assigning roughly frac of the
-// tasks uniformly at random and the rest to their earliest-finishing
-// processor given the loads (and communication estimates) accumulated
-// so far.
-func listSchedule(p *Problem, frac float64, r *rng.RNG) ga.Chromosome {
-	queues := make([][]task.ID, p.M)
-	loads := append([]units.MFlops(nil), p.Loads...)
-	counts := make([]int, p.M)
-	for _, idx := range r.Perm(len(p.Batch)) {
-		t := p.Batch[idx]
-		var j int
-		if r.Float64() < frac {
-			j = r.Intn(p.M)
-		} else {
-			j = p.earliestFinish(t.Size, loads, counts)
-		}
-		queues[j] = append(queues[j], t.ID)
-		loads[j] += t.Size
-		counts[j]++
-	}
-	return Encode(queues)
 }
 
 // earliestFinish returns the processor finishing a task of the given

@@ -154,34 +154,50 @@ func (p *Problem) CompletionTimes(c ga.Chromosome, out []units.Seconds) []units.
 	if out == nil {
 		out = make([]units.Seconds, p.M)
 	}
-	var queueWork units.MFlops
-	var queueCount int
-	j := 0
-	flush := func() {
-		ct := p.delta(j)
-		if queueCount > 0 {
-			ct += queueWork.TimeOn(p.Rates[j])
-			if p.IncludeComm {
-				ct += units.Seconds(float64(queueCount) * float64(p.Comm[j]))
-			}
-		}
-		out[j] = ct
-		queueWork, queueCount = 0, 0
-	}
-	for _, sym := range c {
-		if sym < 0 {
-			flush()
-			j++
+	p.scan(c, out, nil)
+	return out
+}
+
+// scan is the one pass over a chromosome every full evaluation makes:
+// it writes each processor's completion time into out and, while
+// delims has room, the position of the k-th delimiter into delims[k]
+// (the incremental evaluator's segment index; nil records none). It
+// returns the number of delimiters met.
+func (p *Problem) scan(c ga.Chromosome, out []units.Seconds, delims []int) int {
+	var work units.MFlops
+	count, j := 0, 0
+	for i, sym := range c {
+		if sym >= 0 {
+			work += p.sizeOf(sym)
+			count++
 			continue
 		}
-		queueWork += p.sizeOf(sym)
-		queueCount++
+		out[j] = p.queueTime(j, work, count)
+		if j < len(delims) {
+			delims[j] = i
+		}
+		work, count = 0, 0
+		j++
 	}
-	flush()
+	out[j] = p.queueTime(j, work, count)
 	for k := j + 1; k < p.M; k++ {
 		out[k] = p.delta(k)
 	}
-	return out
+	return j
+}
+
+// queueTime is Cⱼ for a queue of count tasks totalling work MFLOPs —
+// the one place the per-queue arithmetic lives, so a full scan and a
+// segment-local recomputation produce bit-identical values.
+func (p *Problem) queueTime(j int, work units.MFlops, count int) units.Seconds {
+	ct := p.delta(j)
+	if count > 0 {
+		ct += work.TimeOn(p.Rates[j])
+		if p.IncludeComm {
+			ct += units.Seconds(float64(count) * float64(p.Comm[j]))
+		}
+	}
+	return ct
 }
 
 // Makespan returns max_j Cⱼ — the predicted total execution time of the
@@ -241,23 +257,16 @@ func fitnessFromError(e float64) float64 {
 }
 
 // segmentTime computes the completion time of processor j given the
-// queue encoded by c[lo:hi] — exactly the arithmetic of
-// CompletionTimes' per-segment flush (same accumulation order), so a
-// segment-local recomputation is bit-identical to a full one. The span
-// must contain task symbols only.
+// queue encoded by c[lo:hi] — the work is accumulated in the order
+// scan accumulates it, so a segment-local recomputation is
+// bit-identical to a full one. The span must contain task symbols
+// only.
 func (p *Problem) segmentTime(c ga.Chromosome, j, lo, hi int) units.Seconds {
-	var queueWork units.MFlops
+	var work units.MFlops
 	for _, sym := range c[lo:hi] {
-		queueWork += p.sizeOf(sym)
+		work += p.sizeOf(sym)
 	}
-	ct := p.delta(j)
-	if count := hi - lo; count > 0 {
-		ct += queueWork.TimeOn(p.Rates[j])
-		if p.IncludeComm {
-			ct += units.Seconds(float64(count) * float64(p.Comm[j]))
-		}
-	}
-	return ct
+	return p.queueTime(j, work, hi-lo)
 }
 
 // Fitness maps the relative error onto (0, 1]:

@@ -15,6 +15,18 @@
 // arbitrary integer symbols and delegates fitness to an Evaluator. The
 // scheduler-specific encoding, fitness and rebalancing heuristic live in
 // internal/core.
+//
+// Memory: an Engine owns every byte its generation loop touches, so a
+// generation allocates nothing. The population lives in slots the
+// engine lays out once; a Crossover writes its children into two of
+// them, working in the engine's Scratch; selection and elitism copy
+// between them. The boundary is explicit — chromosomes handed to a
+// callback (OnGeneration, PostGeneration) are views of those slots,
+// valid until the callback returns; chromosomes returned to the caller
+// (Best, Result, Elites) are clones; chromosomes handed in (the seeds,
+// Inject's migrants) are copied and never retained. CycleCrossover and
+// RouletteWheel are the allocating front doors to the same kernels for
+// callers outside a generation loop.
 package ga
 
 import "fmt"

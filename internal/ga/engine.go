@@ -2,6 +2,7 @@ package ga
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"pnsched/internal/rng"
@@ -51,13 +52,15 @@ type Config struct {
 	MaxGenerations int
 	// CrossoverFraction is the fraction of the next population created
 	// by crossover of selected pairs (default 0.8). Zero means "unset"
-	// (the default applies); any negative value disables crossover
-	// entirely — the sentinel that makes crossover-free operator
-	// ablations expressible.
+	// (the default applies, as it does for NaN); any negative value
+	// disables crossover entirely — the sentinel that makes
+	// crossover-free operator ablations expressible. Values above 1
+	// mean 1: a generation holds at most PopulationSize/2 pairs.
 	CrossoverFraction float64
 	// Crossover selects the permutation crossover operator; nil uses
 	// the paper's cycle crossover (CX). PMX and OX are provided for
-	// operator ablations.
+	// operator ablations. The engine hands it two slots of the next
+	// generation to write the children into, and its own Scratch.
 	Crossover Crossover
 	// MutationsPerGeneration is how many random swap mutations are
 	// applied to randomly chosen individuals each generation
@@ -79,8 +82,11 @@ type Config struct {
 	Mutate func(c Chromosome, r *rng.RNG)
 	// PostGeneration, when non-nil, runs after selection each
 	// generation with the whole population; the scheduler uses it for
-	// the §3.5 rebalancing heuristic. Implementations may modify
-	// individuals in place but must preserve the permutation property.
+	// the §3.5 rebalancing heuristic. pop is a view of the engine's own
+	// slots, valid until the hook returns: implementations may swap
+	// symbols of an individual in place (preserving the permutation
+	// property) but must neither replace an element of pop nor keep
+	// any of it.
 	PostGeneration func(pop []Chromosome, r *rng.RNG)
 	// Stop, when non-nil, is polled once per generation with the
 	// generation number and current best fitness; returning true aborts
@@ -88,7 +94,9 @@ type Config struct {
 	Stop func(gen int, bestFitness float64) bool
 	// OnGeneration, when non-nil, observes each generation's best
 	// individual — used to record Fig. 3's per-generation makespan
-	// trajectories.
+	// trajectories. best is a read-only view of the engine's
+	// best-so-far slot, valid until the callback returns; Clone it to
+	// keep it.
 	OnGeneration func(gen int, best Chromosome, bestFitness float64)
 }
 
@@ -102,10 +110,15 @@ func (c *Config) applyDefaults() {
 	// Zero is "unset" (paper default); negative is the explicit
 	// disabled sentinel, resolved here to the operator-off value.
 	switch {
-	case c.CrossoverFraction == 0:
+	case c.CrossoverFraction == 0 || math.IsNaN(c.CrossoverFraction):
 		c.CrossoverFraction = 0.8
 	case c.CrossoverFraction < 0:
 		c.CrossoverFraction = 0
+	case c.CrossoverFraction > 1:
+		// The one clamp that keeps a generation's pairs within
+		// PopulationSize/2, so Step never breeds a child it has no
+		// slot for.
+		c.CrossoverFraction = 1
 	}
 	switch {
 	case c.MutationsPerGeneration == 0:
@@ -146,16 +159,29 @@ type Result struct {
 // convenience wrapper that drives an Engine to completion, and
 // NewEngine + Step reproduces Run exactly (same random sequence, same
 // results).
+//
+// Ownership: an Engine owns every byte its generation loop touches.
+// NewEngine lays the population out once — the current generation's n
+// slots, the next generation's n slots and the best-so-far, in one
+// array — and from then on individuals are copied between slots that
+// already exist, children are bred into them, and selection and
+// crossover work in the engine's Scratch, so Step allocates nothing.
+// What the engine passes to a callback (OnGeneration's best,
+// PostGeneration's pop) is a view of those slots, valid until the
+// callback returns; what it returns (Best, Result, Elites) is a clone
+// the caller owns, and what it is given (the seeds, Inject's migrants)
+// is copied in and never retained.
 type Engine struct {
 	cfg     Config
 	eval    Evaluator
 	slots   SlotEvaluator // non-nil when eval tracks fitness provenance
 	r       *rng.RNG
-	pop     []Chromosome
-	next    []Chromosome
+	pop     []Chromosome // current generation: n slots of the arena
+	next    []Chromosome // the n slots the next generation is bred into
 	fitness []float64
+	scratch Scratch
 
-	best        Chromosome
+	best        Chromosome // the arena's last slot
 	bestFitness float64
 	gen         int // completed generations
 	evals       int
@@ -167,40 +193,46 @@ type Engine struct {
 }
 
 // NewEngine initialises a GA over the initial population: the
-// population is cloned (callers keep their seeds), padded or trimmed to
-// the configured size, and evaluated once (generation 0). NewEngine
-// panics if the initial population is empty — the caller owns
-// population construction (the paper seeds it with a list-scheduling
-// heuristic), so an empty one is a programming error.
+// population is copied (callers keep their seeds), padded or trimmed to
+// the configured size by cycling through the seeds, and evaluated once
+// (generation 0). NewEngine panics if the initial population is empty
+// or its chromosomes differ in length — the caller owns population
+// construction (the paper seeds it with a list-scheduling heuristic),
+// so either is a programming error.
 func NewEngine(cfg Config, eval Evaluator, initial []Chromosome, r *rng.RNG) *Engine {
 	cfg.applyDefaults()
 	if len(initial) == 0 {
 		panic("ga: empty initial population")
 	}
+	length := len(initial[0])
+	for i, c := range initial {
+		if len(c) != length {
+			panic(fmt.Sprintf("ga: initial chromosome %d has length %d, chromosome 0 has %d", i, len(c), length))
+		}
+	}
 	e := &Engine{cfg: cfg, eval: eval, r: r}
 	e.slots, _ = eval.(SlotEvaluator)
 
-	// Working population: clone so callers keep their seeds.
-	pop := make([]Chromosome, len(initial))
-	for i, c := range initial {
-		pop[i] = c.Clone()
+	// One array holds every slot: current generation, next generation,
+	// best-so-far. Each slot's capacity ends where the next begins.
+	n := cfg.PopulationSize
+	arena := make([]int, (2*n+1)*length)
+	slot := func(k int) Chromosome { return arena[k*length : (k+1)*length : (k+1)*length] }
+	e.pop = make([]Chromosome, n)
+	e.next = make([]Chromosome, n)
+	for i := range e.pop {
+		e.pop[i], e.next[i] = slot(i), slot(n+i)
+		copy(e.pop[i], initial[i%len(initial)])
 	}
-	// Pad or trim to the configured size by cycling clones of the seeds.
-	for len(pop) < cfg.PopulationSize {
-		pop = append(pop, pop[len(pop)%len(initial)].Clone())
-	}
-	if len(pop) > cfg.PopulationSize {
-		pop = pop[:cfg.PopulationSize]
-	}
-	e.pop = pop
-	e.fitness = make([]float64, len(pop))
-	e.next = make([]Chromosome, 0, len(pop))
+	e.best = slot(2 * n)
+	e.fitness = make([]float64, n)
+	e.scratch.reserve(n, e.pop[0])
 	if e.slots != nil {
-		e.slots.InitSlots(len(pop))
+		e.slots.InitSlots(n)
 	}
 
 	bestIdx := e.evaluate()
-	e.best = pop[bestIdx].Clone()
+	copy(e.best, e.pop[bestIdx])
 	e.bestFitness = e.fitness[bestIdx]
 	if e.slots != nil {
 		e.slots.SaveBest(bestIdx)
@@ -276,43 +308,39 @@ func (e *Engine) Step() bool {
 		e.slots.BeginGeneration()
 	}
 
-	// Crossover: pair roulette-selected parents. Children are fresh
-	// individuals — their fitness must be computed once, then cached.
-	next := e.next[:0]
+	// Crossover: pair roulette-selected parents and breed each pair
+	// into the next two free slots. Children are fresh individuals —
+	// their fitness must be computed once, then cached. The fraction is
+	// at most 1, so the 2·pairs children always fit.
+	filled := 0
 	pairs := int(float64(n) * e.cfg.CrossoverFraction / 2)
 	if pairs > 0 {
 		cross := e.cfg.Crossover
 		if cross == nil {
 			cross = CX
 		}
-		parents := RouletteWheel(e.fitness, 2*pairs, e.r)
+		parents := e.scratch.roulette(e.fitness, 2*pairs, e.r)
 		for k := 0; k < pairs; k++ {
 			a, b := e.pop[parents[2*k]], e.pop[parents[2*k+1]]
-			c1, c2 := cross(a, b, e.r)
+			cross(e.next[filled], e.next[filled+1], a, b, &e.scratch, e.r)
 			if e.slots != nil {
-				if len(next) < n {
-					e.slots.DeriveFresh(len(next))
-				}
-				if len(next)+1 < n {
-					e.slots.DeriveFresh(len(next) + 1)
-				}
+				e.slots.DeriveFresh(filled)
+				e.slots.DeriveFresh(filled + 1)
 			}
-			next = append(next, c1, c2)
+			filled += 2
 		}
 	}
-	// Fill the remainder by roulette-cloning survivors (selection).
-	// Clones inherit their parent's known fitness.
-	if missing := n - len(next); missing > 0 {
-		for _, idx := range RouletteWheel(e.fitness, missing, e.r) {
-			if e.slots != nil && len(next) < n {
-				e.slots.DeriveClone(len(next), idx)
-			}
-			next = append(next, e.pop[idx].Clone())
+	// Fill the remainder by roulette-copying survivors (selection).
+	// Copies inherit their parent's known fitness.
+	for _, idx := range e.scratch.roulette(e.fitness, n-filled, e.r) {
+		if e.slots != nil {
+			e.slots.DeriveClone(filled, idx)
 		}
+		copy(e.next[filled], e.pop[idx])
+		filled++
 	}
-	next = next[:n]
 
-	e.pop, e.next = next, e.pop
+	e.pop, e.next = e.next, e.pop
 	if e.slots != nil {
 		e.slots.CommitGeneration()
 	}
@@ -349,7 +377,7 @@ func (e *Engine) Step() bool {
 	// its known fitness state.
 	if e.cfg.Elitism {
 		slot := e.r.Intn(n)
-		e.pop[slot] = e.best.Clone()
+		copy(e.pop[slot], e.best)
 		if e.slots != nil {
 			e.slots.RestoreBest(slot)
 		}
@@ -358,7 +386,7 @@ func (e *Engine) Step() bool {
 	genBest := e.evaluate()
 	if e.fitness[genBest] > e.bestFitness {
 		e.bestFitness = e.fitness[genBest]
-		e.best = e.pop[genBest].Clone()
+		copy(e.best, e.pop[genBest])
 		if e.slots != nil {
 			e.slots.SaveBest(genBest)
 		}
@@ -442,11 +470,12 @@ func (e *Engine) Elites(k int) []Chromosome {
 }
 
 // Inject replaces the len(migrants) least-fit individuals of the
-// current population with clones of the migrants, re-evaluating them
+// current population with copies of the migrants, re-evaluating them
 // against this engine's evaluator (ties resolve to the lower population
 // index). The best-so-far is updated if a migrant beats it. Inject is
 // how island migration enters a population; it is deterministic and a
-// no-op on a stopped engine.
+// no-op on a stopped engine. It panics if a migrant's length is not the
+// population's.
 func (e *Engine) Inject(migrants []Chromosome) {
 	if e.done || len(migrants) == 0 {
 		return
@@ -454,6 +483,11 @@ func (e *Engine) Inject(migrants []Chromosome) {
 	n := len(e.pop)
 	if len(migrants) > n {
 		migrants = migrants[:n]
+	}
+	for i, m := range migrants {
+		if len(m) != len(e.best) {
+			panic(fmt.Sprintf("ga: migrant %d has length %d, the population's chromosomes have %d", i, len(m), len(e.best)))
+		}
 	}
 	idx := make([]int, n)
 	for i := range idx {
@@ -464,14 +498,14 @@ func (e *Engine) Inject(migrants []Chromosome) {
 	})
 	for i, m := range migrants {
 		slot := idx[i]
-		e.pop[slot] = m.Clone()
+		copy(e.pop[slot], m)
 		if e.slots != nil {
 			e.slots.Invalidate(slot)
 		}
 		e.fitness[slot] = e.score(slot, e.pop[slot])
 		if e.fitness[slot] > e.bestFitness {
 			e.bestFitness = e.fitness[slot]
-			e.best = e.pop[slot].Clone()
+			copy(e.best, e.pop[slot])
 			if e.slots != nil {
 				e.slots.SaveBest(slot)
 			}

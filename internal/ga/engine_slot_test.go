@@ -104,9 +104,9 @@ func TestGenesEvaluatedPlainEvaluator(t *testing.T) {
 func TestCrossoverDisabledSentinel(t *testing.T) {
 	runWith := func(frac float64) int {
 		calls := 0
-		counting := func(a, b Chromosome, r *rng.RNG) (Chromosome, Chromosome) {
+		counting := func(c1, c2, a, b Chromosome, s *Scratch, r *rng.RNG) {
 			calls++
-			return CX(a, b, r)
+			CX(c1, c2, a, b, s, r)
 		}
 		r := rng.New(34)
 		Run(Config{MaxGenerations: 10, PopulationSize: 10, CrossoverFraction: frac, Crossover: counting},

@@ -8,6 +8,30 @@ import (
 	"pnsched/internal/rng"
 )
 
+// Scratch is the working memory of the selection and crossover
+// kernels: the symbol→position index, the position marks and the
+// roulette wheel's cumulative weights and picks. An Engine owns one and
+// hands it to every Crossover call, which is what keeps Step free of
+// allocations; the buffers grow on first use and are then reused, so
+// the zero value is ready to use. A Scratch is not safe for concurrent
+// use — island engines run one each.
+type Scratch struct {
+	index posIndex
+	marks []bool // CX: positions already copied into the children
+	cum   []float64
+	picks []int
+}
+
+// reserve sizes every buffer for a population of n individuals shaped
+// like sample, so an engine's first generation allocates as little as
+// its thousandth.
+func (s *Scratch) reserve(n int, sample Chromosome) {
+	s.index.build(sample)
+	s.marks = make([]bool, len(sample))
+	s.cum = make([]float64, n)
+	s.picks = make([]int, n)
+}
+
 // RouletteWheel implements the paper's §3.3 selection: each individual i
 // receives a slot of size ςᵢ = Fᵢ / ΣFⱼ on the unit interval, and
 // individuals are drawn (with replacement) by spinning the wheel count
@@ -17,12 +41,27 @@ import (
 // If every weight is zero the selection degenerates to uniform — the
 // correct limit for an indifferent wheel, and it keeps the GA alive when
 // the population is uniformly terrible.
+//
+// RouletteWheel allocates its result; the engine spins the same wheel
+// through its Scratch.
 func RouletteWheel(fitness []float64, count int, r *rng.RNG) []int {
+	return new(Scratch).roulette(fitness, count, r)
+}
+
+// roulette is RouletteWheel into the scratch's own buffers: the result
+// is valid until the next spin.
+func (s *Scratch) roulette(fitness []float64, count int, r *rng.RNG) []int {
 	n := len(fitness)
 	if n == 0 || count <= 0 {
 		return nil
 	}
-	cum := make([]float64, n)
+	if cap(s.cum) < n {
+		s.cum = make([]float64, n)
+	}
+	if cap(s.picks) < count {
+		s.picks = make([]int, count)
+	}
+	cum, out := s.cum[:n], s.picks[:count]
 	var total float64
 	for i, f := range fitness {
 		if f > 0 && !math.IsInf(f, 0) && !math.IsNaN(f) {
@@ -30,7 +69,6 @@ func RouletteWheel(fitness []float64, count int, r *rng.RNG) []int {
 		}
 		cum[i] = total
 	}
-	out := make([]int, count)
 	if total <= 0 {
 		for i := range out {
 			out[i] = r.Intn(n)
@@ -64,15 +102,29 @@ func RouletteWheel(fitness []float64, count int, r *rng.RNG) []int {
 //
 // It panics if the parents are not permutations of the same symbol set —
 // the GA must never reach that state, so it is asserted.
+//
+// CycleCrossover allocates its children; CX is the same kernel writing
+// into destinations the caller owns.
 func CycleCrossover(p1, p2 Chromosome) (Chromosome, Chromosome) {
+	c1 := make(Chromosome, len(p1))
+	c2 := make(Chromosome, len(p1))
+	CX(c1, c2, p1, p2, new(Scratch), nil)
+	return c1, c2
+}
+
+// CX is cycle crossover under the Crossover signature (the operator is
+// deterministic; the RNG is unused).
+func CX(c1, c2, p1, p2 Chromosome, s *Scratch, _ *rng.RNG) {
 	n := len(p1)
 	if n != len(p2) {
 		panic(fmt.Sprintf("ga: cycle crossover length mismatch %d vs %d", n, len(p2)))
 	}
-	lookup := newPosIndex(p1)
-	c1 := make(Chromosome, n)
-	c2 := make(Chromosome, n)
-	visited := make([]bool, n)
+	s.index.build(p1)
+	if cap(s.marks) < n {
+		s.marks = make([]bool, n)
+	}
+	visited := s.marks[:n]
+	clear(visited)
 	cycle := 0
 	for start := 0; start < n; start++ {
 		if visited[start] {
@@ -89,7 +141,7 @@ func CycleCrossover(p1, p2 Chromosome) (Chromosome, Chromosome) {
 			} else {
 				c1[i], c2[i] = p2[i], p1[i]
 			}
-			next, ok := lookup(p2[i])
+			next, ok := s.index.lookup(p2[i])
 			if !ok {
 				panic(fmt.Sprintf("ga: cycle crossover: symbol %d of p2 absent from p1", p2[i]))
 			}
@@ -100,18 +152,27 @@ func CycleCrossover(p1, p2 Chromosome) (Chromosome, Chromosome) {
 		}
 		cycle++
 	}
-	return c1, c2
 }
 
-// newPosIndex builds a symbol→position lookup for a chromosome. For the
-// common case of a compact symbol range (task ids plus small negative
-// delimiters) it uses a dense slice, avoiding per-crossover map
-// allocations in the GA's hot loop; sparse symbol sets fall back to a
-// map.
-func newPosIndex(p Chromosome) func(sym int) (int, bool) {
+// posIndex is a reusable symbol→position lookup for one chromosome at a
+// time. For the common case of a compact symbol range (task ids plus
+// small negative delimiters) it is a dense slice; sparse symbol sets
+// fall back to a map. Both are kept between builds, so rebuilding over
+// chromosomes of one shape allocates nothing.
+type posIndex struct {
+	lo     int
+	dense  []int // dense[sym-lo] = position, -1 when absent
+	sparse map[int]int
+	isMap  bool // the last build chose the map
+}
+
+// build indexes p, replacing whatever was indexed before.
+func (x *posIndex) build(p Chromosome) {
 	n := len(p)
+	x.isMap = false
+	x.dense = x.dense[:0]
 	if n == 0 {
-		return func(int) (int, bool) { return 0, false }
+		return
 	}
 	lo, hi := p[0], p[0]
 	for _, v := range p {
@@ -123,29 +184,39 @@ func newPosIndex(p Chromosome) func(sym int) (int, bool) {
 		}
 	}
 	if span := hi - lo + 1; span <= 16*n+64 {
-		dense := make([]int, span)
-		for i := range dense {
-			dense[i] = -1
+		if cap(x.dense) < span {
+			x.dense = make([]int, span)
+		}
+		x.lo, x.dense = lo, x.dense[:span]
+		for i := range x.dense {
+			x.dense[i] = -1
 		}
 		for i, v := range p {
-			dense[v-lo] = i
+			x.dense[v-lo] = i
 		}
-		return func(sym int) (int, bool) {
-			i := sym - lo
-			if i < 0 || i >= len(dense) || dense[i] < 0 {
-				return 0, false
-			}
-			return dense[i], true
-		}
+		return
 	}
-	pos := make(map[int]int, n)
+	x.isMap = true
+	if x.sparse == nil {
+		x.sparse = make(map[int]int, n)
+	}
+	clear(x.sparse)
 	for i, v := range p {
-		pos[v] = i
+		x.sparse[v] = i
 	}
-	return func(sym int) (int, bool) {
-		i, ok := pos[sym]
+}
+
+// lookup returns the position of sym in the indexed chromosome.
+func (x *posIndex) lookup(sym int) (int, bool) {
+	if x.isMap {
+		i, ok := x.sparse[sym]
 		return i, ok
 	}
+	i := sym - x.lo
+	if i < 0 || i >= len(x.dense) || x.dense[i] < 0 {
+		return 0, false
+	}
+	return x.dense[i], true
 }
 
 // SwapMutation exchanges two distinct random positions of c in place —
