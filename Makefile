@@ -20,13 +20,16 @@ race:
 # decoder (malformed hellos, oversized frames, unknown event kinds
 # must error cleanly, never panic), and as long over the job-journal
 # record decoder plus the apply functions behind it (a record that
-# decodes is refused or applied, never a panic or a negative counter),
-# and as long over the in-place crossover kernels against the allocating
-# operators they replaced (same children, same panics, same RNG draws).
+# decodes is refused or applied, never a panic or a negative counter)
+# and over the snapshot file recovery reads beside it (the same, and what
+# was applied renders to a snapshot that replays again), and as long
+# over the in-place crossover kernels against the allocating operators
+# they replaced (same children, same panics, same RNG draws).
 # The seed corpora live under internal/{dist,jobs,ga}/testdata/fuzz.
 fuzz-smoke:
 	$(GO) test ./internal/dist -run='^FuzzWireMessage$$' -fuzz=FuzzWireMessage -fuzztime=10s
 	$(GO) test ./internal/jobs -run='^FuzzJournalRecord$$' -fuzz=FuzzJournalRecord -fuzztime=10s
+	$(GO) test ./internal/jobs -run='^FuzzJournalSnapshot$$' -fuzz=FuzzJournalSnapshot -fuzztime=10s
 	$(GO) test ./internal/ga -run='^FuzzCrossover$$' -fuzz=FuzzCrossover -fuzztime=10s
 
 lint:

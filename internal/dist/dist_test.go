@@ -1,6 +1,7 @@
 package dist_test
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"net"
@@ -278,6 +279,52 @@ func TestName(t *testing.T) {
 
 // TestCloseUnblocksWait checks that Close makes pending Wait calls
 // return ErrServerClosed instead of hanging.
+// TestWaitTimesOut: a Wait with a deadline returns at the deadline,
+// naming how far the run got, when nothing else wakes it — no worker
+// ever joins, so the timer's own wake-up is the only one.
+func TestWaitTimesOut(t *testing.T) {
+	srv, _ := startServer(t, fastConfig(), 4)
+	srv.Submit([]task.Task{{ID: 0, Size: 100}})
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Wait(30 * time.Millisecond) }()
+	select {
+	case err := <-errc:
+		if err == nil || !strings.Contains(err.Error(), "0/1 tasks complete after 30ms") {
+			t.Fatalf("Wait returned %v, want the timeout naming 0/1 tasks after 30ms", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Wait slept past its deadline")
+	}
+}
+
+// TestServerResetIsHangUp: a server that closes a worker's connection
+// while frames it has not read are still arriving makes the kernel
+// answer with RST, not FIN. To the worker that is still the server
+// hanging up — RunWorker's contract is nil — not a failure of its own.
+func TestServerResetIsHangUp(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		bufio.NewReader(conn).ReadString('\n') // the hello
+		conn.Write([]byte(`{"type":"assign","tasks":[{"id":0,"size":1}]}` + "\n"))
+		conn.(*net.TCPConn).SetLinger(0) // close by reset, as a close over unread data does
+		conn.Close()
+	}()
+	err = dist.RunWorker(context.Background(), ln.Addr().String(), dist.WorkerConfig{
+		Name: "w", Rate: 100, TimeScale: 1e-4,
+	})
+	if err != nil {
+		t.Fatalf("RunWorker after the server reset the connection: %v, want nil", err)
+	}
+}
+
 func TestCloseUnblocksWait(t *testing.T) {
 	srv, _ := startServer(t, fastConfig(), 4)
 	srv.Submit([]task.Task{{ID: 0, Size: 100}})

@@ -280,7 +280,9 @@ func (p *Pool) Serve(ln net.Listener) error {
 			p.Mu.Lock()
 			closed := p.closed
 			p.Mu.Unlock()
-			if closed || isClosedErr(err) {
+			// Only the listener's own closing ends Serve quietly; a reset
+			// surfacing from Accept is an error like any other.
+			if closed || errors.Is(err, net.ErrClosed) {
 				return nil
 			}
 			return err
@@ -331,6 +333,19 @@ func (p *Pool) WaitLocked() { p.cond.Wait() }
 // Broadcast wakes every WaitLocked caller and batch loop; owners call
 // it after changing state those wait on.
 func (p *Pool) Broadcast() { p.cond.Broadcast() }
+
+// WakeAfter arranges one Broadcast once d has elapsed, so a WaitLocked
+// loop with a deadline gets to look at it; the caller stops the timer
+// when its wait ends. The wake-up takes Mu: it cannot slip between a
+// waiter's deadline check and its WaitLocked, where an unlocked
+// Broadcast would be lost and the waiter sleep past its deadline.
+func (p *Pool) WakeAfter(d time.Duration) *time.Timer {
+	return time.AfterFunc(d, func() {
+		p.Mu.Lock()
+		p.cond.Broadcast()
+		p.Mu.Unlock()
+	})
+}
 
 // Since converts an absolute time to the pool clock — seconds since
 // Start, the clock every event and timestamp uses. The zero time maps

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"syscall"
 
 	"pnsched/internal/observe"
 	"pnsched/internal/task"
@@ -467,14 +468,18 @@ func fromWire(ws []wireTask) []task.Task {
 	return out
 }
 
-// isClosedErr reports whether err looks like the normal teardown of a
-// connection (EOF, or a read/write on a closed socket) rather than a
-// protocol failure.
+// isClosedErr reports whether err looks like the normal teardown of an
+// established connection — EOF, a read/write on a closed socket, or the
+// peer's reset (what the kernel answers with when the other side closed
+// while frames it had not read were still arriving) — rather than a
+// protocol failure. It is not for listeners: see Pool.Serve.
 func isClosedErr(err error) bool {
 	if err == nil {
 		return false
 	}
 	return errors.Is(err, io.EOF) ||
 		errors.Is(err, io.ErrUnexpectedEOF) ||
-		errors.Is(err, net.ErrClosed)
+		errors.Is(err, net.ErrClosed) ||
+		errors.Is(err, syscall.ECONNRESET) ||
+		errors.Is(err, syscall.EPIPE)
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync/atomic"
 	"time"
 
 	"pnsched/internal/sched"
@@ -94,19 +93,10 @@ func (s *Server) Submit(ts []task.Task) {
 // closed. A non-positive timeout means wait indefinitely.
 func (s *Server) Wait(timeout time.Duration) error {
 	p := s.pool
-	var timedOut atomic.Bool
+	var deadline time.Time
 	if timeout > 0 {
-		t := time.AfterFunc(timeout, func() {
-			timedOut.Store(true)
-			// Take Mu so the store cannot slip between a waiter's check
-			// of timedOut and its cond.Wait registration — an unlocked
-			// Broadcast there would be lost and Wait could block past
-			// its deadline.
-			p.Mu.Lock()
-			p.cond.Broadcast()
-			p.Mu.Unlock()
-		})
-		defer t.Stop()
+		deadline = time.Now().Add(timeout)
+		defer p.WakeAfter(timeout).Stop()
 	}
 	p.Mu.Lock()
 	defer p.Mu.Unlock()
@@ -117,7 +107,7 @@ func (s *Server) Wait(timeout time.Duration) error {
 		if p.closed {
 			return ErrServerClosed
 		}
-		if timedOut.Load() {
+		if !deadline.IsZero() && !time.Now().Before(deadline) {
 			return fmt.Errorf("dist: wait: %d/%d tasks complete after %v",
 				s.completed, s.submitted, timeout)
 		}

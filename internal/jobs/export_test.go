@@ -10,7 +10,7 @@ func (d *Dispatcher) MarkServedForTest(id string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if j, ok := d.jobsByID[id]; ok {
-		j.servedWork = j.charge
+		j.ServedWork = j.Charge
 	}
 }
 
@@ -18,7 +18,7 @@ func (d *Dispatcher) MarkServedForTest(id string) {
 func (d *Dispatcher) ServedForTest(tenant string) float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.served[tenant]
+	return d.durable.Served[tenant]
 }
 
 // ReplayForTest loads a journal directory into a fresh, journal-less

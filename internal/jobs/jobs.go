@@ -22,13 +22,13 @@
 // retry; a job that exhausts its budget fails, releasing its workers
 // to the next job.
 //
-// Job state has one writer. Every transition — submit, admit, task
-// done, retry spend, finish — is a journal record payload (journal.go),
-// and the apply…Locked function for that payload is the only code that
-// changes a job's durable fields, the fair-share ledger or the lifetime
-// counters. The live paths here and in owner.go decide, build the
-// payload, apply it and append it when Config.JournalDir is set;
-// recovery applies the same payloads read back from disk.
+// Job state is declared once and has one writer. The dispatcher holds a
+// job as its JournalJob and its counters as a JournalSnapshot, the
+// structs the journal writes (journal.go), and every transition —
+// submit, admit, task done, retry spend, finish — is a journal record
+// whose apply…Locked function is the only code that changes them. The
+// live paths here and in owner.go decide, apply the record and append it
+// when Config.JournalDir is set; recovery applies the same records.
 package jobs
 
 import (
@@ -39,7 +39,6 @@ import (
 	"net"
 	"os"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -166,71 +165,42 @@ type Config struct {
 	dist.PoolConfig
 }
 
-// job is the dispatcher-side record of one submitted job. All mutable
-// fields are guarded by the owning Dispatcher's mu.
+// job is one submitted job: its durable record, held in the form the
+// journal writes it, beside what only the running process knows. All
+// mutable fields are guarded by the owning Dispatcher's mu.
 type job struct {
-	id       string
-	seq      int // global submission order, 1-based
-	tenant   string
-	priority int
-	spec     json.RawMessage
-	sch      sched.Batch
-	schName  string
+	// JournalJob is the job's durable state, written only by the
+	// apply…Locked functions. Timestamps are the record's unix
+	// nanoseconds (stamp, Dispatcher.clock). Workers is kept sorted by
+	// name; Tasks is nil — the unfinished tasks live in queue and on the
+	// pool's workers, and are attached when the record is rendered.
+	JournalJob
 
-	state     string
-	queue     *task.Queue // unscheduled tasks (including reissues)
-	total     int
-	completed int
-	retries   int
-	budget    int
-	errMsg    string
-	leased    int // workers currently leased to this job
-
-	// Fair-share accounting for the admission charge: charge is what
-	// the tenant's ledger was charged at admission (the job's
-	// unscheduled work then), servedWork the portion actually served
-	// since. finishLocked refunds the difference so a job cancelled or
-	// failed mid-run cannot leave its tenant charged for work never
-	// done.
-	charge     float64
-	servedWork float64
-
-	submittedAt time.Time
-	startedAt   time.Time
-	finishedAt  time.Time
-
-	elapsedSum float64 // simulated seconds across completed tasks
-	perWorker  map[string]*workerTally
-	batches    int
+	sch     sched.Batch
+	queue   *task.Queue // unscheduled tasks (including reissues)
+	leased  int         // workers currently leased to this job
+	batches int
 }
 
 // String names the job where the pool logs its lease.
-func (j *job) String() string { return j.id }
+func (j *job) String() string { return j.ID }
 
 // terminal reports whether the job has reached one of the three end
 // states.
 func (j *job) terminal() bool {
-	return j.state == StateDone || j.state == StateFailed || j.state == StateCancelled
+	return j.State == StateDone || j.State == StateFailed || j.State == StateCancelled
 }
 
-// workerResults renders the per-worker completion tallies sorted by
-// worker name, as job_result replies and snapshots carry them.
-func (j *job) workerResults() []dist.JobWorkerResult {
-	if len(j.perWorker) == 0 {
-		return nil
-	}
-	out := make([]dist.JobWorkerResult, 0, len(j.perWorker))
-	for name, t := range j.perWorker {
-		out = append(out, dist.JobWorkerResult{Name: name, Tasks: t.tasks, Work: float64(t.work)})
-	}
-	slices.SortFunc(out, func(a, b dist.JobWorkerResult) int { return strings.Compare(a.Name, b.Name) })
-	return out
-}
+// stamp is a time as durable state holds it: unix nanoseconds.
+func stamp(t time.Time) int64 { return t.UnixNano() }
 
-// workerTally accumulates one worker's share of a job.
-type workerTally struct {
-	tasks int
-	work  units.MFlops
+// clock converts a durable timestamp to the pool clock the wire speaks —
+// seconds since the dispatcher's epoch; zero ("not yet") stays 0.
+func (d *Dispatcher) clock(ns int64) float64 {
+	if ns == 0 {
+		return 0
+	}
+	return float64(d.pool.Since(time.Unix(0, ns)))
 }
 
 // emits is the ordered list of job events a locked transition
@@ -256,26 +226,19 @@ type Dispatcher struct {
 	order    []*job // every retained job, submission order
 	pending  []*job // queued jobs, submission order
 	active   []*job // running jobs, admission order
-	nextSeq  int
-	nextWire int32 // dispatcher-global wire task IDs (see WireIDLocked)
 
-	// served is the fair-share ledger: admitted work (MFLOPs) per
-	// tenant; virtual time is served/weight.
-	served map[string]float64
+	// durable is the dispatcher-global durable state in the form the
+	// snapshot file writes it: the LSN of the last record it reflects,
+	// NextSeq, NextWire (see WireIDLocked), the lifetime counters, and
+	// Served — the fair-share ledger, admitted work (MFLOPs) per tenant;
+	// virtual time is served/weight. Start and Jobs stay zero here:
+	// snapshotLocked fills them in.
+	durable JournalSnapshot
 
 	// jour is the open journal when Config.JournalDir is set;
 	// replaySec is how long the startup replay took (for telemetry).
 	jour      *journal
 	replaySec float64
-
-	// Cumulative counters for Snapshot and metrics.
-	tasksSubmitted int
-	tasksDone      int
-	reissued       int
-	batches        int
-	doneCount      int
-	failedCount    int
-	cancelCount    int
 }
 
 // New returns a dispatcher ready to serve; call Serve.
@@ -305,7 +268,6 @@ func New(cfg Config) (*Dispatcher, error) {
 		retain:      cfg.Retain,
 		retainGrace: cfg.RetainGrace,
 		jobsByID:    map[string]*job{},
-		served:      map[string]float64{},
 	}
 	d.pool, err = dist.NewPool(cfg.PoolConfig, d)
 	if err != nil {
@@ -389,7 +351,7 @@ func (d *Dispatcher) Submit(sub dist.JobSubmission) (dist.JobInfo, error) {
 		d.mu.Unlock()
 		return dist.JobInfo{}, errors.New("jobs: dispatcher closed")
 	}
-	seq := d.nextSeq + 1
+	seq := d.durable.NextSeq + 1
 	p := JournalSubmit{Job: JournalJob{
 		ID:          fmt.Sprintf("job-%04d", seq),
 		Seq:         seq,
@@ -400,7 +362,7 @@ func (d *Dispatcher) Submit(sub dist.JobSubmission) (dist.JobInfo, error) {
 		State:       StateQueued,
 		Total:       len(sub.Tasks),
 		Budget:      budget,
-		SubmittedAt: now.UnixNano(),
+		SubmittedAt: stamp(now),
 		Tasks:       sub.Tasks,
 	}}
 	if d.policy == PolicyFair {
@@ -419,10 +381,10 @@ func (d *Dispatcher) Submit(sub dist.JobSubmission) (dist.JobInfo, error) {
 		d.appendLocked(p.record())
 	}
 	ems := emits{{Queued: &observe.JobQueued{
-		ID:       j.id,
-		Tenant:   j.tenant,
-		Priority: j.priority,
-		Tasks:    j.total,
+		ID:       j.ID,
+		Tenant:   j.Tenant,
+		Priority: j.Priority,
+		Tasks:    j.Total,
 		Queued:   len(d.pending),
 		At:       d.pool.Since(now),
 	}}}
@@ -443,35 +405,36 @@ func (d *Dispatcher) Submit(sub dist.JobSubmission) (dist.JobInfo, error) {
 func (d *Dispatcher) liftedLocked(tenant string) float64 {
 	live := func(t string) bool {
 		for _, j := range d.pending {
-			if j.tenant == t {
+			if j.Tenant == t {
 				return true
 			}
 		}
 		for _, j := range d.active {
-			if j.tenant == t {
+			if j.Tenant == t {
 				return true
 			}
 		}
 		return false
 	}
+	served := d.durable.Served
 	if live(tenant) {
-		return d.served[tenant] // already competing: no adjustment mid-stream
+		return served[tenant] // already competing: no adjustment mid-stream
 	}
 	minVT := math.Inf(1)
 	any := false
-	for t := range d.served {
+	for t := range served {
 		if t != tenant && live(t) {
-			if vt := d.served[t] / d.weight(t); vt < minVT {
+			if vt := served[t] / d.weight(t); vt < minVT {
 				minVT = vt
 				any = true
 			}
 		}
 	}
 	w := d.weight(tenant)
-	if any && minVT > d.served[tenant]/w {
+	if any && minVT > served[tenant]/w {
 		return minVT * w
 	}
-	return d.served[tenant]
+	return served[tenant]
 }
 
 // weight is a tenant's fair-share weight (1 when unconfigured).
@@ -489,7 +452,7 @@ func (d *Dispatcher) pickLocked() *job {
 	case PolicyPriority:
 		best := d.pending[0]
 		for _, j := range d.pending[1:] {
-			if j.priority > best.priority {
+			if j.Priority > best.Priority {
 				best = j // ties keep the earlier submission
 			}
 		}
@@ -502,11 +465,11 @@ func (d *Dispatcher) pickLocked() *job {
 		bestVT := math.Inf(1)
 		seen := map[string]struct{}{}
 		for _, j := range d.pending {
-			if _, dup := seen[j.tenant]; dup {
+			if _, dup := seen[j.Tenant]; dup {
 				continue
 			}
-			seen[j.tenant] = struct{}{}
-			if vt := d.served[j.tenant] / d.weight(j.tenant); vt < bestVT {
+			seen[j.Tenant] = struct{}{}
+			if vt := d.durable.Served[j.Tenant] / d.weight(j.Tenant); vt < bestVT {
 				best, bestVT = j, vt
 			}
 		}
@@ -528,9 +491,9 @@ func (d *Dispatcher) admitLocked(now time.Time) emits {
 		// The admission charge is the job's unscheduled work *now* —
 		// identical to its total on first admission, and only the
 		// remainder when a recovered job is re-admitted after a restart.
-		p := JournalAdmit{ID: j.id, At: now.UnixNano(), Charge: float64(j.queue.TotalSize())}
+		p := JournalAdmit{ID: j.ID, At: stamp(now), Charge: float64(j.queue.TotalSize())}
 		if d.policy == PolicyFair {
-			v := d.served[j.tenant] + p.Charge
+			v := d.durable.Served[j.Tenant] + p.Charge
 			p.Served = &v
 		}
 		d.applyAdmitLocked(j, &p)
@@ -538,11 +501,11 @@ func (d *Dispatcher) admitLocked(now time.Time) emits {
 			d.appendLocked(p.record())
 		}
 		d.rebalanceLocked()
-		waited := now.Sub(j.submittedAt).Seconds()
+		waited := time.Duration(p.At - j.SubmittedAt).Seconds()
 		d.met.schedLatency.Observe(waited)
 		ems = append(ems, dist.JobEvent{Started: &observe.JobStarted{
-			ID:      j.id,
-			Tenant:  j.tenant,
+			ID:      j.ID,
+			Tenant:  j.Tenant,
 			Workers: j.leased,
 			Waited:  units.Seconds(waited),
 			At:      d.pool.Since(now),
@@ -586,7 +549,7 @@ func (d *Dispatcher) finishLocked(j *job, state, errMsg string, now time.Time) e
 // unscheduled remainder. Returns the job_done event. Caller holds mu
 // and has checked the job is not already terminal.
 func (d *Dispatcher) retireLocked(j *job, state, errMsg string, now time.Time) dist.JobEvent {
-	p := JournalFinish{ID: j.id, State: state, Error: errMsg, At: now.UnixNano()}
+	p := JournalFinish{ID: j.ID, State: state, Error: errMsg, At: stamp(now)}
 	if d.policy == PolicyFair {
 		v := d.refundedLocked(j)
 		p.Served = &v
@@ -601,15 +564,15 @@ func (d *Dispatcher) retireLocked(j *job, state, errMsg string, now time.Time) d
 		d.appendLocked(p.record())
 	}
 	var dur float64
-	if !j.startedAt.IsZero() {
-		dur = now.Sub(j.startedAt).Seconds()
+	if j.StartedAt != 0 {
+		dur = time.Duration(p.At - j.StartedAt).Seconds()
 	}
 	return dist.JobEvent{Done: &observe.JobDone{
-		ID:        j.id,
-		Tenant:    j.tenant,
+		ID:        j.ID,
+		Tenant:    j.Tenant,
 		State:     state,
-		Completed: j.completed,
-		Retries:   j.retries,
+		Completed: j.Completed,
+		Retries:   j.Retries,
 		Duration:  units.Seconds(dur),
 		At:        d.pool.Since(now),
 	}}
@@ -625,8 +588,8 @@ func (d *Dispatcher) retireLocked(j *job, state, errMsg string, now time.Time) d
 // which is what keeps a second refund from finding anything. Caller
 // holds mu.
 func (d *Dispatcher) refundedLocked(j *job) float64 {
-	served := d.served[j.tenant]
-	if refund := j.charge - j.servedWork; j.charge > 0 && refund > 0 {
+	served := d.durable.Served[j.Tenant]
+	if refund := j.Charge - j.ServedWork; j.Charge > 0 && refund > 0 {
 		served = math.Max(served-refund, 0)
 	}
 	return served
@@ -638,7 +601,7 @@ func (d *Dispatcher) refundedLocked(j *job) float64 {
 // polling for the job it just submitted must be able to read the
 // terminal state at least once. Caller holds mu.
 func (d *Dispatcher) trimLocked(now time.Time) {
-	terminal := 0
+	terminal, at := 0, stamp(now)
 	for _, j := range d.order {
 		if j.terminal() {
 			terminal++
@@ -646,8 +609,8 @@ func (d *Dispatcher) trimLocked(now time.Time) {
 	}
 	for i := 0; terminal > d.retain && i < len(d.order); {
 		j := d.order[i]
-		if j.terminal() && now.Sub(j.finishedAt) >= d.retainGrace {
-			delete(d.jobsByID, j.id)
+		if j.terminal() && time.Duration(at-j.FinishedAt) >= d.retainGrace {
+			delete(d.jobsByID, j.ID)
 			d.order = append(d.order[:i], d.order[i+1:]...)
 			terminal--
 			continue
@@ -658,10 +621,8 @@ func (d *Dispatcher) trimLocked(now time.Time) {
 
 // removeJob removes j from s preserving order; no-op if absent.
 func removeJob(s []*job, j *job) []*job {
-	for i, x := range s {
-		if x == j {
-			return append(s[:i], s[i+1:]...)
-		}
+	if i := slices.Index(s, j); i >= 0 {
+		return slices.Delete(s, i, i+1)
 	}
 	return s
 }
@@ -702,7 +663,7 @@ func (d *Dispatcher) Cancel(id string) (dist.JobInfo, error) {
 		return dist.JobInfo{}, fmt.Errorf("jobs: unknown job %q", id)
 	}
 	if j.terminal() {
-		state := j.state
+		state := j.State
 		d.mu.Unlock()
 		return dist.JobInfo{}, fmt.Errorf("jobs: job %s already %s", id, state)
 	}
@@ -723,22 +684,21 @@ func (d *Dispatcher) Result(id string) (dist.JobResult, error) {
 		return dist.JobResult{}, fmt.Errorf("jobs: unknown job %q", id)
 	}
 	if !j.terminal() {
-		return dist.JobResult{}, fmt.Errorf("jobs: job %s still %s", id, j.state)
+		return dist.JobResult{}, fmt.Errorf("jobs: job %s still %s", id, j.State)
 	}
 	res := dist.JobResult{
-		ID:        j.id,
-		Tenant:    j.tenant,
-		State:     j.state,
-		Tasks:     j.total,
-		Completed: j.completed,
-		Retries:   j.retries,
-		Error:     j.errMsg,
-		Elapsed:   j.elapsedSum,
-		Duration:  float64(d.pool.Since(j.finishedAt) - d.pool.Since(j.startedAt)),
-		Workers:   j.workerResults(),
+		ID:        j.ID,
+		Tenant:    j.Tenant,
+		State:     j.State,
+		Tasks:     j.Total,
+		Completed: j.Completed,
+		Retries:   j.Retries,
+		Error:     j.Error,
+		Elapsed:   j.Elapsed,
+		Workers:   slices.Clone(j.Workers),
 	}
-	if j.startedAt.IsZero() {
-		res.Duration = 0
+	if j.StartedAt != 0 {
+		res.Duration = d.clock(j.FinishedAt) - d.clock(j.StartedAt)
 	}
 	return res, nil
 }
@@ -750,12 +710,7 @@ func (d *Dispatcher) Wait(id string, timeout time.Duration) (dist.JobInfo, error
 	var deadline time.Time
 	if timeout > 0 {
 		deadline = time.Now().Add(timeout)
-		t := time.AfterFunc(timeout, func() {
-			d.mu.Lock()
-			d.pool.Broadcast()
-			d.mu.Unlock()
-		})
-		defer t.Stop()
+		defer d.pool.WakeAfter(timeout).Stop()
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -771,7 +726,7 @@ func (d *Dispatcher) Wait(id string, timeout time.Duration) (dist.JobInfo, error
 			return d.infoLocked(j), errors.New("jobs: dispatcher closed")
 		}
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return d.infoLocked(j), fmt.Errorf("jobs: job %s still %s after %v", id, j.state, timeout)
+			return d.infoLocked(j), fmt.Errorf("jobs: job %s still %s after %v", id, j.State, timeout)
 		}
 		d.pool.WaitLocked()
 	}
@@ -780,28 +735,23 @@ func (d *Dispatcher) Wait(id string, timeout time.Duration) (dist.JobInfo, error
 // infoLocked builds a job's external view. Caller holds mu.
 func (d *Dispatcher) infoLocked(j *job) dist.JobInfo {
 	info := dist.JobInfo{
-		ID:          j.id,
-		Tenant:      j.tenant,
-		Priority:    j.priority,
-		State:       j.state,
-		Scheduler:   j.schName,
-		Tasks:       j.total,
-		Completed:   j.completed,
-		Retries:     j.retries,
-		RetryBudget: j.budget,
+		ID:          j.ID,
+		Tenant:      j.Tenant,
+		Priority:    j.Priority,
+		State:       j.State,
+		Scheduler:   j.Scheduler,
+		Tasks:       j.Total,
+		Completed:   j.Completed,
+		Retries:     j.Retries,
+		RetryBudget: j.Budget,
 		Workers:     j.leased,
-		Error:       j.errMsg,
-		SubmittedAt: float64(d.pool.Since(j.submittedAt)),
-		StartedAt:   float64(d.pool.Since(j.startedAt)),
-		FinishedAt:  float64(d.pool.Since(j.finishedAt)),
+		Error:       j.Error,
+		SubmittedAt: d.clock(j.SubmittedAt),
+		StartedAt:   d.clock(j.StartedAt),
+		FinishedAt:  d.clock(j.FinishedAt),
 	}
-	if j.state == StateQueued {
-		for i, p := range d.pending {
-			if p == j {
-				info.Position = i + 1
-				break
-			}
-		}
+	if j.State == StateQueued {
+		info.Position = slices.Index(d.pending, j) + 1
 	}
 	return info
 }

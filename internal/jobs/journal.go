@@ -13,13 +13,13 @@ package jobs
 // history; New replays snapshot+tail on startup. See
 // docs/job-journal.md for the record grammar and the recovery rules.
 //
-// The record payloads are also the only vocabulary of job-state change
-// (see the package comment): a live transition builds the payload with
-// the post-operation absolutes the record carries, applies it with the
-// kind's apply…Locked function below, and appends it when a journal is
-// open; replay looks the job up and calls the same function, so there
-// is no second copy of the arithmetic for recovered state to disagree
-// with.
+// The structs below are also the dispatcher's live state (see the
+// package comment): a job is held as its JournalJob, the counters as a
+// JournalSnapshot, and a record — carrying post-operation absolutes —
+// is the only vocabulary of change. A live transition applies its
+// record with the kind's apply…Locked function below and appends it
+// when a journal is open; replay calls the same function, so recovered
+// state has no second declaration or second arithmetic to disagree with.
 //
 // Appending under d.mu is deliberate: the journal is a plain
 // os.File write of an already-marshalled line (no connection I/O, no
@@ -36,12 +36,14 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"time"
+	"unicode"
 
 	"pnsched/internal/dist"
 	"pnsched/internal/task"
-	"pnsched/internal/units"
 )
 
 // Journal record kinds, one per dispatcher state transition.
@@ -137,8 +139,8 @@ type JournalJob struct {
 	Retries     int                    `json:"retries,omitempty"`
 	Budget      int                    `json:"retry_budget"`
 	Error       string                 `json:"error,omitempty"`
-	Charge      float64                `json:"charge,omitempty"`
-	ServedWork  float64                `json:"served_work,omitempty"`
+	Charge      float64                `json:"charge,omitempty"`      // what admission charged the tenant's ledger
+	ServedWork  float64                `json:"served_work,omitempty"` // the part of Charge served since
 	Elapsed     float64                `json:"elapsed,omitempty"`
 	SubmittedAt int64                  `json:"submitted_at"`
 	StartedAt   int64                  `json:"started_at,omitempty"`
@@ -251,10 +253,9 @@ func (p JournalFinish) record() *JournalRecord {
 type journal struct {
 	dir     string
 	f       *os.File
-	lsn     uint64 // last assigned LSN
-	appends int    // records appended since the last snapshot
-	every   int    // snapshot cadence in records; 0 disables
-	failed  error  // why journaling stopped, once an append or snapshot failed
+	appends int   // records appended since the last snapshot
+	every   int   // snapshot cadence in records; 0 disables
+	failed  error // why journaling stopped, once an append or snapshot failed
 }
 
 // openJournal creates the directory if needed and opens the journal
@@ -279,15 +280,10 @@ func openJournal(dir string, every int) (*journal, *JournalSnapshot, []*JournalR
 	var tail []*JournalRecord
 	path := filepath.Join(dir, journalFile)
 	if b, err := os.ReadFile(path); err == nil {
-		lines := bytes.Split(b, []byte("\n"))
-		// Find the last non-empty line: a decode failure there is a torn
-		// tail and is dropped; a failure earlier is real corruption.
-		last := -1
-		for i, ln := range lines {
-			if len(bytes.TrimSpace(ln)) > 0 {
-				last = i
-			}
-		}
+		// Trailing whitespace aside, the last line is the last append: a
+		// decode failure there is a torn tail and is dropped; a failure
+		// earlier is real corruption.
+		lines := bytes.Split(bytes.TrimRightFunc(b, unicode.IsSpace), []byte("\n"))
 		var prev uint64
 		for i, ln := range lines {
 			if len(bytes.TrimSpace(ln)) == 0 {
@@ -295,7 +291,7 @@ func openJournal(dir string, every int) (*journal, *JournalSnapshot, []*JournalR
 			}
 			rec, derr := decodeJournalRecord(ln)
 			if derr != nil {
-				if i == last {
+				if i == len(lines)-1 {
 					break // torn final append: replay what precedes it
 				}
 				return nil, nil, nil, fmt.Errorf("jobs: journal %s line %d: %w", journalFile, i+1, derr)
@@ -314,14 +310,7 @@ func openJournal(dir string, every int) (*journal, *JournalSnapshot, []*JournalR
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("jobs: journal: %w", err)
 	}
-	jr := &journal{dir: dir, f: f, every: every}
-	if snap != nil {
-		jr.lsn = snap.LSN
-	}
-	if n := len(tail); n > 0 {
-		jr.lsn = tail[n-1].LSN
-	}
-	return jr, snap, tail, nil
+	return &journal{dir: dir, f: f, every: every}, snap, tail, nil
 }
 
 // appendLocked assigns the next LSN, writes the record, and triggers a
@@ -334,8 +323,8 @@ func (d *Dispatcher) appendLocked(rec *JournalRecord) {
 	if jr == nil || jr.failed != nil || d.pool.ClosedLocked() {
 		return // Close stops journaling at the instant it stops serving
 	}
-	jr.lsn++
-	rec.LSN = jr.lsn
+	d.durable.LSN++
+	rec.LSN = d.durable.LSN
 	line, err := encodeJournalRecord(rec)
 	if err == nil {
 		_, err = jr.f.Write(line)
@@ -367,28 +356,17 @@ func (d *Dispatcher) Health() error {
 	return d.jour.failed
 }
 
-// snapshotLocked renders the dispatcher's whole durable state; the
-// caller stamps the LSN it covers. Caller holds d.mu.
+// snapshotLocked renders the dispatcher's whole durable state: the
+// header it holds, stamped with the epoch, and every retained job.
+// Caller holds d.mu.
 func (d *Dispatcher) snapshotLocked() *JournalSnapshot {
-	snap := &JournalSnapshot{
-		Start:          d.pool.Start.UnixNano(),
-		NextSeq:        d.nextSeq,
-		NextWire:       d.nextWire,
-		TasksSubmitted: d.tasksSubmitted,
-		TasksDone:      d.tasksDone,
-		Reissued:       d.reissued,
-		Batches:        d.batches,
-		Done:           d.doneCount,
-		Failed:         d.failedCount,
-		Cancelled:      d.cancelCount,
-	}
-	if len(d.served) > 0 {
-		snap.Served = maps.Clone(d.served)
-	}
+	snap := d.durable
+	snap.Start = stamp(d.pool.Start)
+	snap.Served = maps.Clone(snap.Served)
 	for _, j := range d.order {
 		snap.Jobs = append(snap.Jobs, d.journalJobLocked(j))
 	}
-	return snap
+	return &snap
 }
 
 // snapshotJournalLocked writes the full dispatcher state to the
@@ -397,9 +375,7 @@ func (d *Dispatcher) snapshotLocked() *JournalSnapshot {
 // the snapshot. Caller holds d.mu.
 func (d *Dispatcher) snapshotJournalLocked() error {
 	jr := d.jour
-	snap := d.snapshotLocked()
-	snap.LSN = jr.lsn
-	b, err := json.MarshalIndent(snap, "", "\t")
+	b, err := json.MarshalIndent(d.snapshotLocked(), "", "\t")
 	if err != nil {
 		return err
 	}
@@ -429,36 +405,13 @@ func (d *Dispatcher) snapshotJournalLocked() error {
 	return nil
 }
 
-// journalJobLocked renders one job in its snapshot form: a live job
-// carries its unfinished tasks — the unscheduled queue in order, then
-// the in-flight tasks in ID order — and a terminal job none. Caller
-// holds d.mu.
+// journalJobLocked renders one job in its snapshot form: the record it
+// is held as, and for a live job its unfinished tasks — the unscheduled
+// queue in order, then the in-flight tasks in ID order. Caller holds
+// d.mu.
 func (d *Dispatcher) journalJobLocked(j *job) JournalJob {
-	rj := JournalJob{
-		ID:          j.id,
-		Seq:         j.seq,
-		Tenant:      j.tenant,
-		Priority:    j.priority,
-		Spec:        j.spec,
-		Scheduler:   j.schName,
-		State:       j.state,
-		Total:       j.total,
-		Completed:   j.completed,
-		Retries:     j.retries,
-		Budget:      j.budget,
-		Error:       j.errMsg,
-		Charge:      j.charge,
-		ServedWork:  j.servedWork,
-		Elapsed:     j.elapsedSum,
-		SubmittedAt: j.submittedAt.UnixNano(),
-		Workers:     j.workerResults(),
-	}
-	if !j.startedAt.IsZero() {
-		rj.StartedAt = j.startedAt.UnixNano()
-	}
-	if !j.finishedAt.IsZero() {
-		rj.FinishedAt = j.finishedAt.UnixNano()
-	}
+	rj := j.JournalJob
+	rj.Workers = slices.Clone(j.Workers)
 	if !j.terminal() {
 		rj.Tasks = dist.TasksToWire(append(j.queue.Snapshot(), d.pool.InFlightLocked(j)...))
 	}
@@ -471,9 +424,11 @@ func (d *Dispatcher) journalJobLocked(j *job) JournalJob {
 // disk are checked first (addJobLocked, replayRecord).
 
 // addJobLocked installs one job from its durable form — a submit
-// record's payload or a snapshot entry. It is the only place a job is
-// constructed. The scheduler is not part of the durable form: Submit
-// sets the one it built, recovery resolves the spec again.
+// record's payload or a snapshot entry — refusing one no transition
+// could have produced. It is the only place a job is constructed: the
+// record is copied in and its tasks become the queue. The scheduler is
+// not part of the durable form: Submit sets the one it built, recovery
+// resolves the spec again.
 func (d *Dispatcher) addJobLocked(rj *JournalJob) (*job, error) {
 	if rj.ID == "" || rj.Seq <= 0 {
 		return nil, fmt.Errorf("jobs: journal job without id/seq (%q, %d)", rj.ID, rj.Seq)
@@ -481,46 +436,36 @@ func (d *Dispatcher) addJobLocked(rj *JournalJob) (*job, error) {
 	if _, dup := d.jobsByID[rj.ID]; dup {
 		return nil, fmt.Errorf("jobs: journal replays job %s twice", rj.ID)
 	}
-	if rj.Total < 0 || rj.Completed < 0 || rj.Retries < 0 {
-		return nil, fmt.Errorf("jobs: journal job %s has a negative count (total %d, completed %d, retries %d)",
+	switch rj.State {
+	case StateQueued, StateRunning, StateDone, StateFailed, StateCancelled:
+	default:
+		return nil, fmt.Errorf("jobs: journal job %s is in unknown state %q", rj.ID, rj.State)
+	}
+	if rj.Total < 0 || rj.Completed < 0 || rj.Retries < 0 || rj.Completed > rj.Total {
+		return nil, fmt.Errorf("jobs: journal job %s has impossible counts (total %d, completed %d, retries %d)",
 			rj.ID, rj.Total, rj.Completed, rj.Retries)
 	}
-	j := &job{
-		id:          rj.ID,
-		seq:         rj.Seq,
-		tenant:      rj.Tenant,
-		priority:    rj.Priority,
-		spec:        rj.Spec,
-		schName:     rj.Scheduler,
-		state:       rj.State,
-		queue:       task.NewQueue(len(rj.Tasks)),
-		total:       rj.Total,
-		completed:   rj.Completed,
-		retries:     rj.Retries,
-		budget:      rj.Budget,
-		errMsg:      rj.Error,
-		charge:      rj.Charge,
-		servedWork:  rj.ServedWork,
-		elapsedSum:  rj.Elapsed,
-		submittedAt: time.Unix(0, rj.SubmittedAt),
-		perWorker:   make(map[string]*workerTally, len(rj.Workers)),
-	}
+	j := &job{JournalJob: *rj, queue: task.NewQueue(len(rj.Tasks))}
 	j.queue.PushAll(dist.TasksFromWire(rj.Tasks))
-	if rj.StartedAt != 0 {
-		j.startedAt = time.Unix(0, rj.StartedAt)
-	}
-	if rj.FinishedAt != 0 {
-		j.finishedAt = time.Unix(0, rj.FinishedAt)
-	}
-	for _, wt := range rj.Workers {
-		j.perWorker[wt.Name] = &workerTally{tasks: wt.Tasks, work: units.MFlops(wt.Work)}
-	}
-	d.jobsByID[j.id] = j
+	j.Tasks = nil
+	j.Workers = slices.Clone(rj.Workers)
+	slices.SortFunc(j.Workers, func(a, b dist.JobWorkerResult) int { return strings.Compare(a.Name, b.Name) })
+	d.jobsByID[j.ID] = j
 	d.order = append(d.order, j)
-	if j.seq > d.nextSeq {
-		d.nextSeq = j.seq
-	}
+	d.durable.NextSeq = max(d.durable.NextSeq, j.Seq)
 	return j, nil
+}
+
+// ledgerLocked installs the tenant's ledger value a record carries
+// (fair policy only; nil otherwise).
+func (d *Dispatcher) ledgerLocked(tenant string, served *float64) {
+	if served == nil {
+		return
+	}
+	if d.durable.Served == nil {
+		d.durable.Served = map[string]float64{}
+	}
+	d.durable.Served[tenant] = *served
 }
 
 func (d *Dispatcher) applySubmitLocked(p *JournalSubmit) (*job, error) {
@@ -528,62 +473,56 @@ func (d *Dispatcher) applySubmitLocked(p *JournalSubmit) (*job, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.tasksSubmitted += j.total
-	if p.Served != nil {
-		d.served[j.tenant] = *p.Served
-	}
+	d.durable.TasksSubmitted += j.Total
+	d.ledgerLocked(j.Tenant, p.Served)
 	return j, nil
 }
 
 func (d *Dispatcher) applyAdmitLocked(j *job, p *JournalAdmit) {
-	j.state = StateRunning
-	j.startedAt = time.Unix(0, p.At)
-	j.charge = p.Charge
-	j.servedWork = 0
-	if p.Served != nil {
-		d.served[j.tenant] = *p.Served
-	}
+	j.State = StateRunning
+	j.StartedAt = p.At
+	j.Charge = p.Charge
+	j.ServedWork = 0
+	d.ledgerLocked(j.Tenant, p.Served)
 }
 
 func (d *Dispatcher) applyTaskLocked(j *job, p *JournalTask) {
-	j.completed++
-	j.servedWork += p.Work
-	j.elapsedSum += p.Elapsed
-	tally := j.perWorker[p.Worker]
-	if tally == nil {
-		tally = &workerTally{}
-		j.perWorker[p.Worker] = tally
+	j.Completed++
+	j.ServedWork += p.Work
+	j.Elapsed += p.Elapsed
+	i, ok := slices.BinarySearchFunc(j.Workers, p.Worker,
+		func(w dist.JobWorkerResult, name string) int { return strings.Compare(w.Name, name) })
+	if !ok {
+		j.Workers = slices.Insert(j.Workers, i, dist.JobWorkerResult{Name: p.Worker})
 	}
-	tally.tasks++
-	tally.work += units.MFlops(p.Work)
-	d.tasksDone++
+	j.Workers[i].Tasks++
+	j.Workers[i].Work += p.Work
+	d.durable.TasksDone++
 }
 
 func (d *Dispatcher) applyRetryLocked(j *job, p *JournalRetry) {
-	j.retries += p.Tasks
-	d.reissued += p.Tasks
+	j.Retries += p.Tasks
+	d.durable.Reissued += p.Tasks
 }
 
 // applyFinishLocked takes a job to the terminal state the payload
 // names: the unscheduled remainder is dropped and the admission charge
 // is settled (the refund is already inside p.Served).
 func (d *Dispatcher) applyFinishLocked(j *job, p *JournalFinish) {
-	j.state = p.State
-	j.errMsg = p.Error
-	j.finishedAt = time.Unix(0, p.At)
-	j.charge, j.servedWork = 0, 0
+	j.State = p.State
+	j.Error = p.Error
+	j.FinishedAt = p.At
+	j.Charge, j.ServedWork = 0, 0
 	j.queue.PopN(j.queue.Len())
 	switch p.State {
 	case StateDone:
-		d.doneCount++
+		d.durable.Done++
 	case StateFailed:
-		d.failedCount++
+		d.durable.Failed++
 	case StateCancelled:
-		d.cancelCount++
+		d.durable.Cancelled++
 	}
-	if p.Served != nil {
-		d.served[j.tenant] = *p.Served
-	}
+	d.ledgerLocked(j.Tenant, p.Served)
 }
 
 // recover opens the journal, replays snapshot+tail into the freshly
@@ -620,30 +559,31 @@ func (d *Dispatcher) recover(dir string, every int) (emits, error) {
 	// exhausts its budget. Pending is rebuilt in submission order with
 	// each live job's scheduler resolved again.
 	now := time.Now()
-	sort.Slice(d.order, func(a, b int) bool { return d.order[a].seq < d.order[b].seq })
+	sort.Slice(d.order, func(a, b int) bool { return d.order[a].Seq < d.order[b].Seq })
 	var ems emits
 	for _, j := range d.order {
 		why := ""
-		if j.state == StateRunning {
+		if j.State == StateRunning {
 			if d.policy == PolicyFair {
-				d.served[j.tenant] = d.refundedLocked(j)
+				v := d.refundedLocked(j)
+				d.ledgerLocked(j.Tenant, &v)
 			}
-			j.charge, j.servedWork = 0, 0
-			j.state = StateQueued
-			j.startedAt = time.Time{}
-			d.applyRetryLocked(j, &JournalRetry{ID: j.id, Tasks: 1})
-			if j.retries > j.budget {
-				why = fmt.Sprintf("retry budget exhausted: %d reissues exceed budget %d (dispatcher restarted mid-run)", j.retries, j.budget)
+			j.Charge, j.ServedWork = 0, 0
+			j.State = StateQueued
+			j.StartedAt = 0
+			d.applyRetryLocked(j, &JournalRetry{ID: j.ID, Tasks: 1})
+			if j.Retries > j.Budget {
+				why = fmt.Sprintf("retry budget exhausted: %d reissues exceed budget %d (dispatcher restarted mid-run)", j.Retries, j.Budget)
 			}
 		}
-		if j.state != StateQueued {
+		if j.State != StateQueued {
 			continue // terminal: stays queryable as it finished
 		}
 		if why == "" {
-			sch, err := d.cfg.NewScheduler(j.spec)
+			sch, err := d.cfg.NewScheduler(j.Spec)
 			if err == nil {
 				j.sch = sch
-				j.schName = sch.Name()
+				j.Scheduler = sch.Name()
 				d.pending = append(d.pending, j)
 				continue
 			}
@@ -667,24 +607,19 @@ func (d *Dispatcher) recover(dir string, every int) (emits, error) {
 	return ems, nil
 }
 
-// replayLocked loads a snapshot and applies the tail records above its
+// replayLocked loads a snapshot — whose header becomes the dispatcher's
+// own, snap.Served included — and applies the tail records above its
 // LSN: the journal's content and nothing else — what a restart changes
 // is recover's business. Caller holds d.mu on an empty dispatcher.
 func (d *Dispatcher) replayLocked(snap *JournalSnapshot, tail []*JournalRecord) error {
-	base := uint64(0)
 	if snap != nil {
-		base = snap.LSN
+		if min(snap.NextSeq, int(snap.NextWire), snap.TasksSubmitted, snap.TasksDone,
+			snap.Reissued, snap.Batches, snap.Done, snap.Failed, snap.Cancelled) < 0 {
+			return fmt.Errorf("jobs: snapshot %d holds a negative counter", snap.LSN)
+		}
 		d.pool.Start = time.Unix(0, snap.Start)
-		d.nextSeq = snap.NextSeq
-		d.nextWire = snap.NextWire
-		d.tasksSubmitted = snap.TasksSubmitted
-		d.tasksDone = snap.TasksDone
-		d.reissued = snap.Reissued
-		d.batches = snap.Batches
-		d.doneCount = snap.Done
-		d.failedCount = snap.Failed
-		d.cancelCount = snap.Cancelled
-		maps.Copy(d.served, snap.Served)
+		d.durable = *snap
+		d.durable.Start, d.durable.Jobs = 0, nil
 		for i := range snap.Jobs {
 			if _, err := d.addJobLocked(&snap.Jobs[i]); err != nil {
 				return err
@@ -695,12 +630,13 @@ func (d *Dispatcher) replayLocked(snap *JournalSnapshot, tail []*JournalRecord) 
 	// completed IDs are collected per job and each queue filtered once.
 	retired := map[*job][]task.ID{}
 	for _, rec := range tail {
-		if rec.LSN <= base {
+		if rec.LSN <= d.durable.LSN {
 			continue // already covered by the snapshot
 		}
 		if err := d.replayRecord(rec, retired); err != nil {
 			return err
 		}
+		d.durable.LSN = rec.LSN
 	}
 	for j, ids := range retired {
 		j.retireQueued(ids)
@@ -708,58 +644,55 @@ func (d *Dispatcher) replayLocked(snap *JournalSnapshot, tail []*JournalRecord) 
 	return nil
 }
 
-// replayRecord applies one decoded record: look the job up, check what
-// only a record from disk can get wrong, call the apply function the
+// replayRecord applies one decoded record: check what only a record
+// from disk can get wrong, look the job up, call the apply function the
 // live transition called. A completed task is noted in retired for
 // replayLocked to drop from the job's queue.
 func (d *Dispatcher) replayRecord(rec *JournalRecord, retired map[*job][]task.ID) error {
-	lookup := func(id string) (*job, error) {
-		j, ok := d.jobsByID[id]
-		if !ok {
-			return nil, fmt.Errorf("jobs: journal record %d names unknown job %q", rec.LSN, id)
-		}
-		return j, nil
-	}
+	var id string
 	switch rec.Kind {
 	case JournalKindSubmit:
-		if rj := &rec.Submit.Job; rj.Total != len(rj.Tasks) {
+		rj := &rec.Submit.Job
+		if rj.State != StateQueued || rj.Completed != 0 || rj.Retries != 0 {
+			return fmt.Errorf("jobs: journal record %d submits job %s already %s (completed %d, retries %d)",
+				rec.LSN, rj.ID, rj.State, rj.Completed, rj.Retries)
+		}
+		if rj.Total != len(rj.Tasks) {
 			return fmt.Errorf("jobs: journal record %d submits job %s with %d of its %d tasks",
 				rec.LSN, rj.ID, len(rj.Tasks), rj.Total)
 		}
 		_, err := d.applySubmitLocked(rec.Submit)
 		return err
 	case JournalKindAdmit:
-		j, err := lookup(rec.Admit.ID)
-		if err != nil {
-			return err
-		}
+		id = rec.Admit.ID
+	case JournalKindTask:
+		id = rec.Task.ID
+	case JournalKindRetry:
+		id = rec.Retry.ID
+	case JournalKindFinish:
+		id = rec.Finish.ID
+	}
+	j, ok := d.jobsByID[id]
+	if !ok {
+		return fmt.Errorf("jobs: journal record %d names unknown job %q", rec.LSN, id)
+	}
+	switch rec.Kind {
+	case JournalKindAdmit:
 		d.applyAdmitLocked(j, rec.Admit)
 	case JournalKindTask:
-		j, err := lookup(rec.Task.ID)
-		if err != nil {
-			return err
-		}
 		d.applyTaskLocked(j, rec.Task)
 		retired[j] = append(retired[j], task.ID(rec.Task.Task))
 	case JournalKindRetry:
-		j, err := lookup(rec.Retry.ID)
-		if err != nil {
-			return err
-		}
 		if rec.Retry.Tasks < 0 {
-			return fmt.Errorf("jobs: journal record %d spends %d retries on job %s", rec.LSN, rec.Retry.Tasks, j.id)
+			return fmt.Errorf("jobs: journal record %d spends %d retries on job %s", rec.LSN, rec.Retry.Tasks, id)
 		}
 		d.applyRetryLocked(j, rec.Retry)
 	case JournalKindFinish:
-		j, err := lookup(rec.Finish.ID)
-		if err != nil {
-			return err
-		}
 		switch rec.Finish.State {
 		case StateDone, StateFailed, StateCancelled:
 		default:
 			return fmt.Errorf("jobs: journal record %d finishes job %s into non-terminal state %q",
-				rec.LSN, j.id, rec.Finish.State)
+				rec.LSN, id, rec.Finish.State)
 		}
 		d.applyFinishLocked(j, rec.Finish)
 	}
@@ -773,12 +706,8 @@ func (j *job) retireQueued(ids []task.ID) {
 	for _, id := range ids {
 		gone[id] = struct{}{}
 	}
-	queued := j.queue.PopN(j.queue.Len())
-	kept := queued[:0]
-	for _, t := range queued {
-		if _, ok := gone[t.ID]; !ok {
-			kept = append(kept, t)
-		}
-	}
-	j.queue.PushAll(kept)
+	j.queue.PushAll(slices.DeleteFunc(j.queue.PopN(j.queue.Len()), func(t task.Task) bool {
+		_, ok := gone[t.ID]
+		return ok
+	}))
 }

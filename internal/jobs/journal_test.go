@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -301,6 +303,155 @@ func TestJournalSnapshotTruncates(t *testing.T) {
 	}
 }
 
+// The jobs no transition could have produced, as a snapshot file and as
+// submit records: the decoders accept them — they are well-formed — and
+// addJobLocked / replayRecord must refuse them. FuzzJournalRecord and
+// FuzzJournalSnapshot are seeded with the same bytes.
+var (
+	impossibleSnapshots = map[string]string{
+		"unknown state":        `{"lsn":1,"start":1,"next_seq":1,"jobs":[{"id":"job-0001","seq":1,"tenant":"a","state":"paused","total":1,"retry_budget":1,"submitted_at":1}]}`,
+		"no state":             `{"lsn":1,"start":1,"next_seq":1,"jobs":[{"id":"job-0001","seq":1,"tenant":"a","state":"","total":1,"retry_budget":1,"submitted_at":1}]}`,
+		"completed over total": `{"lsn":1,"start":1,"next_seq":1,"jobs":[{"id":"job-0001","seq":1,"tenant":"a","state":"running","total":1,"completed":2,"retry_budget":1,"submitted_at":1,"started_at":2}]}`,
+		"negative counter":     `{"lsn":1,"start":1,"next_seq":1,"tasks_done":-4}`,
+	}
+	impossibleSubmits = map[string]string{
+		"unknown state":        `{"lsn":1,"kind":"submit","submit":{"job":{"id":"job-0001","seq":1,"tenant":"a","state":"paused","total":1,"retry_budget":1,"submitted_at":1,"tasks":[{"id":0,"size":1}]}}}`,
+		"submitted running":    `{"lsn":1,"kind":"submit","submit":{"job":{"id":"job-0001","seq":1,"tenant":"a","state":"running","total":1,"retry_budget":1,"submitted_at":1,"tasks":[{"id":0,"size":1}]}}}`,
+		"submitted done":       `{"lsn":1,"kind":"submit","submit":{"job":{"id":"job-0001","seq":1,"tenant":"a","state":"done","total":1,"retry_budget":1,"submitted_at":1,"tasks":[{"id":0,"size":1}]}}}`,
+		"submitted with work":  `{"lsn":1,"kind":"submit","submit":{"job":{"id":"job-0001","seq":1,"tenant":"a","state":"queued","total":1,"completed":1,"retry_budget":1,"submitted_at":1,"tasks":[{"id":0,"size":1}]}}}`,
+		"submitted with spend": `{"lsn":1,"kind":"submit","submit":{"job":{"id":"job-0001","seq":1,"tenant":"a","state":"queued","total":1,"retries":1,"retry_budget":1,"submitted_at":1,"tasks":[{"id":0,"size":1}]}}}`,
+	}
+)
+
+// replayFresh replays a snapshot and tail into a new journal-less
+// dispatcher, closed when the test ends.
+func replayFresh(t testing.TB, snap *JournalSnapshot, tail []*JournalRecord) (*Dispatcher, error) {
+	t.Helper()
+	d, err := New(Config{NewScheduler: journalFactory, Policy: PolicyFair})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	t.Cleanup(func() { d.Close() })
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d, d.replayLocked(snap, tail)
+}
+
+// TestReplayRefusesImpossibleJobs: state read from disk is checked. A
+// job in a state that is none of the five would be neither pending,
+// active nor terminal — never admitted, never trimmed, reported for
+// ever — so recovery refuses it, and the other impossible records with
+// it, instead of installing them.
+func TestReplayRefusesImpossibleJobs(t *testing.T) {
+	replay := func(t *testing.T, snap *JournalSnapshot, tail []*JournalRecord) error {
+		_, err := replayFresh(t, snap, tail)
+		return err
+	}
+	for name, file := range impossibleSnapshots {
+		t.Run("snapshot/"+name, func(t *testing.T) {
+			var snap JournalSnapshot
+			if err := json.Unmarshal([]byte(file), &snap); err != nil {
+				t.Fatalf("the snapshot is meant to decode: %v", err)
+			}
+			if err := replay(t, &snap, nil); err == nil {
+				t.Errorf("replayed %s", file)
+			}
+		})
+	}
+	for name, line := range impossibleSubmits {
+		t.Run("submit/"+name, func(t *testing.T) {
+			rec, err := decodeJournalRecord([]byte(line))
+			if err != nil {
+				t.Fatalf("the record is meant to decode: %v", err)
+			}
+			if err := replay(t, nil, []*JournalRecord{rec}); err == nil {
+				t.Errorf("replayed %s", line)
+			}
+		})
+	}
+	// What recovery does read every day still replays.
+	golden, err := os.ReadFile(goldenPath("journal_snapshot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap JournalSnapshot
+	if err := json.Unmarshal(golden, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := replay(t, &snap, nil); err != nil {
+		t.Errorf("the golden snapshot no longer replays: %v", err)
+	}
+}
+
+// fillDistinct sets every field of the struct v to a non-zero value no
+// other field holds, skipping the named ones. A field of a kind it does
+// not know fails the test: whoever adds one decides here how it is
+// filled, and the round trip below then covers it.
+func fillDistinct(t *testing.T, v reflect.Value, n *int, skip ...string) {
+	t.Helper()
+	for i := 0; i < v.NumField(); i++ {
+		name, f := v.Type().Field(i).Name, v.Field(i)
+		if slices.Contains(skip, name) {
+			continue
+		}
+		*n++
+		switch {
+		case f.CanInt():
+			f.SetInt(int64(*n))
+		case f.CanUint():
+			f.SetUint(uint64(*n))
+		case f.CanFloat():
+			f.SetFloat(float64(*n) + 0.5)
+		case f.Kind() == reflect.String:
+			f.SetString(fmt.Sprintf("%s-%d", name, *n))
+		case f.Type() == reflect.TypeFor[json.RawMessage]():
+			f.SetBytes(fmt.Appendf(nil, `{"n":%d}`, *n))
+		case f.Type() == reflect.TypeFor[map[string]float64]():
+			f.Set(reflect.ValueOf(map[string]float64{fmt.Sprintf("%s-%d", name, *n): float64(*n) + 0.5}))
+		default:
+			t.Fatalf("fillDistinct: field %s has kind %s; teach it", name, f.Type())
+		}
+	}
+}
+
+// TestDurableStateRoundTrips: no durable field can be dropped between
+// disk and memory. Every field of JournalJob and of the JournalSnapshot
+// header — found by reflection, so a field added later is covered the
+// day it is added — goes in through replayLocked / addJobLocked with a
+// value of its own and must come back out of snapshotLocked unchanged.
+func TestDurableStateRoundTrips(t *testing.T) {
+	n := 0
+	job := JournalJob{
+		Tasks:   []dist.WireTask{{ID: 3, Size: 5.5}, {ID: 9, Size: 2}},
+		Workers: []dist.JobWorkerResult{{Name: "node1", Tasks: 2, Work: 7.5}, {Name: "node2", Tasks: 1, Work: 3}},
+	}
+	fillDistinct(t, reflect.ValueOf(&job).Elem(), &n, "Tasks", "Workers")
+	// The two constraints the values are under: a live state, so the
+	// remaining tasks are part of the durable form, and no more completed
+	// than there are.
+	job.State = StateRunning
+	job.Total += job.Completed
+	want := JournalSnapshot{Jobs: []JournalJob{job}}
+	fillDistinct(t, reflect.ValueOf(&want).Elem(), &n, "Jobs")
+
+	var in JournalSnapshot
+	if err := json.Unmarshal(mustJSON(want), &in); err != nil { // a private copy: replayLocked owns what it is given
+		t.Fatal(err)
+	}
+	d, err := replayFresh(t, &in, nil)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if j := d.jobsByID[job.ID]; j == nil || j.Tasks != nil {
+		t.Errorf("job %s in memory: %+v; want it held, its tasks in the queue only", job.ID, j)
+	}
+	if got := d.snapshotLocked(); !reflect.DeepEqual(got, &want) {
+		t.Errorf("durable state changed on the way through memory\nin  %s\nout %s", mustJSON(want), mustJSON(got))
+	}
+}
+
 // FuzzJournalRecord fuzzes the journal record decoder and the code that
 // applies what it accepts, mirroring dist's FuzzWireMessage. The
 // invariants, whatever the input:
@@ -335,6 +486,9 @@ func FuzzJournalRecord(f *testing.F) {
 		``,
 	}
 	for _, s := range seeds {
+		f.Add([]byte(s))
+	}
+	for _, s := range impossibleSubmits {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, line []byte) {
@@ -378,18 +532,76 @@ func FuzzJournalRecord(f *testing.F) {
 			return
 		}
 		for name, n := range map[string]int{
-			"tasks submitted": d.tasksSubmitted, "tasks done": d.tasksDone, "reissued": d.reissued,
-			"done": d.doneCount, "failed": d.failedCount, "cancelled": d.cancelCount,
+			"tasks submitted": d.durable.TasksSubmitted, "tasks done": d.durable.TasksDone, "reissued": d.durable.Reissued,
+			"done": d.durable.Done, "failed": d.durable.Failed, "cancelled": d.durable.Cancelled,
 		} {
 			if n < 0 {
 				t.Fatalf("applied record left the %s counter at %d\n%s", name, n, enc)
 			}
 		}
 		for _, j := range d.order {
-			if j.total < 0 || j.completed < 0 || j.retries < 0 {
+			if j.Total < 0 || j.Completed < 0 || j.Retries < 0 {
 				t.Fatalf("applied record left job %s with total %d, completed %d, retries %d\n%s",
-					j.id, j.total, j.completed, j.retries, enc)
+					j.ID, j.Total, j.Completed, j.Retries, enc)
 			}
+		}
+	})
+}
+
+// FuzzJournalSnapshot fuzzes the other file recovery reads. Whatever
+// snapshot.json holds, once it decodes it is refused with an error or
+// applied — never a panic, never a negative counter — and what was
+// applied renders to a snapshot that replays again: a dispatcher that
+// recovered can always recover from what it writes next.
+func FuzzJournalSnapshot(f *testing.F) {
+	golden, err := os.ReadFile(goldenPath("journal_snapshot"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	for _, s := range impossibleSnapshots {
+		f.Add([]byte(s))
+	}
+	f.Add([]byte(`{"lsn":3,"start":1,"next_seq":2,"served":{},"jobs":[{"id":"a","seq":5,"state":"done","total":0,"retry_budget":0,"submitted_at":0,"tasks":[{"id":-1,"size":-1}],"workers":[{"name":"z"},{"name":"a"},{"name":"z"}]},{"id":"a","seq":6,"state":"queued"}]}`))
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{"jobs":[null]}`))
+	f.Fuzz(func(t *testing.T, file []byte) {
+		var snap JournalSnapshot
+		if json.Unmarshal(file, &snap) != nil {
+			return
+		}
+		d, err := replayFresh(t, &snap, nil)
+		if err != nil {
+			return
+		}
+		rendered := d.DurableStateForTest()
+		for name, n := range map[string]int{
+			"next_seq": rendered.NextSeq, "next_wire": int(rendered.NextWire),
+			"tasks submitted": rendered.TasksSubmitted, "tasks done": rendered.TasksDone,
+			"reissued": rendered.Reissued, "batches": rendered.Batches,
+			"done": rendered.Done, "failed": rendered.Failed, "cancelled": rendered.Cancelled,
+		} {
+			if n < 0 {
+				t.Fatalf("applied snapshot left the %s counter at %d\n%s", name, n, file)
+			}
+		}
+		for _, j := range rendered.Jobs {
+			if j.Total < 0 || j.Completed < 0 || j.Completed > j.Total || j.Retries < 0 {
+				t.Fatalf("applied snapshot left job %s with total %d, completed %d, retries %d\n%s",
+					j.ID, j.Total, j.Completed, j.Retries, file)
+			}
+		}
+		b, err := json.Marshal(rendered)
+		if err != nil {
+			t.Fatalf("applied snapshot does not render: %v\n%s", err, file)
+		}
+		var again JournalSnapshot
+		if err := json.Unmarshal(b, &again); err != nil {
+			t.Fatalf("rendered snapshot does not decode: %v\n%s", err, b)
+		}
+		if _, err := replayFresh(t, &again, nil); err != nil {
+			t.Fatalf("rendered snapshot does not replay: %v\n%s", err, b)
 		}
 	})
 }

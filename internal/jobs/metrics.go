@@ -52,7 +52,7 @@ func newJobMetrics(reg *telemetry.Registry, d *Dispatcher) *jobMetrics {
 			defer d.mu.Unlock()
 			depth := map[string]int{}
 			for _, j := range d.pending {
-				depth[j.tenant]++
+				depth[j.Tenant]++
 			}
 			var out []telemetry.Sample
 			for tenant, n := range depth {
@@ -74,9 +74,9 @@ func newJobMetrics(reg *telemetry.Registry, d *Dispatcher) *jobMetrics {
 			}{
 				{StateQueued, len(d.pending)},
 				{StateRunning, len(d.active)},
-				{StateDone, d.doneCount},
-				{StateFailed, d.failedCount},
-				{StateCancelled, d.cancelCount},
+				{StateDone, d.durable.Done},
+				{StateFailed, d.durable.Failed},
+				{StateCancelled, d.durable.Cancelled},
 			}
 			out := make([]telemetry.Sample, 0, len(counts))
 			for _, c := range counts {

@@ -21,9 +21,9 @@ func (d *Dispatcher) LeaseLocked(*dist.Worker) any {
 		return nil
 	}
 	best := d.active[0]
-	bestKey := float64(best.leased) / d.weight(best.tenant)
+	bestKey := float64(best.leased) / d.weight(best.Tenant)
 	for _, j := range d.active[1:] {
-		if key := float64(j.leased) / d.weight(j.tenant); key < bestKey {
+		if key := float64(j.leased) / d.weight(j.Tenant); key < bestKey {
 			best, bestKey = j, key
 		}
 	}
@@ -33,13 +33,13 @@ func (d *Dispatcher) LeaseLocked(*dist.Worker) any {
 
 // LiveLocked implements dist.Owner: a job takes batches while it runs.
 func (d *Dispatcher) LiveLocked(lease any) bool {
-	return lease.(*job).state == StateRunning
+	return lease.(*job).State == StateRunning
 }
 
 // BatchLocked implements dist.Owner; invocations count per job.
 func (d *Dispatcher) BatchLocked(lease any) int {
 	j := lease.(*job)
-	d.batches++
+	d.durable.Batches++
 	j.batches++
 	return j.batches
 }
@@ -48,8 +48,8 @@ func (d *Dispatcher) BatchLocked(lease any) int {
 // dispatcher-global wire ID, so tasks of different jobs — whose own ID
 // spaces may collide — never alias on one connection.
 func (d *Dispatcher) WireIDLocked(task.Task) int32 {
-	d.nextWire++
-	return d.nextWire
+	d.durable.NextWire++
+	return d.durable.NextWire
 }
 
 // DoneLocked implements dist.Owner: the task record — counters and
@@ -57,12 +57,12 @@ func (d *Dispatcher) WireIDLocked(task.Task) int32 {
 // job's completion.
 func (d *Dispatcher) DoneLocked(lease any, worker string, t task.Task, elapsed units.Seconds, now time.Time) emits {
 	j := lease.(*job)
-	p := JournalTask{ID: j.id, Task: int32(t.ID), Worker: worker, Elapsed: float64(elapsed), Work: float64(t.Size)}
+	p := JournalTask{ID: j.ID, Task: int32(t.ID), Worker: worker, Elapsed: float64(elapsed), Work: float64(t.Size)}
 	d.applyTaskLocked(j, &p)
 	if d.jour != nil {
 		d.appendLocked(p.record())
 	}
-	if j.state == StateRunning && j.completed == j.total {
+	if j.State == StateRunning && j.Completed == j.Total {
 		return d.finishLocked(j, StateDone, "", now)
 	}
 	return nil
@@ -83,16 +83,16 @@ func (d *Dispatcher) LostLocked(lease any, worker string, lost []task.Task, now 
 		return 0, nil
 	}
 	j.queue.PushAll(lost)
-	p := JournalRetry{ID: j.id, Tasks: len(lost)}
+	p := JournalRetry{ID: j.ID, Tasks: len(lost)}
 	d.applyRetryLocked(j, &p)
 	if d.jour != nil {
 		d.appendLocked(p.record())
 	}
 	var ems emits
-	if j.retries > j.budget {
+	if j.Retries > j.Budget {
 		ems = d.finishLocked(j, StateFailed,
 			fmt.Sprintf("retry budget exhausted: %d reissues exceed budget %d (worker %q lost)",
-				j.retries, j.budget, worker), now)
+				j.Retries, j.Budget, worker), now)
 	}
 	return len(lost), ems
 }
@@ -105,16 +105,16 @@ func (d *Dispatcher) UnsentLocked(lease any, ts []task.Task) {
 
 // StatsLocked implements dist.Owner.
 func (d *Dispatcher) StatsLocked(snap *dist.Snapshot) {
-	snap.Submitted = d.tasksSubmitted
-	snap.Completed = d.tasksDone
-	snap.Reissued = d.reissued
-	snap.Batches = d.batches
+	snap.Submitted = d.durable.TasksSubmitted
+	snap.Completed = d.durable.TasksDone
+	snap.Reissued = d.durable.Reissued
+	snap.Batches = d.durable.Batches
 	snap.Jobs = &dist.JobCounts{
 		Queued:    len(d.pending),
 		Running:   len(d.active),
-		Done:      d.doneCount,
-		Failed:    d.failedCount,
-		Cancelled: d.cancelCount,
+		Done:      d.durable.Done,
+		Failed:    d.durable.Failed,
+		Cancelled: d.durable.Cancelled,
 	}
 	for _, j := range d.pending {
 		snap.Pending += j.queue.Len()

@@ -76,7 +76,7 @@ func liveEqualsReplay(t *testing.T, policy Policy, seed int64) {
 		}
 		return fit[rng.Intn(len(fit))]
 	}
-	dispatchable := func(j *job) bool { return j.state == StateRunning && !j.queue.Empty() }
+	dispatchable := func(j *job) bool { return j.State == StateRunning && !j.queue.Empty() }
 	// take stands in for a batch going out: n of the job's unscheduled
 	// tasks in shuffled order, the rest back in the queue unsent.
 	take := func(j *job, n int) []task.Task {
@@ -127,7 +127,7 @@ func liveEqualsReplay(t *testing.T, policy Policy, seed int64) {
 			j := pick(func(j *job) bool { return !j.terminal() })
 			d.mu.Unlock()
 			if j != nil {
-				if _, err := d.Cancel(j.id); err != nil {
+				if _, err := d.Cancel(j.ID); err != nil {
 					t.Fatalf("step %d: Cancel: %v", step, err)
 				}
 			}
