@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race fuzz-smoke lint apicheck analyze docs-check bench bench-e2e bench-compare admin-smoke vulncheck ci
+.PHONY: build test race fuzz-smoke lint apicheck analyze docs-check bench bench-e2e bench-compare admin-smoke vulncheck size ci
 
 build:
 	$(GO) build ./...
@@ -100,5 +100,10 @@ vulncheck:
 	else \
 		echo "vulncheck: govulncheck not installed; skipping (CI runs it)"; \
 	fi
+
+# Non-test and test Go lines per package and in total (tools/ and
+# testdata/ excluded) — quote it before and after in a simplicity entry.
+size:
+	@sh scripts/size.sh
 
 ci: build lint apicheck analyze docs-check test race fuzz-smoke bench admin-smoke vulncheck

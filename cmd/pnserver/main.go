@@ -43,7 +43,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"os"
@@ -84,7 +83,7 @@ func main() {
 	flag.Parse()
 
 	if *listSch {
-		printSchedulers(os.Stdout)
+		pnsched.WriteSchedulerTable(os.Stdout)
 		return
 	}
 	if *stats != "" {
@@ -467,23 +466,6 @@ func statsMain(addr string) {
 	for i, w := range snap.Watchers {
 		fmt.Printf("  #%d: %d queued, %d dropped\n", i, w.Queued, w.Dropped)
 	}
-}
-
-// printSchedulers renders the registry with its metadata — the same
-// twelve-scheduler table the README documents.
-func printSchedulers(out io.Writer) {
-	fmt.Fprintf(out, "%-10s %-10s %-10s %s\n", "NAME", "MODE", "KIND", "SUMMARY")
-	for _, info := range pnsched.Infos() {
-		mode, kind := "immediate", "heuristic"
-		if info.Batch {
-			mode = "batch"
-		}
-		if info.GA {
-			kind = "GA"
-		}
-		fmt.Fprintf(out, "%-10s %-10s %-10s %s\n", info.Name, mode, kind, info.Summary)
-	}
-	fmt.Fprintln(out, "\nbatch-mode schedulers work with both pnsim and pnserver; immediate-mode only with pnsim.")
 }
 
 func fatal(err error) {

@@ -60,17 +60,7 @@ func main() {
 	flag.Parse()
 
 	if *listSch {
-		fmt.Printf("%-10s %-10s %-10s %s\n", "NAME", "MODE", "KIND", "SUMMARY")
-		for _, info := range pnsched.Infos() {
-			mode, kind := "immediate", "heuristic"
-			if info.Batch {
-				mode = "batch"
-			}
-			if info.GA {
-				kind = "GA"
-			}
-			fmt.Printf("%-10s %-10s %-10s %s\n", info.Name, mode, kind, info.Summary)
-		}
+		pnsched.WriteSchedulerTable(os.Stdout)
 		return
 	}
 	if *scenFile != "" {
@@ -91,7 +81,7 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		d, err := distByName(*dist, *mean, *variance, *lo, *hi)
+		d, err := workload.DistributionByName(*dist, *mean, *variance, *lo, *hi)
 		if err != nil {
 			fatal(err)
 		}
@@ -186,21 +176,6 @@ func runScenario(path string, gantt bool) {
 	if tl != nil {
 		fmt.Println()
 		tl.Gantt(os.Stdout, 96)
-	}
-}
-
-func distByName(name string, mean, variance, lo, hi float64) (workload.SizeDistribution, error) {
-	switch name {
-	case "normal":
-		return workload.Normal{Mean: units.MFlops(mean), Variance: variance}, nil
-	case "uniform":
-		return workload.Uniform{Lo: units.MFlops(lo), Hi: units.MFlops(hi)}, nil
-	case "poisson":
-		return workload.Poisson{Mean: units.MFlops(mean)}, nil
-	case "constant":
-		return workload.Constant{Size: units.MFlops(mean)}, nil
-	default:
-		return nil, fmt.Errorf("unknown distribution %q", name)
 	}
 }
 

@@ -34,18 +34,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var d workload.SizeDistribution
-	switch *dist {
-	case "normal":
-		d = workload.Normal{Mean: units.MFlops(*mean), Variance: *variance}
-	case "uniform":
-		d = workload.Uniform{Lo: units.MFlops(*lo), Hi: units.MFlops(*hi)}
-	case "poisson":
-		d = workload.Poisson{Mean: units.MFlops(*mean)}
-	case "constant":
-		d = workload.Constant{Size: units.MFlops(*mean)}
-	default:
-		fatal(fmt.Errorf("unknown distribution %q", *dist))
+	d, err := workload.DistributionByName(*dist, *mean, *variance, *lo, *hi)
+	if err != nil {
+		fatal(err)
 	}
 
 	spec := workload.Spec{N: *n, Sizes: d}

@@ -1,7 +1,20 @@
 // Package core implements the paper's contribution: the PN dynamic
 // genetic-algorithm scheduler for heterogeneous tasks on heterogeneous
-// processors (§3), together with the ZO comparator (Zomaya & Teh's
-// dynamic GA scheduler converted to heterogeneous rates, §4.1).
+// processors (§3). It is one scheduler type, PN, in three
+// configurations — the paper's PN, PN on an island-model ring, and the
+// ZO comparator (Zomaya & Teh's dynamic GA scheduler converted to
+// heterogeneous rates, §4.1) — that differ in data only. Every batch
+// decision is one GA run: a Problem snapshot, one lane per population
+// (the evaluator stack, the §3.5 rebalancer, the gene ledger, the
+// lowest makespan so far and the §3.4 budget predicate), driven by
+// ga.Run (Evolve) or island.Run (EvolveIsland) and closed by one
+// roll-up of the ledger into EvolveStats and the EvolveDone event.
+//
+// Batches are sized by one rule: Config.InitialBatch is the batch
+// size, exactly as configured, whenever the batch is fixed
+// (Config.FixedBatch, always for ZO) and until idle-time history
+// exists; after that the §3.7 dynamic rule sizes each batch, and
+// MinBatch/MaxBatch bound that rule only.
 //
 // A schedule is encoded as a permutation chromosome (§3.1): the unique
 // ids of the H tasks in the batch interleaved with M−1 delimiter

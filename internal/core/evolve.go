@@ -1,0 +1,337 @@
+package core
+
+import (
+	"context"
+
+	"pnsched/internal/ga"
+	"pnsched/internal/island"
+	"pnsched/internal/observe"
+	"pnsched/internal/rng"
+	"pnsched/internal/units"
+)
+
+// EvolveStats reports one GA scheduling run.
+type EvolveStats struct {
+	Result ga.Result
+	// BestMakespan is the lowest predicted makespan seen across all
+	// generations (§3.4 tracks "the individual with the lowest
+	// makespan").
+	BestMakespan units.Seconds
+	// Evals counts fitness evaluations, including those performed by
+	// the rebalancing heuristic. Under incremental evaluation an
+	// evaluation may be a cheap delta; GenesEvaluated is the work.
+	Evals int
+	// GenesEvaluated is the total evaluation work in chromosome
+	// positions scanned, across the GA engine and the §3.5 rebalancer
+	// (for island runs: summed over all islands).
+	GenesEvaluated int
+	// ModelledCost is the simulated scheduler compute time for the
+	// run: CostPerGene × GenesEvaluated (for island runs, × the
+	// busiest island's genes — the islands run in parallel).
+	ModelledCost units.Seconds
+}
+
+// IslandConfig parametrises the island-model variant of the PN
+// scheduler: how many populations evolve concurrently per batch
+// decision and how they exchange elites (see internal/island).
+type IslandConfig struct {
+	// Islands is the number of concurrent populations; values below 1
+	// (including zero) select runtime.NumCPU().
+	Islands int
+	// MigrationInterval is the generations between elite exchanges;
+	// values below 1 select island.DefaultMigrationInterval.
+	MigrationInterval int
+	// Migrants is the elites sent per exchange; 0 selects
+	// island.DefaultMigrants, negative disables migration.
+	Migrants int
+}
+
+// lane is one population of a GA run — the whole run under Evolve, one
+// island under EvolveIsland — and everything the paper's method keeps
+// per population: the evaluator stack with the gene ledger behind it,
+// the §3.5 rebalancer billing that same ledger, the lowest makespan
+// seen so far (§3.4) and the §3.4 budget predicate. Only the goroutine
+// evolving a lane touches it while the run is in flight.
+type lane struct {
+	p      *Problem
+	cfg    Config        // defaults applied
+	budget units.Seconds // modelled time until the first processor idles
+
+	// eval is what the engine scores with and the one gene ledger of
+	// the lane: the budget predicate and the final bill both read it,
+	// rebalancer work included.
+	eval interface {
+		ga.Evaluator
+		ga.GeneCounter
+	}
+	inc *IncrementalEvaluator // eval, unless cfg.NaiveEvaluation
+	rb  *Rebalancer
+
+	bestMk    units.Seconds   // §3.4: the lowest makespan seen so far
+	mkScratch []units.Seconds // completion times, for the naive path's makespan
+	// worstGen upper-bounds the genes one more generation can bill: a
+	// full population sweep plus two evaluations per §3.5 rebalance
+	// attempt plus the mutation deltas (the incremental engine only
+	// ever does less), plus whatever the driver charges outside the
+	// generation loop.
+	worstGen  int
+	budgetHit bool
+}
+
+// newLane builds one lane over the problem and the engine configuration
+// that evolves it; the driver adds its stop wiring (atTarget,
+// overBudget). cfg must have defaults applied. reserve is the gene work
+// charged to the lane's ledger between generations — island runs pass
+// the per-round migration charge (each injected migrant is one full
+// evaluation) — so the budget predicate holds room for it.
+func newLane(p *Problem, cfg Config, budget units.Seconds, reserve int) (*lane, ga.Config) {
+	l := &lane{
+		p: p, cfg: cfg, budget: budget,
+		rb:     NewRebalancer(p),
+		bestMk: units.Inf(),
+	}
+	if cfg.NaiveEvaluation {
+		counting := &countingEvaluator{eval: p.Evaluator()}
+		l.rb.charge = counting.add
+		l.eval = counting
+		l.mkScratch = make([]units.Seconds, p.M)
+	} else {
+		l.inc = NewIncrementalEvaluator(p)
+		l.rb.BindSlots(l.inc)
+		l.eval = l.inc
+	}
+	muts := max(cfg.MutationsPerGeneration, 0) // negative is the operator-off sentinel
+	l.worstGen = ChromosomeLen(len(p.Batch), p.M)*(cfg.Population*(1+2*cfg.Rebalances)+muts) + reserve
+
+	gaCfg := ga.Config{
+		PopulationSize:         cfg.Population,
+		MaxGenerations:         cfg.Generations,
+		CrossoverFraction:      cfg.CrossoverFraction,
+		Crossover:              cfg.Crossover,
+		MutationsPerGeneration: cfg.MutationsPerGeneration,
+		Elitism:                true,
+		OnGeneration:           l.track,
+	}
+	if cfg.Rebalances > 0 {
+		gaCfg.PostGeneration = l.rebalance
+	}
+	return l, gaCfg
+}
+
+// track is the lane's ga.Config.OnGeneration: §3.4's lowest makespan
+// so far. The incremental engine already holds the best individual's
+// completion times; the naive path recomputes them (the duplicate work
+// the cache exists to avoid).
+func (l *lane) track(_ int, best ga.Chromosome, _ float64) {
+	mk, ok := units.Seconds(0), false
+	if l.inc != nil {
+		mk, ok = l.inc.BestMakespan()
+	}
+	if !ok {
+		mk = l.p.MakespanInto(best, l.mkScratch)
+	}
+	if mk < l.bestMk {
+		l.bestMk = mk
+	}
+}
+
+// rebalance is the lane's ga.Config.PostGeneration: the §3.5 heuristic
+// over every individual, in the lane's evaluation mode.
+func (l *lane) rebalance(pop []ga.Chromosome, r *rng.RNG) {
+	for i, ind := range pop {
+		if l.inc != nil {
+			l.rb.ApplySlot(i, ind, l.cfg.Rebalances, r)
+		} else {
+			l.rb.Apply(ind, l.cfg.Rebalances, r)
+		}
+	}
+}
+
+// atTarget is the §3.4 "less than a specified minimum" stop.
+func (l *lane) atTarget(int, float64) bool {
+	return l.cfg.TargetMakespan > 0 && l.bestMk <= l.cfg.TargetMakespan
+}
+
+// overBudget is the §3.4 stop-when-idle predicate — "The GA will also
+// stop evolving if one of the processors becomes idle" — modelled as
+// the lane's cumulative compute cost exhausting the time budget:
+// evolution stops before any generation whose worst-case cost could
+// push the bill past the budget. The check and ModelledCost read the
+// same ledger, so a run never overruns its budget; the price is
+// conservatism of at most one worst-case generation.
+func (l *lane) overBudget(int, float64) bool {
+	l.budgetHit = l.cfg.cost(l.eval.GenesEvaluated()+l.worstGen) > l.budget
+	return l.budgetHit
+}
+
+// finish closes a GA run over its lanes: the ledger is the sum of the
+// lanes', the bill follows the busiest lane — lanes run on separate
+// cores, and with one lane the sum is the maximum — and the observer
+// hears one BudgetStop if any lane ran out of budget (the run is one
+// scheduling decision, however many lanes hit it) and the one
+// EvolveDone. res carries the driver's best individual, generation
+// count, stop reason and engine evaluations.
+func finish(cfg Config, budget units.Seconds, lanes []*lane, res ga.Result) EvolveStats {
+	res.GenesEvaluated = 0
+	busiest, rbEvals, budgetHit := 0, 0, false
+	for _, l := range lanes {
+		genes := l.eval.GenesEvaluated()
+		res.GenesEvaluated += genes
+		busiest = max(busiest, genes)
+		rbEvals += l.rb.Evals
+		budgetHit = budgetHit || l.budgetHit
+	}
+	st := EvolveStats{
+		Result:         res,
+		BestMakespan:   lowestMakespan(lanes),
+		Evals:          res.Evaluations + rbEvals,
+		GenesEvaluated: res.GenesEvaluated,
+		ModelledCost:   cfg.cost(busiest),
+	}
+	if cfg.Observer == nil {
+		return st
+	}
+	if budgetHit {
+		cfg.Observer.OnBudgetStop(observe.BudgetStop{
+			Generation: res.Generations,
+			Budget:     budget,
+			Spent:      st.ModelledCost,
+		})
+	}
+	cfg.Observer.OnEvolveDone(observe.EvolveDone{
+		Generations:    res.Generations,
+		Evaluations:    st.Evals,
+		Genes:          st.GenesEvaluated,
+		RebalanceEvals: rbEvals,
+		Budget:         finiteOrZero(budget),
+		Spent:          st.ModelledCost,
+		BestMakespan:   finiteOrZero(st.BestMakespan),
+		Reason:         res.Reason.String(),
+	})
+	return st
+}
+
+// lowestMakespan is §3.4's lowest makespan so far across the lanes.
+func lowestMakespan(lanes []*lane) units.Seconds {
+	mk := units.Inf()
+	for _, l := range lanes {
+		if l.bestMk < mk {
+			mk = l.bestMk
+		}
+	}
+	return mk
+}
+
+// finiteOrZero maps the +Inf sentinel (unlimited budget, no makespan
+// seen yet) to zero so the EvolveDone ledger stays JSON-encodable end
+// to end.
+func finiteOrZero(b units.Seconds) units.Seconds {
+	if b.IsInf() {
+		return 0
+	}
+	return b
+}
+
+// countingEvaluator wraps the naive Problem evaluator with the gene
+// ledger the budget model reads: every full evaluation charges the
+// whole chromosome.
+type countingEvaluator struct {
+	eval  ga.Evaluator
+	genes int
+}
+
+func (e *countingEvaluator) Fitness(c ga.Chromosome) float64 {
+	e.genes += len(c)
+	return e.eval.Fitness(c)
+}
+
+// GenesEvaluated implements ga.GeneCounter.
+func (e *countingEvaluator) GenesEvaluated() int { return e.genes }
+
+func (e *countingEvaluator) add(genes int) { e.genes += genes }
+
+// Evolve runs the §3 genetic algorithm once over a problem: seeded with
+// the supplied population, evolving under the paper's stopping
+// conditions (generation cap, target makespan, and the budget — the
+// modelled time until the first processor goes idle). It returns the
+// best schedule found. It is one lane under ga.Run.
+func Evolve(p *Problem, cfg Config, initial []ga.Chromosome, budget units.Seconds, r *rng.RNG) EvolveStats {
+	cfg.applyDefaults()
+	l, gaCfg := newLane(p, cfg, budget, 0)
+	if cfg.Observer != nil {
+		gaCfg.OnGeneration = func(gen int, best ga.Chromosome, fitness float64) {
+			l.track(gen, best, fitness)
+			cfg.Observer.OnGenerationBest(observe.GenerationBest{Generation: gen, Makespan: l.bestMk})
+		}
+	}
+	gaCfg.Stop = func(gen int, fitness float64) bool {
+		return l.atTarget(gen, fitness) || l.overBudget(gen, fitness)
+	}
+	return finish(cfg, budget, []*lane{l}, ga.Run(gaCfg, l.eval, initial, r))
+}
+
+// EvolveIsland runs the §3 genetic algorithm as a parallel island
+// model over the problem: IslandConfig.Islands independent populations
+// evolve concurrently — each seeded with its own list-scheduling
+// population, rebalanced by its own §3.5 rebalancer, and stopped by
+// the same conditions Evolve honours (generation cap, target makespan,
+// and the budget until the first processor idles) — with ring
+// migration of elites between them. It is N lanes under island.Run.
+// Cancelling ctx aborts all islands promptly.
+//
+// The modelled scheduler cost is the parallel one: the islands run on
+// separate cores, so the charged compute time follows the busiest
+// island, not the sum — that is the speedup the island model buys.
+//
+// The §3.4 budget is enforced island-locally: each island stops once
+// its own gene ledger (it runs on its own core, so its own modelled
+// elapsed time) exhausts the budget. A local stop never cancels the
+// other islands mid-round, so budget- and cap-terminated runs stay
+// deterministic in (seed, N). A TargetMakespan stop goes through the
+// broadcast callback instead — the first island to reach the target
+// cancels the rest promptly, at a wall-clock-dependent generation, as
+// §3.4's early abort intends. See the internal/island package
+// documentation for the full contract.
+func EvolveIsland(ctx context.Context, p *Problem, cfg Config, icfg IslandConfig, budget units.Seconds, r *rng.RNG) EvolveStats {
+	cfg.applyDefaults()
+	islCfg := island.Config{
+		Islands:           icfg.Islands,
+		MigrationInterval: icfg.MigrationInterval,
+		Migrants:          icfg.Migrants,
+	}
+	// The per-round ring-migration injections (one full evaluation per
+	// migrant) are charged to the gene ledger outside the generation
+	// loop, so the budget predicate must reserve for them too.
+	reserve := ChromosomeLen(len(p.Batch), p.M) * min(islCfg.MigrantsPerExchange(), cfg.Population)
+
+	// island.Run sets the islands up one after another, before any of
+	// them evolves.
+	var lanes []*lane
+	setup := func(_ int, ri *rng.RNG) island.Setup {
+		l, gaCfg := newLane(p, cfg, budget, reserve)
+		lanes = append(lanes, l)
+		gaCfg.Stop = l.atTarget
+		return island.Setup{
+			GA:        gaCfg,
+			Eval:      l.eval,
+			Initial:   ListPopulation(p, cfg.Population, ri),
+			LocalStop: l.overBudget,
+		}
+	}
+	if cfg.Observer != nil {
+		islCfg.OnRound = func(_, gens int, _ ga.Chromosome, _ float64) {
+			cfg.Observer.OnGenerationBest(observe.GenerationBest{Generation: gens, Makespan: lowestMakespan(lanes)})
+		}
+		islCfg.OnMigration = func(round, migrated int) {
+			cfg.Observer.OnMigration(observe.Migration{Round: round, Migrants: migrated})
+		}
+	}
+	res := island.Run(ctx, islCfg, setup, r)
+	return finish(cfg, budget, lanes, ga.Result{
+		Best:        res.Best,
+		BestFitness: res.BestFitness,
+		Generations: res.Generations,
+		Reason:      res.Reason,
+		Evaluations: res.Evaluations,
+	})
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 
 	"pnsched/internal/ga"
@@ -28,7 +29,8 @@ const (
 	// DefaultInitialBatch is the batch size used before any idle-time
 	// history exists; §4.3 uses batches of 200.
 	DefaultInitialBatch = 200
-	// DefaultMaxBatch caps the dynamic batch size.
+	// DefaultMaxBatch caps the §3.7 dynamic batch size (a fixed batch
+	// is not capped).
 	DefaultMaxBatch = 1000
 	// DefaultNu is the smoothing factor for the Γs estimate driving the
 	// dynamic batch size.
@@ -41,10 +43,11 @@ const (
 	DefaultCostPerGene units.Seconds = 2e-7
 )
 
-// Config parametrises the GA schedulers (PN and ZO). The zero value of
-// most fields selects the paper's defaults; Rebalances is taken
-// literally (0 = pure GA), so use DefaultConfig as a starting point
-// when the paper's single-rebalance behaviour is wanted.
+// Config parametrises the GA scheduler in all three configurations
+// (PN, PN-ISLAND, ZO). The zero value of most fields selects the
+// paper's defaults; Rebalances is taken literally (0 = pure GA), so use
+// DefaultConfig as a starting point when the paper's single-rebalance
+// behaviour is wanted.
 type Config struct {
 	Population  int
 	Generations int
@@ -68,9 +71,10 @@ type Config struct {
 	// dynamic rule.
 	FixedBatch bool
 	// InitialBatch is the batch size used while no idle-time history
-	// exists (and the fixed batch size for ZO and FixedBatch mode).
+	// exists, and the fixed batch size for ZO and FixedBatch mode. It
+	// is taken as configured: MinBatch / MaxBatch do not apply to it.
 	InitialBatch int
-	// MinBatch / MaxBatch clamp the dynamic batch size.
+	// MinBatch / MaxBatch clamp the size the §3.7 dynamic rule computes.
 	MinBatch, MaxBatch int
 	// BatchScale multiplies Γs inside the §3.7 square root,
 	// H = ⌊√(scale·Γs + 1)⌋; 1.0 reproduces the paper's formula.
@@ -111,23 +115,17 @@ type Config struct {
 	Observer observe.Observer
 }
 
-// DefaultConfig returns the paper's configuration.
+// DefaultConfig returns the paper's configuration: every zero-value
+// default, plus the single §3.5 rebalance the zero value cannot say.
 func DefaultConfig() Config {
-	return Config{
-		Population:             DefaultPopulation,
-		Generations:            DefaultGenerations,
-		Rebalances:             DefaultRebalances,
-		CrossoverFraction:      0.8,
-		MutationsPerGeneration: 1,
-		Nu:                     DefaultNu,
-		InitialBatch:           DefaultInitialBatch,
-		MinBatch:               1,
-		MaxBatch:               DefaultMaxBatch,
-		BatchScale:             1,
-		CostPerGene:            DefaultCostPerGene,
-	}
+	cfg := Config{Rebalances: DefaultRebalances}
+	cfg.applyDefaults()
+	return cfg
 }
 
+// applyDefaults is the one place the paper's defaults are resolved.
+// The GA layer is handed these resolved values; only the negative
+// operator-off sentinels pass through for it to resolve.
 func (c *Config) applyDefaults() {
 	if c.Population == 0 {
 		c.Population = DefaultPopulation
@@ -135,9 +133,6 @@ func (c *Config) applyDefaults() {
 	if c.Generations == 0 {
 		c.Generations = DefaultGenerations
 	}
-	// Zero means "unset" (paper default); negative is the explicit
-	// disabled sentinel, kept as-is so the GA layer (which shares the
-	// convention) still sees it.
 	if c.CrossoverFraction == 0 {
 		c.CrossoverFraction = 0.8
 	}
@@ -164,305 +159,133 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// BuildProblem constructs a Problem from explicit system beliefs — used
-// by experiments (Figs. 3–4) that exercise the GA outside a running
-// simulation. rates, loads and comm must each have one entry per
-// processor; comm may be nil when includeComm is false.
-func BuildProblem(batch []task.Task, rates []units.Rate, loads []units.MFlops, comm []units.Seconds, includeComm bool) *Problem {
-	m := len(rates)
-	p := &Problem{
-		Batch:       batch,
-		Set:         task.NewSet(batch),
-		M:           m,
-		Rates:       append([]units.Rate(nil), rates...),
-		Loads:       make([]units.MFlops, m),
-		Comm:        make([]units.Seconds, m),
-		IncludeComm: includeComm,
-	}
-	if loads != nil {
-		copy(p.Loads, loads)
-	}
-	if comm != nil {
-		copy(p.Comm, comm)
-	}
-	p.indexSizes()
-	p.psi = p.computePsi()
-	return p
+// cost is the modelled scheduler compute time of evaluating genes
+// chromosome positions.
+func (c *Config) cost(genes int) units.Seconds {
+	return units.Seconds(float64(c.CostPerGene) * float64(genes))
 }
 
-// EvolveStats reports one GA scheduling run.
-type EvolveStats struct {
-	Result ga.Result
-	// BestMakespan is the lowest predicted makespan seen across all
-	// generations (§3.4 tracks "the individual with the lowest
-	// makespan").
-	BestMakespan units.Seconds
-	// Evals counts fitness evaluations, including those performed by
-	// the rebalancing heuristic. Under incremental evaluation an
-	// evaluation may be a cheap delta; GenesEvaluated is the work.
-	Evals int
-	// GenesEvaluated is the total evaluation work in chromosome
-	// positions scanned, across the GA engine and the §3.5 rebalancer
-	// (for island runs: summed over all islands).
-	GenesEvaluated int
-	// ModelledCost is the simulated scheduler compute time for the
-	// run: CostPerGene × GenesEvaluated (for island runs, × the
-	// busiest island's genes — the islands run in parallel).
-	ModelledCost units.Seconds
-}
-
-// evolveEvaluators builds the evaluation stack one GA run (or one
-// island) uses: the ga.Evaluator to drive the engine with, a
-// rebalancer wired to the same gene ledger, and the ledger reader the
-// §3.4 budget check polls. cfg must have defaults applied.
-func evolveEvaluators(p *Problem, cfg Config) (eval ga.Evaluator, rb *Rebalancer, genes func() int, inc *IncrementalEvaluator) {
-	rb = NewRebalancer(p)
-	if cfg.NaiveEvaluation {
-		counting := &countingEvaluator{eval: p.Evaluator()}
-		rb.charge = counting.add
-		return counting, rb, counting.GenesEvaluated, nil
-	}
-	inc = NewIncrementalEvaluator(p)
-	rb.BindSlots(inc)
-	return inc, rb, inc.GenesEvaluated, inc
-}
-
-// countingEvaluator wraps the naive Problem evaluator with the gene
-// ledger the budget model reads: every full evaluation charges the
-// whole chromosome.
-type countingEvaluator struct {
-	eval  ga.Evaluator
-	genes int
-}
-
-func (e *countingEvaluator) Fitness(c ga.Chromosome) float64 {
-	e.genes += len(c)
-	return e.eval.Fitness(c)
-}
-
-// GenesEvaluated implements ga.GeneCounter.
-func (e *countingEvaluator) GenesEvaluated() int { return e.genes }
-
-func (e *countingEvaluator) add(genes int) { e.genes += genes }
-
-// budgetStop returns the §3.4 stop-when-idle predicate over the gene
-// ledger: evolution stops before any generation whose worst-case cost
-// could push the cumulative bill past the budget. The check and
-// ModelledCost read the same ledger — rebalancer evaluations included
-// — so a run can never overrun its modelled time-to-first-idle budget
-// (the defect the old generation-count check had as soon as
-// Rebalances > 0). The price is conservatism of at most one worst-case
-// generation: a full population sweep plus two evaluations per §3.5
-// rebalance attempt plus the mutation deltas, which upper-bounds a
-// generation in both evaluation modes (the incremental engine only
-// ever does less).
-// extraGenes reserves work charged outside the generation loop —
-// island runs pass the per-round migration charge (each injected
-// migrant is one full evaluation).
-func budgetStop(cfg Config, p *Problem, budget units.Seconds, genes func() int, extraGenes int) func() bool {
-	if budget.IsInf() {
-		return func() bool { return false }
-	}
-	chrom := ChromosomeLen(len(p.Batch), p.M)
-	muts := cfg.MutationsPerGeneration
-	if muts < 0 { // disabled-operator sentinel
-		muts = 0
-	}
-	worstGen := chrom*(cfg.Population*(1+2*cfg.Rebalances)+muts) + extraGenes
-	return func() bool {
-		return units.Seconds(float64(cfg.CostPerGene)*float64(genes()+worstGen)) > budget
-	}
-}
-
-// bestMakespanOf reads the best individual's predicted makespan from
-// the incremental cache when one is live, recomputing from scratch
-// otherwise — shared by the sequential and island OnGeneration
-// observers.
-func bestMakespanOf(inc *IncrementalEvaluator, p *Problem, best ga.Chromosome, scratch []units.Seconds) units.Seconds {
-	if inc != nil {
-		if mk, ok := inc.BestMakespan(); ok {
-			return mk
-		}
-	}
-	return p.MakespanInto(best, scratch)
-}
-
-// Evolve runs the §3 genetic algorithm once over a problem: seeded with
-// the supplied population, evolving under the paper's stopping
-// conditions (generation cap, target makespan, and the budget — the
-// modelled time until the first processor goes idle). It returns the
-// best schedule found.
-func Evolve(p *Problem, cfg Config, initial []ga.Chromosome, budget units.Seconds, r *rng.RNG) EvolveStats {
-	cfg.applyDefaults()
-	eval, rb, genes, inc := evolveEvaluators(p, cfg)
-	overBudget := budgetStop(cfg, p, budget, genes, 0)
-
-	bestMakespan := units.Inf()
-	budgetHit := false
-	mkScratch := make([]units.Seconds, p.M)
-	gaCfg := ga.Config{
-		PopulationSize:         cfg.Population,
-		MaxGenerations:         cfg.Generations,
-		CrossoverFraction:      cfg.CrossoverFraction,
-		Crossover:              cfg.Crossover,
-		MutationsPerGeneration: cfg.MutationsPerGeneration,
-		Elitism:                true,
-		OnGeneration: func(gen int, best ga.Chromosome, _ float64) {
-			// The incremental engine already holds the best
-			// individual's completion times; the naive path recomputes
-			// them (the duplicate work the cache exists to avoid).
-			if mk := bestMakespanOf(inc, p, best, mkScratch); mk < bestMakespan {
-				bestMakespan = mk
-			}
-			if cfg.Observer != nil {
-				cfg.Observer.OnGenerationBest(observe.GenerationBest{Generation: gen, Makespan: bestMakespan})
-			}
-		},
-		Stop: func(gen int, _ float64) bool {
-			if cfg.TargetMakespan > 0 && bestMakespan <= cfg.TargetMakespan {
-				return true
-			}
-			// §3.4: "The GA will also stop evolving if one of the
-			// processors becomes idle" — modelled as the cumulative
-			// compute cost exhausting the time budget.
-			if overBudget() {
-				budgetHit = true
-				return true
-			}
-			return false
-		},
-	}
-	if cfg.Rebalances > 0 {
-		gaCfg.PostGeneration = postGeneration(rb, cfg.Rebalances, inc != nil)
-	}
-
-	res := ga.Run(gaCfg, eval, initial, r)
-	modelled := units.Seconds(float64(cfg.CostPerGene) * float64(genes()))
-	if budgetHit && cfg.Observer != nil {
-		cfg.Observer.OnBudgetStop(observe.BudgetStop{
-			Generation: res.Generations,
-			Budget:     budget,
-			Spent:      modelled,
-		})
-	}
-	if cfg.Observer != nil {
-		cfg.Observer.OnEvolveDone(observe.EvolveDone{
-			Generations:    res.Generations,
-			Evaluations:    res.Evaluations + rb.Evals,
-			Genes:          genes(),
-			RebalanceEvals: rb.Evals,
-			Budget:         finiteOrZero(budget),
-			Spent:          modelled,
-			BestMakespan:   finiteOrZero(bestMakespan),
-			Reason:         res.Reason.String(),
-		})
-	}
-	return EvolveStats{
-		Result:         res,
-		BestMakespan:   bestMakespan,
-		Evals:          res.Evaluations + rb.Evals,
-		GenesEvaluated: genes(),
-		ModelledCost:   modelled,
-	}
-}
-
-// finiteOrZero maps the +Inf sentinel (unlimited budget, no makespan
-// seen yet) to zero so the
-// EvolveDone ledger stays JSON-encodable end to end.
-func finiteOrZero(b units.Seconds) units.Seconds {
-	if b.IsInf() {
-		return 0
-	}
-	return b
-}
-
-// postGeneration builds the §3.5 rebalancing hook in the requested
-// evaluation mode.
-func postGeneration(rb *Rebalancer, rebalances int, slots bool) func(pop []ga.Chromosome, r *rng.RNG) {
-	if slots {
-		return func(pop []ga.Chromosome, r *rng.RNG) {
-			for i, ind := range pop {
-				rb.ApplySlot(i, ind, rebalances, r)
-			}
-		}
-	}
-	return func(pop []ga.Chromosome, r *rng.RNG) {
-		for _, ind := range pop {
-			rb.Apply(ind, rebalances, r)
-		}
-	}
-}
-
-// PN is the paper's scheduler: a dynamic batch-mode GA scheduler for
-// heterogeneous tasks on heterogeneous processors that predicts
-// communication costs from smoothed history, seeds its population with
-// a list-scheduling heuristic, improves individuals with the
-// rebalancing heuristic, and sizes batches dynamically from the
-// smoothed time-to-first-idle estimate (§3.7).
+// PN is the GA batch scheduler, in the three configurations the
+// registry names:
 //
-// PN implements sched.Batch and sched.BatchSizer. It is stateful (the
-// Γs smoother persists across invocations) and not safe for concurrent
-// use; create one PN per simulation.
+//   - PN (NewPN), the paper's scheduler: a dynamic batch-mode GA
+//     scheduler for heterogeneous tasks on heterogeneous processors
+//     that predicts communication costs from smoothed history, seeds
+//     its population with a list-scheduling heuristic, improves
+//     individuals with the §3.5 rebalancing heuristic, and can size
+//     batches dynamically from the smoothed time-to-first-idle
+//     estimate (§3.7).
+//   - PN-ISLAND (NewPNIsland): the same beliefs, seeding, batch sizing
+//     and §3.4 stopping conditions, but each batch decision evolves
+//     IslandConfig.Islands populations concurrently with ring
+//     migration — roughly N× the genetic search of PN per wall-clock
+//     second of scheduling time on an N-core scheduling processor.
+//   - ZO (NewZO), the comparator of §4.1: "The scheduler proposed by
+//     Zomaya et al. ... the current state of the art homogeneous GA
+//     scheduler and the basis for our scheduler", converted — as the
+//     paper did — to heterogeneous processors by expressing task sizes
+//     in MFLOPs against per-processor Mflop/s ratings. It differs
+//     exactly where the paper says the approaches differ: no
+//     communication-cost prediction ("the effect of communication is
+//     only considered after tasks or batches of tasks have been
+//     scheduled": fitness excludes the Γc term), a fixed batch size, a
+//     uniformly random initial population, and no rebalancing.
+//
+// The three differ in data only; one NextBatchSize and one
+// ScheduleBatch serve them all. PN implements sched.Batch and
+// sched.BatchSizer. It is stateful (the Γs smoother persists across
+// invocations) and not safe for concurrent use; create one per
+// simulation or server.
 type PN struct {
+	name        string
+	includeComm bool
+	// seed builds the initial population of a sequential run; island
+	// runs always list-seed each island from its own stream.
+	seed   func(p *Problem, size int, r *rng.RNG) []ga.Chromosome
+	island *IslandConfig // non-nil: evolve on an island ring
+
 	cfg Config
 	r   *rng.RNG
 	sp  *smoothing.Smoother
+}
+
+// newScheduler is the paper's configuration under the given name; the
+// other two constructors change its data.
+func newScheduler(name string, cfg Config, r *rng.RNG) *PN {
+	cfg.applyDefaults()
+	return &PN{name: name, includeComm: true, seed: ListPopulation, cfg: cfg, r: r, sp: smoothing.New(cfg.Nu)}
 }
 
 // NewPN returns a PN scheduler with the given configuration; zero
 // Config fields take the paper's defaults (note Rebalances: the zero
 // value means pure GA — use DefaultConfig() for the paper's single
 // rebalance).
-func NewPN(cfg Config, r *rng.RNG) *PN {
-	cfg.applyDefaults()
-	return &PN{cfg: cfg, r: r, sp: smoothing.New(cfg.Nu)}
+func NewPN(cfg Config, r *rng.RNG) *PN { return newScheduler("PN", cfg, r) }
+
+// NewPNIsland returns an island-model PN scheduler; zero cfg fields
+// take the paper's defaults (as NewPN) and zero icfg fields the island
+// defaults (NumCPU islands, interval 25, 2 migrants).
+func NewPNIsland(cfg Config, icfg IslandConfig, r *rng.RNG) *PN {
+	pn := newScheduler("PNI", cfg, r)
+	pn.island = &icfg
+	return pn
+}
+
+// NewZO returns a ZO scheduler. The Rebalances and FixedBatch fields
+// of cfg are ignored (ZO never rebalances and never sizes batches
+// dynamically); InitialBatch is its fixed batch size.
+func NewZO(cfg Config, r *rng.RNG) *PN {
+	cfg.Rebalances = 0
+	cfg.FixedBatch = true
+	zo := newScheduler("ZO", cfg, r)
+	zo.includeComm = false
+	zo.seed = RandomPopulation
+	return zo
 }
 
 // Name implements sched.Scheduler.
-func (pn *PN) Name() string { return "PN" }
+func (pn *PN) Name() string { return pn.name }
 
 // Config returns the effective configuration (defaults applied).
 func (pn *PN) Config() Config { return pn.cfg }
 
-// NextBatchSize implements sched.BatchSizer with the §3.7 rule
-// H_{p+1} = ⌊√(Γs_p + 1)⌋: batches large enough to keep the scheduling
-// processor fully used, small enough that no processor goes idle while
-// the GA runs. Before any idle-time history exists the configured
-// initial batch size is used.
+// IslandConfig returns the island-model parameters as configured; the
+// zero value for a scheduler that does not evolve on islands.
+func (pn *PN) IslandConfig() IslandConfig {
+	if pn.island == nil {
+		return IslandConfig{}
+	}
+	return *pn.island
+}
+
+// NextBatchSize implements sched.BatchSizer. A fixed batch
+// (Config.FixedBatch, and any batch before idle-time history exists)
+// is InitialBatch exactly as configured. The dynamic rule is §3.7's
+// H_{p+1} = ⌊√(Γs_p + 1)⌋ — batches large enough to keep the
+// scheduling processor fully used, small enough that no processor goes
+// idle while the GA runs — and MinBatch/MaxBatch bound that rule only.
 func (pn *PN) NextBatchSize(queued int, s sched.State) int {
-	return nextBatchSize(pn.cfg, pn.sp, queued, s)
-}
-
-// nextBatchSize applies the §3.7 dynamic batch-size rule — shared by
-// the sequential (PN) and island-model (PNIsland) schedulers, which
-// size batches identically.
-func nextBatchSize(cfg Config, sp *smoothing.Smoother, queued int, s sched.State) int {
-	h := cfg.InitialBatch
-	if fi := s.TimeUntilFirstIdle(); !cfg.FixedBatch && !fi.IsInf() {
-		gs := sp.Observe(cfg.BatchScale * float64(fi))
+	h := pn.cfg.InitialBatch
+	if fi := s.TimeUntilFirstIdle(); !pn.cfg.FixedBatch && !fi.IsInf() {
+		gs := pn.sp.Observe(pn.cfg.BatchScale * float64(fi))
 		h = int(math.Floor(math.Sqrt(gs + 1)))
+		h = min(max(h, pn.cfg.MinBatch), pn.cfg.MaxBatch)
 	}
-	if h < cfg.MinBatch {
-		h = cfg.MinBatch
-	}
-	if h > cfg.MaxBatch {
-		h = cfg.MaxBatch
-	}
-	if h > queued {
-		h = queued
-	}
-	if h < 1 {
-		h = 1
-	}
-	return h
+	return max(min(h, queued), 1)
 }
 
-// ScheduleBatch implements sched.Batch: snapshot the system, seed a
-// list-scheduling population, evolve under the §3.4 stopping conditions,
-// and return the best schedule plus the modelled scheduler compute time.
+// ScheduleBatch implements sched.Batch: snapshot the system, evolve
+// under the §3.4 stopping conditions — one seeded population, or one
+// per island — and return the best schedule plus the modelled scheduler
+// compute time.
 func (pn *PN) ScheduleBatch(batch []task.Task, s sched.State) (sched.Assignment, units.Seconds) {
-	p := NewProblem(batch, s, true)
-	initial := ListPopulation(p, pn.cfg.Population, pn.r)
-	st := Evolve(p, pn.cfg, initial, s.TimeUntilFirstIdle(), pn.r)
+	p := NewProblem(batch, s, pn.includeComm)
+	budget := s.TimeUntilFirstIdle()
+	var st EvolveStats
+	if pn.island != nil {
+		st = EvolveIsland(context.Background(), p, pn.cfg, *pn.island, budget, pn.r)
+	} else {
+		st = Evolve(p, pn.cfg, pn.seed(p, pn.cfg.Population, pn.r), budget, pn.r)
+	}
 	return p.Assignment(st.Result.Best), st.ModelledCost
 }

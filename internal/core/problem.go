@@ -80,22 +80,40 @@ func (p *Problem) sizeOf(sym int) units.MFlops {
 // NewProblem snapshots a scheduling decision from the scheduler's view.
 func NewProblem(batch []task.Task, s sched.State, includeComm bool) *Problem {
 	m := s.M()
+	rates := make([]units.Rate, m)
+	loads := make([]units.MFlops, m)
+	var comm []units.Seconds
+	if includeComm {
+		comm = make([]units.Seconds, m)
+	}
+	for j := 0; j < m; j++ {
+		rates[j] = s.Rate(j)
+		loads[j] = s.PendingLoad(j)
+		if includeComm {
+			comm[j] = s.CommEstimate(j)
+		}
+	}
+	return BuildProblem(batch, rates, loads, comm, includeComm)
+}
+
+// BuildProblem constructs a Problem from explicit system beliefs — used
+// by experiments (Figs. 3–4) that exercise the GA outside a running
+// simulation. rates, loads and comm must each have one entry per
+// processor; loads and comm may be nil (all zero). The vectors are
+// copied: a Problem never changes under the GA evaluating against it.
+func BuildProblem(batch []task.Task, rates []units.Rate, loads []units.MFlops, comm []units.Seconds, includeComm bool) *Problem {
+	m := len(rates)
 	p := &Problem{
 		Batch:       batch,
 		Set:         task.NewSet(batch),
 		M:           m,
-		Rates:       make([]units.Rate, m),
+		Rates:       append([]units.Rate(nil), rates...),
 		Loads:       make([]units.MFlops, m),
 		Comm:        make([]units.Seconds, m),
 		IncludeComm: includeComm,
 	}
-	for j := 0; j < m; j++ {
-		p.Rates[j] = s.Rate(j)
-		p.Loads[j] = s.PendingLoad(j)
-		if includeComm {
-			p.Comm[j] = s.CommEstimate(j)
-		}
-	}
+	copy(p.Loads, loads)
+	copy(p.Comm, comm)
 	p.indexSizes()
 	p.psi = p.computePsi()
 	return p

@@ -5,6 +5,7 @@ import (
 
 	"pnsched/internal/ga"
 	"pnsched/internal/rng"
+	"pnsched/internal/units"
 )
 
 // TestEngineStepAllocatesNothing pins the ownership contract of
@@ -33,11 +34,13 @@ func TestEngineStepAllocatesNothing(t *testing.T) {
 			cfg := ga.Config{PopulationSize: DefaultPopulation, MaxGenerations: 1 << 30, Elitism: true, Crossover: tc.op}
 			eval := p.Evaluator()
 			if !tc.plain {
-				inc := NewIncrementalEvaluator(p)
-				rb := NewRebalancer(p)
-				rb.BindSlots(inc)
-				cfg.PostGeneration = postGeneration(rb, DefaultRebalances, true)
-				eval = inc
+				// The production shape: the lane Evolve and every
+				// island run under.
+				lcfg := DefaultConfig()
+				lcfg.Generations, lcfg.Crossover = cfg.MaxGenerations, tc.op
+				var l *lane
+				l, cfg = newLane(p, lcfg, units.Inf(), 0)
+				eval = l.eval
 			}
 			e := ga.NewEngine(cfg, eval, ListPopulation(p, cfg.PopulationSize, r), r)
 			if n := testing.AllocsPerRun(200, func() { e.Step() }); n != 0 {

@@ -21,7 +21,7 @@
 // process the tasks they are assigned strictly in order. The pool
 // drives any sched.Batch
 // scheduler — in production the PN genetic algorithm (internal/core),
-// or its parallel island-model variant (core.PNIsland, opted into with
+// or its parallel island-model configuration (core.NewPNIsland, opted into with
 // pnserver's -islands flag) when the scheduling processor has cores to
 // spare — over dynamic batches drawn from the FCFS queue of unscheduled tasks,
 // exactly as the simulator does, but against the live machine set:

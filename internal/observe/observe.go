@@ -122,7 +122,8 @@ type Dispatch struct {
 // condition: the modelled evaluation cost exhausted the
 // time-until-first-idle budget.
 type BudgetStop struct {
-	// Generation is the generation at which the budget fired.
+	// Generation is the number of generations the run had completed
+	// when the budget fired (an island run's most advanced island's).
 	Generation int `json:"generation"`
 	// Budget is the time-to-first-idle allowance the run was given.
 	Budget units.Seconds `json:"budget"`

@@ -241,18 +241,9 @@ func (s *Spec) buildWorkload(r *rng.RNG, open func(string) (io.ReadCloser, error
 		defer f.Close()
 		return workload.ReadJSON(f)
 	}
-	var dist workload.SizeDistribution
-	switch s.Workload.Dist {
-	case "uniform":
-		dist = workload.Uniform{Lo: units.MFlops(s.Workload.Lo), Hi: units.MFlops(s.Workload.Hi)}
-	case "normal":
-		dist = workload.Normal{Mean: units.MFlops(s.Workload.Mean), Variance: s.Workload.Variance}
-	case "poisson":
-		dist = workload.Poisson{Mean: units.MFlops(s.Workload.Mean)}
-	case "constant":
-		dist = workload.Constant{Size: units.MFlops(s.Workload.Mean)}
-	default:
-		return nil, fmt.Errorf("scenario: unknown distribution %q", s.Workload.Dist)
+	dist, err := workload.DistributionByName(s.Workload.Dist, s.Workload.Mean, s.Workload.Variance, s.Workload.Lo, s.Workload.Hi)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
 	}
 	spec := workload.Spec{N: s.Workload.N, Sizes: dist}
 	if s.Workload.ArrivalGapS > 0 {

@@ -249,9 +249,9 @@ func TestPNIslandSpecDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pni, ok := cfg.Scheduler.(*core.PNIsland)
-	if !ok {
-		t.Fatalf("built %T, want *core.PNIsland", cfg.Scheduler)
+	pni, ok := cfg.Scheduler.(*core.PN)
+	if !ok || pni.Name() != "PNI" {
+		t.Fatalf("built %T %q, want the island configuration of *core.PN", cfg.Scheduler, cfg.Scheduler.Name())
 	}
 	if got := pni.IslandConfig().Islands; got != 0 {
 		t.Errorf("islands = %d, want 0 (defaulted to NumCPU at run time)", got)

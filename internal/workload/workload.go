@@ -117,6 +117,25 @@ func (c Constant) Name() string { return fmt.Sprintf("constant(%g)", float64(c.S
 // MeanSize implements SizeDistribution.
 func (c Constant) MeanSize() units.MFlops { return c.Size }
 
+// DistributionByName builds the size distribution a CLI flag or a
+// scenario file names — "normal", "uniform", "poisson" or "constant" —
+// from the parameters those surfaces share: mean is the mean of the
+// normal and Poisson distributions and the size of the constant one,
+// variance belongs to the normal, [lo, hi] to the uniform.
+func DistributionByName(name string, mean, variance, lo, hi float64) (SizeDistribution, error) {
+	switch name {
+	case "normal":
+		return Normal{Mean: units.MFlops(mean), Variance: variance}, nil
+	case "uniform":
+		return Uniform{Lo: units.MFlops(lo), Hi: units.MFlops(hi)}, nil
+	case "poisson":
+		return Poisson{Mean: units.MFlops(mean)}, nil
+	case "constant":
+		return Constant{Size: units.MFlops(mean)}, nil
+	}
+	return nil, fmt.Errorf("unknown distribution %q (want normal, uniform, poisson or constant)", name)
+}
+
 // ArrivalProcess assigns arrival times to a sequence of tasks.
 type ArrivalProcess interface {
 	// Next returns the arrival time of the next task given the previous

@@ -165,3 +165,22 @@ func TestTinySizesClamped(t *testing.T) {
 		}
 	}
 }
+
+func TestDistributionByName(t *testing.T) {
+	for name, want := range map[string]SizeDistribution{
+		"normal":   Normal{Mean: 100, Variance: 9},
+		"uniform":  Uniform{Lo: 10, Hi: 50},
+		"poisson":  Poisson{Mean: 100},
+		"constant": Constant{Size: 100},
+	} {
+		got, err := DistributionByName(name, 100, 9, 10, 50)
+		if err != nil || got != want {
+			t.Errorf("%s: got %#v, %v; want %#v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"", "Uniform", "zipf"} {
+		if d, err := DistributionByName(name, 100, 9, 10, 50); err == nil {
+			t.Errorf("%q accepted as %#v", name, d)
+		}
+	}
+}

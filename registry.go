@@ -2,6 +2,7 @@ package pnsched
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -106,6 +107,24 @@ func Infos() []Info {
 		out[i] = registry.info[c]
 	}
 	return out
+}
+
+// WriteSchedulerTable renders the registry with its metadata — what
+// pnsim -schedulers and pnserver -schedulers print, and the table the
+// README documents.
+func WriteSchedulerTable(w io.Writer) {
+	fmt.Fprintf(w, "%-10s %-10s %-10s %s\n", "NAME", "MODE", "KIND", "SUMMARY")
+	for _, info := range Infos() {
+		mode, kind := "immediate", "heuristic"
+		if info.Batch {
+			mode = "batch"
+		}
+		if info.GA {
+			kind = "GA"
+		}
+		fmt.Fprintf(w, "%-10s %-10s %-10s %s\n", info.Name, mode, kind, info.Summary)
+	}
+	fmt.Fprintln(w, "\nbatch-mode schedulers work with both pnsim and pnserver; immediate-mode only with pnsim.")
 }
 
 // Names returns every registered scheduler's canonical name in

@@ -81,6 +81,39 @@ func TestRunMatchesDirectConstruction(t *testing.T) {
 	}
 }
 
+// TestRunHonoursFixedSpecBatch: a fixed Spec.Batch is the batch size,
+// for every registered batch scheduler alike — MinBatch/MaxBatch bound
+// the §3.7 dynamic rule only. PN and PN-ISLAND used to clamp a fixed
+// batch to the dynamic rule's cap and turn 1500 into 1000 while ZO, MM,
+// MX and SUF honoured it.
+func TestRunHonoursFixedSpecBatch(t *testing.T) {
+	for _, info := range Infos() {
+		if !info.Batch {
+			continue
+		}
+		t.Run(info.Name, func(t *testing.T) {
+			w, err := GenerateWorkload(WorkloadConfig{Tasks: 3000, Procs: 8, MeanComm: 1, Seed: 23})
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := Spec{Name: info.Name, Batch: 1500, Generations: 2, Seed: 3}
+			if info.Name == islandName {
+				spec.Islands = intp(2)
+			}
+			largest := 0
+			_, err = Run(context.Background(), spec, w, Observe(ObserverFuncs{
+				BatchDecided: func(e BatchDecision) { largest = max(largest, e.Tasks) },
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if largest != 1500 {
+				t.Errorf("largest batch decided = %d, want Spec.Batch 1500", largest)
+			}
+		})
+	}
+}
+
 // TestRunDeterministic: identical spec + workload seeds give identical
 // results.
 func TestRunDeterministic(t *testing.T) {

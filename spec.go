@@ -109,7 +109,11 @@ func WithPopulation(n int) Option { return func(s *Spec) { s.Population = n } }
 // generation; negative disables rebalancing (0 keeps the paper's 1).
 func WithRebalances(n int) Option { return func(s *Spec) { s.Rebalances = n } }
 
-// WithBatch sets the initial / fixed batch size (paper: 200).
+// WithBatch sets the initial / fixed batch size (paper: 200). A fixed
+// batch is not capped: the scheduler takes batches of exactly n while
+// that many tasks are queued. Only the §3.7 dynamic rule
+// (WithDynamicBatch) is bounded, to at most 1000 tasks, and n is then
+// the size used until idle-time history exists.
 func WithBatch(n int) Option { return func(s *Spec) { s.Batch = n } }
 
 // WithDynamicBatch enables or disables the §3.7 dynamic batch sizing.
@@ -191,28 +195,26 @@ func (s *Spec) validateIsland(canonical string) error {
 	return nil
 }
 
-// gaConfig lowers the Spec onto the GA scheduler configuration,
-// preserving the defaulting rules every call site used to hand-roll:
-// zero fields keep core.DefaultConfig's paper values.
+// gaConfig lowers the Spec onto the GA scheduler configuration. A zero
+// field stays zero: core resolves it to the paper's default when the
+// scheduler is built. Rebalances is the one field whose zero the two
+// layers read differently — here the paper's single rebalance, in core
+// the pure GA.
 func (s Spec) gaConfig() core.Config {
-	cfg := core.DefaultConfig()
-	if s.Generations > 0 {
-		cfg.Generations = s.Generations
-	}
-	if s.Population > 0 {
-		cfg.Population = s.Population
+	cfg := core.Config{
+		Generations:  s.Generations,
+		Population:   s.Population,
+		Rebalances:   s.Rebalances,
+		InitialBatch: s.Batch,
+		FixedBatch:   !s.DynamicBatch,
+		Observer:     s.observer,
 	}
 	switch {
-	case s.Rebalances > 0:
-		cfg.Rebalances = s.Rebalances
+	case s.Rebalances == 0:
+		cfg.Rebalances = core.DefaultRebalances
 	case s.Rebalances < 0:
 		cfg.Rebalances = 0
 	}
-	if s.Batch > 0 {
-		cfg.InitialBatch = s.Batch
-	}
-	cfg.FixedBatch = !s.DynamicBatch
-	cfg.Observer = s.observer
 	return cfg
 }
 

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"pnsched/internal/core"
 )
 
 func TestNewSpecOptions(t *testing.T) {
@@ -41,7 +43,7 @@ func TestNewSpecOptions(t *testing.T) {
 }
 
 func TestSpecDefaultsLowering(t *testing.T) {
-	cfg := Spec{Name: "PN"}.gaConfig()
+	cfg := core.NewPN(Spec{Name: "PN"}.gaConfig(), nil).Config()
 	if cfg.Generations != 1000 || cfg.Population != 20 || cfg.Rebalances != 1 ||
 		cfg.InitialBatch != 200 || !cfg.FixedBatch || cfg.NaiveEvaluation {
 		t.Errorf("zero Spec must lower onto paper defaults: %+v", cfg)
