@@ -1,5 +1,5 @@
 // Benchmarks regenerating every figure of the paper's evaluation plus
-// ablations of the design choices DESIGN.md calls out. Each figure
+// ablations of the method's design choices. Each figure
 // bench runs the corresponding experiment at the fast profile and
 // reports its headline number as a custom metric, so
 //
@@ -217,18 +217,9 @@ func BenchmarkAblationFixedBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationCommPrediction contrasts PN (communication costs in
-// the fitness) with ZO (communication ignored until incurred).
-func BenchmarkAblationCommPrediction(b *testing.B) {
-	benchSim(b, func(seed uint64) sched.Scheduler {
-		cfg := core.DefaultConfig()
-		cfg.Generations = 100
-		cfg.FixedBatch = true
-		return core.NewPN(cfg, rng.New(seed))
-	})
-}
-
-// BenchmarkAblationNoCommPrediction is the ZO side of the contrast.
+// BenchmarkAblationNoCommPrediction runs ZO (communication ignored
+// until incurred); BenchmarkAblationFixedBatch is the PN side of the
+// contrast (communication costs in the fitness, same fixed batch).
 func BenchmarkAblationNoCommPrediction(b *testing.B) {
 	benchSim(b, func(seed uint64) sched.Scheduler {
 		cfg := core.DefaultConfig()
@@ -264,13 +255,7 @@ func BenchmarkAblationCrossoverOX(b *testing.B) { benchCrossover(b, ga.OX) }
 
 // BenchmarkSupplementaryExtended regenerates the extended-scheduler
 // comparison (paper's seven + Maheswaran et al.'s four).
-func BenchmarkSupplementaryExtended(b *testing.B) {
-	p := benchProfile()
-	for i := 0; i < b.N; i++ {
-		res := experiments.Extended(p)
-		b.ReportMetric(res.Makespan[4], "PN-makespan-s") // PN is index 4
-	}
-}
+func BenchmarkSupplementaryExtended(b *testing.B) { benchBars(b, experiments.Extended) }
 
 // BenchmarkSupplementaryScalability regenerates the processor sweep.
 func BenchmarkSupplementaryScalability(b *testing.B) {

@@ -34,7 +34,7 @@ import (
 
 func main() {
 	var (
-		figure  = flag.String("figure", "all", "paper figure (3-11), supplementary experiment (extended, scalability, dynamic, island, evolve), 'all' figures, or 'everything'")
+		figure  = flag.String("figure", "all", "paper figure (3-11), supplementary experiment ("+strings.Join(experiments.Supplementary, ", ")+"), 'all' figures, or 'everything'")
 		profile = flag.String("profile", "default", "experiment scale: fast, default, or paper")
 		seed    = flag.Uint64("seed", 0, "override the profile's base seed")
 		workers = flag.Int("workers", 0, "parallel workers (0: all CPUs)")
@@ -143,37 +143,21 @@ func writeJSON(path string, report jsonReport) error {
 // resolveFigures expands the -figure value into experiment names and
 // rejects unknown ones up front, listing what is valid.
 func resolveFigures(figure string) ([]string, error) {
-	var names []string
+	var everything []string
+	for _, fig := range experiments.Figures {
+		everything = append(everything, strconv.Itoa(fig))
+	}
+	everything = append(everything, experiments.Supplementary...)
 	switch figure {
 	case "all":
-		for _, fig := range experiments.Figures {
-			names = append(names, strconv.Itoa(fig))
-		}
+		return everything[:len(experiments.Figures)], nil
 	case "everything":
-		for _, fig := range experiments.Figures {
-			names = append(names, strconv.Itoa(fig))
-		}
-		names = append(names, experiments.Supplementary...)
-	default:
-		names = []string{figure}
+		return everything, nil
 	}
-	for _, name := range names {
-		if !experiments.Known(name) {
-			return nil, fmt.Errorf("unknown figure %q (valid: %s, all, everything)", name, validFigureList())
-		}
+	if !experiments.Known(figure) {
+		return nil, fmt.Errorf("unknown figure %q (valid: %s, all, everything)", figure, strings.Join(everything, ", "))
 	}
-	return names, nil
-}
-
-// validFigureList renders every accepted -figure value for error
-// messages.
-func validFigureList() string {
-	var parts []string
-	for _, fig := range experiments.Figures {
-		parts = append(parts, strconv.Itoa(fig))
-	}
-	parts = append(parts, experiments.Supplementary...)
-	return strings.Join(parts, ", ")
+	return []string{figure}, nil
 }
 
 // figureLabel names the CSV file for an experiment: numeric figures

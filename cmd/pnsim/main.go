@@ -16,20 +16,18 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
 	"pnsched"
-	"pnsched/internal/cluster"
 	"pnsched/internal/metrics"
-	"pnsched/internal/network"
 	"pnsched/internal/rng"
 	"pnsched/internal/scenario"
 	"pnsched/internal/sim"
 	"pnsched/internal/task"
-	"pnsched/internal/units"
 	"pnsched/internal/workload"
 )
 
@@ -108,29 +106,31 @@ func main() {
 		Header: []string{"scheduler", "makespan", "efficiency", "sched-busy", "invocations"},
 	}
 	for _, name := range names {
-		clu := cluster.NewHeterogeneous(*procs, units.Rate(*rateLo), units.Rate(*rateHi), rng.New(*seed).Stream(2))
-		net := network.New(*procs, network.Config{
-			MeanCost:   units.Seconds(*comm),
-			LinkSpread: *spread,
-			Jitter:     *jitter,
-		}, rng.New(*seed).Stream(3))
+		w := pnsched.Workload{
+			Cluster: pnsched.NewHeterogeneousCluster(*procs, pnsched.Rate(*rateLo), pnsched.Rate(*rateHi), base.Stream(2)),
+			Network: pnsched.NewNetwork(*procs, pnsched.NetworkConfig{
+				MeanCost:   pnsched.Seconds(*comm),
+				LinkSpread: *spread,
+				Jitter:     *jitter,
+			}, base.Stream(3)),
+			Tasks: tasks,
+		}
 		spec := pnsched.Spec{
 			Name:         name,
 			Generations:  *gens,
 			Batch:        *batch,
 			DynamicBatch: *dynamic,
 		}
-		s, err := pnsched.New(spec.With(pnsched.WithRNG(rng.New(*seed).Stream(4))))
+		var opts []pnsched.RunOption
+		var tl *pnsched.Timeline
+		if *gantt {
+			tl = new(pnsched.Timeline)
+			opts = append(opts, pnsched.WithTimeline(tl))
+		}
+		res, err := pnsched.Run(context.Background(), spec.With(pnsched.WithRNG(base.Stream(4))), w, opts...)
 		if err != nil {
 			fatal(err)
 		}
-		cfg := sim.Config{Cluster: clu, Net: net, Tasks: tasks, Scheduler: s, BatchSizer: pnsched.SizerFor(s, spec)}
-		var tl *sim.Timeline
-		if *gantt {
-			tl = sim.NewTimeline(*procs)
-			cfg.Timeline = tl
-		}
-		res := sim.Run(cfg)
 		if res.Completed != len(tasks) {
 			fmt.Fprintf(os.Stderr, "pnsim: %s completed only %d of %d tasks\n", name, res.Completed, len(tasks))
 		}

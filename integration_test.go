@@ -165,7 +165,7 @@ func TestMakespanLowerBound(t *testing.T) {
 
 // TestMetricsAggregationPipeline exercises sim → metrics end to end.
 func TestMetricsAggregationPipeline(t *testing.T) {
-	var samples []metrics.Sample
+	var runs []sim.Result
 	for rep := 0; rep < 3; rep++ {
 		res := sim.Run(sim.Config{
 			Cluster: cluster.NewHeterogeneous(4, 50, 200, rng.New(uint64(20+rep))),
@@ -176,9 +176,9 @@ func TestMetricsAggregationPipeline(t *testing.T) {
 			}, rng.New(uint64(40+rep))),
 			Scheduler: sched.MM{},
 		})
-		samples = append(samples, metrics.FromSim(res))
+		runs = append(runs, res)
 	}
-	agg := metrics.Aggregate(samples)
+	agg := metrics.Aggregate(runs)
 	if agg.N != 3 || agg.Completed != 300 {
 		t.Errorf("aggregate = %+v", agg)
 	}

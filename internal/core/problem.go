@@ -142,7 +142,7 @@ func (p *Problem) delta(j int) units.Seconds {
 //	ψ = ( Σᵢ tᵢ + Σⱼ Lⱼ ) / Σⱼ Pⱼ,
 //
 // which coincides exactly with the paper's expression for M = 1 and is
-// the true simultaneous-finish optimum for M > 1 (see DESIGN.md §3).
+// the true simultaneous-finish optimum for M > 1.
 func (p *Problem) computePsi() units.Seconds {
 	var totalWork units.MFlops
 	for _, t := range p.Batch {
@@ -293,8 +293,8 @@ func (p *Problem) segmentTime(c ga.Chromosome, j, lo, hi int) units.Seconds {
 //
 // The paper states F = 1/E ∈ [0,1]; 1/E is not bounded in general, so we
 // use the monotone-equivalent 1/(1+E), which preserves roulette-wheel
-// selection order, is defined at E = 0 and decays to 0 as E → ∞ (see
-// DESIGN.md §3). Larger values indicate fitter schedules.
+// selection order, is defined at E = 0 and decays to 0 as E → ∞.
+// Larger values indicate fitter schedules.
 func (p *Problem) Fitness(c ga.Chromosome) float64 {
 	return fitnessFromError(p.RelativeError(c))
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 
 	"pnsched/internal/metrics"
 )
@@ -14,96 +15,76 @@ type Figure interface {
 	WritePlot(w io.Writer)
 }
 
-// Figures lists the paper figure numbers the harness can regenerate.
-var Figures = []int{3, 4, 5, 6, 7, 8, 9, 10, 11}
+// experiment is one regenerable experiment under its -figure name.
+type experiment struct {
+	name string
+	run  func(Profile) Figure
+}
 
-// Supplementary lists the extra experiments beyond the paper's figures.
-var Supplementary = []string{"extended", "scalability", "dynamic", "island", "evolve"}
+// entry files a study under name, adapting its concrete result type to
+// Figure.
+func entry[F Figure](name string, run func(Profile) F) experiment {
+	return experiment{name, func(p Profile) Figure { return run(p) }}
+}
+
+// table is every experiment in presentation order: the paper's figures
+// by number, then the supplementary experiments by name. Figures,
+// Supplementary, Known and RunNamed all read it.
+var table = []experiment{
+	entry("3", Fig3),
+	entry("4", Fig4),
+	entry("5", Fig5),
+	entry("6", Fig6),
+	entry("7", Fig7),
+	entry("8", Fig8),
+	entry("9", Fig9),
+	entry("10", Fig10),
+	entry("11", Fig11),
+	entry("extended", Extended),
+	entry("scalability", Scalability),
+	entry("dynamic", Dynamic),
+	entry("island", Island),
+	entry("evolve", Evolve),
+}
+
+// Figures lists the paper figure numbers the harness can regenerate,
+// and Supplementary the extra experiments beyond the paper's figures.
+var Figures, Supplementary = func() (figs []int, supp []string) {
+	for _, e := range table {
+		if n, err := strconv.Atoi(e.name); err == nil {
+			figs = append(figs, n)
+		} else {
+			supp = append(supp, e.name)
+		}
+	}
+	return figs, supp
+}()
+
+func lookup(name string) (experiment, bool) {
+	for _, e := range table {
+		if e.name == name {
+			return e, true
+		}
+	}
+	return experiment{}, false
+}
 
 // Known reports whether name is a regenerable experiment — a paper
 // figure number or a supplementary experiment name — so front ends can
 // validate a whole request before starting any long run.
 func Known(name string) bool {
-	for _, s := range Supplementary {
-		if name == s {
-			return true
-		}
-	}
-	fig, err := strconv.Atoi(name)
-	if err != nil {
-		return false
-	}
-	for _, f := range Figures {
-		if fig == f {
-			return true
-		}
-	}
-	return false
+	_, ok := lookup(name)
+	return ok
 }
 
 // RunNamed regenerates a paper figure ("3".."11") or a supplementary
 // experiment by name.
 func RunNamed(name string, p Profile) (Figure, error) {
-	switch name {
-	case "extended":
-		return Extended(p), nil
-	case "scalability":
-		return Scalability(p), nil
-	case "dynamic":
-		return Dynamic(p), nil
-	case "island":
-		return Island(p), nil
-	case "evolve":
-		return Evolve(p), nil
-	}
-	fig, err := strconv.Atoi(name)
-	if err != nil {
+	e, ok := lookup(name)
+	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (figures %v or %v)", name, Figures, Supplementary)
 	}
-	return Run(fig, p)
-}
-
-// Run regenerates the numbered paper figure under the profile.
-func Run(figure int, p Profile) (Figure, error) {
-	switch figure {
-	case 3:
-		return Fig3(p), nil
-	case 4:
-		return Fig4(p), nil
-	case 5:
-		return Fig5(p), nil
-	case 6:
-		return Fig6(p), nil
-	case 7:
-		return Fig7(p), nil
-	case 8:
-		return Fig8(p), nil
-	case 9:
-		return Fig9(p), nil
-	case 10:
-		return Fig10(p), nil
-	case 11:
-		return Fig11(p), nil
-	default:
-		return nil, fmt.Errorf("experiments: no figure %d in the paper (have %v)", figure, Figures)
-	}
-}
-
-// Render regenerates a figure and writes its table and plot to w, and
-// its CSV to csv when non-nil.
-func Render(figure int, p Profile, w io.Writer, csv io.Writer) error {
-	return RenderNamed(fmt.Sprint(figure), p, w, csv)
-}
-
-// RenderNamed is Render for named experiments (paper figures or
-// supplementary ones).
-func RenderNamed(name string, p Profile, w io.Writer, csv io.Writer) error {
-	fig, err := RunNamed(name, p)
-	if err != nil {
-		return err
-	}
-	RenderFigure(fig, w, csv)
-	return nil
+	return e.run(p), nil
 }
 
 // RenderFigure writes an already-computed figure's table and plot to
@@ -115,5 +96,21 @@ func RenderFigure(fig Figure, w io.Writer, csv io.Writer) {
 	fig.WritePlot(w)
 	if csv != nil {
 		tbl.CSV(csv)
+	}
+}
+
+// writeBars draws one horizontal bar per label, the largest value
+// spanning width.
+func writeBars(w io.Writer, title string, labels []string, vals []float64, width int) {
+	fmt.Fprintln(w, title)
+	maxVal := 0.0
+	for _, v := range vals {
+		maxVal = max(maxVal, v)
+	}
+	if maxVal <= 0 {
+		return
+	}
+	for i, label := range labels {
+		fmt.Fprintf(w, "  %s %8.1f |%s\n", label, vals[i], strings.Repeat("#", int(vals[i]/maxVal*float64(width))))
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"pnsched/internal/metrics"
 	"pnsched/internal/rng"
 	"pnsched/internal/units"
-	"pnsched/internal/workload"
 )
 
 // EvolveStudy compares the naive (full re-evaluation) and incremental
@@ -48,24 +47,6 @@ const (
 	evolveStudyProcs = 50
 )
 
-// evolveProblem builds the pinned paper-scale batch problem for one
-// repeat.
-func evolveProblem(p Profile, seed uint64) *core.Problem {
-	base := rng.New(seed)
-	batch := workload.Generate(workload.Spec{
-		N:     evolveStudyTasks,
-		Sizes: workload.Uniform{Lo: 10, Hi: 1000},
-	}, base.Stream(streamTasks))
-	cr := base.Stream(streamCluster)
-	rates := make([]units.Rate, evolveStudyProcs)
-	comm := make([]units.Seconds, evolveStudyProcs)
-	for j := range rates {
-		rates[j] = units.Rate(cr.Uniform(float64(p.RateLo), float64(p.RateHi)))
-		comm[j] = units.Seconds(cr.Uniform(0.1, 2))
-	}
-	return core.BuildProblem(batch, rates, nil, comm, true)
-}
-
 // Evolve runs the naive-vs-incremental evaluation study.
 func Evolve(p Profile) *EvolveStudy {
 	engines := []string{"naive", "incremental"}
@@ -90,7 +71,7 @@ func Evolve(p Profile) *EvolveStudy {
 			cfg := core.DefaultConfig()
 			cfg.Generations = p.Generations
 			cfg.NaiveEvaluation = engine == "naive"
-			prob := evolveProblem(p, seed)
+			prob := p.batchProblem(seed, evolveStudyTasks, evolveStudyProcs, true)
 			r := rng.New(seed ^ 0xe401e)
 			start := time.Now()
 			st := core.Evolve(prob, cfg, core.ListPopulation(prob, cfg.Population, r), units.Inf(), r)

@@ -2,29 +2,33 @@
 // evaluation (§4): the GA-convergence study (Fig. 3), the
 // rebalancing-cost study (Fig. 4), the efficiency-versus-communication
 // sweeps (Figs. 5 and 7), and the makespan comparisons across task-size
-// distributions (Figs. 6, 8, 9, 10, 11).
+// distributions (Figs. 6, 8, 9, 10, 11), plus the supplementary studies.
 //
-// Every experiment is deterministic given a Profile seed: repeats run
-// in a parallel worker pool, with each repeat drawing its cluster,
-// network, workload and scheduler randomness from independent derived
-// streams. All schedulers within a repeat see the same task set, the
-// same cluster and the same network (§4.2: "All schedulers were
-// presented with the same set of tasks for scheduling and all schedulers
-// have the same information available to them").
+// Every simulation study is one sweep of pnsched.Run cells: a list of
+// points (a generated workload, optionally with availability models)
+// crossed with a list of scheduler specs and the profile's repeats,
+// aggregated per (scheduler, point). Every experiment is deterministic
+// given a Profile seed: cells run in a parallel worker pool, each
+// drawing its cluster, network, workload and scheduler randomness from
+// independent streams of its repeat seed. All schedulers within a
+// repeat see the same task set, the same cluster and the same network
+// (§4.2: "All schedulers were presented with the same set of tasks for
+// scheduling and all schedulers have the same information available to
+// them").
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
 
 	"pnsched"
 	"pnsched/internal/cluster"
+	"pnsched/internal/core"
 	"pnsched/internal/metrics"
-	"pnsched/internal/network"
 	"pnsched/internal/rng"
-	"pnsched/internal/sched"
-	"pnsched/internal/sim"
+	"pnsched/internal/task"
 	"pnsched/internal/units"
 	"pnsched/internal/workload"
 )
@@ -128,127 +132,175 @@ func (p Profile) workers() int {
 	return p.Workers
 }
 
-// SchedulerSpec names a scheduler and constructs fresh instances —
-// GA schedulers are stateful, so every repeat gets its own.
-type SchedulerSpec struct {
-	Name string
-	New  func(seed uint64) sched.Scheduler
+// Schedulers returns the specs of the seven comparison schedulers of
+// §4.1 in pnsched.PaperOrder. fixedBatch pins the GA schedulers' batch
+// size to 200 (as in the §4.3 sweeps); otherwise PN sizes batches
+// dynamically (§3.7, exercised by Fig. 6).
+func Schedulers(p Profile, fixedBatch bool) []pnsched.Spec {
+	return p.specs(pnsched.PaperOrder, fixedBatch)
 }
 
-// SchedulerOrder is the presentation order of the paper's bar charts —
-// the registry's canonical names for the seven §4.1 comparators.
-var SchedulerOrder = pnsched.PaperOrder
-
-// Schedulers returns the seven comparison schedulers of §4.1 in
-// SchedulerOrder. fixedBatch pins the GA schedulers' batch size to 200
-// (as in the §4.3 sweeps); otherwise PN sizes batches dynamically
-// (§3.7, exercised by Fig. 6).
-func Schedulers(p Profile, fixedBatch bool) []SchedulerSpec {
-	return p.schedulerSpecs(SchedulerOrder, fixedBatch)
-}
-
-// schedulerSpecs builds construction specs for the named schedulers
-// through the pnsched registry. Every name is resolved to its
-// canonical registry form up front; a name no registered scheduler
-// answers to panics immediately — a typo'd or stale filter must not
-// silently drop a scheduler from a study.
-func (p Profile) schedulerSpecs(names []string, fixedBatch bool) []SchedulerSpec {
-	specs := make([]SchedulerSpec, 0, len(names))
-	for _, name := range names {
+// specs builds registry specs for the named schedulers, each under its
+// canonical name. A name no registered scheduler answers to panics
+// immediately — a typo'd or stale filter must not silently drop a
+// scheduler from a study.
+func (p Profile) specs(names []string, fixedBatch bool) []pnsched.Spec {
+	specs := make([]pnsched.Spec, len(names))
+	for i, name := range names {
 		canonical, ok := pnsched.Canonical(name)
 		if !ok {
 			panic(fmt.Sprintf("experiments: scheduler %q is not registered (registry knows: %v)", name, pnsched.Names()))
 		}
-		spec := pnsched.Spec{
+		specs[i] = pnsched.Spec{
 			Name:         canonical,
 			Generations:  p.Generations,
-			Batch:        sched.DefaultBatchSize,
+			Batch:        pnsched.DefaultBatchSize,
 			DynamicBatch: !fixedBatch,
 		}
-		specs = append(specs, SchedulerSpec{Name: canonical, New: func(seed uint64) sched.Scheduler {
-			s, err := pnsched.New(spec.With(pnsched.WithRNG(rng.New(seed))))
-			if err != nil {
-				panic(fmt.Sprintf("experiments: building %s: %v", canonical, err))
-			}
-			return s
-		}})
 	}
 	return specs
 }
 
-// scenario binds everything one simulation run needs except the repeat
-// seed.
-type scenario struct {
-	profile Profile
-	tasks   int
-	dist    workload.SizeDistribution
-	netCfg  network.Config
-
-	// procs overrides the profile's processor count when non-zero
-	// (scalability sweeps).
-	procs int
-	// arrival overrides the all-at-start arrival process.
-	arrival workload.ArrivalProcess
-	// avail, when non-nil, assigns per-processor availability models
-	// (dynamic-conditions scenarios); the RNG is a dedicated stream.
-	avail func(i int, r *rng.RNG) cluster.AvailabilityModel
-	// reissue enables the simulator's failure recovery.
-	reissue units.Seconds
+// specNames lists the specs' scheduler names — a result's column order.
+func specNames(specs []pnsched.Spec) []string {
+	names := make([]string, len(specs))
+	for i, s := range specs {
+		names[i] = s.Name
+	}
+	return names
 }
 
-// seeds identifies a repeat's random streams; the scheduler stream is
-// the only one that varies per scheduler, so every scheduler faces the
-// identical system and workload.
+// The random streams of a repeat seed. Cluster, network and tasks are
+// the streams pnsched.GenerateWorkload draws (1, 2, 3); the GA-only
+// studies draw their batch from the same task and cluster streams.
 const (
 	streamCluster = 1
-	streamNet     = 2
 	streamTasks   = 3
 	streamSched   = 4
 	streamAvail   = 5
 )
 
-// runOne executes one (scheduler, repeat) simulation.
-func runOne(sc scenario, spec SchedulerSpec, repeatSeed uint64) metrics.Sample {
-	base := rng.New(repeatSeed)
-	procs := sc.procs
-	if procs == 0 {
-		procs = sc.profile.Procs
+// point is one x-axis value of a study: the workload every scheduler
+// faces there, the seed id its repeats derive from, and optionally
+// per-processor availability models (dynamic-conditions regimes),
+// drawn from the repeat's stream 5.
+type point struct {
+	wl    pnsched.WorkloadConfig
+	id    int
+	avail func(i int, r *rng.RNG) cluster.AvailabilityModel
+}
+
+// workload is the §4.2 system on the profile's cluster: tasks drawn
+// from dist, links spread 30% around meanComm with 20% jitter.
+func (p Profile) workload(tasks int, dist workload.SizeDistribution, meanComm units.Seconds) pnsched.WorkloadConfig {
+	return pnsched.WorkloadConfig{
+		Tasks:      tasks,
+		Procs:      p.Procs,
+		RateLo:     p.RateLo,
+		RateHi:     p.RateHi,
+		Sizes:      dist,
+		MeanComm:   meanComm,
+		LinkSpread: 0.3,
+		Jitter:     0.2,
 	}
-	clu := cluster.NewHeterogeneous(procs, sc.profile.RateLo, sc.profile.RateHi, base.Stream(streamCluster))
-	if sc.avail != nil {
-		availRNG := base.Stream(streamAvail)
-		clu = clu.WithAvailability(func(i int) cluster.AvailabilityModel {
-			return sc.avail(i, availRNG.Stream(uint64(i)))
+}
+
+// sweep runs every (scheduler, point, repeat) cell of a study —
+// GenerateWorkload from the repeat's seed, then pnsched.Run with the
+// scheduler's RNG seeded from it too, so only the scheduler differs
+// across a repeat's cells — and returns the
+// aggregate of each (scheduler, point), indexed [scheduler][point].
+// The cells form one flat job list so every core stays busy however
+// slow individual schedulers are.
+func (p Profile) sweep(specs []pnsched.Spec, points []point) [][]metrics.Agg {
+	cells := make([]pnsched.Result, len(specs)*len(points)*p.Repeats)
+	parallelFor(len(cells), p.workers(), func(i int) {
+		s, pt, rep := specs[i/(len(points)*p.Repeats)], points[i/p.Repeats%len(points)], i%p.Repeats
+		seed := p.repeatSeed(pt.id, rep)
+		var err error
+		if cells[i], err = runCell(s, pt, seed); err != nil {
+			panic(fmt.Sprintf("experiments: %s at seed %d: %v", s.Name, seed, err))
+		}
+	})
+	aggs := make([][]metrics.Agg, len(specs))
+	for si := range aggs {
+		aggs[si] = make([]metrics.Agg, len(points))
+		for pi := range points {
+			off := (si*len(points) + pi) * p.Repeats
+			aggs[si][pi] = metrics.Aggregate(cells[off : off+p.Repeats])
+		}
+	}
+	return aggs
+}
+
+// runCell runs one scheduler on the point's workload generated from
+// seed.
+func runCell(s pnsched.Spec, pt point, seed uint64) (pnsched.Result, error) {
+	cfg := pt.wl
+	cfg.Seed = seed
+	w, err := pnsched.GenerateWorkload(cfg)
+	if err != nil {
+		return pnsched.Result{}, err
+	}
+	if pt.avail != nil {
+		avail := rng.New(seed).Stream(streamAvail)
+		w.Cluster = w.Cluster.WithAvailability(func(j int) cluster.AvailabilityModel {
+			return pt.avail(j, avail.Stream(uint64(j)))
 		})
 	}
-	net := network.New(procs, sc.netCfg, base.Stream(streamNet))
-	tasks := workload.Generate(workload.Spec{
-		N:       sc.tasks,
-		Sizes:   sc.dist,
-		Arrival: sc.arrival,
-	}, base.Stream(streamTasks))
-	return metrics.FromSim(sim.Run(sim.Config{
-		Cluster:        clu,
-		Net:            net,
-		Tasks:          tasks,
-		Scheduler:      spec.New(repeatSeed ^ 0x5eed),
-		ReissueTimeout: sc.reissue,
-	}))
+	return pnsched.Run(context.Background(), s.With(pnsched.WithRNG(rng.New(seed^0x5eed))), w)
 }
+
+// each maps f over a sweep's aggregates, keeping the [scheduler][point]
+// shape.
+func each(aggs [][]metrics.Agg, f func(metrics.Agg) float64) [][]float64 {
+	out := make([][]float64, len(aggs))
+	for si, row := range aggs {
+		out[si] = make([]float64, len(row))
+		for pi, agg := range row {
+			out[si][pi] = f(agg)
+		}
+	}
+	return out
+}
+
+func meanMakespan(a metrics.Agg) float64   { return a.Makespan.Mean }
+func meanEfficiency(a metrics.Agg) float64 { return a.Efficiency.Mean }
 
 // repeatSeed derives the deterministic seed for a repeat of a figure.
 func (p Profile) repeatSeed(figure, repeat int) uint64 {
 	return p.Seed*1_000_003 + uint64(figure)*10_007 + uint64(repeat)
 }
 
-// runRepeats executes all repeats for one scheduler in parallel and
-// aggregates.
-func runRepeats(sc scenario, spec SchedulerSpec, figure int, repeats, workers int) metrics.Agg {
-	samples := make([]metrics.Sample, repeats)
-	parallelFor(repeats, workers, func(i int) {
-		samples[i] = runOne(sc, spec, sc.profile.repeatSeed(figure, i))
-	})
-	return metrics.Aggregate(samples)
+// draw builds what the GA-only studies optimise from base's streams: n
+// tasks uniform in 10–1000 MFLOPs and m processor rates from the
+// profile's range, each rate followed, when withComm, by that
+// processor's communication estimate in [0.1, 2] s.
+func (p Profile) draw(base *rng.RNG, n, m int, withComm bool) ([]task.Task, []units.Rate, []units.Seconds) {
+	tasks := workload.Generate(workload.Spec{
+		N:     n,
+		Sizes: workload.Uniform{Lo: 10, Hi: 1000},
+	}, base.Stream(streamTasks))
+	r := base.Stream(streamCluster)
+	rates := make([]units.Rate, m)
+	var comm []units.Seconds
+	if withComm {
+		comm = make([]units.Seconds, m)
+	}
+	for j := range rates {
+		rates[j] = units.Rate(r.Uniform(float64(p.RateLo), float64(p.RateHi)))
+		if withComm {
+			comm[j] = units.Seconds(r.Uniform(0.1, 2))
+		}
+	}
+	return tasks, rates, comm
+}
+
+// batchProblem is one batch decision on empty queues, drawn by draw
+// from seed.
+func (p Profile) batchProblem(seed uint64, n, m int, withComm bool) *core.Problem {
+	tasks, rates, comm := p.draw(rng.New(seed), n, m, withComm)
+	return core.BuildProblem(tasks, rates, nil, comm, withComm)
 }
 
 // parallelFor runs fn(0..n-1) across a bounded worker pool. Results are

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"pnsched"
 )
 
 func TestParallelForCoversAllIndices(t *testing.T) {
@@ -71,10 +74,10 @@ func TestSchedulersOrderAndNames(t *testing.T) {
 		t.Fatalf("want 7 schedulers, got %d", len(specs))
 	}
 	for i, s := range specs {
-		if s.Name != SchedulerOrder[i] {
-			t.Errorf("scheduler %d = %s, want %s", i, s.Name, SchedulerOrder[i])
+		if s.Name != pnsched.PaperOrder[i] {
+			t.Errorf("scheduler %d = %s, want %s", i, s.Name, pnsched.PaperOrder[i])
 		}
-		inst := s.New(1)
+		inst := pnsched.MustNew(s)
 		if inst.Name() != s.Name {
 			t.Errorf("instance name %q != spec name %q", inst.Name(), s.Name)
 		}
@@ -84,7 +87,7 @@ func TestSchedulersOrderAndNames(t *testing.T) {
 func TestSchedulerInstancesIndependent(t *testing.T) {
 	specs := Schedulers(Fast(), true)
 	for _, s := range specs {
-		a, b := s.New(1), s.New(1)
+		a, b := pnsched.MustNew(s), pnsched.MustNew(s)
 		if s.Name == "EF" || s.Name == "LL" || s.Name == "MM" || s.Name == "MX" {
 			continue // stateless values may be identical
 		}
@@ -95,10 +98,10 @@ func TestSchedulerInstancesIndependent(t *testing.T) {
 }
 
 func TestRunUnknownFigure(t *testing.T) {
-	if _, err := Run(12, Fast()); err == nil {
+	if _, err := RunNamed("12", Fast()); err == nil {
 		t.Error("unknown figure accepted")
 	}
-	if _, err := Run(0, Fast()); err == nil {
+	if _, err := RunNamed("0", Fast()); err == nil {
 		t.Error("figure 0 accepted")
 	}
 }
@@ -163,76 +166,100 @@ func TestFig4FastShape(t *testing.T) {
 }
 
 func TestFig5FastShape(t *testing.T) {
-	p := Fast()
-	res := Fig5(p)
-	if len(res.Schedulers) != 7 {
-		t.Fatalf("schedulers = %v", res.Schedulers)
-	}
-	if len(res.X) != 10 {
-		t.Fatalf("x points = %d", len(res.X))
-	}
-	for si, name := range res.Schedulers {
-		for xi, e := range res.Eff[si] {
-			if e <= 0 || e > 1 {
-				t.Errorf("%s efficiency[%d] = %v out of (0,1]", name, xi, e)
+	for _, tc := range []struct {
+		name string
+		run  func(Profile) *EfficiencySweep
+		dist string
+	}{
+		{"5", Fig5, "normal"},
+		{"7", Fig7, "uniform"},
+	} {
+		t.Run("fig"+tc.name, func(t *testing.T) {
+			res := tc.run(Fast())
+			if !slices.Equal(res.Schedulers, pnsched.PaperOrder) {
+				t.Fatalf("schedulers = %v, want %v", res.Schedulers, pnsched.PaperOrder)
 			}
-		}
-	}
-	// Efficiency must increase as communication gets cheaper (x up):
-	// compare the cheapest-comm point to the dearest for EF as a
-	// representative (monotonicity holds in the mean, pointwise noise
-	// aside).
-	for si, name := range res.Schedulers {
-		first, last := res.Eff[si][0], res.Eff[si][len(res.X)-1]
-		if last <= first {
-			t.Errorf("%s efficiency did not rise with cheaper comm: %v → %v", name, first, last)
-		}
-	}
-	var sb strings.Builder
-	res.Table().Render(&sb)
-	res.WritePlot(&sb)
-	if !strings.Contains(sb.String(), "PN") {
-		t.Error("output missing PN")
+			if len(res.X) != 10 {
+				t.Fatalf("x points = %d", len(res.X))
+			}
+			for si, name := range res.Schedulers {
+				for xi, e := range res.Eff[si] {
+					if e <= 0 || e > 1 {
+						t.Errorf("%s efficiency[%d] = %v out of (0,1]", name, xi, e)
+					}
+				}
+			}
+			// Efficiency must increase as communication gets cheaper (x
+			// up): compare the cheapest-comm point to the dearest
+			// (monotonicity holds in the mean, pointwise noise aside).
+			for si, name := range res.Schedulers {
+				first, last := res.Eff[si][0], res.Eff[si][len(res.X)-1]
+				if last <= first {
+					t.Errorf("%s efficiency did not rise with cheaper comm: %v → %v", name, first, last)
+				}
+			}
+			var sb strings.Builder
+			RenderFigure(res, &sb, nil)
+			for _, want := range []string{"PN", tc.dist} {
+				if !strings.Contains(sb.String(), want) {
+					t.Errorf("output missing %q", want)
+				}
+			}
+		})
 	}
 }
 
 func TestFig10FastShape(t *testing.T) {
-	p := Fast()
-	res := Fig10(p)
-	if len(res.Schedulers) != 7 || len(res.Makespan) != 7 {
-		t.Fatalf("bars: %v / %v", res.Schedulers, res.Makespan)
-	}
-	for si, name := range res.Schedulers {
-		if res.Makespan[si] <= 0 {
-			t.Errorf("%s makespan = %v", name, res.Makespan[si])
-		}
-		if res.Efficiency[si] <= 0 || res.Efficiency[si] > 1 {
-			t.Errorf("%s efficiency = %v", name, res.Efficiency[si])
-		}
-	}
-	if res.Best() == "" {
-		t.Error("no best scheduler")
-	}
-	var sb strings.Builder
-	res.Table().Render(&sb)
-	res.WritePlot(&sb)
-	if !strings.Contains(sb.String(), "poisson") {
-		t.Error("output missing distribution name")
+	for _, tc := range []struct {
+		name string
+		run  func(Profile) *MakespanBars
+		dist string
+	}{
+		{"6", Fig6, "normal"},
+		{"8", Fig8, "uniform[10,100]"},
+		{"9", Fig9, "uniform[10,10000]"},
+		{"10", Fig10, "poisson(mean=10)"},
+		{"11", Fig11, "poisson(mean=100)"},
+	} {
+		t.Run("fig"+tc.name, func(t *testing.T) {
+			res := tc.run(Fast())
+			if !slices.Equal(res.Schedulers, pnsched.PaperOrder) || len(res.Makespan) != 7 {
+				t.Fatalf("bars: %v / %v", res.Schedulers, res.Makespan)
+			}
+			for si, name := range res.Schedulers {
+				if res.Makespan[si] <= 0 {
+					t.Errorf("%s makespan = %v", name, res.Makespan[si])
+				}
+				if res.Efficiency[si] <= 0 || res.Efficiency[si] > 1 {
+					t.Errorf("%s efficiency = %v", name, res.Efficiency[si])
+				}
+			}
+			if res.Best() == "" {
+				t.Error("no best scheduler")
+			}
+			var sb strings.Builder
+			RenderFigure(res, &sb, nil)
+			if !strings.Contains(sb.String(), tc.dist) {
+				t.Errorf("output missing distribution name %q", tc.dist)
+			}
+		})
 	}
 }
 
 func TestRenderDispatch(t *testing.T) {
 	var out, csv strings.Builder
-	if err := Render(8, Fast(), &out, &csv); err != nil {
+	fig, err := RunNamed("8", Fast())
+	if err != nil {
 		t.Fatal(err)
 	}
+	RenderFigure(fig, &out, &csv)
 	if !strings.Contains(out.String(), "Fig 8") {
 		t.Errorf("render output missing title:\n%s", out.String())
 	}
 	if !strings.Contains(csv.String(), "scheduler") {
 		t.Errorf("csv missing header: %s", csv.String())
 	}
-	if err := Render(99, Fast(), &out, nil); err == nil {
+	if _, err := RunNamed("99", Fast()); err == nil {
 		t.Error("unknown figure rendered")
 	}
 }

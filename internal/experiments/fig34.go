@@ -5,15 +5,14 @@ import (
 	"io"
 	"time"
 
+	"pnsched"
 	"pnsched/internal/core"
 	"pnsched/internal/metrics"
 	"pnsched/internal/observe"
 	"pnsched/internal/rng"
-	"pnsched/internal/sched"
 	"pnsched/internal/stats"
 	"pnsched/internal/task"
 	"pnsched/internal/units"
-	"pnsched/internal/workload"
 )
 
 // Fig3Result holds the GA-convergence study of the paper's Fig. 3:
@@ -29,29 +28,11 @@ type Fig3Result struct {
 	Pure, One, Fifty []float64
 }
 
-// fig3Problem builds the batch-scheduling problem one Fig. 3 run
-// optimises: a 200-task uniform batch on the profile's heterogeneous
-// cluster with empty queues.
-func fig3Problem(p Profile, base *rng.RNG) *core.Problem {
-	h := sched.DefaultBatchSize
-	if h > p.SweepTasks {
-		h = p.SweepTasks
-	}
-	batch := workload.Generate(workload.Spec{
-		N:     h,
-		Sizes: workload.Uniform{Lo: 10, Hi: 1000},
-	}, base.Stream(streamTasks))
-	rr := base.Stream(streamCluster)
-	rates := make([]units.Rate, p.Procs)
-	for j := range rates {
-		rates[j] = units.Rate(rr.Uniform(float64(p.RateLo), float64(p.RateHi)))
-	}
-	return core.BuildProblem(batch, rates, nil, nil, false)
-}
-
+// fig3Run optimises one Fig. 3 batch: 200 uniform tasks (fewer if the
+// sweeps are smaller) on the profile's cluster with empty queues.
 func fig3Run(p Profile, rebalances int, seed uint64) []float64 {
 	base := rng.New(seed)
-	problem := fig3Problem(p, base)
+	problem := p.batchProblem(seed, min(pnsched.DefaultBatchSize, p.SweepTasks), p.Procs, false)
 	cfg := core.DefaultConfig()
 	cfg.Generations = p.Generations
 	cfg.Rebalances = rebalances
@@ -182,15 +163,7 @@ func Fig4(p Profile) *Fig4Result {
 // with the given rebalance count and returns the measured wall time.
 func fig4Time(p Profile, rebalances int) float64 {
 	base := rng.New(p.repeatSeed(4, rebalances))
-	tasks := workload.Generate(workload.Spec{
-		N:     p.Fig4Tasks,
-		Sizes: workload.Uniform{Lo: 10, Hi: 1000},
-	}, base.Stream(streamTasks))
-	rr := base.Stream(streamCluster)
-	rates := make([]units.Rate, p.Procs)
-	for j := range rates {
-		rates[j] = units.Rate(rr.Uniform(float64(p.RateLo), float64(p.RateHi)))
-	}
+	tasks, rates, _ := p.draw(base, p.Fig4Tasks, p.Procs, false)
 	loads := make([]units.MFlops, p.Procs)
 	cfg := core.DefaultConfig()
 	cfg.Generations = p.Generations
@@ -198,8 +171,8 @@ func fig4Time(p Profile, rebalances int) float64 {
 
 	gaRNG := base.Stream(streamSched)
 	start := time.Now()
-	for off := 0; off < len(tasks); off += sched.DefaultBatchSize {
-		end := off + sched.DefaultBatchSize
+	for off := 0; off < len(tasks); off += pnsched.DefaultBatchSize {
+		end := off + pnsched.DefaultBatchSize
 		if end > len(tasks) {
 			end = len(tasks)
 		}

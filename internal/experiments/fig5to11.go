@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 
+	"pnsched"
 	"pnsched/internal/metrics"
-	"pnsched/internal/network"
 	"pnsched/internal/units"
 	"pnsched/internal/workload"
 )
@@ -50,61 +50,21 @@ func Fig7(p Profile) *EfficiencySweep {
 func efficiencySweep(p Profile, figure int, dist workload.SizeDistribution) *EfficiencySweep {
 	xs := sweepXs()
 	specs := Schedulers(p, true) // §4.3: fixed batch of 200 for the sweeps
-	res := &EfficiencySweep{
-		Figure:  figure,
-		Profile: p.Name,
-		Dist:    dist.Name(),
-		Repeats: p.Repeats,
-		X:       xs,
+	points := make([]point, len(xs))
+	for xi, x := range xs {
+		points[xi] = point{wl: p.workload(p.SweepTasks, dist, units.Seconds(1/x)), id: figure*100 + xi}
 	}
-	for _, s := range specs {
-		res.Schedulers = append(res.Schedulers, s.Name)
+	aggs := p.sweep(specs, points)
+	return &EfficiencySweep{
+		Figure:     figure,
+		Profile:    p.Name,
+		Dist:       dist.Name(),
+		Repeats:    p.Repeats,
+		X:          xs,
+		Schedulers: specNames(specs),
+		Eff:        each(aggs, meanEfficiency),
+		CI:         each(aggs, func(a metrics.Agg) float64 { return 1.96 * a.Efficiency.StdErr }),
 	}
-	res.Eff = make([][]float64, len(specs))
-	res.CI = make([][]float64, len(specs))
-	for si := range specs {
-		res.Eff[si] = make([]float64, len(xs))
-		res.CI[si] = make([]float64, len(xs))
-	}
-
-	// One flat job list over (x, scheduler, repeat) to keep every core
-	// busy regardless of how slow individual schedulers are.
-	type job struct{ xi, si, rep int }
-	var jobs []job
-	for xi := range xs {
-		for si := range specs {
-			for rep := 0; rep < p.Repeats; rep++ {
-				jobs = append(jobs, job{xi, si, rep})
-			}
-		}
-	}
-	samples := make([]metrics.Sample, len(jobs))
-	parallelFor(len(jobs), p.workers(), func(i int) {
-		j := jobs[i]
-		sc := scenario{
-			profile: p,
-			tasks:   p.SweepTasks,
-			dist:    dist,
-			netCfg: network.Config{
-				MeanCost:   units.Seconds(1 / xs[j.xi]),
-				LinkSpread: 0.3,
-				Jitter:     0.2,
-			},
-		}
-		samples[i] = runOne(sc, specs[j.si], p.repeatSeed(figure*100+j.xi, j.rep))
-	})
-	// Aggregate per (scheduler, x).
-	bucket := make(map[[2]int][]metrics.Sample)
-	for i, j := range jobs {
-		k := [2]int{j.si, j.xi}
-		bucket[k] = append(bucket[k], samples[i])
-	}
-	for k, ss := range bucket {
-		agg := metrics.Aggregate(ss)
-		res.Eff[k[0]][k[1]] = agg.Efficiency.Mean
-		res.CI[k[0]][k[1]] = 1.96 * agg.Efficiency.StdErr
-	}
-	return res
 }
 
 // Table renders one row per x value with a column per scheduler.
@@ -170,80 +130,48 @@ type MakespanBars struct {
 // normal(1000 MFLOPs, 9×10⁵), with PN's dynamic batch sizing active
 // ("the makespan for the algorithm, with a varying batch size").
 func Fig6(p Profile) *MakespanBars {
-	return makespanBars(p, 6, workload.Normal{Mean: 1000, Variance: 9e5}, false)
+	return makespanBars(p, 6, 6, Schedulers(p, false), workload.Normal{Mean: 1000, Variance: 9e5})
 }
 
 // Fig8 regenerates Fig. 8: uniform task sizes 10–100 MFLOPs (a 1:10
 // ratio under which the schedulers converge).
 func Fig8(p Profile) *MakespanBars {
-	return makespanBars(p, 8, workload.Uniform{Lo: 10, Hi: 100}, true)
+	return makespanBars(p, 8, 8, Schedulers(p, true), workload.Uniform{Lo: 10, Hi: 100})
 }
 
 // Fig9 regenerates Fig. 9: uniform task sizes 10–10000 MFLOPs (1:1000,
 // accentuating the differences).
 func Fig9(p Profile) *MakespanBars {
-	return makespanBars(p, 9, workload.Uniform{Lo: 10, Hi: 10000}, true)
+	return makespanBars(p, 9, 9, Schedulers(p, true), workload.Uniform{Lo: 10, Hi: 10000})
 }
 
 // Fig10 regenerates Fig. 10: Poisson task sizes with mean 10 MFLOPs.
 func Fig10(p Profile) *MakespanBars {
-	return makespanBars(p, 10, workload.Poisson{Mean: 10}, true)
+	return makespanBars(p, 10, 10, Schedulers(p, true), workload.Poisson{Mean: 10})
 }
 
 // Fig11 regenerates Fig. 11: Poisson task sizes with mean 100 MFLOPs.
 func Fig11(p Profile) *MakespanBars {
-	return makespanBars(p, 11, workload.Poisson{Mean: 100}, true)
+	return makespanBars(p, 11, 11, Schedulers(p, true), workload.Poisson{Mean: 100})
 }
 
-func makespanBars(p Profile, figure int, dist workload.SizeDistribution, fixedBatch bool) *MakespanBars {
-	specs := Schedulers(p, fixedBatch)
+// makespanBars runs specs over one point — the bar figures' workload
+// with task sizes from dist — whose repeats derive from seed id.
+// figure is 0 for a supplementary chart.
+func makespanBars(p Profile, figure, id int, specs []pnsched.Spec, dist workload.SizeDistribution) *MakespanBars {
 	res := &MakespanBars{
-		Figure:  figure,
-		Profile: p.Name,
-		Dist:    dist.Name(),
-		Tasks:   p.Tasks,
-		Repeats: p.Repeats,
+		Figure:     figure,
+		Profile:    p.Name,
+		Dist:       dist.Name(),
+		Tasks:      p.Tasks,
+		Repeats:    p.Repeats,
+		Schedulers: specNames(specs),
 	}
-	for _, s := range specs {
-		res.Schedulers = append(res.Schedulers, s.Name)
-	}
-	res.Makespan = make([]float64, len(specs))
-	res.CI = make([]float64, len(specs))
-	res.Efficiency = make([]float64, len(specs))
-
-	type job struct{ si, rep int }
-	var jobs []job
-	for si := range specs {
-		for rep := 0; rep < p.Repeats; rep++ {
-			jobs = append(jobs, job{si, rep})
-		}
-	}
-	samples := make([]metrics.Sample, len(jobs))
-	parallelFor(len(jobs), p.workers(), func(i int) {
-		j := jobs[i]
-		sc := scenario{
-			profile: p,
-			tasks:   p.Tasks,
-			dist:    dist,
-			netCfg: network.Config{
-				MeanCost:   p.BarMeanComm,
-				LinkSpread: 0.3,
-				Jitter:     0.2,
-			},
-		}
-		samples[i] = runOne(sc, specs[j.si], p.repeatSeed(figure, j.rep))
-	})
-	for si := range specs {
-		var ss []metrics.Sample
-		for i, j := range jobs {
-			if j.si == si {
-				ss = append(ss, samples[i])
-			}
-		}
-		agg := metrics.Aggregate(ss)
-		res.Makespan[si] = agg.Makespan.Mean
-		res.CI[si] = 1.96 * agg.Makespan.StdErr
-		res.Efficiency[si] = agg.Efficiency.Mean
+	for _, row := range p.sweep(specs, []point{{wl: p.workload(p.Tasks, dist, p.BarMeanComm), id: id}}) {
+		agg := row[0]
+		res.Makespan = append(res.Makespan, agg.Makespan.Mean)
+		res.CI = append(res.CI, 1.96*agg.Makespan.StdErr)
+		res.Efficiency = append(res.Efficiency, agg.Efficiency.Mean)
 	}
 	return res
 }
@@ -272,25 +200,11 @@ func (r *MakespanBars) Table() *metrics.Table {
 
 // WritePlot draws a horizontal bar chart of makespans.
 func (r *MakespanBars) WritePlot(w io.Writer) {
-	fmt.Fprintf(w, "%s: makespan by scheduler (%s)\n", r.label(), r.Dist)
-	maxVal := 0.0
-	for _, v := range r.Makespan {
-		if v > maxVal {
-			maxVal = v
-		}
-	}
-	if maxVal <= 0 {
-		return
-	}
-	const width = 56
+	labels := make([]string, len(r.Schedulers))
 	for si, name := range r.Schedulers {
-		n := int(r.Makespan[si] / maxVal * width)
-		bar := make([]byte, n)
-		for i := range bar {
-			bar[i] = '#'
-		}
-		fmt.Fprintf(w, "  %-3s %8.1f |%s\n", name, r.Makespan[si], bar)
+		labels[si] = fmt.Sprintf("%-3s", name)
 	}
+	writeBars(w, fmt.Sprintf("%s: makespan by scheduler (%s)", r.label(), r.Dist), labels, r.Makespan, 56)
 }
 
 // Best returns the scheduler with the lowest mean makespan.

@@ -1,0 +1,142 @@
+package experiments
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"math"
+	"testing"
+)
+
+// goldenFigures pins every deterministic field of every experiment at
+// the fast profile. The values were recorded by running this file at
+// the commit before the figures moved onto one sweep of pnsched.Run
+// cells and must never be regenerated to make a change pass: a
+// simplification of the harness keeps them, and a change that is meant
+// to move a published number says so and re-records only its row.
+// Wall-clock fields (Fig. 4 Seconds and Fit, WallMS, Speedup) are
+// machine-dependent and left out.
+var goldenFigures = map[string]uint64{
+	"3":           0x10c0c6a5cf54c276,
+	"4":           0x7f2a868e8f541dac,
+	"5":           0x12cb88eb525595af,
+	"6":           0x33b95432b9d63329,
+	"7":           0xf539ec04fc1662ac,
+	"8":           0xaed43f2d82581b5c,
+	"9":           0x8fec94a135169f0a,
+	"10":          0xbad890e8e45aa9c8,
+	"11":          0xe1ab7a7a70308098,
+	"extended":    0x40363ec931dd09de,
+	"scalability": 0xa00761fd5ef550ec,
+	"dynamic":     0xb5e790f6194fb7f9,
+	"island":      0xf3580897b1469b16,
+	"evolve":      0xbbc121edead677b3,
+}
+
+func hashFloats(h hash.Hash64, vs ...float64) {
+	var b [8]byte
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+}
+
+func hashStrings(h hash.Hash64, ss ...string) {
+	for _, s := range ss {
+		h.Write([]byte(s))
+		h.Write([]byte{0})
+	}
+}
+
+func hashInts(h hash.Hash64, vs ...int) {
+	for _, v := range vs {
+		hashFloats(h, float64(v))
+	}
+}
+
+func hashRows(h hash.Hash64, rows [][]float64) {
+	for _, row := range rows {
+		hashFloats(h, row...)
+	}
+}
+
+// figureHash folds a result's deterministic fields into one FNV-64.
+func figureHash(t *testing.T, fig Figure) uint64 {
+	h := fnv.New64a()
+	switch r := fig.(type) {
+	case *Fig3Result:
+		hashStrings(h, r.Profile)
+		hashInts(h, r.Runs, r.Generations)
+		hashRows(h, [][]float64{r.Pure, r.One, r.Fifty})
+	case *Fig4Result:
+		hashStrings(h, r.Profile)
+		hashInts(h, r.Tasks)
+		hashInts(h, r.Rebalances...)
+	case *EfficiencySweep:
+		hashStrings(h, r.Profile, r.Dist)
+		hashStrings(h, r.Schedulers...)
+		hashInts(h, r.Figure, r.Repeats)
+		hashFloats(h, r.X...)
+		hashRows(h, r.Eff)
+		hashRows(h, r.CI)
+	case *MakespanBars:
+		hashStrings(h, r.Profile, r.Dist)
+		hashStrings(h, r.Schedulers...)
+		hashInts(h, r.Figure, r.Tasks, r.Repeats)
+		hashRows(h, [][]float64{r.Makespan, r.CI, r.Efficiency})
+	case *ScalabilityResult:
+		hashStrings(h, r.Profile)
+		hashStrings(h, r.Schedulers...)
+		hashInts(h, r.Tasks)
+		hashInts(h, r.Procs...)
+		hashRows(h, r.Makespan)
+		hashRows(h, r.Efficiency)
+	case *DynamicResult:
+		hashStrings(h, r.Profile)
+		hashStrings(h, r.Scenarios...)
+		hashStrings(h, r.Schedulers...)
+		hashInts(h, r.Tasks)
+		hashRows(h, r.Makespan)
+		hashRows(h, r.Completed)
+	case *IslandStudy:
+		hashStrings(h, r.Profile)
+		hashInts(h, r.BatchTasks, r.Procs, r.Generations, r.Repeats)
+		hashInts(h, r.Islands...)
+		hashRows(h, [][]float64{r.Makespan, r.Evals})
+	case *EvolveStudy:
+		hashStrings(h, r.Profile)
+		hashStrings(h, r.Engines...)
+		hashInts(h, r.BatchTasks, r.Procs, r.Generations, r.Repeats)
+		hashRows(h, [][]float64{r.Makespan, r.FullEvalsGen, r.ModelledMS, {r.ReductionPct}})
+		hashStrings(h, fmt.Sprint(r.Identical))
+	default:
+		t.Fatalf("no golden hash for %T", fig)
+	}
+	return h.Sum64()
+}
+
+// TestGoldenFigures: all fourteen experiments at Fast() reproduce the
+// recorded results bit for bit, whether their cells run on one worker
+// or four.
+func TestGoldenFigures(t *testing.T) {
+	if len(goldenFigures) != 14 {
+		t.Errorf("table holds %d experiments, want 14", len(goldenFigures))
+	}
+	for _, workers := range []int{1, 4} {
+		p := Fast()
+		p.Workers = workers
+		for name, want := range goldenFigures {
+			if !Known(name) {
+				t.Fatalf("%q is not an experiment", name)
+			}
+			fig, err := RunNamed(name, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := figureHash(t, fig); got != want {
+				t.Errorf("workers=%d %q: %#x, // recorded %#x", workers, name, got, want)
+			}
+		}
+	}
+}

@@ -11,7 +11,6 @@ import (
 	"pnsched/internal/metrics"
 	"pnsched/internal/rng"
 	"pnsched/internal/units"
-	"pnsched/internal/workload"
 )
 
 // IslandStudy compares the sequential PN engine against the
@@ -40,26 +39,9 @@ type IslandStudy struct {
 // islandStudyCounts are the island counts exercised, sequential first.
 var islandStudyCounts = []int{1, 2, 4, 8}
 
-// islandProblem builds the batch-decision problem for one repeat: a
-// batch of SweepTasks uniform tasks on the profile's heterogeneous
-// cluster with smoothed communication estimates.
-func islandProblem(p Profile, seed uint64) *core.Problem {
-	base := rng.New(seed)
-	batch := workload.Generate(workload.Spec{
-		N:     p.SweepTasks,
-		Sizes: workload.Uniform{Lo: 10, Hi: 1000},
-	}, base.Stream(streamTasks))
-	cr := base.Stream(streamCluster)
-	rates := make([]units.Rate, p.Procs)
-	comm := make([]units.Seconds, p.Procs)
-	for j := range rates {
-		rates[j] = units.Rate(cr.Uniform(float64(p.RateLo), float64(p.RateHi)))
-		comm[j] = units.Seconds(cr.Uniform(0.1, 2))
-	}
-	return core.BuildProblem(batch, rates, nil, comm, true)
-}
-
-// Island runs the island-vs-sequential study.
+// Island runs the island-vs-sequential study. Each repeat decides one
+// batch of SweepTasks uniform tasks on the profile's cluster with
+// communication estimates.
 func Island(p Profile) *IslandStudy {
 	res := &IslandStudy{
 		Profile:     p.Name,
@@ -86,7 +68,7 @@ func Island(p Profile) *IslandStudy {
 		var mk, wall, evals float64
 		for rep := 0; rep < p.Repeats; rep++ {
 			seed := p.repeatSeed(98, rep)
-			prob := islandProblem(p, seed)
+			prob := p.batchProblem(seed, p.SweepTasks, p.Procs, true)
 			r := rng.New(seed ^ 0x15a4d)
 			start := time.Now()
 			var st core.EvolveStats

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"pnsched"
 )
 
 func TestExtendedSchedulerSet(t *testing.T) {
@@ -14,7 +16,7 @@ func TestExtendedSchedulerSet(t *testing.T) {
 		if s.Name != ExtendedOrder[i] {
 			t.Errorf("scheduler %d = %s, want %s", i, s.Name, ExtendedOrder[i])
 		}
-		if s.New(1).Name() != s.Name {
+		if pnsched.MustNew(s).Name() != s.Name {
 			t.Errorf("instance/spec name mismatch for %s", s.Name)
 		}
 	}
@@ -124,9 +126,11 @@ func TestRunNamed(t *testing.T) {
 
 func TestRenderNamedSupplementary(t *testing.T) {
 	var out, csv strings.Builder
-	if err := RenderNamed("dynamic", Fast(), &out, &csv); err != nil {
+	fig, err := RunNamed("dynamic", Fast())
+	if err != nil {
 		t.Fatal(err)
 	}
+	RenderFigure(fig, &out, &csv)
 	if !strings.Contains(out.String(), "Dynamic conditions") {
 		t.Errorf("output:\n%s", out.String())
 	}

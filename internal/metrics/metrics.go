@@ -18,26 +18,6 @@ import (
 	"pnsched/internal/units"
 )
 
-// Sample holds one simulation repeat's headline metrics.
-type Sample struct {
-	Makespan      units.Seconds
-	Efficiency    float64
-	SchedulerBusy units.Seconds
-	Invocations   int
-	Completed     int
-}
-
-// FromSim extracts a Sample from a simulator result.
-func FromSim(r sim.Result) Sample {
-	return Sample{
-		Makespan:      r.Makespan,
-		Efficiency:    r.Efficiency,
-		SchedulerBusy: r.SchedulerBusy,
-		Invocations:   r.Invocations,
-		Completed:     r.Completed,
-	}
-}
-
 // Agg summarises a set of repeats.
 type Agg struct {
 	N          int
@@ -46,22 +26,23 @@ type Agg struct {
 	Completed  int // total tasks completed across repeats
 }
 
-// Aggregate summarises samples; an empty input yields a zero Agg.
-func Aggregate(samples []Sample) Agg {
-	if len(samples) == 0 {
+// Aggregate summarises simulation repeats; an empty input yields a
+// zero Agg.
+func Aggregate(runs []sim.Result) Agg {
+	if len(runs) == 0 {
 		return Agg{}
 	}
-	mk := make([]float64, len(samples))
-	eff := make([]float64, len(samples))
+	mk := make([]float64, len(runs))
+	eff := make([]float64, len(runs))
 	total := 0
-	for i, s := range samples {
-		mk[i] = float64(s.Makespan)
-		eff[i] = s.Efficiency
-		total += s.Completed
+	for i, r := range runs {
+		mk[i] = float64(r.Makespan)
+		eff[i] = r.Efficiency
+		total += r.Completed
 	}
 	mks, _ := stats.Summarize(mk)
 	effs, _ := stats.Summarize(eff)
-	return Agg{N: len(samples), Makespan: mks, Efficiency: effs, Completed: total}
+	return Agg{N: len(runs), Makespan: mks, Efficiency: effs, Completed: total}
 }
 
 // Table is a simple column-aligned text table with CSV export.

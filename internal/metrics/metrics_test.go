@@ -8,27 +8,12 @@ import (
 	"pnsched/internal/units"
 )
 
-func TestFromSim(t *testing.T) {
-	r := sim.Result{
-		Makespan:      100,
-		Efficiency:    0.5,
-		Completed:     42,
-		SchedulerBusy: 7,
-		Invocations:   3,
-	}
-	s := FromSim(r)
-	if s.Makespan != 100 || s.Efficiency != 0.5 || s.Completed != 42 ||
-		s.SchedulerBusy != 7 || s.Invocations != 3 {
-		t.Errorf("FromSim = %+v", s)
-	}
-}
-
 func TestAggregate(t *testing.T) {
-	samples := []Sample{
+	runs := []sim.Result{
 		{Makespan: 100, Efficiency: 0.4, Completed: 10},
 		{Makespan: 200, Efficiency: 0.6, Completed: 10},
 	}
-	agg := Aggregate(samples)
+	agg := Aggregate(runs)
 	if agg.N != 2 {
 		t.Errorf("N = %d", agg.N)
 	}
