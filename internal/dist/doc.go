@@ -62,9 +62,10 @@
 //	{"type":"hello","name":"host-123","rate":314.2}
 //
 // Server → worker, one per scheduled batch that assigns this worker
-// work; tasks are appended to the worker's FIFO queue in order:
+// work (a batch too large for one frame goes out as consecutive ones);
+// tasks are appended to the worker's FIFO queue in order:
 //
-//	{"type":"assign","tasks":[{"id":7,"size":420.5},{"id":12,"size":33.0}]}
+//	{"type":"assign","tasks":[{"id":7,"size":420.5},{"id":12,"size":33}],"task":0,"elapsed":0}
 //
 // Worker → server, after each task completes; elapsed is the processing
 // time in simulated seconds (feeding §3.6 rate smoothing) and real the
@@ -78,6 +79,17 @@
 // grow. Either side detects the other's failure by connection error —
 // there is no separate heartbeat; an idle TCP connection is cheap and a
 // dead one surfaces on the next read or write.
+//
+// Lines are a byte stream: one write may carry several frames and one
+// frame may span several reads. Each streaming writer — the pool's
+// assign frames, a watcher's event frames, a worker's done reports —
+// encodes what its queue holds into one buffer and flushes when the
+// queue is empty (frameWriter, drain). Decoders accept any key order;
+// the three per-task frames, assign, done and the dispatch event, are
+// written in exactly json.Marshal's encoding by a hand encoder, and
+// decodeWireMessage parses that encoding by hand in one pass, handing
+// any other form to encoding/json (FuzzWireCodec holds the two paths
+// together).
 //
 // # Event streaming
 //

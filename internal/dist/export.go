@@ -2,7 +2,6 @@ package dist
 
 import (
 	"bufio"
-	"encoding/json"
 	"log/slog"
 	"net"
 
@@ -36,7 +35,9 @@ const (
 )
 
 // ReadFrame reads one newline-terminated frame, enforcing the
-// protocol's frame bound. See readFrame.
+// protocol's frame bound. The frame may be br's own buffer: it is valid
+// only until the next read from br, so copy it to keep it. See
+// readFrame.
 func ReadFrame(br *bufio.Reader) ([]byte, error) { return readFrame(br) }
 
 // DecodeWireMessage parses and validates one wire frame; exactly one
@@ -70,16 +71,6 @@ func (b *Broadcaster) Close() { b.closeAll() }
 // ends immediately).
 func ServeWatch(conn net.Conn, br *bufio.Reader, b *Broadcaster, log *slog.Logger) {
 	sub := b.subscribe()
-	enc := json.NewEncoder(conn)
-	if err := enc.Encode(&message{
-		Type:  msgWelcome,
-		Proto: &wireVersion{Major: ProtoMajor, Minor: ProtoMinor},
-	}); err != nil {
-		b.unsubscribe(sub)
-		conn.Close()
-		return
-	}
-
 	go func() {
 		// Drain (and ignore) anything the client sends; a read error
 		// means it is gone.
@@ -92,11 +83,17 @@ func ServeWatch(conn net.Conn, br *bufio.Reader, b *Broadcaster, log *slog.Logge
 		conn.Close()
 	}()
 
-	for f := range sub.out {
-		f.Dropped = sub.dropped.Load()
-		if err := enc.Encode(&f); err != nil {
-			break
-		}
+	// The welcome goes out with whatever replay is already queued; the
+	// stream then ends when the queue closes or a write fails.
+	w := newFrameWriter(conn)
+	welcome := message{Type: msgWelcome, Proto: &wireVersion{Major: ProtoMajor, Minor: ProtoMinor}}
+	if w.message(&welcome) == nil {
+		var cur eventFrame // reused: each frame is copied in, not allocated
+		drain(w, sub.out, func(f eventFrame) error {
+			cur = f
+			cur.Dropped = sub.dropped.Load()
+			return w.event(&cur)
+		})
 	}
 	b.unsubscribe(sub)
 	conn.Close()

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"pnsched/internal/observe"
@@ -270,6 +271,36 @@ func TestGoldenEventFrames(t *testing.T) {
 			again = append(again, '\n')
 			if !bytes.Equal(again, golden) {
 				t.Errorf("decode→encode not byte-identical:\n got %s\nwant %s", again, golden)
+			}
+		})
+	}
+}
+
+// TestGoldenHotFrames pins the frames the hand codec writes and reads:
+// assign and done, recorded once with json.Marshal before the hand
+// codec existed and never regenerated (-update-golden leaves them
+// alone), and the dispatch event, whose golden TestGoldenEventFrames
+// keeps. The hand encoder must reproduce each byte for byte, and
+// decoding each must give back the frame it was recorded from.
+func TestGoldenHotFrames(t *testing.T) {
+	dispatch := canonicalFrames()["event_dispatch"]
+	frames := map[string]any{
+		"assign":         &message{Type: msgAssign, Tasks: []wireTask{{ID: 7, Size: 420.5}, {ID: 12, Size: 33}}},
+		"done":           &message{Type: msgDone, Task: 7, Elapsed: 1.338, Real: 0.0013},
+		"event_dispatch": &dispatch,
+	}
+	for name, frame := range frames {
+		t.Run(name, func(t *testing.T) {
+			golden, err := os.ReadFile(filepath.Join("testdata", "golden", name+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if encoded, ok := encodeHot(frame); !ok || !bytes.Equal(encoded, golden) {
+				t.Errorf("hand encoding:\n got %s\nwant %s", encoded, golden)
+			}
+			m, ev, err := decodeWireMessage(bytes.TrimSuffix(golden, []byte("\n")))
+			if decoded := either(m, ev); err != nil || !reflect.DeepEqual(decoded, frame) {
+				t.Errorf("decodeWireMessage(golden) = %+v, %v; want %+v", decoded, err, frame)
 			}
 		})
 	}

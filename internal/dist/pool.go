@@ -190,7 +190,7 @@ type Worker struct {
 	name    string
 	claimed units.Rate
 	conn    net.Conn
-	out     chan message // assign messages; closed on unregister
+	out     chan []wireTask // assign batches; closed on unregister
 
 	rate *smoothing.Smoother // observed Mflop/s, primed with claimed
 	comm *smoothing.Smoother // per-task link overhead, seconds
@@ -570,7 +570,7 @@ func (p *Pool) serveWorker(conn net.Conn, br *bufio.Reader, name string, claimed
 		name:        name,
 		claimed:     claimed,
 		conn:        conn,
-		out:         make(chan message, 16), // assign frames in flight; a full queue means a wedged peer
+		out:         make(chan []wireTask, 16), // assign frames in flight; a full queue means a wedged peer
 		rate:        smoothing.New(p.nu),
 		comm:        smoothing.New(p.nu),
 		outstanding: make(map[int32]pendingTask),
@@ -626,16 +626,18 @@ func (p *Pool) serveWorker(conn net.Conn, br *bufio.Reader, name string, claimed
 	p.unregister(w)
 }
 
-// writeLoop drains a worker's outbound queue onto its connection. A
+// writeLoop drains a worker's outbound queue onto its connection as
+// assign frames, batched into one write for as many as are queued. A
 // write failure closes the connection, which surfaces in the read loop
 // and triggers unregistration there.
 func (p *Pool) writeLoop(w *Worker) {
-	enc := json.NewEncoder(w.conn)
-	for m := range w.out {
-		if err := enc.Encode(&m); err != nil {
-			w.conn.Close()
-			return
-		}
+	fw := newFrameWriter(w.conn)
+	m := message{Type: msgAssign}
+	if drain(fw, w.out, func(ts []wireTask) error {
+		m.Tasks = ts
+		return fw.message(&m)
+	}) != nil {
+		w.conn.Close()
 	}
 }
 
@@ -862,7 +864,7 @@ func (p *Pool) dispatchLocked(lease any, workers []*Worker, asg sched.Assignment
 			}
 		}
 		select {
-		case w.out <- message{Type: msgAssign, Tasks: wire}:
+		case w.out <- wire:
 		default:
 			// The writer is wedged (worker stopped reading); drop the
 			// connection — the read loop will reissue everything.

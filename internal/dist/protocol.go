@@ -2,11 +2,14 @@ package dist
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
+	"strconv"
 	"syscall"
 
 	"pnsched/internal/observe"
@@ -67,9 +70,10 @@ const (
 )
 
 // maxFrame bounds one JSON-lines frame. Frames beyond it are a protocol
-// error: the largest legitimate frame — an assign batch of a few
-// thousand tasks — stays well under it, and the bound keeps a malicious
-// or broken peer from ballooning server memory one line at a time.
+// error: an assign batch of a few thousand tasks stays well under it,
+// a larger one is split into consecutive frames by the writer
+// (frameWriter.message), and the bound keeps a malicious or broken peer
+// from ballooning server memory one line at a time.
 const maxFrame = 1 << 20
 
 // errFrameTooBig is returned for frames exceeding maxFrame.
@@ -288,41 +292,106 @@ func (f *eventFrame) deliver(o observe.Observer) {
 // the forward-compatibility rule the protocol has always had — while
 // malformed JSON, oversized frames, and structurally invalid known
 // types error. It never panics, whatever the input (FuzzWireMessage).
+//
+// Each frame is parsed once: the hot frames by hand (decodeHot), any
+// other frame opening with its type by one json.Unmarshal into the
+// struct that type names. Whatever neither takes — a frame that does not
+// open with its type, an unknown type, a malformed frame — goes to
+// decodeProbe, the reference decoder, which also words every error.
+// The result is decodeProbe's in every case (FuzzWireCodec).
 func decodeWireMessage(line []byte) (msg *message, ev *eventFrame, err error) {
 	if len(line) > maxFrame {
 		return nil, nil, errFrameTooBig
 	}
+	m, ev, ok := decodeHot(line)
+	if !ok {
+		m, ev, ok = decodeTyped(line)
+	}
+	if !ok {
+		return decodeProbe(line)
+	}
+	return checked(m, ev)
+}
+
+// decodeTyped unmarshals a frame that opens with {"type":"…" once, into
+// the struct its type names. ok is false — decline — for any other
+// opening, an unknown type, a failed unmarshal, or a decoded Type that is
+// not the one the frame opened with (a repeated or differently-cased
+// "type" key decides on its last occurrence).
+func decodeTyped(line []byte) (*message, *eventFrame, bool) {
+	rest, found := bytes.CutPrefix(line, []byte(`{"type":"`))
+	end := bytes.IndexByte(rest, '"')
+	if !found || end < 0 {
+		return nil, nil, false
+	}
+	typ := rest[:end]
+	if string(typ) == msgEvent {
+		var f eventFrame
+		if json.Unmarshal(line, &f) != nil || f.Type != msgEvent {
+			return nil, nil, false
+		}
+		return nil, &f, true
+	}
+	var m message
+	if !isControl(string(typ)) || json.Unmarshal(line, &m) != nil || m.Type != string(typ) {
+		return nil, nil, false
+	}
+	return &m, nil, true
+}
+
+// decodeProbe is the reference decoder: it probes the type with one
+// unmarshal, then decodes the frame with a second. decodeWireMessage
+// falls back to it for every frame its single-parse paths decline.
+func decodeProbe(line []byte) (*message, *eventFrame, error) {
 	var probe struct {
 		Type string `json:"type"`
 	}
 	if err := json.Unmarshal(line, &probe); err != nil {
 		return nil, nil, fmt.Errorf("dist: malformed frame: %w", err)
 	}
-	switch probe.Type {
-	case "":
+	switch {
+	case probe.Type == "":
 		return nil, nil, errors.New("dist: frame without type")
-	case msgEvent:
+	case probe.Type == msgEvent:
 		var f eventFrame
 		if err := json.Unmarshal(line, &f); err != nil {
 			return nil, nil, fmt.Errorf("dist: malformed event frame: %w", err)
 		}
-		if err := f.validate(); err != nil {
-			return nil, nil, err
-		}
-		return nil, &f, nil
-	case msgHello, msgAssign, msgDone, msgWatch, msgWelcome, msgStats, msgTrace,
-		msgJobSubmit, msgJobStatus, msgJobCancel, msgJobResult:
+		return checked(nil, &f)
+	case isControl(probe.Type):
 		var m message
 		if err := json.Unmarshal(line, &m); err != nil {
 			return nil, nil, fmt.Errorf("dist: malformed %s frame: %w", probe.Type, err)
 		}
-		if err := m.validate(); err != nil {
-			return nil, nil, err
-		}
-		return &m, nil, nil
+		return checked(&m, nil)
 	default:
 		return nil, nil, nil // unknown type: skip, the protocol can evolve
 	}
+}
+
+// isControl reports whether typ is a message type of the control
+// envelope.
+func isControl(typ string) bool {
+	switch typ {
+	case msgHello, msgAssign, msgDone, msgWatch, msgWelcome, msgStats, msgTrace,
+		msgJobSubmit, msgJobStatus, msgJobCancel, msgJobResult:
+		return true
+	}
+	return false
+}
+
+// checked validates a decoded frame: exactly one of m and ev is non-nil.
+func checked(m *message, ev *eventFrame) (*message, *eventFrame, error) {
+	var err error
+	if m != nil {
+		err = m.validate()
+	} else {
+		err = ev.validate()
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, ev, nil
 }
 
 // validate applies the per-type structural rules of the control
@@ -418,28 +487,103 @@ func (m *message) validate() error {
 
 // readFrame reads one newline-terminated frame from br, enforcing
 // maxFrame. The trailing newline is stripped. It is the single framing
-// point for every untrusted read path (server-side connections, the
-// watch client).
+// point for every untrusted read path (server-side connections, workers,
+// the watch client).
+//
+// A frame that fits br's buffer is returned in place, without a copy, so
+// it is valid only until the next read from br; only longer frames are
+// copied out. Nothing decoded from a frame shares its bytes — encoding/json
+// copies strings and json.RawMessage, and the hand decoder yields numbers.
 func readFrame(br *bufio.Reader) ([]byte, error) {
 	var frame []byte
 	for {
 		chunk, err := br.ReadSlice('\n')
-		frame = append(frame, chunk...)
 		// maxFrame bounds the payload; +1 admits the newline, so the
 		// limit here matches decodeWireMessage's exactly.
-		if len(frame) > maxFrame+1 {
+		if len(frame)+len(chunk) > maxFrame+1 {
 			return nil, errFrameTooBig
 		}
-		switch err {
-		case nil:
+		switch {
+		case err == nil && frame == nil:
+			return chunk[:len(chunk)-1], nil
+		case err == nil:
+			frame = append(frame, chunk...)
 			return frame[:len(frame)-1], nil
-		case bufio.ErrBufferFull:
-			continue // long line: keep accumulating up to maxFrame
+		case err == bufio.ErrBufferFull:
+			// Long line: copy out before the next read reuses the buffer,
+			// and keep accumulating up to maxFrame.
+			frame = append(frame, chunk...)
+		case len(frame)+len(chunk) > 0 && err == io.EOF:
+			return nil, io.ErrUnexpectedEOF // mid-frame hangup
 		default:
-			if len(frame) > 0 && err == io.EOF {
-				return nil, io.ErrUnexpectedEOF // mid-frame hangup
-			}
 			return nil, err
+		}
+	}
+}
+
+// frameWriter batches frames onto one connection. Each frame is encoded
+// into a buffer — a hot frame by hand, any other by encoding/json — and
+// reaches the socket when the buffer fills or is flushed, which drain
+// does whenever its queue is empty. So one write may carry many frames,
+// and a frame waits only behind frames already queued.
+type frameWriter struct {
+	bw  *bufio.Writer
+	enc *json.Encoder // writes into bw
+}
+
+func newFrameWriter(conn net.Conn) *frameWriter {
+	bw := bufio.NewWriter(conn)
+	return &frameWriter{bw: bw, enc: json.NewEncoder(bw)}
+}
+
+// message writes m. A hot frame longer than maxFrame — only an assign of
+// tens of thousands of tasks gets there — goes out instead as
+// consecutive frames over the halves of its task list, so no peer is
+// ever sent a frame it must refuse.
+func (w *frameWriter) message(m *message) error {
+	b, ok := appendMessage(w.bw.AvailableBuffer(), m)
+	switch {
+	case !ok:
+		return w.enc.Encode(m)
+	case len(b) > maxFrame+1 && len(m.Tasks) > 1:
+		first, rest := *m, *m
+		h := len(m.Tasks) / 2
+		first.Tasks, rest.Tasks = m.Tasks[:h], m.Tasks[h:]
+		if err := w.message(&first); err != nil {
+			return err
+		}
+		return w.message(&rest)
+	}
+	_, err := w.bw.Write(b)
+	return err
+}
+
+// event writes f.
+func (w *frameWriter) event(f *eventFrame) error {
+	if b, ok := appendEvent(w.bw.AvailableBuffer(), f); ok {
+		_, err := w.bw.Write(b)
+		return err
+	}
+	return w.enc.Encode(f)
+}
+
+// drain writes each value received from queue with write, flushing w
+// whenever queue is empty — before the first receive too, so frames
+// written ahead of the loop go out — until queue is closed (and all it
+// held written) or a write fails.
+func drain[T any](w *frameWriter, queue <-chan T, write func(T) error) error {
+	for {
+		if len(queue) == 0 {
+			if err := w.bw.Flush(); err != nil {
+				return err
+			}
+		}
+		v, ok := <-queue
+		if !ok {
+			return nil
+		}
+		if err := write(v); err != nil {
+			return err
 		}
 	}
 }
@@ -466,6 +610,266 @@ func fromWire(ws []wireTask) []task.Task {
 		out[i] = task.Task{ID: task.ID(w.ID), Size: units.MFlops(w.Size)}
 	}
 	return out
+}
+
+// The hot frames — the dispatch event, done and assign, one or more of
+// each per task — have a hand codec; every other frame goes through
+// encoding/json. The hand encoder writes exactly the bytes json.Encoder
+// writes for the same value (FuzzWireCodec and the goldens hold it
+// there), and the hand decoder accepts a frame only in exactly that
+// form, so whatever it accepts the reflective decoder would decode to
+// the same value. Decoders still accept any key order and spacing: a
+// frame in another form simply takes the reflective path.
+
+// hot reports whether m is a hot control frame: an assign or done with
+// nothing set beyond the task list, task, elapsed and real, all of them
+// finite (encoding/json refuses the others).
+func (m *message) hot() bool {
+	if (m.Type != msgAssign && m.Type != msgDone) || m.Name != "" || m.Rate != 0 ||
+		m.Proto != nil || m.Stats != nil || len(m.Traces) != 0 || m.Job != nil ||
+		m.JobID != "" || len(m.Jobs) != 0 || m.Result != nil || m.Error != "" ||
+		!finite(m.Elapsed) || !finite(m.Real) {
+		return false
+	}
+	for _, t := range m.Tasks {
+		if !finite(t.Size) {
+			return false
+		}
+	}
+	return true
+}
+
+func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
+
+// appendMessage appends m's frame, newline included, when m is a hot
+// frame, and reports whether it did.
+func appendMessage(b []byte, m *message) ([]byte, bool) {
+	if !m.hot() {
+		return b, false
+	}
+	b = append(b, `{"type":"`...)
+	b = append(b, m.Type...)
+	b = append(b, '"')
+	if len(m.Tasks) > 0 {
+		b = append(b, `,"tasks":[`...)
+		for i, t := range m.Tasks {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"id":`...)
+			b = strconv.AppendInt(b, int64(t.ID), 10)
+			b = append(b, `,"size":`...)
+			b = appendFloat(b, t.Size)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"task":`...)
+	b = strconv.AppendInt(b, int64(m.Task), 10)
+	b = append(b, `,"elapsed":`...)
+	b = appendFloat(b, m.Elapsed)
+	if m.Real != 0 {
+		b = append(b, `,"real":`...)
+		b = appendFloat(b, m.Real)
+	}
+	return append(b, "}\n"...), true
+}
+
+// appendEvent appends f's frame, newline included, when f is a dispatch
+// event with a finite time and no other payload, and reports whether it
+// did.
+func appendEvent(b []byte, f *eventFrame) ([]byte, bool) {
+	d := f.Dispatch
+	if d == nil || !finite(float64(d.At)) || *f != (eventFrame{Type: msgEvent, V: f.V,
+		Seq: f.Seq, Dropped: f.Dropped, Kind: kindDispatch, Dispatch: d}) {
+		return b, false
+	}
+	b = append(b, `{"type":"event","v":{"major":`...)
+	b = strconv.AppendInt(b, int64(f.V.Major), 10)
+	b = append(b, `,"minor":`...)
+	b = strconv.AppendInt(b, int64(f.V.Minor), 10)
+	b = append(b, `},"seq":`...)
+	b = strconv.AppendUint(b, f.Seq, 10)
+	if f.Dropped != 0 {
+		b = append(b, `,"dropped":`...)
+		b = strconv.AppendUint(b, f.Dropped, 10)
+	}
+	b = append(b, `,"kind":"dispatch","dispatch":{"proc":`...)
+	b = strconv.AppendInt(b, int64(d.Proc), 10)
+	b = append(b, `,"task":`...)
+	b = strconv.AppendInt(b, int64(d.Task), 10)
+	b = append(b, `,"at":`...)
+	b = appendFloat(b, float64(d.At))
+	return append(b, "}}\n"...), true
+}
+
+// appendFloat appends a finite x as encoding/json writes a float64: the
+// shortest digits that round-trip, in exponent form only below 1e-6 or
+// from 1e21 up, with a two-digit negative exponent's leading zero
+// dropped (e-07 → e-7).
+func appendFloat(b []byte, x float64) []byte {
+	format := byte('f')
+	if a := math.Abs(x); a != 0 && (a < 1e-6 || a >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, x, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// decodeHot is the hand decoder of the hot frames. It declines (ok
+// false) anything but a frame exactly as appendMessage or appendEvent
+// would write it, newline excepted; the result is not yet validated.
+func decodeHot(line []byte) (m *message, ev *eventFrame, ok bool) {
+	s := scanner{b: line, ok: true}
+	switch {
+	case s.opt(`{"type":"event","v":{"major":`):
+		var f eventFrame
+		var d observe.Dispatch
+		f.V.Major = int(s.parseInt(strconv.IntSize))
+		s.lit(`,"minor":`)
+		f.V.Minor = int(s.parseInt(strconv.IntSize))
+		s.lit(`},"seq":`)
+		f.Seq = s.parseUint()
+		if s.opt(`,"dropped":`) {
+			f.Dropped = s.parseUint()
+			s.ok = s.ok && f.Dropped != 0 // the encoder omits a zero
+		}
+		s.lit(`,"kind":"dispatch","dispatch":{"proc":`)
+		d.Proc = int(s.parseInt(strconv.IntSize))
+		s.lit(`,"task":`)
+		d.Task = task.ID(s.parseInt(32))
+		s.lit(`,"at":`)
+		d.At = units.Seconds(s.parseFloat())
+		s.lit(`}}`)
+		if !s.end() {
+			return nil, nil, false
+		}
+		// One allocation holds the frame and its payload.
+		x := &struct {
+			f eventFrame
+			d observe.Dispatch
+		}{f, d}
+		x.f.Type, x.f.Kind, x.f.Dispatch = msgEvent, kindDispatch, &x.d
+		return nil, &x.f, true
+	case s.opt(`{"type":"done"`):
+		m = &message{Type: msgDone}
+	case s.opt(`{"type":"assign"`):
+		m = &message{Type: msgAssign}
+	default:
+		return nil, nil, false
+	}
+	if s.opt(`,"tasks":[`) {
+		m.Tasks = make([]wireTask, 0, bytes.Count(line[s.i:], []byte(`{"id":`)))
+		for s.ok {
+			s.lit(`{"id":`)
+			id := s.parseInt(32)
+			s.lit(`,"size":`)
+			size := s.parseFloat()
+			s.lit(`}`)
+			m.Tasks = append(m.Tasks, wireTask{ID: int32(id), Size: size})
+			if !s.opt(`,`) {
+				break
+			}
+		}
+		s.lit(`]`)
+	}
+	s.lit(`,"task":`)
+	m.Task = int32(s.parseInt(32))
+	s.lit(`,"elapsed":`)
+	m.Elapsed = s.parseFloat()
+	if s.opt(`,"real":`) {
+		m.Real = s.parseFloat()
+		s.ok = s.ok && m.Real != 0 // the encoder omits a zero
+	}
+	s.lit(`}`)
+	if !s.end() {
+		return nil, nil, false
+	}
+	return m, nil, true
+}
+
+// scanner is decodeHot's cursor. Every step clears ok on a mismatch,
+// after which the remaining steps are no-ops; a number is taken only in
+// the exact form the encoder writes for the value it parses to.
+type scanner struct {
+	b  []byte
+	i  int
+	ok bool
+}
+
+// opt consumes lit if the input continues with it.
+func (s *scanner) opt(lit string) bool {
+	if s.ok && len(s.b)-s.i >= len(lit) && string(s.b[s.i:s.i+len(lit)]) == lit {
+		s.i += len(lit)
+		return true
+	}
+	return false
+}
+
+// lit consumes lit, which must come next.
+func (s *scanner) lit(lit string) {
+	if !s.opt(lit) {
+		s.ok = false
+	}
+}
+
+// end reports whether the whole input was consumed without a mismatch.
+func (s *scanner) end() bool { return s.ok && s.i == len(s.b) }
+
+// number consumes the run of number characters that comes next.
+func (s *scanner) number() []byte {
+	j := s.i
+	for ; j < len(s.b); j++ {
+		if c := s.b[j]; (c < '0' || c > '9') && c != '-' && c != '+' && c != '.' && c != 'e' && c != 'E' {
+			break
+		}
+	}
+	tok := s.b[s.i:j]
+	s.i = j
+	return tok
+}
+
+// canonical keeps ok only if the number was parsed without error and
+// re-encodes to exactly its token.
+func (s *scanner) canonical(tok, enc []byte, err error) {
+	s.ok = s.ok && err == nil && bytes.Equal(tok, enc)
+}
+
+func (s *scanner) parseInt(bits int) int64 {
+	if !s.ok {
+		return 0
+	}
+	tok := s.number()
+	v, err := strconv.ParseInt(string(tok), 10, bits)
+	var buf [24]byte
+	s.canonical(tok, strconv.AppendInt(buf[:0], v, 10), err)
+	return v
+}
+
+func (s *scanner) parseUint() uint64 {
+	if !s.ok {
+		return 0
+	}
+	tok := s.number()
+	v, err := strconv.ParseUint(string(tok), 10, 64)
+	var buf [24]byte
+	s.canonical(tok, strconv.AppendUint(buf[:0], v, 10), err)
+	return v
+}
+
+func (s *scanner) parseFloat() float64 {
+	if !s.ok {
+		return 0
+	}
+	tok := s.number()
+	v, err := strconv.ParseFloat(string(tok), 64)
+	var buf [32]byte
+	s.canonical(tok, appendFloat(buf[:0], v), err)
+	return v
 }
 
 // isClosedErr reports whether err looks like the normal teardown of an

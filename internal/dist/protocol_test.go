@@ -88,4 +88,27 @@ func TestReadFrameBounds(t *testing.T) {
 	if err != nil || string(line) != `{"type":"hello"}` {
 		t.Fatalf("readFrame = %q, %v", line, err)
 	}
+
+	// A line longer than the reader's buffer is copied out whole; one
+	// that fits is handed out in place, at no allocation.
+	long := strings.Repeat("y", 3*4096)
+	br = bufio.NewReader(strings.NewReader(long + "\n" + long + "\n"))
+	for range 2 {
+		if line, err := readFrame(br); err != nil || string(line) != long {
+			t.Fatalf("long frame read as %d bytes, %v; want %d", len(line), err, len(long))
+		}
+	}
+	br = bufio.NewReader(repeatReader("{\"type\":\"done\",\"task\":1,\"elapsed\":1}\n"))
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := readFrame(br); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("reading a frame that fits the buffer allocated %v times, want 0", allocs)
+	}
 }
+
+// repeatReader yields the same line for ever.
+type repeatReader string
+
+func (r repeatReader) Read(p []byte) (int, error) { return copy(p, r), nil }

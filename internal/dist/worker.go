@@ -1,9 +1,8 @@
 package dist
 
 import (
+	"bufio"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -47,8 +46,10 @@ func Name() string {
 // RunWorker connects to a scheduling server at addr and processes
 // assigned tasks strictly in FIFO order until the context is cancelled
 // (returning ctx.Err()) or the server closes the connection (returning
-// nil). Task execution is simulated — sleep Size/Rate scaled by
-// TimeScale — unless cfg.Execute is set.
+// nil); a frame the protocol refuses — oversized, malformed, or an
+// assign with an invalid task — ends it with an error. Task execution
+// is simulated — sleep Size/Rate scaled by TimeScale — unless
+// cfg.Execute is set.
 func RunWorker(ctx context.Context, addr string, cfg WorkerConfig) error {
 	if cfg.Rate <= 0 {
 		return fmt.Errorf("dist: worker rate must be positive, got %v", cfg.Rate)
@@ -56,11 +57,6 @@ func RunWorker(ctx context.Context, addr string, cfg WorkerConfig) error {
 	if cfg.Name == "" {
 		cfg.Name = Name()
 	}
-	timeScale := cfg.TimeScale
-	if timeScale <= 0 {
-		timeScale = 1
-	}
-
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -69,31 +65,72 @@ func RunWorker(ctx context.Context, addr string, cfg WorkerConfig) error {
 		}
 		return fmt.Errorf("dist: worker %s: %w", cfg.Name, err)
 	}
+	return serveTasks(ctx, conn, cfg)
+}
+
+// serveTasks is RunWorker on an established connection, which it
+// closes: hello, then tasks read, run and reported until the server
+// hangs up or ctx is cancelled.
+func serveTasks(ctx context.Context, conn net.Conn, cfg WorkerConfig) error {
 	defer conn.Close()
-	// Cancellation unblocks the decoder by closing the socket.
+	// Cancellation unblocks the reader and the writer by closing the socket.
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
+	timeScale := cfg.TimeScale
+	if timeScale <= 0 {
+		timeScale = 1
+	}
 
-	enc := json.NewEncoder(conn)
-	if err := enc.Encode(&message{Type: msgHello, Name: cfg.Name, Rate: float64(cfg.Rate)}); err != nil {
+	w := newFrameWriter(conn)
+	err := w.message(&message{Type: msgHello, Name: cfg.Name, Rate: float64(cfg.Rate)})
+	if err == nil {
+		err = w.bw.Flush()
+	}
+	if err != nil {
 		return fmt.Errorf("dist: worker %s: sending hello: %w", cfg.Name, err)
 	}
 
 	q := &workQueue{}
 	q.cond = sync.NewCond(&q.mu)
 
-	// Reader: append assignments to the local FIFO queue. Runs until the
-	// connection dies, then wakes the processing loop with the error.
+	// Reader: append assignments to the local FIFO queue, through the
+	// same bounded framing and validation as every other peer. Runs until
+	// the connection dies or a frame is refused, then wakes the
+	// processing loop with the error.
 	go func() {
-		dec := json.NewDecoder(conn)
+		br := bufio.NewReader(conn)
 		for {
-			var m message
-			if err := dec.Decode(&m); err != nil {
-				q.fail(err)
+			line, err := readFrame(br)
+			var m *message
+			if err == nil {
+				m, _, err = decodeWireMessage(line)
+			}
+			if err != nil {
+				q.fail(err, false)
 				return
 			}
-			if m.Type == msgAssign {
+			if m != nil && m.Type == msgAssign {
 				q.push(fromWire(m.Tasks))
+			}
+		}
+	}()
+
+	// Writer: done reports, batched like the pool's assign frames. A
+	// failed write ends the worker: the queue is failed and emptied, and
+	// later reports are discarded until the processing loop returns and
+	// closes the channel.
+	reports := make(chan message, 16) // reports in flight; a full queue holds processing back
+	defer close(reports)
+	go func() {
+		var m message // reused: the report is copied in, not allocated per frame
+		err := drain(w, reports, func(r message) error {
+			m = r
+			return w.message(&m)
+		})
+		if err != nil {
+			q.fail(fmt.Errorf("reporting completion: %w", err), true)
+			conn.Close()
+			for range reports {
 			}
 		}
 	}()
@@ -122,20 +159,11 @@ func RunWorker(ctx context.Context, addr string, cfg WorkerConfig) error {
 				return ctx.Err()
 			}
 		}
-		done := message{
+		reports <- message{
 			Type:    msgDone,
 			Task:    int32(t.ID),
 			Elapsed: float64(elapsed),
 			Real:    real.Seconds(),
-		}
-		if err := enc.Encode(&done); err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			if isClosedErr(err) {
-				return nil
-			}
-			return fmt.Errorf("dist: worker %s: reporting completion: %w", cfg.Name, err)
 		}
 	}
 }
@@ -157,20 +185,25 @@ func (q *workQueue) push(ts []task.Task) {
 	q.mu.Unlock()
 }
 
-func (q *workQueue) fail(err error) {
-	if err == nil {
-		err = errors.New("dist: connection reader stopped")
-	}
+// fail ends the queue with err; the first failure wins. Tasks already
+// queued are still handed out first unless discard is set, for when
+// their completion reports could no longer be delivered.
+func (q *workQueue) fail(err error, discard bool) {
 	q.mu.Lock()
-	q.err = err
+	if q.err == nil {
+		q.err = err
+	}
+	if discard {
+		q.tasks = nil
+	}
 	q.cond.Broadcast()
 	q.mu.Unlock()
 }
 
 // pop blocks until a task is available or the connection has failed.
-// Queued tasks are drained before the failure is reported, so work
-// already accepted is finished (and its completion report surfaces the
-// broken connection if the server is truly gone).
+// Queued tasks are drained before a read failure is reported, so work
+// already accepted is finished; if the server is truly gone, a failed
+// completion report discards the rest (see fail).
 func (q *workQueue) pop(ctx context.Context) (task.Task, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()

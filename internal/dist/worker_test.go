@@ -1,0 +1,125 @@
+package dist
+
+import (
+	"bufio"
+	"context"
+	"errors"
+	"net"
+	"strings"
+	"testing"
+	"time"
+
+	"pnsched/internal/sched"
+	"pnsched/internal/task"
+	"pnsched/internal/units"
+)
+
+// TestWorkerRefusesBadFrames: the worker reads through the same bounded
+// framing and validation as every other peer, so an oversized line or
+// an assign with a negative task id ends RunWorker with an error rather
+// than a swollen buffer or a bogus task.
+func TestWorkerRefusesBadFrames(t *testing.T) {
+	for name, c := range map[string]struct {
+		line string
+		want func(error) bool
+	}{
+		"oversized line": {`{"type":"assign","pad":"` + strings.Repeat("x", maxFrame) + `"}`,
+			func(err error) bool { return errors.Is(err, errFrameTooBig) }},
+		"negative id": {`{"type":"assign","tasks":[{"id":-1,"size":5}],"task":0,"elapsed":0}`,
+			func(err error) bool { return err != nil && strings.Contains(err.Error(), "invalid task") }},
+	} {
+		t.Run(name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			errc := make(chan error, 1)
+			go func() { errc <- RunWorker(context.Background(), ln.Addr().String(), WorkerConfig{Name: "w", Rate: 1}) }()
+			conn, err := ln.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := readFrame(bufio.NewReader(conn)); err != nil {
+				t.Fatalf("hello: %v", err)
+			}
+			// The worker may hang up before reading the whole line.
+			go conn.Write([]byte(c.line + "\n"))
+			select {
+			case err := <-errc:
+				if !c.want(err) {
+					t.Fatalf("RunWorker returned %v", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("RunWorker still running after a bad frame")
+			}
+		})
+	}
+}
+
+// oneBatch hands every queued task to the first worker in one batch.
+type oneBatch struct{}
+
+func (oneBatch) Name() string                                { return "ONE" }
+func (oneBatch) NextBatchSize(queued int, _ sched.State) int { return queued }
+func (oneBatch) ScheduleBatch(batch []task.Task, st sched.State) (sched.Assignment, units.Seconds) {
+	asg := sched.NewAssignment(st.M())
+	asg[0] = batch
+	return asg, 0
+}
+
+// TestWorkerTakesBatchOverFrameBound: a fixed batch size is not capped,
+// so one assignment can encode past maxFrame. The pool must then split
+// it into consecutive assign frames the worker accepts, and every task
+// must complete.
+func TestWorkerTakesBatchOverFrameBound(t *testing.T) {
+	const n = 40_000
+	tasks := make([]task.Task, n)
+	for i := range tasks {
+		tasks[i] = task.Task{ID: task.ID(i), Size: units.MFlops(1000 + float64(i)/7)}
+	}
+	if b, _ := appendMessage(nil, &message{Type: msgAssign, Tasks: toWire(tasks)}); len(b) <= maxFrame+1 {
+		t.Fatalf("one assign of %d tasks is only %d bytes: nothing to split", n, len(b))
+	}
+
+	srv, err := NewServer(ServerConfig{Scheduler: oneBatch{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		errc <- RunWorker(ctx, ln.Addr().String(), WorkerConfig{Name: "w", Rate: 100,
+			Execute: func(task.Task) time.Duration { return 0 }})
+	}()
+	for deadline := time.Now().Add(10 * time.Second); len(srv.Workers()) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("worker never registered")
+		}
+	}
+	srv.Submit(tasks)
+	waited := make(chan error, 1)
+	go func() { waited <- srv.Wait(60 * time.Second) }()
+	select {
+	case err := <-errc:
+		t.Fatalf("worker stopped before the batch completed: %v", err)
+	case err := <-waited:
+		if err != nil {
+			t.Fatalf("Wait: %v", err)
+		}
+	}
+	if _, completed, reissued, _ := srv.Stats(); completed != n || reissued != 0 {
+		t.Errorf("completed %d reissued %d, want %d and 0", completed, reissued, n)
+	}
+	cancel()
+	if err := <-errc; err != nil && !errors.Is(err, context.Canceled) {
+		t.Errorf("RunWorker: %v", err)
+	}
+}

@@ -77,6 +77,19 @@ for k in $kinds; do
 	fi
 done
 
+# The worker conversation's per-task frames (assign, done) pin their
+# encodings in golden files, which the spec must cite and show verbatim.
+for m in assign done; do
+	golden=internal/dist/testdata/golden/$m.json
+	if [ ! -f "$golden" ]; then
+		echo "docscheck: message type \"$m\" has no golden $golden" >&2
+		status=1
+	elif ! grep -qF "$m.json" "$spec" || ! grep -qxF "$(cat "$golden")" "$spec"; then
+		echo "docscheck: $spec does not cite and show the $m.json golden" >&2
+		status=1
+	fi
+done
+
 # The request/reply messages (stats 1.1, trace 1.2) each pin their
 # reply encoding in a golden file the spec must cite and illustrate.
 for m in stats trace; do
