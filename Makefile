@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race fuzz-smoke lint apicheck analyze docs-check bench bench-e2e bench-compare admin-smoke vulncheck size ci
+.PHONY: build test race fuzz-smoke lint apicheck analyze docs-check bench bench-e2e bench-compare bench-pairs admin-smoke vulncheck size ci
 
 build:
 	$(GO) build ./...
@@ -89,6 +89,16 @@ bench-e2e:
 bench-compare:
 	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-compare A=<a.jsonl> B=<b.jsonl>" >&2; exit 2; }
 	bash bench/run.sh -compare $(abspath $(A)) $(abspath $(B))
+
+# Interleaved before/after pairs (scripts/benchpairs.sh): the benchmark
+# built from BASE and from the working tree, PAIRS pairs on the seeds
+# from SEEDS on, sides alternating first, then -compare:
+#   make bench-pairs BASE=HEAD WORKLOAD=svc-journal PAIRS=10 SEEDS=31
+BASE ?= HEAD
+PAIRS ?= 10
+SEEDS ?= 1
+bench-pairs:
+	bash scripts/benchpairs.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SEEDS)
 
 # Smoke the HTTP admin endpoint: short-lived pnserver -admin, curl
 # /healthz and /metrics, assert the instrument families render.

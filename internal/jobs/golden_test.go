@@ -203,4 +203,30 @@ func TestJournalGoldenSnapshot(t *testing.T) {
 	if !bytes.Equal(append(b2, '\n'), got) {
 		t.Errorf("snapshot decode→encode not byte-identical")
 	}
+
+	// The dispatcher's own writer, which assembles the file from cached
+	// pieces, renders the committed bytes too: cold, and again with the
+	// terminal job's element taken from its cache.
+	want, err := os.ReadFile(goldenPath("journal_snapshot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := replayFresh(t, canonicalJournalSnapshot(), nil)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, pass := range []string{"cold", "cached"} {
+		enc, err := d.encodeSnapshotLocked(nil)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", pass, err)
+		}
+		if !bytes.Equal(enc, want) {
+			t.Errorf("%s: the snapshot writer drifted from the golden:\ngot  %swant %s", pass, enc, want)
+		}
+		if d.jobsByID["job-0006"].enc == nil || d.jobsByID["job-0007"].enc != nil {
+			t.Fatalf("%s: want the terminal job's element cached and the running job's not", pass)
+		}
+	}
 }

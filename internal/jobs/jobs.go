@@ -103,8 +103,9 @@ const (
 	// DefaultTenant is the accounting tenant of submissions that name
 	// none.
 	DefaultTenant = "default"
-	// DefaultSnapshotEvery is the journal snapshot cadence (appended
-	// records between snapshots) when Config.SnapshotEvery is zero.
+	// DefaultSnapshotEvery is the floor of the default journal snapshot
+	// cadence (Config.SnapshotEvery zero): no snapshot is written before
+	// the tail holds this many records, however small the state.
 	DefaultSnapshotEvery = 256
 )
 
@@ -134,11 +135,12 @@ type Config struct {
 	// RetryBudget is the default per-job reissue allowance for
 	// submissions that carry none; 0 selects DefaultRetryBudget.
 	RetryBudget int
-	// Retain bounds how many terminal jobs stay queryable. The zero
-	// value selects DefaultRetain (256); a negative value retains no
-	// terminal jobs beyond the RetainGrace window — the sentinel
-	// convention (0 = package default, negative = minimum) the GA
-	// config established.
+	// Retain bounds how many terminal jobs stay queryable; beyond it the
+	// job that finished longest ago is evicted first, once out of its
+	// RetainGrace. The zero value selects DefaultRetain (256); a
+	// negative value retains no terminal jobs beyond the RetainGrace
+	// window — the sentinel convention (0 = package default, negative =
+	// minimum) the GA config established.
 	Retain int
 	// RetainGrace is how long a terminal job is immune from retention
 	// eviction, so a client that polls for a job it just submitted
@@ -154,9 +156,13 @@ type Config struct {
 	// and running jobs are re-queued with one retry spent. See
 	// docs/job-journal.md.
 	JournalDir string
-	// SnapshotEvery is the journal snapshot cadence in appended
-	// records; 0 selects DefaultSnapshotEvery, negative disables
-	// periodic snapshots (one is still written after each recovery).
+	// SnapshotEvery is the journal snapshot cadence. 0 selects the
+	// amortised default: a snapshot once the tail holds at least
+	// DefaultSnapshotEvery records and at least as many bytes as the last
+	// snapshot, so snapshot writes cost no more than the appends they
+	// follow and replay reads at most twice the state. A positive value
+	// is a fixed cadence in appended records; negative disables periodic
+	// snapshots (one is still written after each recovery).
 	SnapshotEvery int
 	// PoolConfig is the worker pool's share — logging, observers, wire
 	// events, metrics (the pool registers its pnsched_* series, the
@@ -180,6 +186,12 @@ type job struct {
 	queue   *task.Queue // unscheduled tasks (including reissues)
 	leased  int         // workers currently leased to this job
 	batches int
+	// enc is a terminal job's element of the snapshot file, kept from
+	// the first snapshot that covers it (encodeSnapshotLocked).
+	enc []byte
+	// evicted marks a job retention has dropped; Dispatcher.order still
+	// holds it until compacted (retainedLocked).
+	evicted bool
 }
 
 // String names the job where the pool logs its lease.
@@ -223,9 +235,11 @@ type Dispatcher struct {
 	mu   *sync.Mutex
 
 	jobsByID map[string]*job
-	order    []*job // every retained job, submission order
+	order    []*job // every retained job, submission order, plus evicted ones not yet compacted
+	evicted  int    // evicted jobs still in order
 	pending  []*job // queued jobs, submission order
 	active   []*job // running jobs, admission order
+	finished []*job // retained terminal jobs, finish order: the retention FIFO
 
 	// durable is the dispatcher-global durable state in the form the
 	// snapshot file writes it: the LSN of the last record it reflects,
@@ -291,15 +305,8 @@ func New(cfg Config) (*Dispatcher, error) {
 	}
 	d.met = newJobMetrics(cfg.Metrics, d)
 	if cfg.JournalDir != "" {
-		every := cfg.SnapshotEvery
-		switch {
-		case every == 0:
-			every = DefaultSnapshotEvery
-		case every < 0:
-			every = 0
-		}
 		d.mu.Lock()
-		ems, err := d.recover(cfg.JournalDir, every)
+		ems, err := d.recover(cfg.JournalDir, cfg.SnapshotEvery)
 		d.mu.Unlock()
 		if err != nil {
 			return nil, err
@@ -556,6 +563,7 @@ func (d *Dispatcher) retireLocked(j *job, state, errMsg string, now time.Time) d
 	}
 	d.pending = removeJob(d.pending, j)
 	d.active = removeJob(d.active, j)
+	d.finished = append(d.finished, j)
 	d.pool.ReleaseLocked(j)
 	j.leased = 0
 	d.applyFinishLocked(j, &p)
@@ -595,28 +603,41 @@ func (d *Dispatcher) refundedLocked(j *job) float64 {
 	return served
 }
 
-// trimLocked evicts the oldest terminal jobs beyond the retention cap
-// so a long-lived dispatcher's memory stays bounded. Jobs inside the
-// retain-grace window are never evicted, whatever the cap: a client
-// polling for the job it just submitted must be able to read the
-// terminal state at least once. Caller holds mu.
+// trimLocked evicts terminal jobs beyond the retention cap so a
+// long-lived dispatcher's memory stays bounded: the job that finished
+// longest ago goes first, from the head of the finished FIFO. A job
+// inside the retain-grace window is never evicted, whatever the cap: a
+// client polling for the job it just submitted must be able to read the
+// terminal state at least once; eviction stops at the first such head.
+// An evicted job is only marked in order, which is compacted once the
+// marked jobs are half of it, so an eviction costs O(1) amortised.
+// Caller holds mu.
 func (d *Dispatcher) trimLocked(now time.Time) {
-	terminal, at := 0, stamp(now)
-	for _, j := range d.order {
-		if j.terminal() {
-			terminal++
+	at := stamp(now)
+	for len(d.finished) > d.retain {
+		j := d.finished[0]
+		if time.Duration(at-j.FinishedAt) < d.retainGrace {
+			break
 		}
+		d.finished[0] = nil
+		d.finished = d.finished[1:]
+		delete(d.jobsByID, j.ID)
+		j.evicted = true
+		d.evicted++
 	}
-	for i := 0; terminal > d.retain && i < len(d.order); {
-		j := d.order[i]
-		if j.terminal() && time.Duration(at-j.FinishedAt) >= d.retainGrace {
-			delete(d.jobsByID, j.ID)
-			d.order = append(d.order[:i], d.order[i+1:]...)
-			terminal--
-			continue
-		}
-		i++
+	if 2*d.evicted > len(d.order) {
+		d.retainedLocked()
 	}
+}
+
+// retainedLocked returns every retained job in submission order,
+// compacting the evicted ones out of order first. Caller holds mu.
+func (d *Dispatcher) retainedLocked() []*job {
+	if d.evicted > 0 {
+		d.order = slices.DeleteFunc(d.order, func(j *job) bool { return j.evicted })
+		d.evicted = 0
+	}
+	return d.order
 }
 
 // removeJob removes j from s preserving order; no-op if absent.
@@ -643,8 +664,9 @@ func (d *Dispatcher) Status(id string) (dist.JobInfo, error) {
 func (d *Dispatcher) Queue() []dist.JobInfo {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]dist.JobInfo, len(d.order))
-	for i, j := range d.order {
+	retained := d.retainedLocked()
+	out := make([]dist.JobInfo, len(retained))
+	for i, j := range retained {
 		out[i] = d.infoLocked(j)
 	}
 	return out

@@ -290,6 +290,30 @@ func TestRetentionEvictsOldTerminalJobs(t *testing.T) {
 	}
 }
 
+func TestRetentionEvictsInFinishOrder(t *testing.T) {
+	// Retention evicts the job that finished longest ago: here the one
+	// submitted second, cancelled while still queued.
+	d, err := jobs.New(jobs.Config{NewScheduler: testFactory, Retain: 1, RetainGrace: -1})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer d.Close()
+
+	first, _ := d.Submit(oneTask("a", 100)) // running
+	second, _ := d.Submit(oneTask("a", 100))
+	for _, id := range []string{second.ID, first.ID} {
+		if _, err := d.Cancel(id); err != nil {
+			t.Fatalf("Cancel(%s): %v", id, err)
+		}
+	}
+	if _, err := d.Status(second.ID); err == nil {
+		t.Errorf("%s, the first to finish, still retained", second.ID)
+	}
+	if _, err := d.Status(first.ID); err != nil {
+		t.Errorf("%s, the last to finish, evicted: %v", first.ID, err)
+	}
+}
+
 func TestFairShareRefundOnCancel(t *testing.T) {
 	// Regression for the admission-charge leak: tenant a's big job is
 	// charged 300 at admission and then cancelled with nothing served.

@@ -9,9 +9,13 @@ package jobs
 // only written after the lock is released, so an acknowledged
 // transition is always on disk. A snapshot (the full retained queue,
 // the per-tenant fair-share ledger, and the lifetime counters) is
-// written every SnapshotEvery records and truncates the replayed
-// history; New replays snapshot+tail on startup. See
-// docs/job-journal.md for the record grammar and the recovery rules.
+// written once the tail has paid for it — at least DefaultSnapshotEvery
+// records and as many bytes as the last snapshot, or every
+// SnapshotEvery records when that is positive — and truncates the
+// replayed history; New replays snapshot+tail on startup. A terminal
+// job never changes, so its part of the snapshot is encoded once and
+// copied into every later one. See docs/job-journal.md for the record
+// grammar and the recovery rules.
 //
 // The structs below are also the dispatcher's live state (see the
 // package comment): a job is held as its JournalJob, the counters as a
@@ -30,6 +34,7 @@ package jobs
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -253,9 +258,25 @@ func (p JournalFinish) record() *JournalRecord {
 type journal struct {
 	dir     string
 	f       *os.File
-	appends int   // records appended since the last snapshot
-	every   int   // snapshot cadence in records; 0 disables
-	failed  error // why journaling stopped, once an append or snapshot failed
+	every   int    // Config.SnapshotEvery: >0 records per snapshot, 0 amortised, <0 none
+	appends int    // records appended since the last snapshot
+	tail    int    // bytes appended since the last snapshot
+	last    []byte // the last snapshot written; its buffer is reused by the next
+	failed  error  // why journaling stopped, once an append or snapshot failed
+}
+
+// due reports whether the tail has paid for a snapshot. By default that
+// is DefaultSnapshotEvery records holding at least as many bytes as the
+// last snapshot: each snapshot is then no larger than the appends before
+// the next one, so snapshot writes cost O(1) per record however large
+// the retained state grows, and replay reads a snapshot plus a tail no
+// larger than it (beyond the floor). A positive cadence is a fixed
+// record count.
+func (jr *journal) due() bool {
+	if jr.every != 0 {
+		return jr.every > 0 && jr.appends >= jr.every
+	}
+	return jr.appends >= DefaultSnapshotEvery && jr.tail >= len(jr.last)
 }
 
 // openJournal creates the directory if needed and opens the journal
@@ -314,7 +335,7 @@ func openJournal(dir string, every int) (*journal, *JournalSnapshot, []*JournalR
 }
 
 // appendLocked assigns the next LSN, writes the record, and triggers a
-// snapshot when the cadence is due. A write failure permanently stops
+// snapshot when one is due. A write failure permanently stops
 // journaling (better a loud degraded dispatcher than a journal with
 // holes) — it is logged once and reported by Health from then on.
 // Caller holds d.mu.
@@ -333,7 +354,8 @@ func (d *Dispatcher) appendLocked(rec *JournalRecord) {
 		d.met.journalRecords.Inc()
 		d.met.journalBytes.Add(float64(len(line)))
 		jr.appends++
-		if jr.every > 0 && jr.appends >= jr.every {
+		jr.tail += len(line)
+		if jr.due() {
 			err = d.snapshotJournalLocked()
 		}
 	}
@@ -363,46 +385,112 @@ func (d *Dispatcher) snapshotLocked() *JournalSnapshot {
 	snap := d.durable
 	snap.Start = stamp(d.pool.Start)
 	snap.Served = maps.Clone(snap.Served)
-	for _, j := range d.order {
+	for _, j := range d.retainedLocked() {
 		snap.Jobs = append(snap.Jobs, d.journalJobLocked(j))
 	}
 	return &snap
 }
 
+// encodeSnapshotLocked appends the snapshot file to buf: the bytes of
+// json.MarshalIndent(d.snapshotLocked(), "", "\t") and a newline,
+// assembled from the header and one element per job of the jobs array.
+// Indentation is local to each value, so an element marshalled on its
+// own at the array's depth is the element the whole document would
+// hold. A terminal job's element is kept the first time it is built
+// and copied from then on: nothing changes a terminal job, whose
+// outstanding tasks were released with its leases. Caller holds d.mu.
+func (d *Dispatcher) encodeSnapshotLocked(buf []byte) ([]byte, error) {
+	head := d.durable
+	head.Start = stamp(d.pool.Start)
+	b, err := json.MarshalIndent(&head, "", "\t")
+	if err != nil {
+		return nil, err
+	}
+	retained := d.retainedLocked()
+	if len(retained) == 0 {
+		return append(append(buf, b...), '\n'), nil
+	}
+	// jobs is the header's last field: it goes before the closing "\n}".
+	buf = append(buf, b[:len(b)-2]...)
+	buf = append(buf, ",\n\t\"jobs\": ["...)
+	for i, j := range retained {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		el := j.enc
+		if el == nil {
+			if el, err = json.MarshalIndent(d.journalJobLocked(j), "\t\t", "\t"); err != nil {
+				return nil, err
+			}
+			if j.terminal() {
+				j.enc = el
+			}
+		}
+		buf = append(append(buf, "\n\t\t"...), el...)
+	}
+	return append(buf, "\n\t]\n}\n"...), nil
+}
+
 // snapshotJournalLocked writes the full dispatcher state to the
-// snapshot file (write-temp, fsync, atomic rename) and truncates the
-// journal: everything at or below the snapshot's LSN is now covered by
-// the snapshot. Caller holds d.mu.
+// snapshot file (write-temp, fsync, atomic rename, fsync the directory)
+// and truncates the journal: everything at or below the snapshot's LSN
+// is now covered by the snapshot. The directory fsync orders the two: a
+// power cut that kept the truncate but not the rename would lose both
+// the tail and the snapshot that covers it. Caller holds d.mu.
 func (d *Dispatcher) snapshotJournalLocked() error {
 	jr := d.jour
-	b, err := json.MarshalIndent(d.snapshotLocked(), "", "\t")
+	b, err := d.encodeSnapshotLocked(jr.last[:0])
 	if err != nil {
 		return err
 	}
+	jr.last = b
 	tmp := filepath.Join(jr.dir, snapshotFile+".tmp")
-	f, err := os.Create(tmp)
+	if err = writeSynced(tmp, b); err == nil {
+		err = os.Rename(tmp, filepath.Join(jr.dir, snapshotFile))
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if err = syncDir(jr.dir); err == nil {
+		err = jr.f.Truncate(0)
+	}
 	if err != nil {
 		return err
 	}
-	_, err = f.Write(append(b, '\n'))
+	jr.appends, jr.tail = 0, 0
+	d.met.journalSnapshots.Inc()
+	d.met.snapshotBytes.Add(float64(len(b)))
+	return nil
+}
+
+// writeSynced creates path holding b and fsyncs it.
+func writeSynced(path string, b []byte) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(b)
 	if err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
+	return err
+}
+
+// syncDir fsyncs a directory, making the renames inside it durable.
+func syncDir(dir string) error {
+	f, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(jr.dir, snapshotFile)); err != nil {
-		return err
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := jr.f.Truncate(0); err != nil {
-		return err
-	}
-	jr.appends = 0
-	d.met.journalSnapshots.Inc()
-	return nil
+	return err
 }
 
 // journalJobLocked renders one job in its snapshot form: the record it
@@ -577,7 +665,8 @@ func (d *Dispatcher) recover(dir string, every int) (emits, error) {
 			}
 		}
 		if j.State != StateQueued {
-			continue // terminal: stays queryable as it finished
+			d.finished = append(d.finished, j) // terminal: stays queryable as it finished
+			continue
 		}
 		if why == "" {
 			sch, err := d.cfg.NewScheduler(j.Spec)
@@ -591,6 +680,10 @@ func (d *Dispatcher) recover(dir string, every int) (emits, error) {
 		}
 		ems = append(ems, d.retireLocked(j, StateFailed, why, now))
 	}
+	// Retention evicts in finish order, across the restart too.
+	slices.SortFunc(d.finished, func(a, b *job) int {
+		return cmp.Or(cmp.Compare(a.FinishedAt, b.FinishedAt), cmp.Compare(a.Seq, b.Seq))
+	})
 	d.trimLocked(now)
 	ems = append(ems, d.admitLocked(now)...)
 	d.jour = jr
@@ -600,7 +693,7 @@ func (d *Dispatcher) recover(dir string, every int) (emits, error) {
 	}
 	d.replaySec = time.Since(t0).Seconds()
 	if snap != nil || len(tail) > 0 {
-		d.pool.Log.Info("journal replayed", "dir", dir, "jobs", len(d.order),
+		d.pool.Log.Info("journal replayed", "dir", dir, "jobs", len(d.jobsByID),
 			"pending", len(d.pending), "tail_records", len(tail),
 			"seconds", d.replaySec)
 	}

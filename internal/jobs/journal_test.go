@@ -13,6 +13,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"pnsched/internal/dist"
 	"pnsched/internal/sched"
@@ -303,6 +304,98 @@ func TestJournalSnapshotTruncates(t *testing.T) {
 	}
 }
 
+// TestSnapshotCadenceIsAmortised: at the default cadence a snapshot is
+// paid for by the appends before the next one, however large the state
+// grows. A long grace keeps all 2,000 finished jobs, so every snapshot
+// is larger than the last; still the snapshots write at most the bytes
+// the journal appended plus the newest snapshot, and the tail left at
+// Close is within the floor or within the snapshot it follows.
+func TestSnapshotCadenceIsAmortised(t *testing.T) {
+	dir := t.TempDir()
+	cfg := journalConfig(dir)
+	cfg.RetainGrace = time.Hour
+	cfg.Metrics = telemetry.NewRegistry()
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	for range 2000 {
+		info := mustSubmit(t, d, "a", 100, 50)
+		if _, err := d.Cancel(info.ID); err != nil {
+			t.Fatalf("Cancel: %v", err)
+		}
+	}
+	appended, written := d.met.journalBytes.Value(), d.met.snapshotBytes.Value()
+	snapshots := d.met.journalSnapshots.Value()
+	d.Close()
+
+	snap, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail, err := os.ReadFile(filepath.Join(dir, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snapshots < 3 {
+		t.Fatalf("%v snapshots in 6,000 records; the test needs the cadence to fire", snapshots)
+	}
+	if written > appended+float64(len(snap)) {
+		t.Errorf("%v snapshots wrote %v bytes for %v bytes appended; want at most appended + the last snapshot (%d)",
+			snapshots, written, appended, len(snap))
+	}
+	if records := bytes.Count(tail, []byte("\n")); records > DefaultSnapshotEvery && len(tail) > len(snap) {
+		t.Errorf("tail of %d records, %d bytes left behind a %d-byte snapshot; want ≤ %d records or ≤ the snapshot",
+			records, len(tail), len(snap), DefaultSnapshotEvery)
+	}
+}
+
+// TestRetentionAcrossRestart: jobs that were terminal before a restart
+// join the rebuilt retention queue in the order they finished, so they
+// are evicted after it like any other — oldest finisher first, not
+// oldest submission, and none left behind for ever.
+func TestRetentionAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	cfg := journalConfig(dir)
+	cfg.RetainGrace = -1
+	d1, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	a := mustSubmit(t, d1, "a", 100) // running
+	b := mustSubmit(t, d1, "a", 100) // queued
+	c := mustSubmit(t, d1, "a", 100) // queued
+	// They finish in the reverse of submission order.
+	for _, id := range []string{c.ID, b.ID, a.ID} {
+		if _, err := d1.Cancel(id); err != nil {
+			t.Fatalf("Cancel: %v", err)
+		}
+		time.Sleep(time.Millisecond) // distinct finish stamps
+	}
+	d1.Close()
+
+	cfg.Retain = 2
+	d2, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New after restart: %v", err)
+	}
+	defer d2.Close()
+	retained := func(want map[string]bool) {
+		t.Helper()
+		for id, kept := range want {
+			if _, err := d2.Status(id); (err == nil) != kept {
+				t.Errorf("job %s retained = %v, want %v", id, err == nil, kept)
+			}
+		}
+	}
+	retained(map[string]bool{c.ID: false, b.ID: true, a.ID: true}) // recovery trims to the cap
+	next := mustSubmit(t, d2, "a", 100)
+	if _, err := d2.Cancel(next.ID); err != nil {
+		t.Fatalf("Cancel: %v", err)
+	}
+	retained(map[string]bool{b.ID: false, a.ID: true, next.ID: true})
+}
+
 // The jobs no transition could have produced, as a snapshot file and as
 // submit records: the decoders accept them — they are well-formed — and
 // addJobLocked / replayRecord must refuse them. FuzzJournalRecord and
@@ -552,7 +645,9 @@ func FuzzJournalRecord(f *testing.F) {
 // snapshot.json holds, once it decodes it is refused with an error or
 // applied — never a panic, never a negative counter — and what was
 // applied renders to a snapshot that replays again: a dispatcher that
-// recovered can always recover from what it writes next.
+// recovered can always recover from what it writes next. The snapshot
+// writer renders it exactly as json.MarshalIndent does, cold and from
+// its cache.
 func FuzzJournalSnapshot(f *testing.F) {
 	golden, err := os.ReadFile(goldenPath("journal_snapshot"))
 	if err != nil {
@@ -575,6 +670,17 @@ func FuzzJournalSnapshot(f *testing.F) {
 		if err != nil {
 			return
 		}
+		d.mu.Lock()
+		want, wantErr := json.MarshalIndent(d.snapshotLocked(), "", "\t")
+		want = append(want, '\n')
+		for _, pass := range []string{"cold", "cached"} {
+			got, err := d.encodeSnapshotLocked(nil)
+			if (err != nil) != (wantErr != nil) || err == nil && !bytes.Equal(got, want) {
+				d.mu.Unlock()
+				t.Fatalf("%s: the snapshot writer disagrees with json.MarshalIndent (%v, %v)\ngot  %swant %s", pass, err, wantErr, got, want)
+			}
+		}
+		d.mu.Unlock()
 		rendered := d.DurableStateForTest()
 		for name, n := range map[string]int{
 			"next_seq": rendered.NextSeq, "next_wire": int(rendered.NextWire),

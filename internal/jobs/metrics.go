@@ -13,6 +13,7 @@ type jobMetrics struct {
 	journalRecords   *telemetry.Counter
 	journalBytes     *telemetry.Counter
 	journalSnapshots *telemetry.Counter
+	snapshotBytes    *telemetry.Counter
 
 	schedLatency *telemetry.Histogram
 }
@@ -35,6 +36,8 @@ func newJobMetrics(reg *telemetry.Registry, d *Dispatcher) *jobMetrics {
 			"Bytes appended to the job journal."),
 		journalSnapshots: reg.Counter("pnsched_jobs_journal_snapshots_total",
 			"Journal snapshots written (each truncates the replayed history)."),
+		snapshotBytes: reg.Counter("pnsched_jobs_journal_snapshot_bytes_total",
+			"Bytes of journal snapshots written; by default at most the journal bytes appended plus the last snapshot."),
 		schedLatency: reg.Histogram("pnsched_jobs_scheduling_latency_seconds",
 			"Submission-to-start wait per job (time spent queued).",
 			telemetry.ExpBuckets(0.001, 4, 10)),

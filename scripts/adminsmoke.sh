@@ -218,6 +218,7 @@ for want in \
 	'^pnsched_jobs_journal_records_total [1-9]' \
 	'^pnsched_jobs_journal_bytes_total [1-9]' \
 	'^pnsched_jobs_journal_snapshots_total [1-9]' \
+	'^pnsched_jobs_journal_snapshot_bytes_total [1-9]' \
 	'^pnsched_jobs_journal_replay_seconds [0-9.e+-]*[1-9]'; do
 	if ! printf '%s\n' "$metrics" | grep -q "$want"; then
 		echo "adminsmoke: restarted /metrics does not match $want" >&2
