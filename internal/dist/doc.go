@@ -4,10 +4,15 @@
 // client processors — as a real TCP service.
 //
 // There is one runtime, in two layers. The Pool is the scheduling
-// processor's whole conversation with its client processors: the accept
-// loop and handshake, worker registration, assign and done frames,
-// §3.6 smoothing, loss detection and reissue, the watch, stats and
-// trace exchanges, and the batch loop (Pool.Run). It decides nothing
+// processor's whole conversation with its client processors. core.go
+// holds its decisions — registration, done accounting with §3.6
+// smoothing, loss and reissue, §3.7 batch sizing and backlog pacing,
+// committing a decision, the sched.State snapshot — as …Locked methods
+// that take the time as a value and return what to do. pool.go alone
+// touches connections, goroutines, channels, the condition variable and
+// the wall clock. It queues assign frames while Pool.Mu is held, since
+// a departing worker's channel is closed under it, and hangs up on a
+// wedged worker only once Mu is free. The Pool decides nothing
 // about whose work a worker does; that is its Owner's job. Server is
 // the owner with one implicit, unbounded, never-finishing stream of
 // work and one FCFS queue; the job dispatcher (internal/jobs) is the

@@ -51,54 +51,24 @@ func newPoolMetrics(reg *telemetry.Registry, p *Pool) *poolMetrics {
 			telemetry.ExpBuckets(0.0001, 4, 10)),
 	}
 
-	ownerStats := func() Snapshot {
-		p.Mu.Lock()
-		defer p.Mu.Unlock()
-		var snap Snapshot
-		p.owner.StatsLocked(&snap)
-		return snap
-	}
 	reg.SampleFunc("pnsched_tasks_submitted_total",
 		"Tasks accepted for scheduling over the service lifetime.", false,
 		func() []telemetry.Sample {
-			return []telemetry.Sample{{Value: float64(ownerStats().Submitted)}}
+			return []telemetry.Sample{{Value: float64(p.Snapshot().Submitted)}}
 		})
 	reg.GaugeFunc("pnsched_pending_tasks",
-		"Tasks awaiting a batch decision.", func() float64 { return float64(ownerStats().Pending) })
+		"Tasks awaiting a batch decision.", func() float64 { return float64(p.Snapshot().Pending) })
 	reg.GaugeFunc("pnsched_running_tasks",
-		"Tasks dispatched but not yet reported done.", func() float64 {
-			p.Mu.Lock()
-			defer p.Mu.Unlock()
-			n := 0
-			for _, w := range p.workers {
-				n += len(w.outstanding)
-			}
-			return float64(n)
-		})
+		"Tasks dispatched but not yet reported done.", func() float64 { return float64(p.Snapshot().Running) })
 	reg.GaugeFunc("pnsched_workers",
-		"Currently connected workers.", func() float64 {
-			p.Mu.Lock()
-			defer p.Mu.Unlock()
-			return float64(len(p.workers))
-		})
-	perWorker := func(value func(WorkerStatus) float64) func() []telemetry.Sample {
-		return func() []telemetry.Sample {
-			var out []telemetry.Sample
-			for _, w := range p.Workers() {
-				out = append(out, telemetry.Sample{
-					Labels: []telemetry.Label{telemetry.L("worker", w.Name)},
-					Value:  value(w),
-				})
-			}
-			return out
-		}
-	}
+		"Currently connected workers.", func() float64 { return float64(len(p.Snapshot().Workers)) })
+	workerName := func(_ int, w WorkerStatus) string { return w.Name }
 	reg.SampleFunc("pnsched_worker_believed_rate_mflops",
 		"Smoothed observed execution rate per worker (§3.6).", true,
-		perWorker(func(w WorkerStatus) float64 { return float64(w.Believed) }))
+		labelled(p.Workers, "worker", workerName, func(w WorkerStatus) float64 { return float64(w.Believed) }))
 	reg.SampleFunc("pnsched_worker_tasks_completed",
 		"Tasks finished per connected worker.", false,
-		perWorker(func(w WorkerStatus) float64 { return float64(w.Completed) }))
+		labelled(p.Workers, "worker", workerName, func(w WorkerStatus) float64 { return float64(w.Completed) }))
 
 	if b := p.events; b != nil {
 		reg.SampleFunc("pnsched_events_published_total",
@@ -111,26 +81,30 @@ func newPoolMetrics(reg *telemetry.Registry, p *Pool) *poolMetrics {
 			func() []telemetry.Sample {
 				return []telemetry.Sample{{Value: float64(b.DroppedTotal())}}
 			})
-		perWatcher := func(value func(WatcherSnapshot) float64) func() []telemetry.Sample {
-			return func() []telemetry.Sample {
-				var out []telemetry.Sample
-				for i, w := range b.Watchers() {
-					out = append(out, telemetry.Sample{
-						Labels: []telemetry.Label{telemetry.L("watcher", strconv.Itoa(i))},
-						Value:  value(w),
-					})
-				}
-				return out
-			}
-		}
+		watcherIndex := func(i int, _ WatcherSnapshot) string { return strconv.Itoa(i) }
 		reg.SampleFunc("pnsched_watcher_queue_depth",
 			"Send-queue depth per attached watcher.", true,
-			perWatcher(func(w WatcherSnapshot) float64 { return float64(w.Queued) }))
+			labelled(b.Watchers, "watcher", watcherIndex, func(w WatcherSnapshot) float64 { return float64(w.Queued) }))
 		reg.SampleFunc("pnsched_watcher_dropped_total",
 			"Frames dropped per attached watcher.", false,
-			perWatcher(func(w WatcherSnapshot) float64 { return float64(w.Dropped) }))
+			labelled(b.Watchers, "watcher", watcherIndex, func(w WatcherSnapshot) float64 { return float64(w.Dropped) }))
 	}
 	return m
+}
+
+// labelled returns a sample function reading one sample per element of
+// list(), valued by value and labelled name=key(index, element).
+func labelled[T any](list func() []T, name string, key func(int, T) string, value func(T) float64) func() []telemetry.Sample {
+	return func() []telemetry.Sample {
+		var out []telemetry.Sample
+		for i, x := range list() {
+			out = append(out, telemetry.Sample{
+				Labels: []telemetry.Label{telemetry.L(name, key(i, x))},
+				Value:  value(x),
+			})
+		}
+		return out
+	}
 }
 
 // NewMetricsObserver returns an observe.Observer that feeds the GA-side

@@ -2,13 +2,12 @@ package dist
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net"
-	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -160,6 +159,7 @@ type Pool struct {
 	ln      net.Listener
 	workers []*Worker // connected, in registration order
 	closed  bool
+	frames  [][]wireTask // commitLocked's output, reused by every Run; touched only under Mu
 	// scheduling holds, per lease, the batch Run has popped from the
 	// queue and not yet dispatched — the scheduler is deciding it with
 	// the lock released. Invariant, under Mu: every unfinished task of a
@@ -190,7 +190,7 @@ type Worker struct {
 	name    string
 	claimed units.Rate
 	conn    net.Conn
-	out     chan []wireTask // assign batches; closed on unregister
+	out     chan []wireTask // assign batches; closed when the worker leaves
 
 	rate *smoothing.Smoother // observed Mflop/s, primed with claimed
 	comm *smoothing.Smoother // per-task link overhead, seconds
@@ -200,18 +200,7 @@ type Worker struct {
 	outstanding map[int32]pendingTask
 	pending     units.MFlops // total outstanding work
 	completed   int          // tasks this worker finished
-	gone        bool         // unregistered; no further dispatches
-}
-
-// pendingTask is a dispatched-but-unfinished task plus the bookkeeping
-// for the Γc link-overhead estimate.
-type pendingTask struct {
-	t      task.Task
-	sentAt time.Time
-	// solo marks tasks dispatched to a worker with an empty queue: for
-	// those, round-trip minus processing time approximates the link
-	// overhead without queueing noise.
-	solo bool
+	gone        bool         // left the pool; no further dispatches
 }
 
 // WorkerStatus is a point-in-time summary of one connected worker,
@@ -235,23 +224,14 @@ func NewPool(cfg PoolConfig, owner Owner) (*Pool, error) {
 	}
 	p := &Pool{
 		Start:    time.Now(),
-		Log:      cfg.Log,
+		Log:      cmp.Or(cfg.Log, slog.New(slog.DiscardHandler)),
 		owner:    owner,
-		nu:       cfg.Nu,
-		backlog:  cfg.Backlog,
+		nu:       cmp.Or(cfg.Nu, DefaultNu),
+		backlog:  cmp.Or(cfg.Backlog, DefaultBacklog),
 		observer: cfg.Observer,
 		events:   cfg.Events,
 
 		scheduling: map[any][]task.Task{},
-	}
-	if p.nu == 0 {
-		p.nu = DefaultNu
-	}
-	if p.backlog == 0 {
-		p.backlog = DefaultBacklog
-	}
-	if p.Log == nil {
-		p.Log = slog.New(slog.DiscardHandler)
 	}
 	if cfg.Events != nil {
 		p.observer = observe.Multi(cfg.Observer, cfg.Events)
@@ -292,7 +272,7 @@ func (p *Pool) Serve(ln net.Listener) error {
 }
 
 // Close shuts the pool down: the listener is closed, every worker and
-// watch connection is dropped, batch loops return and WaitLocked
+// watch connection is dropped, batch loops return and AwaitLocked
 // callers wake. Close is idempotent.
 func (p *Pool) Close() error {
 	p.Mu.Lock()
@@ -323,72 +303,36 @@ func (p *Pool) Close() error {
 	return nil
 }
 
-// ClosedLocked reports whether Close has been called.
-func (p *Pool) ClosedLocked() bool { return p.closed }
-
-// WaitLocked blocks until the next state change (Mu is released while
-// waiting, as with sync.Cond).
-func (p *Pool) WaitLocked() { p.cond.Wait() }
-
-// Broadcast wakes every WaitLocked caller and batch loop; owners call
-// it after changing state those wait on.
+// Broadcast wakes every AwaitLocked caller; owners call it after
+// changing state those wait on.
 func (p *Pool) Broadcast() { p.cond.Broadcast() }
 
-// WakeAfter arranges one Broadcast once d has elapsed, so a WaitLocked
-// loop with a deadline gets to look at it; the caller stops the timer
-// when its wait ends. The wake-up takes Mu: it cannot slip between a
-// waiter's deadline check and its WaitLocked, where an unlocked
-// Broadcast would be lost and the waiter sleep past its deadline.
-func (p *Pool) WakeAfter(d time.Duration) *time.Timer {
-	return time.AfterFunc(d, func() {
-		p.Mu.Lock()
-		p.cond.Broadcast()
-		p.Mu.Unlock()
-	})
-}
-
-// Since converts an absolute time to the pool clock — seconds since
-// Start, the clock every event and timestamp uses. The zero time maps
-// to 0.
-func (p *Pool) Since(t time.Time) units.Seconds {
-	if t.IsZero() {
-		return 0
+// AwaitLocked waits until ready reports true, the pool closes, or
+// timeout elapses (a non-positive timeout never does), releasing Mu
+// while it sleeps as sync.Cond does. It checks in that order on every
+// wake-up and reports which of the last two ended the wait.
+func (p *Pool) AwaitLocked(timeout time.Duration, ready func() bool) (closed, expired bool) {
+	var deadline time.Time
+	if timeout > 0 {
+		deadline = time.Now().Add(timeout)
+		// Under Mu, the timer's wake-up cannot fall between a check and Wait.
+		defer time.AfterFunc(timeout, func() {
+			p.Mu.Lock()
+			p.cond.Broadcast()
+			p.Mu.Unlock()
+		}).Stop()
 	}
-	return units.Seconds(t.Sub(p.Start).Seconds())
-}
-
-// WorkersLocked returns the connected workers in registration order;
-// the slice is the pool's own and valid only while Mu is held.
-func (p *Pool) WorkersLocked() []*Worker { return p.workers }
-
-// ReleaseLocked ends a lease: every worker carrying it becomes free and
-// forgets its in-flight tasks. Those cannot be recalled (the protocol
-// has no abort message) — their eventual done reports no longer resolve
-// and are ignored.
-func (p *Pool) ReleaseLocked(lease any) {
-	for _, w := range p.workers {
-		if w.Lease == lease {
-			w.Lease = nil
-			clear(w.outstanding)
-			w.pending = 0
+	for {
+		switch {
+		case ready():
+			return false, false
+		case p.closed:
+			return true, false
+		case !deadline.IsZero() && !time.Now().Before(deadline):
+			return false, true
 		}
+		p.cond.Wait()
 	}
-}
-
-// InFlightLocked returns the tasks that have left the lease's queue and
-// are not yet reported done — dispatched to a worker, or in the batch
-// the scheduler is deciding right now — in task-ID order.
-func (p *Pool) InFlightLocked(lease any) []task.Task {
-	ts := slices.Clone(p.scheduling[lease])
-	for _, w := range p.workers {
-		if w.Lease == lease {
-			for _, pt := range w.outstanding {
-				ts = append(ts, pt.t)
-			}
-		}
-	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i].ID < ts[j].ID })
-	return ts
 }
 
 // Emit delivers job events in order. Must be called without holding Mu.
@@ -430,10 +374,6 @@ func (p *Pool) Workers() []WorkerStatus {
 	return out
 }
 
-func (w *Worker) believed() units.Rate {
-	return units.Rate(w.rate.ValueOr(float64(w.claimed)))
-}
-
 // Snapshot returns a point-in-time operational view: uptime, the
 // owner's cumulative counters and queue depths, the per-worker pool,
 // attached watchers, and dispatch-latency quantiles. It is the
@@ -441,22 +381,7 @@ func (w *Worker) believed() units.Rate {
 // clients.
 func (p *Pool) Snapshot() Snapshot {
 	p.Mu.Lock()
-	snap := Snapshot{Uptime: p.Since(time.Now())}
-	p.owner.StatsLocked(&snap)
-	for _, w := range p.workers {
-		snap.Running += len(w.outstanding)
-		snap.Workers = append(snap.Workers, WorkerSnapshot{
-			Name:      w.name,
-			Rate:      w.believed(),
-			Running:   len(w.outstanding),
-			Completed: w.completed,
-		})
-	}
-	window := make([]float64, p.latN)
-	first := p.latW - p.latN + latencyWindow
-	for i := range window {
-		window[i] = p.latency[(first+i)%latencyWindow]
-	}
+	snap, window := p.statsLocked(time.Now())
 	p.Mu.Unlock()
 	if len(window) > 0 {
 		snap.Latency = LatencySummary{
@@ -515,13 +440,8 @@ func (p *Pool) handleConn(conn net.Conn) {
 		snap := p.Snapshot()
 		p.Reply(conn, &message{Type: msgStats, Stats: &snap})
 	case msgTrace:
-		// A pool without a TraceRecorder replies with an empty list —
-		// the request is still understood.
-		var traces []Trace
-		if p.traces != nil {
-			traces = p.traces.Traces()
-		}
-		p.Reply(conn, &message{Type: msgTrace, Traces: traces})
+		// A pool without a TraceRecorder replies with an empty list.
+		p.Reply(conn, &message{Type: msgTrace, Traces: p.traces.Traces()})
 	default:
 		if !p.owner.ServeRequest(conn, m) {
 			p.met.decodeErrors.Inc()
@@ -564,29 +484,19 @@ func (p *Pool) serveWatch(conn net.Conn, br *bufio.Reader) {
 }
 
 // serveWorker registers a worker and runs its read loop (done messages)
-// until the connection drops, then tears it down with task reissue.
+// until the connection drops, then removes it and hands its unfinished
+// tasks to the owner (the paper's dynamic rescheduling on machine loss).
 func (p *Pool) serveWorker(conn net.Conn, br *bufio.Reader, name string, claimed units.Rate) {
-	w := &Worker{
-		name:        name,
-		claimed:     claimed,
-		conn:        conn,
-		out:         make(chan []wireTask, 16), // assign frames in flight; a full queue means a wedged peer
-		rate:        smoothing.New(p.nu),
-		comm:        smoothing.New(p.nu),
-		outstanding: make(map[int32]pendingTask),
-	}
-	w.rate.Observe(float64(claimed)) // prime beliefs with the claimed rating
-
 	p.Mu.Lock()
 	if p.closed {
 		p.Mu.Unlock()
 		conn.Close()
 		return
 	}
-	p.workers = append(p.workers, w)
-	pool := len(p.workers)
-	w.Lease = p.owner.LeaseLocked(w)
-	p.cond.Broadcast() // queued work may now be schedulable
+	w, pool := p.joinLocked(name, claimed)
+	w.conn = conn
+	w.out = make(chan []wireTask, 16) // assign frames in flight; a full queue means a wedged peer
+	p.cond.Broadcast()                // queued work may now be schedulable
 	p.Mu.Unlock()
 	p.Log.Info("worker joined", "worker", name, "remote", conn.RemoteAddr(),
 		"rate", float64(claimed), "workers", pool)
@@ -620,10 +530,31 @@ func (p *Pool) serveWorker(conn net.Conn, br *bufio.Reader, name string, claimed
 			break
 		}
 		if m != nil && m.Type == msgDone {
-			p.handleDone(w, m.Task, units.Seconds(m.Elapsed), m.Real)
+			now := time.Now()
+			p.Mu.Lock()
+			evs := p.doneLocked(w, m.Task, units.Seconds(m.Elapsed), m.Real, now)
+			p.cond.Broadcast()
+			p.Mu.Unlock()
+			p.Emit(evs)
 		}
 	}
-	p.unregister(w)
+	conn.Close()
+	now := time.Now()
+	p.Mu.Lock()
+	requeued, pool, evs := p.leaveLocked(w, now)
+	close(w.out) // under Mu, which Run holds while it queues frames on w.out
+	p.cond.Broadcast()
+	p.Mu.Unlock()
+	p.Log.Info("worker left", "worker", name, "reissued", requeued, "workers", pool)
+	if p.observer != nil {
+		p.observer.OnWorkerLeft(observe.WorkerLeft{
+			Name:     name,
+			Reissued: requeued,
+			Workers:  pool,
+			At:       p.Since(now),
+		})
+	}
+	p.Emit(evs)
 }
 
 // writeLoop drains a worker's outbound queue onto its connection as
@@ -641,145 +572,28 @@ func (p *Pool) writeLoop(w *Worker) {
 	}
 }
 
-// commNoiseFloor is the smallest round-trip slack, in real seconds,
-// accepted as a Γc link-overhead observation. Sub-millisecond slack on
-// a local network is indistinguishable from scheduler jitter.
-const commNoiseFloor = 1e-3
-
-// handleDone records one completed task: load accounting, the §3.6
-// smoothed rate / link-overhead observations, the latency window, and
-// the owner's own bookkeeping. real is the worker-reported wall-clock
-// processing time in seconds (0 if absent). Reports whose wire id no
-// longer resolves (duplicate, or the lease was released while the task
-// was in flight) are ignored.
-func (p *Pool) handleDone(w *Worker, id int32, elapsed units.Seconds, real float64) {
-	now := time.Now()
-	p.Mu.Lock()
-	pt, ok := w.outstanding[id]
-	if !ok {
-		p.Mu.Unlock()
-		return
-	}
-	delete(w.outstanding, id)
-	// pending is a float running sum: with fractional sizes it does not
-	// return to exactly 0 by subtraction, and a residue makes a drained
-	// worker look loaded — TimeUntilFirstIdle ≈ 0, which starves every
-	// later GA run of its §3.4 budget. Nothing outstanding means idle.
-	w.pending -= pt.t.Size
-	if len(w.outstanding) == 0 || w.pending < 0 {
-		w.pending = 0
-	}
-	w.completed++
-	p.met.completed.Inc()
-	lat := now.Sub(pt.sentAt).Seconds()
-	p.latency[p.latW] = lat
-	p.latW = (p.latW + 1) % latencyWindow
-	if p.latN < latencyWindow {
-		p.latN++
-	}
-	p.met.dispatchLatency.Observe(lat)
-	if elapsed > 0 {
-		w.rate.Observe(float64(pt.t.Size) / float64(elapsed))
-	}
-	if pt.solo && real > 0 && elapsed > 0 {
-		// For tasks that never queued, round-trip slack — wall time from
-		// dispatch to report minus wall processing time — is the link
-		// overhead in real seconds. Scale it by elapsed/real (the
-		// worker's simulated:real clock ratio) so Γc lives on the same
-		// simulated clock as every other scheduler quantity, whatever
-		// the worker's TimeScale. Smoothing and the solo-dispatch gate
-		// bound the jitter this amplifies under heavy compression, and
-		// slack below commNoiseFloor is discarded outright: at that
-		// magnitude the measurement is goroutine-scheduling noise, and
-		// the elapsed/real ratio would amplify it into a phantom link
-		// cost large enough to distort placement (loopback tests under
-		// the race detector hit exactly this).
-		if slack := lat - real; slack > commNoiseFloor {
-			w.comm.Observe(slack * float64(elapsed) / real)
-		}
-	}
-	evs := p.owner.DoneLocked(w.Lease, w.name, pt.t, elapsed, now)
-	p.cond.Broadcast()
-	p.Mu.Unlock()
-	p.Emit(evs)
-}
-
-// unregister removes a worker and hands its unfinished tasks to the
-// owner (the paper's dynamic rescheduling on machine loss).
-func (p *Pool) unregister(w *Worker) {
-	w.conn.Close()
-	now := time.Now()
-	p.Mu.Lock()
-	if w.gone {
-		p.Mu.Unlock()
-		return
-	}
-	w.gone = true
-	for i, x := range p.workers {
-		if x == w {
-			p.workers = append(p.workers[:i], p.workers[i+1:]...)
-			break
-		}
-	}
-	lost := make([]task.Task, 0, len(w.outstanding))
-	for _, pt := range w.outstanding {
-		lost = append(lost, pt.t)
-	}
-	w.outstanding = nil
-	// Reissue in deterministic (ID) order so reruns behave alike.
-	sort.Slice(lost, func(i, j int) bool { return lost[i].ID < lost[j].ID })
-	requeued, evs := p.owner.LostLocked(w.Lease, w.name, lost, now)
-	w.Lease = nil
-	p.met.reissued.Add(float64(requeued))
-	close(w.out)
-	pool := len(p.workers)
-	p.cond.Broadcast()
-	p.Mu.Unlock()
-	p.Log.Info("worker left", "worker", w.name, "reissued", requeued, "workers", pool)
-	if p.observer != nil {
-		p.observer.OnWorkerLeft(observe.WorkerLeft{
-			Name:     w.name,
-			Reissued: requeued,
-			Workers:  pool,
-			At:       p.Since(now),
-		})
-	}
-	p.Emit(evs)
-}
-
 // Run is the scheduling processor proper, for one lease: whenever q
 // holds unscheduled tasks and a worker carrying the lease runs low, it
-// snapshots those workers, sizes the next batch (§3.7 when sch
-// implements sched.BatchSizer), runs sch outside the lock, and
-// dispatches the resulting assignment. It returns when the pool closes
-// or the owner reports the lease dead. q is guarded by Mu.
+// takes the next batch (takeLocked), runs sch on it outside the lock,
+// and commits the resulting assignment (commitLocked). It returns when
+// the pool closes or the owner reports the lease dead. q is guarded by
+// Mu.
 func (p *Pool) Run(lease any, q *task.Queue, sch sched.Batch) {
 	log := p.Log
 	if lease != nil {
 		log = log.With("lease", lease)
 	}
+	var dispatched []observe.Dispatch // reused from batch to batch
 	for {
 		p.Mu.Lock()
-		for !p.closed && p.owner.LiveLocked(lease) && (q.Empty() || !p.wantsWorkLocked(lease)) {
-			p.cond.Wait()
-		}
+		p.AwaitLocked(0, func() bool {
+			return !p.owner.LiveLocked(lease) || !q.Empty() && p.wantsWorkLocked(lease)
+		})
 		if p.closed || !p.owner.LiveLocked(lease) {
 			p.Mu.Unlock()
 			return
 		}
-		snap := p.snapshotLocked(lease)
-		n := sched.DefaultBatchSize
-		if bs, ok := sch.(sched.BatchSizer); ok {
-			n = bs.NextBatchSize(q.Len(), snap)
-		}
-		if n > q.Len() {
-			n = q.Len()
-		}
-		if n < 1 {
-			n = 1
-		}
-		batch := q.PopN(n)
-		p.scheduling[lease] = batch
+		batch, snap := p.takeLocked(lease, q, sch, time.Now())
 		p.Mu.Unlock()
 
 		// The scheduler (possibly a GA) runs for real wall-clock time
@@ -807,147 +621,32 @@ func (p *Pool) Run(lease any, q *task.Queue, sch sched.Batch) {
 			})
 		}
 
+		// Frames are queued under Mu, which a departing worker's w.out is
+		// closed under. A full queue means a wedged writer (the worker
+		// stopped reading): hang up once Mu is free; the read loop then
+		// reissues everything.
+		var wedged []net.Conn
 		p.Mu.Lock()
-		delete(p.scheduling, lease)
-		dispatched := p.dispatchLocked(lease, snap.workers, asg)
+		p.frames, dispatched = p.commitLocked(lease, snap.workers, asg, time.Now(), p.frames[:0], dispatched[:0])
+		for j, wire := range p.frames {
+			if wire == nil {
+				continue
+			}
+			select {
+			case snap.workers[j].out <- wire:
+			default:
+				wedged = append(wedged, snap.workers[j].conn)
+			}
+		}
+		p.cond.Broadcast()
 		p.Mu.Unlock()
+		for _, c := range wedged {
+			c.Close()
+		}
 		if p.observer != nil {
 			for _, d := range dispatched {
 				p.observer.OnDispatch(d)
 			}
 		}
 	}
-}
-
-// wantsWorkLocked reports whether some worker carrying the lease is
-// running low on dispatched work — the pacing condition of the batch
-// loop.
-func (p *Pool) wantsWorkLocked(lease any) bool {
-	for _, w := range p.workers {
-		if w.Lease == lease && len(w.outstanding) < p.backlog {
-			return true
-		}
-	}
-	return false
-}
-
-// dispatchLocked sends an assignment to the workers it was computed
-// for. Tasks assigned to a worker that disconnected or changed lease
-// while the scheduler ran go back to the owner unsent. It returns the
-// dispatch events for the observer; the caller emits them after
-// releasing the lock.
-func (p *Pool) dispatchLocked(lease any, workers []*Worker, asg sched.Assignment) []observe.Dispatch {
-	now := time.Now()
-	at := p.Since(now)
-	live := !p.closed && p.owner.LiveLocked(lease)
-	var events []observe.Dispatch
-	for j, ts := range asg {
-		if len(ts) == 0 {
-			continue
-		}
-		w := workers[j]
-		if !live || w.gone || w.Lease != lease {
-			p.owner.UnsentLocked(lease, ts)
-			continue
-		}
-		solo := len(w.outstanding) == 0
-		p.met.dispatched.Add(float64(len(ts)))
-		wire := toWire(ts)
-		for i, t := range ts {
-			id := p.owner.WireIDLocked(t)
-			wire[i].ID = id
-			w.outstanding[id] = pendingTask{t: t, sentAt: now, solo: solo}
-			w.pending += t.Size
-			solo = false
-			if p.observer != nil {
-				events = append(events, observe.Dispatch{Proc: j, Task: t.ID, At: at})
-			}
-		}
-		select {
-		case w.out <- wire:
-		default:
-			// The writer is wedged (worker stopped reading); drop the
-			// connection — the read loop will reissue everything.
-			w.conn.Close() //pnanalyze:ok locksend — Close on a wedged peer does not block
-		}
-	}
-	p.cond.Broadcast()
-	return events
-}
-
-// snapshot implements sched.State over a fixed view of the workers
-// carrying one lease, so the batch scheduler sees a coherent system
-// while the live one keeps moving underneath.
-type snapshot struct {
-	workers []*Worker
-	rates   []units.Rate
-	loads   []units.MFlops
-	comm    []units.Seconds
-	now     units.Seconds
-}
-
-// snapshotLocked captures the scheduler-visible state for one lease:
-// the workers carrying it, in pool order.
-func (p *Pool) snapshotLocked(lease any) *snapshot {
-	m := 0
-	for _, w := range p.workers {
-		if w.Lease == lease {
-			m++
-		}
-	}
-	v := &snapshot{
-		workers: make([]*Worker, 0, m),
-		rates:   make([]units.Rate, 0, m),
-		loads:   make([]units.MFlops, 0, m),
-		comm:    make([]units.Seconds, 0, m),
-		now:     p.Since(time.Now()),
-	}
-	for _, w := range p.workers {
-		if w.Lease == lease {
-			v.workers = append(v.workers, w)
-			v.rates = append(v.rates, w.believed())
-			v.loads = append(v.loads, w.pending)
-			v.comm = append(v.comm, units.Seconds(w.comm.ValueOr(0)))
-		}
-	}
-	return v
-}
-
-// M implements sched.State.
-func (v *snapshot) M() int { return len(v.workers) }
-
-// Rate implements sched.State.
-func (v *snapshot) Rate(j int) units.Rate { return v.rates[j] }
-
-// PendingLoad implements sched.State.
-func (v *snapshot) PendingLoad(j int) units.MFlops { return v.loads[j] }
-
-// CommEstimate implements sched.State.
-func (v *snapshot) CommEstimate(j int) units.Seconds { return v.comm[j] }
-
-// Now implements sched.State; live time is wall-clock seconds since the
-// pool started.
-func (v *snapshot) Now() units.Seconds { return v.now }
-
-// TimeUntilFirstIdle implements sched.State with the semantics the
-// simulator uses: the soonest moment a loaded worker runs dry, 0 if some
-// worker already idles while others hold work, +Inf when nothing is
-// loaded.
-func (v *snapshot) TimeUntilFirstIdle() units.Seconds {
-	idle, loaded := false, false
-	min := units.Inf()
-	for j, load := range v.loads {
-		if load == 0 {
-			idle = true
-			continue
-		}
-		loaded = true
-		if d := load.TimeOn(v.rates[j]); d < min {
-			min = d
-		}
-	}
-	if idle && loaded {
-		return 0 // an idle worker exists while work is pending elsewhere
-	}
-	return min
 }

@@ -92,27 +92,17 @@ func (s *Server) Submit(ts []task.Task) {
 // task must have been submitted), the timeout elapses, or the server is
 // closed. A non-positive timeout means wait indefinitely.
 func (s *Server) Wait(timeout time.Duration) error {
-	p := s.pool
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-		defer p.WakeAfter(timeout).Stop()
+	s.pool.Mu.Lock()
+	defer s.pool.Mu.Unlock()
+	closed, expired := s.pool.AwaitLocked(timeout, func() bool { return s.submitted > 0 && s.completed == s.submitted })
+	switch {
+	case closed:
+		return ErrServerClosed
+	case expired:
+		return fmt.Errorf("dist: wait: %d/%d tasks complete after %v",
+			s.completed, s.submitted, timeout)
 	}
-	p.Mu.Lock()
-	defer p.Mu.Unlock()
-	for {
-		if s.submitted > 0 && s.completed == s.submitted {
-			return nil
-		}
-		if p.closed {
-			return ErrServerClosed
-		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return fmt.Errorf("dist: wait: %d/%d tasks complete after %v",
-				s.completed, s.submitted, timeout)
-		}
-		p.cond.Wait()
-	}
+	return nil
 }
 
 // Stats reports lifetime counters: tasks submitted, tasks completed,

@@ -44,7 +44,8 @@ type Snapshot struct {
 type WorkerSnapshot struct {
 	// Name is the worker's hello identity.
 	Name string `json:"name"`
-	// Rate is the execution rate the worker claimed, in Mflop/s.
+	// Rate is the worker's believed execution rate in Mflop/s: the
+	// claimed rating smoothed with observed throughput (§3.6).
 	Rate units.Rate `json:"rate"`
 	// Running and Completed are this worker's in-flight and finished
 	// task counts.

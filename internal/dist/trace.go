@@ -147,8 +147,12 @@ func (t *TraceRecorder) OnBatchDecided(e observe.BatchDecision) {
 }
 
 // Traces returns the retained decision traces, oldest first. The curve
-// slices are copied; callers may keep the result.
+// slices are copied; callers may keep the result. A nil recorder
+// retains none.
 func (t *TraceRecorder) Traces() []Trace {
+	if t == nil {
+		return nil
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]Trace, 0, t.ringN)

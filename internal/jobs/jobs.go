@@ -729,29 +729,22 @@ func (d *Dispatcher) Result(id string) (dist.JobResult, error) {
 // elapses (non-positive waits indefinitely), or the dispatcher
 // closes.
 func (d *Dispatcher) Wait(id string, timeout time.Duration) (dist.JobInfo, error) {
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-		defer d.pool.WakeAfter(timeout).Stop()
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for {
-		j, ok := d.jobsByID[id]
-		if !ok {
-			return dist.JobInfo{}, fmt.Errorf("jobs: unknown job %q", id)
-		}
-		if j.terminal() {
-			return d.infoLocked(j), nil
-		}
-		if d.pool.ClosedLocked() {
-			return d.infoLocked(j), errors.New("jobs: dispatcher closed")
-		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return d.infoLocked(j), fmt.Errorf("jobs: job %s still %s after %v", id, j.State, timeout)
-		}
-		d.pool.WaitLocked()
+	var j *job
+	closed, expired := d.pool.AwaitLocked(timeout, func() bool {
+		j = d.jobsByID[id]
+		return j == nil || j.terminal()
+	})
+	switch {
+	case j == nil:
+		return dist.JobInfo{}, fmt.Errorf("jobs: unknown job %q", id)
+	case closed:
+		return d.infoLocked(j), errors.New("jobs: dispatcher closed")
+	case expired:
+		return d.infoLocked(j), fmt.Errorf("jobs: job %s still %s after %v", id, j.State, timeout)
 	}
+	return d.infoLocked(j), nil
 }
 
 // infoLocked builds a job's external view. Caller holds mu.

@@ -1,7 +1,8 @@
 // Package determinism guards the paper's headline reproducibility
 // guarantee: schedules are byte-identical per (seed, island count).
 // In the GA hot path — internal/core, internal/ga, internal/island,
-// internal/sim and internal/scenario — it flags the three classic ways
+// internal/sim and internal/scenario — and in the live pool's core file,
+// internal/dist/core.go, it flags the three classic ways
 // nondeterminism slips into a Go codebase:
 //
 //   - time.Now / time.Since / time.Until: wall-clock reads must come
@@ -21,20 +22,24 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"strings"
 
 	"pnsched/tools/analysis"
 )
 
 // Scopes lists the module-relative package paths (and subtrees) the
-// analyzer applies to: the deterministic core. Runtime layers (dist,
-// telemetry, experiments, linpack) legitimately read wall clocks.
+// analyzer applies to: the deterministic core. An entry ending in .go
+// names one file of a package. Runtime layers (dist, telemetry,
+// experiments, linpack) legitimately read wall clocks; the pool core
+// inside dist is the file that takes its time as a value.
 var Scopes = []string{
 	"pnsched/internal/core",
 	"pnsched/internal/ga",
 	"pnsched/internal/island",
 	"pnsched/internal/sim",
 	"pnsched/internal/scenario",
+	"pnsched/internal/dist/core.go",
 }
 
 // randConstructors are the package-level math/rand functions that do
@@ -48,7 +53,8 @@ var randConstructors = map[string]bool{
 var Analyzer = &analysis.Analyzer{
 	Name: "determinism",
 	Doc: "forbid nondeterminism sources in the deterministic GA core\n\n" +
-		"In internal/{core,ga,island,sim,scenario}: no time.Now/Since/Until,\n" +
+		"In internal/{core,ga,island,sim,scenario} and internal/dist/core.go:\n" +
+		"no time.Now/Since/Until,\n" +
 		"no package-level math/rand draws (use the injected *rand.Rand), and\n" +
 		"no ranging over maps to produce ordered output.",
 	NeedsTypes: true,
@@ -56,10 +62,10 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	if !inScope(pass.Path) {
-		return nil
-	}
 	for _, f := range pass.Files {
+		if !inScope(pass.Path, filepath.Base(pass.Fset.File(f.Pos()).Name())) {
+			continue
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
 				checkCall(pass, call)
@@ -149,7 +155,7 @@ func sortedArg(pass *analysis.Pass, call *ast.CallExpr) types.Object {
 	case "sort", "slices":
 		if !strings.HasPrefix(fn.Name(), "Sort") {
 			switch fn.Name() {
-			case "Strings", "Ints", "Float64s", "Stable":
+			case "Strings", "Ints", "Float64s", "Stable", "Slice", "SliceStable":
 			default:
 				return nil
 			}
@@ -163,9 +169,11 @@ func sortedArg(pass *analysis.Pass, call *ast.CallExpr) types.Object {
 	return nil
 }
 
-func inScope(path string) bool {
+// inScope reports whether the file named file of package path is
+// covered by Scopes.
+func inScope(path, file string) bool {
 	for _, s := range Scopes {
-		if path == s || strings.HasPrefix(path, s+"/") {
+		if path == s || strings.HasPrefix(path, s+"/") || path+"/"+file == s {
 			return true
 		}
 	}

@@ -41,6 +41,18 @@ func orderedOutput(m map[string]int) []string {
 	}
 	sort.Strings(keys)
 
+	// sort.Slice and sort.SliceStable sort their argument too.
+	var byLen []string
+	for k := range m {
+		byLen = append(byLen, k)
+	}
+	sort.Slice(byLen, func(i, j int) bool { return len(byLen[i]) < len(byLen[j]) })
+	var stable []string
+	for k := range m {
+		stable = append(stable, k)
+	}
+	sort.SliceStable(stable, func(i, j int) bool { return stable[i] < stable[j] })
+
 	// The same collection loop without the sort is the bug.
 	var unsorted []string
 	for k := range m { // want `range over map m in deterministic package: the body appends to unsorted which is never sorted`
@@ -75,5 +87,5 @@ func orderedOutput(m map[string]int) []string {
 		_ = local
 	}
 	_ = rand.Intn(1) //pnanalyze:ok determinism — a reviewed, waived draw
-	return append(keys, unsorted...)
+	return append(append(append(keys, byLen...), stable...), unsorted...)
 }

@@ -1,5 +1,6 @@
-// Package dist is a determinism fixture OUTSIDE the deterministic
-// scope: the runtime layer may read wall clocks and nothing fires.
+// Package dist is a determinism fixture for a scope entry naming one
+// file: core.go is checked, while this file, outside the deterministic
+// scope, may read wall clocks and nothing fires.
 package dist
 
 import "time"
