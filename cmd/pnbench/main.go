@@ -7,6 +7,7 @@
 //	pnbench -figure all -profile paper
 //	pnbench -figure 3 -csv out/       # also write CSV files
 //	pnbench -figure island -json bench.json
+//	pnbench -figure ablation -profile fast -csv out/   # the design-choice study
 //
 // Profiles: fast (seconds), default (a minute or two), paper (the
 // published scale: 10,000 tasks, 50 processors, 20 repeats, 1000
@@ -15,11 +16,14 @@
 // -json writes every rendered table as machine-readable records (name,
 // profile, seed, column headers, data rows, wall-clock) so result
 // files can accumulate across runs — including the island experiment's
-// island-vs-sequential numbers and the evolve experiment's
-// naive-vs-incremental evaluation comparison.
+// island-vs-sequential numbers, the evolve experiment's
+// naive-vs-incremental evaluation comparison and the ablation
+// experiment's design-choice rows. A CSV or JSON file that cannot be
+// written in full fails the run with a non-zero exit status.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -59,6 +63,11 @@ func main() {
 	if *workers != 0 {
 		p.Workers = *workers
 	}
+	if *csvDir != "" {
+		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+			fatal(err)
+		}
+	}
 
 	report := jsonReport{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
@@ -73,21 +82,11 @@ func main() {
 		}
 		elapsed := time.Since(start)
 
-		var csv *os.File
+		experiments.RenderFigure(fig, os.Stdout)
 		if *csvDir != "" {
-			if mkErr := os.MkdirAll(*csvDir, 0o755); mkErr != nil {
-				fatal(mkErr)
-			}
-			path := filepath.Join(*csvDir, figureLabel(name)+".csv")
-			if csv, err = os.Create(path); err != nil {
+			if err := writeCSV(filepath.Join(*csvDir, figureLabel(name)+".csv"), fig); err != nil {
 				fatal(err)
 			}
-		}
-		if csv != nil {
-			experiments.RenderFigure(fig, os.Stdout, csv)
-			csv.Close()
-		} else {
-			experiments.RenderFigure(fig, os.Stdout, nil)
 		}
 		fmt.Printf("\n[%s done in %v]\n\n", name, elapsed.Round(time.Millisecond))
 
@@ -138,6 +137,17 @@ func writeJSON(path string, report jsonReport) error {
 		return err
 	}
 	return f.Close()
+}
+
+// writeCSV writes fig's table to path as CSV. The table is rendered in
+// memory first, so a failed write (a full disk) is an error rather than
+// a silently truncated file.
+func writeCSV(path string, fig experiments.Figure) error {
+	var buf bytes.Buffer
+	if err := fig.Table().CSV(&buf); err != nil {
+		return err
+	}
+	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
 // resolveFigures expands the -figure value into experiment names and

@@ -2,12 +2,15 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"pnsched/internal/experiments"
+	"pnsched/internal/metrics"
 )
 
 func TestResolveFiguresAll(t *testing.T) {
@@ -25,14 +28,10 @@ func TestResolveFiguresEverythingIncludesIsland(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, n := range names {
-		if n == "island" {
-			found = true
+	for _, want := range experiments.Supplementary {
+		if !slices.Contains(names, want) {
+			t.Errorf("everything did not include the %s experiment: %v", want, names)
 		}
-	}
-	if !found {
-		t.Errorf("everything did not include the island experiment: %v", names)
 	}
 }
 
@@ -90,5 +89,30 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 	}
 	if back.Results[0].Name != "island" || back.Results[0].Rows[0][0] != "1 (seq)" {
 		t.Errorf("round-trip mangled the report: %+v", back)
+	}
+}
+
+// csvFigure is a Figure holding a fixed table.
+type csvFigure struct{ tbl metrics.Table }
+
+func (f *csvFigure) Table() *metrics.Table { return &f.tbl }
+func (f *csvFigure) WritePlot(io.Writer)   {}
+
+func TestWriteCSV(t *testing.T) {
+	fig := &csvFigure{metrics.Table{Header: []string{"variant", "makespan"}, Rows: [][]string{{"CX", "130.9"}}}}
+	path := filepath.Join(t.TempDir(), "ablation.csv")
+	if err := writeCSV(path, fig); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != "variant,makespan\nCX,130.9\n" {
+		t.Errorf("wrote %q (%v)", data, err)
+	}
+	// A full disk must fail the run, not leave a truncated CSV behind
+	// with exit status 0.
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to simulate a full disk")
+	}
+	if err := writeCSV("/dev/full", fig); err == nil {
+		t.Error("writing to a full device reported success")
 	}
 }

@@ -50,3 +50,15 @@ func BenchmarkEvolveNaive(b *testing.B) { benchEvolveEngine(b, true) }
 
 // BenchmarkEvolveIncremental is the default cached-delta engine.
 func BenchmarkEvolveIncremental(b *testing.B) { benchEvolveEngine(b, false) }
+
+// BenchmarkFitnessEvaluation measures the GA's inner loop: one full
+// fitness evaluation of a 200-task, 50-processor chromosome.
+func BenchmarkFitnessEvaluation(b *testing.B) {
+	p := benchProblem(evolveBenchTasks, evolveBenchProcs, 9)
+	pop := ListPopulation(p, 1, rng.New(9))
+	eval := p.Evaluator()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = eval.Fitness(pop[0])
+	}
+}

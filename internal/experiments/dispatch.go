@@ -45,6 +45,7 @@ var table = []experiment{
 	entry("dynamic", Dynamic),
 	entry("island", Island),
 	entry("evolve", Evolve),
+	entry("ablation", Ablation),
 }
 
 // Figures lists the paper figure numbers the harness can regenerate,
@@ -88,29 +89,26 @@ func RunNamed(name string, p Profile) (Figure, error) {
 }
 
 // RenderFigure writes an already-computed figure's table and plot to
-// w, and its CSV to csv when non-nil.
-func RenderFigure(fig Figure, w io.Writer, csv io.Writer) {
-	tbl := fig.Table()
-	tbl.Render(w)
+// w.
+func RenderFigure(fig Figure, w io.Writer) {
+	fig.Table().Render(w)
 	fmt.Fprintln(w)
 	fig.WritePlot(w)
-	if csv != nil {
-		tbl.CSV(csv)
-	}
 }
 
-// writeBars draws one horizontal bar per label, the largest value
-// spanning width.
+// writeBars draws one horizontal bar per label, labels padded to the
+// longest and the largest value spanning width.
 func writeBars(w io.Writer, title string, labels []string, vals []float64, width int) {
 	fmt.Fprintln(w, title)
-	maxVal := 0.0
-	for _, v := range vals {
+	maxVal, pad := 0.0, 0
+	for i, v := range vals {
 		maxVal = max(maxVal, v)
+		pad = max(pad, len(labels[i]))
 	}
 	if maxVal <= 0 {
 		return
 	}
 	for i, label := range labels {
-		fmt.Fprintf(w, "  %s %8.1f |%s\n", label, vals[i], strings.Repeat("#", int(vals[i]/maxVal*float64(width))))
+		fmt.Fprintf(w, "  %-*s %8.1f |%s\n", pad, label, vals[i], strings.Repeat("#", int(vals[i]/maxVal*float64(width))))
 	}
 }

@@ -3,12 +3,10 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
+	"slices"
 
 	"pnsched/internal/core"
 	"pnsched/internal/metrics"
-	"pnsched/internal/rng"
-	"pnsched/internal/units"
 )
 
 // EvolveStudy compares the naive (full re-evaluation) and incremental
@@ -50,47 +48,36 @@ const (
 // Evolve runs the naive-vs-incremental evaluation study.
 func Evolve(p Profile) *EvolveStudy {
 	engines := []string{"naive", "incremental"}
+	variants := make([]gaRun, len(engines))
+	for ei, engine := range engines {
+		cfg := core.DefaultConfig()
+		cfg.Generations = p.Generations
+		cfg.NaiveEvaluation = engine == "naive"
+		variants[ei] = sequential(cfg, core.ListPopulation)
+	}
+	runs, wallMS := p.gaRepeats(99, 0xe401e, evolveStudyTasks, evolveStudyProcs, variants)
 	res := &EvolveStudy{
-		Profile:      p.Name,
-		BatchTasks:   evolveStudyTasks,
-		Procs:        evolveStudyProcs,
-		Generations:  p.Generations,
-		Repeats:      p.Repeats,
-		Engines:      engines,
-		Makespan:     make([]float64, len(engines)),
-		WallMS:       make([]float64, len(engines)),
-		FullEvalsGen: make([]float64, len(engines)),
-		ModelledMS:   make([]float64, len(engines)),
-		Identical:    true,
+		Profile:     p.Name,
+		BatchTasks:  evolveStudyTasks,
+		Procs:       evolveStudyProcs,
+		Generations: p.Generations,
+		Repeats:     p.Repeats,
+		Engines:     engines,
+		WallMS:      wallMS,
 	}
 	chrom := core.ChromosomeLen(evolveStudyTasks, evolveStudyProcs)
-	for rep := 0; rep < p.Repeats; rep++ {
-		seed := p.repeatSeed(99, rep)
-		var bests []string
-		for ei, engine := range engines {
-			cfg := core.DefaultConfig()
-			cfg.Generations = p.Generations
-			cfg.NaiveEvaluation = engine == "naive"
-			prob := p.batchProblem(seed, evolveStudyTasks, evolveStudyProcs, true)
-			r := rng.New(seed ^ 0xe401e)
-			start := time.Now()
-			st := core.Evolve(prob, cfg, core.ListPopulation(prob, cfg.Population, r), units.Inf(), r)
-			res.WallMS[ei] += time.Since(start).Seconds() * 1e3
-			res.Makespan[ei] += float64(st.BestMakespan)
-			res.FullEvalsGen[ei] += float64(st.GenesEvaluated) / float64(st.Result.Generations) / float64(chrom)
-			res.ModelledMS[ei] += float64(st.ModelledCost) * 1e3
-			bests = append(bests, fmt.Sprint(st.Result.Best))
-		}
-		if bests[0] != bests[1] {
-			res.Identical = false
-		}
+	for _, reps := range runs {
+		res.Makespan = append(res.Makespan, summarize(reps, bestMakespan).Mean)
+		res.FullEvalsGen = append(res.FullEvalsGen, summarize(reps, func(st core.EvolveStats) float64 {
+			return float64(st.GenesEvaluated) / float64(st.Result.Generations) / float64(chrom)
+		}).Mean)
+		res.ModelledMS = append(res.ModelledMS, summarize(reps, func(st core.EvolveStats) float64 {
+			return float64(st.ModelledCost) * 1e3
+		}).Mean)
 	}
-	for ei := range engines {
-		res.Makespan[ei] /= float64(p.Repeats)
-		res.WallMS[ei] /= float64(p.Repeats)
-		res.FullEvalsGen[ei] /= float64(p.Repeats)
-		res.ModelledMS[ei] /= float64(p.Repeats)
-	}
+	res.Identical = slices.EqualFunc(runs[0], runs[1], func(naive, incr core.EvolveStats) bool {
+		return slices.Equal(naive.Result.Best, incr.Result.Best)
+	})
 	if res.FullEvalsGen[0] > 0 {
 		res.ReductionPct = 100 * (1 - res.FullEvalsGen[1]/res.FullEvalsGen[0])
 	}

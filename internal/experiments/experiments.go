@@ -22,12 +22,15 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"time"
 
 	"pnsched"
 	"pnsched/internal/cluster"
 	"pnsched/internal/core"
+	"pnsched/internal/ga"
 	"pnsched/internal/metrics"
 	"pnsched/internal/rng"
+	"pnsched/internal/stats"
 	"pnsched/internal/task"
 	"pnsched/internal/units"
 	"pnsched/internal/workload"
@@ -267,9 +270,15 @@ func each(aggs [][]metrics.Agg, f func(metrics.Agg) float64) [][]float64 {
 func meanMakespan(a metrics.Agg) float64   { return a.Makespan.Mean }
 func meanEfficiency(a metrics.Agg) float64 { return a.Efficiency.Mean }
 
-// repeatSeed derives the deterministic seed for a repeat of a figure.
-func (p Profile) repeatSeed(figure, repeat int) uint64 {
-	return p.Seed*1_000_003 + uint64(figure)*10_007 + uint64(repeat)
+// repeatSeed derives the deterministic seed for a repeat of a study.
+// An id must not be shared between studies, or their rows are not
+// independent samples. In use: 3, 4, 6, 8–11 (figures), 500–509 and
+// 700–709 (sweeps), 90 (extended), 91–96 (scalability), 95–98
+// (dynamic), 98 (island), 99 (evolve), 110–111 (ablation). The overlap
+// on 95–98 is left to the reproduction ledger, because fixing it moves
+// published rows.
+func (p Profile) repeatSeed(id, repeat int) uint64 {
+	return p.Seed*1_000_003 + uint64(id)*10_007 + uint64(repeat)
 }
 
 // draw builds what the GA-only studies optimise from base's streams: n
@@ -302,6 +311,54 @@ func (p Profile) batchProblem(seed uint64, n, m int, withComm bool) *core.Proble
 	tasks, rates, comm := p.draw(rng.New(seed), n, m, withComm)
 	return core.BuildProblem(tasks, rates, nil, comm, withComm)
 }
+
+// gaRun is one variant of a GA-level study: a whole batch decision on
+// prob, drawing all its randomness from r.
+type gaRun func(prob *core.Problem, r *rng.RNG) core.EvolveStats
+
+// sequential seeds a population under cfg, then evolves it without a
+// time budget, both from r.
+func sequential(cfg core.Config, seed func(*core.Problem, int, *rng.RNG) []ga.Chromosome) gaRun {
+	return func(prob *core.Problem, r *rng.RNG) core.EvolveStats {
+		return core.Evolve(prob, cfg, seed(prob, cfg.Population, r), units.Inf(), r)
+	}
+}
+
+// gaRepeats is the repeat loop of the GA-level studies. Repeat rep of
+// every variant decides batchProblem(repeatSeed(id, rep), n, m, true)
+// from rng.New(seed ^ salt); it returns the stats [variant][repeat] and
+// each variant's mean wall-clock per decision (ms). Runs go one after
+// another, never in a worker pool, so that none competes for cores with
+// the one being timed; each builds its own problem and RNG, so their
+// order cannot change a number.
+func (p Profile) gaRepeats(id int, salt uint64, n, m int, variants []gaRun) ([][]core.EvolveStats, []float64) {
+	runs := make([][]core.EvolveStats, len(variants))
+	wallMS := make([]float64, len(variants))
+	for vi, run := range variants {
+		for rep := 0; rep < p.Repeats; rep++ {
+			seed := p.repeatSeed(id, rep)
+			prob := p.batchProblem(seed, n, m, true)
+			r := rng.New(seed ^ salt)
+			start := time.Now()
+			runs[vi] = append(runs[vi], run(prob, r))
+			wallMS[vi] += time.Since(start).Seconds() * 1e3
+		}
+		wallMS[vi] /= float64(p.Repeats)
+	}
+	return runs, wallMS
+}
+
+// summarize summarises f over one variant's runs.
+func summarize(runs []core.EvolveStats, f func(core.EvolveStats) float64) stats.Summary {
+	xs := make([]float64, len(runs))
+	for i, st := range runs {
+		xs[i] = f(st)
+	}
+	s, _ := stats.Summarize(xs)
+	return s
+}
+
+func bestMakespan(st core.EvolveStats) float64 { return float64(st.BestMakespan) }
 
 // parallelFor runs fn(0..n-1) across a bounded worker pool. Results are
 // deterministic because every index derives its own random streams.

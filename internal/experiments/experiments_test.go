@@ -199,7 +199,7 @@ func TestFig5FastShape(t *testing.T) {
 				}
 			}
 			var sb strings.Builder
-			RenderFigure(res, &sb, nil)
+			RenderFigure(res, &sb)
 			for _, want := range []string{"PN", tc.dist} {
 				if !strings.Contains(sb.String(), want) {
 					t.Errorf("output missing %q", want)
@@ -234,11 +234,8 @@ func TestFig10FastShape(t *testing.T) {
 					t.Errorf("%s efficiency = %v", name, res.Efficiency[si])
 				}
 			}
-			if res.Best() == "" {
-				t.Error("no best scheduler")
-			}
 			var sb strings.Builder
-			RenderFigure(res, &sb, nil)
+			RenderFigure(res, &sb)
 			if !strings.Contains(sb.String(), tc.dist) {
 				t.Errorf("output missing distribution name %q", tc.dist)
 			}
@@ -252,7 +249,10 @@ func TestRenderDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	RenderFigure(fig, &out, &csv)
+	RenderFigure(fig, &out)
+	if err := fig.Table().CSV(&csv); err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(out.String(), "Fig 8") {
 		t.Errorf("render output missing title:\n%s", out.String())
 	}

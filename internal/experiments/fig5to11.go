@@ -95,23 +95,6 @@ func (r *EfficiencySweep) WritePlot(w io.Writer) {
 		series, 72, 16)
 }
 
-// Best returns the scheduler with the highest mean efficiency across
-// the sweep.
-func (r *EfficiencySweep) Best() string {
-	bestName, bestVal := "", -1.0
-	for si, name := range r.Schedulers {
-		var sum float64
-		for _, e := range r.Eff[si] {
-			sum += e
-		}
-		if sum > bestVal {
-			bestVal = sum
-			bestName = name
-		}
-	}
-	return bestName
-}
-
 // MakespanBars holds the bar-chart figures (6, 8, 9, 10, 11): mean
 // makespan per scheduler for one task-size distribution.
 type MakespanBars struct {
@@ -124,6 +107,7 @@ type MakespanBars struct {
 	Makespan   []float64
 	CI         []float64
 	Efficiency []float64
+	Completed  []float64 // mean completed tasks per run
 }
 
 // Fig6 regenerates the paper's Fig. 6: makespan with task sizes
@@ -172,6 +156,7 @@ func makespanBars(p Profile, figure, id int, specs []pnsched.Spec, dist workload
 		res.Makespan = append(res.Makespan, agg.Makespan.Mean)
 		res.CI = append(res.CI, 1.96*agg.Makespan.StdErr)
 		res.Efficiency = append(res.Efficiency, agg.Efficiency.Mean)
+		res.Completed = append(res.Completed, float64(agg.Completed)/float64(agg.N))
 	}
 	return res
 }
@@ -200,20 +185,5 @@ func (r *MakespanBars) Table() *metrics.Table {
 
 // WritePlot draws a horizontal bar chart of makespans.
 func (r *MakespanBars) WritePlot(w io.Writer) {
-	labels := make([]string, len(r.Schedulers))
-	for si, name := range r.Schedulers {
-		labels[si] = fmt.Sprintf("%-3s", name)
-	}
-	writeBars(w, fmt.Sprintf("%s: makespan by scheduler (%s)", r.label(), r.Dist), labels, r.Makespan, 56)
-}
-
-// Best returns the scheduler with the lowest mean makespan.
-func (r *MakespanBars) Best() string {
-	best, bestVal := "", 0.0
-	for si, name := range r.Schedulers {
-		if best == "" || r.Makespan[si] < bestVal {
-			best, bestVal = name, r.Makespan[si]
-		}
-	}
-	return best
+	writeBars(w, fmt.Sprintf("%s: makespan by scheduler (%s)", r.label(), r.Dist), r.Schedulers, r.Makespan, 56)
 }

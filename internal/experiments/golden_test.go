@@ -12,11 +12,11 @@ import (
 // goldenFigures pins every deterministic field of every experiment at
 // the fast profile. The values were recorded by running this file at
 // the commit before the figures moved onto one sweep of pnsched.Run
-// cells and must never be regenerated to make a change pass: a
-// simplification of the harness keeps them, and a change that is meant
-// to move a published number says so and re-records only its row.
-// Wall-clock fields (Fig. 4 Seconds and Fit, WallMS, Speedup) are
-// machine-dependent and left out.
+// cells — ablation's at the commit that added it — and must never be
+// regenerated to make a change pass: a simplification of the harness
+// keeps them, and a change that is meant to move a published number
+// says so and re-records only its row. Wall-clock fields (Fig. 4
+// Seconds and Fit, WallMS, Speedup) are machine-dependent and left out.
 var goldenFigures = map[string]uint64{
 	"3":           0x10c0c6a5cf54c276,
 	"4":           0x7f2a868e8f541dac,
@@ -32,6 +32,7 @@ var goldenFigures = map[string]uint64{
 	"dynamic":     0xb5e790f6194fb7f9,
 	"island":      0xf3580897b1469b16,
 	"evolve":      0xbbc121edead677b3,
+	"ablation":    0x3b0ba548f17ed54,
 }
 
 func hashFloats(h hash.Hash64, vs ...float64) {
@@ -61,6 +62,15 @@ func hashRows(h hash.Hash64, rows [][]float64) {
 	}
 }
 
+// hashBars folds a bar chart's fields. Completed is left out because
+// the bar figures' hashes were recorded without it.
+func hashBars(h hash.Hash64, r *MakespanBars) {
+	hashStrings(h, r.Profile, r.Dist)
+	hashStrings(h, r.Schedulers...)
+	hashInts(h, r.Figure, r.Tasks, r.Repeats)
+	hashRows(h, [][]float64{r.Makespan, r.CI, r.Efficiency})
+}
+
 // figureHash folds a result's deterministic fields into one FNV-64.
 func figureHash(t *testing.T, fig Figure) uint64 {
 	h := fnv.New64a()
@@ -81,10 +91,7 @@ func figureHash(t *testing.T, fig Figure) uint64 {
 		hashRows(h, r.Eff)
 		hashRows(h, r.CI)
 	case *MakespanBars:
-		hashStrings(h, r.Profile, r.Dist)
-		hashStrings(h, r.Schedulers...)
-		hashInts(h, r.Figure, r.Tasks, r.Repeats)
-		hashRows(h, [][]float64{r.Makespan, r.CI, r.Efficiency})
+		hashBars(h, r)
 	case *ScalabilityResult:
 		hashStrings(h, r.Profile)
 		hashStrings(h, r.Schedulers...)
@@ -110,32 +117,38 @@ func figureHash(t *testing.T, fig Figure) uint64 {
 		hashInts(h, r.BatchTasks, r.Procs, r.Generations, r.Repeats)
 		hashRows(h, [][]float64{r.Makespan, r.FullEvalsGen, r.ModelledMS, {r.ReductionPct}})
 		hashStrings(h, fmt.Sprint(r.Identical))
+	case *AblationStudy:
+		hashStrings(h, r.Profile)
+		hashStrings(h, r.Variants...)
+		hashInts(h, r.BatchTasks, r.Procs, r.Generations, r.Repeats)
+		hashRows(h, [][]float64{r.Makespan, r.CI, r.Genes})
+		hashBars(h, r.Sim)
+		hashFloats(h, r.Sim.Completed...)
 	default:
 		t.Fatalf("no golden hash for %T", fig)
 	}
 	return h.Sum64()
 }
 
-// TestGoldenFigures: all fourteen experiments at Fast() reproduce the
-// recorded results bit for bit, whether their cells run on one worker
-// or four.
+// TestGoldenFigures: every experiment in the table at Fast() reproduces
+// its recorded result bit for bit, whether its cells run on one worker
+// or four. An experiment without a recorded hash fails, as does a hash
+// recorded for a name the table does not hold.
 func TestGoldenFigures(t *testing.T) {
-	if len(goldenFigures) != 14 {
-		t.Errorf("table holds %d experiments, want 14", len(goldenFigures))
+	for name := range goldenFigures {
+		if !Known(name) {
+			t.Errorf("%q has a recorded hash but is not an experiment", name)
+		}
 	}
 	for _, workers := range []int{1, 4} {
 		p := Fast()
 		p.Workers = workers
-		for name, want := range goldenFigures {
-			if !Known(name) {
-				t.Fatalf("%q is not an experiment", name)
-			}
-			fig, err := RunNamed(name, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := figureHash(t, fig); got != want {
-				t.Errorf("workers=%d %q: %#x, // recorded %#x", workers, name, got, want)
+		for _, e := range table {
+			got := figureHash(t, e.run(p))
+			if want, ok := goldenFigures[e.name]; !ok {
+				t.Errorf("workers=%d %q: %#x has no recorded hash", workers, e.name, got)
+			} else if got != want {
+				t.Errorf("workers=%d %q: %#x, // recorded %#x", workers, e.name, got, want)
 			}
 		}
 	}

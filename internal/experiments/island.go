@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"time"
 
 	"pnsched/internal/core"
 	"pnsched/internal/metrics"
@@ -43,6 +42,19 @@ var islandStudyCounts = []int{1, 2, 4, 8}
 // batch of SweepTasks uniform tasks on the profile's cluster with
 // communication estimates.
 func Island(p Profile) *IslandStudy {
+	variants := make([]gaRun, len(islandStudyCounts))
+	for vi, n := range islandStudyCounts {
+		cfg := core.DefaultConfig()
+		cfg.Generations = max(p.Generations/n, 1)
+		variants[vi] = sequential(cfg, core.ListPopulation)
+		if n > 1 {
+			variants[vi] = func(prob *core.Problem, r *rng.RNG) core.EvolveStats {
+				return core.EvolveIsland(context.Background(), prob, cfg,
+					core.IslandConfig{Islands: n}, units.Inf(), r)
+			}
+		}
+	}
+	runs, wallMS := p.gaRepeats(98, 0x15a4d, p.SweepTasks, p.Procs, variants)
 	res := &IslandStudy{
 		Profile:     p.Name,
 		BatchTasks:  p.SweepTasks,
@@ -51,44 +63,14 @@ func Island(p Profile) *IslandStudy {
 		Repeats:     p.Repeats,
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
 		Islands:     islandStudyCounts,
-		Makespan:    make([]float64, len(islandStudyCounts)),
-		WallMS:      make([]float64, len(islandStudyCounts)),
+		WallMS:      wallMS,
 		Speedup:     make([]float64, len(islandStudyCounts)),
-		Evals:       make([]float64, len(islandStudyCounts)),
 	}
-	// Variants run one after another (not in a worker pool): each
-	// island run wants the whole machine, and the wall-clock numbers
-	// would be meaningless with variants competing for cores.
-	for vi, n := range islandStudyCounts {
-		cfg := core.DefaultConfig()
-		cfg.Generations = p.Generations / n
-		if cfg.Generations < 1 {
-			cfg.Generations = 1
-		}
-		var mk, wall, evals float64
-		for rep := 0; rep < p.Repeats; rep++ {
-			seed := p.repeatSeed(98, rep)
-			prob := p.batchProblem(seed, p.SweepTasks, p.Procs, true)
-			r := rng.New(seed ^ 0x15a4d)
-			start := time.Now()
-			var st core.EvolveStats
-			if n == 1 {
-				st = core.Evolve(prob, cfg, core.ListPopulation(prob, cfg.Population, r), units.Inf(), r)
-			} else {
-				st = core.EvolveIsland(context.Background(), prob, cfg,
-					core.IslandConfig{Islands: n}, units.Inf(), r)
-			}
-			wall += time.Since(start).Seconds() * 1e3
-			mk += float64(st.BestMakespan)
-			evals += float64(st.Evals)
-		}
-		res.Makespan[vi] = mk / float64(p.Repeats)
-		res.WallMS[vi] = wall / float64(p.Repeats)
-		res.Evals[vi] = evals / float64(p.Repeats)
-	}
-	for vi := range res.Islands {
-		if res.WallMS[vi] > 0 {
-			res.Speedup[vi] = res.WallMS[0] / res.WallMS[vi]
+	for vi, reps := range runs {
+		res.Makespan = append(res.Makespan, summarize(reps, bestMakespan).Mean)
+		res.Evals = append(res.Evals, summarize(reps, func(st core.EvolveStats) float64 { return float64(st.Evals) }).Mean)
+		if wallMS[vi] > 0 {
+			res.Speedup[vi] = wallMS[0] / wallMS[vi]
 		}
 	}
 	return res

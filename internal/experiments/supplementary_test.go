@@ -130,7 +130,10 @@ func TestRenderNamedSupplementary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	RenderFigure(fig, &out, &csv)
+	RenderFigure(fig, &out)
+	if err := fig.Table().CSV(&csv); err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(out.String(), "Dynamic conditions") {
 		t.Errorf("output:\n%s", out.String())
 	}

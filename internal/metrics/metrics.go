@@ -9,6 +9,7 @@
 package metrics
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
 	"strings"
@@ -102,13 +103,15 @@ func (t *Table) Render(w io.Writer) {
 	}
 }
 
-// CSV writes the table as comma-separated values (no quoting needed for
-// the numeric/short-name content the harness produces).
-func (t *Table) CSV(w io.Writer) {
-	fmt.Fprintln(w, strings.Join(t.Header, ","))
-	for _, row := range t.Rows {
-		fmt.Fprintln(w, strings.Join(row, ","))
+// CSV writes the table as comma-separated values and returns the first
+// write error. A cell is quoted only when it holds a comma, a quote or
+// a line break, so numeric tables come out unquoted.
+func (t *Table) CSV(w io.Writer) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(t.Header); err != nil {
+		return err
 	}
+	return cw.WriteAll(t.Rows)
 }
 
 func pad(s string, w int) string {

@@ -61,10 +61,13 @@ func TestTableRender(t *testing.T) {
 func TestTableCSV(t *testing.T) {
 	tbl := Table{Header: []string{"a", "b"}}
 	tbl.AddRow(1, 2.5)
+	tbl.AddRow("CX, list init", "-")
 	var sb strings.Builder
-	tbl.CSV(&sb)
+	if err := tbl.CSV(&sb); err != nil {
+		t.Fatal(err)
+	}
 	got := sb.String()
-	if got != "a,b\n1,2.5\n" {
+	if got != "a,b\n1,2.5\n\"CX, list init\",-\n" {
 		t.Errorf("CSV = %q", got)
 	}
 }
