@@ -26,14 +26,18 @@ race:
 # and over the snapshot file recovery reads beside it (the same, and what
 # was applied renders to a snapshot that replays again), and as long
 # over the in-place crossover kernels against the allocating operators
-# they replaced (same children, same panics, same RNG draws).
-# The seed corpora live under internal/{dist,jobs,ga}/testdata/fuzz.
+# they replaced (same children, same panics, same RNG draws), and as
+# long over the incremental evaluator's crossover-child delta against a
+# from-scratch evaluation (bit-identical queues and fitness, never more
+# than one chromosome's genes charged).
+# The seed corpora live under internal/{dist,jobs,ga,core}/testdata/fuzz.
 fuzz-smoke:
 	$(GO) test ./internal/dist -run='^FuzzWireMessage$$' -fuzz=FuzzWireMessage -fuzztime=10s
 	$(GO) test ./internal/dist -run='^FuzzWireCodec$$' -fuzz=FuzzWireCodec -fuzztime=10s
 	$(GO) test ./internal/jobs -run='^FuzzJournalRecord$$' -fuzz=FuzzJournalRecord -fuzztime=10s
 	$(GO) test ./internal/jobs -run='^FuzzJournalSnapshot$$' -fuzz=FuzzJournalSnapshot -fuzztime=10s
 	$(GO) test ./internal/ga -run='^FuzzCrossover$$' -fuzz=FuzzCrossover -fuzztime=10s
+	$(GO) test ./internal/core -run='^FuzzChildDelta$$' -fuzz=FuzzChildDelta -fuzztime=10s
 
 lint:
 	$(GO) vet ./...

@@ -19,9 +19,11 @@ import (
 // cost of a batch decision — and in full-evals/gen, the evaluated
 // genes per generation expressed in full-chromosome equivalents. The
 // naive engine re-scores all 20 individuals every generation and the
-// rebalancer re-scores every candidate move, ~45+ full evaluations per
-// generation; the incremental engine pays full price only for
-// crossover children and re-derives everything else by delta.
+// rebalancer re-scores every candidate move, ~59 full evaluations per
+// generation; the incremental engine re-derives crossover children,
+// mutants and rebalance moves by delta from a scored individual's
+// queues and pays full price only for an individual whose delimiters
+// moved, ~3 full evaluations per generation.
 const (
 	evolveBenchTasks = 200
 	evolveBenchProcs = 50

@@ -45,31 +45,74 @@ func goldenHash(st EvolveStats) uint64 {
 	return h.Sum64()
 }
 
+// scheduleHash folds only what a run decides — the best chromosome, its
+// fitness and the generations run — so a change to how much work the
+// evaluator does can be told apart from a change to the schedule.
+func scheduleHash(st EvolveStats) uint64 {
+	h := fnv.New64a()
+	hashChromosome(h, st.Result.Best)
+	hashWords(h, math.Float64bits(st.Result.BestFitness), uint64(st.Result.Generations))
+	return h.Sum64()
+}
+
+// goldenSchedule was recorded at the commit before crossover children
+// were derived from their parent's cached queues. It must stay
+// byte-identical for every case: provenance changes the work billed,
+// never the schedule. goldenEvolve's */incremental/* entries fold in
+// that work, so they were re-recorded at the same change; its */plain/*
+// entries were not.
+var goldenSchedule = map[string]uint64{
+	"CX/plain/evolve/seed1":        0xb6145c86dddf5fbf,
+	"CX/plain/evolve/seed2":        0x1d23e853d02fc1a8,
+	"CX/plain/island/seed1":        0xd74eb28c9ff61a80,
+	"CX/plain/island/seed2":        0x5a0a14d161201491,
+	"CX/incremental/evolve/seed1":  0x6e80769c9a3902b9,
+	"CX/incremental/evolve/seed2":  0x7e72c62224b3d97e,
+	"CX/incremental/island/seed1":  0x3274986090d748a4,
+	"CX/incremental/island/seed2":  0x66f78b45b57ada01,
+	"PMX/plain/evolve/seed1":       0x4ece99c49ea85693,
+	"PMX/plain/evolve/seed2":       0x214e4a9108a545c0,
+	"PMX/plain/island/seed1":       0xdb099639cca30d66,
+	"PMX/plain/island/seed2":       0x78286c82a802a411,
+	"PMX/incremental/evolve/seed1": 0x93a235ad5e126d4e,
+	"PMX/incremental/evolve/seed2": 0xfcab2dd1395f42f7,
+	"PMX/incremental/island/seed1": 0x7630aac3f41bd7f6,
+	"PMX/incremental/island/seed2": 0xd70a6f0d4f49e543,
+	"OX/plain/evolve/seed1":        0x5cea393ea5aa6dff,
+	"OX/plain/evolve/seed2":        0x5aeb2c02d0f72699,
+	"OX/plain/island/seed1":        0xc53b9866d51f5c49,
+	"OX/plain/island/seed2":        0x0c288fdc2fafe22d,
+	"OX/incremental/evolve/seed1":  0x9a2ba5e4aee259cd,
+	"OX/incremental/evolve/seed2":  0x820adb7fb3094326,
+	"OX/incremental/island/seed1":  0x0553f4e4548efd31,
+	"OX/incremental/island/seed2":  0x12162c1c999d2ba8,
+}
+
 var goldenEvolve = map[string]uint64{
 	"CX/plain/evolve/seed1":        0x7c52dcc3ad6bfeb7,
 	"CX/plain/evolve/seed2":        0x6587b26da5ca46ea,
 	"CX/plain/island/seed1":        0xf06a0cf93d34d1da,
 	"CX/plain/island/seed2":        0xbaa7aa1913538f3b,
-	"CX/incremental/evolve/seed1":  0xd955dfc971de9d,
-	"CX/incremental/evolve/seed2":  0xde5caecc9e7e1396,
-	"CX/incremental/island/seed1":  0x9ce8896ac5e9f188,
-	"CX/incremental/island/seed2":  0xed87545fe19b29a7,
+	"CX/incremental/evolve/seed1":  0x0de5a965d2835982,
+	"CX/incremental/evolve/seed2":  0xdb03ff21702f3018,
+	"CX/incremental/island/seed1":  0xa661c299fde096b7,
+	"CX/incremental/island/seed2":  0xc2346aecb9a023ff,
 	"PMX/plain/evolve/seed1":       0x656c9438defac8ab,
 	"PMX/plain/evolve/seed2":       0xfb44c88011a908d2,
 	"PMX/plain/island/seed1":       0x35ae6cd486cab980,
 	"PMX/plain/island/seed2":       0x908910c9c65d85bb,
-	"PMX/incremental/evolve/seed1": 0x9f2eccc093777e7d,
-	"PMX/incremental/evolve/seed2": 0x586c4fb707db4980,
-	"PMX/incremental/island/seed1": 0xbdbbf8b568429ebf,
-	"PMX/incremental/island/seed2": 0xfb84e29cb9642353,
+	"PMX/incremental/evolve/seed1": 0x895b3fcb5c0a6d9c,
+	"PMX/incremental/evolve/seed2": 0x52ef7f0df0953bbd,
+	"PMX/incremental/island/seed1": 0x2b7c86394406f3e9,
+	"PMX/incremental/island/seed2": 0x8a3df9733edeed52,
 	"OX/plain/evolve/seed1":        0xde3e50ace81b0ef7,
 	"OX/plain/evolve/seed2":        0x1963bc7be24beb6f,
 	"OX/plain/island/seed1":        0x474d042a174cec2f,
 	"OX/plain/island/seed2":        0x6e01cd60656e81cf,
-	"OX/incremental/evolve/seed1":  0x751b011f7e4eac8e,
-	"OX/incremental/evolve/seed2":  0xf5864d486f7386a9,
-	"OX/incremental/island/seed1":  0x47875420281e3992,
-	"OX/incremental/island/seed2":  0x39aea22ffc167019,
+	"OX/incremental/evolve/seed1":  0xd8fc2ddb839a1567,
+	"OX/incremental/evolve/seed2":  0xd206fdcdb1b4ff3f,
+	"OX/incremental/island/seed1":  0x74eca5737c34451c,
+	"OX/incremental/island/seed2":  0xdde8c878bb1eea02,
 }
 
 // TestGoldenEvolve: {CX, PMX, OX} × {plain evaluator, incremental
@@ -104,19 +147,23 @@ func TestGoldenEvolve(t *testing.T) {
 					}
 					key := fmt.Sprintf("%s/%s/%s/seed%d", cx.name, evalName, runner, seed)
 					want, ok := goldenEvolve[key]
-					if !ok {
+					wantSched, okSched := goldenSchedule[key]
+					if !ok || !okSched {
 						t.Fatalf("%s: no golden entry", key)
 					}
 					seen++
 					if got := goldenHash(st); got != want {
 						t.Errorf("%q: %#x, // recorded %#x", key, got, want)
 					}
+					if got := scheduleHash(st); got != wantSched {
+						t.Errorf("schedule %q: %#x, // recorded %#x", key, got, wantSched)
+					}
 				}
 			}
 		}
 	}
-	if seen != len(goldenEvolve) {
-		t.Errorf("ran %d cases, table holds %d", seen, len(goldenEvolve))
+	if seen != len(goldenEvolve) || seen != len(goldenSchedule) {
+		t.Errorf("ran %d cases, tables hold %d and %d", seen, len(goldenEvolve), len(goldenSchedule))
 	}
 }
 

@@ -12,11 +12,14 @@ import (
 // slot, the chromosome's completion-time vector, its delimiter
 // positions and its fitness. Provenance reported by the GA engine
 // keeps the caches coherent — roulette clones and the elitism reinsert
-// inherit their state outright, and a swap of two task symbols
-// re-derives only the two affected processor queues (O(queue) work
-// instead of O(genes)), because per-queue completion times depend only
-// on that queue's contents (§3.2's Cⱼ) and are computed segment-
-// locally, so untouched segments keep bit-identical values.
+// inherit their state outright, a crossover child starts from the
+// nearer parent's state and re-derives only the queues holding a task
+// it moved, and a swap of two task symbols re-derives only the two
+// affected processor queues (O(queue) work instead of O(genes)),
+// because per-queue completion times depend only on that queue's
+// contents (§3.2's Cⱼ) and are computed segment-locally, so untouched
+// segments keep bit-identical values. Only a child or mutant that moved
+// a delimiter — re-partitioning the queues — is scored in full.
 //
 // The evaluator is the single gene-work ledger of a run: every full or
 // delta evaluation — including the §3.5 rebalancer's candidate probes,
@@ -101,10 +104,39 @@ func (ev *IncrementalEvaluator) BeginGeneration() {
 	}
 }
 
-// DeriveFresh implements ga.SlotEvaluator: a crossover child has no
-// usable cached state.
-func (ev *IncrementalEvaluator) DeriveFresh(dst int) {
-	ev.nxt[dst].valid = false
+// DeriveCross implements ga.SlotEvaluator: a crossover child starts
+// from its parent's cached state, and only the queues holding a changed
+// task are re-derived, segment-locally — an unchanged child is a clone.
+// A changed position that holds a delimiter in either chromosome
+// re-partitions the queues, so that child is left to a full evaluation.
+// Child and parent hold the same symbols across the changed positions,
+// so a delimiter there in either is one in the child.
+func (ev *IncrementalEvaluator) DeriveCross(dst, src int, c ga.Chromosome, changed []int) {
+	s, parent := &ev.nxt[dst], &ev.cur[src]
+	s.valid = false
+	if !parent.valid {
+		return
+	}
+	for _, pos := range changed {
+		if c[pos] < 0 {
+			return
+		}
+	}
+	s.copyFrom(parent)
+	if len(changed) == 0 {
+		return
+	}
+	delims, seg, last := s.delims, 0, -1
+	for _, pos := range changed {
+		for seg < len(delims) && delims[seg] < pos {
+			seg++
+		}
+		if seg != last {
+			s.times[seg] = ev.recomputeSegment(c, delims, seg)
+			last = seg
+		}
+	}
+	s.fitness = fitnessFromError(ev.p.relativeErrorFrom(s.times))
 }
 
 // DeriveClone implements ga.SlotEvaluator: a roulette-cloned survivor

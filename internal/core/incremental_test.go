@@ -61,12 +61,31 @@ func traceEvolve(p *Problem, cfg Config, seed uint64, islands int) evolveTrace {
 	return tr
 }
 
+// freshChildren is the incremental evaluator with every crossover child
+// scored from scratch, as before children were derived from a parent's
+// cached queues: on the same schedules it bills what that engine
+// billed.
+type freshChildren struct{ *IncrementalEvaluator }
+
+func (f freshChildren) DeriveCross(dst, _ int, _ ga.Chromosome, _ []int) { f.nxt[dst].valid = false }
+
+// freshChildGenes is the gene bill of an uncapped-budget Evolve from
+// ListPopulation under rng.New(seed) — the same schedules — with every
+// crossover child scored from scratch.
+func freshChildGenes(p *Problem, cfg Config, seed uint64) int {
+	cfg.applyDefaults()
+	l, gaCfg := newLane(p, cfg, units.Inf(), 0)
+	r := rng.New(seed)
+	ga.Run(gaCfg, freshChildren{l.inc}, ListPopulation(p, cfg.Population, r), r)
+	return l.inc.GenesEvaluated()
+}
+
 // TestIncrementalMatchesNaiveEvolve is the determinism guarantee of
 // the incremental evaluation engine: for a fixed seed, the incremental
 // and naive paths must return byte-identical best schedules, best
 // fitness values and per-generation makespan trajectories — over
-// randomized problems and operator mixes — while evaluating strictly
-// fewer genes.
+// randomized problems and all three crossover operators — while
+// evaluating strictly fewer genes.
 func TestIncrementalMatchesNaiveEvolve(t *testing.T) {
 	for seed := uint64(0); seed < 12; seed++ {
 		p := randomProblem(seed)
@@ -74,8 +93,11 @@ func TestIncrementalMatchesNaiveEvolve(t *testing.T) {
 		cfg.Generations = 40
 		cfg.Rebalances = int(seed % 4) // 0..3: pure GA through heavy §3.5 use
 		cfg.MutationsPerGeneration = 1 + int(seed%2)
-		if seed%3 == 0 {
+		switch seed % 3 {
+		case 0:
 			cfg.Crossover = ga.PMX
+		case 2:
+			cfg.Crossover = ga.OX
 		}
 
 		naiveCfg := cfg
@@ -103,6 +125,33 @@ func TestIncrementalMatchesNaiveEvolve(t *testing.T) {
 		if inc.st.GenesEvaluated >= nai.st.GenesEvaluated {
 			t.Errorf("seed %d: incremental evaluated %d genes, naive %d — no saving",
 				seed, inc.st.GenesEvaluated, nai.st.GenesEvaluated)
+		}
+	}
+}
+
+// TestChildDeltaBill holds the crossover-child delta to its saving at
+// the paper's scale (batch 200, M 50, one rebalance, a capped run, so
+// the schedules are the same either way): CX and PMX children of a
+// converging population are mostly near-copies of a parent, and the run
+// bills under 40 % of the genes it billed scoring every child from
+// scratch. An OX child is its parent's order shifted round the segment
+// it keeps, rarely a near-copy, so OX is held only to a saving.
+func TestChildDeltaBill(t *testing.T) {
+	p := benchProblem(200, 50, 4242)
+	for _, tc := range []struct {
+		name     string
+		op       ga.Crossover
+		maxShare float64
+	}{{"CX", ga.CX, 0.4}, {"PMX", ga.PMX, 0.4}, {"OX", ga.OX, 1}} {
+		cfg := DefaultConfig()
+		cfg.Generations = 100
+		cfg.Crossover = tc.op
+		r := rng.New(7)
+		derived := Evolve(p, cfg, ListPopulation(p, cfg.Population, r), units.Inf(), r).GenesEvaluated
+		fresh := freshChildGenes(p, cfg, 7)
+		if share := float64(derived) / float64(fresh); share >= tc.maxShare {
+			t.Errorf("%s: derived children billed %d genes, fresh children %d (%.2f, want < %.2f)",
+				tc.name, derived, fresh, share, tc.maxShare)
 		}
 	}
 }

@@ -153,9 +153,10 @@ func (rb *Rebalancer) Apply(c ga.Chromosome, n int, r *rng.RNG) int {
 func (rb *Rebalancer) StepSlot(slot int, c ga.Chromosome, r *rng.RNG) bool {
 	p, ev := rb.p, rb.ev
 	if ev.ensureValid(slot, c) {
-		// A crossover child (or custom-mutated individual) reaching
-		// the rebalancer unscored: its one full evaluation happens
-		// here instead of at the engine's evaluation sweep.
+		// An individual reaching the rebalancer unscored — a crossover
+		// child or swap mutant that moved a delimiter, a custom-mutated
+		// one: its one full evaluation happens here instead of at the
+		// engine's evaluation sweep.
 		rb.Evals++
 	}
 	s := ev.slot(slot)

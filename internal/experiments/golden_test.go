@@ -12,7 +12,11 @@ import (
 // goldenFigures pins every deterministic field of every experiment at
 // the fast profile. The values were recorded by running this file at
 // the commit before the figures moved onto one sweep of pnsched.Run
-// cells — ablation's at the commit that added it — and must never be
+// cells — ablation's at the commit that added it; every entry but 3 and
+// 4 again when crossover children came to be derived from a parent's
+// cached queues, which lowers the modelled scheduler bill (more
+// generations fit the §3.4 budget) and the genes the GA studies
+// report — and must never be
 // regenerated to make a change pass: a simplification of the harness
 // keeps them, and a change that is meant to move a published number
 // says so and re-records only its row. Wall-clock fields (Fig. 4
@@ -20,19 +24,19 @@ import (
 var goldenFigures = map[string]uint64{
 	"3":           0x10c0c6a5cf54c276,
 	"4":           0x7f2a868e8f541dac,
-	"5":           0x12cb88eb525595af,
-	"6":           0x33b95432b9d63329,
-	"7":           0xf539ec04fc1662ac,
-	"8":           0xaed43f2d82581b5c,
-	"9":           0x8fec94a135169f0a,
-	"10":          0xbad890e8e45aa9c8,
-	"11":          0xe1ab7a7a70308098,
-	"extended":    0x40363ec931dd09de,
-	"scalability": 0xa00761fd5ef550ec,
-	"dynamic":     0xb5e790f6194fb7f9,
-	"island":      0xf3580897b1469b16,
-	"evolve":      0xbbc121edead677b3,
-	"ablation":    0x3b0ba548f17ed54,
+	"5":           0x285f7f6f756ec773,
+	"6":           0x8d00da505f8b512e,
+	"7":           0x1fe0286872919466,
+	"8":           0x92417a4f73e97df7,
+	"9":           0x6b2264fcde643362,
+	"10":          0xeba15f0e19ea802f,
+	"11":          0x1fd901a35b376eef,
+	"extended":    0xd60fad72c6c7927d,
+	"scalability": 0xb77b92d44a68adda,
+	"dynamic":     0xb869021fca77bf05,
+	"island":      0x7f18a684674a5ee2,
+	"evolve":      0x78c3058bcecbbc01,
+	"ablation":    0x82ae8969148a80aa,
 }
 
 func hashFloats(h hash.Hash64, vs ...float64) {

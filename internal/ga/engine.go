@@ -136,8 +136,9 @@ type Result struct {
 	Reason      StopReason
 	// Evaluations is the number of fitness computations performed.
 	// With a SlotEvaluator, individuals whose fitness is known from
-	// provenance (roulette clones, the elitism reinsert) are not
-	// re-scored, so this is smaller than population × generations.
+	// provenance (roulette clones, the elitism reinsert, children and
+	// mutants the evaluator re-derived by delta) are not counted, so
+	// this is smaller than population × generations.
 	Evaluations int
 	// GenesEvaluated is the evaluation work in chromosome positions
 	// scanned: full evaluations charge the whole chromosome length,
@@ -309,9 +310,10 @@ func (e *Engine) Step() bool {
 	}
 
 	// Crossover: pair roulette-selected parents and breed each pair
-	// into the next two free slots. Children are fresh individuals —
-	// their fitness must be computed once, then cached. The fraction is
-	// at most 1, so the 2·pairs children always fit.
+	// into the next two free slots. A slot evaluator hears how each
+	// child differs from the nearer of its parents, so it can re-derive
+	// the child from that parent's cached state. The fraction is at most
+	// 1, so the 2·pairs children always fit.
 	filled := 0
 	pairs := int(float64(n) * e.cfg.CrossoverFraction / 2)
 	if pairs > 0 {
@@ -321,11 +323,10 @@ func (e *Engine) Step() bool {
 		}
 		parents := e.scratch.roulette(e.fitness, 2*pairs, e.r)
 		for k := 0; k < pairs; k++ {
-			a, b := e.pop[parents[2*k]], e.pop[parents[2*k+1]]
-			cross(e.next[filled], e.next[filled+1], a, b, &e.scratch, e.r)
+			pa, pb := parents[2*k], parents[2*k+1]
+			cross(e.next[filled], e.next[filled+1], e.pop[pa], e.pop[pb], &e.scratch, e.r)
 			if e.slots != nil {
-				e.slots.DeriveFresh(filled)
-				e.slots.DeriveFresh(filled + 1)
+				e.deriveChildren(filled, pa, pb)
 			}
 			filled += 2
 		}
@@ -400,6 +401,57 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	return true
+}
+
+// deriveChildren reports next-generation slots dst and dst+1, the
+// children of current slots pa and pb, to the slot evaluator, each as a
+// derivation of whichever parent it differs from at fewer positions (pa
+// on a tie). One pass compares both children with both parents,
+// whatever the operator, so CX, PMX and OX children all reach the
+// evaluator the same way.
+func (e *Engine) deriveChildren(dst, pa, pb int) {
+	d := &e.scratch.diffs
+	n := diff4(e.next[dst], e.next[dst+1], e.pop[pa], e.pop[pb], d)
+	for k := 0; k < 2; k++ {
+		src, changed := pa, d[2*k][:n[2*k]]
+		if n[2*k+1] < n[2*k] {
+			src, changed = pb, d[2*k+1][:n[2*k+1]]
+		}
+		e.slots.DeriveCross(dst+k, src, e.next[dst+k], changed)
+	}
+}
+
+// diff4 writes, in increasing order, the positions where c1 differs
+// from a and from b into d[0] and d[1], and those where c2 does into
+// d[2] and d[3], and returns their counts. Every list must be as long
+// as c1.
+func diff4(c1, c2, a, b Chromosome, d *[4][]int) (n [4]int) {
+	l := len(c1)
+	c2, a, b = c2[:l], a[:l], b[:l]
+	d0, d1, d2, d3 := d[0][:l], d[1][:l], d[2][:l], d[3][:l]
+	for i, u := range c1 {
+		v, x, y := c2[i], a[i], b[i]
+		if (u^x)|(u^y)|(v^x) == 0 { // the common case: all four agree
+			continue
+		}
+		if u != x {
+			d0[n[0]] = i
+			n[0]++
+		}
+		if u != y {
+			d1[n[1]] = i
+			n[1]++
+		}
+		if v != x {
+			d2[n[2]] = i
+			n[2]++
+		}
+		if v != y {
+			d3[n[3]] = i
+			n[3]++
+		}
+	}
+	return n
 }
 
 // Done reports whether a stopping condition has been reached.

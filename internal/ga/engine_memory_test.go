@@ -76,9 +76,9 @@ func TestCrossoverFractionResolves(t *testing.T) {
 			t.Errorf("fraction %v, population %d: %d crossovers in %d generations, want %d per generation",
 				tc.frac, tc.pop, pairs, gens, tc.wantPairs)
 		}
-		if eval.fresh != 2*pairs || eval.fresh+eval.clones != gens*tc.pop {
-			t.Errorf("fraction %v, population %d: %d fresh + %d cloned slots, want %d children and %d slots in all",
-				tc.frac, tc.pop, eval.fresh, eval.clones, 2*pairs, gens*tc.pop)
+		if eval.children != 2*pairs || eval.children+eval.clones != gens*tc.pop {
+			t.Errorf("fraction %v, population %d: %d crossed + %d cloned slots, want %d children and %d slots in all",
+				tc.frac, tc.pop, eval.children, eval.clones, 2*pairs, gens*tc.pop)
 		}
 		if err := res.Best.ValidatePermutation(); err != nil {
 			t.Errorf("fraction %v: %v", tc.frac, err)
@@ -90,12 +90,12 @@ func TestCrossoverFractionResolves(t *testing.T) {
 // slot was derived.
 type derivationCounter struct {
 	cachingSlotEval
-	fresh, clones int
+	children, clones int
 }
 
-func (e *derivationCounter) DeriveFresh(dst int) {
-	e.fresh++
-	e.cachingSlotEval.DeriveFresh(dst)
+func (e *derivationCounter) DeriveCross(dst, src int, c Chromosome, changed []int) {
+	e.children++
+	e.cachingSlotEval.DeriveCross(dst, src, c, changed)
 }
 
 func (e *derivationCounter) DeriveClone(dst, src int) {

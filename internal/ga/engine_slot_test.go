@@ -42,7 +42,12 @@ func (e *cachingSlotEval) BeginGeneration() {
 	}
 }
 
-func (e *cachingSlotEval) DeriveFresh(dst int)      { e.nxt[dst].ok = false }
+// DeriveCross serves an unchanged child from its parent's cache and
+// recomputes any other.
+func (e *cachingSlotEval) DeriveCross(dst, src int, c Chromosome, changed []int) {
+	e.nxt[dst] = slotFit{f: e.cur[src].f, ok: e.cur[src].ok && len(changed) == 0}
+}
+
 func (e *cachingSlotEval) DeriveClone(dst, src int) { e.nxt[dst] = e.cur[src] }
 func (e *cachingSlotEval) CommitGeneration()        { e.cur, e.nxt = e.nxt, e.cur }
 

@@ -1,16 +1,19 @@
 package ga
 
 // This file defines the optional evaluator extensions behind the
-// incremental fitness engine. The generation loop derives most of each
-// new population from individuals it has already scored — roulette-
-// cloned survivors are copies, the elitism reinsert is the best-so-far,
-// and a swap mutant differs from its base by exactly two positions —
-// yet a plain Evaluator forces the engine to re-score everything from
-// scratch every generation. A SlotEvaluator receives that provenance
-// instead: the engine tells it how every slot of the next population
-// was derived, and the evaluator keeps whatever per-slot cached state
+// incremental fitness engine. The generation loop derives every new
+// population from individuals it has already scored — roulette-cloned
+// survivors are copies, the elitism reinsert is the best-so-far, a
+// crossover child differs from the nearer of its parents at a few
+// positions (often none, once the population converges) and a swap
+// mutant differs from its base at exactly two — yet a plain Evaluator
+// forces the engine to re-score everything from scratch every
+// generation. A SlotEvaluator receives that provenance instead: the
+// engine tells it how every slot of the next population was derived,
+// and the evaluator keeps whatever per-slot cached state
 // (completion-time vectors, in internal/core) lets it serve known
-// fitness values without recomputing and re-score mutants by delta.
+// fitness values without recomputing and re-score children and mutants
+// by delta.
 //
 // The contract is strictly observational: a SlotEvaluator must return
 // bit-identical fitness values to what Fitness would compute on the
@@ -27,10 +30,10 @@ package ga
 // loop:
 //
 //   - InitSlots(n) once, before the initial population is scored;
-//   - each generation: BeginGeneration, then DeriveFresh(dst) for
-//     every crossover child and DeriveClone(dst, src) for every
-//     roulette-cloned survivor, then CommitGeneration when the new
-//     population replaces the old one;
+//   - each generation: BeginGeneration, then DeriveCross(dst, src, c,
+//     changed) for every crossover child and DeriveClone(dst, src) for
+//     every roulette-cloned survivor, then CommitGeneration when the
+//     new population replaces the old one;
 //   - SwapAt after the default swap mutation (the two exchanged
 //     positions are known), Invalidate after an opaque edit (a custom
 //     Mutate hook, an injected migrant);
@@ -53,9 +56,13 @@ type SlotEvaluator interface {
 	InitSlots(n int)
 	// BeginGeneration opens the next generation's slot buffer.
 	BeginGeneration()
-	// DeriveFresh marks next-generation slot dst as a brand-new
-	// individual (a crossover child) with no usable cached state.
-	DeriveFresh(dst int)
+	// DeriveCross marks next-generation slot dst as a crossover child
+	// c of current slot src: changed lists, in increasing order, the
+	// positions where c differs from src's chromosome (empty: c is a
+	// copy of it). The evaluator may re-derive c's state from src's
+	// instead of evaluating c from scratch. changed is the engine's
+	// scratch, valid until the call returns.
+	DeriveCross(dst, src int, c Chromosome, changed []int)
 	// DeriveClone marks next-generation slot dst as a copy of current
 	// slot src, inheriting src's cached fitness state.
 	DeriveClone(dst, src int)

@@ -9,27 +9,37 @@ import (
 )
 
 // Scratch is the working memory of the selection and crossover
-// kernels: the symbol→position index, the position marks and the
-// roulette wheel's cumulative weights and picks. An Engine owns one and
-// hands it to every Crossover call, which is what keeps Step free of
-// allocations; the buffers grow on first use and are then reused, so
-// the zero value is ready to use. A Scratch is not safe for concurrent
-// use — island engines run one each.
+// kernels: the symbol→position index, the position marks, the roulette
+// wheel's cumulative weights and picks, and the engine's per-child
+// diffs against each parent. An Engine owns one and hands it to every
+// Crossover call, which is what keeps Step free of allocations; the
+// buffers grow on first use and are then reused, so the zero value is
+// ready to use. A Scratch is not safe for concurrent use — island
+// engines run one each.
 type Scratch struct {
 	index posIndex
-	marks []bool // CX: positions already copied into the children
+	marks []bool // CX: positions already walked
+	cxAt  []int  // CX: positions where the parents differ
 	cum   []float64
 	picks []int
+	diffs [4][]int // the engine: where each of two children differs from each parent
 }
 
 // reserve sizes every buffer for a population of n individuals shaped
 // like sample, so an engine's first generation allocates as little as
-// its thousandth.
+// its thousandth. The position lists share one array.
 func (s *Scratch) reserve(n int, sample Chromosome) {
+	l := len(sample)
 	s.index.build(sample)
-	s.marks = make([]bool, len(sample))
+	s.marks = make([]bool, l)
 	s.cum = make([]float64, n)
-	s.picks = make([]int, n)
+	ints := make([]int, n+5*l)
+	s.picks = ints[:n:n]
+	s.cxAt = ints[n : n+l : n+l]
+	for k := range s.diffs {
+		lo := n + (k+1)*l
+		s.diffs[k] = ints[lo : lo+l : lo+l]
+	}
 }
 
 // RouletteWheel implements the paper's §3.3 selection: each individual i
@@ -114,31 +124,57 @@ func CycleCrossover(p1, p2 Chromosome) (Chromosome, Chromosome) {
 
 // CX is cycle crossover under the Crossover signature (the operator is
 // deterministic; the RNG is unused).
+//
+// The children start as copies of their own parent, and only the
+// positions where the parents differ are indexed and walked: a position
+// where they agree is a cycle of one, counted to keep the alternation
+// but needing no lookup and no copy. A converged population's parents
+// agree at most positions, so CX costs little more than the copies.
 func CX(c1, c2, p1, p2 Chromosome, s *Scratch, _ *rng.RNG) {
 	n := len(p1)
 	if n != len(p2) {
 		panic(fmt.Sprintf("ga: cycle crossover length mismatch %d vs %d", n, len(p2)))
 	}
-	s.index.build(p1)
+	copy(c1, p1)
+	copy(c2, p2)
+	if cap(s.cxAt) < n {
+		s.cxAt = make([]int, n)
+	}
 	if cap(s.marks) < n {
 		s.marks = make([]bool, n)
 	}
+	// The positions where the parents differ, and the range of p1's
+	// symbols there.
+	at, lo, hi := s.cxAt[:0], math.MaxInt, math.MinInt
+	for i, v := range p1 {
+		if v != p2[i] {
+			lo, hi = min(lo, v), max(hi, v)
+			at = append(at, i)
+		}
+	}
+	if len(at) == 0 {
+		return
+	}
+	s.index.reset(lo, hi, n)
+	for _, i := range at {
+		s.index.set(p1[i], i)
+	}
 	visited := s.marks[:n]
 	clear(visited)
-	cycle := 0
-	for start := 0; start < n; start++ {
+	walked := 0 // cycles longer than one so far
+	for k, start := range at {
 		if visited[start] {
 			continue
 		}
-		// Copy the cycle through position start, alternating source
-		// parent per cycle.
-		fromP1 := cycle%2 == 0
+		// The cycle's number is the cycles of one before start (the
+		// start-k positions there the parents agree on) plus the longer
+		// cycles already walked; every other one takes its symbols from
+		// the opposite parent.
+		swap := (start-k+walked)&1 == 1
 		i := start
 		for {
 			visited[i] = true
-			if fromP1 {
-				c1[i], c2[i] = p1[i], p2[i]
-			} else {
+			if swap {
 				c1[i], c2[i] = p2[i], p1[i]
 			}
 			next, ok := s.index.lookup(p2[i])
@@ -150,60 +186,77 @@ func CX(c1, c2, p1, p2 Chromosome, s *Scratch, _ *rng.RNG) {
 				break
 			}
 		}
-		cycle++
+		walked++
 	}
 }
 
 // posIndex is a reusable symbol→position lookup for one chromosome at a
-// time. For the common case of a compact symbol range (task ids plus
-// small negative delimiters) it is a dense slice; sparse symbol sets
-// fall back to a map. Both are kept between builds, so rebuilding over
-// chromosomes of one shape allocates nothing.
+// time, or for some of its positions (CX indexes only those where the
+// parents differ). For the common case of a compact symbol range (task
+// ids plus small negative delimiters) it is a dense table whose entries
+// belong to the current build only while their stamp is the build's,
+// so a rebuild writes the positions it indexes and nothing else; sparse
+// symbol sets fall back to a map. Both are kept between builds, so
+// rebuilding over chromosomes of one shape allocates nothing.
 type posIndex struct {
 	lo     int
-	dense  []int // dense[sym-lo] = position, -1 when absent
+	dense  []posEntry // dense[sym-lo]
+	stamp  uint32     // the current build's
 	sparse map[int]int
 	isMap  bool // the last build chose the map
 }
 
-// build indexes p, replacing whatever was indexed before.
+type posEntry struct {
+	pos   int32
+	stamp uint32 // the entry is current when it equals posIndex.stamp
+}
+
+// build indexes every position of p, replacing whatever was indexed
+// before.
 func (x *posIndex) build(p Chromosome) {
-	n := len(p)
-	x.isMap = false
-	x.dense = x.dense[:0]
-	if n == 0 {
-		return
+	lo, hi := 0, -1
+	if len(p) > 0 {
+		lo, hi = p[0], p[0]
 	}
-	lo, hi := p[0], p[0]
 	for _, v := range p {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
+		lo, hi = min(lo, v), max(hi, v)
 	}
-	if span := hi - lo + 1; span <= 16*n+64 {
-		if cap(x.dense) < span {
-			x.dense = make([]int, span)
+	x.reset(lo, hi, len(p))
+	for i, v := range p {
+		x.set(v, i)
+	}
+}
+
+// reset empties the index for symbols in [lo, hi] of a chromosome of
+// length n: the dense table unless that range is sparse for n.
+func (x *posIndex) reset(lo, hi, n int) {
+	span := hi - lo + 1
+	if x.isMap = span > 16*n+64; x.isMap {
+		if x.sparse == nil {
+			x.sparse = make(map[int]int, n)
 		}
-		x.lo, x.dense = lo, x.dense[:span]
-		for i := range x.dense {
-			x.dense[i] = -1
-		}
-		for i, v := range p {
-			x.dense[v-lo] = i
-		}
+		clear(x.sparse)
 		return
 	}
-	x.isMap = true
-	if x.sparse == nil {
-		x.sparse = make(map[int]int, n)
+	if len(x.dense) < span {
+		x.dense = make([]posEntry, span)
+		x.stamp = 0
 	}
-	clear(x.sparse)
-	for i, v := range p {
-		x.sparse[v] = i
+	x.lo = lo
+	if x.stamp++; x.stamp == 0 { // wrapped: no entry may look current
+		clear(x.dense)
+		x.stamp = 1
 	}
+}
+
+// set records that sym sits at position i; sym must lie in the range
+// the index was reset for.
+func (x *posIndex) set(sym, i int) {
+	if x.isMap {
+		x.sparse[sym] = i
+		return
+	}
+	x.dense[sym-x.lo] = posEntry{pos: int32(i), stamp: x.stamp}
 }
 
 // lookup returns the position of sym in the indexed chromosome.
@@ -213,10 +266,10 @@ func (x *posIndex) lookup(sym int) (int, bool) {
 		return i, ok
 	}
 	i := sym - x.lo
-	if i < 0 || i >= len(x.dense) || x.dense[i] < 0 {
+	if i < 0 || i >= len(x.dense) || x.dense[i].stamp != x.stamp {
 		return 0, false
 	}
-	return x.dense[i], true
+	return int(x.dense[i].pos), true
 }
 
 // SwapMutation exchanges two distinct random positions of c in place —

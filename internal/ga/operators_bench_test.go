@@ -42,6 +42,20 @@ func BenchmarkCycleCrossover250(b *testing.B) {
 	benchCX(b, p1, p2)
 }
 
+// BenchmarkCycleCrossoverConverged breeds the pairs the engine sends
+// once its micro-population converges: parents that agree at about 90 %
+// of positions, the rest shuffled among themselves.
+func BenchmarkCycleCrossoverConverged(b *testing.B) {
+	r := rng.New(1)
+	p1, _ := parents(250, r)
+	p2 := p1.Clone()
+	at := r.Perm(len(p1))[:len(p1)/10]
+	for k, j := range r.Perm(len(at)) {
+		p2[at[k]] = p1[at[j]]
+	}
+	benchCX(b, p1, p2)
+}
+
 func BenchmarkCycleCrossoverSparse(b *testing.B) {
 	// Sparse symbols force the map-based index path.
 	r := rng.New(2)

@@ -10,9 +10,9 @@ import (
 
 // slotSortedness is a minimal ga.SlotEvaluator over the sortedness
 // fitness: it caches fitness per population slot so provenance-served
-// individuals (roulette clones, the elitism reinsert) are not
-// re-scored. One instance per island, as the SlotEvaluator contract
-// requires.
+// individuals (roulette clones, unchanged crossover children, the
+// elitism reinsert) are not re-scored. One instance per island, as the
+// SlotEvaluator contract requires.
 type slotSortedness struct {
 	inner    sortedness
 	cur, nxt []slotFitness
@@ -43,7 +43,12 @@ func (e *slotSortedness) BeginGeneration() {
 	}
 }
 
-func (e *slotSortedness) DeriveFresh(dst int)      { e.nxt[dst].ok = false }
+// DeriveCross serves an unchanged child from its parent's cache and
+// recomputes any other.
+func (e *slotSortedness) DeriveCross(dst, src int, c ga.Chromosome, changed []int) {
+	e.nxt[dst] = slotFitness{f: e.cur[src].f, ok: e.cur[src].ok && len(changed) == 0}
+}
+
 func (e *slotSortedness) DeriveClone(dst, src int) { e.nxt[dst] = e.cur[src] }
 func (e *slotSortedness) CommitGeneration()        { e.cur, e.nxt = e.nxt, e.cur }
 
