@@ -26,7 +26,8 @@ race:
 # and over the snapshot file recovery reads beside it (the same, and what
 # was applied renders to a snapshot that replays again), and as long
 # over the in-place crossover kernels against the allocating operators
-# they replaced (same children, same panics, same RNG draws), and as
+# they replaced (same children, same panics, same RNG draws, and a diff
+# report equal to a four-way comparison of children and parents), and as
 # long over the incremental evaluator's crossover-child delta against a
 # from-scratch evaluation (bit-identical queues and fitness, never more
 # than one chromosome's genes charged).

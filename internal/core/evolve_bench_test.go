@@ -24,19 +24,31 @@ import (
 // mutants and rebalance moves by delta from a scored individual's
 // queues and pays full price only for an individual whose delimiters
 // moved, ~3 full evaluations per generation.
+//
+// BenchmarkEvolveIncrementalLive is the same engine at the shape the
+// live dispatcher runs a PN job in: 200 tasks on 8 workers for 300
+// generations. With few queues each is long, so the rebalancer's
+// segment rescans weigh more and crossover less than at M=50.
 const (
 	evolveBenchTasks = 200
 	evolveBenchProcs = 50
 	evolveBenchGens  = 200
+
+	liveBenchProcs = 8
+	liveBenchGens  = 300
 )
 
 func benchEvolveEngine(b *testing.B, naive bool) {
+	benchEvolveShape(b, naive, evolveBenchTasks, evolveBenchProcs, evolveBenchGens)
+}
+
+func benchEvolveShape(b *testing.B, naive bool, tasks, procs, gens int) {
 	b.Helper()
-	p := benchProblem(evolveBenchTasks, evolveBenchProcs, 4242)
+	p := benchProblem(tasks, procs, 4242)
 	cfg := DefaultConfig()
-	cfg.Generations = evolveBenchGens
+	cfg.Generations = gens
 	cfg.NaiveEvaluation = naive
-	chrom := ChromosomeLen(evolveBenchTasks, evolveBenchProcs)
+	chrom := ChromosomeLen(tasks, procs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := rng.New(uint64(i))
@@ -52,6 +64,12 @@ func BenchmarkEvolveNaive(b *testing.B) { benchEvolveEngine(b, true) }
 
 // BenchmarkEvolveIncremental is the default cached-delta engine.
 func BenchmarkEvolveIncremental(b *testing.B) { benchEvolveEngine(b, false) }
+
+// BenchmarkEvolveIncrementalLive is the default engine at the live
+// dispatcher's PN shape.
+func BenchmarkEvolveIncrementalLive(b *testing.B) {
+	benchEvolveShape(b, false, evolveBenchTasks, liveBenchProcs, liveBenchGens)
+}
 
 // BenchmarkFitnessEvaluation measures the GA's inner loop: one full
 // fitness evaluation of a 200-task, 50-processor chromosome.

@@ -68,6 +68,9 @@ func (p *Problem) indexSizes() {
 }
 
 // sizeOf returns the size of the task with the given chromosome symbol.
+// It is over the inliner's budget, so the per-gene loops (scan,
+// segmentTime) read the dense table in place and call it only for a
+// symbol outside the table.
 func (p *Problem) sizeOf(sym int) units.MFlops {
 	if p.sizes != nil {
 		if i := sym - p.minID; i >= 0 && i < len(p.sizes) {
@@ -184,9 +187,14 @@ func (p *Problem) CompletionTimes(c ga.Chromosome, out []units.Seconds) []units.
 func (p *Problem) scan(c ga.Chromosome, out []units.Seconds, delims []int) int {
 	var work units.MFlops
 	count, j := 0, 0
+	sizes, minID := p.sizes, p.minID
 	for i, sym := range c {
 		if sym >= 0 {
-			work += p.sizeOf(sym)
+			if k := uint(sym - minID); k < uint(len(sizes)) {
+				work += sizes[k]
+			} else {
+				work += p.sizeOf(sym)
+			}
 			count++
 			continue
 		}
@@ -281,8 +289,13 @@ func fitnessFromError(e float64) float64 {
 // only.
 func (p *Problem) segmentTime(c ga.Chromosome, j, lo, hi int) units.Seconds {
 	var work units.MFlops
+	sizes, minID := p.sizes, p.minID
 	for _, sym := range c[lo:hi] {
-		work += p.sizeOf(sym)
+		if k := uint(sym - minID); k < uint(len(sizes)) {
+			work += sizes[k]
+		} else {
+			work += p.sizeOf(sym)
+		}
 	}
 	return p.queueTime(j, work, hi-lo)
 }

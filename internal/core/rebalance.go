@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sort"
+
 	"pnsched/internal/ga"
 	"pnsched/internal/rng"
 	"pnsched/internal/units"
@@ -161,17 +163,18 @@ func (rb *Rebalancer) StepSlot(slot int, c ga.Chromosome, r *rng.RNG) bool {
 	}
 	s := ev.slot(slot)
 
-	heavy := 0
-	for j := 1; j < p.M; j++ {
-		if s.times[j] > s.times[heavy] {
-			heavy = j
+	heavy, top := 0, s.times[0]
+	for j, t := range s.times {
+		if t > top {
+			heavy, top = j, t
 		}
 	}
 
 	// Per-segment task counts replace Step's position lists: segments
 	// are contiguous spans, so the k-th task position on (or off) the
 	// heavy processor is recovered arithmetically, preserving Step's
-	// draw distribution and RNG consumption.
+	// draw distribution and RNG consumption. A probe knows both queues
+	// it touches: heavy, and the one otherTask finds.
 	heavyLo, heavyHi := segmentSpan(c, s.delims, heavy)
 	heavyLen := heavyHi - heavyLo
 	otherLen := len(c) - len(s.delims) - heavyLen
@@ -181,21 +184,19 @@ func (rb *Rebalancer) StepSlot(slot int, c ga.Chromosome, r *rng.RNG) bool {
 
 	for probe := 0; probe < maxProbes; probe++ {
 		hi := heavyLo + r.Intn(heavyLen)
-		oi := rb.otherPosition(c, s.delims, heavy, r.Intn(otherLen))
+		oi, oq := otherTask(s.delims, heavy, heavyLo, heavyLen, r.Intn(otherLen))
 		if p.sizeOf(c[oi]) >= p.sizeOf(c[hi]) {
 			continue // the probed task is not smaller; search again
 		}
 		before := s.fitness
 		c[hi], c[oi] = c[oi], c[hi]
-		a := segmentOf(s.delims, hi)
-		b := segmentOf(s.delims, oi)
 		ftimes := append(rb.ftimes[:0], s.times...)
-		ftimes[a] = ev.recomputeSegment(c, s.delims, a)
-		ftimes[b] = ev.recomputeSegment(c, s.delims, b)
+		ftimes[heavy] = ev.recomputeSegment(c, s.delims, heavy)
+		ftimes[oq] = ev.recomputeSegment(c, s.delims, oq)
 		after := fitnessFromError(p.relativeErrorFrom(ftimes))
 		rb.Evals++
 		if after > before {
-			s.times[a], s.times[b] = ftimes[a], ftimes[b]
+			s.times[heavy], s.times[oq] = ftimes[heavy], ftimes[oq]
 			s.fitness = after
 			return true
 		}
@@ -205,20 +206,19 @@ func (rb *Rebalancer) StepSlot(slot int, c ga.Chromosome, r *rng.RNG) bool {
 	return false
 }
 
-// otherPosition maps k — an index into the increasing sequence of task
-// positions outside the heavy segment — back to a chromosome position.
-func (rb *Rebalancer) otherPosition(c ga.Chromosome, delims []int, heavy, k int) int {
-	for seg := 0; seg <= len(delims); seg++ {
-		if seg == heavy {
-			continue
-		}
-		lo, hi := segmentSpan(c, delims, seg)
-		if k < hi-lo {
-			return lo + k
-		}
-		k -= hi - lo
+// otherTask maps k — an index into the increasing sequence of task
+// positions outside queue heavy, whose heavyLen tasks start at position
+// heavyLo — to that task's position and queue. Skipping the heavy queue
+// makes k the g-th task of the whole chromosome; delims[d]−d tasks lie
+// before delimiter d, so one search over the delimiters finds the
+// queue, which is also the number of delimiters before the task.
+func otherTask(delims []int, heavy, heavyLo, heavyLen, k int) (pos, queue int) {
+	g := k
+	if g >= heavyLo-heavy { // the tasks on the queues before the heavy one
+		g += heavyLen
 	}
-	panic("core: rebalance position index out of range")
+	queue = sort.Search(len(delims), func(d int) bool { return delims[d]-d > g })
+	return g + queue, queue
 }
 
 // ApplySlot runs StepSlot n times, returning how many swaps were kept.

@@ -156,3 +156,67 @@ func TestRebalanceTargetsHeavyProcessor(t *testing.T) {
 		t.Errorf("heavy completion did not drop: %v → %v", heavyBefore, heavyAfter)
 	}
 }
+
+// walkOtherPosition is the linear walk StepSlot used before otherTask:
+// it maps k, an index into the increasing sequence of task positions
+// outside the heavy segment, back to a chromosome position by skipping
+// whole segments. It is the oracle TestOtherTaskMatchesWalk holds the
+// one-search mapping to.
+func walkOtherPosition(c ga.Chromosome, delims []int, heavy, k int) int {
+	for seg := 0; seg <= len(delims); seg++ {
+		if seg == heavy {
+			continue
+		}
+		lo, hi := segmentSpan(c, delims, seg)
+		if k < hi-lo {
+			return lo + k
+		}
+		k -= hi - lo
+	}
+	panic("core: rebalance position index out of range")
+}
+
+// TestOtherTaskMatchesWalk: for random delimiter layouts — empty
+// queues at either end and in the middle, the heavy queue first, last
+// or anywhere — otherTask finds the position the segment walk finds for
+// every k, and the queue a search of the delimiters puts it in.
+func TestOtherTaskMatchesWalk(t *testing.T) {
+	r := rng.New(17)
+	for trial := 0; trial < 500; trial++ {
+		m := 1 + r.Intn(9)
+		n := r.Intn(12)
+		c := Encode(randomQueues(n, m, r))
+		var delims []int
+		for i, sym := range c {
+			if sym < 0 {
+				delims = append(delims, i)
+			}
+		}
+		for heavy := 0; heavy < m; heavy++ {
+			heavyLo, heavyHi := segmentSpan(c, delims, heavy)
+			otherLen := n - (heavyHi - heavyLo)
+			for k := 0; k < otherLen; k++ {
+				pos, queue := otherTask(delims, heavy, heavyLo, heavyHi-heavyLo, k)
+				want := walkOtherPosition(c, delims, heavy, k)
+				if pos != want || queue != segmentOf(delims, want) || queue == heavy {
+					t.Fatalf("%v heavy %d k %d: otherTask = (%d, %d), walk = (%d, %d)",
+						c, heavy, k, pos, queue, want, segmentOf(delims, want))
+				}
+			}
+		}
+	}
+}
+
+// randomQueues deals tasks 0…n−1 onto m queues, many of them left
+// empty.
+func randomQueues(n, m int, r *rng.RNG) [][]task.ID {
+	queues := make([][]task.ID, m)
+	for id := 0; id < n; id++ {
+		j := r.Intn(m)
+		if r.Intn(3) == 0 {
+			j = 0 // crowd the first queue so the others run empty
+		}
+		queues[j] = append(queues[j], task.ID(id))
+	}
+	return queues
+}

@@ -19,6 +19,14 @@ import (
 // they have the parents' length, alias neither parent, and every
 // position must be written. s is the caller's working memory, so an
 // operator needs to allocate nothing; r is the caller's random stream.
+//
+// An operator leaves its diff report in s: for each child, the
+// positions where it differs from each parent (see Scratch). The engine
+// hands those lists to a SlotEvaluator rather than comparing the
+// chromosomes again, so an operator that derives the report from its
+// own work (CX) saves that pass; the others end with Scratch.diff4. The
+// report's buffers are unexported, so every Crossover lives in this
+// package.
 type Crossover func(c1, c2, p1, p2 Chromosome, s *Scratch, r *rng.RNG)
 
 // PMX is partially mapped crossover (Goldberg & Lingle): a random
@@ -27,12 +35,11 @@ type Crossover func(c1, c2, p1, p2 Chromosome, s *Scratch, r *rng.RNG)
 // inherit the segment's absolute positions from the opposite parent
 // and most other positions from their own.
 func PMX(c1, c2, p1, p2 Chromosome, s *Scratch, r *rng.RNG) {
-	lo, hi, ok := segment("PMX", c1, c2, p1, p2, r)
-	if !ok {
-		return
+	if lo, hi, ok := segment("PMX", c1, c2, p1, p2, r); ok {
+		pmxChild(c1, p1, p2, lo, hi, s)
+		pmxChild(c2, p2, p1, lo, hi, s)
 	}
-	pmxChild(c1, p1, p2, lo, hi, s)
-	pmxChild(c2, p2, p1, lo, hi, s)
+	s.diff4(c1, c2, p1, p2)
 }
 
 // segment is the shared opening of PMX and OX: the length check, the
@@ -88,12 +95,11 @@ func pmxChild(child, a, b Chromosome, lo, hi int, s *Scratch) {
 // other parent's symbols in their relative order, starting after the
 // segment. It preserves relative order rather than absolute position.
 func OX(c1, c2, p1, p2 Chromosome, s *Scratch, r *rng.RNG) {
-	lo, hi, ok := segment("OX", c1, c2, p1, p2, r)
-	if !ok {
-		return
+	if lo, hi, ok := segment("OX", c1, c2, p1, p2, r); ok {
+		oxChild(c1, p1, p2, lo, hi, s)
+		oxChild(c2, p2, p1, lo, hi, s)
 	}
-	oxChild(c1, p1, p2, lo, hi, s)
-	oxChild(c2, p2, p1, lo, hi, s)
+	s.diff4(c1, c2, p1, p2)
 }
 
 // oxChild keeps a's segment [lo,hi] and fills the remaining positions

@@ -2,6 +2,7 @@ package ga
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"pnsched/internal/rng"
@@ -224,10 +225,26 @@ func observe(r *rng.RNG, call func() (Chromosome, Chromosome)) (o outcome) {
 	return o
 }
 
+// wantDiffs is the diff report by its definition: each child compared
+// with each parent at every position.
+func wantDiffs(c1, c2, p1, p2 Chromosome) (d [4][]int) {
+	for k, pair := range [4][2]Chromosome{{c1, p1}, {c1, p2}, {c2, p1}, {c2, p2}} {
+		d[k] = []int{}
+		for i, v := range pair[0] {
+			if v != pair[1][i] {
+				d[k] = append(d[k], i)
+			}
+		}
+	}
+	return d
+}
+
 // FuzzCrossover holds the in-place CX, PMX and OX to the allocating
 // operators they replaced: same children, same panics at the same
 // point, same RNG draws — with a scratch that has already served
-// parents of another shape, as the engine's has. The seed corpus under
+// parents of another shape, as the engine's has. A call that returns
+// must also leave the diff report the engine reads: for each child, the
+// positions where it differs from each parent. The seed corpus under
 // testdata/fuzz/FuzzCrossover holds one case per operator × index kind
 // × fault.
 func FuzzCrossover(f *testing.F) {
@@ -265,6 +282,11 @@ func FuzzCrossover(f *testing.F) {
 		}
 		if !got.c1.Equal(want.c1) || !got.c2.Equal(want.c2) {
 			t.Fatalf("%s(%v, %v) = %v, %v; oracle %v, %v", op.name, p1, p2, got.c1, got.c2, want.c1, want.c2)
+		}
+		for k, d := range wantDiffs(got.c1, got.c2, p1, p2) {
+			if !slices.Equal(s.diffs[k], d) {
+				t.Fatalf("%s(%v, %v): diff report %d = %v, want %v", op.name, p1, p2, k, s.diffs[k], d)
+			}
 		}
 		if p1.IsPermutationOf(p2) && !(got.c1.IsPermutationOf(p1) && got.c2.IsPermutationOf(p1)) {
 			t.Fatalf("%s(%v, %v) = %v, %v: not permutations of the parents", op.name, p1, p2, got.c1, got.c2)

@@ -406,52 +406,18 @@ func (e *Engine) Step() bool {
 // deriveChildren reports next-generation slots dst and dst+1, the
 // children of current slots pa and pb, to the slot evaluator, each as a
 // derivation of whichever parent it differs from at fewer positions (pa
-// on a tie). One pass compares both children with both parents,
-// whatever the operator, so CX, PMX and OX children all reach the
-// evaluator the same way.
+// on a tie). The positions are the diff report the crossover left in
+// the scratch, so CX, PMX and OX children all reach the evaluator the
+// same way.
 func (e *Engine) deriveChildren(dst, pa, pb int) {
 	d := &e.scratch.diffs
-	n := diff4(e.next[dst], e.next[dst+1], e.pop[pa], e.pop[pb], d)
 	for k := 0; k < 2; k++ {
-		src, changed := pa, d[2*k][:n[2*k]]
-		if n[2*k+1] < n[2*k] {
-			src, changed = pb, d[2*k+1][:n[2*k+1]]
+		src, changed := pa, d[2*k]
+		if len(d[2*k+1]) < len(changed) {
+			src, changed = pb, d[2*k+1]
 		}
 		e.slots.DeriveCross(dst+k, src, e.next[dst+k], changed)
 	}
-}
-
-// diff4 writes, in increasing order, the positions where c1 differs
-// from a and from b into d[0] and d[1], and those where c2 does into
-// d[2] and d[3], and returns their counts. Every list must be as long
-// as c1.
-func diff4(c1, c2, a, b Chromosome, d *[4][]int) (n [4]int) {
-	l := len(c1)
-	c2, a, b = c2[:l], a[:l], b[:l]
-	d0, d1, d2, d3 := d[0][:l], d[1][:l], d[2][:l], d[3][:l]
-	for i, u := range c1 {
-		v, x, y := c2[i], a[i], b[i]
-		if (u^x)|(u^y)|(v^x) == 0 { // the common case: all four agree
-			continue
-		}
-		if u != x {
-			d0[n[0]] = i
-			n[0]++
-		}
-		if u != y {
-			d1[n[1]] = i
-			n[1]++
-		}
-		if v != x {
-			d2[n[2]] = i
-			n[2]++
-		}
-		if v != y {
-			d3[n[3]] = i
-			n[3]++
-		}
-	}
-	return n
 }
 
 // Done reports whether a stopping condition has been reached.

@@ -10,36 +10,82 @@ import (
 
 // Scratch is the working memory of the selection and crossover
 // kernels: the symbol→position index, the position marks, the roulette
-// wheel's cumulative weights and picks, and the engine's per-child
-// diffs against each parent. An Engine owns one and hands it to every
-// Crossover call, which is what keeps Step free of allocations; the
-// buffers grow on first use and are then reused, so the zero value is
-// ready to use. A Scratch is not safe for concurrent use — island
-// engines run one each.
+// wheel's cumulative weights and picks, and the diff report every
+// Crossover leaves behind — diffs[0] and diffs[1] hold the positions
+// where the first child differs from the first and the second parent,
+// diffs[2] and diffs[3] those of the second child, each in increasing
+// order. An Engine owns one and hands it to every Crossover call, which
+// is what keeps Step free of allocations; the buffers grow on first use
+// and are then reused, so the zero value is ready to use. A Scratch is
+// not safe for concurrent use — island engines run one each.
 type Scratch struct {
 	index posIndex
-	marks []bool // CX: positions already walked
-	cxAt  []int  // CX: positions where the parents differ
+	marks []uint8 // CX: how each walked position was inherited
+	cxAt  []int   // CX: positions where the parents differ
 	cum   []float64
 	picks []int
-	diffs [4][]int // the engine: where each of two children differs from each parent
+	diffs [4][]int // the diff report: where each child differs from each parent
+	lists []int    // room for the report: four lists of a chromosome's length
 }
 
 // reserve sizes every buffer for a population of n individuals shaped
 // like sample, so an engine's first generation allocates as little as
-// its thousandth. The position lists share one array.
+// its thousandth. The picks and the position lists share one array.
 func (s *Scratch) reserve(n int, sample Chromosome) {
-	l := len(sample)
 	s.index.build(sample)
-	s.marks = make([]bool, l)
 	s.cum = make([]float64, n)
-	ints := make([]int, n+5*l)
+	ints := make([]int, n+5*len(sample))
 	s.picks = ints[:n:n]
-	s.cxAt = ints[n : n+l : n+l]
-	for k := range s.diffs {
-		lo := n + (k+1)*l
-		s.diffs[k] = ints[lo : lo+l : lo+l]
+	s.carve(ints[n:], len(sample))
+}
+
+// fit grows the position buffers for chromosomes of length l.
+func (s *Scratch) fit(l int) {
+	if cap(s.cxAt) < l {
+		s.carve(make([]int, 5*l), l)
 	}
+}
+
+// carve lays the marks and the five position lists out for chromosomes
+// of length l, the lists on ints (5·l long).
+func (s *Scratch) carve(ints []int, l int) {
+	s.marks = make([]uint8, l)
+	s.cxAt, s.lists = ints[:l:l], ints[l:]
+}
+
+// list returns the k-th of the report's four lists, empty, with room
+// for l positions.
+func (s *Scratch) list(k, l int) []int {
+	return s.lists[k*l : k*l : (k+1)*l]
+}
+
+// diff4 is the generic diff report: it compares both children with both
+// parents at every position and leaves the four position lists in
+// s.diffs. PMX and OX end with it; CX reports what it walked instead.
+func (s *Scratch) diff4(c1, c2, a, b Chromosome) {
+	l := len(c1)
+	s.fit(l)
+	c2, a, b = c2[:l], a[:l], b[:l]
+	d0, d1, d2, d3 := s.list(0, l), s.list(1, l), s.list(2, l), s.list(3, l)
+	for i, u := range c1 {
+		v, x, y := c2[i], a[i], b[i]
+		if (u^x)|(u^y)|(v^x) == 0 { // the common case: all four agree
+			continue
+		}
+		if u != x {
+			d0 = append(d0, i)
+		}
+		if u != y {
+			d1 = append(d1, i)
+		}
+		if v != x {
+			d2 = append(d2, i)
+		}
+		if v != y {
+			d3 = append(d3, i)
+		}
+	}
+	s.diffs = [4][]int{d0, d1, d2, d3}
 }
 
 // RouletteWheel implements the paper's §3.3 selection: each individual i
@@ -122,6 +168,13 @@ func CycleCrossover(p1, p2 Chromosome) (Chromosome, Chromosome) {
 	return c1, c2
 }
 
+// How CX inherited a position where the parents differ: zero while the
+// walk has not reached it.
+const (
+	cxKept    uint8 = 1 // each child holds its own parent's symbol
+	cxSwapped uint8 = 2 // each child holds the other parent's symbol
+)
+
 // CX is cycle crossover under the Crossover signature (the operator is
 // deterministic; the RNG is unused).
 //
@@ -130,6 +183,11 @@ func CycleCrossover(p1, p2 Chromosome) (Chromosome, Chromosome) {
 // where they agree is a cycle of one, counted to keep the alternation
 // but needing no lookup and no copy. A converged population's parents
 // agree at most positions, so CX costs little more than the copies.
+// The walk marks each differing position kept or swapped, and one pass
+// over them writes the swaps and the diff report: the first child
+// differs from the first parent where a position was swapped and from
+// the second where it was kept, and the second child the other way
+// round.
 func CX(c1, c2, p1, p2 Chromosome, s *Scratch, _ *rng.RNG) {
 	n := len(p1)
 	if n != len(p2) {
@@ -137,57 +195,82 @@ func CX(c1, c2, p1, p2 Chromosome, s *Scratch, _ *rng.RNG) {
 	}
 	copy(c1, p1)
 	copy(c2, p2)
-	if cap(s.cxAt) < n {
-		s.cxAt = make([]int, n)
+	s.fit(n)
+	at, lo, hi := differing(s.cxAt, p1, p2)
+	if len(at) > 0 {
+		s.index.reset(lo, hi, n)
 	}
-	if cap(s.marks) < n {
-		s.marks = make([]bool, n)
-	}
-	// The positions where the parents differ, and the range of p1's
-	// symbols there.
-	at, lo, hi := s.cxAt[:0], math.MaxInt, math.MinInt
-	for i, v := range p1 {
-		if v != p2[i] {
-			lo, hi = min(lo, v), max(hi, v)
-			at = append(at, i)
-		}
-	}
-	if len(at) == 0 {
-		return
-	}
-	s.index.reset(lo, hi, n)
+	marks := s.marks[:n]
 	for _, i := range at {
 		s.index.set(p1[i], i)
+		marks[i] = 0
 	}
-	visited := s.marks[:n]
-	clear(visited)
 	walked := 0 // cycles longer than one so far
 	for k, start := range at {
-		if visited[start] {
+		if marks[start] != 0 {
 			continue
 		}
 		// The cycle's number is the cycles of one before start (the
 		// start-k positions there the parents agree on) plus the longer
 		// cycles already walked; every other one takes its symbols from
 		// the opposite parent.
-		swap := (start-k+walked)&1 == 1
-		i := start
-		for {
-			visited[i] = true
-			if swap {
-				c1[i], c2[i] = p2[i], p1[i]
-			}
+		mark := cxKept
+		if (start-k+walked)&1 == 1 {
+			mark = cxSwapped
+		}
+		for i := start; ; {
+			marks[i] = mark
 			next, ok := s.index.lookup(p2[i])
 			if !ok {
 				panic(fmt.Sprintf("ga: cycle crossover: symbol %d of p2 absent from p1", p2[i]))
 			}
-			i = next
-			if i == start {
+			if i = next; i == start {
 				break
 			}
 		}
 		walked++
 	}
+	swapped, kept := s.list(0, n), s.list(1, n)
+	for _, i := range at {
+		if marks[i] == cxSwapped {
+			c1[i], c2[i] = p2[i], p1[i]
+			swapped = append(swapped, i)
+		} else {
+			kept = append(kept, i)
+		}
+	}
+	s.diffs = [4][]int{swapped, kept, kept, swapped}
+}
+
+// differing writes into at, in increasing order, the positions where a
+// and b differ, and returns them with the range of a's symbols there. at
+// and b must be at least as long as a. Four positions are compared per
+// branch: parents mostly agree, so most quads are skipped whole.
+func differing(at []int, a, b Chromosome) (_ []int, lo, hi int) {
+	at, b = at[:len(a)], b[:len(a)]
+	n, lo, hi := 0, math.MaxInt, math.MinInt
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		x, y := a[i:i+4:i+4], b[i:i+4:i+4]
+		if (x[0]^y[0])|(x[1]^y[1])|(x[2]^y[2])|(x[3]^y[3]) == 0 {
+			continue
+		}
+		for j, v := range x {
+			if v != y[j] {
+				lo, hi = min(lo, v), max(hi, v)
+				at[n] = i + j
+				n++
+			}
+		}
+	}
+	for ; i < len(a); i++ {
+		if v := a[i]; v != b[i] {
+			lo, hi = min(lo, v), max(hi, v)
+			at[n] = i
+			n++
+		}
+	}
+	return at[:n], lo, hi
 }
 
 // posIndex is a reusable symbol→position lookup for one chromosome at a

@@ -20,12 +20,15 @@ func jobWorkload(seed uint64) []pnsched.Task {
 }
 
 // startJobWorker runs one worker against the dispatcher until ctx is
-// cancelled, failing the test on any other exit.
-func startJobWorker(ctx context.Context, t *testing.T, wg *sync.WaitGroup, addr, name string) {
+// cancelled, failing the test on any other exit. The returned channel
+// is closed when the worker has returned.
+func startJobWorker(ctx context.Context, t *testing.T, wg *sync.WaitGroup, addr, name string) <-chan struct{} {
 	t.Helper()
 	wg.Add(1)
+	exited := make(chan struct{})
 	go func() {
 		defer wg.Done()
+		defer close(exited)
 		err := pnsched.RunWorker(ctx, addr, pnsched.WorkerConfig{
 			Name: name, Rate: 100, TimeScale: 2e-4,
 		})
@@ -33,6 +36,7 @@ func startJobWorker(ctx context.Context, t *testing.T, wg *sync.WaitGroup, addr,
 			t.Errorf("worker %s: %v", name, err)
 		}
 	}()
+	return exited
 }
 
 // TestJobServiceEndToEnd drives the whole public job surface in one
@@ -43,6 +47,13 @@ func startJobWorker(ctx context.Context, t *testing.T, wg *sync.WaitGroup, addr,
 func TestJobServiceEndToEnd(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+
+	// Worker churn: one worker joins mid-run and drops out again 40ms
+	// after the pool admits it. Its in-flight tasks reissue from the
+	// jobs' retry budgets; every job must still finish.
+	churnCtx, churnCancel := context.WithCancel(ctx)
+	defer churnCancel()
+	churnLeft := make(chan int, 1) // the pool's worker count once the churner is gone
 
 	var mu sync.Mutex
 	var started []string // tenant per JobStarted, in admission order
@@ -55,6 +66,16 @@ func TestJobServiceEndToEnd(t *testing.T) {
 				mu.Lock()
 				started = append(started, e.Tenant)
 				mu.Unlock()
+			},
+			WorkerJoined: func(e pnsched.WorkerJoinedEvent) {
+				if e.Name == "churner" {
+					time.AfterFunc(40*time.Millisecond, churnCancel)
+				}
+			},
+			WorkerLeft: func(e pnsched.WorkerLeftEvent) {
+				if e.Name == "churner" {
+					churnLeft <- e.Workers
+				}
 			},
 		}),
 		pnsched.WithAdminAddr("127.0.0.1:0"),
@@ -88,14 +109,9 @@ func TestJobServiceEndToEnd(t *testing.T) {
 	var wg sync.WaitGroup
 	startJobWorker(ctx, t, &wg, addr, "steady-1")
 	startJobWorker(ctx, t, &wg, addr, "steady-2")
-	// Worker churn: one worker joins mid-run and drops out again. Its
-	// in-flight tasks reissue from the jobs' retry budgets; every job
-	// must still finish.
-	churnCtx, churnCancel := context.WithCancel(ctx)
-	defer churnCancel()
+	churnExited := make(chan (<-chan struct{}), 1)
 	time.AfterFunc(30*time.Millisecond, func() {
-		startJobWorker(churnCtx, t, &wg, addr, "churner")
-		time.AfterFunc(40*time.Millisecond, churnCancel)
+		churnExited <- startJobWorker(churnCtx, t, &wg, addr, "churner")
 	})
 
 	for _, id := range ids {
@@ -155,6 +171,19 @@ func TestJobServiceEndToEnd(t *testing.T) {
 		!strings.Contains(err.Error(), "unknown job") {
 		t.Errorf("JobStatus of unknown job: %v, want an unknown-job error", err)
 	}
+
+	// The pool is counted once the churner is gone from both sides: the
+	// pool has dropped it (the event carries the count it left behind)
+	// and its worker has returned.
+	select {
+	case n := <-churnLeft:
+		if n != 2 {
+			t.Errorf("pool holds %d workers once the churner left, want the 2 steady ones", n)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("the churner never left the pool")
+	}
+	<-<-churnExited
 
 	snap := svc.Snapshot()
 	if snap.Jobs == nil || snap.Jobs.Done != 8 || snap.Jobs.Cancelled != 1 || snap.Jobs.Running != 0 {
