@@ -26,7 +26,6 @@ import (
 	"pnsched/internal/metrics"
 	"pnsched/internal/rng"
 	"pnsched/internal/scenario"
-	"pnsched/internal/sim"
 	"pnsched/internal/task"
 	"pnsched/internal/workload"
 )
@@ -155,20 +154,30 @@ func runScenario(path string, gantt bool) {
 	if err != nil {
 		fatal(err)
 	}
-	cfg, err := spec.Build(func(name string) (io.ReadCloser, error) {
+	sch, w, err := spec.Build(func(name string) (io.ReadCloser, error) {
 		return os.Open(name)
 	})
 	if err != nil {
 		fatal(err)
 	}
-	var tl *sim.Timeline
-	if gantt {
-		tl = sim.NewTimeline(cfg.Cluster.M())
-		cfg.Timeline = tl
+	// Run builds its own scheduler; this one, off the scenario's
+	// unseeded spec, only names it.
+	named, err := pnsched.New(spec.Scheduler)
+	if err != nil {
+		fatal(err)
 	}
-	res := sim.Run(cfg)
+	var opts []pnsched.RunOption
+	var tl *pnsched.Timeline
+	if gantt {
+		tl = new(pnsched.Timeline)
+		opts = append(opts, pnsched.WithTimeline(tl))
+	}
+	res, err := pnsched.Run(context.Background(), sch, w, opts...)
+	if err != nil {
+		fatal(err)
+	}
 	tbl := metrics.Table{
-		Title:  fmt.Sprintf("scenario %s: %s on %d processors", path, cfg.Scheduler.Name(), cfg.Cluster.M()),
+		Title:  fmt.Sprintf("scenario %s: %s on %d processors", path, named.Name(), w.Cluster.M()),
 		Header: []string{"makespan", "efficiency", "completed", "reissued", "sched-busy"},
 	}
 	tbl.AddRow(res.Makespan, res.Efficiency, res.Completed, res.Reissued, res.SchedulerBusy)

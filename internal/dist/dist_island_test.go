@@ -3,13 +3,13 @@ package dist_test
 import (
 	"context"
 	"errors"
-	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"pnsched/internal/core"
 	"pnsched/internal/dist"
+	"pnsched/internal/jobs"
 	"pnsched/internal/rng"
 	"pnsched/internal/units"
 	"pnsched/internal/workload"
@@ -23,20 +23,8 @@ func TestEndToEndIslandScheduler(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Generations = 40
 	cfg.InitialBatch = 40
-	srv, err := dist.NewServer(dist.ServerConfig{
-		Scheduler: core.NewPNIsland(cfg,
-			core.IslandConfig{Islands: 2, MigrationInterval: 5, Migrants: 1}, rng.New(21)),
-	})
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
-	addr := ln.Addr().String()
+	srv, addr := serveOpen(t, jobs.Config{Open: core.NewPNIsland(cfg,
+		core.IslandConfig{Islands: 2, MigrationInterval: 5, Migrants: 1}, rng.New(21))})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -72,13 +60,12 @@ func TestEndToEndIslandScheduler(t *testing.T) {
 		N:     120,
 		Sizes: workload.Uniform{Lo: 10, Hi: 1000},
 	}, rng.New(22))
-	srv.Submit(tasks)
-	if err := srv.Wait(30 * time.Second); err != nil {
+	srv.Append(tasks)
+	if err := srv.WaitOpen(30 * time.Second); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
-	sub, comp, _, _ := srv.Stats()
-	if sub != len(tasks) || comp != len(tasks) {
-		t.Fatalf("Stats: submitted %d completed %d, want both %d", sub, comp, len(tasks))
+	if snap := srv.Snapshot(); snap.Submitted != len(tasks) || snap.Completed != len(tasks) {
+		t.Fatalf("Snapshot: submitted %d completed %d, want both %d", snap.Submitted, snap.Completed, len(tasks))
 	}
 	byName := map[string]dist.WorkerStatus{}
 	for _, ws := range srv.Workers() {

@@ -3,6 +3,7 @@ package dist_test
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"net"
 	"strings"
@@ -12,7 +13,9 @@ import (
 
 	"pnsched/internal/core"
 	"pnsched/internal/dist"
+	"pnsched/internal/jobs"
 	"pnsched/internal/rng"
+	"pnsched/internal/sched"
 	"pnsched/internal/task"
 	"pnsched/internal/units"
 	"pnsched/internal/workload"
@@ -28,15 +31,20 @@ func fastConfig() core.Config {
 	return cfg
 }
 
-// startServer spins up a server with the PN scheduler on an ephemeral
-// loopback port, returning the server and its address.
-func startServer(t *testing.T, cfg core.Config, seed uint64) (*dist.Server, string) {
+// startServer spins up a dispatcher running the open job with the PN
+// scheduler on an ephemeral loopback port — what pnsched.Serve runs —
+// returning it and its address.
+func startServer(t *testing.T, cfg core.Config, seed uint64) (*jobs.Dispatcher, string) {
 	t.Helper()
-	srv, err := dist.NewServer(dist.ServerConfig{
-		Scheduler: core.NewPN(cfg, rng.New(seed)),
-	})
+	return serveOpen(t, jobs.Config{Open: core.NewPN(cfg, rng.New(seed))})
+}
+
+// serveOpen starts a dispatcher on an ephemeral loopback port.
+func serveOpen(t *testing.T, cfg jobs.Config) (*jobs.Dispatcher, string) {
+	t.Helper()
+	srv, err := jobs.New(cfg)
 	if err != nil {
-		t.Fatalf("NewServer: %v", err)
+		t.Fatalf("jobs.New: %v", err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -48,11 +56,11 @@ func startServer(t *testing.T, cfg core.Config, seed uint64) (*dist.Server, stri
 }
 
 // waitForWorkers blocks until n workers are registered with the server.
-func waitForWorkers(t *testing.T, srv *dist.Server, n int) {
+func waitForWorkers(t *testing.T, srv *jobs.Dispatcher, n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if _, _, _, workers := srv.Stats(); workers >= n {
+		if len(srv.Workers()) >= n {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -95,17 +103,17 @@ func TestEndToEndLoopback(t *testing.T) {
 		N:     120,
 		Sizes: workload.Uniform{Lo: 10, Hi: 1000},
 	}, rng.New(7))
-	srv.Submit(tasks)
+	srv.Append(tasks)
 
-	if err := srv.Wait(30 * time.Second); err != nil {
+	if err := srv.WaitOpen(30 * time.Second); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
-	sub, comp, _, workers := srv.Stats()
-	if sub != len(tasks) || comp != len(tasks) {
-		t.Fatalf("Stats: submitted %d completed %d, want both %d", sub, comp, len(tasks))
+	snap := srv.Snapshot()
+	if snap.Submitted != len(tasks) || snap.Completed != len(tasks) {
+		t.Fatalf("Snapshot: submitted %d completed %d, want both %d", snap.Submitted, snap.Completed, len(tasks))
 	}
-	if workers != 2 {
-		t.Fatalf("Stats: %d workers connected, want 2", workers)
+	if len(snap.Workers) != 2 {
+		t.Fatalf("Snapshot: %d workers connected, want 2", len(snap.Workers))
 	}
 
 	byName := map[string]dist.WorkerStatus{}
@@ -163,7 +171,7 @@ func TestWorkerFailureReissue(t *testing.T) {
 		N:     60,
 		Sizes: workload.Uniform{Lo: 200, Hi: 1000},
 	}, rng.New(9))
-	srv.Submit(tasks)
+	srv.Append(tasks)
 
 	// Let the run get going, then kill the victim while work remains.
 	deadline := time.Now().Add(10 * time.Second)
@@ -174,7 +182,7 @@ func TestWorkerFailureReissue(t *testing.T) {
 				victimBusy = true
 			}
 		}
-		_, comp, _, _ := srv.Stats()
+		comp := srv.Snapshot().Completed
 		if victimBusy && comp >= 3 {
 			break
 		}
@@ -188,14 +196,14 @@ func TestWorkerFailureReissue(t *testing.T) {
 	}
 	killVictim()
 
-	if err := srv.Wait(30 * time.Second); err != nil {
+	if err := srv.WaitOpen(30 * time.Second); err != nil {
 		t.Fatalf("Wait after worker failure: %v", err)
 	}
-	sub, comp, reissued, _ := srv.Stats()
-	if comp != sub {
-		t.Fatalf("completed %d of %d after failure", comp, sub)
+	snap := srv.Snapshot()
+	if snap.Completed != snap.Submitted {
+		t.Fatalf("completed %d of %d after failure", snap.Completed, snap.Submitted)
 	}
-	if reissued == 0 {
+	if snap.Reissued == 0 {
 		t.Error("reissued = 0, want > 0: the victim died holding assigned tasks")
 	}
 
@@ -214,10 +222,10 @@ func TestWorkersJoiningLate(t *testing.T) {
 		N:     50,
 		Sizes: workload.Uniform{Lo: 10, Hi: 500},
 	}, rng.New(11))
-	srv.Submit(tasks)
+	srv.Append(tasks)
 
 	// Nothing can complete yet.
-	if err := srv.Wait(50 * time.Millisecond); err == nil {
+	if err := srv.WaitOpen(50 * time.Millisecond); err == nil {
 		t.Fatal("Wait succeeded with no workers connected")
 	}
 
@@ -235,11 +243,10 @@ func TestWorkersJoiningLate(t *testing.T) {
 		}
 	}()
 
-	if err := srv.Wait(30 * time.Second); err != nil {
+	if err := srv.WaitOpen(30 * time.Second); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
-	_, comp, _, _ := srv.Stats()
-	if comp != len(tasks) {
+	if comp := srv.Snapshot().Completed; comp != len(tasks) {
 		t.Fatalf("completed %d, want %d", comp, len(tasks))
 	}
 
@@ -250,14 +257,17 @@ func TestWorkersJoiningLate(t *testing.T) {
 
 // TestServerValidation covers constructor and worker-config errors.
 func TestServerValidation(t *testing.T) {
-	if _, err := dist.NewServer(dist.ServerConfig{}); err == nil {
-		t.Error("NewServer accepted a nil scheduler")
-	}
-	if _, err := dist.NewServer(dist.ServerConfig{
-		Scheduler:  core.NewPN(fastConfig(), rng.New(1)),
-		PoolConfig: dist.PoolConfig{Nu: 1.5},
-	}); err == nil {
-		t.Error("NewServer accepted smoothing factor 1.5")
+	pn := core.NewPN(fastConfig(), rng.New(1))
+	for name, cfg := range map[string]jobs.Config{
+		"no scheduler":         {},
+		"smoothing 1.5":        {Open: pn, PoolConfig: dist.PoolConfig{Nu: 1.5}},
+		"open job journaled":   {Open: pn, JournalDir: t.TempDir()},
+		"open job and a queue": {Open: pn, NewScheduler: func(json.RawMessage) (sched.Batch, error) { return pn, nil }},
+	} {
+		if d, err := jobs.New(cfg); err == nil {
+			d.Close()
+			t.Errorf("jobs.New accepted %s", name)
+		}
 	}
 	err := dist.RunWorker(context.Background(), "127.0.0.1:0", dist.WorkerConfig{Rate: 0})
 	if err == nil {
@@ -284,9 +294,9 @@ func TestName(t *testing.T) {
 // ever joins, so the timer's own wake-up is the only one.
 func TestWaitTimesOut(t *testing.T) {
 	srv, _ := startServer(t, fastConfig(), 4)
-	srv.Submit([]task.Task{{ID: 0, Size: 100}})
+	srv.Append([]task.Task{{ID: 0, Size: 100}})
 	errc := make(chan error, 1)
-	go func() { errc <- srv.Wait(30 * time.Millisecond) }()
+	go func() { errc <- srv.WaitOpen(30 * time.Millisecond) }()
 	select {
 	case err := <-errc:
 		if err == nil || !strings.Contains(err.Error(), "0/1 tasks complete after 30ms") {
@@ -327,9 +337,9 @@ func TestServerResetIsHangUp(t *testing.T) {
 
 func TestCloseUnblocksWait(t *testing.T) {
 	srv, _ := startServer(t, fastConfig(), 4)
-	srv.Submit([]task.Task{{ID: 0, Size: 100}})
+	srv.Append([]task.Task{{ID: 0, Size: 100}})
 	errc := make(chan error, 1)
-	go func() { errc <- srv.Wait(0) }()
+	go func() { errc <- srv.WaitOpen(0) }()
 	time.Sleep(20 * time.Millisecond)
 	srv.Close()
 	select {

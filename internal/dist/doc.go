@@ -13,13 +13,12 @@
 // the wall clock. It queues assign frames while Pool.Mu is held, since
 // a departing worker's channel is closed under it, and hangs up on a
 // wedged worker only once Mu is free. The Pool decides nothing
-// about whose work a worker does; that is its Owner's job. Server is
-// the owner with one implicit, unbounded, never-finishing stream of
-// work and one FCFS queue; the job dispatcher (internal/jobs) is the
-// owner that leases workers to jobs. Both run the same code below the
-// Owner interface, under one lock (Pool.Mu), and export the same
-// pool-level telemetry: the pool registers one set of pnsched_* series
-// (metrics.go), whoever owns it.
+// about whose work a worker does; that is its Owner's job, and there is
+// one owner: the job dispatcher (internal/jobs), under one lock
+// (Pool.Mu). It leases workers to jobs for pnsched.ServeJobs, and for
+// pnsched.Serve holds one open job — an unbounded, never-finishing
+// stream of work with one FCFS queue. Either way the pool registers the
+// same pnsched_* series (metrics.go).
 //
 // Workers (started with RunWorker, or the pnworker binary on another
 // machine) connect, declare a Linpack-style execution rating, and
@@ -36,8 +35,9 @@
 //   - If a worker disconnects (crash, network partition, shutdown), every
 //     task assigned to it that has not been reported complete is returned
 //     to the unscheduled queue and rescheduled onto the surviving workers
-//     — the paper's dynamic rescheduling. Tasks scheduled onto a worker
-//     that vanished before dispatch are reissued the same way.
+//     — the paper's dynamic rescheduling; those tasks are counted as
+//     reissued. Tasks scheduled onto a worker that vanished before
+//     dispatch go back to the queue too, uncounted: they never left.
 //   - Dispatch is paced by a per-worker backlog threshold: while every
 //     worker holds PoolConfig.Backlog unfinished tasks, further
 //     batches stay in the unscheduled queue. Work is therefore placed
@@ -56,8 +56,8 @@
 // frame. A connection's first frame decides its role: a hello makes it
 // a worker, a watch makes it an event subscriber, a stats or trace
 // frame makes it a one-shot snapshot request, and anything else is
-// offered to the owner (the dispatcher takes the job_* requests, Server
-// takes none). docs/wire-protocol.md is the
+// offered to the owner (the dispatcher takes the job_* requests, unless
+// it runs Serve's open job). docs/wire-protocol.md is the
 // authoritative spec — grammar, versioning, delivery and replay
 // semantics, each frame kind pinned by a committed golden file; this
 // section is the summary.

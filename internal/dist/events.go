@@ -147,7 +147,7 @@ func (b *Broadcaster) unsubscribe(s *eventSub) {
 }
 
 // closeAll ends every subscriber's stream and rejects future
-// subscriptions — the broadcaster's part of Server.Close.
+// subscriptions — the broadcaster's part of Pool.Close.
 func (b *Broadcaster) closeAll() {
 	b.mu.Lock()
 	defer b.mu.Unlock()

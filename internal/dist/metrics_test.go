@@ -5,20 +5,10 @@ import (
 	"testing"
 
 	"pnsched/internal/observe"
-	"pnsched/internal/sched"
 	"pnsched/internal/task"
 	"pnsched/internal/telemetry"
 	"pnsched/internal/units"
 )
-
-// idleScheduler is a minimal batch scheduler for wiring-level tests: it
-// assigns nothing, so a server built around it stays quiescent.
-type idleScheduler struct{}
-
-func (idleScheduler) Name() string { return "IDLE" }
-func (idleScheduler) ScheduleBatch(batch []task.Task, s sched.State) (sched.Assignment, units.Seconds) {
-	return make(sched.Assignment, s.M()), 0
-}
 
 // TestTraceRecorderSealsOnBatchDecided replays one decision's event
 // sequence in the guaranteed order and checks the sealed trace carries
@@ -125,14 +115,11 @@ func TestBroadcasterDropsSurfaceInMetrics(t *testing.T) {
 	const events = 10
 	b := NewBroadcaster(1, 0)
 	reg := telemetry.NewRegistry()
-	srv, err := NewServer(ServerConfig{
-		Scheduler:  idleScheduler{},
-		PoolConfig: PoolConfig{Events: b, Metrics: reg},
-	})
+	p, err := NewPool(PoolConfig{Events: b, Metrics: reg}, &coreOwner{})
 	if err != nil {
-		t.Fatalf("NewServer: %v", err)
+		t.Fatalf("NewPool: %v", err)
 	}
-	defer srv.Close()
+	defer p.Close()
 
 	slow := b.subscribe() // queue of 1, nothing drains it
 	defer b.unsubscribe(slow)

@@ -29,8 +29,12 @@ const DefaultNu = 0.5
 // pauses batch scheduling when PoolConfig.Backlog is zero.
 const DefaultBacklog = 4
 
-// PoolConfig is the configuration every owner of a worker pool shares;
-// ServerConfig and jobs.Config embed it.
+// ErrServerClosed is returned by a wait on the pool's work when the
+// pool is closed first.
+var ErrServerClosed = errors.New("dist: server closed")
+
+// PoolConfig is the worker pool's share of its owner's configuration;
+// jobs.Config embeds it.
 type PoolConfig struct {
 	// Log receives structured progress logging (worker joins/leaves,
 	// batch dispatches, reissues, protocol rejections, job lifecycle) as
@@ -70,6 +74,12 @@ type PoolConfig struct {
 	// placement instead of being decided once up front. 0 selects
 	// DefaultBacklog.
 	Backlog int
+	// Traces, when non-nil, is the recorder answering the trace wire
+	// request (protocol 1.2) with recent per-batch decision traces; nil
+	// answers with an empty list. The caller wires the same recorder
+	// into the observer chain the scheduler and pool emit into; the pool
+	// only reads it.
+	Traces *TraceRecorder
 }
 
 // Owner is what a Pool asks of the runtime built on it. The pool holds
@@ -79,8 +89,8 @@ type PoolConfig struct {
 // finished, lost or undeliverable task means to it. A lease is the
 // owner's tag for one stream of work: a worker carries at most one,
 // Run(lease, …) schedules only onto workers carrying that one, and the
-// pool never looks inside it. Server is the owner whose only lease is
-// nil; the job dispatcher leases workers to jobs.
+// pool never looks inside it. The job dispatcher (internal/jobs) is the
+// owner: it leases workers to jobs, or to its one open job under Serve.
 //
 // The …Locked methods run with Pool.Mu held and must not block (the
 // locksend analyzer checks them by name); job events they produce are
@@ -153,7 +163,7 @@ type Pool struct {
 	// both the in-process observer and the wire subscribers.
 	observer observe.Observer
 	events   *Broadcaster
-	traces   *TraceRecorder // answers the trace request; nil replies empty
+	traces   *TraceRecorder // PoolConfig.Traces
 
 	cond    *sync.Cond // broadcast on every state change
 	ln      net.Listener
@@ -230,6 +240,7 @@ func NewPool(cfg PoolConfig, owner Owner) (*Pool, error) {
 		backlog:  cmp.Or(cfg.Backlog, DefaultBacklog),
 		observer: cfg.Observer,
 		events:   cfg.Events,
+		traces:   cfg.Traces,
 
 		scheduling: map[any][]task.Task{},
 	}
@@ -579,10 +590,7 @@ func (p *Pool) writeLoop(w *Worker) {
 // the pool closes or the owner reports the lease dead. q is guarded by
 // Mu.
 func (p *Pool) Run(lease any, q *task.Queue, sch sched.Batch) {
-	log := p.Log
-	if lease != nil {
-		log = log.With("lease", lease)
-	}
+	log := p.Log.With("lease", lease)
 	var dispatched []observe.Dispatch // reused from batch to batch
 	for {
 		p.Mu.Lock()

@@ -123,6 +123,7 @@ type pipeSched struct {
 
 	mu   sync.Mutex
 	idle []units.Seconds
+	hold func() // run by the next decision before it decides
 }
 
 func (s *pipeSched) Name() string { return "PIPE" }
@@ -132,10 +133,22 @@ func (s *pipeSched) NextBatchSize(int, sched.State) int { return s.size }
 func (s *pipeSched) ScheduleBatch(batch []task.Task, st sched.State) (sched.Assignment, units.Seconds) {
 	s.mu.Lock()
 	s.idle = append(s.idle, st.TimeUntilFirstIdle())
+	hold := s.hold
+	s.hold = nil
 	s.mu.Unlock()
+	if hold != nil {
+		hold()
+	}
 	asg := sched.NewAssignment(st.M())
 	asg[0] = batch
 	return asg, 0
+}
+
+// holdNext makes the next decision run f before it decides.
+func (s *pipeSched) holdNext(f func()) {
+	s.mu.Lock()
+	s.hold = f
+	s.mu.Unlock()
 }
 
 func (s *pipeSched) budgets() []units.Seconds {
@@ -195,8 +208,10 @@ type runtime struct {
 	lost func() [][]task.Task
 }
 
-// runtimes are the three owners of the one pool core. Each must hold
-// exactly the same conversation.
+// runtimes are the owners of the one pool core: a fake, and the job
+// dispatcher in both its shapes — Serve's one open job ("Server") and
+// ServeJobs' queue of jobs. Each must hold exactly the same
+// conversation.
 var runtimes = map[string]func(t *testing.T, batch int, events bool) *runtime{
 	"fake": func(t *testing.T, batch int, events bool) *runtime {
 		rt := newRuntime(batch)
@@ -225,15 +240,15 @@ var runtimes = map[string]func(t *testing.T, batch int, events bool) *runtime{
 	},
 	"Server": func(t *testing.T, batch int, events bool) *runtime {
 		rt := newRuntime(batch)
-		srv, err := dist.NewServer(dist.ServerConfig{Scheduler: rt.sch, PoolConfig: rt.config(events)})
+		d, err := jobs.New(jobs.Config{Open: rt.sch, PoolConfig: rt.config(events)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt.serve(t, srv)
-		rt.submit = srv.Submit
-		rt.snap = srv.Snapshot
-		rt.wireID = func(_ int, t task.Task) int32 { return int32(t.ID) }
-		rt.pending = func() units.MFlops { return srv.Workers()[0].Pending }
+		rt.serve(t, d)
+		rt.submit = d.Append
+		rt.snap = d.Snapshot
+		rt.wireID = func(i int, _ task.Task) int32 { return int32(i + 1) }
+		rt.pending = func() units.MFlops { return d.Workers()[0].Pending }
 		return rt
 	},
 	"Dispatcher": func(t *testing.T, batch int, events bool) *runtime {
@@ -308,22 +323,26 @@ func (rt *runtime) worker(t *testing.T, name string) *peer {
 	return w
 }
 
-// decodeErrors reads pnsched_protocol_decode_errors_total, the same
-// series under every owner.
-func (rt *runtime) decodeErrors(t *testing.T) string {
+// metric reads one unlabelled pool series, the same under every owner.
+func (rt *runtime) metric(t *testing.T, name string) string {
 	t.Helper()
 	var b strings.Builder
 	if err := rt.reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	const name = "pnsched_protocol_decode_errors_total "
 	for _, line := range strings.Split(b.String(), "\n") {
-		if v, ok := strings.CutPrefix(line, name); ok {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
 			return v
 		}
 	}
 	t.Fatalf("%s not exported", name)
 	return ""
+}
+
+// decodeErrors reads pnsched_protocol_decode_errors_total.
+func (rt *runtime) decodeErrors(t *testing.T) string {
+	t.Helper()
+	return rt.metric(t, "pnsched_protocol_decode_errors_total")
 }
 
 func tasksOf(ids []task.ID, size func(i int) units.MFlops) []task.Task {
@@ -437,6 +456,26 @@ func TestPoolConversation(t *testing.T) {
 			// Dispatch was never blocked: a second worker gets work.
 			if f := rt.worker(t, "w2").read(); f.Type != "assign" {
 				t.Errorf("second worker got %+v, want an assign", f)
+			}
+		}},
+		{"a batch for a worker that left mid-decision is requeued, not reissued", 8, false, func(t *testing.T, rt *runtime) {
+			// Reissued means lost by a worker, in the snapshot as in
+			// pnsched_tasks_reissued_total: tasks that never left the
+			// pool are neither.
+			started, release := make(chan struct{}), make(chan struct{})
+			rt.sch.holdNext(func() { close(started); <-release })
+			w := rt.worker(t, "w1")
+			rt.submit(tasksOf([]task.ID{0, 1, 2}, func(int) units.MFlops { return 10 }))
+			<-started // deciding, with w1 in the snapshot
+			w.conn.Close()
+			rt.await(t, "w1 to leave", func(s dist.Snapshot) bool { return len(s.Workers) == 0 })
+			close(release)
+			s := rt.await(t, "the batch back in the queue", func(s dist.Snapshot) bool { return s.Pending == 3 })
+			if metric := rt.metric(t, "pnsched_tasks_reissued_total"); s.Reissued != 0 || metric != "0" {
+				t.Errorf("reissued: snapshot %d, metric %s; want 0 for a batch never sent", s.Reissued, metric)
+			}
+			if f := rt.worker(t, "w2").read(); len(f.Tasks) != 3 {
+				t.Errorf("replacement was assigned %+v, want the 3 requeued tasks", f)
 			}
 		}},
 		{"non-handshake first frame is rejected and counted", 8, false, func(t *testing.T, rt *runtime) {

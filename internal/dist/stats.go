@@ -36,7 +36,7 @@ type Snapshot struct {
 	// Latency summarises recent dispatch→done wall-clock round trips.
 	Latency LatencySummary `json:"latency,omitzero"`
 	// Jobs counts the dispatcher's jobs by state (protocol 1.3). Nil
-	// for plain Serve servers, which have no job layer.
+	// under Serve, whose one open job is no job to count.
 	Jobs *JobCounts `json:"jobs,omitempty"`
 }
 

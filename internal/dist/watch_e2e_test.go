@@ -4,13 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"pnsched/internal/core"
 	"pnsched/internal/dist"
+	"pnsched/internal/jobs"
 	"pnsched/internal/observe"
 	"pnsched/internal/rng"
 	"pnsched/internal/units"
@@ -46,35 +46,20 @@ func (r *recordingObserver) funcs() observe.Funcs {
 	}
 }
 
-// newStreamingServer builds a PN server wired to the given
-// broadcaster, which carries both the server's events and the GA
-// scheduler's. The caller attaches the listener.
-func newStreamingServer(t *testing.T, b *dist.Broadcaster) *dist.Server {
-	t.Helper()
+// streamingConfig is a PN open job wired to the given broadcaster,
+// which carries both the pool's events and the GA scheduler's.
+func streamingConfig(b *dist.Broadcaster) jobs.Config {
 	cfg := fastConfig()
 	cfg.Observer = b // GA-level events flow straight into the stream
-	srv, err := dist.NewServer(dist.ServerConfig{
-		Scheduler:  core.NewPN(cfg, rng.New(1)),
-		PoolConfig: dist.PoolConfig{Events: b},
-	})
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
-	return srv
+	return jobs.Config{Open: core.NewPN(cfg, rng.New(1)), PoolConfig: dist.PoolConfig{Events: b}}
 }
 
 // startStreamingServer is startServer plus event streaming.
-func startStreamingServer(t *testing.T, queue int) (*dist.Server, *dist.Broadcaster, string) {
+func startStreamingServer(t *testing.T, queue int) (*jobs.Dispatcher, *dist.Broadcaster, string) {
 	t.Helper()
 	b := dist.NewBroadcaster(queue, 0)
-	srv := newStreamingServer(t, b)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
-	return srv, b, ln.Addr().String()
+	srv, addr := serveOpen(t, streamingConfig(b))
+	return srv, b, addr
 }
 
 // waitForSubscribers blocks until exactly n watch clients are
@@ -136,8 +121,8 @@ func TestWatchClientsSeeIdenticalStreams(t *testing.T) {
 		N:     120,
 		Sizes: workload.Uniform{Lo: 10, Hi: 1000},
 	}, rng.New(7))
-	srv.Submit(tasks)
-	if err := srv.Wait(30 * time.Second); err != nil {
+	srv.Append(tasks)
+	if err := srv.WaitOpen(30 * time.Second); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
 	// Closing the server ends both streams; Wait must report a clean
@@ -219,7 +204,7 @@ func TestWatchClientMidRunDisconnect(t *testing.T) {
 		N:     80,
 		Sizes: workload.Uniform{Lo: 100, Hi: 800},
 	}, rng.New(3))
-	srv.Submit(tasks)
+	srv.Append(tasks)
 
 	// Disconnect the watcher as soon as it has seen something.
 	deadline := time.Now().Add(10 * time.Second)
@@ -233,12 +218,11 @@ func TestWatchClientMidRunDisconnect(t *testing.T) {
 		t.Fatalf("mid-run Close: %v", err)
 	}
 
-	if err := srv.Wait(30 * time.Second); err != nil {
+	if err := srv.WaitOpen(30 * time.Second); err != nil {
 		t.Fatalf("Wait after watcher disconnect: %v", err)
 	}
-	sub, comp, _, _ := srv.Stats()
-	if comp != sub || comp != len(tasks) {
-		t.Fatalf("completed %d of %d after watcher disconnect", comp, sub)
+	if snap := srv.Snapshot(); snap.Completed != snap.Submitted || snap.Completed != len(tasks) {
+		t.Fatalf("completed %d of %d after watcher disconnect", snap.Completed, snap.Submitted)
 	}
 	waitForSubscribers(t, b, 0) // the server noticed the hangup
 

@@ -111,8 +111,8 @@ func TestLegacyMinorClientDecodesNewServer(t *testing.T) {
 		N:     80,
 		Sizes: workload.Uniform{Lo: 10, Hi: 800},
 	}, rng.New(5))
-	srv.Submit(tasks)
-	if err := srv.Wait(30 * time.Second); err != nil {
+	srv.Append(tasks)
+	if err := srv.WaitOpen(30 * time.Second); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
 
@@ -191,14 +191,7 @@ func TestLegacyMinorClientDecodesNewServer(t *testing.T) {
 func TestLateWatcherReplaysRing(t *testing.T) {
 	const replay = 32
 	b := dist.NewBroadcaster(1<<16, replay)
-	srv := newStreamingServer(t, b)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
-	addr := ln.Addr().String()
+	srv, addr := serveOpen(t, streamingConfig(b))
 
 	stop := startWorkers(t, addr, map[string]units.Rate{"only": 150})
 	defer stop()
@@ -208,8 +201,8 @@ func TestLateWatcherReplaysRing(t *testing.T) {
 		N:     60,
 		Sizes: workload.Uniform{Lo: 10, Hi: 500},
 	}, rng.New(13))
-	srv.Submit(first)
-	if err := srv.Wait(30 * time.Second); err != nil {
+	srv.Append(first)
+	if err := srv.WaitOpen(30 * time.Second); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
 
@@ -250,7 +243,7 @@ func TestLateWatcherReplaysRing(t *testing.T) {
 		N:     20,
 		Sizes: workload.Uniform{Lo: 10, Hi: 300},
 	}, rng.New(17))
-	srv.Submit(second)
+	srv.Append(second)
 	last := frames[len(frames)-1].Seq
 	dispatches := 0
 	for dispatches < len(second) {
@@ -299,8 +292,8 @@ func TestStatsSnapshotOverWire(t *testing.T) {
 		N:     100,
 		Sizes: workload.Uniform{Lo: 50, Hi: 1000},
 	}, rng.New(23))
-	srv.Submit(tasks)
-	if err := srv.Wait(30 * time.Second); err != nil {
+	srv.Append(tasks)
+	if err := srv.WaitOpen(30 * time.Second); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
 

@@ -29,7 +29,9 @@ type WorkerConfig struct {
 	// Execute, when non-nil, replaces the simulated sleep: it performs
 	// the task and returns the real time spent, which is divided by
 	// TimeScale before being reported as the processing time. Execute is
-	// responsible for honouring any cancellation of its own.
+	// responsible for honouring any cancellation of its own. t.ID is the
+	// task's wire ID, which the server assigns per dispatch, not the ID
+	// the task was submitted under; t.Size is the submitted size.
 	Execute func(t task.Task) time.Duration
 }
 

@@ -83,41 +83,54 @@ func TestWorkerTakesBatchOverFrameBound(t *testing.T) {
 		t.Fatalf("one assign of %d tasks is only %d bytes: nothing to split", n, len(b))
 	}
 
-	srv, err := NewServer(ServerConfig{Scheduler: oneBatch{}})
+	o := &coreOwner{}
+	p, err := NewPool(PoolConfig{}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	q := task.NewQueue(n)
+	go p.Run(nil, q, oneBatch{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(ln)
-	defer srv.Close()
+	go p.Serve(ln)
+	defer p.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
 		errc <- RunWorker(ctx, ln.Addr().String(), WorkerConfig{Name: "w", Rate: 100,
 			Execute: func(task.Task) time.Duration { return 0 }})
 	}()
-	for deadline := time.Now().Add(10 * time.Second); len(srv.Workers()) == 0; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); len(p.Workers()) == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("worker never registered")
 		}
 	}
-	srv.Submit(tasks)
-	waited := make(chan error, 1)
-	go func() { waited <- srv.Wait(60 * time.Second) }()
+	p.Mu.Lock()
+	q.PushAll(tasks)
+	p.Broadcast()
+	p.Mu.Unlock()
+	waited := make(chan bool, 1)
+	go func() {
+		p.Mu.Lock()
+		defer p.Mu.Unlock()
+		_, expired := p.AwaitLocked(60*time.Second, func() bool { return len(o.done) == n })
+		waited <- expired
+	}()
 	select {
 	case err := <-errc:
 		t.Fatalf("worker stopped before the batch completed: %v", err)
-	case err := <-waited:
-		if err != nil {
-			t.Fatalf("Wait: %v", err)
+	case expired := <-waited:
+		if expired {
+			t.Fatal("batch not completed after 60s")
 		}
 	}
-	if _, completed, reissued, _ := srv.Stats(); completed != n || reissued != 0 {
-		t.Errorf("completed %d reissued %d, want %d and 0", completed, reissued, n)
+	p.Mu.Lock()
+	if len(o.done) != n || len(o.lost) != 0 || len(o.unsent) != 0 {
+		t.Errorf("completed %d, lost %v, unsent %d; want %d and none", len(o.done), o.lost, len(o.unsent), n)
 	}
+	p.Mu.Unlock()
 	cancel()
 	if err := <-errc; err != nil && !errors.Is(err, context.Canceled) {
 		t.Errorf("RunWorker: %v", err)

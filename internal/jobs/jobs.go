@@ -1,11 +1,11 @@
-// Package jobs implements the multi-tenant job dispatcher: the
-// dist.Pool owner that holds a queue of jobs — each a workload plus its
-// own scheduler, tenant and priority — where dist.Server, the other
-// owner, holds a single workload.
+// Package jobs implements the job dispatcher, the one dist.Pool owner:
+// it holds a queue of jobs — each a workload plus its own scheduler,
+// tenant and priority — or, under pnsched.Serve, one open job that never
+// finishes and that Append keeps adding tasks to (Config.Open).
 //
 // The pool carries the whole worker conversation (hello/assign/done,
 // §3.6 smoothing, loss detection, watch, stats, trace and the batch
-// loop; pnworker cannot tell the two owners apart). This package adds
+// loop; pnworker cannot tell Serve from ServeJobs). This package adds
 // only what is about jobs: the job_submit/job_status/job_cancel/
 // job_result one-shot exchanges, the job lifecycle kinds job_queued /
 // job_started / job_done on the shared event stream, admission, leases,
@@ -118,11 +118,20 @@ const DefaultRetainGrace = 5 * time.Second
 // Config configures a Dispatcher.
 type Config struct {
 	// NewScheduler builds a job's batch scheduler from the submission's
-	// raw spec (empty spec selects the caller's default). Required —
-	// the dispatcher is deliberately ignorant of the registry so the
-	// import DAG stays acyclic; the root package injects its Spec
-	// machinery here.
+	// raw spec (empty spec selects the caller's default). The
+	// dispatcher is deliberately ignorant of the registry so the import
+	// DAG stays acyclic; the root package injects its Spec machinery
+	// here. Exactly one of NewScheduler and Open is set.
 	NewScheduler func(spec json.RawMessage) (sched.Batch, error)
+	// Open, when set, is the scheduler of the one open job the
+	// dispatcher then runs instead of a job queue — the paper's single
+	// stream of work, as pnsched.Serve offers it. The open job is
+	// running from New on and never finishes; Append adds its tasks and
+	// WaitOpen waits for them. Its retry budget is unlimited and it
+	// keeps no journal, so JournalDir must be empty. Such a dispatcher
+	// emits no job events, serves no job_* requests and registers no
+	// pnsched_jobs_* series.
+	Open sched.Batch
 	// Policy selects the admission order; empty means PolicyFIFO.
 	Policy Policy
 	// Weights are the per-tenant fair-share weights (PolicyFair);
@@ -240,6 +249,9 @@ type Dispatcher struct {
 	pending  []*job // queued jobs, submission order
 	active   []*job // running jobs, admission order
 	finished []*job // retained terminal jobs, finish order: the retention FIFO
+	// open is the open job (Config.Open), nil otherwise. It is in active
+	// and nowhere else.
+	open *job
 
 	// durable is the dispatcher-global durable state in the form the
 	// snapshot file writes it: the LSN of the last record it reflects,
@@ -257,8 +269,11 @@ type Dispatcher struct {
 
 // New returns a dispatcher ready to serve; call Serve.
 func New(cfg Config) (*Dispatcher, error) {
-	if cfg.NewScheduler == nil {
-		return nil, errors.New("jobs: Config.NewScheduler is required")
+	switch {
+	case (cfg.NewScheduler == nil) == (cfg.Open == nil):
+		return nil, errors.New("jobs: Config needs exactly one of NewScheduler and Open")
+	case cfg.Open != nil && cfg.JournalDir != "":
+		return nil, errors.New("jobs: the open job keeps no journal")
 	}
 	policy, err := ParsePolicy(string(cfg.Policy))
 	if err != nil {
@@ -302,6 +317,15 @@ func New(cfg Config) (*Dispatcher, error) {
 		d.retainGrace = DefaultRetainGrace
 	case d.retainGrace < 0:
 		d.retainGrace = 0
+	}
+	if cfg.Open != nil {
+		d.open = &job{
+			JournalJob: JournalJob{ID: "open", Scheduler: cfg.Open.Name(), State: StateRunning, Budget: math.MaxInt},
+			sch:        cfg.Open,
+			queue:      task.NewQueue(64),
+		}
+		d.active = []*job{d.open}
+		go d.pool.Run(d.open, d.open.queue, d.open.sch)
 	}
 	d.met = newJobMetrics(cfg.Metrics, d)
 	if cfg.JournalDir != "" {
@@ -771,8 +795,47 @@ func (d *Dispatcher) infoLocked(j *job) dist.JobInfo {
 	return info
 }
 
-// Snapshot returns the dispatcher's operational view in the same
-// shape a dist.Server serves, with the job counts block filled in.
+// Append adds tasks to the open job: its queue, its Total and the
+// lifetime TasksSubmitted. It may be called any number of times,
+// including while earlier tasks are still processing; tasks appended
+// after Close are dropped. Only a dispatcher with Config.Open has an
+// open job to append to.
+func (d *Dispatcher) Append(ts []task.Task) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.pool.ClosedLocked() {
+		return
+	}
+	d.open.queue.PushAll(ts)
+	d.open.Total += len(ts)
+	d.durable.TasksSubmitted += len(ts)
+	d.pool.Broadcast()
+}
+
+// WaitOpen blocks until every task appended to the open job has
+// completed (at least one must have been), the timeout elapses
+// (non-positive waits indefinitely), or the dispatcher closes
+// (dist.ErrServerClosed).
+func (d *Dispatcher) WaitOpen(timeout time.Duration) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	j := d.open
+	closed, expired := d.pool.AwaitLocked(timeout, func() bool { return j.Total > 0 && j.Completed == j.Total })
+	switch {
+	case closed:
+		return dist.ErrServerClosed
+	case expired:
+		return fmt.Errorf("dist: wait: %d/%d tasks complete after %v", j.Completed, j.Total, timeout)
+	}
+	return nil
+}
+
+// Workers returns a snapshot of the connected workers.
+func (d *Dispatcher) Workers() []dist.WorkerStatus { return d.pool.Workers() }
+
+// Snapshot returns the dispatcher's operational view: the pool's, with
+// the job counts block filled in unless the dispatcher runs the open
+// job.
 func (d *Dispatcher) Snapshot() dist.Snapshot { return d.pool.Snapshot() }
 
 // Serve accepts connections on ln until Close, taking ownership of the

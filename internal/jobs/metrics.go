@@ -19,11 +19,12 @@ type jobMetrics struct {
 }
 
 // newJobMetrics registers the job-level instruments and scrape-time
-// collectors on reg — everything named pnsched_jobs_*. The task-,
-// worker- and watcher-level series are the pool's pnsched_*, the same
-// under this owner as under dist.Server.
+// collectors on reg — everything named pnsched_jobs_*, none of them for
+// a dispatcher running the open job. The task-, worker- and
+// watcher-level series are the pool's pnsched_*, the same under Serve
+// as under ServeJobs.
 func newJobMetrics(reg *telemetry.Registry, d *Dispatcher) *jobMetrics {
-	if reg == nil {
+	if reg == nil || d.open != nil {
 		return &jobMetrics{}
 	}
 	m := &jobMetrics{

@@ -62,15 +62,15 @@ func (d *Dispatcher) DoneLocked(lease any, worker string, t task.Task, elapsed u
 	if d.jour != nil {
 		d.appendLocked(p.record())
 	}
-	if j.State == StateRunning && j.Completed == j.Total {
+	if j != d.open && j.State == StateRunning && j.Completed == j.Total {
 		return d.finishLocked(j, StateDone, "", now)
 	}
 	return nil
 }
 
-// LostLocked implements dist.Owner. Unlike the single-workload server,
-// reissue here is charged against the job's retry budget — a job that
-// exhausts it fails rather than retrying forever.
+// LostLocked implements dist.Owner. Reissue is charged against the
+// job's retry budget — a job that exhausts it fails rather than
+// retrying forever; the open job's budget is unlimited.
 func (d *Dispatcher) LostLocked(lease any, worker string, lost []task.Task, now time.Time) (int, emits) {
 	j, _ := lease.(*job)
 	if j == nil {
@@ -103,18 +103,21 @@ func (d *Dispatcher) UnsentLocked(lease any, ts []task.Task) {
 	lease.(*job).queue.PushAll(ts)
 }
 
-// StatsLocked implements dist.Owner.
+// StatsLocked implements dist.Owner. The open job is no job to count:
+// under it the Jobs block stays nil.
 func (d *Dispatcher) StatsLocked(snap *dist.Snapshot) {
 	snap.Submitted = d.durable.TasksSubmitted
 	snap.Completed = d.durable.TasksDone
 	snap.Reissued = d.durable.Reissued
 	snap.Batches = d.durable.Batches
-	snap.Jobs = &dist.JobCounts{
-		Queued:    len(d.pending),
-		Running:   len(d.active),
-		Done:      d.durable.Done,
-		Failed:    d.durable.Failed,
-		Cancelled: d.durable.Cancelled,
+	if d.open == nil {
+		snap.Jobs = &dist.JobCounts{
+			Queued:    len(d.pending),
+			Running:   len(d.active),
+			Done:      d.durable.Done,
+			Failed:    d.durable.Failed,
+			Cancelled: d.durable.Cancelled,
+		}
 	}
 	for _, j := range d.pending {
 		snap.Pending += j.queue.Len()
@@ -128,8 +131,13 @@ func (d *Dispatcher) StatsLocked(snap *dist.Snapshot) {
 // versioned reply echoing the request type, carrying either the result
 // or an application-level Error string, then close. Failures are
 // reported in-band (not by dropping the connection) so clients can
-// distinguish "no such job" from "server does not speak 1.3".
+// distinguish "no such job" from "server does not speak 1.3". A
+// dispatcher running the open job takes no job requests; the pool
+// rejects them like any other non-handshake.
 func (d *Dispatcher) ServeRequest(conn net.Conn, m *dist.Message) bool {
+	if d.open != nil {
+		return false
+	}
 	reply := dist.Message{Type: m.Type}
 	one := func(info dist.JobInfo, err error) error {
 		if err == nil {

@@ -80,8 +80,8 @@ func TestScenarioFilesRoundTrip(t *testing.T) {
 }
 
 // TestScenarioFilesBuild: every shipped scenario file materialises
-// into a runnable sim.Config (workload-file references aside, which
-// none of the corpus uses).
+// into a runnable spec and workload (workload-file references aside,
+// which none of the corpus uses).
 func TestScenarioFilesBuild(t *testing.T) {
 	for _, path := range scenarioFiles(t) {
 		t.Run(filepath.Base(path), func(t *testing.T) {
@@ -94,12 +94,12 @@ func TestScenarioFilesBuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg, err := spec.Build(nil)
+			sch, w, err := spec.Build(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cfg.Scheduler == nil || cfg.Cluster.M() == 0 || len(cfg.Tasks) == 0 {
-				t.Errorf("built config incomplete: %+v", cfg)
+			if sch.Name == "" || w.Cluster.M() == 0 || len(w.Tasks) == 0 {
+				t.Errorf("built scenario incomplete: %+v, %+v", sch, w)
 			}
 		})
 	}

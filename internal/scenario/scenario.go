@@ -15,8 +15,6 @@ import (
 	"pnsched/internal/cluster"
 	"pnsched/internal/network"
 	"pnsched/internal/rng"
-	"pnsched/internal/sched"
-	"pnsched/internal/sim"
 	"pnsched/internal/task"
 	"pnsched/internal/units"
 	"pnsched/internal/workload"
@@ -144,14 +142,18 @@ func (s *Spec) validate() error {
 	return nil
 }
 
-// Build materialises the scenario into a runnable sim.Config. Open is
-// used to resolve Workload.File references (pass nil to forbid them).
-func (s *Spec) Build(open func(name string) (io.ReadCloser, error)) (sim.Config, error) {
+// Build materialises the scenario into what pnsched.Run takes: the
+// scheduler spec, drawing from the scenario's stream 4 unless it pins
+// its own seed, and the workload. Open is used to resolve Workload.File
+// references (pass nil to forbid them).
+func (s *Spec) Build(open func(name string) (io.ReadCloser, error)) (pnsched.Spec, pnsched.Workload, error) {
+	if err := s.Scheduler.Validate(); err != nil {
+		return pnsched.Spec{}, pnsched.Workload{}, fmt.Errorf("scenario: %w", err)
+	}
 	base := rng.New(s.Seed)
-
 	clu, err := s.buildCluster(base.Stream(1))
 	if err != nil {
-		return sim.Config{}, err
+		return pnsched.Spec{}, pnsched.Workload{}, err
 	}
 	net := network.New(clu.M(), network.Config{
 		MeanCost:   units.Seconds(s.Network.MeanCostS),
@@ -159,21 +161,18 @@ func (s *Spec) Build(open func(name string) (io.ReadCloser, error)) (sim.Config,
 		Jitter:     s.Network.Jitter,
 		DriftSigma: s.Network.DriftSigma,
 	}, base.Stream(2))
-
 	tasks, err := s.buildWorkload(base.Stream(3), open)
 	if err != nil {
-		return sim.Config{}, err
+		return pnsched.Spec{}, pnsched.Workload{}, err
 	}
-	schd, sizer, err := s.buildScheduler(base.Stream(4))
-	if err != nil {
-		return sim.Config{}, err
+	spec := s.Scheduler
+	if spec.Seed == 0 {
+		spec = spec.With(pnsched.WithRNG(base.Stream(4)))
 	}
-	return sim.Config{
+	return spec, pnsched.Workload{
 		Cluster:        clu,
-		Net:            net,
+		Network:        net,
 		Tasks:          tasks,
-		Scheduler:      schd,
-		BatchSizer:     sizer,
 		ReissueTimeout: units.Seconds(s.ReissueTimeoutS),
 		MaxTime:        units.Seconds(s.MaxTimeS),
 	}, nil
@@ -250,18 +249,4 @@ func (s *Spec) buildWorkload(r *rng.RNG, open func(string) (io.ReadCloser, error
 		spec.Arrival = workload.PoissonArrivals{MeanGap: units.Seconds(s.Workload.ArrivalGapS)}
 	}
 	return workload.Generate(spec, r), nil
-}
-
-func (s *Spec) buildScheduler(r *rng.RNG) (sched.Scheduler, sched.BatchSizer, error) {
-	spec := s.Scheduler
-	// The scheduler draws from the scenario's derived stream unless
-	// the scheduler block pins its own seed explicitly.
-	if spec.Seed == 0 {
-		spec = spec.With(pnsched.WithRNG(r))
-	}
-	schd, err := pnsched.New(spec)
-	if err != nil {
-		return nil, nil, fmt.Errorf("scenario: %w", err)
-	}
-	return schd, pnsched.SizerFor(schd, s.Scheduler), nil
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,11 +10,25 @@ import (
 	"strings"
 	"testing"
 
+	"pnsched"
 	"pnsched/internal/core"
 	"pnsched/internal/rng"
-	"pnsched/internal/sim"
 	"pnsched/internal/workload"
 )
+
+// run builds the scenario and runs it through pnsched.Run.
+func run(t *testing.T, spec *Spec) pnsched.Result {
+	t.Helper()
+	sch, w, err := spec.Build(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pnsched.Run(context.Background(), sch, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 const validScenario = `{
   "seed": 7,
@@ -28,11 +43,7 @@ func TestLoadAndRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := spec.Build(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := sim.Run(cfg)
+	res := run(t, spec)
 	if res.Completed != 100 {
 		t.Errorf("completed = %d", res.Completed)
 	}
@@ -42,18 +53,14 @@ func TestLoadAndRun(t *testing.T) {
 }
 
 func TestLoadDeterministic(t *testing.T) {
-	run := func() sim.Result {
+	load := func() *Spec {
 		spec, err := Load(strings.NewReader(validScenario))
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg, err := spec.Build(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sim.Run(cfg)
+		return spec
 	}
-	a, b := run(), run()
+	a, b := run(t, load()), run(t, load())
 	if a.Makespan != b.Makespan {
 		t.Errorf("scenario runs diverged: %v vs %v", a.Makespan, b.Makespan)
 	}
@@ -78,18 +85,17 @@ func TestExplicitProcsWithAvailability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := spec.Build(nil)
+	_, w, err := spec.Build(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Cluster.M() != 5 {
-		t.Fatalf("M = %d", cfg.Cluster.M())
+	if w.Cluster.M() != 5 {
+		t.Fatalf("M = %d", w.Cluster.M())
 	}
-	if cfg.Cluster.Procs[1].Avail.Name() != "off-after(30.000s)" {
-		t.Errorf("proc 1 avail = %s", cfg.Cluster.Procs[1].Avail.Name())
+	if w.Cluster.Procs[1].Avail.Name() != "off-after(30.000s)" {
+		t.Errorf("proc 1 avail = %s", w.Cluster.Procs[1].Avail.Name())
 	}
-	res := sim.Run(cfg)
-	if res.Completed != 60 {
+	if res := run(t, spec); res.Completed != 60 {
 		t.Errorf("completed = %d with failure recovery enabled", res.Completed)
 	}
 }
@@ -101,12 +107,7 @@ func TestAllSchedulersBuildable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		cfg, err := spec.Build(nil)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		res := sim.Run(cfg)
-		if res.Completed != 100 {
+		if res := run(t, spec); res.Completed != 100 {
 			t.Errorf("%s completed %d of 100", name, res.Completed)
 		}
 	}
@@ -132,7 +133,7 @@ func TestWorkloadFileReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := spec.Build(func(name string) (io.ReadCloser, error) {
+	_, w, err := spec.Build(func(name string) (io.ReadCloser, error) {
 		if name != "tasks.json" {
 			t.Fatalf("unexpected file %q", name)
 		}
@@ -141,11 +142,11 @@ func TestWorkloadFileReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cfg.Tasks) != 25 {
-		t.Errorf("loaded %d tasks", len(cfg.Tasks))
+	if len(w.Tasks) != 25 {
+		t.Errorf("loaded %d tasks", len(w.Tasks))
 	}
 	// File references must be refused without an opener.
-	if _, err := spec.Build(nil); err == nil {
+	if _, _, err := spec.Build(nil); err == nil {
 		t.Error("file reference accepted without opener")
 	}
 }
@@ -174,18 +175,18 @@ func TestBuildRejectsUnknowns(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec.Scheduler.Name = "WAT"
-	if _, err := spec.Build(nil); err == nil {
+	if _, _, err := spec.Build(nil); err == nil {
 		t.Error("unknown scheduler accepted")
 	}
 	spec, _ = Load(strings.NewReader(validScenario))
 	spec.Workload.Dist = "cauchy"
-	if _, err := spec.Build(nil); err == nil {
+	if _, _, err := spec.Build(nil); err == nil {
 		t.Error("unknown distribution accepted")
 	}
 	spec, _ = Load(strings.NewReader(validScenario))
 	spec.Cluster.Procs = []ProcSpec{{Rate: 10, Avail: &AvailSpec{Model: "quantum"}}}
 	spec.Cluster.Count = 0
-	if _, err := spec.Build(nil); err == nil {
+	if _, _, err := spec.Build(nil); err == nil {
 		t.Error("unknown availability model accepted")
 	}
 }
@@ -224,15 +225,14 @@ func TestPNIslandSpecRoundTrip(t *testing.T) {
 		t.Errorf("spec did not round-trip:\n%+v\n%+v", spec, again)
 	}
 
-	cfg, err := spec.Build(nil)
+	built, _, err := spec.Build(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Scheduler.Name() != "PNI" {
-		t.Errorf("built scheduler %q, want PNI", cfg.Scheduler.Name())
+	if name := pnsched.MustNew(built).Name(); name != "PNI" {
+		t.Errorf("built scheduler %q, want PNI", name)
 	}
-	res := sim.Run(cfg)
-	if res.Completed != 100 {
+	if res := run(t, spec); res.Completed != 100 {
 		t.Errorf("pn-island completed %d of 100", res.Completed)
 	}
 }
@@ -245,13 +245,14 @@ func TestPNIslandSpecDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := spec.Build(nil)
+	sch, _, err := spec.Build(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pni, ok := cfg.Scheduler.(*core.PN)
+	built := pnsched.MustNew(sch)
+	pni, ok := built.(*core.PN)
 	if !ok || pni.Name() != "PNI" {
-		t.Fatalf("built %T %q, want the island configuration of *core.PN", cfg.Scheduler, cfg.Scheduler.Name())
+		t.Fatalf("built %T %q, want the island configuration of *core.PN", built, built.Name())
 	}
 	if got := pni.IslandConfig().Islands; got != 0 {
 		t.Errorf("islands = %d, want 0 (defaulted to NumCPU at run time)", got)

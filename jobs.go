@@ -154,10 +154,7 @@ func WithJobsObserver(obs Observer) JobsOption { return WithServeObserver(obs) }
 // or the pnworker binary); clients submit jobs in-process through the
 // methods here or over the wire through SubmitJob and friends (the
 // pnjobs binary). All methods are safe for concurrent use.
-type JobService struct {
-	service
-	d *jobs.Dispatcher
-}
+type JobService struct{ service }
 
 // ServeJobs starts the multi-tenant job dispatcher: a persistent
 // service that owns a queue of jobs — each a workload with its own
@@ -204,8 +201,8 @@ func ServeJobs(ctx context.Context, opts ...JobsOption) (*JobService, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.d, s.rt = d, d
-	if err := s.start(ctx, &jo.commonOpts, d.Health); err != nil {
+	s.d = d
+	if err := s.start(ctx, &jo.commonOpts); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -255,10 +252,6 @@ func (s *JobService) Result(id string) (JobResult, error) { return s.d.Result(id
 func (s *JobService) WaitJob(id string, timeout time.Duration) (JobInfo, error) {
 	return s.d.Wait(id, timeout)
 }
-
-// Snapshot returns the dispatcher's operational snapshot — the same
-// shape Server.Snapshot returns, with the Jobs counts present.
-func (s *JobService) Snapshot() ServerSnapshot { return s.d.Snapshot() }
 
 // SubmitJob submits one job to a dispatcher at addr over the wire
 // (protocol 1.3) — the client side of JobService.Submit, used by

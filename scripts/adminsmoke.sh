@@ -5,7 +5,8 @@
 # and /metrics, and asserts the scrape is Prometheus exposition format
 # carrying the pool-level pnsched_* series. No workers connect; the
 # point is that the admin plane answers independently of scheduling
-# traffic.
+# traffic. The same pnserver must refuse pnjobs: without -jobs it takes
+# no job_* requests.
 #
 # Phase 2 does the same for the job dispatcher: pnserver -jobs plus
 # one pnworker, a job submitted and run to completion with pnjobs. The
@@ -24,6 +25,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 addr=${ADMINSMOKE_ADDR:-127.0.0.1:19724}
+srvaddr=${ADMINSMOKE_SERVE_ADDR:-127.0.0.1:19723}
 base="http://$addr"
 
 fetch() { # URL
@@ -70,7 +72,7 @@ trap 'for p in $pid $jobspid $workerpid; do kill "$p" 2>/dev/null || true; done;
 pid= jobspid= workerpid=
 go build -o "$bindir" ./cmd/pnserver ./cmd/pnworker ./cmd/pnjobs
 
-"$bindir/pnserver" -listen 127.0.0.1:0 -admin "$addr" -tasks 50 -quiet &
+"$bindir/pnserver" -listen "$srvaddr" -admin "$addr" -tasks 50 -quiet &
 pid=$!
 
 # Wait for the admin listener.
@@ -96,6 +98,10 @@ if printf '%s\n' "$metrics" | grep -q '^# TYPE pnsched_jobs_'; then
 fi
 if ! printf '%s\n' "$metrics" | grep -q "^pnsched_tasks_submitted_total 50$"; then
 	echo "adminsmoke: /metrics does not show the 50 submitted tasks" >&2
+	exit 1
+fi
+if "$bindir/pnjobs" -addr "$srvaddr" queue >/dev/null 2>&1; then
+	echo "adminsmoke: pnserver without -jobs answered pnjobs queue" >&2
 	exit 1
 fi
 

@@ -5,13 +5,16 @@ import (
 	"time"
 
 	"pnsched/internal/dist"
+	"pnsched/internal/jobs"
 )
 
 // ServerStats is a point-in-time summary of a live server.
 type ServerStats struct {
 	// Submitted, Completed and Reissued count tasks over the server's
-	// lifetime; Reissued counts tasks rescheduled after their worker
-	// disconnected.
+	// lifetime; Reissued counts tasks rescheduled after the worker they
+	// were sent to disconnected — the pnsched_tasks_reissued_total
+	// series. A batch decided for a worker that left before it was sent
+	// goes back to the queue without counting.
 	Submitted, Completed, Reissued int
 	// Workers is the number of currently connected workers, Watchers
 	// the number of currently subscribed event-stream clients.
@@ -19,12 +22,13 @@ type ServerStats struct {
 }
 
 // Server is a live scheduling server started with Serve — the paper's
-// §3 dedicated scheduling processor as a public API. Workers connect
-// with RunWorker (or the pnworker binary); remote observers connect
-// with Watch. All methods are safe for concurrent use.
+// §3 dedicated scheduling processor as a public API: the job
+// dispatcher running one open job, which never finishes and takes
+// every submitted task. Workers connect with RunWorker (or the
+// pnworker binary); remote observers connect with Watch. All methods
+// are safe for concurrent use.
 type Server struct {
 	service
-	srv    *dist.Server
 	traces *dist.TraceRecorder
 }
 
@@ -58,12 +62,11 @@ func Serve(ctx context.Context, spec Spec, opts ...ServeOption) (*Server, error)
 	if err != nil {
 		return nil, err
 	}
-	s.srv, err = dist.NewServer(dist.ServerConfig{Scheduler: batch, Traces: s.traces, PoolConfig: pool})
-	if err != nil {
+	pool.Traces = s.traces
+	if s.d, err = jobs.New(jobs.Config{Open: batch, PoolConfig: pool}); err != nil {
 		return nil, err
 	}
-	s.rt = s.srv
-	if err := s.start(ctx, &so, nil); err != nil {
+	if err := s.start(ctx, &so); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -79,38 +82,30 @@ func (s *Server) Traces() []DecisionTrace { return s.traces.Traces() }
 // Submit appends tasks to the server's unscheduled FCFS queue. It may
 // be called any number of times, including while earlier submissions
 // are still processing; submissions after Close are dropped.
-func (s *Server) Submit(tasks []Task) { s.srv.Submit(tasks) }
+func (s *Server) Submit(tasks []Task) { s.d.Append(tasks) }
 
 // Wait blocks until every submitted task has completed (at least one
 // task must have been submitted), the timeout elapses, or the server
 // is closed (ErrServerClosed). A non-positive timeout waits
 // indefinitely.
-func (s *Server) Wait(timeout time.Duration) error { return s.srv.Wait(timeout) }
+func (s *Server) Wait(timeout time.Duration) error { return s.d.WaitOpen(timeout) }
 
 // Stats reports the server's lifetime counters and current
 // connections.
 func (s *Server) Stats() ServerStats {
-	sub, comp, reissued, workers := s.srv.Stats()
+	snap := s.d.Snapshot()
 	return ServerStats{
-		Submitted: sub,
-		Completed: comp,
-		Reissued:  reissued,
-		Workers:   workers,
+		Submitted: snap.Submitted,
+		Completed: snap.Completed,
+		Reissued:  snap.Reissued,
+		Workers:   len(snap.Workers),
 		Watchers:  s.events.Subscribers(),
 	}
 }
 
 // Workers returns a snapshot of the connected workers: name, claimed
 // and believed (§3.6-smoothed) rates, pending work, completions.
-func (s *Server) Workers() []WorkerStatus { return s.srv.Workers() }
-
-// Snapshot returns a point-in-time operational view of the server:
-// uptime, cumulative task counters, pending/running queue depths,
-// batch count, the per-worker pool, attached watchers with their drop
-// counters, and dispatch-latency quantiles (P50/P90/P99 over a
-// sliding window of recent round trips). The same snapshot is served
-// over the wire to FetchStats clients and `pnserver -stats`.
-func (s *Server) Snapshot() ServerSnapshot { return s.srv.Snapshot() }
+func (s *Server) Workers() []WorkerStatus { return s.d.Workers() }
 
 // FetchStats requests a one-shot stats snapshot from a live scheduling
 // server at addr — the client side of Server.Snapshot, used by

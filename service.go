@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"pnsched/internal/dist"
+	"pnsched/internal/jobs"
 	"pnsched/internal/observe"
 	"pnsched/internal/telemetry"
 )
@@ -108,15 +109,12 @@ func WithEventQueue(frames int) ServeOption { return func(o *commonOpts) { o.que
 func WithEventReplay(frames int) ServeOption { return func(o *commonOpts) { o.replay = frames } }
 
 // service is what a live Server and JobService share — and, embedded,
-// where both get Addr, AdminAddr and Close: the event broadcaster and
-// telemetry registry, the bound listener, the optional admin endpoint,
-// the context watcher and the idempotent Close around the runtime they
-// front.
+// where both get Addr, AdminAddr, Snapshot and Close: the job
+// dispatcher both front, the event broadcaster and telemetry registry,
+// the bound listener, the optional admin endpoint, the context watcher
+// and the idempotent Close.
 type service struct {
-	rt interface {
-		Serve(net.Listener) error
-		Close() error
-	}
+	d      *jobs.Dispatcher
 	events *dist.Broadcaster
 	reg    *telemetry.Registry
 	addr   net.Addr
@@ -167,14 +165,14 @@ func newBatch(spec Spec, who string) (BatchScheduler, error) {
 }
 
 // start binds the listener (and the admin endpoint, answering /healthz
-// from healthz; nil is always healthy) and begins serving rt; on failure
-// everything opened so far, rt included, is closed again.
-func (s *service) start(ctx context.Context, o *commonOpts, healthz func() error) error {
+// from the dispatcher's Health) and begins serving; on failure
+// everything opened so far, the dispatcher included, is closed again.
+func (s *service) start(ctx context.Context, o *commonOpts) error {
 	ln := o.ln
 	if ln == nil {
 		var err error
 		if ln, err = net.Listen("tcp", o.addr); err != nil {
-			s.rt.Close()
+			s.d.Close()
 			return err
 		}
 	}
@@ -183,15 +181,15 @@ func (s *service) start(ctx context.Context, o *commonOpts, healthz func() error
 	if o.adminAddr != "" {
 		adminLn, err := net.Listen("tcp", o.adminAddr)
 		if err != nil {
-			s.rt.Close()
+			s.d.Close()
 			ln.Close()
 			return fmt.Errorf("pnsched: admin listener: %w", err)
 		}
 		s.adminLn = adminLn
-		s.adminSrv = &http.Server{Handler: telemetry.AdminMux(s.reg, healthz)}
+		s.adminSrv = &http.Server{Handler: telemetry.AdminMux(s.reg, s.d.Health)}
 		go s.adminSrv.Serve(adminLn)
 	}
-	go func() { s.serveErr <- s.rt.Serve(ln) }()
+	go func() { s.serveErr <- s.d.Serve(ln) }()
 	if ctx != nil && ctx.Done() != nil {
 		s.stop = context.AfterFunc(ctx, func() { s.Close() })
 	}
@@ -211,6 +209,15 @@ func (s *service) AdminAddr() net.Addr {
 	return s.adminLn.Addr()
 }
 
+// Snapshot returns a point-in-time operational view of the service:
+// uptime, cumulative task counters, pending/running queue depths,
+// batch count, the per-worker pool, attached watchers with their drop
+// counters, dispatch-latency quantiles (P50/P90/P99 over a sliding
+// window of recent round trips) and, under ServeJobs, the job counts.
+// The same snapshot is served over the wire to FetchStats clients and
+// `pnserver -stats`.
+func (s *service) Snapshot() ServerSnapshot { return s.d.Snapshot() }
+
 // Close shuts the service down: the listener and the admin endpoint
 // close, worker and watch connections drop, batch loops stop, and
 // blocked Server.Wait calls (with ErrServerClosed) and
@@ -225,7 +232,7 @@ func (s *service) Close() error {
 		if s.adminSrv != nil {
 			s.adminSrv.Close()
 		}
-		s.closeErr = s.rt.Close()
+		s.closeErr = s.d.Close()
 		if err := <-s.serveErr; err != nil && s.closeErr == nil {
 			s.closeErr = err
 		}

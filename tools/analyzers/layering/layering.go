@@ -38,6 +38,12 @@ var Rules = []Rule{
 			"pnsched registry (pnsched.New / Run / Serve / ServeJobs / Watch), never the GA internals",
 	},
 	{
+		Scope: "cmd/pnsim",
+		Deny:  []string{"internal/sim"},
+		Reason: "every pnsim run, scenario files included, goes through pnsched.Run, " +
+			"the one path into the simulator",
+	},
+	{
 		Scope: "examples/",
 		Deny:  []string{"internal/core", "internal/ga", "internal/dist", "internal/jobs"},
 		Reason: "examples demonstrate the public API surface; importing the " +
@@ -69,6 +75,12 @@ var Rules = []Rule{
 			"let instrumentation reach back into what it measures",
 	},
 	{
+		Scope: "internal/scenario",
+		Deny:  []string{"internal/sim", "internal/sched"},
+		Reason: "a scenario file lowers to a pnsched.Spec and a pnsched.Workload; " +
+			"pnsched.Run builds the scheduler and drives the simulator",
+	},
+	{
 		Scope: "internal/jobs",
 		Only: []string{
 			"internal/dist", "internal/observe", "internal/sched",
@@ -84,8 +96,10 @@ var Analyzer = &analysis.Analyzer{
 	Name: "layering",
 	Doc: "enforce the repository import DAG (the apicheck layering gate)\n\n" +
 		"cmd/ and examples/ must not import internal/core, internal/ga,\n" +
-		"internal/dist or internal/jobs; internal/core must not import\n" +
-		"internal/dist or internal/telemetry; internal/ga, internal/observe\n" +
+		"internal/dist or internal/jobs, and cmd/pnsim not internal/sim;\n" +
+		"internal/scenario must not import internal/sim or internal/sched;\n" +
+		"internal/core must not import internal/dist or internal/telemetry;\n" +
+		"internal/ga, internal/observe\n" +
 		"and internal/telemetry are leaf-like with explicit allowlists; and\n" +
 		"internal/jobs composes only the dist/sched/observe/telemetry seams.",
 	Run: run,

@@ -21,7 +21,7 @@ type Broadcaster struct{ ch chan int }
 // Publish forwards one event (queueing, possibly observable latency).
 func (b *Broadcaster) Publish(v int) { b.ch <- v }
 
-// Server mirrors dist.Server.
+// Server mirrors the pool and the owner sharing its lock.
 type Server struct {
 	mu     sync.Mutex
 	rw     sync.RWMutex
