@@ -14,7 +14,7 @@
 // size, exactly as configured, whenever the batch is fixed
 // (Config.FixedBatch, always for ZO) and until idle-time history
 // exists; after that the §3.7 dynamic rule sizes each batch, and
-// MinBatch/MaxBatch bound that rule only.
+// DefaultMaxBatch caps that rule only.
 //
 // A schedule is encoded as a permutation chromosome (§3.1): the unique
 // ids of the H tasks in the batch interleaved with M−1 delimiter

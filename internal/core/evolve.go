@@ -79,11 +79,11 @@ type lane struct {
 }
 
 // newLane builds one lane over the problem and the engine configuration
-// that evolves it; the driver adds its stop wiring (atTarget,
-// overBudget). cfg must have defaults applied. reserve is the gene work
-// charged to the lane's ledger between generations — island runs pass
-// the per-round migration charge (each injected migrant is one full
-// evaluation) — so the budget predicate holds room for it.
+// that evolves it, stopped by the lane's §3.4 budget predicate. cfg
+// must have defaults applied. reserve is the gene work charged to the
+// lane's ledger between generations — island runs pass the per-round
+// migration charge (each injected migrant is one full evaluation) — so
+// the budget predicate holds room for it.
 func newLane(p *Problem, cfg Config, budget units.Seconds, reserve int) (*lane, ga.Config) {
 	l := &lane{
 		p: p, cfg: cfg, budget: budget,
@@ -100,17 +100,16 @@ func newLane(p *Problem, cfg Config, budget units.Seconds, reserve int) (*lane, 
 		l.rb.BindSlots(l.inc)
 		l.eval = l.inc
 	}
-	muts := max(cfg.MutationsPerGeneration, 0) // negative is the operator-off sentinel
-	l.worstGen = ChromosomeLen(len(p.Batch), p.M)*(cfg.Population*(1+2*cfg.Rebalances)+muts) + reserve
+	// One swap mutation per generation.
+	l.worstGen = ChromosomeLen(len(p.Batch), p.M)*(cfg.Population*(1+2*cfg.Rebalances)+1) + reserve
 
 	gaCfg := ga.Config{
-		PopulationSize:         cfg.Population,
-		MaxGenerations:         cfg.Generations,
-		CrossoverFraction:      cfg.CrossoverFraction,
-		Crossover:              cfg.Crossover,
-		MutationsPerGeneration: cfg.MutationsPerGeneration,
-		Elitism:                true,
-		OnGeneration:           l.track,
+		PopulationSize: cfg.Population,
+		MaxGenerations: cfg.Generations,
+		Crossover:      cfg.Crossover,
+		Elitism:        true,
+		Stop:           l.overBudget,
+		OnGeneration:   l.track,
 	}
 	if cfg.Rebalances > 0 {
 		gaCfg.PostGeneration = l.rebalance
@@ -145,11 +144,6 @@ func (l *lane) rebalance(pop []ga.Chromosome, r *rng.RNG) {
 			l.rb.Apply(ind, l.cfg.Rebalances, r)
 		}
 	}
-}
-
-// atTarget is the §3.4 "less than a specified minimum" stop.
-func (l *lane) atTarget(int, float64) bool {
-	return l.cfg.TargetMakespan > 0 && l.bestMk <= l.cfg.TargetMakespan
 }
 
 // overBudget is the §3.4 stop-when-idle predicate — "The GA will also
@@ -252,9 +246,9 @@ func (e *countingEvaluator) add(genes int) { e.genes += genes }
 
 // Evolve runs the §3 genetic algorithm once over a problem: seeded with
 // the supplied population, evolving under the paper's stopping
-// conditions (generation cap, target makespan, and the budget — the
-// modelled time until the first processor goes idle). It returns the
-// best schedule found. It is one lane under ga.Run.
+// conditions (the generation cap and the budget — the modelled time
+// until the first processor goes idle). It returns the best schedule
+// found. It is one lane under ga.Run.
 func Evolve(p *Problem, cfg Config, initial []ga.Chromosome, budget units.Seconds, r *rng.RNG) EvolveStats {
 	cfg.applyDefaults()
 	l, gaCfg := newLane(p, cfg, budget, 0)
@@ -264,9 +258,6 @@ func Evolve(p *Problem, cfg Config, initial []ga.Chromosome, budget units.Second
 			cfg.Observer.OnGenerationBest(observe.GenerationBest{Generation: gen, Makespan: l.bestMk})
 		}
 	}
-	gaCfg.Stop = func(gen int, fitness float64) bool {
-		return l.atTarget(gen, fitness) || l.overBudget(gen, fitness)
-	}
 	return finish(cfg, budget, []*lane{l}, ga.Run(gaCfg, l.eval, initial, r))
 }
 
@@ -274,9 +265,9 @@ func Evolve(p *Problem, cfg Config, initial []ga.Chromosome, budget units.Second
 // model over the problem: IslandConfig.Islands independent populations
 // evolve concurrently — each seeded with its own list-scheduling
 // population, rebalanced by its own §3.5 rebalancer, and stopped by
-// the same conditions Evolve honours (generation cap, target makespan,
-// and the budget until the first processor idles) — with ring
-// migration of elites between them. It is N lanes under island.Run.
+// the same conditions Evolve honours (the generation cap and the budget
+// until the first processor idles) — with ring migration of elites
+// between them. It is N lanes under island.Run.
 // Cancelling ctx aborts all islands promptly.
 //
 // The modelled scheduler cost is the parallel one: the islands run on
@@ -285,13 +276,10 @@ func Evolve(p *Problem, cfg Config, initial []ga.Chromosome, budget units.Second
 //
 // The §3.4 budget is enforced island-locally: each island stops once
 // its own gene ledger (it runs on its own core, so its own modelled
-// elapsed time) exhausts the budget. A local stop never cancels the
-// other islands mid-round, so budget- and cap-terminated runs stay
-// deterministic in (seed, N). A TargetMakespan stop goes through the
-// broadcast callback instead — the first island to reach the target
-// cancels the rest promptly, at a wall-clock-dependent generation, as
-// §3.4's early abort intends. See the internal/island package
-// documentation for the full contract.
+// elapsed time) exhausts the budget. A stop never cancels the other
+// islands mid-round, so every run ScheduleBatch makes is deterministic
+// in (seed, N). See the internal/island package documentation for the
+// full contract.
 func EvolveIsland(ctx context.Context, p *Problem, cfg Config, icfg IslandConfig, budget units.Seconds, r *rng.RNG) EvolveStats {
 	cfg.applyDefaults()
 	islCfg := island.Config{
@@ -310,16 +298,14 @@ func EvolveIsland(ctx context.Context, p *Problem, cfg Config, icfg IslandConfig
 	setup := func(_ int, ri *rng.RNG) island.Setup {
 		l, gaCfg := newLane(p, cfg, budget, reserve)
 		lanes = append(lanes, l)
-		gaCfg.Stop = l.atTarget
 		return island.Setup{
-			GA:        gaCfg,
-			Eval:      l.eval,
-			Initial:   ListPopulation(p, cfg.Population, ri),
-			LocalStop: l.overBudget,
+			GA:      gaCfg,
+			Eval:    l.eval,
+			Initial: ListPopulation(p, cfg.Population, ri),
 		}
 	}
 	if cfg.Observer != nil {
-		islCfg.OnRound = func(_, gens int, _ ga.Chromosome, _ float64) {
+		islCfg.OnRound = func(_, gens int) {
 			cfg.Observer.OnGenerationBest(observe.GenerationBest{Generation: gens, Makespan: lowestMakespan(lanes)})
 		}
 		islCfg.OnMigration = func(round, migrated int) {

@@ -92,7 +92,6 @@ func TestIncrementalMatchesNaiveEvolve(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Generations = 40
 		cfg.Rebalances = int(seed % 4) // 0..3: pure GA through heavy §3.5 use
-		cfg.MutationsPerGeneration = 1 + int(seed%2)
 		switch seed % 3 {
 		case 0:
 			cfg.Crossover = ga.PMX

@@ -51,24 +51,17 @@ const (
 // (PN, PN-ISLAND, ZO). The zero value of most fields selects the
 // paper's defaults; Rebalances is taken literally (0 = pure GA), so use
 // DefaultConfig as a starting point when the paper's single-rebalance
-// behaviour is wanted.
+// behaviour is wanted. What the paper fixes is not a field: the GA's
+// operator rates (internal/ga), the Γs smoothing factor DefaultNu and
+// the dynamic-batch cap DefaultMaxBatch.
 type Config struct {
 	Population  int
 	Generations int
 	Rebalances  int // §3.5 rebalance attempts per individual per generation
-	// CrossoverFraction and MutationsPerGeneration follow the ga.Config
-	// sentinel convention: zero selects the paper default (0.8 / 1),
-	// negative disables the operator outright — so crossover-free and
-	// mutation-free ablations are configurable. Negative values are
-	// passed through to the GA layer, which resolves them.
-	CrossoverFraction      float64
-	MutationsPerGeneration int
 	// Crossover selects the permutation operator; nil is the paper's
 	// cycle crossover. ga.PMX / ga.OX support operator ablations.
 	Crossover ga.Crossover
 
-	// Nu is the smoothing factor for the dynamic batch-size estimate Γs.
-	Nu float64
 	// FixedBatch disables the §3.7 dynamic batch-size rule, always
 	// using InitialBatch. The paper's efficiency sweeps (Figs. 5, 7)
 	// fix the batch at 200 for all schedulers; Fig. 6 exercises the
@@ -76,13 +69,8 @@ type Config struct {
 	FixedBatch bool
 	// InitialBatch is the batch size used while no idle-time history
 	// exists, and the fixed batch size for ZO and FixedBatch mode. It
-	// is taken as configured: MinBatch / MaxBatch do not apply to it.
+	// is taken as configured: DefaultMaxBatch does not apply to it.
 	InitialBatch int
-	// MinBatch / MaxBatch clamp the size the §3.7 dynamic rule computes.
-	MinBatch, MaxBatch int
-	// BatchScale multiplies Γs inside the §3.7 square root,
-	// H = ⌊√(scale·Γs + 1)⌋; 1.0 reproduces the paper's formula.
-	BatchScale float64
 
 	// CostPerGene converts fitness-evaluation work into simulated
 	// scheduler time: cost = CostPerGene × genes evaluated, where a
@@ -105,11 +93,6 @@ type Config struct {
 	// BenchmarkEvolve{Naive,Incremental} comparison.
 	NaiveEvaluation bool
 
-	// TargetMakespan stops evolution early once the best individual's
-	// predicted makespan drops to this value (§3.4 "if it is less than
-	// a specified minimum"); 0 disables.
-	TargetMakespan units.Seconds
-
 	// Observer, when non-nil, receives the typed scheduling events a
 	// GA run emits: the best predicted makespan after every generation
 	// (the instrumentation behind the paper's Fig. 3), island-model
@@ -128,8 +111,7 @@ func DefaultConfig() Config {
 }
 
 // applyDefaults is the one place the paper's defaults are resolved.
-// The GA layer is handed these resolved values; only the negative
-// operator-off sentinels pass through for it to resolve.
+// The GA layer is handed these resolved values.
 func (c *Config) applyDefaults() {
 	if c.Population == 0 {
 		c.Population = DefaultPopulation
@@ -137,26 +119,8 @@ func (c *Config) applyDefaults() {
 	if c.Generations == 0 {
 		c.Generations = DefaultGenerations
 	}
-	if c.CrossoverFraction == 0 {
-		c.CrossoverFraction = 0.8
-	}
-	if c.MutationsPerGeneration == 0 {
-		c.MutationsPerGeneration = 1
-	}
-	if c.Nu == 0 {
-		c.Nu = DefaultNu
-	}
 	if c.InitialBatch == 0 {
 		c.InitialBatch = DefaultInitialBatch
-	}
-	if c.MinBatch == 0 {
-		c.MinBatch = 1
-	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = DefaultMaxBatch
-	}
-	if c.BatchScale == 0 {
-		c.BatchScale = 1
 	}
 	if c.CostPerGene == 0 {
 		c.CostPerGene = DefaultCostPerGene
@@ -217,7 +181,7 @@ type PN struct {
 // other two constructors change its data.
 func newScheduler(name string, cfg Config, r *rng.RNG) *PN {
 	cfg.applyDefaults()
-	return &PN{name: name, includeComm: true, seed: ListPopulation, cfg: cfg, r: r, sp: smoothing.New(cfg.Nu)}
+	return &PN{name: name, includeComm: true, seed: ListPopulation, cfg: cfg, r: r, sp: smoothing.New(DefaultNu)}
 }
 
 // NewPN returns a PN scheduler with the given configuration; zero
@@ -267,13 +231,12 @@ func (pn *PN) IslandConfig() IslandConfig {
 // is InitialBatch exactly as configured. The dynamic rule is §3.7's
 // H_{p+1} = ⌊√(Γs_p + 1)⌋ — batches large enough to keep the
 // scheduling processor fully used, small enough that no processor goes
-// idle while the GA runs — and MinBatch/MaxBatch bound that rule only.
+// idle while the GA runs — and DefaultMaxBatch caps that rule only.
 func (pn *PN) NextBatchSize(queued int, s sched.State) int {
 	h := pn.cfg.InitialBatch
 	if fi := s.TimeUntilFirstIdle(); !pn.cfg.FixedBatch && !fi.IsInf() {
-		gs := pn.sp.Observe(pn.cfg.BatchScale * float64(fi))
-		h = int(math.Floor(math.Sqrt(gs + 1)))
-		h = min(max(h, pn.cfg.MinBatch), pn.cfg.MaxBatch)
+		gs := pn.sp.Observe(float64(fi))
+		h = min(int(math.Floor(math.Sqrt(gs+1))), DefaultMaxBatch)
 	}
 	return max(min(h, queued), 1)
 }

@@ -2,7 +2,6 @@ package ga
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"pnsched/internal/rng"
@@ -15,10 +14,6 @@ type StopReason int
 const (
 	// StopMaxGenerations: the generation cap (1000 in the paper) was hit.
 	StopMaxGenerations StopReason = iota
-	// StopTarget: the best fitness reached Config.TargetFitness — the
-	// paper's "if [the best makespan] is less than a specified minimum,
-	// the GA stops evolving", expressed on the fitness scale.
-	StopTarget
 	// StopCallback: Config.Stop returned true — used by the scheduler to
 	// abort evolution "if one of the processors becomes idle".
 	StopCallback
@@ -29,8 +24,6 @@ func (s StopReason) String() string {
 	switch s {
 	case StopMaxGenerations:
 		return "max-generations"
-	case StopTarget:
-		return "target-fitness"
 	case StopCallback:
 		return "callback"
 	default:
@@ -40,7 +33,10 @@ func (s StopReason) String() string {
 
 // Config parametrises the engine. The defaults (applied by Run for zero
 // fields) follow the paper: a micro-GA population of 20 and a cap of
-// 1000 generations.
+// 1000 generations. The operator rates are the paper's and fixed:
+// crossover breeds 80% of each next generation from roulette-selected
+// pairs, and one swap mutation hits "a randomly chosen individual" per
+// generation.
 type Config struct {
 	// PopulationSize is the number of individuals (default 20 — "a
 	// micro GA ... which speeds up computation time without impacting
@@ -50,36 +46,16 @@ type Config struct {
 	// schedules returned with more than that number does not justify
 	// the increased computation cost").
 	MaxGenerations int
-	// CrossoverFraction is the fraction of the next population created
-	// by crossover of selected pairs (default 0.8). Zero means "unset"
-	// (the default applies, as it does for NaN); any negative value
-	// disables crossover entirely — the sentinel that makes
-	// crossover-free operator ablations expressible. Values above 1
-	// mean 1: a generation holds at most PopulationSize/2 pairs.
-	CrossoverFraction float64
 	// Crossover selects the permutation crossover operator; nil uses
 	// the paper's cycle crossover (CX). PMX and OX are provided for
 	// operator ablations. The engine hands it two slots of the next
 	// generation to write the children into, and its own Scratch.
 	Crossover Crossover
-	// MutationsPerGeneration is how many random swap mutations are
-	// applied to randomly chosen individuals each generation
-	// (default 1, per the paper's singular "a randomly chosen
-	// individual"). Zero means "unset" (the default applies); any
-	// negative value disables mutation entirely (the mutation-free
-	// ablation).
-	MutationsPerGeneration int
 	// Elitism preserves the best individual across generations
 	// (default true). The paper tracks "the individual with the lowest
 	// makespan ... after each generation" and Fig. 3's monotone
 	// improvement implies the best is never lost.
 	Elitism bool
-	// TargetFitness stops evolution once the best fitness reaches this
-	// value; zero disables the check.
-	TargetFitness float64
-	// Mutate, when non-nil, replaces the default SwapMutation — it is
-	// applied to each randomly chosen individual.
-	Mutate func(c Chromosome, r *rng.RNG)
 	// PostGeneration, when non-nil, runs after selection each
 	// generation with the whole population; the scheduler uses it for
 	// the §3.5 rebalancing heuristic. pop is a view of the engine's own
@@ -106,25 +82,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.MaxGenerations == 0 {
 		c.MaxGenerations = 1000
-	}
-	// Zero is "unset" (paper default); negative is the explicit
-	// disabled sentinel, resolved here to the operator-off value.
-	switch {
-	case c.CrossoverFraction == 0 || math.IsNaN(c.CrossoverFraction):
-		c.CrossoverFraction = 0.8
-	case c.CrossoverFraction < 0:
-		c.CrossoverFraction = 0
-	case c.CrossoverFraction > 1:
-		// The one clamp that keeps a generation's pairs within
-		// PopulationSize/2, so Step never breeds a child it has no
-		// slot for.
-		c.CrossoverFraction = 1
-	}
-	switch {
-	case c.MutationsPerGeneration == 0:
-		c.MutationsPerGeneration = 1
-	case c.MutationsPerGeneration < 0:
-		c.MutationsPerGeneration = 0
 	}
 }
 
@@ -241,9 +198,6 @@ func NewEngine(cfg Config, eval Evaluator, initial []Chromosome, r *rng.RNG) *En
 	if cfg.OnGeneration != nil {
 		cfg.OnGeneration(0, e.best, e.bestFitness)
 	}
-	if cfg.TargetFitness > 0 && e.bestFitness >= cfg.TargetFitness {
-		e.stop(0, StopTarget)
-	}
 	return e
 }
 
@@ -287,9 +241,8 @@ func (e *Engine) stop(generations int, reason StopReason) {
 
 // Step advances evolution by one generation: crossover, selection,
 // mutation, the PostGeneration hook, elitism and re-evaluation. It
-// returns false once a stopping condition holds (the generation cap,
-// the target fitness, or the Stop callback), after which further calls
-// are no-ops.
+// returns false once a stopping condition holds (the generation cap or
+// the Stop callback), after which further calls are no-ops.
 func (e *Engine) Step() bool {
 	if e.done {
 		return false
@@ -312,24 +265,21 @@ func (e *Engine) Step() bool {
 	// Crossover: pair roulette-selected parents and breed each pair
 	// into the next two free slots. A slot evaluator hears how each
 	// child differs from the nearer of its parents, so it can re-derive
-	// the child from that parent's cached state. The fraction is at most
-	// 1, so the 2·pairs children always fit.
+	// the child from that parent's cached state.
 	filled := 0
-	pairs := int(float64(n) * e.cfg.CrossoverFraction / 2)
-	if pairs > 0 {
-		cross := e.cfg.Crossover
-		if cross == nil {
-			cross = CX
+	pairs := int(float64(n) * 0.8 / 2)
+	cross := e.cfg.Crossover
+	if cross == nil {
+		cross = CX
+	}
+	parents := e.scratch.roulette(e.fitness, 2*pairs, e.r)
+	for k := 0; k < pairs; k++ {
+		pa, pb := parents[2*k], parents[2*k+1]
+		cross(e.next[filled], e.next[filled+1], e.pop[pa], e.pop[pb], &e.scratch, e.r)
+		if e.slots != nil {
+			e.deriveChildren(filled, pa, pb)
 		}
-		parents := e.scratch.roulette(e.fitness, 2*pairs, e.r)
-		for k := 0; k < pairs; k++ {
-			pa, pb := parents[2*k], parents[2*k+1]
-			cross(e.next[filled], e.next[filled+1], e.pop[pa], e.pop[pb], &e.scratch, e.r)
-			if e.slots != nil {
-				e.deriveChildren(filled, pa, pb)
-			}
-			filled += 2
-		}
+		filled += 2
 	}
 	// Fill the remainder by roulette-copying survivors (selection).
 	// Copies inherit their parent's known fitness.
@@ -346,27 +296,15 @@ func (e *Engine) Step() bool {
 		e.slots.CommitGeneration()
 	}
 
-	// Random mutation on randomly chosen individuals.
-	for k := 0; k < e.cfg.MutationsPerGeneration; k++ {
-		idx := e.r.Intn(n)
-		c := e.pop[idx]
-		if e.slots != nil && e.cfg.Mutate == nil {
-			// SwapMutation, unrolled only far enough that the swapped
-			// positions reach the slot evaluator for a delta update.
-			if len(c) >= 2 {
-				i, j := swapPositions(len(c), e.r)
-				c[i], c[j] = c[j], c[i]
-				e.slots.SwapAt(idx, c, i, j)
-			}
-			continue
-		}
-		mutate := e.cfg.Mutate
-		if mutate == nil {
-			mutate = SwapMutation
-		}
-		mutate(c, e.r)
+	// Random mutation on a randomly chosen individual: SwapMutation,
+	// unrolled so the swapped positions reach a slot evaluator for a
+	// delta update.
+	idx := e.r.Intn(n)
+	if c := e.pop[idx]; len(c) >= 2 {
+		i, j := swapPositions(len(c), e.r)
+		c[i], c[j] = c[j], c[i]
 		if e.slots != nil {
-			e.slots.Invalidate(idx)
+			e.slots.SwapAt(idx, c, i, j)
 		}
 	}
 
@@ -395,10 +333,6 @@ func (e *Engine) Step() bool {
 	e.gen = gen
 	if e.cfg.OnGeneration != nil {
 		e.cfg.OnGeneration(gen, e.best, e.bestFitness)
-	}
-	if e.cfg.TargetFitness > 0 && e.bestFitness >= e.cfg.TargetFitness {
-		e.stop(gen, StopTarget)
-		return false
 	}
 	return true
 }

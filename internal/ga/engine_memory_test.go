@@ -2,7 +2,6 @@ package ga
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 
@@ -25,7 +24,8 @@ func TestEngineInvariants(t *testing.T) {
 		want    string // substring of the panic
 	}{
 		{"ragged seeds", Config{}, ragged(4), nil, "initial chromosome 4 has length 7"},
-		{"ragged seeds, crossover off", Config{CrossoverFraction: -1}, ragged(2), nil, "initial chromosome 2 has length 7"},
+		// A population of two breeds no crossover pairs.
+		{"ragged seeds, crossover off", Config{PopulationSize: 2}, ragged(2), nil, "initial chromosome 2 has length 7"},
 		{"ragged seed beyond the trim", Config{PopulationSize: 3}, ragged(5), nil, "initial chromosome 5 has length 7"},
 		{"short migrant", Config{}, randomPopulation(8, 6, rng.New(41)), Chromosome{0, 1, 2}, "migrant 0 has length 3"},
 	} {
@@ -41,26 +41,18 @@ func TestEngineInvariants(t *testing.T) {
 	}
 }
 
-// TestCrossoverFractionResolves: the fraction resolves once, in
-// applyDefaults, to something a generation can hold — NaN is "unset",
-// anything above 1 is 1 — so Step breeds exactly the pairs it has slots
-// for and fills the rest by selection.
-func TestCrossoverFractionResolves(t *testing.T) {
+// TestCrossoverPairsPerGeneration: the paper's crossover fraction 0.8
+// resolves to ⌊0.8·n/2⌋ pairs per generation, so Step breeds exactly
+// those pairs and fills the rest by selection.
+func TestCrossoverPairsPerGeneration(t *testing.T) {
 	for _, tc := range []struct {
-		frac      float64
 		pop       int
 		wantPairs int // per generation
 	}{
-		{0, 10, 4},
-		{math.NaN(), 10, 4},
-		{-1, 10, 0},
-		{math.Inf(-1), 10, 0},
-		{0.5, 10, 2},
-		{1, 10, 5},
-		{2.5, 10, 5},
-		{math.Inf(1), 10, 5},
-		{3, 5, 2}, // odd population: two pairs and one survivor
-		{1, 1, 0},
+		{10, 4},
+		{5, 2}, // odd population: two pairs and one survivor
+		{2, 0},
+		{1, 0},
 	} {
 		pairs := 0
 		counting := func(c1, c2, a, b Chromosome, s *Scratch, r *rng.RNG) {
@@ -70,18 +62,18 @@ func TestCrossoverFractionResolves(t *testing.T) {
 		r := rng.New(43)
 		eval := &derivationCounter{cachingSlotEval: cachingSlotEval{inner: sortednessEvaluator{}}}
 		const gens = 6
-		res := Run(Config{MaxGenerations: gens, PopulationSize: tc.pop, CrossoverFraction: tc.frac, Crossover: counting},
+		res := Run(Config{MaxGenerations: gens, PopulationSize: tc.pop, Crossover: counting},
 			eval, randomPopulation(9, tc.pop, r), r)
 		if pairs != gens*tc.wantPairs {
-			t.Errorf("fraction %v, population %d: %d crossovers in %d generations, want %d per generation",
-				tc.frac, tc.pop, pairs, gens, tc.wantPairs)
+			t.Errorf("population %d: %d crossovers in %d generations, want %d per generation",
+				tc.pop, pairs, gens, tc.wantPairs)
 		}
 		if eval.children != 2*pairs || eval.children+eval.clones != gens*tc.pop {
-			t.Errorf("fraction %v, population %d: %d crossed + %d cloned slots, want %d children and %d slots in all",
-				tc.frac, tc.pop, eval.children, eval.clones, 2*pairs, gens*tc.pop)
+			t.Errorf("population %d: %d crossed + %d cloned slots, want %d children and %d slots in all",
+				tc.pop, eval.children, eval.clones, 2*pairs, gens*tc.pop)
 		}
 		if err := res.Best.ValidatePermutation(); err != nil {
-			t.Errorf("fraction %v: %v", tc.frac, err)
+			t.Errorf("population %d: %v", tc.pop, err)
 		}
 	}
 }

@@ -102,49 +102,3 @@ func TestGenesEvaluatedPlainEvaluator(t *testing.T) {
 		t.Errorf("GenesEvaluated = %d, want evaluations × length = %d", res.GenesEvaluated, want)
 	}
 }
-
-// TestCrossoverDisabledSentinel: CrossoverFraction < 0 must disable
-// crossover outright, while 0 still selects the paper default — the
-// regression the sentinel convention exists for.
-func TestCrossoverDisabledSentinel(t *testing.T) {
-	runWith := func(frac float64) int {
-		calls := 0
-		counting := func(c1, c2, a, b Chromosome, s *Scratch, r *rng.RNG) {
-			calls++
-			CX(c1, c2, a, b, s, r)
-		}
-		r := rng.New(34)
-		Run(Config{MaxGenerations: 10, PopulationSize: 10, CrossoverFraction: frac, Crossover: counting},
-			sortednessEvaluator{}, randomPopulation(12, 10, r), r)
-		return calls
-	}
-	if calls := runWith(-1); calls != 0 {
-		t.Errorf("CrossoverFraction -1 still performed %d crossovers", calls)
-	}
-	if calls := runWith(0); calls != 10*int(10*0.8/2) {
-		t.Errorf("CrossoverFraction 0 (default 0.8) performed %d crossovers, want %d",
-			calls, 10*int(10*0.8/2))
-	}
-}
-
-// TestMutationDisabledSentinel: MutationsPerGeneration < 0 must
-// disable mutation, while 0 still selects the paper default of one.
-func TestMutationDisabledSentinel(t *testing.T) {
-	runWith := func(muts int) int {
-		calls := 0
-		counting := func(c Chromosome, r *rng.RNG) {
-			calls++
-			SwapMutation(c, r)
-		}
-		r := rng.New(35)
-		Run(Config{MaxGenerations: 10, PopulationSize: 10, MutationsPerGeneration: muts, Mutate: counting},
-			sortednessEvaluator{}, randomPopulation(12, 10, r), r)
-		return calls
-	}
-	if calls := runWith(-1); calls != 0 {
-		t.Errorf("MutationsPerGeneration -1 still performed %d mutations", calls)
-	}
-	if calls := runWith(0); calls != 10 {
-		t.Errorf("MutationsPerGeneration 0 (default 1) performed %d mutations, want 10", calls)
-	}
-}

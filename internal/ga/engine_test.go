@@ -105,19 +105,6 @@ func TestStopCallback(t *testing.T) {
 	}
 }
 
-func TestTargetFitnessStopsEarly(t *testing.T) {
-	r := rng.New(9)
-	pop := randomPopulation(10, 10, r)
-	// Target below any achievable fitness: stops immediately at gen 0.
-	res := Run(Config{MaxGenerations: 1000, TargetFitness: 1}, sortednessEvaluator{}, pop, r)
-	if res.Reason != StopTarget {
-		t.Errorf("reason = %v, want target", res.Reason)
-	}
-	if res.Generations != 0 {
-		t.Errorf("generations = %d, want 0", res.Generations)
-	}
-}
-
 func TestPopulationPaddingAndTrimming(t *testing.T) {
 	r := rng.New(10)
 	// 3 seeds, population of 12: engine must pad.
@@ -150,22 +137,6 @@ func TestPostGenerationHook(t *testing.T) {
 	}, sortednessEvaluator{}, pop, r)
 	if calls != 50 {
 		t.Errorf("PostGeneration called %d times, want 50", calls)
-	}
-}
-
-func TestCustomMutate(t *testing.T) {
-	r := rng.New(12)
-	pop := randomPopulation(10, 10, r)
-	used := false
-	Run(Config{
-		MaxGenerations: 5,
-		Mutate: func(c Chromosome, r *rng.RNG) {
-			used = true
-			SwapMutation(c, r)
-		},
-	}, sortednessEvaluator{}, pop, r)
-	if !used {
-		t.Error("custom mutation never invoked")
 	}
 }
 
@@ -211,7 +182,6 @@ func TestAllChromosomesRemainPermutations(t *testing.T) {
 
 func TestStopReasonString(t *testing.T) {
 	if StopMaxGenerations.String() != "max-generations" ||
-		StopTarget.String() != "target-fitness" ||
 		StopCallback.String() != "callback" {
 		t.Error("StopReason strings wrong")
 	}

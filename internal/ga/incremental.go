@@ -34,9 +34,8 @@ package ga
 //     changed) for every crossover child and DeriveClone(dst, src) for
 //     every roulette-cloned survivor, then CommitGeneration when the
 //     new population replaces the old one;
-//   - SwapAt after the default swap mutation (the two exchanged
-//     positions are known), Invalidate after an opaque edit (a custom
-//     Mutate hook, an injected migrant);
+//   - SwapAt after the swap mutation (the two exchanged positions are
+//     known), Invalidate after an opaque edit (an injected migrant);
 //   - RestoreBest when elitism reinserts the best-so-far, SaveBest
 //     whenever a slot's individual becomes the new best-so-far;
 //   - FitnessSlot for every slot at evaluation time.

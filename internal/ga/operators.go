@@ -368,10 +368,10 @@ func SwapMutation(c Chromosome, r *rng.RNG) {
 }
 
 // swapPositions draws the two distinct positions SwapMutation
-// exchanges. The engine's slot-evaluator path performs the swap itself
-// (it must report the positions for a delta update), so the draw
-// scheme lives here, once, keeping both paths byte-identical. n must
-// be at least 2.
+// exchanges. The engine performs the swap itself (a slot evaluator
+// must hear the positions for a delta update), so the draw scheme
+// lives here, once, keeping the engine and SwapMutation
+// byte-identical. n must be at least 2.
 func swapPositions(n int, r *rng.RNG) (i, j int) {
 	i = r.Intn(n)
 	j = r.Intn(n - 1)

@@ -15,9 +15,8 @@
 // Config.MigrationInterval generations of the sequential engine
 // (ga.Engine — the same crossover/selection/mutation/rebalance loop the
 // single-population scheduler uses; the island layer adds no new
-// genetic operators). At the round barrier the coordinator updates the
-// shared best-so-far tracker, evaluates the stop conditions, and
-// performs ring migration: island i clones its Config.Migrants fittest
+// genetic operators). At the round barrier the coordinator evaluates
+// the stop conditions and performs ring migration: island i clones its Config.Migrants fittest
 // individuals (ga.Engine.Elites) into island i+1 mod N, where they
 // replace the least-fit individuals (ga.Engine.Inject). All
 // cross-island decisions happen at barriers in island order, never
@@ -25,32 +24,27 @@
 //
 // # Stop conditions
 //
-// The three §3.4 stopping conditions of the sequential engine are
-// honoured per island — the generation cap, the target fitness, and the
-// Stop callback (the processor-went-idle condition). When any island's
-// Stop callback fires, or the caller's context is cancelled, every
-// other island is cancelled promptly through a shared context polled
-// once per generation; when any island reaches the target fitness the
-// run winds down at the next barrier. A Setup.LocalStop, by contrast,
-// stops only its own island (the §3.4 per-island evaluation budget
-// uses it: each island runs on its own core and exhausts the budget at
-// its own pace); once a locally stopped island is observed at a round
-// barrier the remaining islands run on to their own stop conditions
-// and the round loop ends. The overall Reason is the most decisive one
-// observed: target, then callback, then the cap.
+// The two stopping conditions of the sequential engine are honoured
+// per island: the generation cap and the Stop callback (the §3.4
+// processor-went-idle condition, modelled as an evaluation budget).
+// Either stops only its own island: each island runs on its own core
+// and exhausts the budget at its own pace, and no island ever cancels
+// another. Once an island stopped by its callback is observed at a
+// round barrier, the remaining islands run on to their own stop
+// conditions and the round loop ends. The overall Reason is the
+// callback if any island stopped by it, the cap otherwise. Cancelling
+// the caller's context stops every island promptly (each polls it once
+// per generation) and reports the callback reason.
 //
 // # Determinism
 //
 // Island i draws every random decision from r.Stream(i+1), and rounds
-// are barrier-synchronised, so a run that terminates by generation cap,
-// target fitness or LocalStop (the evaluation budget) is fully
-// deterministic for a fixed island count: same seed + same Islands →
-// byte-identical best individual, whatever the goroutine scheduling.
-// Determinism is per-N — changing the island count changes the stream
-// assignment and the ring, and therefore the result, just as changing
-// the population size changes the sequential engine's. A run aborted by
-// the broadcast Stop callback or context cancellation stops at a
-// wall-clock-dependent generation (that is the point of the
-// idle-processor abort), so only the fitness trajectory up to the abort
-// is reproducible, not the stopping point.
+// are barrier-synchronised, so a run that terminates by generation cap
+// or Stop callback is fully deterministic for a fixed island count:
+// same seed + same Islands → byte-identical best individual, whatever
+// the goroutine scheduling. Determinism is per-N — changing the island
+// count changes the stream assignment and the ring, and therefore the
+// result, just as changing the population size changes the sequential
+// engine's. Only a run aborted by cancelling its context stops at a
+// wall-clock-dependent generation; the scheduler never cancels one.
 package island

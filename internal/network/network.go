@@ -17,9 +17,9 @@ import (
 	"pnsched/internal/units"
 )
 
-// DefaultNu is the smoothing factor used for communication-cost
-// estimation when the caller does not override it. Moderate smoothing
-// tracks drifting links while damping per-transfer noise.
+// DefaultNu is the smoothing factor of the communication-cost
+// estimators. Moderate smoothing tracks drifting links while damping
+// per-transfer noise.
 const DefaultNu = 0.2
 
 // Config describes a network between the scheduler and M clients.
@@ -38,9 +38,6 @@ type Config struct {
 	// lognormal random walk per transfer — the "available network
 	// resources ... can vary over time" regime. Zero disables drift.
 	DriftSigma float64
-	// Nu is the smoothing factor for the scheduler-visible cost
-	// estimators; DefaultNu if zero.
-	Nu float64
 }
 
 // link is the hidden true state of one scheduler↔client connection.
@@ -70,9 +67,6 @@ func New(m int, cfg Config, r *rng.RNG) *Network {
 	if cfg.MeanCost < 0 {
 		panic(fmt.Sprintf("network: negative mean cost %v", cfg.MeanCost))
 	}
-	if cfg.Nu == 0 {
-		cfg.Nu = DefaultNu
-	}
 	n := &Network{
 		cfg:       cfg,
 		links:     make([]link, m),
@@ -87,7 +81,7 @@ func New(m int, cfg Config, r *rng.RNG) *Network {
 			mean = r.TruncNormal(mean, sd, 0, mean+8*sd)
 		}
 		n.links[j].mean = units.Seconds(mean)
-		n.est[j] = smoothing.New(cfg.Nu)
+		n.est[j] = smoothing.New(DefaultNu)
 	}
 	return n
 }
@@ -113,12 +107,11 @@ func (n *Network) Transfer(j int) units.Seconds {
 }
 
 // EstimatedCost returns the scheduler-visible smoothed estimate Γc for
-// link j. Before any transfer has been observed it returns the supplied
-// prior (schedulers typically pass 0 or a configured pessimistic guess —
-// the paper's scheduler "estimates the communication costs between each
-// client and server using historical information").
-func (n *Network) EstimatedCost(j int, prior units.Seconds) units.Seconds {
-	return units.Seconds(n.est[j].ValueOr(float64(prior)))
+// link j — the paper's scheduler "estimates the communication costs
+// between each client and server using historical information". Before
+// any transfer has been observed there is no history and it returns 0.
+func (n *Network) EstimatedCost(j int) units.Seconds {
+	return units.Seconds(n.est[j].ValueOr(0))
 }
 
 // TrueMean exposes the current true mean of link j — for tests and

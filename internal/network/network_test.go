@@ -6,7 +6,6 @@ import (
 
 	"pnsched/internal/rng"
 	"pnsched/internal/stats"
-	"pnsched/internal/units"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -83,14 +82,14 @@ func TestZeroJitterIsDeterministicCost(t *testing.T) {
 }
 
 func TestEstimatorConvergesToLinkMean(t *testing.T) {
-	n := New(1, Config{MeanCost: 10, Jitter: 0.1, Nu: 0.2}, rng.New(11))
-	if got := n.EstimatedCost(0, 99); got != 99 {
-		t.Errorf("prior not honoured before observations: %v", got)
+	n := New(1, Config{MeanCost: 10, Jitter: 0.1}, rng.New(11))
+	if got := n.EstimatedCost(0); got != 0 {
+		t.Errorf("estimate before observations = %v, want 0", got)
 	}
 	for i := 0; i < 2000; i++ {
 		n.Transfer(0)
 	}
-	est := float64(n.EstimatedCost(0, 0))
+	est := float64(n.EstimatedCost(0))
 	if math.Abs(est-10) > 1.5 {
 		t.Errorf("estimate = %v, want ~10", est)
 	}
@@ -99,11 +98,11 @@ func TestEstimatorConvergesToLinkMean(t *testing.T) {
 func TestEstimatorTracksDrift(t *testing.T) {
 	// With drift enabled the true mean wanders; the estimator must stay
 	// within a reasonable band of it.
-	n := New(1, Config{MeanCost: 10, Jitter: 0.05, DriftSigma: 0.01, Nu: 0.3}, rng.New(13))
+	n := New(1, Config{MeanCost: 10, Jitter: 0.05, DriftSigma: 0.01}, rng.New(13))
 	for i := 0; i < 5000; i++ {
 		n.Transfer(0)
 	}
-	est := float64(n.EstimatedCost(0, 0))
+	est := float64(n.EstimatedCost(0))
 	truth := float64(n.TrueMean(0))
 	if truth <= 0 {
 		t.Fatalf("true mean collapsed to %v", truth)
@@ -145,7 +144,7 @@ func TestZeroCost(t *testing.T) {
 			t.Errorf("zero-cost network charged %v", got)
 		}
 	}
-	if got := n.EstimatedCost(0, 42); got != 0 {
+	if got := n.EstimatedCost(0); got != 0 {
 		t.Errorf("estimate after free transfer = %v, want 0", got)
 	}
 }
@@ -168,10 +167,14 @@ func TestDeterministicAcrossConstruction(t *testing.T) {
 }
 
 func TestEstimatedCostPerLinkIndependent(t *testing.T) {
-	n := New(2, Config{MeanCost: 10, LinkSpread: 0.5, Nu: 1}, rng.New(23))
-	n.Transfer(0)
-	// Link 1 unobserved: must return prior, not link 0's estimate.
-	if got := n.EstimatedCost(1, units.Seconds(-1)); got != -1 {
-		t.Errorf("link 1 estimate = %v, want prior -1", got)
+	n := New(2, Config{MeanCost: 10, LinkSpread: 0.5}, rng.New(23))
+	cost := n.Transfer(0)
+	// The first observation primes link 0's estimate; link 1 stays
+	// unobserved and must not see it.
+	if got := n.EstimatedCost(0); got != cost || cost == 0 {
+		t.Errorf("link 0 estimate = %v after one transfer costing %v", got, cost)
+	}
+	if got := n.EstimatedCost(1); got != 0 {
+		t.Errorf("link 1 estimate = %v, want 0 (unobserved)", got)
 	}
 }

@@ -155,8 +155,8 @@ type EvolveDone struct {
 	Spent units.Seconds `json:"spent"`
 	// BestMakespan is the final best predicted makespan.
 	BestMakespan units.Seconds `json:"best_makespan"`
-	// Reason is the engine's stop reason ("max-generations",
-	// "target-fitness", "callback" — the latter covering budget stops).
+	// Reason is the engine's stop reason ("max-generations" or
+	// "callback" — the latter covering budget stops).
 	Reason string `json:"reason"`
 }
 

@@ -66,14 +66,6 @@ type Config struct {
 	// otherwise batches default to sched.DefaultBatchSize.
 	BatchSizer sched.BatchSizer
 
-	// RateNu is the smoothing factor for observed processing rates
-	// (DefaultRateNu if zero).
-	RateNu float64
-
-	// CommPrior is what schedulers believe a transfer costs before any
-	// observation exists for a link (default 0).
-	CommPrior units.Seconds
-
 	// ReissueTimeout, when positive, enables failure recovery: a task
 	// whose processor can never finish it (permanent outage) is pulled
 	// back after this many simulated seconds, the processor is marked
@@ -178,7 +170,7 @@ func (v view) Rate(j int) units.Rate {
 func (v view) PendingLoad(j int) units.MFlops { return v.s.pending[j] }
 
 func (v view) CommEstimate(j int) units.Seconds {
-	return v.s.cfg.Net.EstimatedCost(j, v.s.cfg.CommPrior)
+	return v.s.cfg.Net.EstimatedCost(j)
 }
 
 func (v view) Now() units.Seconds { return v.s.now }
@@ -222,9 +214,6 @@ func Run(cfg Config) Result {
 	if cfg.Net.M() != cfg.Cluster.M() {
 		panic(fmt.Sprintf("sim: %d links for %d processors", cfg.Net.M(), cfg.Cluster.M()))
 	}
-	if cfg.RateNu == 0 {
-		cfg.RateNu = DefaultRateNu
-	}
 	if cfg.Timeline != nil {
 		cfg.Timeline.Procs = make([][]Segment, cfg.Cluster.M())
 		cfg.Timeline.Makespan = 0
@@ -245,7 +234,7 @@ func Run(cfg Config) Result {
 	for j := 0; j < s.m; j++ {
 		s.procQueues[j] = task.NewQueue(8)
 		s.idle[j] = true
-		s.rateEst[j] = smoothing.New(cfg.RateNu)
+		s.rateEst[j] = smoothing.New(DefaultRateNu)
 	}
 
 	switch sc := cfg.Scheduler.(type) {

@@ -423,7 +423,6 @@ func TestRateObservationFeedsScheduler(t *testing.T) {
 		Net:       freeNet(1),
 		Tasks:     tasks,
 		Scheduler: probe,
-		RateNu:    0.5,
 	})
 	if res.Completed != 8 {
 		t.Fatalf("completed = %d", res.Completed)

@@ -119,29 +119,6 @@ func TestTimeUntilFirstIdleSemantics(t *testing.T) {
 	}
 }
 
-func TestCommPriorVisibleBeforeTraffic(t *testing.T) {
-	var seen []units.Seconds
-	probe := commProbe{seen: &seen}
-	Run(Config{
-		Cluster:   cluster.New([]units.Rate{10}),
-		Net:       freeNet(1),
-		Tasks:     mkTasks(10),
-		Scheduler: probe,
-		CommPrior: 7,
-	})
-	if len(seen) == 0 || seen[0] != 7 {
-		t.Errorf("comm prior = %v, want first observation 7", seen)
-	}
-}
-
-type commProbe struct{ seen *[]units.Seconds }
-
-func (commProbe) Name() string { return "commprobe" }
-func (p commProbe) Assign(tk task.Task, s sched.State) int {
-	*p.seen = append(*p.seen, s.CommEstimate(0))
-	return 0
-}
-
 func TestTraceEventOrdering(t *testing.T) {
 	var kinds []TraceKind
 	Run(Config{

@@ -94,7 +94,6 @@ type jobsOpts struct {
 	weights   map[string]float64
 	maxActive int
 	retry     int
-	retain    int
 	journal   string
 }
 
@@ -123,10 +122,6 @@ func WithMaxActiveJobs(n int) JobsOption { return jobsOnly(func(o *jobsOpts) { o
 // WithJobRetryBudget sets the default per-job reissue allowance for
 // submissions that carry none; 0 selects the package default (64).
 func WithJobRetryBudget(n int) JobsOption { return jobsOnly(func(o *jobsOpts) { o.retry = n }) }
-
-// WithJobRetention bounds how many terminal jobs stay queryable via
-// status/result; 0 selects the default (256).
-func WithJobRetention(n int) JobsOption { return jobsOnly(func(o *jobsOpts) { o.retain = n }) }
 
 // WithJobsJournal makes the dispatcher's job state durable: every
 // state transition is appended to a journal under dir before the
@@ -194,7 +189,6 @@ func ServeJobs(ctx context.Context, opts ...JobsOption) (*JobService, error) {
 		Weights:     jo.weights,
 		MaxActive:   jo.maxActive,
 		RetryBudget: jo.retry,
-		Retain:      jo.retain,
 		JournalDir:  jo.journal,
 		PoolConfig:  pool,
 	})

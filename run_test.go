@@ -82,7 +82,7 @@ func TestRunMatchesDirectConstruction(t *testing.T) {
 }
 
 // TestRunHonoursFixedSpecBatch: a fixed Spec.Batch is the batch size,
-// for every registered batch scheduler alike — MinBatch/MaxBatch bound
+// for every registered batch scheduler alike — the cap of 1000 bounds
 // the §3.7 dynamic rule only. PN and PN-ISLAND used to clamp a fixed
 // batch to the dynamic rule's cap and turn 1500 into 1000 while ZO, MM,
 // MX and SUF honoured it.
