@@ -271,12 +271,7 @@ func jobsMain(ctx context.Context, life *slog.Logger, common []pnsched.ServeOpti
 			opts = append(opts, pnsched.WithTenantWeight(tenant, w))
 		}
 	}
-	if maxActive > 0 {
-		opts = append(opts, pnsched.WithMaxActiveJobs(maxActive))
-	}
-	if retry > 0 {
-		opts = append(opts, pnsched.WithJobRetryBudget(retry))
-	}
+	opts = append(opts, pnsched.WithMaxActiveJobs(maxActive), pnsched.WithJobRetryBudget(retry))
 	if journal != "" {
 		opts = append(opts, pnsched.WithJobsJournal(journal))
 	}

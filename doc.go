@@ -48,14 +48,14 @@
 // written for Run works unchanged against a remote deployment
 // (pnserver -watch is exactly this; the Watch example is the library
 // form). A slow watcher costs the server nothing: frames that
-// overflow its bounded queue are dropped and counted
+// overflow its queue, fixed at 256 frames, are dropped and counted
 // (Watcher.Dropped), never blocking the scheduler — and a watcher that
-// subscribes mid-run first replays the server's recent history
-// (WithEventReplay) before going live. The frame grammar, version
-// negotiation and replay semantics are specified in
-// docs/wire-protocol.md. FetchStats (pnserver -stats) retrieves a
-// point-in-time ServerSnapshot — queue depths, per-worker counts,
-// dispatch-latency quantiles — from any live server.
+// subscribes mid-run first replays the server's last 64 frames before
+// going live. The frame grammar, version negotiation and replay
+// semantics are specified in docs/wire-protocol.md. FetchStats
+// (pnserver -stats) retrieves a point-in-time ServerSnapshot — queue
+// depths, per-worker counts, dispatch-latency quantiles — from any
+// live server.
 //
 // ServeJobs is the multi-tenant form of the same service: a dispatcher
 // that queues whole jobs (workload + Spec + tenant + priority), admits

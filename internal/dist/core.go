@@ -90,8 +90,8 @@ func (p *Pool) joinLocked(name string, claimed units.Rate) (*Worker, int) {
 	w := &Worker{
 		name:        name,
 		claimed:     claimed,
-		rate:        smoothing.New(p.nu),
-		comm:        smoothing.New(p.nu),
+		rate:        smoothing.New(DefaultNu),
+		comm:        smoothing.New(DefaultNu),
 		outstanding: make(map[int32]pendingTask),
 	}
 	w.rate.Observe(float64(claimed))

@@ -62,11 +62,12 @@ type coreRig struct {
 func newCoreRig(t *testing.T, backlog int) *coreRig {
 	t.Helper()
 	r := &coreRig{o: &coreOwner{}, q: task.NewQueue(8), start: time.Unix(1_000_000, 0)}
-	p, err := NewPool(PoolConfig{Metrics: telemetry.NewRegistry(), Backlog: backlog}, r.o)
+	p, err := NewPool(PoolConfig{Metrics: telemetry.NewRegistry()}, r.o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Start = r.start
+	p.backlog = backlog
 	r.p = p
 	return r
 }

@@ -260,7 +260,8 @@ func TestServerValidation(t *testing.T) {
 	pn := core.NewPN(fastConfig(), rng.New(1))
 	for name, cfg := range map[string]jobs.Config{
 		"no scheduler":         {},
-		"smoothing 1.5":        {Open: pn, PoolConfig: dist.PoolConfig{Nu: 1.5}},
+		"negative MaxActive":   {Open: pn, MaxActive: -3},
+		"negative RetryBudget": {Open: pn, RetryBudget: -1},
 		"open job journaled":   {Open: pn, JournalDir: t.TempDir()},
 		"open job and a queue": {Open: pn, NewScheduler: func(json.RawMessage) (sched.Batch, error) { return pn, nil }},
 	} {

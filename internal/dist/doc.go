@@ -39,7 +39,7 @@
 //     reissued. Tasks scheduled onto a worker that vanished before
 //     dispatch go back to the queue too, uncounted: they never left.
 //   - Dispatch is paced by a per-worker backlog threshold: while every
-//     worker holds PoolConfig.Backlog unfinished tasks, further
+//     worker holds DefaultBacklog (4) unfinished tasks, further
 //     batches stay in the unscheduled queue. Work is therefore placed
 //     shortly before it runs, against current beliefs and the current
 //     machine set, rather than pinned to workers up front.

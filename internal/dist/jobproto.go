@@ -110,17 +110,17 @@ type JobCounts struct {
 	Cancelled int `json:"cancelled"`
 }
 
-// OnJobQueued implements observe.JobObserver (protocol 1.3).
+// OnJobQueued implements observe.Observer (protocol 1.3).
 func (b *Broadcaster) OnJobQueued(e observe.JobQueued) {
 	b.publish(eventFrame{Kind: kindJobQueued, Queued: &e})
 }
 
-// OnJobStarted implements observe.JobObserver (protocol 1.3).
+// OnJobStarted implements observe.Observer (protocol 1.3).
 func (b *Broadcaster) OnJobStarted(e observe.JobStarted) {
 	b.publish(eventFrame{Kind: kindJobStarted, Started: &e})
 }
 
-// OnJobDone implements observe.JobObserver (protocol 1.3).
+// OnJobDone implements observe.Observer (protocol 1.3).
 func (b *Broadcaster) OnJobDone(e observe.JobDone) {
 	b.publish(eventFrame{Kind: kindJobDone, Finished: &e})
 }

@@ -15,7 +15,7 @@ import (
 // the curve, the ledger, and the decision fields — and that staging
 // resets for the next decision.
 func TestTraceRecorderSealsOnBatchDecided(t *testing.T) {
-	r := NewTraceRecorder(4)
+	r := NewTraceRecorder()
 	r.OnGenerationBest(observe.GenerationBest{Generation: 0, Makespan: 140})
 	r.OnGenerationBest(observe.GenerationBest{Generation: 3, Makespan: 150}) // worse: skipped
 	r.OnGenerationBest(observe.GenerationBest{Generation: 3, Makespan: 140}) // equal: skipped
@@ -63,17 +63,18 @@ func TestTraceRecorderSealsOnBatchDecided(t *testing.T) {
 // TestTraceRecorderRingEvictsOldest overfills the ring and checks only
 // the most recent traces survive, oldest first.
 func TestTraceRecorderRingEvictsOldest(t *testing.T) {
-	r := NewTraceRecorder(3)
-	for i := 1; i <= 5; i++ {
+	r := NewTraceRecorder()
+	const pushed = DefaultTraceRing + 5
+	for i := 1; i <= pushed; i++ {
 		r.OnBatchDecided(observe.BatchDecision{Invocation: i})
 	}
 	traces := r.Traces()
-	if len(traces) != 3 {
-		t.Fatalf("ring of 3 holds %d traces", len(traces))
+	if len(traces) != DefaultTraceRing {
+		t.Fatalf("ring of %d holds %d traces", DefaultTraceRing, len(traces))
 	}
-	for i, want := range []int{3, 4, 5} {
-		if traces[i].Invocation != want {
-			t.Errorf("traces[%d].Invocation = %d, want %d", i, traces[i].Invocation, want)
+	for i, tr := range traces {
+		if want := pushed - DefaultTraceRing + 1 + i; tr.Invocation != want {
+			t.Errorf("traces[%d].Invocation = %d, want %d", i, tr.Invocation, want)
 		}
 	}
 }
@@ -82,7 +83,7 @@ func TestTraceRecorderRingEvictsOldest(t *testing.T) {
 // maxTracePoints and checks the curve stops growing instead of growing
 // without bound.
 func TestTraceRecorderCurveCapped(t *testing.T) {
-	r := NewTraceRecorder(1)
+	r := NewTraceRecorder()
 	for i := 0; i < maxTracePoints+100; i++ {
 		r.OnGenerationBest(observe.GenerationBest{
 			Generation: i, Makespan: units.Seconds(1e6 - float64(i)),
@@ -94,10 +95,10 @@ func TestTraceRecorderCurveCapped(t *testing.T) {
 	}
 }
 
-// TestTraceRecorderDefaultRing checks a non-positive ring size selects
-// the default instead of an unusable zero-length ring.
+// TestTraceRecorderDefaultRing checks the ring holds DefaultTraceRing
+// traces, not an unusable zero-length ring.
 func TestTraceRecorderDefaultRing(t *testing.T) {
-	r := NewTraceRecorder(0)
+	r := NewTraceRecorder()
 	for i := 1; i <= DefaultTraceRing+2; i++ {
 		r.OnBatchDecided(observe.BatchDecision{Invocation: i})
 	}

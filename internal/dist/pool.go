@@ -5,7 +5,6 @@ import (
 	"cmp"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"log/slog"
 	"net"
 	"sync"
@@ -20,13 +19,16 @@ import (
 	"pnsched/internal/units"
 )
 
-// DefaultNu is the smoothing factor used for the per-worker rate and
-// per-link communication estimates when PoolConfig.Nu is zero; it
-// matches the paper's ν = 0.5.
+// DefaultNu is the smoothing factor of the per-worker rate and
+// per-link communication estimates: the paper's ν = 0.5 (§3.6).
 const DefaultNu = 0.5
 
-// DefaultBacklog is the per-worker outstanding-task threshold that
-// pauses batch scheduling when PoolConfig.Backlog is zero.
+// DefaultBacklog paces dispatch: while every worker a batch could use
+// holds at least this many unfinished tasks, further batches stay in
+// the unscheduled queue. Keeping most work undispatched is what makes
+// the scheduling dynamic — late-joining workers receive their share
+// from subsequent batches, and smoothed rate observations steer
+// placement instead of being decided once up front.
 const DefaultBacklog = 4
 
 // ErrServerClosed is returned by a wait on the pool's work when the
@@ -43,11 +45,10 @@ type PoolConfig struct {
 	// Observer, when non-nil, receives the typed public-API events the
 	// live runtime emits: worker joins and leaves, OnBatchDecided after
 	// every committed batch decision, OnDispatch for every task sent to
-	// a worker (At in seconds since the pool started), and — through
-	// observe.JobObserver — an owner's job lifecycle events. GA-level
-	// events come from the scheduler itself via core.Config.Observer.
-	// Events are delivered outside the pool's lock; implementations must
-	// not block.
+	// a worker (At in seconds since the pool started), and an owner's
+	// job lifecycle events. GA-level events come from the scheduler
+	// itself via core.Config.Observer. Events are delivered outside the
+	// pool's lock; implementations must not block.
 	Observer observe.Observer
 	// Events, when non-nil, turns on remote observation: the pool
 	// accepts watch connections (the msgWatch handshake) and streams
@@ -63,17 +64,6 @@ type PoolConfig struct {
 	// per-watcher collectors, and protocol decode errors. The registry
 	// is typically also serving /metrics via telemetry.AdminMux.
 	Metrics *telemetry.Registry
-	// Nu is the exponential-smoothing factor for observed worker rates
-	// and link overheads; 0 selects DefaultNu.
-	Nu float64
-	// Backlog paces dispatch: while every worker a batch could use holds
-	// at least this many unfinished tasks, further batches stay in the
-	// unscheduled queue. Keeping most work undispatched is what makes
-	// the scheduling dynamic — late-joining workers receive their share
-	// from subsequent batches, and smoothed rate observations steer
-	// placement instead of being decided once up front. 0 selects
-	// DefaultBacklog.
-	Backlog int
 	// Traces, when non-nil, is the recorder answering the trace wire
 	// request (protocol 1.2) with recent per-batch decision traces; nil
 	// answers with an empty list. The caller wires the same recorder
@@ -155,8 +145,7 @@ type Pool struct {
 	Log *slog.Logger
 
 	owner   Owner
-	nu      float64
-	backlog int
+	backlog int          // DefaultBacklog; TestPoolCore's rig paces with 2
 	met     *poolMetrics // never nil; the zero value's nil instruments no-op
 	// observer is the effective event sink: PoolConfig.Observer fanned
 	// together with PoolConfig.Events, so every emitted event reaches
@@ -226,18 +215,11 @@ type WorkerStatus struct {
 // NewPool returns a pool serving owner. It does not listen yet; call
 // Serve.
 func NewPool(cfg PoolConfig, owner Owner) (*Pool, error) {
-	if cfg.Nu < 0 || cfg.Nu > 1 {
-		return nil, fmt.Errorf("dist: smoothing factor %v outside [0,1]", cfg.Nu)
-	}
-	if cfg.Backlog < 0 {
-		return nil, fmt.Errorf("dist: negative backlog %d", cfg.Backlog)
-	}
 	p := &Pool{
 		Start:    time.Now(),
 		Log:      cmp.Or(cfg.Log, slog.New(slog.DiscardHandler)),
 		owner:    owner,
-		nu:       cmp.Or(cfg.Nu, DefaultNu),
-		backlog:  cmp.Or(cfg.Backlog, DefaultBacklog),
+		backlog:  DefaultBacklog,
 		observer: cfg.Observer,
 		events:   cfg.Events,
 		traces:   cfg.Traces,
@@ -351,16 +333,22 @@ func (p *Pool) Emit(evs []JobEvent) {
 	for _, ev := range evs {
 		switch {
 		case ev.Queued != nil:
-			observe.EmitJobQueued(p.observer, *ev.Queued)
+			if p.observer != nil {
+				p.observer.OnJobQueued(*ev.Queued)
+			}
 			p.Log.Info("job queued", "job", ev.Queued.ID, "tenant", ev.Queued.Tenant,
 				"priority", ev.Queued.Priority, "tasks", ev.Queued.Tasks,
 				"queued", ev.Queued.Queued)
 		case ev.Started != nil:
-			observe.EmitJobStarted(p.observer, *ev.Started)
+			if p.observer != nil {
+				p.observer.OnJobStarted(*ev.Started)
+			}
 			p.Log.Info("job started", "job", ev.Started.ID, "tenant", ev.Started.Tenant,
 				"workers", ev.Started.Workers, "waited", float64(ev.Started.Waited))
 		case ev.Done != nil:
-			observe.EmitJobDone(p.observer, *ev.Done)
+			if p.observer != nil {
+				p.observer.OnJobDone(*ev.Done)
+			}
 			p.Log.Info("job finished", "job", ev.Done.ID, "tenant", ev.Done.Tenant,
 				"state", ev.Done.State, "completed", ev.Done.Completed,
 				"retries", ev.Done.Retries, "duration", float64(ev.Done.Duration))

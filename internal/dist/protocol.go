@@ -274,14 +274,11 @@ func (f *eventFrame) deliver(o observe.Observer) {
 	case kindEvolveDone:
 		o.OnEvolveDone(*f.Evolve)
 	case kindJobQueued:
-		// The job kinds ride the JobObserver extension; plain Observers
-		// skip them (Emit* no-ops), matching how pre-1.3 peers never see
-		// the kinds at all.
-		observe.EmitJobQueued(o, *f.Queued)
+		o.OnJobQueued(*f.Queued)
 	case kindJobStarted:
-		observe.EmitJobStarted(o, *f.Started)
+		o.OnJobStarted(*f.Started)
 	case kindJobDone:
-		observe.EmitJobDone(o, *f.Finished)
+		o.OnJobDone(*f.Finished)
 	}
 }
 

@@ -9,8 +9,7 @@ import (
 )
 
 // DefaultTraceRing is the number of recent batch decision traces a
-// server retains when its TraceRecorder is built with a non-positive
-// ring size.
+// TraceRecorder retains.
 const DefaultTraceRing = 16
 
 // maxTracePoints caps one trace's generation-best curve. The curve is
@@ -78,13 +77,10 @@ type TraceRecorder struct {
 	staging Trace
 }
 
-// NewTraceRecorder returns a recorder retaining the last ring traces
-// (non-positive selects DefaultTraceRing).
-func NewTraceRecorder(ring int) *TraceRecorder {
-	if ring <= 0 {
-		ring = DefaultTraceRing
-	}
-	return &TraceRecorder{ring: make([]Trace, ring)}
+// NewTraceRecorder returns a recorder retaining the last
+// DefaultTraceRing traces.
+func NewTraceRecorder() *TraceRecorder {
+	return &TraceRecorder{ring: make([]Trace, DefaultTraceRing)}
 }
 
 // OnGenerationBest implements observe.Observer: improvements extend the

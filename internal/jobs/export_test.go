@@ -1,5 +1,14 @@
 package jobs
 
+import "time"
+
+// NewRetainingForTest is New with the retention cap and grace window
+// given outright, in force from the start: recovery already trims to
+// them.
+func NewRetainingForTest(cfg Config, retain int, grace time.Duration) (*Dispatcher, error) {
+	return newRetaining(cfg, retain, grace)
+}
+
 // MarkServedForTest records a running job's admission charge as fully
 // served, so a subsequent Cancel refunds nothing. The workerless
 // admission-order tests use it to walk the stride schedule as if each

@@ -98,7 +98,8 @@ const (
 	// exact: the policies decide the run order, not lease contention.
 	DefaultMaxActive = 1
 	// DefaultRetain is the number of terminal jobs (and their results)
-	// kept for job_status/job_result before the oldest are evicted.
+	// kept for job_status/job_result before the one that finished
+	// longest ago is evicted, once out of DefaultRetainGrace.
 	DefaultRetain = 256
 	// DefaultTenant is the accounting tenant of submissions that name
 	// none.
@@ -110,9 +111,9 @@ const (
 )
 
 // DefaultRetainGrace is how long a just-finished job is immune from
-// retention eviction when Config.RetainGrace is zero: long enough for
-// a client polling `pnjobs submit -wait` (500ms cadence) to observe
-// the terminal state before the job can be evicted.
+// retention eviction, whatever DefaultRetain says: long enough for a
+// client polling `pnjobs submit -wait` (500ms cadence) to observe the
+// terminal state before the job can be evicted.
 const DefaultRetainGrace = 5 * time.Second
 
 // Config configures a Dispatcher.
@@ -144,18 +145,6 @@ type Config struct {
 	// RetryBudget is the default per-job reissue allowance for
 	// submissions that carry none; 0 selects DefaultRetryBudget.
 	RetryBudget int
-	// Retain bounds how many terminal jobs stay queryable; beyond it the
-	// job that finished longest ago is evicted first, once out of its
-	// RetainGrace. The zero value selects DefaultRetain (256); a
-	// negative value retains no terminal jobs beyond the RetainGrace
-	// window — the sentinel convention (0 = package default, negative =
-	// minimum) the GA config established.
-	Retain int
-	// RetainGrace is how long a terminal job is immune from retention
-	// eviction, so a client that polls for a job it just submitted
-	// cannot see it evaporate between finishing and the next poll; 0
-	// selects DefaultRetainGrace, negative disables the grace.
-	RetainGrace time.Duration
 	// JournalDir, when non-empty, makes job state durable: every state
 	// transition is appended to an append-only JSON-lines journal in
 	// this directory before it is acknowledged over the wire, periodic
@@ -269,6 +258,12 @@ type Dispatcher struct {
 
 // New returns a dispatcher ready to serve; call Serve.
 func New(cfg Config) (*Dispatcher, error) {
+	return newRetaining(cfg, DefaultRetain, DefaultRetainGrace)
+}
+
+// newRetaining is New with its retention cap and grace window given:
+// New passes the defaults, tests pass smaller ones.
+func newRetaining(cfg Config, retain int, grace time.Duration) (*Dispatcher, error) {
 	switch {
 	case (cfg.NewScheduler == nil) == (cfg.Open == nil):
 		return nil, errors.New("jobs: Config needs exactly one of NewScheduler and Open")
@@ -294,8 +289,8 @@ func New(cfg Config) (*Dispatcher, error) {
 		cfg:         cfg,
 		policy:      policy,
 		maxAct:      cfg.MaxActive,
-		retain:      cfg.Retain,
-		retainGrace: cfg.RetainGrace,
+		retain:      retain,
+		retainGrace: grace,
 		jobsByID:    map[string]*job{},
 	}
 	d.pool, err = dist.NewPool(cfg.PoolConfig, d)
@@ -305,18 +300,6 @@ func New(cfg Config) (*Dispatcher, error) {
 	d.mu = &d.pool.Mu
 	if d.maxAct == 0 {
 		d.maxAct = DefaultMaxActive
-	}
-	switch {
-	case d.retain == 0:
-		d.retain = DefaultRetain
-	case d.retain < 0:
-		d.retain = 0
-	}
-	switch {
-	case d.retainGrace == 0:
-		d.retainGrace = DefaultRetainGrace
-	case d.retainGrace < 0:
-		d.retainGrace = 0
 	}
 	if cfg.Open != nil {
 		d.open = &job{

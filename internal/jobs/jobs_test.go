@@ -262,7 +262,7 @@ func TestWaitTimesOut(t *testing.T) {
 func TestRetentionEvictsOldTerminalJobs(t *testing.T) {
 	// Grace disabled: this test pins the cap itself, TestRetainGrace*
 	// pin the grace window.
-	d, err := jobs.New(jobs.Config{NewScheduler: testFactory, Retain: 2, RetainGrace: -1})
+	d, err := jobs.NewRetainingForTest(jobs.Config{NewScheduler: testFactory}, 2, 0)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -293,7 +293,7 @@ func TestRetentionEvictsOldTerminalJobs(t *testing.T) {
 func TestRetentionEvictsInFinishOrder(t *testing.T) {
 	// Retention evicts the job that finished longest ago: here the one
 	// submitted second, cancelled while still queued.
-	d, err := jobs.New(jobs.Config{NewScheduler: testFactory, Retain: 1, RetainGrace: -1})
+	d, err := jobs.NewRetainingForTest(jobs.Config{NewScheduler: testFactory}, 1, 0)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -359,7 +359,7 @@ func TestRetainGraceShieldsFreshFinishers(t *testing.T) {
 	// possible retention a just-cancelled job must still answer Status
 	// (a polling `pnjobs submit -wait` client reads the terminal state
 	// at least once) — the grace window shields it from eviction.
-	d, err := jobs.New(jobs.Config{NewScheduler: testFactory, Retain: -1})
+	d, err := jobs.NewRetainingForTest(jobs.Config{NewScheduler: testFactory}, 0, jobs.DefaultRetainGrace)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -383,27 +383,5 @@ func TestRetainGraceShieldsFreshFinishers(t *testing.T) {
 		} else if info.State != jobs.StateCancelled {
 			t.Errorf("job %s in state %s, want cancelled", id, info.State)
 		}
-	}
-}
-
-func TestRetainSentinel(t *testing.T) {
-	// Retain adopts the config sentinel convention: 0 selects the
-	// package default, negative means "retain none" (eviction as soon
-	// as the grace passes — here disabled, so immediately).
-	d, err := jobs.New(jobs.Config{NewScheduler: testFactory, Retain: -1, RetainGrace: -1})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer d.Close()
-
-	first, _ := d.Submit(oneTask("a", 100))
-	if _, err := d.Cancel(first.ID); err != nil {
-		t.Fatalf("Cancel: %v", err)
-	}
-	if _, err := d.Status(first.ID); err == nil {
-		t.Errorf("job %s retained with Retain -1 and no grace", first.ID)
-	}
-	if got := len(d.Queue()); got != 0 {
-		t.Errorf("retained %d jobs, want 0", got)
 	}
 }

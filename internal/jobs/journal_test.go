@@ -313,9 +313,8 @@ func TestJournalSnapshotTruncates(t *testing.T) {
 func TestSnapshotCadenceIsAmortised(t *testing.T) {
 	dir := t.TempDir()
 	cfg := journalConfig(dir)
-	cfg.RetainGrace = time.Hour
 	cfg.Metrics = telemetry.NewRegistry()
-	d, err := New(cfg)
+	d, err := newRetaining(cfg, DefaultRetain, time.Hour)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -357,8 +356,7 @@ func TestSnapshotCadenceIsAmortised(t *testing.T) {
 func TestRetentionAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	cfg := journalConfig(dir)
-	cfg.RetainGrace = -1
-	d1, err := New(cfg)
+	d1, err := newRetaining(cfg, DefaultRetain, 0)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -374,8 +372,7 @@ func TestRetentionAcrossRestart(t *testing.T) {
 	}
 	d1.Close()
 
-	cfg.Retain = 2
-	d2, err := New(cfg)
+	d2, err := newRetaining(cfg, 2, 0)
 	if err != nil {
 		t.Fatalf("New after restart: %v", err)
 	}

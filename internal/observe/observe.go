@@ -28,20 +28,13 @@
 // of the one shared vocabulary so wire subscribers can follow pool
 // churn with the same Observer they use for everything else.
 //
-// The multi-tenant job dispatcher (internal/jobs) adds a job
-// lifecycle vocabulary on top, carried by the optional JobObserver
-// extension interface rather than Observer itself so the many
-// existing Observer implementations stay source-compatible:
+// The job lifecycle events are emitted only by the multi-tenant job
+// dispatcher (internal/jobs), for the jobs in its queue:
 //
 //   - JobQueued   — a job was admitted to the dispatcher queue
 //   - JobStarted  — a job left the queue and was leased workers
 //   - JobDone     — a job reached a terminal state (done, failed,
 //     or cancelled)
-//
-// Emitters deliver job events with EmitJobQueued/EmitJobStarted/
-// EmitJobDone, which type-assert the extension and no-op for plain
-// Observers. Funcs and Multi-composed observers forward job events
-// to every member that implements JobObserver.
 //
 // The event structs are also the payloads of the live runtime's event
 // stream: internal/dist puts them on the wire as themselves, so their
@@ -256,44 +249,13 @@ type Observer interface {
 	OnEvolveDone(EvolveDone)
 	OnWorkerJoined(WorkerJoined)
 	OnWorkerLeft(WorkerLeft)
-}
-
-// JobObserver is the optional extension an Observer implements to
-// receive the job dispatcher's lifecycle events. It is a separate
-// interface (checked by type assertion, like http.Flusher) so the
-// Observer interface — and every existing implementation of it —
-// stays frozen while the vocabulary grows.
-type JobObserver interface {
 	OnJobQueued(JobQueued)
 	OnJobStarted(JobStarted)
 	OnJobDone(JobDone)
 }
 
-// EmitJobQueued delivers e to o if o implements JobObserver.
-func EmitJobQueued(o Observer, e JobQueued) {
-	if j, ok := o.(JobObserver); ok {
-		j.OnJobQueued(e)
-	}
-}
-
-// EmitJobStarted delivers e to o if o implements JobObserver.
-func EmitJobStarted(o Observer, e JobStarted) {
-	if j, ok := o.(JobObserver); ok {
-		j.OnJobStarted(e)
-	}
-}
-
-// EmitJobDone delivers e to o if o implements JobObserver.
-func EmitJobDone(o Observer, e JobDone) {
-	if j, ok := o.(JobObserver); ok {
-		j.OnJobDone(e)
-	}
-}
-
 // Funcs adapts plain functions to Observer; nil fields ignore their
-// event. The zero Funcs is a valid no-op Observer. Funcs also
-// implements JobObserver, so the job-lifecycle fields receive the
-// dispatcher's events when set.
+// event. The zero Funcs is a valid no-op Observer.
 type Funcs struct {
 	BatchDecided   func(BatchDecision)
 	GenerationBest func(GenerationBest)
@@ -364,21 +326,21 @@ func (f Funcs) OnWorkerLeft(e WorkerLeft) {
 	}
 }
 
-// OnJobQueued implements JobObserver.
+// OnJobQueued implements Observer.
 func (f Funcs) OnJobQueued(e JobQueued) {
 	if f.JobQueued != nil {
 		f.JobQueued(e)
 	}
 }
 
-// OnJobStarted implements JobObserver.
+// OnJobStarted implements Observer.
 func (f Funcs) OnJobStarted(e JobStarted) {
 	if f.JobStarted != nil {
 		f.JobStarted(e)
 	}
 }
 
-// OnJobDone implements JobObserver.
+// OnJobDone implements Observer.
 func (f Funcs) OnJobDone(e JobDone) {
 	if f.JobDone != nil {
 		f.JobDone(e)
@@ -436,27 +398,21 @@ func (m multi) OnWorkerLeft(e WorkerLeft) {
 	}
 }
 
-// OnJobQueued implements JobObserver, forwarding to every member that
-// implements it.
 func (m multi) OnJobQueued(e JobQueued) {
 	for _, o := range m {
-		EmitJobQueued(o, e)
+		o.OnJobQueued(e)
 	}
 }
 
-// OnJobStarted implements JobObserver, forwarding to every member
-// that implements it.
 func (m multi) OnJobStarted(e JobStarted) {
 	for _, o := range m {
-		EmitJobStarted(o, e)
+		o.OnJobStarted(e)
 	}
 }
 
-// OnJobDone implements JobObserver, forwarding to every member that
-// implements it.
 func (m multi) OnJobDone(e JobDone) {
 	for _, o := range m {
-		EmitJobDone(o, e)
+		o.OnJobDone(e)
 	}
 }
 

@@ -25,9 +25,6 @@ type (
 	// JobCounts breaks a dispatcher's jobs down by state in a stats
 	// snapshot.
 	JobCounts = dist.JobCounts
-	// JobObserver is the optional Observer extension that receives the
-	// job lifecycle events.
-	JobObserver = observe.JobObserver
 	// The job lifecycle event payloads.
 	JobQueuedEvent  = observe.JobQueued
 	JobStartedEvent = observe.JobStarted

@@ -78,8 +78,7 @@ func TestJobServiceEndToEnd(t *testing.T) {
 				}
 			},
 		}),
-		pnsched.WithAdminAddr("127.0.0.1:0"),
-		pnsched.WithEventQueue(1<<14))
+		pnsched.WithAdminAddr("127.0.0.1:0"))
 	if err != nil {
 		t.Fatalf("ServeJobs: %v", err)
 	}

@@ -1,5 +1,5 @@
 #!/bin/sh
-# docscheck: keeps the wire-protocol documentation honest.
+# docscheck: keeps the wire-protocol and option documentation honest.
 #
 # The protocol's message types and event kinds are string constants in
 # internal/dist/protocol.go; README.md and docs/wire-protocol.md each
@@ -11,6 +11,9 @@
 #     (someone added a kind without documenting it), or
 #   - a documented kind/type with no backing constant (someone renamed
 #     or removed a kind and left the docs behind).
+#
+# It also fails when README.md, doc.go or docs/*.md name a With…
+# option the root package no longer declares.
 #
 # Run via `make docs-check` or directly:
 #
@@ -143,7 +146,25 @@ for s in $states; do
 	fi
 done
 
+# Every option the docs name exists: a `WithX` or pnsched.WithX in
+# README.md or docs/*.md, or a WithX in doc.go, must be a func With…
+# declared in the root package's non-test files.
+opts=$(for f in *.go; do
+	case $f in *_test.go) ;; *) sed -n 's/^func \(With[A-Za-z0-9]*\).*/\1/p' "$f" ;; esac
+done)
+[ -n "$opts" ] || { echo "docscheck: no With… options found in the root package" >&2; exit 1; }
+named=$({
+	grep -oHE '(`|pnsched\.)With[A-Z][A-Za-z0-9]*' "$readme" docs/*.md
+	grep -oHE '\bWith[A-Z][A-Za-z0-9]*' doc.go
+} | sed 's/:`/:/; s/:pnsched\./:/' | sort -u)
+for hit in $named; do
+	if ! printf '%s\n' "$opts" | grep -qx "${hit##*:}"; then
+		echo "docscheck: ${hit%%:*} names option ${hit##*:}, which the root package does not declare" >&2
+		status=1
+	fi
+done
+
 if [ "$status" -eq 0 ]; then
-	echo "docscheck: README.md and docs/wire-protocol.md agree with $proto ($(printf '%s\n' "$types" | wc -l | tr -d ' ') message types, $(printf '%s\n' "$kinds" | wc -l | tr -d ' ') event kinds)"
+	echo "docscheck: README.md and docs/wire-protocol.md agree with $proto ($(printf '%s\n' "$types" | wc -l | tr -d ' ') message types, $(printf '%s\n' "$kinds" | wc -l | tr -d ' ') event kinds); the docs name $(printf '%s\n' "$named" | sed 's/.*://' | sort -u | wc -l | tr -d ' ') options, all declared"
 fi
 exit "$status"

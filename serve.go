@@ -55,7 +55,7 @@ func Serve(ctx context.Context, spec Spec, opts ...ServeOption) (*Server, error)
 
 	// The trace recorder sits in the local chain so both the scheduler's
 	// GA-run events and the pool's batch events reach it.
-	s := &Server{traces: dist.NewTraceRecorder(0)}
+	s := &Server{traces: dist.NewTraceRecorder()}
 	pool, full := s.wire(&so, spec.observer, s.traces)
 	spec.observer = full
 	batch, err := newBatch(spec, "Serve needs")

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"pnsched"
+	"pnsched/internal/dist"
 )
 
 // fastServeSpec is a PN spec trimmed so every batch schedules in well
@@ -31,12 +32,16 @@ func fastServeSpec(t *testing.T) pnsched.Spec {
 // PN scheduler, connect two workers with RunWorker, watch the run from
 // two Watch clients, and check completion, per-worker stats, and that
 // both remote observers saw the same number of dispatches as tasks.
+// The whole run publishes fewer frames than a watcher's queue holds,
+// so no frame can be dropped however slowly the watchers read: two
+// worker_joined, then per batch of 40 at most 41 generation_best, a
+// budget_stop, an evolve_done and a batch_decided, then one dispatch
+// per task — 2 + 2×44 + 80 = 170 frames for 80 tasks.
 func TestServeEndToEnd(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	srv, err := pnsched.Serve(ctx, fastServeSpec(t),
-		pnsched.WithEventQueue(1<<16))
+	srv, err := pnsched.Serve(ctx, fastServeSpec(t))
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
@@ -99,7 +104,7 @@ func TestServeEndToEnd(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	tasks := pnsched.GenerateTasks(100, pnsched.Uniform{Lo: 10, Hi: 1000}, pnsched.NewRNG(7))
+	tasks := pnsched.GenerateTasks(80, pnsched.Uniform{Lo: 10, Hi: 1000}, pnsched.NewRNG(7))
 	srv.Submit(tasks)
 	if err := srv.Wait(30 * time.Second); err != nil {
 		t.Fatalf("Wait: %v", err)
@@ -127,6 +132,10 @@ func TestServeEndToEnd(t *testing.T) {
 		if d := w.Dropped(); d != 0 {
 			t.Errorf("watcher %d dropped %d frames", i, d)
 		}
+		if f := w.Frames(); f > dist.DefaultEventQueue {
+			t.Errorf("watcher %d received %d frames, more than its %d-frame queue: drops were left to timing",
+				i, f, dist.DefaultEventQueue)
+		}
 		seen[i].mu.Lock()
 		b, d := seen[i].batches, seen[i].dispatches
 		seen[i].mu.Unlock()
@@ -144,15 +153,16 @@ func TestServeEndToEnd(t *testing.T) {
 
 // TestServeSnapshotAndReplay drives the operability surface of the
 // public API in one run: a late Watch subscriber catching up on the
-// server's replay ring (WithEventReplay) and the stats snapshot, both
-// in-process (Server.Snapshot) and over the wire (FetchStats).
+// server's replay ring and the stats snapshot, both in-process
+// (Server.Snapshot) and over the wire (FetchStats). The run fits the
+// ring: a worker_joined, one batch of 30 with at most 11
+// generation_best, a budget_stop, an evolve_done and a batch_decided,
+// and 30 dispatches — 45 of its 64 frames.
 func TestServeSnapshotAndReplay(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	srv, err := pnsched.Serve(ctx, fastServeSpec(t),
-		pnsched.WithEventQueue(1<<16),
-		pnsched.WithEventReplay(1<<16))
+	srv, err := pnsched.Serve(ctx, fastServeSpec(t).With(pnsched.WithGenerations(10)))
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
@@ -179,7 +189,7 @@ func TestServeSnapshotAndReplay(t *testing.T) {
 	}
 
 	// Run a full workload to completion with nobody watching.
-	tasks := pnsched.GenerateTasks(60, pnsched.Uniform{Lo: 10, Hi: 1000}, pnsched.NewRNG(7))
+	tasks := pnsched.GenerateTasks(30, pnsched.Uniform{Lo: 10, Hi: 1000}, pnsched.NewRNG(7))
 	srv.Submit(tasks)
 	if err := srv.Wait(30 * time.Second); err != nil {
 		t.Fatalf("Wait: %v", err)
@@ -256,6 +266,10 @@ func TestServeSnapshotAndReplay(t *testing.T) {
 	}
 	if err := w.Wait(); err != nil {
 		t.Fatalf("watcher Wait: %v", err)
+	}
+	if f := w.Frames(); f >= dist.DefaultEventReplay {
+		t.Errorf("late watcher replayed %d frames, a full %d-frame ring: the run's start may have been evicted",
+			f, dist.DefaultEventReplay)
 	}
 	cancel()
 	wg.Wait()
@@ -335,9 +349,11 @@ func TestServeValidationParity(t *testing.T) {
 			}
 		})
 	}
+}
 
-	// The shared options: every ServeOption goes to both constructors,
-	// which must accept, reject and honour it alike.
+// TestServeOptions hands every ServeOption to both constructors, which
+// must accept, reject and honour it alike.
+func TestServeOptions(t *testing.T) {
 	type live interface {
 		Addr() net.Addr
 		AdminAddr() net.Addr
@@ -364,27 +380,22 @@ func TestServeValidationParity(t *testing.T) {
 			return s, nil
 		},
 	}
-	for name, bad := range map[string]pnsched.ServeOption{
-		"negative backlog":        pnsched.WithBacklog(-1),
-		"smoothing outside [0,1]": pnsched.WithSmoothing(2),
-	} {
-		t.Run(name, func(t *testing.T) {
-			var texts []string
-			for ctor, start := range constructors {
-				s, err := start(bad)
-				if err == nil {
-					s.Close()
-					t.Fatalf("%s accepted it", ctor)
-				}
-				texts = append(texts, err.Error())
+	t.Run("unbindable admin address", func(t *testing.T) {
+		var texts []string
+		for ctor, start := range constructors {
+			s, err := start(pnsched.WithAdminAddr("127.0.0.1:-1"))
+			if err == nil {
+				s.Close()
+				t.Fatalf("%s accepted it", ctor)
 			}
-			if texts[0] != texts[1] {
-				t.Errorf("divergent rejections: %q vs %q", texts[0], texts[1])
-			}
-		})
-	}
+			texts = append(texts, err.Error())
+		}
+		if texts[0] != texts[1] {
+			t.Errorf("divergent rejections: %q vs %q", texts[0], texts[1])
+		}
+	})
 	for ctor, start := range constructors {
-		t.Run("all nine shared options/"+ctor, func(t *testing.T) {
+		t.Run("all five shared options/"+ctor, func(t *testing.T) {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
@@ -394,11 +405,7 @@ func TestServeValidationParity(t *testing.T) {
 				pnsched.WithListener(ln),
 				pnsched.WithServeLog(slog.New(slog.DiscardHandler)),
 				pnsched.WithAdminAddr("127.0.0.1:0"),
-				pnsched.WithServeObserver(pnsched.ObserverFuncs{}),
-				pnsched.WithSmoothing(0.3),
-				pnsched.WithBacklog(2),
-				pnsched.WithEventQueue(8),
-				pnsched.WithEventReplay(4))
+				pnsched.WithServeObserver(pnsched.ObserverFuncs{}))
 			if err != nil {
 				ln.Close()
 				t.Fatal(err)

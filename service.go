@@ -20,9 +20,8 @@ import (
 
 // ServeOption adjusts a live service. Every ServeOption is accepted by
 // both Serve and ServeJobs (it is also a JobsOption): the listener,
-// logging, observation, §3.6 smoothing, dispatch pacing, the event
-// stream's buffers and the admin endpoint belong to the one worker pool
-// both services sit on.
+// logging, observation and the admin endpoint belong to the one worker
+// pool both services sit on.
 type ServeOption func(*commonOpts)
 
 // applyJobs makes every ServeOption a JobsOption.
@@ -34,10 +33,6 @@ type commonOpts struct {
 	ln        net.Listener
 	log       *slog.Logger
 	observer  Observer
-	nu        float64
-	backlog   int
-	queue     int
-	replay    int
 	adminAddr string
 }
 
@@ -79,34 +74,11 @@ func WithServeLog(log *slog.Logger) ServeOption { return func(o *commonOpts) { o
 func WithAdminAddr(addr string) ServeOption { return func(o *commonOpts) { o.adminAddr = addr } }
 
 // WithServeObserver delivers the service's events — worker lifecycle,
-// batch decisions, dispatches, the schedulers' GA-level events and, via
-// JobObserver, ServeJobs' job lifecycle — to an in-process observer, in
-// addition to any observer already attached to the Spec and to every
-// remote watch client.
+// batch decisions, dispatches, the schedulers' GA-level events and
+// ServeJobs' job lifecycle — to an in-process observer, in addition to
+// any observer already attached to the Spec and to every remote watch
+// client.
 func WithServeObserver(obs Observer) ServeOption { return func(o *commonOpts) { o.observer = obs } }
-
-// WithSmoothing sets the §3.6 exponential-smoothing factor ν for
-// observed worker rates and link overheads (0 selects the paper's
-// 0.5).
-func WithSmoothing(nu float64) ServeOption { return func(o *commonOpts) { o.nu = nu } }
-
-// WithBacklog sets the per-worker outstanding-task threshold that
-// paces dispatch (0 selects the default of 4).
-func WithBacklog(n int) ServeOption { return func(o *commonOpts) { o.backlog = n } }
-
-// WithEventQueue sets the per-watch-client event buffer, in frames.
-// A client that falls further behind than this loses frames — counted
-// in its stream's Dropped field, never blocking the scheduler. 0
-// selects the default (dist.DefaultEventQueue, 256).
-func WithEventQueue(frames int) ServeOption { return func(o *commonOpts) { o.queue = frames } }
-
-// WithEventReplay sets the catch-up ring, in frames: a watcher that
-// subscribes mid-run first receives up to this many of the most recent
-// event frames — with their original sequence numbers, seamlessly
-// followed by the live stream — before going live. 0 selects the
-// default (dist.DefaultEventReplay, 64); a negative value disables
-// catch-up. The ring never exceeds the event queue size.
-func WithEventReplay(frames int) ServeOption { return func(o *commonOpts) { o.replay = frames } }
 
 // service is what a live Server and JobService share — and, embedded,
 // where both get Addr, AdminAddr, Snapshot and Close: the job
@@ -129,14 +101,16 @@ type service struct {
 }
 
 // wire builds the event plumbing of one service: the broadcaster remote
-// watchers subscribe to, the telemetry registry, and the two observer
-// chains. local — first, the WithServeObserver observer, last, then the
-// GA metrics observer — is what the pool emits its own events into
-// (it reaches the broadcaster through PoolConfig.Events); full is local
-// plus the broadcaster, for the schedulers, which publish their GA-level
-// events themselves. It returns the pool's configuration and full.
+// watchers subscribe to (dist.DefaultEventQueue frames per watcher, a
+// dist.DefaultEventReplay-frame catch-up ring), the telemetry registry,
+// and the two observer chains. local — first, the WithServeObserver
+// observer, last, then the GA metrics observer — is what the pool emits
+// its own events into (it reaches the broadcaster through
+// PoolConfig.Events); full is local plus the broadcaster, for the
+// schedulers, which publish their GA-level events themselves. It
+// returns the pool's configuration and full.
 func (s *service) wire(o *commonOpts, first, last Observer) (dist.PoolConfig, Observer) {
-	s.events = dist.NewBroadcaster(o.queue, o.replay)
+	s.events = dist.NewBroadcaster(0, 0)
 	s.reg = telemetry.NewRegistry()
 	local := observe.Multi(first, o.observer, last, dist.NewMetricsObserver(s.reg))
 	return dist.PoolConfig{
@@ -144,8 +118,6 @@ func (s *service) wire(o *commonOpts, first, last Observer) (dist.PoolConfig, Ob
 		Observer: local,
 		Events:   s.events,
 		Metrics:  s.reg,
-		Nu:       o.nu,
-		Backlog:  o.backlog,
 	}, observe.Multi(local, s.events)
 }
 
