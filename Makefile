@@ -58,7 +58,7 @@ apicheck:
 
 # The full static-analysis suite: the tools/ module's own tests (each
 # analyzer proves on fixtures that it fires and stays quiet), then all
-# eight analyzers over the root module, then the assertion that both
+# nine analyzers over the root module, then the assertion that both
 # go.mod files stay dependency-free — pnanalyze itself is stdlib-only,
 # and `go mod tidy -diff` fails if either module picks up a require.
 analyze:
@@ -119,8 +119,9 @@ vulncheck:
 		echo "vulncheck: govulncheck not installed; skipping (CI runs it)"; \
 	fi
 
-# Non-test and test Go lines per package and in total (tools/ and
-# testdata/ excluded) — quote it before and after in a simplicity entry.
+# Non-test and test Go lines per package and in total (testdata/
+# excluded), then tools/ on a row of its own outside the total — quote
+# both before and after in a simplicity entry.
 size:
 	@sh scripts/size.sh
 

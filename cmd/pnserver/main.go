@@ -186,7 +186,9 @@ func main() {
 	defer srv.Close()
 	listening(life, "pnserver listening", srv.Addr(), srv.AdminAddr(), "tasks", len(tasks))
 
-	srv.Submit(tasks)
+	if err := srv.Submit(tasks); err != nil {
+		fatal(err)
+	}
 
 	// Progress loop.
 	start := time.Now()

@@ -62,7 +62,9 @@ func ExampleServe() {
 		Name: "w1", Rate: 100, TimeScale: 2e-4,
 	})
 
-	srv.Submit(pnsched.GenerateTasks(20, pnsched.Uniform{Lo: 10, Hi: 1000}, pnsched.NewRNG(7)))
+	if err := srv.Submit(pnsched.GenerateTasks(20, pnsched.Uniform{Lo: 10, Hi: 1000}, pnsched.NewRNG(7))); err != nil {
+		log.Fatal(err)
+	}
 	if err := srv.Wait(30 * time.Second); err != nil {
 		log.Fatal(err)
 	}

@@ -88,7 +88,9 @@ func main() {
 	fmt.Printf("submitting %d tasks (%.0f MFLOPs total)\n", len(tasks), float64(total))
 
 	start := time.Now()
-	srv.Submit(tasks)
+	if err := srv.Submit(tasks); err != nil {
+		log.Fatal(err)
+	}
 	if err := srv.Wait(2 * time.Minute); err != nil {
 		log.Fatal(err)
 	}

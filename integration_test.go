@@ -14,6 +14,7 @@ import (
 	"pnsched/internal/sched"
 	"pnsched/internal/sim"
 	"pnsched/internal/task"
+	"pnsched/internal/units"
 	"pnsched/internal/workload"
 )
 
@@ -143,7 +144,11 @@ func TestMakespanLowerBound(t *testing.T) {
 		Sizes: workload.Poisson{Mean: 100},
 	}, rng.New(11))
 	clu := cluster.NewHeterogeneous(8, 20, 200, rng.New(12))
-	bound := task.TotalSize(tasks).TimeOn(clu.TotalRateAt(0))
+	var work units.MFlops
+	for _, tk := range tasks {
+		work += tk.Size
+	}
+	bound := work.TimeOn(clu.TotalRateAt(0))
 	gaCfg := core.DefaultConfig()
 	gaCfg.Generations = 100
 	for _, mk := range []func() sched.Scheduler{
@@ -153,7 +158,7 @@ func TestMakespanLowerBound(t *testing.T) {
 		s := mk()
 		res := sim.Run(sim.Config{
 			Cluster:   clu,
-			Net:       network.ZeroCost(8),
+			Net:       network.New(8, network.Config{}, rng.New(0)),
 			Tasks:     tasks,
 			Scheduler: s,
 		})

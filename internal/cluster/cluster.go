@@ -285,7 +285,7 @@ type Trace struct {
 }
 
 // NewTrace validates and returns a trace model.
-func NewTrace(times []units.Seconds, values []float64) (Trace, error) {
+func NewTrace(times []units.Seconds, values []float64) (Trace, error) { //pnanalyze:ok surface fenced leftover (ix): the sim tests' partial-availability fixture until item 13(c)
 	if len(times) == 0 || len(times) != len(values) {
 		return Trace{}, fmt.Errorf("cluster: trace needs equal, non-zero lengths (got %d, %d)", len(times), len(values))
 	}
@@ -420,15 +420,6 @@ func NewHeterogeneous(m int, minRate, maxRate units.Rate, r *rng.RNG) *Cluster {
 
 // M returns the number of processors.
 func (c *Cluster) M() int { return len(c.Procs) }
-
-// RatesAt returns every processor's effective rate at time t.
-func (c *Cluster) RatesAt(t units.Seconds) []units.Rate {
-	out := make([]units.Rate, len(c.Procs))
-	for i, p := range c.Procs {
-		out[i] = p.RateAt(t)
-	}
-	return out
-}
 
 // TotalRateAt returns the aggregate effective rate at time t — the
 // ΣPⱼ denominator of the theoretical optimum ψ.

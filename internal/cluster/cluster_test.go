@@ -242,9 +242,8 @@ func TestClusterAggregates(t *testing.T) {
 	if got := c.TotalRateAt(0); got != 600 {
 		t.Errorf("TotalRateAt = %v", got)
 	}
-	rates := c.RatesAt(0)
-	if len(rates) != 3 || rates[1] != 200 {
-		t.Errorf("RatesAt = %v", rates)
+	if got := c.Procs[1].RateAt(0); got != 200 {
+		t.Errorf("Procs[1].RateAt = %v", got)
 	}
 }
 

@@ -26,7 +26,7 @@ func TestFitnessInvariantToWithinQueueOrder(t *testing.T) {
 				queues[j][a], queues[j][b] = queues[j][b], queues[j][a]
 			})
 		}
-		after := p.Fitness(Encode(queues))
+		after := p.Fitness(encode(queues))
 		diff := before - after
 		if diff < 0 {
 			diff = -diff
@@ -43,11 +43,11 @@ func TestFitnessInvariantToWithinQueueOrder(t *testing.T) {
 func TestPerfectBalanceIsLocalOptimum(t *testing.T) {
 	batch := mkBatch(100, 100, 100, 100)
 	p := BuildProblem(batch, []units.Rate{10, 10}, nil, nil, false)
-	balanced := Encode([][]task.ID{{0, 1}, {2, 3}})
+	balanced := encode([][]task.ID{{0, 1}, {2, 3}})
 	base := p.Fitness(balanced)
 	moves := []ga.Chromosome{
-		Encode([][]task.ID{{0, 1, 2}, {3}}),
-		Encode([][]task.ID{{0}, {1, 2, 3}}),
+		encode([][]task.ID{{0, 1, 2}, {3}}),
+		encode([][]task.ID{{0}, {1, 2, 3}}),
 	}
 	for _, c := range moves {
 		if p.Fitness(c) > base {
@@ -66,8 +66,8 @@ func TestEvolveZeroBudgetReturnsQuickly(t *testing.T) {
 	if st.Result.Generations > 1 {
 		t.Errorf("zero budget ran %d generations", st.Result.Generations)
 	}
-	if NumTasks(st.Result.Best) != 80 {
-		t.Errorf("zero-budget schedule lost tasks: %d", NumTasks(st.Result.Best))
+	if numTasks(st.Result.Best) != 80 {
+		t.Errorf("zero-budget schedule lost tasks: %d", numTasks(st.Result.Best))
 	}
 	if err := st.Result.Best.ValidatePermutation(); err != nil {
 		t.Error(err)
@@ -97,7 +97,7 @@ func TestPNScheduleBatchUnderStarvation(t *testing.T) {
 
 func TestConfigDefaultsApplied(t *testing.T) {
 	pn := NewPN(Config{}, rng.New(24))
-	cfg := pn.Config()
+	cfg := pn.cfg
 	if cfg.Population != DefaultPopulation ||
 		cfg.Generations != DefaultGenerations ||
 		cfg.InitialBatch != DefaultInitialBatch ||
@@ -138,7 +138,7 @@ func TestMakespanMatchesCompletionTimes(t *testing.T) {
 				max = ct
 			}
 		}
-		return p.Makespan(c) == max
+		return p.MakespanInto(c, nil) == max
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -157,7 +157,7 @@ func TestPsiLowerBoundsMakespan(t *testing.T) {
 		}
 		p := BuildProblem(batch, rates, nil, nil, false)
 		c := ListPopulation(p, 1, r)[0]
-		return p.Makespan(c) >= p.Psi()-1e-9
+		return p.MakespanInto(c, nil) >= p.psi-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

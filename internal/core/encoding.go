@@ -44,26 +44,6 @@ import (
 // Delimiter returns the k-th delimiter symbol (k in 1..M-1).
 func Delimiter(k int) int { return -k }
 
-// Encode converts per-processor queues of task ids into a chromosome.
-// queues must have one entry per processor; queues[j] lists the tasks
-// of processor j in order.
-func Encode(queues [][]task.ID) ga.Chromosome {
-	total := 0
-	for _, q := range queues {
-		total += len(q)
-	}
-	c := make(ga.Chromosome, 0, total+len(queues)-1)
-	for j, q := range queues {
-		if j > 0 {
-			c = append(c, Delimiter(j))
-		}
-		for _, id := range q {
-			c = append(c, int(id))
-		}
-	}
-	return c
-}
-
 // Decode splits a chromosome back into m per-processor queues. Any
 // negative symbol is a boundary; the i-th segment (in chromosome order)
 // becomes processor i's queue. It panics if the chromosome contains
@@ -88,14 +68,3 @@ func Decode(c ga.Chromosome, m int) [][]task.ID {
 // ChromosomeLen returns the expected chromosome length for a batch of h
 // tasks on m processors: H + M − 1.
 func ChromosomeLen(h, m int) int { return h + m - 1 }
-
-// NumTasks returns the number of task symbols in the chromosome.
-func NumTasks(c ga.Chromosome) int {
-	n := 0
-	for _, sym := range c {
-		if sym >= 0 {
-			n++
-		}
-	}
-	return n
-}

@@ -9,13 +9,40 @@ import (
 	"pnsched/internal/task"
 )
 
+// encode converts per-processor queues of task ids into a chromosome,
+// the inverse of Decode: queues[j] lists the tasks of processor j in
+// order.
+func encode(queues [][]task.ID) ga.Chromosome {
+	var c ga.Chromosome
+	for j, q := range queues {
+		if j > 0 {
+			c = append(c, Delimiter(j))
+		}
+		for _, id := range q {
+			c = append(c, int(id))
+		}
+	}
+	return c
+}
+
+// numTasks returns the number of task symbols in the chromosome.
+func numTasks(c ga.Chromosome) int {
+	n := 0
+	for _, sym := range c {
+		if sym >= 0 {
+			n++
+		}
+	}
+	return n
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	queues := [][]task.ID{
 		{3, 1},
 		{},
 		{0, 2, 4},
 	}
-	c := Encode(queues)
+	c := encode(queues)
 	// 5 tasks, 3 procs → length 5+2 = 7
 	if len(c) != ChromosomeLen(5, 3) {
 		t.Fatalf("len = %d, want 7", len(c))
@@ -37,7 +64,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDelimitersDistinct(t *testing.T) {
-	c := Encode([][]task.ID{{0}, {1}, {2}, {3}})
+	c := encode([][]task.ID{{0}, {1}, {2}, {3}})
 	if err := c.ValidatePermutation(); err != nil {
 		t.Errorf("encoded chromosome not a permutation: %v", err)
 	}
@@ -82,18 +109,8 @@ func TestDecodePanicsOnTooManyDelimiters(t *testing.T) {
 	Decode(ga.Chromosome{0, -1, 1, -2, 2}, 2) // 2 delimiters for M=2
 }
 
-func TestNumTasks(t *testing.T) {
-	c := Encode([][]task.ID{{0, 1}, {2}})
-	if got := NumTasks(c); got != 3 {
-		t.Errorf("NumTasks = %d", got)
-	}
-	if got := NumTasks(nil); got != 0 {
-		t.Errorf("NumTasks(nil) = %d", got)
-	}
-}
-
 func TestSingleProcessorNoDelimiters(t *testing.T) {
-	c := Encode([][]task.ID{{0, 1, 2}})
+	c := encode([][]task.ID{{0, 1, 2}})
 	if len(c) != 3 {
 		t.Fatalf("single-proc chromosome = %v", c)
 	}
@@ -114,7 +131,7 @@ func TestEncodeDecodeProperty(t *testing.T) {
 			j := r.Intn(m)
 			queues[j] = append(queues[j], task.ID(i))
 		}
-		c := Encode(queues)
+		c := encode(queues)
 		if len(c) != ChromosomeLen(h, m) {
 			return false
 		}

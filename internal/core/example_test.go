@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pnsched/internal/core"
+	"pnsched/internal/ga"
 	"pnsched/internal/rng"
 	"pnsched/internal/task"
 	"pnsched/internal/units"
@@ -11,13 +12,11 @@ import (
 
 // A schedule is a permutation of task ids partitioned by delimiter
 // symbols into per-processor queues (§3.1).
-func ExampleEncode() {
-	c := core.Encode([][]task.ID{{3, 1}, {}, {0, 2}})
-	fmt.Println(c)
-	fmt.Println(core.NumTasks(c), "tasks on", len(core.Decode(c, 3)), "processors")
+func ExampleDecode() {
+	c := ga.Chromosome{3, 1, core.Delimiter(1), core.Delimiter(2), 0, 2}
+	fmt.Println(core.Decode(c, 3))
 	// Output:
-	// [3 1 -1 -2 0 2]
-	// 4 tasks on 3 processors
+	// [[3 1] [] [0 2]]
 }
 
 // Evolve runs the §3 genetic algorithm over a snapshot of the system
@@ -36,6 +35,6 @@ func ExampleEvolve() {
 	cfg := core.DefaultConfig()
 	cfg.Generations = 100
 	st := core.Evolve(p, cfg, core.ListPopulation(p, cfg.Population, r), units.Inf(), r)
-	fmt.Printf("makespan %v (optimum %v)\n", st.BestMakespan, p.Psi())
-	// Output: makespan 20.000s (optimum 20.000s)
+	fmt.Printf("makespan %v (relative error %v)\n", st.BestMakespan, p.RelativeError(st.Result.Best))
+	// Output: makespan 20.000s (relative error 0)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"pnsched/internal/ga"
@@ -104,7 +105,7 @@ func TestIncrementalMatchesNaiveEvolve(t *testing.T) {
 		inc := traceEvolve(p, cfg, seed^0xfeed, 1)
 		nai := traceEvolve(p, naiveCfg, seed^0xfeed, 1)
 
-		if !inc.st.Result.Best.Equal(nai.st.Result.Best) {
+		if !slices.Equal(inc.st.Result.Best, nai.st.Result.Best) {
 			t.Fatalf("seed %d: best schedules diverged", seed)
 		}
 		if inc.st.Result.BestFitness != nai.st.Result.BestFitness ||
@@ -172,7 +173,7 @@ func TestIslandIncrementalMatchesNaive(t *testing.T) {
 		inc := traceEvolve(p, cfg, seed, 3)
 		nai := traceEvolve(p, naiveCfg, seed, 3)
 
-		if !inc.st.Result.Best.Equal(nai.st.Result.Best) ||
+		if !slices.Equal(inc.st.Result.Best, nai.st.Result.Best) ||
 			inc.st.Result.BestFitness != nai.st.Result.BestFitness ||
 			inc.st.BestMakespan != nai.st.BestMakespan {
 			t.Fatalf("seed %d: island runs diverged: %v vs %v", seed, inc.st.BestMakespan, nai.st.BestMakespan)
@@ -244,7 +245,7 @@ func TestIncrementalRebalancerMatchesStandalone(t *testing.T) {
 		for round := 0; round < 25; round++ {
 			kept1 := rbNaive.Step(c1, r1)
 			kept2 := rbSlot.StepSlot(0, c2, r2)
-			if kept1 != kept2 || !c1.Equal(c2) {
+			if kept1 != kept2 || !slices.Equal(c1, c2) {
 				t.Fatalf("seed %d round %d: rebalancer modes diverged (kept %v vs %v)", seed, round, kept1, kept2)
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"pnsched/internal/rng"
@@ -44,7 +45,7 @@ func TestListPopulationValidity(t *testing.T) {
 		if !c.IsPermutationOf(ref) {
 			t.Errorf("individual %d uses different symbols", i)
 		}
-		if got := NumTasks(c); got != 50 {
+		if got := numTasks(c); got != 50 {
 			t.Errorf("individual %d has %d tasks", i, got)
 		}
 	}
@@ -73,7 +74,7 @@ func TestListPopulationDiverse(t *testing.T) {
 	pop := ListPopulation(p, 20, rng.New(7))
 	distinct := 0
 	for i := 1; i < len(pop); i++ {
-		if !pop[i].Equal(pop[0]) {
+		if !slices.Equal(pop[i], pop[0]) {
 			distinct++
 		}
 	}
@@ -104,7 +105,7 @@ func TestRandomPopulationValidity(t *testing.T) {
 		if !c.IsPermutationOf(ref) {
 			t.Errorf("individual %d symbol set differs", i)
 		}
-		if NumTasks(c) != 30 {
+		if numTasks(c) != 30 {
 			t.Errorf("individual %d lost tasks", i)
 		}
 	}
@@ -125,7 +126,7 @@ func TestListPopulationDeterministic(t *testing.T) {
 	a := ListPopulation(p, 10, rng.New(13))
 	b := ListPopulation(p, 10, rng.New(13))
 	for i := range a {
-		if !a[i].Equal(b[i]) {
+		if !slices.Equal(a[i], b[i]) {
 			t.Fatalf("individual %d differs across identical seeds", i)
 		}
 	}
@@ -171,7 +172,7 @@ func TestListPopulationEmptyBatch(t *testing.T) {
 	p := BuildProblem(nil, []units.Rate{1, 1}, nil, nil, false)
 	pop := ListPopulation(p, 3, rng.New(16))
 	for _, c := range pop {
-		if NumTasks(c) != 0 {
+		if numTasks(c) != 0 {
 			t.Errorf("empty batch produced tasks: %v", c)
 		}
 		if len(c) != 1 { // just the delimiter

@@ -214,18 +214,6 @@ func NewZO(cfg Config, r *rng.RNG) *PN {
 // Name implements sched.Scheduler.
 func (pn *PN) Name() string { return pn.name }
 
-// Config returns the effective configuration (defaults applied).
-func (pn *PN) Config() Config { return pn.cfg }
-
-// IslandConfig returns the island-model parameters as configured; the
-// zero value for a scheduler that does not evolve on islands.
-func (pn *PN) IslandConfig() IslandConfig {
-	if pn.island == nil {
-		return IslandConfig{}
-	}
-	return *pn.island
-}
-
 // NextBatchSize implements sched.BatchSizer. A fixed batch
 // (Config.FixedBatch, and any batch before idle-time history exists)
 // is InitialBatch exactly as configured. The dynamic rule is §3.7's

@@ -20,7 +20,7 @@ func TestEvolveImprovesOverInitialPopulation(t *testing.T) {
 	initial := RandomPopulation(p, 20, r)
 	var initBest units.Seconds = units.Inf()
 	for _, c := range initial {
-		if mk := p.Makespan(c); mk < initBest {
+		if mk := p.MakespanInto(c, nil); mk < initBest {
 			initBest = mk
 		}
 	}
@@ -172,7 +172,7 @@ func TestZOFixedBatch(t *testing.T) {
 	if got := zo.NextBatchSize(7, s); got != 7 {
 		t.Errorf("ZO clamped batch = %d, want 7", got)
 	}
-	if zo.Config().Rebalances != 0 {
+	if zo.cfg.Rebalances != 0 {
 		t.Error("ZO must never rebalance")
 	}
 }

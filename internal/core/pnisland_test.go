@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"pnsched/internal/cluster"
@@ -19,7 +20,7 @@ func TestEvolveIslandImprovesOverInitialPopulation(t *testing.T) {
 	r := rng.New(32)
 	var initBest units.Seconds = units.Inf()
 	for _, c := range ListPopulation(p, 20, rng.New(32).Stream(1)) {
-		if mk := p.Makespan(c); mk < initBest {
+		if mk := p.MakespanInto(c, nil); mk < initBest {
 			initBest = mk
 		}
 	}
@@ -54,7 +55,7 @@ func TestEvolveIslandDeterministicPerN(t *testing.T) {
 		return EvolveIsland(context.Background(), p, cfg, IslandConfig{Islands: 4}, units.Inf(), rng.New(34))
 	}
 	a, b := run(), run()
-	if !a.Result.Best.Equal(b.Result.Best) {
+	if !slices.Equal(a.Result.Best, b.Result.Best) {
 		t.Errorf("best schedules diverged across identically seeded runs")
 	}
 	if a.BestMakespan != b.BestMakespan || a.Evals != b.Evals || a.ModelledCost != b.ModelledCost {
@@ -114,7 +115,7 @@ func TestEvolveIslandBudgetDeterministicPerN(t *testing.T) {
 			units.Seconds(40.5*perGen), rng.New(52))
 	}
 	a, b := run(), run()
-	if !a.Result.Best.Equal(b.Result.Best) || a.BestMakespan != b.BestMakespan ||
+	if !slices.Equal(a.Result.Best, b.Result.Best) || a.BestMakespan != b.BestMakespan ||
 		a.Evals != b.Evals || a.GenesEvaluated != b.GenesEvaluated ||
 		a.Result.Generations != b.Result.Generations {
 		t.Errorf("budget-terminated runs diverged: %v/%d vs %v/%d",

@@ -161,9 +161,6 @@ func (p *Problem) computePsi() units.Seconds {
 	return totalWork.TimeOn(units.SumRates(p.Rates))
 }
 
-// Psi returns the cached theoretical optimum ψ.
-func (p *Problem) Psi() units.Seconds { return p.psi }
-
 // CompletionTimes computes, for each processor j, the predicted time to
 // drain its prior load plus its queue under chromosome c:
 //
@@ -226,13 +223,8 @@ func (p *Problem) queueTime(j int, work units.MFlops, count int) units.Seconds {
 	return ct
 }
 
-// Makespan returns max_j Cⱼ — the predicted total execution time of the
-// schedule encoded by c.
-func (p *Problem) Makespan(c ga.Chromosome) units.Seconds {
-	return p.MakespanInto(c, nil)
-}
-
-// MakespanInto is Makespan with a caller-owned scratch buffer
+// MakespanInto returns max_j Cⱼ — the predicted total execution time
+// of the schedule encoded by c — using a caller-owned scratch buffer
 // (allocated when nil), so per-generation observers stay
 // allocation-free.
 func (p *Problem) MakespanInto(c ga.Chromosome, scratch []units.Seconds) units.Seconds {

@@ -27,7 +27,7 @@ func TestPsiHandComputed(t *testing.T) {
 		[]units.MFlops{50, 0},
 		nil, false,
 	)
-	if got := p.Psi(); got != 7.5 {
+	if got := p.psi; got != 7.5 {
 		t.Errorf("ψ = %v, want 7.5", got)
 	}
 }
@@ -41,7 +41,7 @@ func TestPsiMatchesPaperFormulaForSingleProcessor(t *testing.T) {
 		[]units.MFlops{50},
 		nil, false,
 	)
-	if got := p.Psi(); got != 15 {
+	if got := p.psi; got != 15 {
 		t.Errorf("ψ = %v, want 15", got)
 	}
 }
@@ -54,7 +54,7 @@ func TestPsiExcludesStrandedLoad(t *testing.T) {
 		[]units.MFlops{0, 500},
 		nil, false,
 	)
-	if p.Psi().IsInf() {
+	if p.psi.IsInf() {
 		t.Error("ψ infinite due to stranded load on stopped processor")
 	}
 }
@@ -67,12 +67,12 @@ func TestCompletionTimesHandComputed(t *testing.T) {
 		[]units.Rate{10, 5},
 		nil, nil, false,
 	)
-	c := Encode([][]task.ID{{0, 1}, {2}})
+	c := encode([][]task.ID{{0, 1}, {2}})
 	times := p.CompletionTimes(c, nil)
 	if times[0] != 30 || times[1] != 10 {
 		t.Errorf("completion times = %v, want [30 10]", times)
 	}
-	if got := p.Makespan(c); got != 30 {
+	if got := p.MakespanInto(c, nil); got != 30 {
 		t.Errorf("makespan = %v, want 30", got)
 	}
 }
@@ -89,7 +89,7 @@ func TestCompletionTimesWithCommAndLoads(t *testing.T) {
 		[]units.Seconds{2, 1},
 		true,
 	)
-	c := Encode([][]task.ID{{0}, {1, 2}})
+	c := encode([][]task.ID{{0}, {1, 2}})
 	times := p.CompletionTimes(c, nil)
 	if times[0] != 17 || times[1] != 52 {
 		t.Errorf("completion times = %v, want [17 52]", times)
@@ -104,7 +104,7 @@ func TestCommExcludedWhenDisabled(t *testing.T) {
 		[]units.Seconds{5},
 		false, // ZO mode: comm not considered
 	)
-	c := Encode([][]task.ID{{0}})
+	c := encode([][]task.ID{{0}})
 	if got := p.CompletionTimes(c, nil)[0]; got != 10 {
 		t.Errorf("completion = %v, want 10 (comm excluded)", got)
 	}
@@ -117,7 +117,7 @@ func TestEmptyQueueGetsDeltaOnly(t *testing.T) {
 		[]units.MFlops{0, 30},
 		nil, false,
 	)
-	c := Encode([][]task.ID{{0}, {}})
+	c := encode([][]task.ID{{0}, {}})
 	times := p.CompletionTimes(c, nil)
 	if times[1] != 3 {
 		t.Errorf("idle queue completion = %v, want δ = 3", times[1])
@@ -132,7 +132,7 @@ func TestRelativeErrorPerfectBalanceIsZero(t *testing.T) {
 		[]units.Rate{10, 10},
 		nil, nil, false,
 	)
-	c := Encode([][]task.ID{{0}, {1}})
+	c := encode([][]task.ID{{0}, {1}})
 	if e := p.RelativeError(c); e > 1e-9 {
 		t.Errorf("relative error of perfect schedule = %v, want 0", e)
 	}
@@ -147,15 +147,15 @@ func TestFitnessOrdersSchedulesByBalance(t *testing.T) {
 		[]units.Rate{10, 10},
 		nil, nil, false,
 	)
-	balanced := Encode([][]task.ID{{0}, {1}})
-	lopsided := Encode([][]task.ID{{0, 1}, {}})
+	balanced := encode([][]task.ID{{0}, {1}})
+	lopsided := encode([][]task.ID{{0, 1}, {}})
 	if p.Fitness(balanced) <= p.Fitness(lopsided) {
 		t.Errorf("balanced fitness %v not above lopsided %v",
 			p.Fitness(balanced), p.Fitness(lopsided))
 	}
-	if p.Makespan(balanced) >= p.Makespan(lopsided) {
+	if p.MakespanInto(balanced, nil) >= p.MakespanInto(lopsided, nil) {
 		t.Errorf("balanced makespan %v not below lopsided %v",
-			p.Makespan(balanced), p.Makespan(lopsided))
+			p.MakespanInto(balanced, nil), p.MakespanInto(lopsided, nil))
 	}
 }
 
@@ -167,8 +167,8 @@ func TestFitnessHeterogeneousRates(t *testing.T) {
 		[]units.Rate{90, 10},
 		nil, nil, false,
 	)
-	proportional := Encode([][]task.ID{{0, 1, 2, 3, 4, 5, 6, 7, 8}, {9}})
-	uniform := Encode([][]task.ID{{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}})
+	proportional := encode([][]task.ID{{0, 1, 2, 3, 4, 5, 6, 7, 8}, {9}})
+	uniform := encode([][]task.ID{{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}})
 	if p.Fitness(proportional) <= p.Fitness(uniform) {
 		t.Errorf("rate-proportional split %v not fitter than uniform %v",
 			p.Fitness(proportional), p.Fitness(uniform))
@@ -182,11 +182,11 @@ func TestFitnessZeroOnImpossibleSchedule(t *testing.T) {
 		[]units.Rate{0, 10},
 		nil, nil, false,
 	)
-	impossible := Encode([][]task.ID{{0}, {}})
+	impossible := encode([][]task.ID{{0}, {}})
 	if f := p.Fitness(impossible); f != 0 {
 		t.Errorf("fitness of impossible schedule = %v, want 0", f)
 	}
-	possible := Encode([][]task.ID{{}, {0}})
+	possible := encode([][]task.ID{{}, {0}})
 	if f := p.Fitness(possible); f <= 0 {
 		t.Errorf("fitness of feasible schedule = %v, want > 0", f)
 	}
@@ -201,9 +201,9 @@ func TestFitnessBounds(t *testing.T) {
 		true,
 	)
 	chromos := []ga.Chromosome{
-		Encode([][]task.ID{{0, 1, 2, 3, 4}, {}}),
-		Encode([][]task.ID{{}, {0, 1, 2, 3, 4}}),
-		Encode([][]task.ID{{0, 2}, {1, 3, 4}}),
+		encode([][]task.ID{{0, 1, 2, 3, 4}, {}}),
+		encode([][]task.ID{{}, {0, 1, 2, 3, 4}}),
+		encode([][]task.ID{{0, 2}, {1, 3, 4}}),
 	}
 	for _, c := range chromos {
 		f := p.Fitness(c)
@@ -223,8 +223,8 @@ func TestEvaluatorMatchesFitness(t *testing.T) {
 	)
 	eval := p.Evaluator()
 	chromos := []ga.Chromosome{
-		Encode([][]task.ID{{0, 1}, {2}, {3}}),
-		Encode([][]task.ID{{}, {0, 1, 2, 3}, {}}),
+		encode([][]task.ID{{0, 1}, {2}, {3}}),
+		encode([][]task.ID{{}, {0, 1, 2, 3}, {}}),
 	}
 	for _, c := range chromos {
 		if got, want := eval.Fitness(c), p.Fitness(c); math.Abs(got-want) > 1e-15 {
@@ -236,7 +236,7 @@ func TestEvaluatorMatchesFitness(t *testing.T) {
 func TestAssignmentDecodesToTasks(t *testing.T) {
 	batch := mkBatch(10, 20, 30)
 	p := BuildProblem(batch, []units.Rate{1, 1}, nil, nil, false)
-	c := Encode([][]task.ID{{2, 0}, {1}})
+	c := encode([][]task.ID{{2, 0}, {1}})
 	a := p.Assignment(c)
 	if len(a[0]) != 2 || a[0][0].ID != 2 || a[0][1].ID != 0 {
 		t.Errorf("assignment proc 0 = %v", a[0])
@@ -256,7 +256,7 @@ func TestSparseTaskIDsFallBackToSet(t *testing.T) {
 		{ID: 100000, Size: 200},
 	}
 	p := BuildProblem(batch, []units.Rate{10, 10}, nil, nil, false)
-	c := Encode([][]task.ID{{10}, {100000}})
+	c := encode([][]task.ID{{10}, {100000}})
 	times := p.CompletionTimes(c, nil)
 	if times[0] != 10 || times[1] != 20 {
 		t.Errorf("sparse-id completion times = %v", times)
@@ -265,7 +265,7 @@ func TestSparseTaskIDsFallBackToSet(t *testing.T) {
 
 func TestCompletionTimesScratchReuse(t *testing.T) {
 	p := BuildProblem(mkBatch(100, 200), []units.Rate{10, 10}, nil, nil, false)
-	c := Encode([][]task.ID{{0}, {1}})
+	c := encode([][]task.ID{{0}, {1}})
 	scratch := make([]units.Seconds, 2)
 	out := p.CompletionTimes(c, scratch)
 	if &out[0] != &scratch[0] {

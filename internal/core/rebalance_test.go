@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"pnsched/internal/ga"
@@ -18,13 +19,13 @@ func TestRebalanceImprovesLopsidedSchedule(t *testing.T) {
 		ids = append(ids, tk.ID)
 	}
 	// One large task on each other queue so swaps have partners.
-	c := Encode([][]task.ID{ids[:8], {ids[8]}, {ids[9]}})
+	c := encode([][]task.ID{ids[:8], {ids[8]}, {ids[9]}})
 
 	rb := NewRebalancer(p)
 	r := rng.New(1)
-	before := p.Makespan(c)
+	before := p.MakespanInto(c, nil)
 	kept := rb.Apply(c, 200, r)
-	after := p.Makespan(c)
+	after := p.MakespanInto(c, nil)
 	if kept == 0 {
 		t.Fatal("no rebalancing swap ever kept")
 	}
@@ -73,7 +74,7 @@ func TestRebalanceNoSwapWhenUniform(t *testing.T) {
 	// possible.
 	batch := mkBatch(50, 50, 50, 50)
 	p := BuildProblem(batch, []units.Rate{10, 10}, nil, nil, false)
-	c := Encode([][]task.ID{{0, 1, 2}, {3}})
+	c := encode([][]task.ID{{0, 1, 2}, {3}})
 	rb := NewRebalancer(p)
 	if rb.Step(c, rng.New(7)) {
 		t.Error("swap kept despite all-equal task sizes")
@@ -85,7 +86,7 @@ func TestRebalanceEmptyQueues(t *testing.T) {
 	// with (other queues have no tasks).
 	batch := mkBatch(10, 20, 30)
 	p := BuildProblem(batch, []units.Rate{10, 10}, nil, nil, false)
-	c := Encode([][]task.ID{{0, 1, 2}, {}})
+	c := encode([][]task.ID{{0, 1, 2}, {}})
 	rb := NewRebalancer(p)
 	if rb.Step(c, rng.New(8)) {
 		t.Error("swap reported with no partner tasks")
@@ -114,7 +115,7 @@ func TestRebalanceCountsEvals(t *testing.T) {
 func TestRebalanceSingleProcessor(t *testing.T) {
 	batch := mkBatch(10, 20)
 	p := BuildProblem(batch, []units.Rate{5}, nil, nil, false)
-	c := Encode([][]task.ID{{0, 1}})
+	c := encode([][]task.ID{{0, 1}})
 	rb := NewRebalancer(p)
 	if rb.Step(c, rng.New(12)) {
 		t.Error("swap on single-processor schedule")
@@ -129,7 +130,7 @@ func TestRebalanceDeterministic(t *testing.T) {
 		NewRebalancer(p).Apply(c, 30, rng.New(15))
 		return c
 	}
-	if !run().Equal(run()) {
+	if !slices.Equal(run(), run()) {
 		t.Error("rebalancing not deterministic under fixed seeds")
 	}
 }
@@ -142,16 +143,16 @@ func TestRebalanceTargetsHeavyProcessor(t *testing.T) {
 		{ID: 3, Size: 10}, {ID: 4, Size: 20},
 	}
 	p := BuildProblem(batch, []units.Rate{10, 10}, nil, nil, false)
-	c := Encode([][]task.ID{{0, 1, 2}, {3, 4}})
+	c := encode([][]task.ID{{0, 1, 2}, {3, 4}})
 	times := p.CompletionTimes(c, nil)
-	heavyBefore := units.MaxSeconds(times[0], times[1])
+	heavyBefore := max(times[0], times[1])
 	rb := NewRebalancer(p)
 	r := rng.New(16)
 	for i := 0; i < 50; i++ {
 		rb.Step(c, r)
 	}
 	times = p.CompletionTimes(c, nil)
-	heavyAfter := units.MaxSeconds(times[0], times[1])
+	heavyAfter := max(times[0], times[1])
 	if heavyAfter >= heavyBefore {
 		t.Errorf("heavy completion did not drop: %v → %v", heavyBefore, heavyAfter)
 	}
@@ -185,7 +186,7 @@ func TestOtherTaskMatchesWalk(t *testing.T) {
 	for trial := 0; trial < 500; trial++ {
 		m := 1 + r.Intn(9)
 		n := r.Intn(12)
-		c := Encode(randomQueues(n, m, r))
+		c := encode(randomQueues(n, m, r))
 		var delims []int
 		for i, sym := range c {
 			if sym < 0 {

@@ -162,7 +162,7 @@ func TestPoolCore(t *testing.T) {
 			}
 		}},
 		{"Γc is observed only for a solo task whose slack exceeds the noise floor", func(t *testing.T, r *coreRig) {
-			primed := func(w *Worker) bool { _, ok := w.comm.Value(); return ok }
+			primed := func(w *Worker) bool { return !math.IsNaN(w.comm.ValueOr(math.NaN())) }
 			// Two tasks in one batch: only the first is solo. The second
 			// reports a huge slack and is still not an observation.
 			w := r.join("w1", 100)
@@ -186,8 +186,8 @@ func TestPoolCore(t *testing.T) {
 			// elapsed/real = 200× real: Γc = 0.04 × 200 = 8 simulated s.
 			r.send(nil, r.at(3*time.Second), 0, tk(4, 100))
 			r.p.doneLocked(w, 4, 2, 0.01, r.at(3*time.Second+50*time.Millisecond))
-			if got, ok := w.comm.Value(); !ok || math.Abs(got-8) > 1e-9 {
-				t.Errorf("Γc = %v (observed %v), want 8", got, ok)
+			if got := w.comm.ValueOr(math.NaN()); !(math.Abs(got-8) <= 1e-9) {
+				t.Errorf("Γc = %v, want 8", got)
 			}
 		}},
 		{"lost tasks reach LostLocked in ID order, lease cleared, counted as reissued", func(t *testing.T, r *coreRig) {

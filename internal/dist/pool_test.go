@@ -245,7 +245,11 @@ var runtimes = map[string]func(t *testing.T, batch int, events bool) *runtime{
 			t.Fatal(err)
 		}
 		rt.serve(t, d)
-		rt.submit = d.Append
+		rt.submit = func(ts []task.Task) {
+			if err := d.Append(ts); err != nil {
+				t.Error(err)
+			}
+		}
 		rt.snap = d.Snapshot
 		rt.wireID = func(i int, _ task.Task) int32 { return int32(i + 1) }
 		rt.pending = func() units.MFlops { return d.Workers()[0].Pending }

@@ -404,8 +404,8 @@ func (m *message) validate() error {
 		}
 	case msgAssign:
 		for _, w := range m.Tasks {
-			if w.ID < 0 || w.Size < 0 {
-				return fmt.Errorf("dist: assign with invalid task {id %d, size %v}", w.ID, w.Size)
+			if err := CheckTask(w.ID, w.Size); err != nil {
+				return fmt.Errorf("dist: assign with %w", err)
 			}
 		}
 	case msgDone:
@@ -454,8 +454,8 @@ func (m *message) validate() error {
 			return errors.New("dist: job_submit without job payload")
 		}
 		for _, w := range m.Job.Tasks {
-			if w.ID < 0 || w.Size < 0 {
-				return fmt.Errorf("dist: job_submit with invalid task {id %d, size %v}", w.ID, w.Size)
+			if err := CheckTask(w.ID, w.Size); err != nil {
+				return fmt.Errorf("dist: job_submit with %w", err)
 			}
 		}
 	case msgJobStatus:
@@ -583,6 +583,18 @@ func drain[T any](w *frameWriter, queue <-chan T, write func(T) error) error {
 			return err
 		}
 	}
+}
+
+// CheckTask is the one rule every way into the pool holds a task to: a
+// non-negative id and a finite, non-negative size. A worker applies it
+// to every assign frame and hangs up on a breach, and JSON cannot carry
+// a NaN or infinite size into the journal, so a task that breaks it is
+// refused where it is submitted.
+func CheckTask(id int32, size float64) error {
+	if id < 0 || !(size >= 0 && size <= math.MaxFloat64) {
+		return fmt.Errorf("invalid task {id %d, size %v}", id, size)
+	}
+	return nil
 }
 
 // wireTask is the on-the-wire form of a task. Arrival is deliberately

@@ -148,9 +148,6 @@ func (w *Watcher) Dropped() uint64 { return w.dropped.Load() }
 // Frames returns the number of event frames received so far.
 func (w *Watcher) Frames() uint64 { return w.frames.Load() }
 
-// Done returns a channel closed when the stream has ended.
-func (w *Watcher) Done() <-chan struct{} { return w.done }
-
 // Wait blocks until the stream ends and returns its terminal error:
 // nil when the server closed the stream, ctx.Err() when the watch
 // context was cancelled, and the protocol or transport failure

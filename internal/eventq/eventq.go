@@ -20,11 +20,8 @@ type Queue struct {
 	seq   uint64
 }
 
-// Len returns the number of pending events.
-func (q *Queue) Len() int { return len(q.items) }
-
 // Empty reports whether no events are pending.
-func (q *Queue) Empty() bool { return len(q.items) == 0 }
+func (q *Queue) Empty() bool { return len(q.items) == 0 } //pnanalyze:ok surface ROADMAP item 6: the stepped simulator loop's HasPendingEvents
 
 // Push schedules payload at time t.
 func (q *Queue) Push(t units.Seconds, payload any) {
@@ -51,7 +48,7 @@ func (q *Queue) Pop() (Item, bool) {
 }
 
 // Peek returns the earliest event without removing it.
-func (q *Queue) Peek() (Item, bool) {
+func (q *Queue) Peek() (Item, bool) { //pnanalyze:ok surface ROADMAP item 6: the stepped simulator loop's PeekNextEventTime
 	if len(q.items) == 0 {
 		return Item{}, false
 	}
@@ -60,7 +57,7 @@ func (q *Queue) Peek() (Item, bool) {
 
 // NextTime returns the time of the earliest event, or units.Inf() if
 // the queue is empty.
-func (q *Queue) NextTime() units.Seconds {
+func (q *Queue) NextTime() units.Seconds { //pnanalyze:ok surface ROADMAP item 6: the stepped simulator loop's PeekNextEventTime
 	if len(q.items) == 0 {
 		return units.Inf()
 	}

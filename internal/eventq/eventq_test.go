@@ -11,7 +11,7 @@ import (
 
 func TestEmptyQueue(t *testing.T) {
 	var q Queue
-	if !q.Empty() || q.Len() != 0 {
+	if !q.Empty() || len(q.items) != 0 {
 		t.Error("zero-value queue not empty")
 	}
 	if _, ok := q.Pop(); ok {
@@ -69,7 +69,7 @@ func TestPeekDoesNotConsume(t *testing.T) {
 	if !ok || it.Time != 3 {
 		t.Fatalf("Peek = %v", it)
 	}
-	if q.Len() != 1 {
+	if len(q.items) != 1 {
 		t.Error("Peek consumed the event")
 	}
 	if q.NextTime() != 3 {
@@ -126,7 +126,7 @@ func BenchmarkPushPop(b *testing.B) {
 	var q Queue
 	for i := 0; i < b.N; i++ {
 		q.Push(units.Seconds(r.Float64()), i)
-		if q.Len() > 1000 {
+		if len(q.items) > 1000 {
 			q.Pop()
 		}
 	}

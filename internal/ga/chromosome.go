@@ -43,22 +43,9 @@ func (c Chromosome) Clone() Chromosome {
 	return out
 }
 
-// Equal reports whether two chromosomes are identical.
-func (c Chromosome) Equal(o Chromosome) bool {
-	if len(c) != len(o) {
-		return false
-	}
-	for i := range c {
-		if c[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // IsPermutationOf reports whether c and o contain exactly the same
 // multiset of symbols.
-func (c Chromosome) IsPermutationOf(o Chromosome) bool {
+func (c Chromosome) IsPermutationOf(o Chromosome) bool { //pnanalyze:ok surface reference oracle: the operator and engine tests check every child against it
 	if len(c) != len(o) {
 		return false
 	}
@@ -77,7 +64,7 @@ func (c Chromosome) IsPermutationOf(o Chromosome) bool {
 
 // ValidatePermutation returns an error if the chromosome contains
 // duplicate symbols. Crossover correctness depends on distinctness.
-func (c Chromosome) ValidatePermutation() error {
+func (c Chromosome) ValidatePermutation() error { //pnanalyze:ok surface reference oracle: the operator and engine tests check every child against it
 	seen := make(map[int]struct{}, len(c))
 	for i, v := range c {
 		if _, dup := seen[v]; dup {

@@ -1,6 +1,9 @@
 package ga
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestClone(t *testing.T) {
 	c := Chromosome{1, 2, 3}
@@ -9,21 +12,8 @@ func TestClone(t *testing.T) {
 	if c[0] != 1 {
 		t.Error("Clone shares backing array")
 	}
-	if !c.Equal(Chromosome{1, 2, 3}) {
+	if !slices.Equal(c, Chromosome{1, 2, 3}) {
 		t.Error("original mutated")
-	}
-}
-
-func TestEqual(t *testing.T) {
-	a := Chromosome{1, 2, 3}
-	if !a.Equal(Chromosome{1, 2, 3}) {
-		t.Error("equal chromosomes reported unequal")
-	}
-	if a.Equal(Chromosome{1, 2}) {
-		t.Error("different lengths reported equal")
-	}
-	if a.Equal(Chromosome{1, 2, 4}) {
-		t.Error("different contents reported equal")
 	}
 }
 

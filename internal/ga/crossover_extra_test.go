@@ -1,11 +1,22 @@
 package ga
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"pnsched/internal/rng"
 )
+
+// perm returns a uniformly random permutation of [0, n).
+func perm(r *rng.RNG, n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	r.ShuffleInts(p)
+	return p
+}
 
 func randomParents(seed uint64, nRaw uint8) (Chromosome, Chromosome, int) {
 	n := int(nRaw%30) + 2
@@ -16,10 +27,10 @@ func randomParents(seed uint64, nRaw uint8) (Chromosome, Chromosome, int) {
 	}
 	p1 := make(Chromosome, n)
 	p2 := make(Chromosome, n)
-	for i, v := range r.Perm(n) {
+	for i, v := range perm(r, n) {
 		p1[i] = symbols[v]
 	}
-	for i, v := range r.Perm(n) {
+	for i, v := range perm(r, n) {
 		p2[i] = symbols[v]
 	}
 	return p1, p2, n
@@ -76,7 +87,7 @@ func TestPMXKnownExample(t *testing.T) {
 	// Repairs: pos0 1→1; pos1 2 dup → chase 2→5→7; pos2 3→3;
 	// pos7 8 dup → 8→4; pos8 9→9.
 	want := Chromosome{1, 7, 3, 8, 2, 6, 5, 4, 9}
-	if !c1.Equal(want) {
+	if !slices.Equal(c1, want) {
 		t.Errorf("PMX child = %v, want %v", c1, want)
 	}
 }
@@ -90,7 +101,7 @@ func TestOXKnownExample(t *testing.T) {
 	p2 := Chromosome{9, 3, 7, 8, 2, 6, 5, 1, 4}
 	c1, _ := breed(firstChild(oxChild, 3, 5), p1, p2, nil)
 	want := Chromosome{7, 8, 2, 4, 5, 6, 1, 9, 3}
-	if !c1.Equal(want) {
+	if !slices.Equal(c1, want) {
 		t.Errorf("OX child = %v, want %v", c1, want)
 	}
 }
@@ -100,7 +111,7 @@ func TestExtraCrossoversIdenticalParents(t *testing.T) {
 	r := rng.New(5)
 	for name, cx := range map[string]Crossover{"PMX": PMX, "OX": OX, "CX": CX} {
 		c1, c2 := breed(cx, p, p, r)
-		if !c1.Equal(p) || !c2.Equal(p) {
+		if !slices.Equal(c1, p) || !slices.Equal(c2, p) {
 			t.Errorf("%s on identical parents produced %v, %v", name, c1, c2)
 		}
 	}

@@ -189,10 +189,10 @@ func fuzzParents(seed uint64, size, shape, fault uint8) (p1, p2 Chromosome) {
 		stride = 100003 // sparse symbols: the map index
 	}
 	p1, p2 = make(Chromosome, n), make(Chromosome, n)
-	for i, v := range r.Perm(n) {
+	for i, v := range perm(r, n) {
 		p1[i] = (v - n/4) * stride // a few negatives, like the delimiters
 	}
-	for i, v := range r.Perm(n) {
+	for i, v := range perm(r, n) {
 		p2[i] = (v - n/4) * stride
 	}
 	switch {
@@ -280,7 +280,7 @@ func FuzzCrossover(f *testing.F) {
 		if want.panicV != "" {
 			return
 		}
-		if !got.c1.Equal(want.c1) || !got.c2.Equal(want.c2) {
+		if !slices.Equal(got.c1, want.c1) || !slices.Equal(got.c2, want.c2) {
 			t.Fatalf("%s(%v, %v) = %v, %v; oracle %v, %v", op.name, p1, p2, got.c1, got.c2, want.c1, want.c2)
 		}
 		for k, d := range wantDiffs(got.c1, got.c2, p1, p2) {

@@ -360,9 +360,6 @@ func (e *Engine) Done() bool { return e.done }
 // Generation returns the number of completed generations.
 func (e *Engine) Generation() int { return e.gen }
 
-// Evaluations returns the total fitness evaluations performed so far.
-func (e *Engine) Evaluations() int { return e.evals }
-
 // GenesEvaluated returns the evaluation work performed so far, in
 // chromosome positions scanned (see Result.GenesEvaluated).
 func (e *Engine) GenesEvaluated() int {

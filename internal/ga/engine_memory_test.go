@@ -2,6 +2,7 @@ package ga
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -128,16 +129,16 @@ func TestEngineResultsAreClones(t *testing.T) {
 		scribble(got...)
 	}
 	a, b := clean.Result(), vandal.Result()
-	if !a.Best.Equal(b.Best) || a.BestFitness != b.BestFitness || a.Evaluations != b.Evaluations {
+	if !slices.Equal(a.Best, b.Best) || a.BestFitness != b.BestFitness || a.Evaluations != b.Evaluations {
 		t.Errorf("writing to returned chromosomes changed the run: %+v vs %+v", a, b)
 	}
 	for i, c := range clean.Elites(10) {
-		if !c.Equal(vandal.Elites(10)[i]) {
+		if !slices.Equal(c, vandal.Elites(10)[i]) {
 			t.Errorf("final populations differ at elite %d", i)
 		}
 	}
 	for i := range kept {
-		if !kept[i].Equal(snapshot[i]) {
+		if !slices.Equal(kept[i], snapshot[i]) {
 			t.Errorf("chromosome %d returned at generation 10 changed under later steps: %v, was %v", i, kept[i], snapshot[i])
 		}
 	}
@@ -163,7 +164,7 @@ func TestEngineCopiesMigrants(t *testing.T) {
 		return e.Result()
 	}
 	a, b := run(false), run(true)
-	if !a.Best.Equal(b.Best) || a.BestFitness != b.BestFitness {
+	if !slices.Equal(a.Best, b.Best) || a.BestFitness != b.BestFitness {
 		t.Errorf("a migrant edited after Inject changed the recipient: %+v vs %+v", a, b)
 	}
 	if err := b.Best.ValidatePermutation(); err != nil {

@@ -1,6 +1,7 @@
 package ga
 
 import (
+	"slices"
 	"testing"
 
 	"pnsched/internal/rng"
@@ -80,7 +81,7 @@ func TestSlotEvaluatorMatchesPlainRun(t *testing.T) {
 		r := rng.New(31)
 		return Run(cfg, &cachingSlotEval{inner: sortednessEvaluator{}}, randomPopulation(16, 14, r), r)
 	}()
-	if !plain.Best.Equal(slotted.Best) || plain.BestFitness != slotted.BestFitness ||
+	if !slices.Equal(plain.Best, slotted.Best) || plain.BestFitness != slotted.BestFitness ||
 		plain.Generations != slotted.Generations || plain.Reason != slotted.Reason {
 		t.Errorf("slot-evaluated run diverged from plain run: %+v vs %+v", plain, slotted)
 	}

@@ -1,6 +1,7 @@
 package ga
 
 import (
+	"slices"
 	"testing"
 
 	"pnsched/internal/rng"
@@ -24,7 +25,7 @@ func TestEngineStepMatchesRun(t *testing.T) {
 		return e.Result()
 	}
 	a, b := ran(), stepped()
-	if !a.Best.Equal(b.Best) || a.BestFitness != b.BestFitness ||
+	if !slices.Equal(a.Best, b.Best) || a.BestFitness != b.BestFitness ||
 		a.Generations != b.Generations || a.Evaluations != b.Evaluations ||
 		a.Reason != b.Reason {
 		t.Errorf("stepped engine diverged from Run: %+v vs %+v", a, b)
@@ -62,7 +63,7 @@ func TestEngineElitesOrderedByFitness(t *testing.T) {
 		}
 	}
 	best, bestFit := e.Best()
-	if !elites[0].Equal(best) && eval.Fitness(elites[0]) != bestFit {
+	if !slices.Equal(elites[0], best) && eval.Fitness(elites[0]) != bestFit {
 		t.Error("top elite is not as fit as the best individual")
 	}
 	if got := e.Elites(100); len(got) != 10 {
@@ -83,13 +84,13 @@ func TestEngineInjectReplacesWorst(t *testing.T) {
 		perfect[i] = i // identity order: maximal sortedness fitness
 	}
 	want := sortednessEvaluator{}.Fitness(perfect)
-	evalsBefore := e.Evaluations()
+	evalsBefore := e.evals
 	e.Inject([]Chromosome{perfect})
 	if _, fit := e.Best(); fit != want {
 		t.Errorf("best fitness after injecting perfect individual = %v, want %v", fit, want)
 	}
-	if e.Evaluations() != evalsBefore+1 {
-		t.Errorf("Inject performed %d evaluations, want 1", e.Evaluations()-evalsBefore)
+	if e.evals != evalsBefore+1 {
+		t.Errorf("Inject performed %d evaluations, want 1", e.evals-evalsBefore)
 	}
 	// The migrant must be owned by the engine, not aliased.
 	perfect[0], perfect[1] = perfect[1], perfect[0]
@@ -113,9 +114,9 @@ func TestEngineInjectOnDoneEngineIsNoOp(t *testing.T) {
 	e := NewEngine(Config{MaxGenerations: 2}, sortednessEvaluator{}, randomPopulation(6, 6, r), r)
 	for e.Step() {
 	}
-	evals := e.Evaluations()
+	evals := e.evals
 	e.Inject(randomPopulation(6, 2, r))
-	if e.Evaluations() != evals {
+	if e.evals != evals {
 		t.Error("Inject on a done engine evaluated migrants")
 	}
 }

@@ -1,6 +1,7 @@
 package ga
 
 import (
+	"slices"
 	"testing"
 
 	"pnsched/internal/rng"
@@ -24,7 +25,7 @@ func (sortednessEvaluator) Fitness(c Chromosome) float64 {
 func randomPopulation(n, size int, r *rng.RNG) []Chromosome {
 	pop := make([]Chromosome, size)
 	for i := range pop {
-		pop[i] = Chromosome(r.Perm(n))
+		pop[i] = Chromosome(perm(r, n))
 	}
 	return pop
 }
@@ -64,7 +65,7 @@ func TestRunDeterministic(t *testing.T) {
 		return Run(Config{MaxGenerations: 100, PopulationSize: 10}, sortednessEvaluator{}, pop, r)
 	}
 	a, b := run(), run()
-	if a.BestFitness != b.BestFitness || !a.Best.Equal(b.Best) {
+	if a.BestFitness != b.BestFitness || !slices.Equal(a.Best, b.Best) {
 		t.Errorf("runs with identical seeds diverged: %v vs %v", a.BestFitness, b.BestFitness)
 	}
 }
@@ -149,7 +150,7 @@ func TestRunDoesNotMutateSeeds(t *testing.T) {
 	}
 	Run(Config{MaxGenerations: 20, PopulationSize: 5}, sortednessEvaluator{}, pop, r)
 	for i := range pop {
-		if !pop[i].Equal(copies[i]) {
+		if !slices.Equal(pop[i], copies[i]) {
 			t.Errorf("seed %d was mutated by Run", i)
 		}
 	}

@@ -36,7 +36,8 @@ func ExampleRun() {
 		}
 		return score
 	})
-	initial := []ga.Chromosome{ga.Chromosome(r.Perm(8))}
+	initial := []ga.Chromosome{{0, 1, 2, 3, 4, 5, 6, 7}}
+	r.ShuffleInts(initial[0])
 	initialBest := eval.Fitness(initial[0])
 	res := ga.Run(ga.Config{PopulationSize: 20, MaxGenerations: 400}, eval, initial, r)
 	fmt.Println(res.BestFitness > initialBest, res.Reason, res.Best.ValidatePermutation() == nil)

@@ -15,10 +15,10 @@ func parents(n int, r *rng.RNG) (Chromosome, Chromosome) {
 	}
 	p1 := make(Chromosome, n)
 	p2 := make(Chromosome, n)
-	for i, v := range r.Perm(n) {
+	for i, v := range perm(r, n) {
 		p1[i] = symbols[v]
 	}
-	for i, v := range r.Perm(n) {
+	for i, v := range perm(r, n) {
 		p2[i] = symbols[v]
 	}
 	return p1, p2
@@ -49,8 +49,8 @@ func BenchmarkCycleCrossoverConverged(b *testing.B) {
 	r := rng.New(1)
 	p1, _ := parents(250, r)
 	p2 := p1.Clone()
-	at := r.Perm(len(p1))[:len(p1)/10]
-	for k, j := range r.Perm(len(at)) {
+	at := perm(r, len(p1))[:len(p1)/10]
+	for k, j := range perm(r, len(at)) {
 		p2[at[k]] = p1[at[j]]
 	}
 	benchCX(b, p1, p2)
@@ -86,7 +86,7 @@ func BenchmarkRouletteWheel(b *testing.B) {
 
 func BenchmarkSwapMutation(b *testing.B) {
 	r := rng.New(4)
-	c := Chromosome(r.Perm(250))
+	c := Chromosome(perm(r, 250))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		SwapMutation(c, r)

@@ -2,6 +2,7 @@ package ga
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -81,10 +82,10 @@ func TestCycleCrossoverKnownExample(t *testing.T) {
 	c1, c2 := CycleCrossover(p1, p2)
 	want1 := Chromosome{1, 5, 2, 4, 3, 6, 7, 8}
 	want2 := Chromosome{8, 2, 3, 1, 5, 6, 4, 7}
-	if !c1.Equal(want1) {
+	if !slices.Equal(c1, want1) {
 		t.Errorf("c1 = %v, want %v", c1, want1)
 	}
-	if !c2.Equal(want2) {
+	if !slices.Equal(c2, want2) {
 		t.Errorf("c2 = %v, want %v", c2, want2)
 	}
 }
@@ -92,7 +93,7 @@ func TestCycleCrossoverKnownExample(t *testing.T) {
 func TestCycleCrossoverIdenticalParents(t *testing.T) {
 	p := Chromosome{3, 1, 4, 2}
 	c1, c2 := CycleCrossover(p, p)
-	if !c1.Equal(p) || !c2.Equal(p) {
+	if !slices.Equal(c1, p) || !slices.Equal(c2, p) {
 		t.Errorf("identical parents produced %v, %v", c1, c2)
 	}
 }
@@ -111,7 +112,7 @@ func TestCycleCrossoverProperties(t *testing.T) {
 		}
 		p1 := make(Chromosome, n)
 		p2 := make(Chromosome, n)
-		perm1, perm2 := r.Perm(n), r.Perm(n)
+		perm1, perm2 := perm(r, n), perm(r, n)
 		for i := 0; i < n; i++ {
 			p1[i] = symbols[perm1[i]]
 			p2[i] = symbols[perm2[i]]

@@ -2,6 +2,7 @@ package island
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"pnsched/internal/ga"
@@ -85,7 +86,7 @@ func TestSlotEvaluatedIslandsMatchPlain(t *testing.T) {
 	plain := Run(context.Background(), cfg, uniformSetup(gaCfg, 18), rng.New(99))
 	slotted := Run(context.Background(), cfg, slotSetup(gaCfg, 18), rng.New(99))
 
-	if !plain.Best.Equal(slotted.Best) || plain.BestFitness != slotted.BestFitness ||
+	if !slices.Equal(plain.Best, slotted.Best) || plain.BestFitness != slotted.BestFitness ||
 		plain.BestIsland != slotted.BestIsland || plain.Generations != slotted.Generations ||
 		plain.Rounds != slotted.Rounds || plain.Migrated != slotted.Migrated {
 		t.Errorf("slot-evaluated islands diverged from plain ones: %+v vs %+v", plain, slotted)

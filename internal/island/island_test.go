@@ -3,6 +3,7 @@ package island
 import (
 	"context"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -27,7 +28,11 @@ func (sortedness) Fitness(c ga.Chromosome) float64 {
 func randomPopulation(n, size int, r *rng.RNG) []ga.Chromosome {
 	pop := make([]ga.Chromosome, size)
 	for i := range pop {
-		pop[i] = ga.Chromosome(r.Perm(n))
+		pop[i] = make(ga.Chromosome, n)
+		for j := range pop[i] {
+			pop[i][j] = j
+		}
+		r.ShuffleInts(pop[i])
 	}
 	return pop
 }
@@ -60,7 +65,7 @@ func TestRunDeterministicPerN(t *testing.T) {
 		t.Errorf("OnRound last saw round %d at generation %d, result says %d rounds and %d generations",
 			rounds, gens, b.Rounds, b.Generations)
 	}
-	if !a.Best.Equal(b.Best) {
+	if !slices.Equal(a.Best, b.Best) {
 		t.Errorf("best individuals diverged across identically seeded runs:\n%v\n%v", a.Best, b.Best)
 	}
 	if a.BestFitness != b.BestFitness || a.BestIsland != b.BestIsland ||
@@ -86,7 +91,7 @@ func TestSingleIslandMatchesSequential(t *testing.T) {
 	r := rng.New(7).Stream(1) // island 0's stream
 	want := ga.Run(gaCfg, sortedness{}, randomPopulation(12, 8, r), r)
 
-	if !got.Best.Equal(want.Best) || got.BestFitness != want.BestFitness {
+	if !slices.Equal(got.Best, want.Best) || got.BestFitness != want.BestFitness {
 		t.Errorf("single island diverged from sequential run: %v vs %v", got.BestFitness, want.BestFitness)
 	}
 	if got.Generations != want.Generations || got.Evaluations != want.Evaluations {

@@ -332,8 +332,8 @@ func (d *Dispatcher) Submit(sub dist.JobSubmission) (dist.JobInfo, error) {
 	}
 	seen := make(map[int32]struct{}, len(sub.Tasks))
 	for _, w := range sub.Tasks {
-		if w.ID < 0 || w.Size < 0 {
-			return dist.JobInfo{}, fmt.Errorf("jobs: invalid task {id %d, size %v}", w.ID, w.Size)
+		if err := dist.CheckTask(w.ID, w.Size); err != nil {
+			return dist.JobInfo{}, fmt.Errorf("jobs: %w", err)
 		}
 		if _, dup := seen[w.ID]; dup {
 			return dist.JobInfo{}, fmt.Errorf("jobs: duplicate task id %d in submission", w.ID)
@@ -781,18 +781,25 @@ func (d *Dispatcher) infoLocked(j *job) dist.JobInfo {
 // Append adds tasks to the open job: its queue, its Total and the
 // lifetime TasksSubmitted. It may be called any number of times,
 // including while earlier tasks are still processing; tasks appended
-// after Close are dropped. Only a dispatcher with Config.Open has an
-// open job to append to.
-func (d *Dispatcher) Append(ts []task.Task) {
+// after Close are dropped. A task that breaks dist.CheckTask rejects
+// the whole call and nothing is added. Only a dispatcher with
+// Config.Open has an open job to append to.
+func (d *Dispatcher) Append(ts []task.Task) error {
+	for _, t := range ts {
+		if err := dist.CheckTask(int32(t.ID), float64(t.Size)); err != nil {
+			return fmt.Errorf("jobs: %w", err)
+		}
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.pool.ClosedLocked() {
-		return
+		return nil
 	}
 	d.open.queue.PushAll(ts)
 	d.open.Total += len(ts)
 	d.durable.TasksSubmitted += len(ts)
 	d.pool.Broadcast()
+	return nil
 }
 
 // WaitOpen blocks until every task appended to the open job has

@@ -3,6 +3,7 @@ package jobs_test
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -183,6 +184,15 @@ func TestSubmitValidation(t *testing.T) {
 		Tasks: []dist.WireTask{{ID: 1, Size: 5}, {ID: 1, Size: 5}},
 	}); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("duplicate task IDs accepted: %v", err)
+	}
+	// NaN and +Inf pass a plain size < 0 check, and neither can be
+	// encoded into a journal record.
+	for _, size := range []float64{-5, math.NaN(), math.Inf(1)} {
+		if _, err := d.Submit(dist.JobSubmission{
+			Tasks: []dist.WireTask{{ID: 0, Size: 5}, {ID: 1, Size: size}},
+		}); err == nil || !strings.Contains(err.Error(), "invalid task") {
+			t.Errorf("task of size %v accepted: %v", size, err)
+		}
 	}
 	neg := -1
 	if _, err := d.Submit(dist.JobSubmission{

@@ -52,8 +52,6 @@ type Network struct {
 	links []link
 	r     *rng.RNG
 	est   []*smoothing.Smoother
-	// counts of transfers per link, for diagnostics
-	transfers []int
 }
 
 // New builds a network with m links. Link means are drawn from
@@ -68,11 +66,10 @@ func New(m int, cfg Config, r *rng.RNG) *Network {
 		panic(fmt.Sprintf("network: negative mean cost %v", cfg.MeanCost))
 	}
 	n := &Network{
-		cfg:       cfg,
-		links:     make([]link, m),
-		r:         r,
-		est:       make([]*smoothing.Smoother, m),
-		transfers: make([]int, m),
+		cfg:   cfg,
+		links: make([]link, m),
+		r:     r,
+		est:   make([]*smoothing.Smoother, m),
 	}
 	sd := cfg.LinkSpread * float64(cfg.MeanCost)
 	for j := range n.links {
@@ -102,7 +99,6 @@ func (n *Network) Transfer(j int) units.Seconds {
 		l.mean = units.Seconds(float64(l.mean) * math.Exp(n.cfg.DriftSigma*n.r.NormFloat64()))
 	}
 	n.est[j].Observe(cost)
-	n.transfers[j]++
 	return units.Seconds(cost)
 }
 
@@ -112,18 +108,4 @@ func (n *Network) Transfer(j int) units.Seconds {
 // any transfer has been observed there is no history and it returns 0.
 func (n *Network) EstimatedCost(j int) units.Seconds {
 	return units.Seconds(n.est[j].ValueOr(0))
-}
-
-// TrueMean exposes the current true mean of link j — for tests and
-// experiment reporting only; schedulers must not call this.
-func (n *Network) TrueMean(j int) units.Seconds { return n.links[j].mean }
-
-// Transfers returns how many transfers link j has carried.
-func (n *Network) Transfers(j int) int { return n.transfers[j] }
-
-// ZeroCost returns a network whose every transfer is free — the
-// "instantaneous message passing" assumption the paper criticises in
-// prior work ([19]), useful as an experimental control.
-func ZeroCost(m int) *Network {
-	return New(m, Config{MeanCost: 0}, rng.New(0))
 }

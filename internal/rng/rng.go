@@ -114,16 +114,6 @@ func mul64(a, b uint64) (hi, lo uint64) {
 	return
 }
 
-// Perm returns a uniformly random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.ShuffleInts(p)
-	return p
-}
-
 // ShuffleInts permutes the slice in place (Fisher–Yates).
 func (r *RNG) ShuffleInts(p []int) {
 	for i := len(p) - 1; i > 0; i-- {
@@ -266,9 +256,4 @@ func (r *RNG) poissonPA(mean float64) int {
 func logFactorial(n float64) float64 {
 	lg, _ := math.Lgamma(n + 1)
 	return lg
-}
-
-// Bool returns true with probability p.
-func (r *RNG) Bool(p float64) bool {
-	return r.Float64() < p
 }

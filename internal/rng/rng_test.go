@@ -134,24 +134,6 @@ func TestIntnUniformity(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := New(seed).Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestNormalMoments(t *testing.T) {
 	r := New(9)
 	const n = 200000
@@ -288,21 +270,6 @@ func TestUniformPanicsOnInvertedBounds(t *testing.T) {
 		}
 	}()
 	New(1).Uniform(10, 5)
-}
-
-func TestBoolProbability(t *testing.T) {
-	r := New(16)
-	const n = 100000
-	hits := 0
-	for i := 0; i < n; i++ {
-		if r.Bool(0.3) {
-			hits++
-		}
-	}
-	p := float64(hits) / n
-	if math.Abs(p-0.3) > 0.01 {
-		t.Errorf("Bool(0.3) frequency = %v", p)
-	}
 }
 
 func TestShuffleIsPermutation(t *testing.T) {

@@ -254,8 +254,8 @@ func TestPNIslandSpecDefaults(t *testing.T) {
 	if !ok || pni.Name() != "PNI" {
 		t.Fatalf("built %T %q, want the island configuration of *core.PN", built, built.Name())
 	}
-	if got := pni.IslandConfig().Islands; got != 0 {
-		t.Errorf("islands = %d, want 0 (defaulted to NumCPU at run time)", got)
+	if sch.Islands != nil {
+		t.Errorf("islands = %d, want unset (defaulted to NumCPU at run time)", *sch.Islands)
 	}
 }
 

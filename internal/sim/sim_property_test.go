@@ -51,7 +51,7 @@ func randomConfig(seed uint64) (Config, int) {
 		dist = workload.Poisson{Mean: units.MFlops(r.Uniform(10, 200))}
 	}
 	spec := workload.Spec{N: n, Sizes: dist}
-	if r.Bool(0.4) {
+	if r.Float64() < 0.4 {
 		spec.Arrival = workload.PoissonArrivals{MeanGap: units.Seconds(r.Uniform(0.01, 1))}
 	}
 	tasks := workload.Generate(spec, r.Stream(4))
@@ -121,7 +121,7 @@ func TestSimulatorInvariantsUnderRandomConfigs(t *testing.T) {
 func TestSimulatorTimelineInvariantUnderRandomConfigs(t *testing.T) {
 	f := func(seed uint64) bool {
 		cfg, n := randomConfig(seed)
-		tl := NewTimeline(0)
+		tl := &Timeline{}
 		cfg.Timeline = tl
 		res := Run(cfg)
 		if res.Completed != n {

@@ -13,7 +13,7 @@ import (
 	"pnsched/internal/workload"
 )
 
-func freeNet(m int) *network.Network { return network.ZeroCost(m) }
+func freeNet(m int) *network.Network { return network.New(m, network.Config{}, rng.New(0)) }
 
 func fixedNet(m int, cost units.Seconds) *network.Network {
 	return network.New(m, network.Config{MeanCost: cost}, rng.New(99))

@@ -14,7 +14,7 @@ import (
 )
 
 func TestTimelineMatchesStats(t *testing.T) {
-	tl := NewTimeline(0) // re-initialised by Run
+	tl := &Timeline{} // re-initialised by Run
 	res := Run(Config{
 		Cluster: cluster.NewHeterogeneous(6, 20, 200, rng.New(1)),
 		Net:     network.New(6, network.Config{MeanCost: 2, LinkSpread: 0.3, Jitter: 0.2}, rng.New(2)),
@@ -55,7 +55,7 @@ func TestTimelineMatchesStats(t *testing.T) {
 }
 
 func TestTimelineUtilization(t *testing.T) {
-	tl := NewTimeline(1)
+	tl := &Timeline{Procs: make([][]Segment, 1)}
 	tl.Makespan = 10
 	tl.Procs[0] = []Segment{
 		{Start: 0, End: 2, Kind: SegComm},
@@ -68,7 +68,7 @@ func TestTimelineUtilization(t *testing.T) {
 }
 
 func TestTimelineUtilizationEmpty(t *testing.T) {
-	tl := NewTimeline(1)
+	tl := &Timeline{Procs: make([][]Segment, 1)}
 	busy, comm, idle := tl.Utilization(0)
 	if busy != 0 || comm != 0 || idle != 0 {
 		t.Errorf("empty utilization = %v %v %v", busy, comm, idle)
@@ -76,7 +76,7 @@ func TestTimelineUtilizationEmpty(t *testing.T) {
 }
 
 func TestTimelineValidateCatchesOverlap(t *testing.T) {
-	tl := NewTimeline(1)
+	tl := &Timeline{Procs: make([][]Segment, 1)}
 	tl.Makespan = 10
 	tl.Procs[0] = []Segment{
 		{Start: 0, End: 5, Kind: SegBusy},
@@ -96,7 +96,7 @@ func TestTimelineValidateCatchesOverlap(t *testing.T) {
 }
 
 func TestGanttRendering(t *testing.T) {
-	tl := NewTimeline(2)
+	tl := &Timeline{Procs: make([][]Segment, 2)}
 	tl.Makespan = 10
 	tl.Procs[0] = []Segment{
 		{Start: 0, End: 1, Kind: SegComm, Task: 0},
@@ -115,7 +115,7 @@ func TestGanttRendering(t *testing.T) {
 }
 
 func TestGanttEmpty(t *testing.T) {
-	tl := NewTimeline(1)
+	tl := &Timeline{Procs: make([][]Segment, 1)}
 	var sb strings.Builder
 	tl.Gantt(&sb, 40)
 	if !strings.Contains(sb.String(), "empty") {
@@ -139,7 +139,7 @@ func TestTimelineValidAcrossSchedulers(t *testing.T) {
 		Sizes: workload.Poisson{Mean: 100},
 	}, rng.New(4))
 	for _, s := range []sched.Scheduler{sched.EF{}, sched.LL{}, &sched.RR{}, sched.MM{}, sched.MX{}, sched.Sufferage{}, sched.MET{}, sched.OLB{}, sched.KPB{}} {
-		tl := NewTimeline(0)
+		tl := &Timeline{}
 		res := Run(Config{
 			Cluster:   cluster.NewHeterogeneous(5, 20, 200, rng.New(5)),
 			Net:       network.New(5, network.Config{MeanCost: 1, Jitter: 0.2}, rng.New(6)),

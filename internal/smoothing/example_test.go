@@ -19,8 +19,3 @@ func ExampleSmoother() {
 	// 12.50
 	// 21.25
 }
-
-func ExampleApply() {
-	fmt.Println(smoothing.Apply(0.5, []float64{10, 20, 10}))
-	// Output: 12.5
-}

@@ -18,10 +18,9 @@ import "fmt"
 // Smoother maintains the representative value of an observed sequence.
 // The zero value is not usable; construct with New.
 type Smoother struct {
-	nu      float64
-	value   float64
-	primed  bool
-	samples int
+	nu     float64
+	value  float64
+	primed bool
 }
 
 // New returns a Smoother with factor nu. It panics if nu is outside
@@ -45,14 +44,8 @@ func (s *Smoother) Observe(a float64) float64 {
 	} else {
 		s.value += s.nu * (a - s.value)
 	}
-	s.samples++
 	return s.value
 }
-
-// Value returns the current representative value, and whether any
-// observation has been made. Callers that need a fallback before the
-// first observation should use ValueOr.
-func (s *Smoother) Value() (float64, bool) { return s.value, s.primed }
 
 // ValueOr returns the representative value, or fallback if the smoother
 // has not observed anything yet.
@@ -61,42 +54,4 @@ func (s *Smoother) ValueOr(fallback float64) float64 {
 		return fallback
 	}
 	return s.value
-}
-
-// Samples returns the number of observations incorporated so far.
-func (s *Smoother) Samples() int { return s.samples }
-
-// Nu returns the smoothing factor.
-func (s *Smoother) Nu() float64 { return s.nu }
-
-// Reset discards all state, returning the smoother to its unprimed
-// condition.
-func (s *Smoother) Reset() {
-	s.value = 0
-	s.primed = false
-	s.samples = 0
-}
-
-// Apply runs the smoothing recurrence over a whole sequence and returns
-// the final representative value; it is the batch counterpart of Observe
-// and returns 0 for an empty sequence.
-func Apply(nu float64, seq []float64) float64 {
-	s := New(nu)
-	v := 0.0
-	for _, a := range seq {
-		v = s.Observe(a)
-	}
-	return v
-}
-
-// Trace runs the recurrence over seq and returns every intermediate
-// representative value Γ(a₁)…Γ(aₙ). Useful for tests and for plotting
-// estimator convergence.
-func Trace(nu float64, seq []float64) []float64 {
-	s := New(nu)
-	out := make([]float64, len(seq))
-	for i, a := range seq {
-		out[i] = s.Observe(a)
-	}
-	return out
 }

@@ -35,42 +35,23 @@ func TestNuOneTracksLatest(t *testing.T) {
 
 func TestRecurrence(t *testing.T) {
 	// Hand-computed: Γ1=10; Γ2=10+0.5(20-10)=15; Γ3=15+0.5(10-15)=12.5
-	got := Trace(0.5, []float64{10, 20, 10})
+	s := New(0.5)
 	want := []float64{10, 15, 12.5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Trace[%d] = %v, want %v", i, got[i], want[i])
+	for i, a := range []float64{10, 20, 10} {
+		if got := s.Observe(a); got != want[i] {
+			t.Errorf("Γ%d = %v, want %v", i+1, got, want[i])
 		}
 	}
 }
 
 func TestValueBeforePriming(t *testing.T) {
 	s := New(0.3)
-	if _, ok := s.Value(); ok {
-		t.Error("unprimed smoother claims a value")
-	}
 	if v := s.ValueOr(99); v != 99 {
 		t.Errorf("ValueOr fallback = %v, want 99", v)
 	}
 	s.Observe(5)
 	if v := s.ValueOr(99); v != 5 {
 		t.Errorf("ValueOr after observe = %v, want 5", v)
-	}
-}
-
-func TestReset(t *testing.T) {
-	s := New(0.5)
-	s.Observe(1)
-	s.Observe(2)
-	s.Reset()
-	if _, ok := s.Value(); ok {
-		t.Error("reset smoother still primed")
-	}
-	if s.Samples() != 0 {
-		t.Errorf("reset samples = %d", s.Samples())
-	}
-	if v := s.Observe(42); v != 42 {
-		t.Errorf("first observation after reset = %v, want 42", v)
 	}
 }
 
@@ -146,27 +127,5 @@ func TestStepResponseConverges(t *testing.T) {
 	}
 	if math.Abs(v-100) > 1e-9 {
 		t.Errorf("step response did not converge: %v", v)
-	}
-}
-
-func TestApply(t *testing.T) {
-	if v := Apply(0.5, nil); v != 0 {
-		t.Errorf("Apply(empty) = %v, want 0", v)
-	}
-	if v := Apply(0.5, []float64{10, 20, 10}); v != 12.5 {
-		t.Errorf("Apply = %v, want 12.5", v)
-	}
-}
-
-func TestSamplesCount(t *testing.T) {
-	s := New(0.2)
-	for i := 0; i < 5; i++ {
-		s.Observe(float64(i))
-	}
-	if s.Samples() != 5 {
-		t.Errorf("Samples = %d, want 5", s.Samples())
-	}
-	if s.Nu() != 0.2 {
-		t.Errorf("Nu = %v", s.Nu())
 	}
 }

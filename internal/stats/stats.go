@@ -1,7 +1,7 @@
 // Package stats provides the descriptive statistics used by the
-// experiment harness: means, variances, confidence intervals, quantiles,
-// histograms and simple linear regression (used to verify the linear
-// time-vs-rebalances relationship of the paper's Fig. 4).
+// experiment harness: means, variances, standard errors, quantiles and
+// simple linear regression (used to verify the linear time-vs-rebalances
+// relationship of the paper's Fig. 4).
 package stats
 
 import (
@@ -39,17 +39,6 @@ func Variance(xs []float64) float64 {
 		ss += d * d
 	}
 	return ss / float64(n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// StdErr returns the standard error of the mean.
-func StdErr(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return StdDev(xs) / math.Sqrt(float64(len(xs)))
 }
 
 // Summary holds the aggregate description of a sample.
@@ -115,13 +104,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// CI95 returns the half-width of the 95% confidence interval of the mean
-// under a normal approximation (1.96 standard errors). Experiments in the
-// paper average 20–50 repeats, comfortably in normal-approximation range.
-func CI95(xs []float64) float64 {
-	return 1.96 * StdErr(xs)
-}
-
 // LinReg holds the result of an ordinary-least-squares fit y = a + b·x.
 type LinReg struct {
 	Intercept float64 // a
@@ -139,7 +121,6 @@ func LinearRegression(x, y []float64) (LinReg, error) {
 	if len(x) < 2 {
 		return LinReg{}, errors.New("stats: need at least two points")
 	}
-	n := float64(len(x))
 	mx, my := Mean(x), Mean(y)
 	var sxx, sxy, syy float64
 	for i := range x {
@@ -163,71 +144,5 @@ func LinearRegression(x, y []float64) (LinReg, error) {
 		}
 		r2 = 1 - ssRes/syy
 	}
-	_ = n
 	return LinReg{Intercept: a, Slope: b, R2: r2}, nil
 }
-
-// Histogram bins xs into nbins equal-width bins over [min, max] and
-// returns the counts. Values exactly at max land in the last bin.
-func Histogram(xs []float64, nbins int) (counts []int, lo, hi float64) {
-	counts = make([]int, nbins)
-	if len(xs) == 0 || nbins <= 0 {
-		return counts, 0, 0
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	if hi == lo {
-		counts[0] = len(xs)
-		return counts, lo, hi
-	}
-	w := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		i := int((x - lo) / w)
-		if i >= nbins {
-			i = nbins - 1
-		}
-		counts[i]++
-	}
-	return counts, lo, hi
-}
-
-// Welford accumulates mean and variance incrementally in a numerically
-// stable way; used by long-running simulations that cannot retain every
-// sample.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add incorporates a new observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the unbiased running variance.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev returns the running standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }

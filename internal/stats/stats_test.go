@@ -142,88 +142,13 @@ func TestLinearRegressionErrors(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	counts, lo, hi := Histogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
-	if lo != 0 || hi != 9 {
-		t.Errorf("bounds = (%v,%v)", lo, hi)
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 10 {
-		t.Errorf("histogram lost samples: total = %d", total)
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	counts, _, _ := Histogram([]float64{5, 5, 5}, 4)
-	if counts[0] != 3 {
-		t.Errorf("identical values must land in bin 0: %v", counts)
-	}
-	counts, _, _ = Histogram(nil, 3)
-	for _, c := range counts {
-		if c != 0 {
-			t.Errorf("empty histogram non-zero: %v", counts)
-		}
-	}
-}
-
-func TestCI95(t *testing.T) {
-	xs := make([]float64, 100)
-	for i := range xs {
-		xs[i] = 10
-	}
-	if got := CI95(xs); got != 0 {
-		t.Errorf("CI95 of constant sample = %v, want 0", got)
-	}
-}
-
-func TestWelfordMatchesBatch(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
-	}
-	if w.N() != len(xs) {
-		t.Errorf("N = %d", w.N())
-	}
-	if !almostEq(w.Mean(), Mean(xs), 1e-12) {
-		t.Errorf("Welford mean = %v, batch = %v", w.Mean(), Mean(xs))
-	}
-	if !almostEq(w.Variance(), Variance(xs), 1e-9) {
-		t.Errorf("Welford var = %v, batch = %v", w.Variance(), Variance(xs))
-	}
-}
-
-func TestWelfordStability(t *testing.T) {
-	// Large offset: naive sum-of-squares would lose precision.
-	var w Welford
-	const offset = 1e9
-	for _, x := range []float64{offset + 1, offset + 2, offset + 3} {
-		w.Add(x)
-	}
-	if !almostEq(w.Variance(), 1, 1e-6) {
-		t.Errorf("Welford variance under offset = %v, want 1", w.Variance())
-	}
-}
-
-func TestWelfordFewSamples(t *testing.T) {
-	var w Welford
-	if w.Variance() != 0 || w.StdDev() != 0 {
-		t.Error("empty Welford must report zero variance")
-	}
-	w.Add(42)
-	if w.Variance() != 0 {
-		t.Error("single-sample Welford must report zero variance")
-	}
-}
-
 func TestStdErrShrinksWithN(t *testing.T) {
 	a := []float64{1, 2, 3, 4}
 	b := append(append([]float64{}, a...), a...)
 	b = append(b, b...) // 4x the samples, same spread
-	if StdErr(b) >= StdErr(a) {
-		t.Errorf("StdErr did not shrink: %v vs %v", StdErr(b), StdErr(a))
+	sa, _ := Summarize(a)
+	sb, _ := Summarize(b)
+	if sb.StdErr >= sa.StdErr {
+		t.Errorf("StdErr did not shrink: %v vs %v", sb.StdErr, sa.StdErr)
 	}
 }

@@ -35,16 +35,6 @@ func (t Task) String() string {
 	return fmt.Sprintf("task %d (%v, arrives %v)", t.ID, t.Size, t.Arrival)
 }
 
-// TotalSize returns the aggregate work of the given tasks — the Σtᵢ in
-// the numerator of the paper's theoretical optimum ψ.
-func TotalSize(ts []Task) units.MFlops {
-	var total units.MFlops
-	for _, t := range ts {
-		total += t.Size
-	}
-	return total
-}
-
 // SortBySizeAscending orders tasks smallest first (min-min scheduling).
 // The sort is stable so equal-size tasks keep FCFS order.
 func SortBySizeAscending(ts []Task) {
@@ -55,12 +45,6 @@ func SortBySizeAscending(ts []Task) {
 // The sort is stable so equal-size tasks keep FCFS order.
 func SortBySizeDescending(ts []Task) {
 	sort.SliceStable(ts, func(i, j int) bool { return ts[i].Size > ts[j].Size })
-}
-
-// SortByArrival orders tasks by arrival time (FCFS); stable, so
-// same-instant arrivals keep id order if presented that way.
-func SortByArrival(ts []Task) {
-	sort.SliceStable(ts, func(i, j int) bool { return ts[i].Arrival < ts[j].Arrival })
 }
 
 // Queue is a FIFO queue of tasks backed by a ring buffer. The scheduler
@@ -114,14 +98,6 @@ func (q *Queue) Pop() (Task, bool) {
 	q.head = (q.head + 1) % len(q.buf)
 	q.size--
 	return t, true
-}
-
-// Peek returns the head task without removing it.
-func (q *Queue) Peek() (Task, bool) {
-	if q.size == 0 {
-		return Task{}, false
-	}
-	return q.buf[q.head], true
 }
 
 // PopN removes and returns up to n tasks from the head, preserving FCFS
@@ -189,12 +165,6 @@ func NewSet(ts []Task) *Set {
 	return s
 }
 
-// Get returns the task with the given id.
-func (s *Set) Get(id ID) (Task, bool) {
-	t, ok := s.byID[id]
-	return t, ok
-}
-
 // MustGet returns the task with the given id, panicking if absent —
 // used when the id provably came from the same batch.
 func (s *Set) MustGet(id ID) Task {
@@ -204,6 +174,3 @@ func (s *Set) MustGet(id ID) Task {
 	}
 	return t
 }
-
-// Len returns the number of tasks in the set.
-func (s *Set) Len() int { return len(s.byID) }

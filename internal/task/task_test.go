@@ -44,21 +44,6 @@ func TestQueueWrapAround(t *testing.T) {
 	}
 }
 
-func TestQueuePeek(t *testing.T) {
-	q := NewQueue(4)
-	if _, ok := q.Peek(); ok {
-		t.Error("Peek on empty returned ok")
-	}
-	q.Push(mk(7, 70))
-	got, ok := q.Peek()
-	if !ok || got.ID != 7 {
-		t.Errorf("Peek = %v", got)
-	}
-	if q.Len() != 1 {
-		t.Error("Peek consumed the task")
-	}
-}
-
 func TestQueuePopN(t *testing.T) {
 	q := NewQueue(4)
 	for i := 0; i < 5; i++ {
@@ -149,37 +134,13 @@ func TestSortStability(t *testing.T) {
 	}
 }
 
-func TestSortByArrival(t *testing.T) {
-	ts := []Task{
-		{ID: 0, Arrival: 5},
-		{ID: 1, Arrival: 1},
-		{ID: 2, Arrival: 3},
-	}
-	SortByArrival(ts)
-	if ts[0].ID != 1 || ts[1].ID != 2 || ts[2].ID != 0 {
-		t.Errorf("SortByArrival = %v", ts)
-	}
-}
-
-func TestTotalSize(t *testing.T) {
-	if got := TotalSize(nil); got != 0 {
-		t.Errorf("TotalSize(nil) = %v", got)
-	}
-	if got := TotalSize([]Task{mk(0, 1), mk(1, 2)}); got != 3 {
-		t.Errorf("TotalSize = %v", got)
-	}
-}
-
 func TestSet(t *testing.T) {
 	s := NewSet([]Task{mk(0, 1), mk(5, 2)})
-	if s.Len() != 2 {
-		t.Errorf("Len = %d", s.Len())
+	if len(s.byID) != 2 {
+		t.Errorf("Len = %d", len(s.byID))
 	}
-	if tk, ok := s.Get(5); !ok || tk.Size != 2 {
-		t.Errorf("Get(5) = %v, %v", tk, ok)
-	}
-	if _, ok := s.Get(9); ok {
-		t.Error("Get(9) found a phantom task")
+	if tk := s.MustGet(5); tk.Size != 2 {
+		t.Errorf("MustGet(5) = %v", tk)
 	}
 	if tk := s.MustGet(0); tk.Size != 1 {
 		t.Errorf("MustGet = %v", tk)

@@ -91,40 +91,6 @@ func (c *Counter) Value() float64 {
 	return math.Float64frombits(c.bits.Load())
 }
 
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add adjusts the gauge by v (which may be negative).
-func (g *Gauge) Add(v float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
 // Histogram is a fixed-bucket distribution: cumulative bucket counts,
 // a sum and a total count, rendered as the standard Prometheus
 // name_bucket{le="..."} / name_sum / name_count triplet. The bucket
@@ -148,16 +114,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum += v
 	h.count++
 	h.mu.Unlock()
-}
-
-// Count returns the number of observations so far.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
 }
 
 // snapshot returns cumulative bucket counts (per bound, then +Inf),
@@ -268,14 +224,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	c := &Counter{}
 	r.register(name, typeCounter, help, labels, c.Value)
 	return c
-}
-
-// Gauge registers (or returns the existing) gauge under name.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	validateLabels(labels)
-	g := &Gauge{}
-	r.register(name, typeGauge, help, labels, g.Value)
-	return g
 }
 
 // GaugeFunc registers a gauge whose value is computed at scrape time —

@@ -19,11 +19,15 @@ func TestCounterAndGauge(t *testing.T) {
 	if got := c.Value(); got != 3.5 {
 		t.Fatalf("counter = %v, want 3.5", got)
 	}
-	g := r.Gauge("depth", "Queue depth.")
-	g.Set(7)
-	g.Add(-2)
-	if got := g.Value(); got != 5 {
-		t.Fatalf("gauge = %v, want 5", got)
+	depth := 7.0
+	r.GaugeFunc("depth", "Queue depth.", func() float64 { return depth })
+	depth -= 2
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "\ndepth 5\n") {
+		t.Fatalf("gauge not read at scrape time:\n%s", b.String())
 	}
 }
 
@@ -85,7 +89,7 @@ func TestRegistryPanicsOnTypeConflict(t *testing.T) {
 			t.Fatal("expected panic on re-registering a counter as a gauge")
 		}
 	}()
-	r.Gauge("x_total", "")
+	r.GaugeFunc("x_total", "", func() float64 { return 0 })
 }
 
 func TestRegistryPanicsOnBadName(t *testing.T) {
@@ -106,8 +110,7 @@ func renderAll(t *testing.T) string {
 	c := r.Counter("pn_tasks_total", "Tasks handled.", L("state", "done"))
 	c.Add(42)
 	r.Counter("pn_tasks_total", "Tasks handled.", L("state", "reissued")).Inc()
-	g := r.Gauge("pn_pending", "Pending tasks.")
-	g.Set(3)
+	r.GaugeFunc("pn_pending", "Pending tasks.", func() float64 { return 3 })
 	r.GaugeFunc("pn_workers", "Connected workers.", func() float64 { return 2 })
 	h := r.Histogram("pn_dispatch_latency_seconds", "Dispatch latency.", ExpBuckets(0.001, 10, 3))
 	h.Observe(0.0005)
@@ -332,14 +335,11 @@ func TestFormatFloat(t *testing.T) {
 
 func TestNilInstrumentsSafe(t *testing.T) {
 	var c *Counter
-	var g *Gauge
 	var h *Histogram
 	c.Inc()
 	c.Add(1)
-	g.Set(1)
-	g.Add(1)
 	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+	if c.Value() != 0 {
 		t.Fatal("nil instruments must read as zero")
 	}
 }

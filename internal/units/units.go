@@ -53,9 +53,6 @@ func (r Rate) Scale(f float64) Rate {
 	return s
 }
 
-// IsZero reports whether the work amount is exactly zero.
-func (w MFlops) IsZero() bool { return w == 0 }
-
 // String implements fmt.Stringer.
 func (w MFlops) String() string { return fmt.Sprintf("%.2f MFLOPs", float64(w)) }
 
@@ -70,31 +67,6 @@ func (s Seconds) IsInf() bool { return math.IsInf(float64(s), 0) }
 
 // Inf returns the positive-infinite duration.
 func Inf() Seconds { return Seconds(math.Inf(1)) }
-
-// MaxSeconds returns the larger of a and b.
-func MaxSeconds(a, b Seconds) Seconds {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// MinSeconds returns the smaller of a and b.
-func MinSeconds(a, b Seconds) Seconds {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// SumMFlops returns the total of the given work amounts.
-func SumMFlops(ws []MFlops) MFlops {
-	var total MFlops
-	for _, w := range ws {
-		total += w
-	}
-	return total
-}
 
 // SumRates returns the aggregate processing rate of a set of processors,
 // the denominator of the paper's theoretical-optimum expression ψ.

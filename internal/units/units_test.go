@@ -104,29 +104,7 @@ func TestTimeOnAntitoneInRate(t *testing.T) {
 	}
 }
 
-func TestMinMaxSeconds(t *testing.T) {
-	if got := MaxSeconds(1, 2); got != 2 {
-		t.Errorf("MaxSeconds = %v, want 2", got)
-	}
-	if got := MinSeconds(1, 2); got != 1 {
-		t.Errorf("MinSeconds = %v, want 1", got)
-	}
-	inf := Inf()
-	if got := MaxSeconds(inf, 5); !got.IsInf() {
-		t.Errorf("MaxSeconds(inf, 5) = %v, want inf", got)
-	}
-	if got := MinSeconds(inf, 5); got != 5 {
-		t.Errorf("MinSeconds(inf, 5) = %v, want 5", got)
-	}
-}
-
 func TestSums(t *testing.T) {
-	if got := SumMFlops([]MFlops{1, 2, 3}); got != 6 {
-		t.Errorf("SumMFlops = %v, want 6", got)
-	}
-	if got := SumMFlops(nil); got != 0 {
-		t.Errorf("SumMFlops(nil) = %v, want 0", got)
-	}
 	if got := SumRates([]Rate{10, 20}); got != 30 {
 		t.Errorf("SumRates = %v, want 30", got)
 	}

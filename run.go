@@ -47,9 +47,8 @@ type WorkloadConfig struct {
 	LinkSpread, Jitter float64
 	DriftSigma         float64
 
-	// Failure recovery and abort limits, copied onto the Workload.
+	// Failure recovery, copied onto the Workload.
 	ReissueTimeout Seconds
-	MaxTime        Seconds
 
 	// Seed drives every random stream of the workload (cluster,
 	// network, task sizes) — same seed, same system.
@@ -98,7 +97,6 @@ func GenerateWorkload(cfg WorkloadConfig) (Workload, error) {
 		}, base.Stream(2)),
 		Tasks:          workload.Generate(wl, base.Stream(3)),
 		ReissueTimeout: cfg.ReissueTimeout,
-		MaxTime:        cfg.MaxTime,
 	}, nil
 }
 

@@ -81,8 +81,10 @@ func (s *Server) Traces() []DecisionTrace { return s.traces.Traces() }
 
 // Submit appends tasks to the server's unscheduled FCFS queue. It may
 // be called any number of times, including while earlier submissions
-// are still processing; submissions after Close are dropped.
-func (s *Server) Submit(tasks []Task) { s.d.Append(tasks) }
+// are still processing; submissions after Close are dropped. A task
+// with a negative ID, or a negative, NaN or infinite size, rejects the
+// whole submission with an error and nothing is queued.
+func (s *Server) Submit(tasks []Task) error { return s.d.Append(tasks) }
 
 // Wait blocks until every submitted task has completed (at least one
 // task must have been submitted), the timeout elapses, or the server

@@ -3,6 +3,7 @@ package pnsched_test
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -47,6 +48,57 @@ func TestServeReusedTaskIDs(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Submitted != 16 || st.Completed != 16 || st.Reissued != 0 {
 		t.Errorf("Stats = %+v, want 16 submitted and completed, none reissued", st)
+	}
+	cancel()
+	if err := <-done; err != nil && !errors.Is(err, context.Canceled) {
+		t.Errorf("RunWorker: %v", err)
+	}
+}
+
+// TestServeRejectsInvalidTasks: a task with a negative ID, or a
+// negative, NaN or infinite size, is refused at Submit with nothing
+// queued. Accepted, such a task reached the worker, which hung up on
+// the assignment as invalid; every task of the batch was then
+// reissued and none completed.
+func TestServeRejectsInvalidTasks(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	srv, err := pnsched.Serve(ctx, pnsched.MustSpec("MM"))
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	defer srv.Close()
+	done := make(chan error, 1)
+	go func() {
+		done <- pnsched.RunWorker(ctx, srv.Addr().String(), pnsched.WorkerConfig{
+			Name: "only", Rate: 100, TimeScale: 1e-4,
+		})
+	}()
+
+	three := func(id1 pnsched.TaskID, size1 pnsched.MFlops) []pnsched.Task {
+		return []pnsched.Task{{ID: 0, Size: 10}, {ID: id1, Size: size1}, {ID: 2, Size: 10}}
+	}
+	for name, bad := range map[string][]pnsched.Task{
+		"negative size": three(1, -5),
+		"NaN size":      three(1, pnsched.MFlops(math.NaN())),
+		"infinite size": three(1, pnsched.MFlops(math.Inf(1))),
+		"negative ID":   three(-1, 10),
+	} {
+		if err := srv.Submit(bad); err == nil {
+			t.Errorf("%s: Submit accepted %v", name, bad)
+		}
+	}
+	if st := srv.Stats(); st.Submitted != 0 {
+		t.Fatalf("refused submissions queued %d tasks", st.Submitted)
+	}
+	if err := srv.Submit(three(1, 10)); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if err := srv.Wait(10 * time.Second); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if st := srv.Stats(); st.Submitted != 3 || st.Completed != 3 || st.Reissued != 0 {
+		t.Errorf("Stats = %+v, want 3 submitted and completed, none reissued", st)
 	}
 	cancel()
 	if err := <-done; err != nil && !errors.Is(err, context.Canceled) {

@@ -44,7 +44,7 @@ func WithListenAddr(addr string) ServeOption { return func(o *commonOpts) { o.ad
 
 // WithListener hands the service an existing listener instead of an
 // address; the service takes ownership and closes it on Close.
-func WithListener(ln net.Listener) ServeOption { return func(o *commonOpts) { o.ln = ln } }
+func WithListener(ln net.Listener) ServeOption { return func(o *commonOpts) { o.ln = ln } } //pnanalyze:ok surface deployment setting: a listener a supervisor or socket activation already bound
 
 // WithServeLog routes the service's structured progress logging (worker
 // joins and leaves, batch decisions, reissues, watch subscriptions,

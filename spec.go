@@ -44,7 +44,8 @@ type Spec struct {
 	Batch int `json:"batch,omitempty"`
 	// DynamicBatch enables the §3.7 dynamic batch-size rule.
 	DynamicBatch bool `json:"dynamic_batch,omitempty"`
-	// K is the KPB percentage (0 selects 20).
+	// K is the KPB percentage, 0..100 (0 selects 20). Validate refuses
+	// it on any other scheduler.
 	K int `json:"k,omitempty"`
 
 	// Island-model settings (PN-ISLAND only). Islands is a pointer so
@@ -119,9 +120,6 @@ func WithBatch(n int) Option { return func(s *Spec) { s.Batch = n } }
 // WithDynamicBatch enables or disables the §3.7 dynamic batch sizing.
 func WithDynamicBatch(on bool) Option { return func(s *Spec) { s.DynamicBatch = on } }
 
-// WithK sets the KPB percentage.
-func WithK(k int) Option { return func(s *Spec) { s.K = k } }
-
 // WithIslands sets the island count for PN-ISLAND (without it, one
 // island per CPU).
 func WithIslands(n int) Option { return func(s *Spec) { s.Islands = &n } }
@@ -166,6 +164,12 @@ func (s *Spec) Validate() error {
 	}
 	if s.Batch < 0 {
 		return fmt.Errorf("pnsched: negative batch %d", s.Batch)
+	}
+	if s.K != 0 && canonical != "KPB" {
+		return fmt.Errorf("pnsched: k only applies to scheduler %q, not %q", "KPB", s.Name)
+	}
+	if s.K < 0 || s.K > 100 {
+		return fmt.Errorf("pnsched: KPB k %d must be within 0..100 (0 selects 20)", s.K)
 	}
 	return s.validateIsland(canonical)
 }

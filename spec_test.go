@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"pnsched/internal/core"
 )
 
 func TestNewSpecOptions(t *testing.T) {
@@ -43,9 +41,11 @@ func TestNewSpecOptions(t *testing.T) {
 }
 
 func TestSpecDefaultsLowering(t *testing.T) {
-	cfg := core.NewPN(Spec{Name: "PN"}.gaConfig(), nil).Config()
-	if cfg.Generations != 1000 || cfg.Population != 20 || cfg.Rebalances != 1 ||
-		cfg.InitialBatch != 200 || !cfg.FixedBatch || cfg.NaiveEvaluation {
+	// Zero sizes stay zero, so core.NewPN applies the paper's defaults
+	// (core's TestConfigDefaultsApplied pins those).
+	cfg := Spec{Name: "PN"}.gaConfig()
+	if cfg.Generations != 0 || cfg.Population != 0 || cfg.Rebalances != 1 ||
+		cfg.InitialBatch != 0 || !cfg.FixedBatch || cfg.NaiveEvaluation {
 		t.Errorf("zero Spec must lower onto paper defaults: %+v", cfg)
 	}
 	// Negative rebalances is the pure-GA ablation.
@@ -74,6 +74,12 @@ func TestSpecValidation(t *testing.T) {
 		"interval on MM":       {Spec{Name: "MM", MigrationInterval: 5}, "only apply"},
 		"case-insensitive":     {Spec{Name: "Pn-IsLaNd", MigrationInterval: 5}, ""},
 		"migrants default pop": {Spec{Name: "pn-island", Migrants: 20}, "smaller than the population"},
+		"valid KPB":            {Spec{Name: "KPB", K: 30}, ""},
+		"KPB k 100":            {Spec{Name: "kpb", K: 100}, ""},
+		"k on PN":              {Spec{Name: "PN", K: 40}, "only applies"},
+		"k on MM":              {Spec{Name: "MM", K: 20}, "only applies"},
+		"neg k":                {Spec{Name: "KPB", K: -5}, "within 0..100"},
+		"k over 100":           {Spec{Name: "KPB", K: 500}, "within 0..100"},
 	}
 	for name, tc := range cases {
 		err := tc.spec.Validate()
@@ -104,7 +110,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		{Name: "EF"},
 		MustSpec("PN", WithGenerations(500), WithBatch(100), WithDynamicBatch(true), WithSeed(9)),
 		MustSpec("pn-island", WithIslands(4), WithMigrationInterval(10), WithMigrants(3), WithPopulation(30)),
-		MustSpec("KPB", WithK(40)),
+		{Name: "KPB", K: 40},
 		MustSpec("ZO", WithRebalances(-1)),
 	}
 	for _, spec := range specs {

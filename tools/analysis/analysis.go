@@ -1,6 +1,7 @@
 // Package analysis defines the analyzer protocol of the pnanalyze
-// suite: an Analyzer inspects one type-checked package at a time and
-// reports Diagnostics at source positions.
+// suite: an Analyzer inspects one type-checked package at a time (or,
+// through its Module hook, all of them at once) and reports
+// Diagnostics at source positions.
 //
 // The API deliberately mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer / Pass / Diagnostic, one Run call per package) so each
@@ -26,10 +27,13 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
+
+	"pnsched/tools/analysis/load"
 )
 
 // An Analyzer is one named invariant check. Run is invoked once per
-// package under analysis with a fully populated Pass.
+// package under analysis with a fully populated Pass; Module, when set,
+// once per run with every package.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics, the -only driver
 	// flag, and //pnanalyze:ok suppression comments. Lower-case, no
@@ -48,8 +52,15 @@ type Analyzer struct {
 
 	// Run performs the check, reporting findings via Pass.Report. A
 	// non-nil error aborts the whole run (internal failure, not a
-	// finding).
+	// finding). It may be nil when Module does all the work.
 	Run func(*Pass) error
+
+	// Module, when set, is called once per run, after Run has seen
+	// every package, with one Pass per loaded package. It is for
+	// invariants no single package can decide (surface: does anything
+	// outside its own declaration reference this name?), and reports
+	// each finding through the Pass of the package that holds it.
+	Module func([]*Pass) error
 }
 
 // A Pass carries one package to an Analyzer.Run invocation.
@@ -80,6 +91,40 @@ type Pass struct {
 // Reportf reports a formatted diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
+}
+
+// Apply runs a over pkgs — Run on each, then Module once with all of
+// them — and returns each package's diagnostics, waived ones dropped.
+// The pnanalyze driver and analysistest both run analyzers through it.
+func Apply(a *Analyzer, fset *token.FileSet, pkgs []*load.Package) ([][]Diagnostic, error) {
+	passes := make([]*Pass, len(pkgs))
+	diags := make([][]Diagnostic, len(pkgs))
+	for i, pkg := range pkgs {
+		passes[i] = &Pass{
+			Analyzer:  a,
+			Fset:      fset,
+			Files:     pkg.Files,
+			Path:      pkg.Path,
+			Pkg:       pkg.Types,
+			TypesInfo: pkg.Info,
+			Report:    func(d Diagnostic) { diags[i] = append(diags[i], d) },
+		}
+		if a.Run == nil {
+			continue
+		}
+		if err := a.Run(passes[i]); err != nil {
+			return nil, fmt.Errorf("%s: %v", pkg.Path, err)
+		}
+	}
+	if a.Module != nil {
+		if err := a.Module(passes); err != nil {
+			return nil, err
+		}
+	}
+	for i, pkg := range pkgs {
+		diags[i] = Filter(fset, pkg.Files, a.Name, diags[i])
+	}
+	return diags, nil
 }
 
 // A Diagnostic is one finding at one source position.

@@ -27,30 +27,21 @@ import (
 	"pnsched/tools/analysis/load"
 )
 
-// Run loads each fixture package and applies a to it, comparing
-// reported diagnostics against the fixtures' want comments.
+// Run loads each fixture package and applies a to it (a.Module to all
+// of them at once), comparing reported diagnostics against the
+// fixtures' want comments.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, paths ...string) {
 	t.Helper()
 	pkgs, fset, err := load.Fixture(testdata, paths...)
 	if err != nil {
 		t.Fatalf("loading fixtures: %v", err)
 	}
-	for _, pkg := range pkgs {
-		var diags []analysis.Diagnostic
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     pkg.Files,
-			Path:      pkg.Path,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-			Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-		}
-		if err := a.Run(pass); err != nil {
-			t.Fatalf("%s: analyzer %s failed: %v", pkg.Path, a.Name, err)
-		}
-		diags = analysis.Filter(fset, pkg.Files, a.Name, diags)
-		check(t, fset, pkg, diags)
+	diags, err := analysis.Apply(a, fset, pkgs)
+	if err != nil {
+		t.Fatalf("analyzer %s failed: %v", a.Name, err)
+	}
+	for i, pkg := range pkgs {
+		check(t, fset, pkg, diags[i])
 	}
 }
 

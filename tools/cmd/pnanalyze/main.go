@@ -1,9 +1,9 @@
 // Command pnanalyze runs the pnsched static-analysis suite — the
 // project's machine-checked invariants (layering, determinism, lock
-// discipline, logging hygiene, wire-struct tagging) plus
-// standard-library ports of the stock vet extras (nilness, shadow,
-// unusedwrite) — over a Go module and prints findings in go vet
-// format:
+// discipline, logging hygiene, wire-struct tagging, and surface: no
+// exported name only tests reach) plus standard-library ports of the
+// stock vet extras (nilness, shadow, unusedwrite) — over a Go module
+// and prints findings in go vet format:
 //
 //	file:line:col: analyzer: message
 //
@@ -11,8 +11,10 @@
 //
 //	pnanalyze [-dir .] [-only name,name] [-list] [packages]
 //
-// Packages default to ./... relative to -dir. The exit status is 1
-// when any diagnostic is reported, 2 on internal failure.
+// Packages default to ./... relative to -dir; surface, which asks
+// whether anything in the module uses a name, needs the default. The
+// exit status is 1 when any diagnostic is reported, 2 on internal
+// failure.
 //
 // When every selected analyzer is purely syntactic (layering,
 // wirejson), the driver skips type-checking entirely; `make apicheck`
@@ -35,6 +37,7 @@ import (
 	"pnsched/tools/analyzers/nilness"
 	"pnsched/tools/analyzers/shadow"
 	"pnsched/tools/analyzers/sloghygiene"
+	"pnsched/tools/analyzers/surface"
 	"pnsched/tools/analyzers/unusedwrite"
 	"pnsched/tools/analyzers/wirejson"
 )
@@ -49,6 +52,7 @@ var all = []*analysis.Analyzer{
 	nilness.Analyzer,
 	shadow.Analyzer,
 	unusedwrite.Analyzer,
+	surface.Analyzer,
 }
 
 func main() {
@@ -92,23 +96,14 @@ func main() {
 	}
 
 	var findings []string
-	for _, pkg := range pkgs {
-		for _, a := range selected {
-			var diags []analysis.Diagnostic
-			pass := &analysis.Pass{
-				Analyzer:  a,
-				Fset:      fset,
-				Files:     pkg.Files,
-				Path:      pkg.Path,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.Info,
-				Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-			}
-			if err := a.Run(pass); err != nil {
-				fmt.Fprintf(os.Stderr, "pnanalyze: %s: %s: %v\n", a.Name, pkg.Path, err)
-				os.Exit(2)
-			}
-			for _, d := range analysis.Filter(fset, pkg.Files, a.Name, diags) {
+	for _, a := range selected {
+		diags, err := analysis.Apply(a, fset, pkgs)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "pnanalyze: %s: %v\n", a.Name, err)
+			os.Exit(2)
+		}
+		for _, ds := range diags {
+			for _, d := range ds {
 				pos := fset.Position(d.Pos)
 				file := pos.Filename
 				if rel, err := filepath.Rel(absDir, file); err == nil && !strings.HasPrefix(rel, "..") {
