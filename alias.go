@@ -22,7 +22,9 @@ import (
 // the aliases are identical types, not wrappers.
 type (
 	// Task is one unit of work: an ID, a size in MFLOPs, and an
-	// arrival time.
+	// arrival time. Its JSON form is the wire form, {"id","size"}:
+	// encoding/json drops Arrival. A task set that must keep its
+	// arrival times is pnworkload's format, read with ReadTasks.
 	Task = task.Task
 	// TaskID identifies a task.
 	TaskID = task.ID

@@ -100,9 +100,9 @@ func TestWriteLoopCoalesces(t *testing.T) {
 	const n = 12 // within the 16 frames a worker's queue holds
 	server, client, br := pipe(t)
 	defer client.Close()
-	w := &Worker{conn: server, out: make(chan []wireTask, 16)}
+	w := &Worker{conn: server, out: make(chan []task.Task, 16)}
 	for i := range n {
-		w.out <- []wireTask{{ID: int32(i), Size: float64(i)}}
+		w.out <- []task.Task{{ID: task.ID(i), Size: units.MFlops(i)}}
 	}
 	done := make(chan struct{})
 	go func() {
@@ -114,7 +114,7 @@ func TestWriteLoopCoalesces(t *testing.T) {
 	readAssign := func(i int) {
 		t.Helper()
 		m := readMessage(t, br)
-		if m.Type != msgAssign || len(m.Tasks) != 1 || m.Tasks[0].ID != int32(i) {
+		if m.Type != msgAssign || len(m.Tasks) != 1 || m.Tasks[0].ID != task.ID(i) {
 			t.Fatalf("frame %d: %+v, want an assign of task %d", i, m, i)
 		}
 	}
@@ -124,7 +124,7 @@ func TestWriteLoopCoalesces(t *testing.T) {
 	if got := server.writes.Load(); got >= n {
 		t.Errorf("%d assign frames took %d writes, want fewer", n, got)
 	}
-	w.out <- []wireTask{{ID: n, Size: 1}}
+	w.out <- []task.Task{{ID: n, Size: 1}}
 	readAssign(n)
 }
 
@@ -148,7 +148,7 @@ func TestWorkerReportsCoalesce(t *testing.T) {
 		t.Helper()
 		m := message{Type: msgAssign}
 		for _, id := range ids {
-			m.Tasks = append(m.Tasks, wireTask{ID: id, Size: 1})
+			m.Tasks = append(m.Tasks, task.Task{ID: task.ID(id), Size: 1})
 		}
 		b, _ := appendMessage(nil, &m)
 		if _, err := server.Write(b); err != nil {

@@ -44,9 +44,9 @@ func FuzzWireCodec(f *testing.F) {
 			}
 		}
 
-		var tasks []wireTask // nil when empty, as decoding leaves it
+		var tasks []task.Task // nil when empty, as decoding leaves it
 		for i := range int(n % 5) {
-			tasks = append(tasks, wireTask{ID: id + int32(i), Size: []float64{x, y}[i%2]})
+			tasks = append(tasks, task.Task{ID: task.ID(id + int32(i)), Size: units.MFlops([]float64{x, y}[i%2])})
 		}
 		for _, v := range []any{
 			&message{Type: msgDone, Task: id, Elapsed: x, Real: y},

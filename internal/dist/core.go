@@ -201,13 +201,13 @@ func (p *Pool) takeLocked(lease any, q *task.Queue, sch sched.Batch, now time.Ti
 // for a worker that left or changed lease while the scheduler ran go
 // back to the owner unsent, as does the batch of a dead lease.
 func (p *Pool) commitLocked(lease any, workers []*Worker, asg sched.Assignment, now time.Time,
-	frames [][]wireTask, events []observe.Dispatch) ([][]wireTask, []observe.Dispatch) {
+	frames [][]task.Task, events []observe.Dispatch) ([][]task.Task, []observe.Dispatch) {
 	delete(p.scheduling, lease)
 	at := p.Since(now)
 	live := !p.closed && p.owner.LiveLocked(lease)
 	for j, ts := range asg {
 		w := workers[j]
-		var wire []wireTask
+		var wire []task.Task
 		switch {
 		case len(ts) == 0:
 		case !live || w.gone || w.Lease != lease:
@@ -215,10 +215,10 @@ func (p *Pool) commitLocked(lease any, workers []*Worker, asg sched.Assignment, 
 		default:
 			solo := len(w.outstanding) == 0
 			p.met.dispatched.Add(float64(len(ts)))
-			wire = toWire(ts)
+			wire = slices.Clone(ts)
 			for i, t := range ts {
 				id := p.owner.WireIDLocked(t)
-				wire[i].ID = id
+				wire[i].ID = task.ID(id)
 				w.outstanding[id] = pendingTask{t: t, sentAt: now, solo: solo}
 				w.pending += t.Size
 				solo = false

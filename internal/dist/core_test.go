@@ -83,7 +83,7 @@ func (r *coreRig) join(name string, rate units.Rate) *Worker {
 // send takes a batch of ts for the lease at now and commits it all to
 // the j-th worker carrying the lease, as Run does after a decision. It
 // returns the frames to queue.
-func (r *coreRig) send(lease any, now time.Time, j int, ts ...task.Task) [][]wireTask {
+func (r *coreRig) send(lease any, now time.Time, j int, ts ...task.Task) [][]task.Task {
 	r.q.PushAll(ts)
 	batch, snap := r.p.takeLocked(lease, r.q, batchOf(len(ts)), now)
 	asg := sched.NewAssignment(snap.M())

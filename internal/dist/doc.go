@@ -72,6 +72,16 @@
 //
 //	{"type":"assign","tasks":[{"id":7,"size":420.5},{"id":12,"size":33}],"task":0,"elapsed":0}
 //
+// A task is task.Task on the wire as in memory and in the job journal:
+// its tags write id and size and keep Arrival off the wire. CheckTask
+// is the one task rule (id ≥ 0, size finite and ≥ 0), and it runs once
+// at each way a task comes in: a worker's assign frames, the job
+// dispatcher's Append, and the one place it installs a job, which
+// Submit and journal replay both reach (internal/jobs). Frame
+// validation checks framing and versions only; whatever a job_*
+// request asks for, the dispatcher refuses in-band, in the words of
+// the in-process call.
+//
 // Worker → server, after each task completes; elapsed is the processing
 // time in simulated seconds (feeding §3.6 rate smoothing) and real the
 // wall-clock processing seconds, whose ratio lets the server convert

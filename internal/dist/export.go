@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"log/slog"
 	"net"
+	"slices"
 
 	"pnsched/internal/task"
 )
@@ -13,16 +14,18 @@ import (
 // as a Pool owner, and the benchmark's codec probes. The protocol
 // types stay unexported (their lowercase names are what the docs-drift
 // gate and the wire spec key on); aliases and thin wrappers re-export
-// exactly what those callers need: the envelope, framing, task
-// conversion, and the watch-serving loop.
+// exactly what those callers need: the envelope, framing and the
+// watch-serving loop.
 
 // Message is the control envelope of the JSON-lines protocol — the
 // exported name of the message type, for sibling runtimes building and
 // decoding frames.
 type Message = message
 
-// WireTask is the on-the-wire form of one task.
-type WireTask = wireTask
+// WireTask is the on-the-wire form of one task: task.Task itself,
+// whose tags keep Arrival off the wire. Only bench/ names it; it goes
+// with TasksToWire when bench/ may move (ROADMAP item 1(d)).
+type WireTask = task.Task
 
 // Exported message-type constants, aliasing the wire grammar.
 const (
@@ -47,11 +50,9 @@ func DecodeWireMessage(line []byte) (*Message, *eventFrame, error) {
 	return decodeWireMessage(line)
 }
 
-// TasksToWire converts tasks to their wire form.
-func TasksToWire(ts []task.Task) []WireTask { return toWire(ts) }
-
-// TasksFromWire converts wire tasks back to tasks.
-func TasksFromWire(ws []WireTask) []task.Task { return fromWire(ws) }
+// TasksToWire returns a copy of ts: a task is its own wire form. Only
+// bench/ calls it (ROADMAP item 1(d)).
+func TasksToWire(ts []task.Task) []WireTask { return slices.Clone(ts) }
 
 // Close terminates every subscription and marks the broadcaster
 // closed; subsequent subscriptions are stillborn. For callers shutting

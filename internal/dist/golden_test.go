@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"pnsched/internal/observe"
+	"pnsched/internal/task"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden from the canonical frames")
@@ -285,7 +286,7 @@ func TestGoldenEventFrames(t *testing.T) {
 func TestGoldenHotFrames(t *testing.T) {
 	dispatch := canonicalFrames()["event_dispatch"]
 	frames := map[string]any{
-		"assign":         &message{Type: msgAssign, Tasks: []wireTask{{ID: 7, Size: 420.5}, {ID: 12, Size: 33}}},
+		"assign":         &message{Type: msgAssign, Tasks: []task.Task{{ID: 7, Size: 420.5}, {ID: 12, Size: 33}}},
 		"done":           &message{Type: msgDone, Task: 7, Elapsed: 1.338, Real: 0.0013},
 		"event_dispatch": &dispatch,
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 
 	"pnsched/internal/observe"
+	"pnsched/internal/task"
 )
 
 // This file defines the exported payload types of the job dispatcher
@@ -32,7 +33,7 @@ type JobSubmission struct {
 	// zero means any lost task fails the job.
 	RetryBudget *int `json:"retry_budget,omitempty"`
 	// Tasks is the workload. IDs must be unique within the job.
-	Tasks []wireTask `json:"tasks"`
+	Tasks []task.Task `json:"tasks"`
 }
 
 // JobInfo is one job's externally visible state, returned by

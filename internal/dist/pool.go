@@ -158,7 +158,7 @@ type Pool struct {
 	ln      net.Listener
 	workers []*Worker // connected, in registration order
 	closed  bool
-	frames  [][]wireTask // commitLocked's output, reused by every Run; touched only under Mu
+	frames  [][]task.Task // commitLocked's output, reused by every Run; touched only under Mu
 	// scheduling holds, per lease, the batch Run has popped from the
 	// queue and not yet dispatched — the scheduler is deciding it with
 	// the lock released. Invariant, under Mu: every unfinished task of a
@@ -189,7 +189,7 @@ type Worker struct {
 	name    string
 	claimed units.Rate
 	conn    net.Conn
-	out     chan []wireTask // assign batches; closed when the worker leaves
+	out     chan []task.Task // assign batches; closed when the worker leaves
 
 	rate *smoothing.Smoother // observed Mflop/s, primed with claimed
 	comm *smoothing.Smoother // per-task link overhead, seconds
@@ -494,8 +494,8 @@ func (p *Pool) serveWorker(conn net.Conn, br *bufio.Reader, name string, claimed
 	}
 	w, pool := p.joinLocked(name, claimed)
 	w.conn = conn
-	w.out = make(chan []wireTask, 16) // assign frames in flight; a full queue means a wedged peer
-	p.cond.Broadcast()                // queued work may now be schedulable
+	w.out = make(chan []task.Task, 16) // assign frames in flight; a full queue means a wedged peer
+	p.cond.Broadcast()                 // queued work may now be schedulable
 	p.Mu.Unlock()
 	p.Log.Info("worker joined", "worker", name, "remote", conn.RemoteAddr(),
 		"rate", float64(claimed), "workers", pool)
@@ -563,7 +563,7 @@ func (p *Pool) serveWorker(conn net.Conn, br *bufio.Reader, name string, claimed
 func (p *Pool) writeLoop(w *Worker) {
 	fw := newFrameWriter(w.conn)
 	m := message{Type: msgAssign}
-	if drain(fw, w.out, func(ts []wireTask) error {
+	if drain(fw, w.out, func(ts []task.Task) error {
 		m.Tasks = ts
 		return fw.message(&m)
 	}) != nil {

@@ -267,7 +267,7 @@ var runtimes = map[string]func(t *testing.T, batch int, events bool) *runtime{
 		rt.serve(t, d)
 		rt.jobs = true
 		rt.submit = func(ts []task.Task) {
-			if _, err := d.Submit(dist.JobSubmission{Tasks: dist.TasksToWire(ts)}); err != nil {
+			if _, err := d.Submit(dist.JobSubmission{Tasks: ts}); err != nil {
 				t.Errorf("Submit: %v", err)
 			}
 		}

@@ -92,7 +92,7 @@ type message struct {
 	Rate float64 `json:"rate,omitempty"` // claimed Mflop/s
 
 	// assign
-	Tasks []wireTask `json:"tasks,omitempty"`
+	Tasks []task.Task `json:"tasks,omitempty"`
 
 	// done
 	Task    int32   `json:"task"`    // task ID (0 is a valid ID — no omitempty)
@@ -403,8 +403,8 @@ func (m *message) validate() error {
 			return fmt.Errorf("dist: worker %s claimed non-positive rate %v", m.Name, m.Rate)
 		}
 	case msgAssign:
-		for _, w := range m.Tasks {
-			if err := CheckTask(w.ID, w.Size); err != nil {
+		for _, t := range m.Tasks {
+			if err := CheckTask(t); err != nil {
 				return fmt.Errorf("dist: assign with %w", err)
 			}
 		}
@@ -421,62 +421,16 @@ func (m *message) validate() error {
 			return fmt.Errorf("dist: %s without protocol version", m.Type)
 		}
 		return m.Proto.compatible()
-	case msgStats:
-		// The request is a bare {"type":"stats"}; the reply carries the
-		// server's version alongside the snapshot, and that version must
-		// be speakable.
+	case msgStats, msgTrace, msgJobSubmit, msgJobStatus, msgJobCancel, msgJobResult:
+		// One-shot exchanges: a request carries no reply field, and a
+		// reply carries the version of the side that wrote it, which
+		// this side must speak. What a request asks for is the
+		// answering side's to refuse, in-band.
 		if m.Proto != nil {
 			return m.Proto.compatible()
 		}
-		if m.Stats != nil {
-			return errors.New("dist: stats reply without protocol version")
-		}
-	case msgTrace:
-		// Same request/reply shape as stats: bare request, versioned
-		// reply (1.2).
-		if m.Proto != nil {
-			return m.Proto.compatible()
-		}
-		if m.Traces != nil {
-			return errors.New("dist: trace reply without protocol version")
-		}
-	case msgJobSubmit:
-		// Reply: versioned, carrying the accepted job or an error.
-		// Request: must carry the submission, whose tasks follow the
-		// assign rules.
-		if m.Proto != nil {
-			return m.Proto.compatible()
-		}
-		if m.Jobs != nil || m.Error != "" {
-			return errors.New("dist: job_submit reply without protocol version")
-		}
-		if m.Job == nil {
-			return errors.New("dist: job_submit without job payload")
-		}
-		for _, w := range m.Job.Tasks {
-			if err := CheckTask(w.ID, w.Size); err != nil {
-				return fmt.Errorf("dist: job_submit with %w", err)
-			}
-		}
-	case msgJobStatus:
-		// Request: a job id, or empty for the whole queue. Reply:
-		// versioned.
-		if m.Proto != nil {
-			return m.Proto.compatible()
-		}
-		if m.Jobs != nil || m.Error != "" {
-			return errors.New("dist: job_status reply without protocol version")
-		}
-	case msgJobCancel, msgJobResult:
-		// Request: must name a job. Reply: versioned.
-		if m.Proto != nil {
-			return m.Proto.compatible()
-		}
-		if m.Jobs != nil || m.Result != nil || m.Error != "" {
+		if m.Stats != nil || m.Traces != nil || m.Jobs != nil || m.Result != nil || m.Error != "" {
 			return fmt.Errorf("dist: %s reply without protocol version", m.Type)
-		}
-		if m.JobID == "" {
-			return fmt.Errorf("dist: %s without job_id", m.Type)
 		}
 	}
 	return nil
@@ -585,40 +539,18 @@ func drain[T any](w *frameWriter, queue <-chan T, write func(T) error) error {
 	}
 }
 
-// CheckTask is the one rule every way into the pool holds a task to: a
-// non-negative id and a finite, non-negative size. A worker applies it
-// to every assign frame and hangs up on a breach, and JSON cannot carry
-// a NaN or infinite size into the journal, so a task that breaks it is
-// refused where it is submitted.
-func CheckTask(id int32, size float64) error {
-	if id < 0 || !(size >= 0 && size <= math.MaxFloat64) {
-		return fmt.Errorf("invalid task {id %d, size %v}", id, size)
+// CheckTask is the one rule every task is held to: a non-negative id
+// and a finite, non-negative size. It runs once at each way in — a
+// worker's assign frames (it hangs up on a breach), the job
+// dispatcher's Append, and the one place the dispatcher installs a
+// job, which Submit and journal replay both reach — so a task that
+// breaks it is refused where it enters, and JSON never has to carry a
+// NaN or infinite size into the journal.
+func CheckTask(t task.Task) error {
+	if t.ID < 0 || !(t.Size >= 0 && t.Size <= math.MaxFloat64) {
+		return fmt.Errorf("invalid task {id %d, size %v}", t.ID, float64(t.Size))
 	}
 	return nil
-}
-
-// wireTask is the on-the-wire form of a task. Arrival is deliberately
-// absent: in the live system a task "arrives" when the server submits
-// it, and the worker has no use for the timestamp.
-type wireTask struct {
-	ID   int32   `json:"id"`
-	Size float64 `json:"size"` // MFLOPs
-}
-
-func toWire(ts []task.Task) []wireTask {
-	out := make([]wireTask, len(ts))
-	for i, t := range ts {
-		out[i] = wireTask{ID: int32(t.ID), Size: float64(t.Size)}
-	}
-	return out
-}
-
-func fromWire(ws []wireTask) []task.Task {
-	out := make([]task.Task, len(ws))
-	for i, w := range ws {
-		out[i] = task.Task{ID: task.ID(w.ID), Size: units.MFlops(w.Size)}
-	}
-	return out
 }
 
 // The hot frames — the dispatch event, done and assign, one or more of
@@ -641,7 +573,7 @@ func (m *message) hot() bool {
 		return false
 	}
 	for _, t := range m.Tasks {
-		if !finite(t.Size) {
+		if !finite(float64(t.Size)) {
 			return false
 		}
 	}
@@ -668,7 +600,7 @@ func appendMessage(b []byte, m *message) ([]byte, bool) {
 			b = append(b, `{"id":`...)
 			b = strconv.AppendInt(b, int64(t.ID), 10)
 			b = append(b, `,"size":`...)
-			b = appendFloat(b, t.Size)
+			b = appendFloat(b, float64(t.Size))
 			b = append(b, '}')
 		}
 		b = append(b, ']')
@@ -772,14 +704,14 @@ func decodeHot(line []byte) (m *message, ev *eventFrame, ok bool) {
 		return nil, nil, false
 	}
 	if s.opt(`,"tasks":[`) {
-		m.Tasks = make([]wireTask, 0, bytes.Count(line[s.i:], []byte(`{"id":`)))
+		m.Tasks = make([]task.Task, 0, bytes.Count(line[s.i:], []byte(`{"id":`)))
 		for s.ok {
 			s.lit(`{"id":`)
 			id := s.parseInt(32)
 			s.lit(`,"size":`)
 			size := s.parseFloat()
 			s.lit(`}`)
-			m.Tasks = append(m.Tasks, wireTask{ID: int32(id), Size: size})
+			m.Tasks = append(m.Tasks, task.Task{ID: task.ID(id), Size: units.MFlops(size)})
 			if !s.opt(`,`) {
 				break
 			}

@@ -6,25 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"pnsched/internal/task"
 	"pnsched/internal/units"
 )
-
-func TestWireRoundTrip(t *testing.T) {
-	in := []task.Task{
-		{ID: 0, Size: 12.5}, // ID 0 must survive (no omitempty pitfalls)
-		{ID: 7, Size: 420},
-	}
-	out := fromWire(toWire(in))
-	if len(out) != len(in) {
-		t.Fatalf("round trip length %d, want %d", len(out), len(in))
-	}
-	for i := range in {
-		if out[i].ID != in[i].ID || out[i].Size != in[i].Size {
-			t.Errorf("task %d round-tripped to %+v, want %+v", i, out[i], in[i])
-		}
-	}
-}
 
 func TestDoneMessagePreservesTaskZero(t *testing.T) {
 	b, err := json.Marshal(&message{Type: msgDone, Task: 0, Elapsed: 1.5})

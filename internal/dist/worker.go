@@ -112,7 +112,7 @@ func serveTasks(ctx context.Context, conn net.Conn, cfg WorkerConfig) error {
 				return
 			}
 			if m != nil && m.Type == msgAssign {
-				q.push(fromWire(m.Tasks))
+				q.push(m.Tasks)
 			}
 		}
 	}()

@@ -79,7 +79,7 @@ func TestWorkerTakesBatchOverFrameBound(t *testing.T) {
 	for i := range tasks {
 		tasks[i] = task.Task{ID: task.ID(i), Size: units.MFlops(1000 + float64(i)/7)}
 	}
-	if b, _ := appendMessage(nil, &message{Type: msgAssign, Tasks: toWire(tasks)}); len(b) <= maxFrame+1 {
+	if b, _ := appendMessage(nil, &message{Type: msgAssign, Tasks: tasks}); len(b) <= maxFrame+1 {
 		t.Fatalf("one assign of %d tasks is only %d bytes: nothing to split", n, len(b))
 	}
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"pnsched/internal/dist"
+	"pnsched/internal/task"
 )
 
 // The journal goldens pin the durable encoding exactly as the dist
@@ -40,7 +41,7 @@ func canonicalJournalRecords() map[string]*JournalRecord {
 				Total:       2,
 				Budget:      64,
 				SubmittedAt: 1754560000000000000,
-				Tasks:       []dist.WireTask{{ID: 0, Size: 420.5}, {ID: 1, Size: 33}},
+				Tasks:       []task.Task{{ID: 0, Size: 420.5}, {ID: 1, Size: 33}},
 			},
 			Served: fv(1200.25),
 		}},
@@ -121,7 +122,7 @@ func canonicalJournalSnapshot() *JournalSnapshot {
 				Elapsed:     4.806,
 				SubmittedAt: 1754560000000000000,
 				StartedAt:   1754560001000000000,
-				Tasks:       []dist.WireTask{{ID: 1, Size: 33}},
+				Tasks:       []task.Task{{ID: 1, Size: 33}},
 				Workers:     []dist.JobWorkerResult{{Name: "node7", Tasks: 1, Work: 420.5}},
 			},
 		},

@@ -325,20 +325,11 @@ func newRetaining(cfg Config, retain int, grace time.Duration) (*Dispatcher, err
 
 // Submit validates and enqueues one job, returning its accepted state.
 // The scheduler is constructed up front (outside the lock) so a bad
-// spec is rejected at submission, not at start.
+// spec is rejected at submission, not at start. The tasks are checked
+// where replay checks them, in addJobLocked, before anything changes.
 func (d *Dispatcher) Submit(sub dist.JobSubmission) (dist.JobInfo, error) {
 	if len(sub.Tasks) == 0 {
 		return dist.JobInfo{}, errors.New("jobs: submission with no tasks")
-	}
-	seen := make(map[int32]struct{}, len(sub.Tasks))
-	for _, w := range sub.Tasks {
-		if err := dist.CheckTask(w.ID, w.Size); err != nil {
-			return dist.JobInfo{}, fmt.Errorf("jobs: %w", err)
-		}
-		if _, dup := seen[w.ID]; dup {
-			return dist.JobInfo{}, fmt.Errorf("jobs: duplicate task id %d in submission", w.ID)
-		}
-		seen[w.ID] = struct{}{}
 	}
 	if sub.RetryBudget != nil && *sub.RetryBudget < 0 {
 		return dist.JobInfo{}, fmt.Errorf("jobs: negative retry budget %d", *sub.RetryBudget)
@@ -786,7 +777,7 @@ func (d *Dispatcher) infoLocked(j *job) dist.JobInfo {
 // Config.Open has an open job to append to.
 func (d *Dispatcher) Append(ts []task.Task) error {
 	for _, t := range ts {
-		if err := dist.CheckTask(int32(t.ID), float64(t.Size)); err != nil {
+		if err := dist.CheckTask(t); err != nil {
 			return fmt.Errorf("jobs: %w", err)
 		}
 	}

@@ -11,6 +11,8 @@ import (
 	"pnsched/internal/dist"
 	"pnsched/internal/jobs"
 	"pnsched/internal/sched"
+	"pnsched/internal/task"
+	"pnsched/internal/units"
 )
 
 // testFactory is the scheduler factory the dispatcher tests inject:
@@ -24,7 +26,7 @@ func testFactory(json.RawMessage) (sched.Batch, error) {
 func oneTask(tenant string, size float64) dist.JobSubmission {
 	return dist.JobSubmission{
 		Tenant: tenant,
-		Tasks:  []dist.WireTask{{ID: 0, Size: size}},
+		Tasks:  []task.Task{{ID: 0, Size: units.MFlops(size)}},
 	}
 }
 
@@ -103,10 +105,10 @@ func TestAdmissionFIFO(t *testing.T) {
 func TestAdmissionPriority(t *testing.T) {
 	subs := []dist.JobSubmission{
 		oneTask("a", 100), // admitted immediately — priority applies to the rest
-		{Tenant: "a", Priority: 1, Tasks: []dist.WireTask{{ID: 0, Size: 100}}},
-		{Tenant: "b", Priority: 5, Tasks: []dist.WireTask{{ID: 0, Size: 100}}},
-		{Tenant: "a", Priority: 5, Tasks: []dist.WireTask{{ID: 0, Size: 100}}},
-		{Tenant: "b", Priority: 0, Tasks: []dist.WireTask{{ID: 0, Size: 100}}},
+		{Tenant: "a", Priority: 1, Tasks: []task.Task{{ID: 0, Size: 100}}},
+		{Tenant: "b", Priority: 5, Tasks: []task.Task{{ID: 0, Size: 100}}},
+		{Tenant: "a", Priority: 5, Tasks: []task.Task{{ID: 0, Size: 100}}},
+		{Tenant: "b", Priority: 0, Tasks: []task.Task{{ID: 0, Size: 100}}},
 	}
 	order := admissionOrder(t, jobs.Config{Policy: jobs.PolicyPriority}, subs)
 	// Highest priority first; the 5s tie-break by submission order.
@@ -181,7 +183,7 @@ func TestSubmitValidation(t *testing.T) {
 		t.Error("empty submission accepted")
 	}
 	if _, err := d.Submit(dist.JobSubmission{
-		Tasks: []dist.WireTask{{ID: 1, Size: 5}, {ID: 1, Size: 5}},
+		Tasks: []task.Task{{ID: 1, Size: 5}, {ID: 1, Size: 5}},
 	}); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("duplicate task IDs accepted: %v", err)
 	}
@@ -189,7 +191,7 @@ func TestSubmitValidation(t *testing.T) {
 	// encoded into a journal record.
 	for _, size := range []float64{-5, math.NaN(), math.Inf(1)} {
 		if _, err := d.Submit(dist.JobSubmission{
-			Tasks: []dist.WireTask{{ID: 0, Size: 5}, {ID: 1, Size: size}},
+			Tasks: []task.Task{{ID: 0, Size: 5}, {ID: 1, Size: units.MFlops(size)}},
 		}); err == nil || !strings.Contains(err.Error(), "invalid task") {
 			t.Errorf("task of size %v accepted: %v", size, err)
 		}
@@ -197,7 +199,7 @@ func TestSubmitValidation(t *testing.T) {
 	neg := -1
 	if _, err := d.Submit(dist.JobSubmission{
 		RetryBudget: &neg,
-		Tasks:       []dist.WireTask{{ID: 0, Size: 5}},
+		Tasks:       []task.Task{{ID: 0, Size: 5}},
 	}); err == nil {
 		t.Error("negative retry budget accepted")
 	}

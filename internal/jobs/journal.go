@@ -103,7 +103,7 @@ type JournalAdmit struct {
 // seconds and its size in MFLOPs.
 type JournalTask struct {
 	ID      string  `json:"id"`
-	Task    int32   `json:"task"`
+	Task    task.ID `json:"task"`
 	Worker  string  `json:"worker"`
 	Elapsed float64 `json:"elapsed"`
 	Work    float64 `json:"work"`
@@ -150,7 +150,7 @@ type JournalJob struct {
 	SubmittedAt int64                  `json:"submitted_at"`
 	StartedAt   int64                  `json:"started_at,omitempty"`
 	FinishedAt  int64                  `json:"finished_at,omitempty"`
-	Tasks       []dist.WireTask        `json:"tasks,omitempty"`
+	Tasks       []task.Task            `json:"tasks,omitempty"`
 	Workers     []dist.JobWorkerResult `json:"workers,omitempty"`
 }
 
@@ -501,7 +501,7 @@ func (d *Dispatcher) journalJobLocked(j *job) JournalJob {
 	rj := j.JournalJob
 	rj.Workers = slices.Clone(j.Workers)
 	if !j.terminal() {
-		rj.Tasks = dist.TasksToWire(append(j.queue.Snapshot(), d.pool.InFlightLocked(j)...))
+		rj.Tasks = append(j.queue.Snapshot(), d.pool.InFlightLocked(j)...)
 	}
 	return rj
 }
@@ -513,10 +513,11 @@ func (d *Dispatcher) journalJobLocked(j *job) JournalJob {
 
 // addJobLocked installs one job from its durable form — a submit
 // record's payload or a snapshot entry — refusing one no transition
-// could have produced. It is the only place a job is constructed: the
-// record is copied in and its tasks become the queue. The scheduler is
-// not part of the durable form: Submit sets the one it built, recovery
-// resolves the spec again.
+// could have produced. It is the only place a job is constructed, so it
+// holds the task rules for Submit and replay alike: every task passes
+// dist.CheckTask and no task ID repeats. The record is copied in and
+// its tasks become the queue. The scheduler is not part of the durable
+// form: Submit sets the one it built, recovery resolves the spec again.
 func (d *Dispatcher) addJobLocked(rj *JournalJob) (*job, error) {
 	if rj.ID == "" || rj.Seq <= 0 {
 		return nil, fmt.Errorf("jobs: journal job without id/seq (%q, %d)", rj.ID, rj.Seq)
@@ -533,8 +534,20 @@ func (d *Dispatcher) addJobLocked(rj *JournalJob) (*job, error) {
 		return nil, fmt.Errorf("jobs: journal job %s has impossible counts (total %d, completed %d, retries %d)",
 			rj.ID, rj.Total, rj.Completed, rj.Retries)
 	}
+	// A job's task IDs are its own and unique within it, because a task
+	// record retires its task by ID.
+	seen := make(map[task.ID]struct{}, len(rj.Tasks))
+	for _, t := range rj.Tasks {
+		if err := dist.CheckTask(t); err != nil {
+			return nil, fmt.Errorf("jobs: job %s has %w", rj.ID, err)
+		}
+		if _, dup := seen[t.ID]; dup {
+			return nil, fmt.Errorf("jobs: job %s has duplicate task id %d", rj.ID, t.ID)
+		}
+		seen[t.ID] = struct{}{}
+	}
 	j := &job{JournalJob: *rj, queue: task.NewQueue(len(rj.Tasks))}
-	j.queue.PushAll(dist.TasksFromWire(rj.Tasks))
+	j.queue.PushAll(rj.Tasks)
 	j.Tasks = nil
 	j.Workers = slices.Clone(rj.Workers)
 	slices.SortFunc(j.Workers, func(a, b dist.JobWorkerResult) int { return strings.Compare(a.Name, b.Name) })
@@ -774,7 +787,7 @@ func (d *Dispatcher) replayRecord(rec *JournalRecord, retired map[*job][]task.ID
 		d.applyAdmitLocked(j, rec.Admit)
 	case JournalKindTask:
 		d.applyTaskLocked(j, rec.Task)
-		retired[j] = append(retired[j], task.ID(rec.Task.Task))
+		retired[j] = append(retired[j], rec.Task.Task)
 	case JournalKindRetry:
 		if rec.Retry.Tasks < 0 {
 			return fmt.Errorf("jobs: journal record %d spends %d retries on job %s", rec.LSN, rec.Retry.Tasks, id)

@@ -19,6 +19,7 @@ import (
 	"pnsched/internal/sched"
 	"pnsched/internal/task"
 	"pnsched/internal/telemetry"
+	"pnsched/internal/units"
 )
 
 func journalFactory(json.RawMessage) (sched.Batch, error) {
@@ -35,9 +36,9 @@ func journalConfig(dir string) Config {
 
 func mustSubmit(t *testing.T, d *Dispatcher, tenant string, sizes ...float64) dist.JobInfo {
 	t.Helper()
-	var ws []dist.WireTask
+	var ws []task.Task
 	for i, s := range sizes {
-		ws = append(ws, dist.WireTask{ID: int32(i), Size: s})
+		ws = append(ws, task.Task{ID: task.ID(i), Size: units.MFlops(s)})
 	}
 	info, err := d.Submit(dist.JobSubmission{Tenant: tenant, Tasks: ws})
 	if err != nil {
@@ -123,7 +124,7 @@ func TestJournalRestartExhaustsBudget(t *testing.T) {
 	info, err := d1.Submit(dist.JobSubmission{
 		Tenant:      "a",
 		RetryBudget: &zero,
-		Tasks:       []dist.WireTask{{ID: 0, Size: 100}},
+		Tasks:       []task.Task{{ID: 0, Size: 100}},
 	})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -403,6 +404,7 @@ var (
 		"no state":             `{"lsn":1,"start":1,"next_seq":1,"jobs":[{"id":"job-0001","seq":1,"tenant":"a","state":"","total":1,"retry_budget":1,"submitted_at":1}]}`,
 		"completed over total": `{"lsn":1,"start":1,"next_seq":1,"jobs":[{"id":"job-0001","seq":1,"tenant":"a","state":"running","total":1,"completed":2,"retry_budget":1,"submitted_at":1,"started_at":2}]}`,
 		"negative counter":     `{"lsn":1,"start":1,"next_seq":1,"tasks_done":-4}`,
+		"invalid task":         `{"lsn":1,"start":1,"next_seq":1,"jobs":[{"id":"job-0001","seq":1,"tenant":"a","state":"queued","total":2,"retry_budget":1,"submitted_at":1,"tasks":[{"id":0,"size":10},{"id":1,"size":-5}]}]}`,
 	}
 	impossibleSubmits = map[string]string{
 		"unknown state":        `{"lsn":1,"kind":"submit","submit":{"job":{"id":"job-0001","seq":1,"tenant":"a","state":"paused","total":1,"retry_budget":1,"submitted_at":1,"tasks":[{"id":0,"size":1}]}}}`,
@@ -410,6 +412,7 @@ var (
 		"submitted done":       `{"lsn":1,"kind":"submit","submit":{"job":{"id":"job-0001","seq":1,"tenant":"a","state":"done","total":1,"retry_budget":1,"submitted_at":1,"tasks":[{"id":0,"size":1}]}}}`,
 		"submitted with work":  `{"lsn":1,"kind":"submit","submit":{"job":{"id":"job-0001","seq":1,"tenant":"a","state":"queued","total":1,"completed":1,"retry_budget":1,"submitted_at":1,"tasks":[{"id":0,"size":1}]}}}`,
 		"submitted with spend": `{"lsn":1,"kind":"submit","submit":{"job":{"id":"job-0001","seq":1,"tenant":"a","state":"queued","total":1,"retries":1,"retry_budget":1,"submitted_at":1,"tasks":[{"id":0,"size":1}]}}}`,
+		"repeated task id":     `{"lsn":1,"kind":"submit","submit":{"job":{"id":"job-0001","seq":1,"tenant":"a","state":"queued","total":2,"retry_budget":1,"submitted_at":1,"tasks":[{"id":1,"size":5},{"id":1,"size":5}]}}}`,
 	}
 )
 
@@ -431,11 +434,21 @@ func replayFresh(t testing.TB, snap *JournalSnapshot, tail []*JournalRecord) (*D
 // job in a state that is none of the five would be neither pending,
 // active nor terminal — never admitted, never trimmed, reported for
 // ever — so recovery refuses it, and the other impossible records with
-// it, instead of installing them.
+// it, instead of installing them, naming the job. A task Submit would
+// refuse is one of them: installed, a bad task makes every worker it
+// reaches hang up until the job's retry budget is spent.
 func TestReplayRefusesImpossibleJobs(t *testing.T) {
 	replay := func(t *testing.T, snap *JournalSnapshot, tail []*JournalRecord) error {
 		_, err := replayFresh(t, snap, tail)
 		return err
+	}
+	refused := func(t *testing.T, input string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Errorf("replayed %s", input)
+		} else if strings.Contains(input, "job-0001") && !strings.Contains(err.Error(), "job-0001") {
+			t.Errorf("refused with %q, which does not name job-0001", err)
+		}
 	}
 	for name, file := range impossibleSnapshots {
 		t.Run("snapshot/"+name, func(t *testing.T) {
@@ -443,9 +456,7 @@ func TestReplayRefusesImpossibleJobs(t *testing.T) {
 			if err := json.Unmarshal([]byte(file), &snap); err != nil {
 				t.Fatalf("the snapshot is meant to decode: %v", err)
 			}
-			if err := replay(t, &snap, nil); err == nil {
-				t.Errorf("replayed %s", file)
-			}
+			refused(t, file, replay(t, &snap, nil))
 		})
 	}
 	for name, line := range impossibleSubmits {
@@ -454,9 +465,7 @@ func TestReplayRefusesImpossibleJobs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("the record is meant to decode: %v", err)
 			}
-			if err := replay(t, nil, []*JournalRecord{rec}); err == nil {
-				t.Errorf("replayed %s", line)
-			}
+			refused(t, line, replay(t, nil, []*JournalRecord{rec}))
 		})
 	}
 	// What recovery does read every day still replays.
@@ -470,6 +479,27 @@ func TestReplayRefusesImpossibleJobs(t *testing.T) {
 	}
 	if err := replay(t, &snap, nil); err != nil {
 		t.Errorf("the golden snapshot no longer replays: %v", err)
+	}
+}
+
+// TestRecoveryRefusesRepeatedTaskID: New on a journal dir whose submit
+// record lists task 1 twice, then a task record for 1, fails naming the
+// job. Installed, the task record would retire both copies, so the job
+// could never complete, and under MaxActive 1 it would wedge the queue.
+func TestRecoveryRefusesRepeatedTaskID(t *testing.T) {
+	dir := t.TempDir()
+	body := impossibleSubmits["repeated task id"] + "\n" +
+		`{"lsn":2,"kind":"task","task":{"id":"job-0001","task":1,"worker":"w","elapsed":1,"work":5}}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, journalFile), []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(journalConfig(dir))
+	if err == nil {
+		d.Close()
+		t.Fatal("recovered a job that repeats a task ID")
+	}
+	if !strings.Contains(err.Error(), "job-0001") {
+		t.Errorf("recovery failed with %q, which does not name job-0001", err)
 	}
 }
 
@@ -512,7 +542,7 @@ func fillDistinct(t *testing.T, v reflect.Value, n *int, skip ...string) {
 func TestDurableStateRoundTrips(t *testing.T) {
 	n := 0
 	job := JournalJob{
-		Tasks:   []dist.WireTask{{ID: 3, Size: 5.5}, {ID: 9, Size: 2}},
+		Tasks:   []task.Task{{ID: 3, Size: 5.5}, {ID: 9, Size: 2}},
 		Workers: []dist.JobWorkerResult{{Name: "node1", Tasks: 2, Work: 7.5}, {Name: "node2", Tasks: 1, Work: 3}},
 	}
 	fillDistinct(t, reflect.ValueOf(&job).Elem(), &n, "Tasks", "Workers")

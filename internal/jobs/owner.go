@@ -57,7 +57,7 @@ func (d *Dispatcher) WireIDLocked(task.Task) int32 {
 // job's completion.
 func (d *Dispatcher) DoneLocked(lease any, worker string, t task.Task, elapsed units.Seconds, now time.Time) emits {
 	j := lease.(*job)
-	p := JournalTask{ID: j.ID, Task: int32(t.ID), Worker: worker, Elapsed: float64(elapsed), Work: float64(t.Size)}
+	p := JournalTask{ID: j.ID, Task: t.ID, Worker: worker, Elapsed: float64(elapsed), Work: float64(t.Size)}
 	d.applyTaskLocked(j, &p)
 	if d.jour != nil {
 		d.appendLocked(p.record())
@@ -129,11 +129,13 @@ func (d *Dispatcher) StatsLocked(snap *dist.Snapshot) {
 
 // ServeRequest implements dist.Owner with the job_* exchanges: a single
 // versioned reply echoing the request type, carrying either the result
-// or an application-level Error string, then close. Failures are
-// reported in-band (not by dropping the connection) so clients can
-// distinguish "no such job" from "server does not speak 1.3". A
-// dispatcher running the open job takes no job requests; the pool
-// rejects them like any other non-handshake.
+// or an application-level Error string, then close. Every refusal of
+// what a request asks for — a bad task, a missing payload (an empty
+// submission), an empty or unknown job to cancel or fetch — is
+// reported in-band, in the words the same in-process call returns, so
+// clients can distinguish "no such job" from "server does not speak
+// 1.3". A dispatcher running the open job takes no job requests; the
+// pool rejects them like any other non-handshake.
 func (d *Dispatcher) ServeRequest(conn net.Conn, m *dist.Message) bool {
 	if d.open != nil {
 		return false
@@ -148,7 +150,11 @@ func (d *Dispatcher) ServeRequest(conn net.Conn, m *dist.Message) bool {
 	var err error
 	switch m.Type {
 	case dist.MsgJobSubmit:
-		err = one(d.Submit(*m.Job))
+		var sub dist.JobSubmission
+		if m.Job != nil {
+			sub = *m.Job
+		}
+		err = one(d.Submit(sub))
 	case dist.MsgJobStatus:
 		if m.JobID == "" {
 			reply.Jobs = d.Queue()

@@ -98,7 +98,7 @@ func liveEqualsReplay(t *testing.T, policy Policy, seed int64) {
 				Priority: rng.Intn(4),
 			}
 			for i, n := 0, 1+rng.Intn(6); i < n; i++ {
-				sub.Tasks = append(sub.Tasks, dist.WireTask{ID: int32(i), Size: rng.Float64() * 100})
+				sub.Tasks = append(sub.Tasks, task.Task{ID: task.ID(i), Size: units.MFlops(rng.Float64() * 100)})
 			}
 			if rng.Intn(3) == 0 {
 				budget := rng.Intn(3)
@@ -223,7 +223,7 @@ func referenceReplay(t *testing.T, dir string) *JournalSnapshot {
 			}
 			tally.Tasks++
 			tally.Work += rec.Task.Work
-			var rest []dist.WireTask
+			var rest []task.Task
 			for _, w := range j.Tasks {
 				if w.ID != rec.Task.Task {
 					rest = append(rest, w)
@@ -317,11 +317,11 @@ func TestReplayRetiresInOrder(t *testing.T) {
 		t.Fatalf("replay: %v", err)
 	}
 	defer replayed.Close()
-	var got []int32
+	var got []task.ID
 	for _, w := range replayed.DurableStateForTest().Jobs[0].Tasks {
 		got = append(got, w.ID)
 	}
-	if want := []int32{0, 2, 4, 5, 7}; !reflect.DeepEqual(got, want) {
+	if want := []task.ID{0, 2, 4, 5, 7}; !reflect.DeepEqual(got, want) {
 		t.Errorf("remaining tasks after replay %v, want %v", got, want)
 	}
 }

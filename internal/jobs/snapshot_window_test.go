@@ -60,7 +60,7 @@ func snapshotMidSchedule(t *testing.T) string {
 	case <-time.After(10 * time.Second):
 		t.Fatal("the scheduler was never handed the batch")
 	}
-	if _, err := d.Submit(dist.JobSubmission{Tenant: "a", Tasks: []dist.WireTask{{ID: 100, Size: 100}}}); err != nil {
+	if _, err := d.Submit(dist.JobSubmission{Tenant: "a", Tasks: []task.Task{{ID: 100, Size: 100}}}); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
 	frozen := t.TempDir()
@@ -110,7 +110,7 @@ func TestCrashWhileSchedulingRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	completions := map[int32]int{}
+	completions := map[task.ID]int{}
 	for sc := bufio.NewScanner(f); sc.Scan(); {
 		var rec jobs.JournalRecord
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
@@ -120,7 +120,7 @@ func TestCrashWhileSchedulingRecovers(t *testing.T) {
 			completions[rec.Task.Task]++
 		}
 	}
-	for id := int32(0); id < 4; id++ {
+	for id := task.ID(0); id < 4; id++ {
 		if completions[id] != 1 {
 			t.Errorf("task %d of job-0001 completed %d times, want exactly once (all: %v)", id, completions[id], completions)
 		}

@@ -15,6 +15,7 @@ import (
 	"pnsched/internal/dist"
 	"pnsched/internal/jobs"
 	"pnsched/internal/observe"
+	"pnsched/internal/task"
 	"pnsched/internal/units"
 )
 
@@ -69,7 +70,7 @@ func startWorkers(t *testing.T, addr string, n int, rate units.Rate) {
 func manyTasks(tenant string, n int, size float64) dist.JobSubmission {
 	sub := dist.JobSubmission{Tenant: tenant}
 	for i := 0; i < n; i++ {
-		sub.Tasks = append(sub.Tasks, dist.WireTask{ID: int32(i), Size: size})
+		sub.Tasks = append(sub.Tasks, task.Task{ID: task.ID(i), Size: units.MFlops(size)})
 	}
 	return sub
 }

@@ -23,11 +23,13 @@ type ID int32
 // None is the sentinel for "no task".
 const None ID = -1
 
-// Task is an indivisible unit of work.
+// Task is an indivisible unit of work. The tags are its wire and
+// journal form: Arrival never leaves the process, because a live task
+// arrives when it is submitted.
 type Task struct {
-	ID      ID
-	Size    units.MFlops  // resource requirement
-	Arrival units.Seconds // when the task becomes available for scheduling
+	ID      ID            `json:"id"`
+	Size    units.MFlops  `json:"size"` // resource requirement
+	Arrival units.Seconds `json:"-"`    // when the task becomes available for scheduling
 }
 
 // String implements fmt.Stringer.

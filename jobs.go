@@ -220,7 +220,7 @@ func (req JobRequest) submission() (dist.JobSubmission, error) {
 		Priority:    req.Priority,
 		Spec:        spec,
 		RetryBudget: req.RetryBudget,
-		Tasks:       dist.TasksToWire(req.Tasks),
+		Tasks:       req.Tasks,
 	}, nil
 }
 

@@ -382,3 +382,44 @@ func TestServeJobsValidation(t *testing.T) {
 		t.Error("empty workload accepted over the wire")
 	}
 }
+
+// TestJobRequestErrorsAreInBand: a job request the dispatcher refuses
+// is answered over the wire in exactly the words of the in-process
+// call, as an in-band error reply — not a dropped connection, which
+// the client reads as a server that predates protocol 1.3 and the
+// server counts as a decode error.
+func TestJobRequestErrorsAreInBand(t *testing.T) {
+	ctx := context.Background()
+	svc, err := pnsched.ServeJobs(ctx, pnsched.WithAdminAddr("127.0.0.1:0"))
+	if err != nil {
+		t.Fatalf("ServeJobs: %v", err)
+	}
+	defer svc.Close()
+	addr := svc.Addr().String()
+
+	badSize := pnsched.JobRequest{Tasks: []pnsched.Task{{ID: 1, Size: -5}}}
+	repeated := pnsched.JobRequest{Tasks: []pnsched.Task{{ID: 1, Size: 5}, {ID: 1, Size: 5}}}
+	errText := func(_ any, err error) string {
+		if err == nil {
+			return "<nil>"
+		}
+		return err.Error()
+	}
+	for _, c := range []struct {
+		name           string
+		local, overTCP string
+	}{
+		{"submit size -5", errText(svc.Submit(badSize)), errText(pnsched.SubmitJob(ctx, addr, badSize))},
+		{"submit ids {1, 1}", errText(svc.Submit(repeated)), errText(pnsched.SubmitJob(ctx, addr, repeated))},
+		{"cancel no id", errText(svc.Cancel("")), errText(pnsched.CancelJob(ctx, addr, ""))},
+		{"result no id", errText(svc.Result("")), errText(pnsched.FetchResult(ctx, addr, ""))},
+	} {
+		if c.local == "<nil>" || c.overTCP != c.local {
+			t.Errorf("%s: over the wire %q, in process %q; want the same refusal", c.name, c.overTCP, c.local)
+		}
+	}
+	metrics := parsePrometheus(t, scrapeMetrics(t, "http://"+svc.AdminAddr().String()))
+	if n, ok := metrics["pnsched_protocol_decode_errors_total"]; !ok || n != 0 {
+		t.Errorf("pnsched_protocol_decode_errors_total = %v (exported: %v), want 0", n, ok)
+	}
+}
