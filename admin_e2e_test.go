@@ -214,6 +214,63 @@ func TestServeAdminMetricsEndToEnd(t *testing.T) {
 	wg.Wait()
 }
 
+// TestMetricsAgreeWithSnapshotAcrossRestart finishes two jobs on a
+// journaled dispatcher, restarts it on the same directory, and requires
+// the restarted /metrics to read the task, batch and job counts its
+// Snapshot reports: each series is a read of the one restored state.
+func TestMetricsAgreeWithSnapshotAcrossRestart(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := []pnsched.JobsOption{pnsched.WithJobsJournal(t.TempDir()), pnsched.WithAdminAddr("127.0.0.1:0")}
+
+	svc1, err := pnsched.ServeJobs(ctx, opts...)
+	if err != nil {
+		t.Fatalf("ServeJobs: %v", err)
+	}
+	var wg sync.WaitGroup
+	wctx, wcancel := context.WithCancel(ctx)
+	startJobWorker(wctx, t, &wg, svc1.Addr().String(), "only")
+	for seed := uint64(1); seed <= 2; seed++ {
+		info, err := svc1.Submit(pnsched.JobRequest{Scheduler: pnsched.MustSpec("MX"), Tasks: jobWorkload(seed)})
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		if info, err := svc1.WaitJob(info.ID, 30*time.Second); err != nil || info.State != pnsched.JobDone {
+			t.Fatalf("job %d: %+v, %v; want done", seed, info, err)
+		}
+	}
+	wcancel()
+	wg.Wait()
+	if err := svc1.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	svc2, err := pnsched.ServeJobs(ctx, opts...)
+	if err != nil {
+		t.Fatalf("ServeJobs (restart): %v", err)
+	}
+	defer svc2.Close()
+	snap := svc2.Snapshot()
+	if snap.Completed != 24 || snap.Jobs == nil || snap.Jobs.Done != 2 {
+		t.Fatalf("restarted snapshot %+v, want 24 tasks and 2 jobs done", snap)
+	}
+	got := parsePrometheus(t, scrapeMetrics(t, "http://"+svc2.AdminAddr().String()))
+	for name, want := range map[string]int{
+		"pnsched_tasks_submitted_total":                  snap.Submitted,
+		"pnsched_tasks_completed_total":                  snap.Completed,
+		"pnsched_tasks_reissued_total":                   snap.Reissued,
+		"pnsched_batches_total":                          snap.Batches,
+		"pnsched_jobs_submitted_total":                   2,
+		`pnsched_jobs_finished_total{state="done"}`:      snap.Jobs.Done,
+		`pnsched_jobs_finished_total{state="failed"}`:    snap.Jobs.Failed,
+		`pnsched_jobs_finished_total{state="cancelled"}`: snap.Jobs.Cancelled,
+	} {
+		if got[name] != float64(want) {
+			t.Errorf("after restart %s = %v, want %d", name, got[name], want)
+		}
+	}
+}
+
 // TestServeDecisionTraces runs a live workload and retrieves the
 // per-batch decision traces both in-process (Server.Traces) and over
 // the wire (FetchTraces, protocol 1.2): the two views must agree, and

@@ -80,9 +80,6 @@ type (
 	// its name, claimed rate, time scale, and optional Execute hook
 	// that replaces the simulated sleep with real work.
 	WorkerConfig = dist.WorkerConfig
-	// WorkerStatus is a live server's point-in-time summary of one
-	// connected worker.
-	WorkerStatus = dist.WorkerStatus
 	// Watcher is a live subscription to a server's event stream,
 	// created with Watch.
 	Watcher = dist.Watcher

@@ -40,9 +40,8 @@
 // processors. Workers connect with RunWorker (or the pnworker binary,
 // Linpack-rated); tasks go in with Submit, which returns an error and
 // queues nothing when a task has a negative ID or a negative, NaN or
-// infinite size, and the run is tracked with Wait, Stats, Workers and
-// Snapshot. The Serve example drives a full run against an in-process
-// worker.
+// infinite size, and the run is tracked with Wait, Stats and Snapshot.
+// The Serve example drives a full run against an in-process worker.
 //
 // The typed Observer protocol crosses the wire too: Watch subscribes
 // to a live server's event stream and replays it into an Observer,

@@ -101,14 +101,14 @@ func (p *Pool) joinLocked(name string, claimed units.Rate) (*Worker, int) {
 }
 
 // doneLocked records one task reported done at now — load, §3.6 rate
-// and link-overhead observations, latency, the owner's bookkeeping —
-// and returns the owner's job events. real is the worker's wall-clock
-// processing time in seconds (0 if absent). A report whose wire id no
-// longer resolves (duplicate, or its lease was released) is ignored.
-func (p *Pool) doneLocked(w *Worker, id int32, elapsed units.Seconds, real float64, now time.Time) []JobEvent {
+// and link-overhead observations, latency, the owner's bookkeeping.
+// real is the worker's wall-clock processing time in seconds (0 if
+// absent). A report whose wire id no longer resolves (duplicate, or its
+// lease was released) is ignored.
+func (p *Pool) doneLocked(w *Worker, id int32, elapsed units.Seconds, real float64, now time.Time) {
 	pt, ok := w.outstanding[id]
 	if !ok {
-		return nil
+		return
 	}
 	delete(w.outstanding, id)
 	// pending is a float running sum: with fractional sizes it does not
@@ -120,7 +120,6 @@ func (p *Pool) doneLocked(w *Worker, id int32, elapsed units.Seconds, real float
 		w.pending = 0
 	}
 	w.completed++
-	p.met.completed.Inc()
 	lat := now.Sub(pt.sentAt).Seconds()
 	p.latency[p.latW] = lat
 	p.latW = (p.latW + 1) % latencyWindow
@@ -148,13 +147,13 @@ func (p *Pool) doneLocked(w *Worker, id int32, elapsed units.Seconds, real float
 			w.comm.Observe(slack * float64(elapsed) / real)
 		}
 	}
-	return p.owner.DoneLocked(w.Lease, w.name, pt.t, elapsed, now)
+	p.owner.DoneLocked(w.Lease, w.name, pt.t, elapsed, now)
 }
 
 // leaveLocked removes a worker that left at now, handing its unfinished
 // tasks to the owner in task-ID order. It returns how many the owner
-// requeued, the pool size left, and the owner's job events.
-func (p *Pool) leaveLocked(w *Worker, now time.Time) (requeued, pool int, evs []JobEvent) {
+// requeued and the pool size left.
+func (p *Pool) leaveLocked(w *Worker, now time.Time) (requeued, pool int) {
 	w.gone = true
 	p.workers = slices.DeleteFunc(p.workers, func(x *Worker) bool { return x == w })
 	lost := make([]task.Task, 0, len(w.outstanding))
@@ -164,10 +163,9 @@ func (p *Pool) leaveLocked(w *Worker, now time.Time) (requeued, pool int, evs []
 	w.outstanding = nil
 	// Reissue in deterministic (ID) order so reruns behave alike.
 	sort.Slice(lost, func(i, j int) bool { return lost[i].ID < lost[j].ID })
-	requeued, evs = p.owner.LostLocked(w.Lease, w.name, lost, now)
+	requeued = p.owner.LostLocked(w.Lease, w.name, lost, now)
 	w.Lease = nil
-	p.met.reissued.Add(float64(requeued))
-	return requeued, len(p.workers), evs
+	return requeued, len(p.workers)
 }
 
 // wantsWorkLocked reports whether some worker carrying the lease is

@@ -4,6 +4,7 @@ import (
 	"math"
 	"net"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,7 +15,8 @@ import (
 )
 
 // coreOwner records what the pool core hands its owner. Workers that
-// join get lease; every lease is live.
+// join get lease; every lease is live. It reports what it requeued as
+// Reissued.
 type coreOwner struct {
 	lease  any
 	done   []task.Task
@@ -27,17 +29,20 @@ func (o *coreOwner) LiveLocked(any) bool                { return true }
 func (o *coreOwner) BatchLocked(any) int                { return 0 }
 func (o *coreOwner) WireIDLocked(t task.Task) int32     { return int32(t.ID) }
 func (o *coreOwner) UnsentLocked(_ any, ts []task.Task) { o.unsent = append(o.unsent, ts...) }
-func (o *coreOwner) StatsLocked(*Snapshot)              {}
 func (o *coreOwner) ServeRequest(net.Conn, *Message) bool {
 	return false
 }
-func (o *coreOwner) DoneLocked(_ any, _ string, t task.Task, _ units.Seconds, _ time.Time) []JobEvent {
+func (o *coreOwner) DoneLocked(_ any, _ string, t task.Task, _ units.Seconds, _ time.Time) {
 	o.done = append(o.done, t)
-	return nil
 }
-func (o *coreOwner) LostLocked(_ any, _ string, lost []task.Task, _ time.Time) (int, []JobEvent) {
+func (o *coreOwner) LostLocked(_ any, _ string, lost []task.Task, _ time.Time) int {
 	o.lost = append(o.lost, lost)
-	return len(lost), nil
+	return len(lost)
+}
+func (o *coreOwner) StatsLocked(s *Snapshot) {
+	for _, l := range o.lost {
+		s.Reissued += len(l)
+	}
 }
 
 // batchOf is a scheduler whose §3.7 batch size is fixed; the core test
@@ -56,13 +61,14 @@ type coreRig struct {
 	p     *Pool
 	o     *coreOwner
 	q     *task.Queue
+	reg   *telemetry.Registry
 	start time.Time
 }
 
 func newCoreRig(t *testing.T, backlog int) *coreRig {
 	t.Helper()
-	r := &coreRig{o: &coreOwner{}, q: task.NewQueue(8), start: time.Unix(1_000_000, 0)}
-	p, err := NewPool(PoolConfig{Metrics: telemetry.NewRegistry()}, r.o)
+	r := &coreRig{o: &coreOwner{}, q: task.NewQueue(8), reg: telemetry.NewRegistry(), start: time.Unix(1_000_000, 0)}
+	p, err := NewPool(PoolConfig{Metrics: r.reg}, r.o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +200,7 @@ func TestPoolCore(t *testing.T) {
 			r.o.lease = "job"
 			w, other := r.join("w1", 100), r.join("w2", 100)
 			r.send("job", r.at(0), 0, tk(5, 1), tk(3, 1), tk(9, 1), tk(1, 1), tk(7, 1), tk(2, 1))
-			requeued, pool, _ := r.p.leaveLocked(w, r.at(time.Second))
+			requeued, pool := r.p.leaveLocked(w, r.at(time.Second))
 			if requeued != 6 || pool != 1 || len(r.p.workers) != 1 || r.p.workers[0] != other {
 				t.Errorf("leave returned requeued %d, pool %d; workers %v", requeued, pool, r.p.workers)
 			}
@@ -204,8 +210,10 @@ func TestPoolCore(t *testing.T) {
 			if w.Lease != nil || !w.gone {
 				t.Errorf("departed worker kept lease %v (gone %v)", w.Lease, w.gone)
 			}
-			if got := r.p.met.reissued.Value(); got != 6 {
-				t.Errorf("reissued counter = %v, want 6", got)
+			var b strings.Builder
+			r.reg.WritePrometheus(&b)
+			if !strings.Contains(b.String(), "\npnsched_tasks_reissued_total 6\n") {
+				t.Errorf("reissued counter is not 6:\n%s", b.String())
 			}
 		}},
 		{"a batch for a worker that left or changed lease goes back unsent", func(t *testing.T, r *coreRig) {

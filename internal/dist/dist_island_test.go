@@ -67,8 +67,8 @@ func TestEndToEndIslandScheduler(t *testing.T) {
 	if snap := srv.Snapshot(); snap.Submitted != len(tasks) || snap.Completed != len(tasks) {
 		t.Fatalf("Snapshot: submitted %d completed %d, want both %d", snap.Submitted, snap.Completed, len(tasks))
 	}
-	byName := map[string]dist.WorkerStatus{}
-	for _, ws := range srv.Workers() {
+	byName := map[string]dist.WorkerSnapshot{}
+	for _, ws := range srv.Snapshot().Workers {
 		byName[ws.Name] = ws
 	}
 	if fast, slow := byName["fast"], byName["slow"]; fast.Completed <= slow.Completed {

@@ -60,7 +60,7 @@ func waitForWorkers(t *testing.T, srv *jobs.Dispatcher, n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if len(srv.Workers()) >= n {
+		if len(srv.Snapshot().Workers) >= n {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -116,8 +116,8 @@ func TestEndToEndLoopback(t *testing.T) {
 		t.Fatalf("Snapshot: %d workers connected, want 2", len(snap.Workers))
 	}
 
-	byName := map[string]dist.WorkerStatus{}
-	for _, ws := range srv.Workers() {
+	byName := map[string]dist.WorkerSnapshot{}
+	for _, ws := range snap.Workers {
 		byName[ws.Name] = ws
 	}
 	slow, fast := byName["slow"], byName["fast"]
@@ -127,7 +127,7 @@ func TestEndToEndLoopback(t *testing.T) {
 	}
 	if fast.Completed <= slow.Completed {
 		t.Errorf("fast worker (rate %v) completed %d tasks, slow (rate %v) completed %d; want fast > slow",
-			fast.Claimed, fast.Completed, slow.Claimed, slow.Completed)
+			fast.Rate, fast.Completed, slow.Rate, slow.Completed)
 	}
 
 	cancel()
@@ -177,12 +177,13 @@ func TestWorkerFailureReissue(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		victimBusy := false
-		for _, ws := range srv.Workers() {
-			if ws.Name == "victim" && ws.Pending > 0 {
+		snap := srv.Snapshot()
+		for _, ws := range snap.Workers {
+			if ws.Name == "victim" && ws.Running > 0 {
 				victimBusy = true
 			}
 		}
-		comp := srv.Snapshot().Completed
+		comp := snap.Completed
 		if victimBusy && comp >= 3 {
 			break
 		}

@@ -94,13 +94,6 @@ func NewBroadcaster(queue, replay int) *Broadcaster {
 	return b
 }
 
-// Subscribers reports the number of currently attached subscribers.
-func (b *Broadcaster) Subscribers() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.subs)
-}
-
 // subscribe attaches a new subscriber. The catch-up ring is copied
 // into its queue first, then frames published from this moment on are
 // queued for it (or counted as dropped) — all under one critical

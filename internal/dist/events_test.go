@@ -25,8 +25,8 @@ func drainSub(s *eventSub) []eventFrame {
 func TestBroadcasterIdenticalOrder(t *testing.T) {
 	b := NewBroadcaster(1024, 0)
 	s1, s2 := b.subscribe(), b.subscribe()
-	if n := b.Subscribers(); n != 2 {
-		t.Fatalf("Subscribers() = %d, want 2", n)
+	if n := len(b.Watchers()); n != 2 {
+		t.Fatalf("len(Watchers()) = %d, want 2", n)
 	}
 
 	const rounds = 100
@@ -101,8 +101,8 @@ func TestBroadcasterUnsubscribeIdempotent(t *testing.T) {
 	if frames := drainSub(s); len(frames) != 0 {
 		t.Fatalf("unsubscribed subscriber received %d frames", len(frames))
 	}
-	if n := b.Subscribers(); n != 0 {
-		t.Fatalf("Subscribers() = %d after unsubscribe, want 0", n)
+	if n := len(b.Watchers()); n != 0 {
+		t.Fatalf("len(Watchers()) = %d after unsubscribe, want 0", n)
 	}
 }
 

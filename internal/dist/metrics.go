@@ -12,10 +12,7 @@ import (
 // and the telemetry instruments are nil-safe no-ops, so the hot paths
 // carry no conditionals.
 type poolMetrics struct {
-	completed    *telemetry.Counter
-	reissued     *telemetry.Counter
 	dispatched   *telemetry.Counter
-	batches      *telemetry.Counter
 	decodeErrors *telemetry.Counter
 
 	dispatchLatency *telemetry.Histogram
@@ -23,64 +20,57 @@ type poolMetrics struct {
 }
 
 // newPoolMetrics registers the pool's counters and histograms and its
-// scrape-time collectors (the owner's task counters and queue depth, the
-// worker pool, watcher queues, broadcaster fan-out totals) on reg. These
-// are the pool-level series: one name each, whichever owner sits on the
-// pool. What an owner adds of its own (the job dispatcher's
+// scrape-time collectors on reg. These are the pool-level series: one
+// name each, whichever owner sits on the pool. Every task, batch and
+// worker number is a read of Snapshot, the stats reply, so the two
+// cannot disagree. What an owner adds of its own (the job dispatcher's
 // pnsched_jobs_*) it registers itself.
 func newPoolMetrics(reg *telemetry.Registry, p *Pool) *poolMetrics {
 	if reg == nil {
 		return &poolMetrics{}
 	}
-	m := &poolMetrics{
-		completed: reg.Counter("pnsched_tasks_completed_total",
-			"Tasks acknowledged done by workers."),
-		reissued: reg.Counter("pnsched_tasks_reissued_total",
-			"Tasks pulled back from departed workers and requeued."),
-		dispatched: reg.Counter("pnsched_tasks_dispatched_total",
-			"Tasks sent to workers (reissues dispatch again)."),
-		batches: reg.Counter("pnsched_batches_total",
-			"Committed batch-scheduling decisions."),
-		decodeErrors: reg.Counter("pnsched_protocol_decode_errors_total",
-			"Malformed or invalid wire frames received."),
-		dispatchLatency: reg.Histogram("pnsched_dispatch_latency_seconds",
-			"Dispatch-to-done wall-clock round trip per task.",
-			telemetry.ExpBuckets(0.001, 4, 10)),
-		batchWall: reg.Histogram("pnsched_batch_wall_seconds",
-			"Wall-clock time one ScheduleBatch call took.",
-			telemetry.ExpBuckets(0.0001, 4, 10)),
+	snap := func(field func(Snapshot) int) func() float64 {
+		return func() float64 { return float64(field(p.Snapshot())) }
 	}
+	reg.CounterFunc("pnsched_tasks_completed_total",
+		"Tasks acknowledged done by workers.", snap(func(s Snapshot) int { return s.Completed }))
+	reg.CounterFunc("pnsched_tasks_reissued_total",
+		"Tasks pulled back from departed workers and requeued.", snap(func(s Snapshot) int { return s.Reissued }))
+	m := &poolMetrics{dispatched: reg.Counter("pnsched_tasks_dispatched_total",
+		"Tasks sent to workers (reissues dispatch again).")}
+	reg.CounterFunc("pnsched_batches_total",
+		"Committed batch-scheduling decisions.", snap(func(s Snapshot) int { return s.Batches }))
+	m.decodeErrors = reg.Counter("pnsched_protocol_decode_errors_total",
+		"Malformed or invalid wire frames received.")
+	m.dispatchLatency = reg.Histogram("pnsched_dispatch_latency_seconds",
+		"Dispatch-to-done wall-clock round trip per task.",
+		telemetry.ExpBuckets(0.001, 4, 10))
+	m.batchWall = reg.Histogram("pnsched_batch_wall_seconds",
+		"Wall-clock time one ScheduleBatch call took.",
+		telemetry.ExpBuckets(0.0001, 4, 10))
 
-	reg.SampleFunc("pnsched_tasks_submitted_total",
-		"Tasks accepted for scheduling over the service lifetime.", false,
-		func() []telemetry.Sample {
-			return []telemetry.Sample{{Value: float64(p.Snapshot().Submitted)}}
-		})
+	reg.CounterFunc("pnsched_tasks_submitted_total",
+		"Tasks accepted for scheduling over the service lifetime.", snap(func(s Snapshot) int { return s.Submitted }))
 	reg.GaugeFunc("pnsched_pending_tasks",
-		"Tasks awaiting a batch decision.", func() float64 { return float64(p.Snapshot().Pending) })
+		"Tasks awaiting a batch decision.", snap(func(s Snapshot) int { return s.Pending }))
 	reg.GaugeFunc("pnsched_running_tasks",
-		"Tasks dispatched but not yet reported done.", func() float64 { return float64(p.Snapshot().Running) })
+		"Tasks dispatched but not yet reported done.", snap(func(s Snapshot) int { return s.Running }))
 	reg.GaugeFunc("pnsched_workers",
-		"Currently connected workers.", func() float64 { return float64(len(p.Snapshot().Workers)) })
-	workerName := func(_ int, w WorkerStatus) string { return w.Name }
+		"Currently connected workers.", snap(func(s Snapshot) int { return len(s.Workers) }))
+	workers := func() []WorkerSnapshot { return p.Snapshot().Workers }
+	workerName := func(_ int, w WorkerSnapshot) string { return w.Name }
 	reg.SampleFunc("pnsched_worker_believed_rate_mflops",
 		"Smoothed observed execution rate per worker (§3.6).", true,
-		labelled(p.Workers, "worker", workerName, func(w WorkerStatus) float64 { return float64(w.Believed) }))
+		labelled(workers, "worker", workerName, func(w WorkerSnapshot) float64 { return float64(w.Rate) }))
 	reg.SampleFunc("pnsched_worker_tasks_completed",
 		"Tasks finished per connected worker.", false,
-		labelled(p.Workers, "worker", workerName, func(w WorkerStatus) float64 { return float64(w.Completed) }))
+		labelled(workers, "worker", workerName, func(w WorkerSnapshot) float64 { return float64(w.Completed) }))
 
 	if b := p.events; b != nil {
-		reg.SampleFunc("pnsched_events_published_total",
-			"Event frames published to the broadcaster.", false,
-			func() []telemetry.Sample {
-				return []telemetry.Sample{{Value: float64(b.Published())}}
-			})
-		reg.SampleFunc("pnsched_events_dropped_total",
-			"Event frames dropped across all watchers, past and present.", false,
-			func() []telemetry.Sample {
-				return []telemetry.Sample{{Value: float64(b.DroppedTotal())}}
-			})
+		reg.CounterFunc("pnsched_events_published_total",
+			"Event frames published to the broadcaster.", func() float64 { return float64(b.Published()) })
+		reg.CounterFunc("pnsched_events_dropped_total",
+			"Event frames dropped across all watchers, past and present.", func() float64 { return float64(b.DroppedTotal()) })
 		watcherIndex := func(i int, _ WatcherSnapshot) string { return strconv.Itoa(i) }
 		reg.SampleFunc("pnsched_watcher_queue_depth",
 			"Send-queue depth per attached watcher.", true,

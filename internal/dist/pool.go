@@ -48,7 +48,8 @@ type PoolConfig struct {
 	// a worker (At in seconds since the pool started), and an owner's
 	// job lifecycle events. GA-level events come from the scheduler
 	// itself via core.Config.Observer. Events are delivered outside the
-	// pool's lock; implementations must not block.
+	// pool's lock; implementations must not block. Job lifecycle events
+	// arrive one at a time, in the order their transitions committed.
 	Observer observe.Observer
 	// Events, when non-nil, turns on remote observation: the pool
 	// accepts watch connections (the msgWatch handshake) and streams
@@ -83,8 +84,8 @@ type PoolConfig struct {
 // owner: it leases workers to jobs, or to its one open job under Serve.
 //
 // The …Locked methods run with Pool.Mu held and must not block (the
-// locksend analyzer checks them by name); job events they produce are
-// handed back and emitted by the pool, in order, once the lock is free.
+// locksend analyzer checks them by name); job events they produce go
+// out through StageLocked.
 type Owner interface {
 	// LeaseLocked answers who gets a worker that carries no lease; nil
 	// leaves it free. The pool asks when a worker joins.
@@ -99,11 +100,11 @@ type Owner interface {
 	// under the same id.
 	WireIDLocked(t task.Task) int32
 	// DoneLocked records that worker finished t of the lease's work.
-	DoneLocked(lease any, worker string, t task.Task, elapsed units.Seconds, now time.Time) []JobEvent
+	DoneLocked(lease any, worker string, t task.Task, elapsed units.Seconds, now time.Time)
 	// LostLocked records that the named worker, which carried the lease,
 	// left with lost (in task-ID order, possibly empty) unfinished. It
 	// returns how many of them it requeued.
-	LostLocked(lease any, worker string, lost []task.Task, now time.Time) (requeued int, evs []JobEvent)
+	LostLocked(lease any, worker string, lost []task.Task, now time.Time) (requeued int)
 	// UnsentLocked takes back tasks a batch assigned to a worker that
 	// left or changed lease while the scheduler ran; they were never
 	// sent.
@@ -117,10 +118,10 @@ type Owner interface {
 	ServeRequest(conn net.Conn, m *Message) bool
 }
 
-// JobEvent is one job lifecycle event an owner produced under the pool
+// JobEvent is one job lifecycle event an owner staged under the pool
 // lock (exactly one field is set), delivered by Pool.Emit after the
-// lock is released. Ordering is preserved end to end so watchers see,
-// e.g., a predecessor's job_done before its successor's job_started.
+// lock is released, in staging order: the order the lock committed the
+// transitions, whichever goroutine delivers them.
 type JobEvent struct {
 	Queued  *observe.JobQueued
 	Started *observe.JobStarted
@@ -173,6 +174,9 @@ type Pool struct {
 	// reflects current behaviour, not its whole history.
 	latency    [latencyWindow]float64
 	latW, latN int
+
+	outbox   []JobEvent // staged under Mu, not yet delivered
+	emitting bool       // an Emit call is delivering outbox
 }
 
 const latencyWindow = 512
@@ -200,16 +204,6 @@ type Worker struct {
 	pending     units.MFlops // total outstanding work
 	completed   int          // tasks this worker finished
 	gone        bool         // left the pool; no further dispatches
-}
-
-// WorkerStatus is a point-in-time summary of one connected worker,
-// exposed for monitoring and tests.
-type WorkerStatus struct {
-	Name      string
-	Claimed   units.Rate   // rate declared in the hello message
-	Believed  units.Rate   // smoothed observed rate (§3.6)
-	Pending   units.MFlops // dispatched but unfinished work
-	Completed int          // tasks finished on this worker
 }
 
 // NewPool returns a pool serving owner. It does not listen yet; call
@@ -328,9 +322,20 @@ func (p *Pool) AwaitLocked(timeout time.Duration, ready func() bool) (closed, ex
 	}
 }
 
-// Emit delivers job events in order. Must be called without holding Mu.
-func (p *Pool) Emit(evs []JobEvent) {
-	for _, ev := range evs {
+// StageLocked queues a job event behind those staged before it, for
+// the Emit at the caller's release point to deliver.
+func (p *Pool) StageLocked(ev JobEvent) { p.outbox = append(p.outbox, ev) }
+
+// Emit delivers the staged job events, one at a time and with Mu free,
+// so an observer may call back into the owner. Whoever staged some
+// calls it once Mu is released; one that finds another caller
+// delivering leaves its events to that one, which keeps staging order.
+func (p *Pool) Emit() {
+	p.Mu.Lock()
+	for !p.emitting && len(p.outbox) > 0 {
+		ev := p.outbox[0]
+		p.outbox, p.emitting = p.outbox[1:], true
+		p.Mu.Unlock()
 		switch {
 		case ev.Queued != nil:
 			if p.observer != nil {
@@ -353,24 +358,10 @@ func (p *Pool) Emit(evs []JobEvent) {
 				"state", ev.Done.State, "completed", ev.Done.Completed,
 				"retries", ev.Done.Retries, "duration", float64(ev.Done.Duration))
 		}
+		p.Mu.Lock()
+		p.emitting = false
 	}
-}
-
-// Workers returns a snapshot of the connected workers.
-func (p *Pool) Workers() []WorkerStatus {
-	p.Mu.Lock()
-	defer p.Mu.Unlock()
-	out := make([]WorkerStatus, len(p.workers))
-	for i, w := range p.workers {
-		out[i] = WorkerStatus{
-			Name:      w.name,
-			Claimed:   w.claimed,
-			Believed:  w.believed(),
-			Pending:   w.pending,
-			Completed: w.completed,
-		}
-	}
-	return out
+	p.Mu.Unlock()
 }
 
 // Snapshot returns a point-in-time operational view: uptime, the
@@ -531,16 +522,19 @@ func (p *Pool) serveWorker(conn net.Conn, br *bufio.Reader, name string, claimed
 		if m != nil && m.Type == msgDone {
 			now := time.Now()
 			p.Mu.Lock()
-			evs := p.doneLocked(w, m.Task, units.Seconds(m.Elapsed), m.Real, now)
+			p.doneLocked(w, m.Task, units.Seconds(m.Elapsed), m.Real, now)
+			staged := len(p.outbox) > 0
 			p.cond.Broadcast()
 			p.Mu.Unlock()
-			p.Emit(evs)
+			if staged {
+				p.Emit()
+			}
 		}
 	}
 	conn.Close()
 	now := time.Now()
 	p.Mu.Lock()
-	requeued, pool, evs := p.leaveLocked(w, now)
+	requeued, pool := p.leaveLocked(w, now)
 	close(w.out) // under Mu, which Run holds while it queues frames on w.out
 	p.cond.Broadcast()
 	p.Mu.Unlock()
@@ -553,7 +547,7 @@ func (p *Pool) serveWorker(conn net.Conn, br *bufio.Reader, name string, claimed
 			At:       p.Since(now),
 		})
 	}
-	p.Emit(evs)
+	p.Emit()
 }
 
 // writeLoop drains a worker's outbound queue onto its connection as
@@ -599,7 +593,6 @@ func (p *Pool) Run(lease any, q *task.Queue, sch sched.Batch) {
 		asg, cost := sch.ScheduleBatch(batch, snap)
 		wall := time.Since(t0).Seconds()
 		p.met.batchWall.Observe(wall)
-		p.met.batches.Inc()
 		p.Mu.Lock()
 		invocation := p.owner.BatchLocked(lease)
 		p.Mu.Unlock()

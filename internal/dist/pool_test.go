@@ -175,15 +175,14 @@ func (o *fakeOwner) UnsentLocked(_ any, ts []task.Task) { o.q.PushAll(ts) }
 func (o *fakeOwner) ServeRequest(net.Conn, *dist.Message) bool {
 	return false
 }
-func (o *fakeOwner) DoneLocked(any, string, task.Task, units.Seconds, time.Time) []dist.JobEvent {
+func (o *fakeOwner) DoneLocked(any, string, task.Task, units.Seconds, time.Time) {
 	o.finished++
-	return nil
 }
-func (o *fakeOwner) LostLocked(_ any, _ string, lost []task.Task, _ time.Time) (int, []dist.JobEvent) {
+func (o *fakeOwner) LostLocked(_ any, _ string, lost []task.Task, _ time.Time) int {
 	o.lost = append(o.lost, lost)
 	o.requeued += len(lost)
 	o.q.PushAll(lost)
-	return len(lost), nil
+	return len(lost)
 }
 func (o *fakeOwner) StatsLocked(s *dist.Snapshot) {
 	s.Completed, s.Reissued, s.Pending, s.Batches = o.finished, o.requeued, o.q.Len(), o.batches
@@ -200,9 +199,6 @@ type runtime struct {
 	snap   func() dist.Snapshot
 	// wireID is the assign-frame id of the i-th task dispatched.
 	wireID func(i int, t task.Task) int32
-	// pending reports worker 0's believed outstanding MFLOPs, where the
-	// owner exposes it.
-	pending func() units.MFlops
 	// lost is what the pool handed the owner on worker loss, where the
 	// owner records it.
 	lost func() [][]task.Task
@@ -230,7 +226,6 @@ var runtimes = map[string]func(t *testing.T, batch int, events bool) *runtime{
 		}
 		rt.snap = pool.Snapshot
 		rt.wireID = func(_ int, t task.Task) int32 { return int32(t.ID) }
-		rt.pending = func() units.MFlops { return pool.Workers()[0].Pending }
 		rt.lost = func() [][]task.Task {
 			pool.Mu.Lock()
 			defer pool.Mu.Unlock()
@@ -252,7 +247,6 @@ var runtimes = map[string]func(t *testing.T, batch int, events bool) *runtime{
 		}
 		rt.snap = d.Snapshot
 		rt.wireID = func(i int, _ task.Task) int32 { return int32(i + 1) }
-		rt.pending = func() units.MFlops { return d.Workers()[0].Pending }
 		return rt
 	},
 	"Dispatcher": func(t *testing.T, batch int, events bool) *runtime {
@@ -406,11 +400,6 @@ func TestPoolConversation(t *testing.T) {
 				w.done(f.Tasks[i].ID)
 			}
 			rt.await(t, "first batch done", func(s dist.Snapshot) bool { return s.Completed == 6 })
-			if rt.pending != nil {
-				if p := rt.pending(); p != 0 {
-					t.Errorf("drained worker's Pending = %g, want exactly 0", float64(p))
-				}
-			}
 			rt.submit(tasksOf([]task.ID{6, 7}, func(int) units.MFlops { return 0.9 }))
 			w.read()
 			got := rt.sch.budgets()

@@ -67,9 +67,9 @@ func startStreamingServer(t *testing.T, queue int) (*jobs.Dispatcher, *dist.Broa
 func waitForSubscribers(t *testing.T, b *dist.Broadcaster, n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for b.Subscribers() != n {
+	for len(b.Watchers()) != n {
 		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %d watch subscribers (have %d)", n, b.Subscribers())
+			t.Fatalf("timed out waiting for %d watch subscribers (have %d)", n, len(b.Watchers()))
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -102,7 +102,7 @@ func TestWorkerTakesBatchOverFrameBound(t *testing.T) {
 		errc <- RunWorker(ctx, ln.Addr().String(), WorkerConfig{Name: "w", Rate: 100,
 			Execute: func(task.Task) time.Duration { return 0 }})
 	}()
-	for deadline := time.Now().Add(10 * time.Second); len(p.Workers()) == 0; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); len(p.Snapshot().Workers) == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("worker never registered")
 		}

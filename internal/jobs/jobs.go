@@ -213,11 +213,6 @@ func (d *Dispatcher) clock(ns int64) float64 {
 	return float64(d.pool.Since(time.Unix(0, ns)))
 }
 
-// emits is the ordered list of job events a locked transition
-// produced, delivered by the pool after the lock is released (the
-// events-outside-the-lock rule locksend enforces).
-type emits = []dist.JobEvent
-
 // Dispatcher is the multi-tenant job service. Create with New; all
 // methods are safe for concurrent use.
 type Dispatcher struct {
@@ -313,12 +308,12 @@ func newRetaining(cfg Config, retain int, grace time.Duration) (*Dispatcher, err
 	d.met = newJobMetrics(cfg.Metrics, d)
 	if cfg.JournalDir != "" {
 		d.mu.Lock()
-		ems, err := d.recover(cfg.JournalDir, cfg.SnapshotEvery)
+		err := d.recover(cfg.JournalDir, cfg.SnapshotEvery)
 		d.mu.Unlock()
 		if err != nil {
 			return nil, err
 		}
-		d.pool.Emit(ems)
+		d.pool.Emit()
 	}
 	return d, nil
 }
@@ -381,23 +376,22 @@ func (d *Dispatcher) Submit(sub dist.JobSubmission) (dist.JobInfo, error) {
 	}
 	j.sch = sch
 	d.pending = append(d.pending, j)
-	d.met.submitted.Inc()
 	if d.jour != nil {
 		d.appendLocked(p.record())
 	}
-	ems := emits{{Queued: &observe.JobQueued{
+	d.pool.StageLocked(dist.JobEvent{Queued: &observe.JobQueued{
 		ID:       j.ID,
 		Tenant:   j.Tenant,
 		Priority: j.Priority,
 		Tasks:    j.Total,
 		Queued:   len(d.pending),
 		At:       d.pool.Since(now),
-	}}}
-	ems = append(ems, d.admitLocked(now)...)
+	}})
+	d.admitLocked(now)
 	info := d.infoLocked(j)
 	d.pool.Broadcast()
 	d.mu.Unlock()
-	d.pool.Emit(ems)
+	d.pool.Emit()
 	return info, nil
 }
 
@@ -487,8 +481,7 @@ func (d *Dispatcher) pickLocked() *job {
 // admitLocked starts pending jobs while active slots are free: pick
 // under the policy, lease workers, charge the fair-share ledger, and
 // launch the job's scheduling runner. Caller holds mu.
-func (d *Dispatcher) admitLocked(now time.Time) emits {
-	var ems emits
+func (d *Dispatcher) admitLocked(now time.Time) {
 	for len(d.active) < d.maxAct && len(d.pending) > 0 {
 		j := d.pickLocked()
 		d.pending = removeJob(d.pending, j)
@@ -508,7 +501,7 @@ func (d *Dispatcher) admitLocked(now time.Time) emits {
 		d.rebalanceLocked()
 		waited := time.Duration(p.At - j.SubmittedAt).Seconds()
 		d.met.schedLatency.Observe(waited)
-		ems = append(ems, dist.JobEvent{Started: &observe.JobStarted{
+		d.pool.StageLocked(dist.JobEvent{Started: &observe.JobStarted{
 			ID:      j.ID,
 			Tenant:  j.Tenant,
 			Workers: j.leased,
@@ -517,7 +510,6 @@ func (d *Dispatcher) admitLocked(now time.Time) emits {
 		}})
 		go d.pool.Run(j, j.queue, j.sch)
 	}
-	return ems
 }
 
 // rebalanceLocked assigns every free (unleased) worker to the active
@@ -536,24 +528,23 @@ func (d *Dispatcher) rebalanceLocked() {
 // finishLocked moves a job to a terminal state and lets its successors
 // in: retire, evict beyond the retention cap, admit, re-lease. Caller
 // holds mu; no-op if the job is already terminal.
-func (d *Dispatcher) finishLocked(j *job, state, errMsg string, now time.Time) emits {
+func (d *Dispatcher) finishLocked(j *job, state, errMsg string, now time.Time) {
 	if j.terminal() {
-		return emits{}
+		return
 	}
-	ems := emits{d.retireLocked(j, state, errMsg, now)}
+	d.retireLocked(j, state, errMsg, now)
 	d.trimLocked(now)
-	ems = append(ems, d.admitLocked(now)...)
+	d.admitLocked(now)
 	d.rebalanceLocked()
 	d.pool.Broadcast()
-	return ems
 }
 
 // retireLocked is the finish transition itself: the job leaves the
 // queues, its worker leases are released (and with them its outstanding
 // tasks), the finish record settles the fair-share charge and drops the
-// unscheduled remainder. Returns the job_done event. Caller holds mu
-// and has checked the job is not already terminal.
-func (d *Dispatcher) retireLocked(j *job, state, errMsg string, now time.Time) dist.JobEvent {
+// unscheduled remainder, and job_done is staged. Caller holds mu and
+// has checked the job is not already terminal.
+func (d *Dispatcher) retireLocked(j *job, state, errMsg string, now time.Time) {
 	p := JournalFinish{ID: j.ID, State: state, Error: errMsg, At: stamp(now)}
 	if d.policy == PolicyFair {
 		v := d.refundedLocked(j)
@@ -565,7 +556,6 @@ func (d *Dispatcher) retireLocked(j *job, state, errMsg string, now time.Time) d
 	d.pool.ReleaseLocked(j)
 	j.leased = 0
 	d.applyFinishLocked(j, &p)
-	d.met.finished[state].Inc()
 	if d.jour != nil {
 		d.appendLocked(p.record())
 	}
@@ -573,7 +563,7 @@ func (d *Dispatcher) retireLocked(j *job, state, errMsg string, now time.Time) d
 	if j.StartedAt != 0 {
 		dur = time.Duration(p.At - j.StartedAt).Seconds()
 	}
-	return dist.JobEvent{Done: &observe.JobDone{
+	d.pool.StageLocked(dist.JobEvent{Done: &observe.JobDone{
 		ID:        j.ID,
 		Tenant:    j.Tenant,
 		State:     state,
@@ -581,7 +571,7 @@ func (d *Dispatcher) retireLocked(j *job, state, errMsg string, now time.Time) d
 		Retries:   j.Retries,
 		Duration:  units.Seconds(dur),
 		At:        d.pool.Since(now),
-	}}
+	}})
 }
 
 // refundedLocked returns what the tenant's fair-share ledger is once a
@@ -687,10 +677,10 @@ func (d *Dispatcher) Cancel(id string) (dist.JobInfo, error) {
 		d.mu.Unlock()
 		return dist.JobInfo{}, fmt.Errorf("jobs: job %s already %s", id, state)
 	}
-	ems := d.finishLocked(j, StateCancelled, "", now)
+	d.finishLocked(j, StateCancelled, "", now)
 	info := d.infoLocked(j)
 	d.mu.Unlock()
-	d.pool.Emit(ems)
+	d.pool.Emit()
 	return info, nil
 }
 
@@ -810,9 +800,6 @@ func (d *Dispatcher) WaitOpen(timeout time.Duration) error {
 	}
 	return nil
 }
-
-// Workers returns a snapshot of the connected workers.
-func (d *Dispatcher) Workers() []dist.WorkerStatus { return d.pool.Workers() }
 
 // Snapshot returns the dispatcher's operational view: the pool's, with
 // the job counts block filled in unless the dispatcher runs the open

@@ -643,16 +643,16 @@ func (d *Dispatcher) applyFinishLocked(j *job, p *JournalFinish) {
 // crash. The journal is installed only for that snapshot: nothing
 // recovery does is appended record by record, so a crash mid-recovery
 // leaves the directory as it was found. Called from New before the
-// dispatcher is shared; returns the events for New to emit.
-func (d *Dispatcher) recover(dir string, every int) (emits, error) {
+// dispatcher is shared; the events it stages are New's to emit.
+func (d *Dispatcher) recover(dir string, every int) error {
 	t0 := time.Now()
 	jr, snap, tail, err := openJournal(dir, every)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := d.replayLocked(snap, tail); err != nil {
 		jr.f.Close()
-		return nil, err
+		return err
 	}
 
 	// Every lease died with the old process, so a running job goes back
@@ -661,7 +661,6 @@ func (d *Dispatcher) recover(dir string, every int) (emits, error) {
 	// each live job's scheduler resolved again.
 	now := time.Now()
 	sort.Slice(d.order, func(a, b int) bool { return d.order[a].Seq < d.order[b].Seq })
-	var ems emits
 	for _, j := range d.order {
 		why := ""
 		if j.State == StateRunning {
@@ -691,18 +690,18 @@ func (d *Dispatcher) recover(dir string, every int) (emits, error) {
 			}
 			why = fmt.Sprintf("scheduler spec no longer resolves: %v", err)
 		}
-		ems = append(ems, d.retireLocked(j, StateFailed, why, now))
+		d.retireLocked(j, StateFailed, why, now)
 	}
 	// Retention evicts in finish order, across the restart too.
 	slices.SortFunc(d.finished, func(a, b *job) int {
 		return cmp.Or(cmp.Compare(a.FinishedAt, b.FinishedAt), cmp.Compare(a.Seq, b.Seq))
 	})
 	d.trimLocked(now)
-	ems = append(ems, d.admitLocked(now)...)
+	d.admitLocked(now)
 	d.jour = jr
 	if err := d.snapshotJournalLocked(); err != nil {
 		jr.f.Close()
-		return nil, err
+		return err
 	}
 	d.replaySec = time.Since(t0).Seconds()
 	if snap != nil || len(tail) > 0 {
@@ -710,7 +709,7 @@ func (d *Dispatcher) recover(dir string, every int) (emits, error) {
 			"pending", len(d.pending), "tail_records", len(tail),
 			"seconds", d.replaySec)
 	}
-	return ems, nil
+	return nil
 }
 
 // replayLocked loads a snapshot — whose header becomes the dispatcher's

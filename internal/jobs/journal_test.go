@@ -131,7 +131,8 @@ func TestJournalRestartExhaustsBudget(t *testing.T) {
 	}
 	d1.Close()
 
-	cfg.Metrics = telemetry.NewRegistry()
+	reg := telemetry.NewRegistry()
+	cfg.Metrics = reg
 	d2, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New after restart: %v", err)
@@ -150,8 +151,10 @@ func TestJournalRestartExhaustsBudget(t *testing.T) {
 	if queued != 0 {
 		t.Errorf("job failed by recovery still holds %d unscheduled tasks, want 0", queued)
 	}
-	if n := d2.met.finished[StateFailed].Value(); n != 1 {
-		t.Errorf(`pnsched_jobs_finished_total{state="failed"} = %v after recovery failed one job, want 1`, n)
+	var b strings.Builder
+	reg.WritePrometheus(&b)
+	if !strings.Contains(b.String(), "\n"+`pnsched_jobs_finished_total{state="failed"} 1`+"\n") {
+		t.Errorf("pnsched_jobs_finished_total{state=\"failed\"} is not 1 after recovery failed one job:\n%s", b.String())
 	}
 }
 

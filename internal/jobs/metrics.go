@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"pnsched/internal/dist"
 	"pnsched/internal/telemetry"
 )
 
@@ -8,8 +9,6 @@ import (
 // pool's own, the zero value (telemetry disabled) is fully usable: every
 // instrument is nil and the telemetry instruments are nil-safe no-ops.
 type jobMetrics struct {
-	submitted        *telemetry.Counter
-	finished         map[string]*telemetry.Counter // by terminal state
 	journalRecords   *telemetry.Counter
 	journalBytes     *telemetry.Counter
 	journalSnapshots *telemetry.Counter
@@ -22,15 +21,20 @@ type jobMetrics struct {
 // collectors on reg — everything named pnsched_jobs_*, none of them for
 // a dispatcher running the open job. The task-, worker- and
 // watcher-level series are the pool's pnsched_*, the same under Serve
-// as under ServeJobs.
+// as under ServeJobs. The job counts are reads of the durable state the
+// stats reply reports, so they continue across a journaled restart.
 func newJobMetrics(reg *telemetry.Registry, d *Dispatcher) *jobMetrics {
 	if reg == nil || d.open != nil {
 		return &jobMetrics{}
 	}
+	// Job IDs count from 1 and are never reused.
+	reg.CounterFunc("pnsched_jobs_submitted_total",
+		"Jobs accepted by the dispatcher over its lifetime.", func() float64 {
+			d.mu.Lock()
+			defer d.mu.Unlock()
+			return float64(d.durable.NextSeq)
+		})
 	m := &jobMetrics{
-		submitted: reg.Counter("pnsched_jobs_submitted_total",
-			"Jobs accepted by the dispatcher over its lifetime."),
-		finished: map[string]*telemetry.Counter{},
 		journalRecords: reg.Counter("pnsched_jobs_journal_records_total",
 			"State-transition records appended to the job journal."),
 		journalBytes: reg.Counter("pnsched_jobs_journal_bytes_total",
@@ -43,11 +47,14 @@ func newJobMetrics(reg *telemetry.Registry, d *Dispatcher) *jobMetrics {
 			"Submission-to-start wait per job (time spent queued).",
 			telemetry.ExpBuckets(0.001, 4, 10)),
 	}
-	for _, state := range []string{StateDone, StateFailed, StateCancelled} {
-		m.finished[state] = reg.Counter("pnsched_jobs_finished_total",
-			"Jobs reaching a terminal state, by state.",
-			telemetry.L("state", state))
+	counts := func() dist.JobCounts {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return d.countsLocked()
 	}
+	reg.SampleFunc("pnsched_jobs_finished_total",
+		"Jobs reaching a terminal state, by state.", false,
+		func() []telemetry.Sample { return stateSamples(counts())[2:] })
 
 	reg.SampleFunc("pnsched_jobs_queue_depth",
 		"Queued (not yet started) jobs per tenant.", true,
@@ -69,28 +76,7 @@ func newJobMetrics(reg *telemetry.Registry, d *Dispatcher) *jobMetrics {
 		})
 	reg.SampleFunc("pnsched_jobs_by_state",
 		"Jobs by state: queued/running are current, terminal states are lifetime totals.", true,
-		func() []telemetry.Sample {
-			d.mu.Lock()
-			defer d.mu.Unlock()
-			counts := []struct {
-				state string
-				n     int
-			}{
-				{StateQueued, len(d.pending)},
-				{StateRunning, len(d.active)},
-				{StateDone, d.durable.Done},
-				{StateFailed, d.durable.Failed},
-				{StateCancelled, d.durable.Cancelled},
-			}
-			out := make([]telemetry.Sample, 0, len(counts))
-			for _, c := range counts {
-				out = append(out, telemetry.Sample{
-					Labels: []telemetry.Label{telemetry.L("state", c.state)},
-					Value:  float64(c.n),
-				})
-			}
-			return out
-		})
+		func() []telemetry.Sample { return stateSamples(counts()) })
 	reg.GaugeFunc("pnsched_jobs_journal_replay_seconds",
 		"How long the startup journal replay took; 0 without a journal.", func() float64 {
 			d.mu.Lock()
@@ -110,4 +96,15 @@ func newJobMetrics(reg *telemetry.Registry, d *Dispatcher) *jobMetrics {
 			return float64(n)
 		})
 	return m
+}
+
+// stateSamples renders c as one sample per state, labelled state=…, in
+// lifecycle order: queued, running, then the three terminal states.
+func stateSamples(c dist.JobCounts) []telemetry.Sample {
+	states := []string{StateQueued, StateRunning, StateDone, StateFailed, StateCancelled}
+	out := make([]telemetry.Sample, len(states))
+	for i, n := range []int{c.Queued, c.Running, c.Done, c.Failed, c.Cancelled} {
+		out[i] = telemetry.Sample{Labels: []telemetry.Label{telemetry.L("state", states[i])}, Value: float64(n)}
+	}
+	return out
 }

@@ -55,7 +55,7 @@ func (d *Dispatcher) WireIDLocked(task.Task) int32 {
 // DoneLocked implements dist.Owner: the task record — counters and
 // per-worker tallies — and, when this was the job's last task, the
 // job's completion.
-func (d *Dispatcher) DoneLocked(lease any, worker string, t task.Task, elapsed units.Seconds, now time.Time) emits {
+func (d *Dispatcher) DoneLocked(lease any, worker string, t task.Task, elapsed units.Seconds, now time.Time) {
 	j := lease.(*job)
 	p := JournalTask{ID: j.ID, Task: t.ID, Worker: worker, Elapsed: float64(elapsed), Work: float64(t.Size)}
 	d.applyTaskLocked(j, &p)
@@ -63,24 +63,23 @@ func (d *Dispatcher) DoneLocked(lease any, worker string, t task.Task, elapsed u
 		d.appendLocked(p.record())
 	}
 	if j != d.open && j.State == StateRunning && j.Completed == j.Total {
-		return d.finishLocked(j, StateDone, "", now)
+		d.finishLocked(j, StateDone, "", now)
 	}
-	return nil
 }
 
 // LostLocked implements dist.Owner. Reissue is charged against the
 // job's retry budget — a job that exhausts it fails rather than
 // retrying forever; the open job's budget is unlimited.
-func (d *Dispatcher) LostLocked(lease any, worker string, lost []task.Task, now time.Time) (int, emits) {
+func (d *Dispatcher) LostLocked(lease any, worker string, lost []task.Task, now time.Time) int {
 	j, _ := lease.(*job)
 	if j == nil {
-		return 0, nil // the worker was free
+		return 0 // the worker was free
 	}
 	if j.leased > 0 {
 		j.leased--
 	}
 	if len(lost) == 0 {
-		return 0, nil
+		return 0
 	}
 	j.queue.PushAll(lost)
 	p := JournalRetry{ID: j.ID, Tasks: len(lost)}
@@ -88,13 +87,12 @@ func (d *Dispatcher) LostLocked(lease any, worker string, lost []task.Task, now 
 	if d.jour != nil {
 		d.appendLocked(p.record())
 	}
-	var ems emits
 	if j.Retries > j.Budget {
-		ems = d.finishLocked(j, StateFailed,
+		d.finishLocked(j, StateFailed,
 			fmt.Sprintf("retry budget exhausted: %d reissues exceed budget %d (worker %q lost)",
 				j.Retries, j.Budget, worker), now)
 	}
-	return len(lost), ems
+	return len(lost)
 }
 
 // UnsentLocked implements dist.Owner: the tasks were never sent, so
@@ -111,19 +109,26 @@ func (d *Dispatcher) StatsLocked(snap *dist.Snapshot) {
 	snap.Reissued = d.durable.Reissued
 	snap.Batches = d.durable.Batches
 	if d.open == nil {
-		snap.Jobs = &dist.JobCounts{
-			Queued:    len(d.pending),
-			Running:   len(d.active),
-			Done:      d.durable.Done,
-			Failed:    d.durable.Failed,
-			Cancelled: d.durable.Cancelled,
-		}
+		counts := d.countsLocked()
+		snap.Jobs = &counts
 	}
 	for _, j := range d.pending {
 		snap.Pending += j.queue.Len()
 	}
 	for _, j := range d.active {
 		snap.Pending += j.queue.Len()
+	}
+}
+
+// countsLocked counts the jobs by state: the current queued and
+// running, and the lifetime terminal totals.
+func (d *Dispatcher) countsLocked() dist.JobCounts {
+	return dist.JobCounts{
+		Queued:    len(d.pending),
+		Running:   len(d.active),
+		Done:      d.durable.Done,
+		Failed:    d.durable.Failed,
+		Cancelled: d.durable.Cancelled,
 	}
 }
 

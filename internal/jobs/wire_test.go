@@ -342,6 +342,104 @@ func TestOldMinorWatcherSkipsJobKinds(t *testing.T) {
 	}
 }
 
+// awaitWorkers polls until n workers are connected.
+func awaitWorkers(t *testing.T, d *jobs.Dispatcher, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); len(d.Snapshot().Workers) != n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %d workers", n)
+		}
+	}
+}
+
+// TestJobEventsLeaveInCommitOrder holds the observer inside a job's
+// job_queued while the one worker finishes the job's only task. The
+// worker's goroutine commits job_done while the submitter's is still
+// delivering, and job_done must still arrive after job_queued and
+// job_started, in the order the lock committed them.
+func TestJobEventsLeaveInCommitOrder(t *testing.T) {
+	var mu sync.Mutex
+	var kinds []string
+	record := func(kind string) {
+		mu.Lock()
+		kinds = append(kinds, kind)
+		mu.Unlock()
+	}
+	delivered := make(chan struct{})
+	obs := observe.Funcs{
+		JobQueued: func(observe.JobQueued) {
+			select {
+			case <-delivered:
+			case <-time.After(500 * time.Millisecond):
+			}
+			record("queued")
+		},
+		JobStarted: func(observe.JobStarted) { record("started") },
+		JobDone: func(observe.JobDone) {
+			record("done")
+			close(delivered)
+		},
+	}
+	d, addr := startDispatcher(t, jobs.Config{PoolConfig: dist.PoolConfig{Observer: obs}})
+	startWorkers(t, addr, 1, 100)
+	awaitWorkers(t, d, 1)
+
+	info, err := d.Submit(oneTask("acme", 10))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if _, err := d.Wait(info.ID, 10*time.Second); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	select {
+	case <-delivered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("job_done never delivered")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if got := strings.Join(kinds, ","); got != "queued,started,done" {
+		t.Errorf("observer saw %s, want queued,started,done", got)
+	}
+}
+
+// TestObserverMaySubmitFromJobDone submits a follow-up job from inside
+// OnJobDone. No lock is held across an observer call, so the submission
+// goes through and both jobs run to completion.
+func TestObserverMaySubmitFromJobDone(t *testing.T) {
+	var d *jobs.Dispatcher
+	next := make(chan string, 1)
+	var once sync.Once
+	obs := observe.Funcs{JobDone: func(observe.JobDone) {
+		once.Do(func() {
+			info, err := d.Submit(oneTask("acme", 10))
+			if err != nil {
+				t.Errorf("Submit from OnJobDone: %v", err)
+			}
+			next <- info.ID
+		})
+	}}
+	d, addr := startDispatcher(t, jobs.Config{PoolConfig: dist.PoolConfig{Observer: obs}})
+	startWorkers(t, addr, 1, 100)
+
+	first, err := d.Submit(oneTask("acme", 10))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	var ids []string
+	select {
+	case id := <-next:
+		ids = []string{first.ID, id}
+	case <-time.After(10 * time.Second):
+		t.Fatal("OnJobDone's Submit never returned")
+	}
+	for _, id := range ids {
+		if info, err := d.Wait(id, 10*time.Second); err != nil || info.State != jobs.StateDone {
+			t.Errorf("job %s: %+v, %v; want done", id, info, err)
+		}
+	}
+}
+
 // TestFairShareOverWire runs two tenants with 3:1 weights through real
 // workers under worker churn and checks the admission order respects
 // the weights end to end. All jobs are submitted before the first

@@ -239,7 +239,9 @@ type JobDone struct {
 // Observer receives scheduling events. All methods must be safe to
 // call with the zero value of their event's optional fields;
 // implementations that only care about a subset should embed Funcs
-// (or use Funcs directly) rather than hand-writing no-ops.
+// (or use Funcs directly) rather than hand-writing no-ops. The live
+// runtime delivers the job lifecycle events one at a time, in the order
+// it committed them.
 type Observer interface {
 	OnBatchDecided(BatchDecision)
 	OnGenerationBest(GenerationBest)

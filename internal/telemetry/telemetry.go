@@ -233,6 +233,12 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	r.register(name, typeGauge, help, labels, fn)
 }
 
+// CounterFunc registers a counter whose value is computed at scrape
+// time — a lifetime total the program already keeps.
+func (r *Registry) CounterFunc(name, help string, fn func() float64) {
+	r.register(name, typeCounter, help, nil, fn)
+}
+
 // register adds one series to a family, replacing a series with the
 // identical label set (so re-registration is idempotent).
 func (r *Registry) register(name, typ, help string, labels []Label, read func() float64) {

@@ -18,7 +18,8 @@
 # started with -journal runs a job to completion, dies by kill -9,
 # restarts on the same directory, and must still answer pnjobs status
 # for the pre-kill job — with the pnsched_jobs_journal_* metrics
-# non-zero on the restarted instance.
+# non-zero on the restarted instance, and the task and job counters
+# still counting the pre-kill run: they read the restored state.
 # Run via `make admin-smoke`.
 set -eu
 
@@ -225,10 +226,12 @@ for want in \
 	'^pnsched_jobs_journal_bytes_total [1-9]' \
 	'^pnsched_jobs_journal_snapshots_total [1-9]' \
 	'^pnsched_jobs_journal_snapshot_bytes_total [1-9]' \
-	'^pnsched_jobs_journal_replay_seconds [0-9.e+-]*[1-9]'; do
+	'^pnsched_jobs_journal_replay_seconds [0-9.e+-]*[1-9]' \
+	'^pnsched_tasks_completed_total 40$' \
+	'^pnsched_jobs_finished_total{state="done"} 1$'; do
 	if ! printf '%s\n' "$metrics" | grep -q "$want"; then
 		echo "adminsmoke: restarted /metrics does not match $want" >&2
-		printf '%s\n' "$metrics" | grep '^pnsched_jobs_journal' >&2 || true
+		printf '%s\n' "$metrics" | grep '^pnsched_' >&2 || true
 		exit 1
 	fi
 done

@@ -101,13 +101,9 @@ func (s *Server) Stats() ServerStats {
 		Completed: snap.Completed,
 		Reissued:  snap.Reissued,
 		Workers:   len(snap.Workers),
-		Watchers:  s.events.Subscribers(),
+		Watchers:  len(snap.Watchers),
 	}
 }
-
-// Workers returns a snapshot of the connected workers: name, claimed
-// and believed (§3.6-smoothed) rates, pending work, completions.
-func (s *Server) Workers() []WorkerStatus { return s.d.Workers() }
 
 // FetchStats requests a one-shot stats snapshot from a live scheduling
 // server at addr — the client side of Server.Snapshot, used by

@@ -113,13 +113,13 @@ func TestServeEndToEnd(t *testing.T) {
 	if st.Completed != len(tasks) || st.Submitted != len(tasks) {
 		t.Fatalf("Stats = %+v, want %d submitted and completed", st, len(tasks))
 	}
-	ws := srv.Workers()
+	ws := srv.Snapshot().Workers
 	total := 0
 	for _, w := range ws {
 		total += w.Completed
 	}
 	if len(ws) != 2 || total != len(tasks) {
-		t.Fatalf("Workers() = %+v, want 2 workers totalling %d completions", ws, len(tasks))
+		t.Fatalf("Snapshot().Workers = %+v, want 2 workers totalling %d completions", ws, len(tasks))
 	}
 
 	if err := srv.Close(); err != nil {
