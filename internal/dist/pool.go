@@ -175,8 +175,14 @@ type Pool struct {
 	latency    [latencyWindow]float64
 	latW, latN int
 
-	outbox   []JobEvent // staged under Mu, not yet delivered
-	emitting bool       // an Emit call is delivering outbox
+	// Job events wait in outbox between StageLocked and Emit. outMu
+	// guards outbox and emitting, so a delivery never queues behind Mu,
+	// which an owner may hold across a journal write; a stager takes it
+	// inside Mu, which keeps outbox in commit order.
+	outMu    sync.Mutex
+	outbox   []JobEvent
+	emitting bool   // an Emit call is delivering outbox
+	staged   uint64 // events staged in all, under Mu
 }
 
 const latencyWindow = 512
@@ -324,18 +330,23 @@ func (p *Pool) AwaitLocked(timeout time.Duration, ready func() bool) (closed, ex
 
 // StageLocked queues a job event behind those staged before it, for
 // the Emit at the caller's release point to deliver.
-func (p *Pool) StageLocked(ev JobEvent) { p.outbox = append(p.outbox, ev) }
+func (p *Pool) StageLocked(ev JobEvent) {
+	p.outMu.Lock()
+	p.outbox = append(p.outbox, ev)
+	p.outMu.Unlock()
+	p.staged++
+}
 
-// Emit delivers the staged job events, one at a time and with Mu free,
-// so an observer may call back into the owner. Whoever staged some
+// Emit delivers the staged job events, one at a time and with no lock
+// held, so an observer may call back into the owner. Whoever staged some
 // calls it once Mu is released; one that finds another caller
 // delivering leaves its events to that one, which keeps staging order.
 func (p *Pool) Emit() {
-	p.Mu.Lock()
+	p.outMu.Lock()
 	for !p.emitting && len(p.outbox) > 0 {
 		ev := p.outbox[0]
 		p.outbox, p.emitting = p.outbox[1:], true
-		p.Mu.Unlock()
+		p.outMu.Unlock()
 		switch {
 		case ev.Queued != nil:
 			if p.observer != nil {
@@ -358,10 +369,10 @@ func (p *Pool) Emit() {
 				"state", ev.Done.State, "completed", ev.Done.Completed,
 				"retries", ev.Done.Retries, "duration", float64(ev.Done.Duration))
 		}
-		p.Mu.Lock()
+		p.outMu.Lock()
 		p.emitting = false
 	}
-	p.Mu.Unlock()
+	p.outMu.Unlock()
 }
 
 // Snapshot returns a point-in-time operational view: uptime, the
@@ -522,8 +533,9 @@ func (p *Pool) serveWorker(conn net.Conn, br *bufio.Reader, name string, claimed
 		if m != nil && m.Type == msgDone {
 			now := time.Now()
 			p.Mu.Lock()
+			before := p.staged
 			p.doneLocked(w, m.Task, units.Seconds(m.Elapsed), m.Real, now)
-			staged := len(p.outbox) > 0
+			staged := p.staged != before
 			p.cond.Broadcast()
 			p.Mu.Unlock()
 			if staged {
