@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race fuzz-smoke lint apicheck analyze docs-check bench bench-e2e bench-compare bench-pairs admin-smoke vulncheck size ci
+.PHONY: build test race fuzz-smoke lint apicheck analyze docs-check bench bench-e2e bench-compare bench-pairs bench-layers admin-smoke vulncheck size ci
 
 build:
 	$(GO) build ./...
@@ -104,6 +104,19 @@ PAIRS ?= 10
 SEEDS ?= 1
 bench-pairs:
 	bash scripts/benchpairs.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SEEDS)
+
+# The layer rows before/after (scripts/benchlayers.sh): each package's
+# test binary built from BASE and from the working tree, the benchmarks
+# matching RUN run interleaved for ROUNDS rounds, median, IQR and ratio
+# per benchmark and unit; exit 1 when a time or allocation median is
+# more than 25 % worse and the interquartile ranges do not overlap. A
+# local tool, not part of ci:
+#   make bench-layers BASE=HEAD~1 PKG=./internal/jobs RUN=DoneJournal64 ROUNDS=10
+PKG ?= ./internal/dist ./internal/jobs
+RUN ?= .
+ROUNDS ?= 10
+bench-layers:
+	bash scripts/benchlayers.sh $(BASE) "$(PKG)" '$(RUN)' $(ROUNDS)
 
 # Smoke the HTTP admin endpoint: short-lived pnserver -admin, curl
 # /healthz and /metrics, assert the instrument families render.

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"context"
 	"net"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -183,5 +185,109 @@ func TestWorkerReportsCoalesce(t *testing.T) {
 	server.Close()
 	if err := <-errc; err != nil {
 		t.Errorf("worker after the server hung up: %v", err)
+	}
+}
+
+// The pool's read loop is the reading half: done reports that arrive
+// together are applied together, in one hold of Mu ended by one
+// Owner.CommitLocked. The tests below serve one worker's connection
+// through serveWorker on a pipe, with tasks 1..n outstanding on it.
+
+// readLoopRig returns the rig, the worker's end of the pipe and a
+// channel closed once the pool has let the worker go.
+func readLoopRig(t *testing.T, n int) (*coreRig, net.Conn, <-chan struct{}) {
+	t.Helper()
+	r := newCoreRig(t, n)
+	server, client := net.Pipe()
+	deadline := time.Now().Add(10 * time.Second)
+	server.SetDeadline(deadline)
+	client.SetDeadline(deadline)
+	left := make(chan struct{})
+	go func() {
+		r.p.serveWorker(server, bufio.NewReader(server), "w", 100)
+		close(left)
+	}()
+	t.Cleanup(func() { client.Close(); <-left })
+	r.await(t, func() bool { return len(r.p.workers) == 1 })
+	r.p.Mu.Lock()
+	ts := make([]task.Task, n)
+	for i := range ts {
+		ts[i] = tk(task.ID(i+1), 1)
+	}
+	r.send(nil, time.Now(), 0, ts...)
+	r.p.Mu.Unlock()
+	return r, client, left
+}
+
+// await polls, under Mu, until ok holds.
+func (r *coreRig) await(t *testing.T, ok func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		r.p.Mu.Lock()
+		done := ok()
+		r.p.Mu.Unlock()
+		if done {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("timed out")
+		}
+	}
+}
+
+// dones is one write carrying a done report for each id.
+func dones(ids ...int32) []byte {
+	var b []byte
+	for _, id := range ids {
+		b, _ = appendMessage(b, &message{Type: msgDone, Task: id, Elapsed: 0.1})
+	}
+	return b
+}
+
+func TestReadLoopAppliesBatchBeforeLeave(t *testing.T) {
+	r, client, left := readLoopRig(t, 8)
+	if _, err := client.Write(dones(1, 2, 3, 4, 5, 6, 7, 8)); err != nil {
+		t.Fatal(err)
+	}
+	client.Close()
+	<-left
+	if got := ids(r.o.done); !slices.Equal(got, []task.ID{1, 2, 3, 4, 5, 6, 7, 8}) {
+		t.Errorf("owner saw %v done, want tasks 1..8", got)
+	}
+	if len(r.o.lost) != 1 || len(r.o.lost[0]) != 0 {
+		t.Errorf("the leave handed the owner %v, want one empty list: nothing to reissue", r.o.lost)
+	}
+	if r.o.commits != 1 {
+		t.Errorf("8 reports in one write took %d commits, want 1", r.o.commits)
+	}
+}
+
+func TestReadLoopAppliesBatchBeforeBadFrame(t *testing.T) {
+	r, client, left := readLoopRig(t, 3)
+	if _, err := client.Write(append(dones(1, 2), "not json\n"...)); err != nil {
+		t.Fatal(err)
+	}
+	<-left
+	if got := ids(r.o.done); !slices.Equal(got, []task.ID{1, 2}) {
+		t.Errorf("owner saw %v done, want tasks 1 and 2", got)
+	}
+	if len(r.o.lost) != 1 || !slices.Equal(ids(r.o.lost[0]), []task.ID{3}) || r.o.commits != 1 {
+		t.Errorf("lost %v after %d commits, want task 3 lost after 1", r.o.lost, r.o.commits)
+	}
+	var b strings.Builder
+	r.reg.WritePrometheus(&b)
+	if !strings.Contains(b.String(), "\npnsched_protocol_decode_errors_total 1\n") {
+		t.Errorf("decode errors are not 1:\n%s", b.String())
+	}
+}
+
+func TestReadLoopAppliesLoneReport(t *testing.T) {
+	r, client, _ := readLoopRig(t, 2)
+	for i, id := range []int32{1, 2} {
+		if _, err := client.Write(dones(id)); err != nil {
+			t.Fatal(err)
+		}
+		// Nothing follows on the stream: the report is applied anyway.
+		r.await(t, func() bool { return len(r.o.done) == i+1 && r.o.commits == i+1 })
 	}
 }

@@ -18,10 +18,11 @@ import (
 // join get lease; every lease is live. It reports what it requeued as
 // Reissued.
 type coreOwner struct {
-	lease  any
-	done   []task.Task
-	lost   [][]task.Task
-	unsent []task.Task
+	lease   any
+	done    []task.Task
+	lost    [][]task.Task
+	unsent  []task.Task
+	commits int // done batches ended
 }
 
 func (o *coreOwner) LeaseLocked(*Worker) any            { return o.lease }
@@ -39,6 +40,7 @@ func (o *coreOwner) LostLocked(_ any, _ string, lost []task.Task, _ time.Time) i
 	o.lost = append(o.lost, lost)
 	return len(lost)
 }
+func (o *coreOwner) CommitLocked() { o.commits++ }
 func (o *coreOwner) StatsLocked(s *Snapshot) {
 	for _, l := range o.lost {
 		s.Reissued += len(l)

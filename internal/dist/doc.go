@@ -99,7 +99,14 @@
 // frame may span several reads. Each streaming writer — the pool's
 // assign frames, a watcher's event frames, a worker's done reports —
 // encodes what its queue holds into one buffer and flushes when the
-// queue is empty (frameWriter, drain). Decoders accept any key order;
+// queue is empty (frameWriter, drain). The pool's read loop is the
+// other half: after a frame it keeps decoding while its reader already
+// holds another whole line, never waiting for more bytes, and applies
+// the done reports so gathered in one hold of Pool.Mu at one time, with
+// one wake-up, ended by one Owner.CommitLocked (applyDone) — so the job
+// journal writes a batch's records at once. Reports read before a read
+// error or a bad frame are applied before the worker leaves, so none of
+// those tasks is reissued. Decoders accept any key order;
 // the three per-task frames, assign, done and the dispatch event, are
 // written in exactly json.Marshal's encoding by a hand encoder, and
 // decodeWireMessage parses that encoding by hand in one pass, handing

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bufio"
+	"bytes"
 	"cmp"
 	"encoding/json"
 	"errors"
@@ -100,6 +101,7 @@ type Owner interface {
 	// under the same id.
 	WireIDLocked(t task.Task) int32
 	// DoneLocked records that worker finished t of the lease's work.
+	// While InBatchLocked holds it may leave its I/O to CommitLocked.
 	DoneLocked(lease any, worker string, t task.Task, elapsed units.Seconds, now time.Time)
 	// LostLocked records that the named worker, which carried the lease,
 	// left with lost (in task-ID order, possibly empty) unfinished. It
@@ -109,6 +111,13 @@ type Owner interface {
 	// left or changed lease while the scheduler ran; they were never
 	// sent.
 	UnsentLocked(lease any, ts []task.Task)
+	// CommitLocked ends a done batch: every report a worker's read loop
+	// found buffered together has gone through DoneLocked in one hold of
+	// Mu, and the pool calls this once before releasing it. An owner that
+	// deferred the I/O of those reports while InBatchLocked held does it
+	// here, so it still happens before anything the batch changed can be
+	// observed.
+	CommitLocked()
 	// StatsLocked fills in the owner's share of a stats snapshot: the
 	// task counters, Pending, Batches and Jobs.
 	StatsLocked(snap *Snapshot)
@@ -155,11 +164,12 @@ type Pool struct {
 	events   *Broadcaster
 	traces   *TraceRecorder // PoolConfig.Traces
 
-	cond    *sync.Cond // broadcast on every state change
-	ln      net.Listener
-	workers []*Worker // connected, in registration order
-	closed  bool
-	frames  [][]task.Task // commitLocked's output, reused by every Run; touched only under Mu
+	cond     *sync.Cond // broadcast on every state change
+	ln       net.Listener
+	workers  []*Worker // connected, in registration order
+	closed   bool
+	batching bool          // a done batch is being applied (InBatchLocked)
+	frames   [][]task.Task // commitLocked's output, reused by every Run; touched only under Mu
 	// scheduling holds, per lease, the batch Run has popped from the
 	// queue and not yet dispatched — the scheduler is deciding it with
 	// the lock released. Invariant, under Mu: every unfinished task of a
@@ -327,6 +337,10 @@ func (p *Pool) AwaitLocked(timeout time.Duration, ready func() bool) (closed, ex
 		p.cond.Wait()
 	}
 }
+
+// InBatchLocked reports whether the caller runs inside a done batch,
+// whose end calls Owner.CommitLocked before Mu is released.
+func (p *Pool) InBatchLocked() bool { return p.batching }
 
 // StageLocked queues a job event behind those staged before it, for
 // the Emit at the caller's release point to deliver.
@@ -515,32 +529,36 @@ func (p *Pool) serveWorker(conn net.Conn, br *bufio.Reader, name string, claimed
 	// Read loop: done messages until the connection drops. Unknown
 	// frame types decode to (nil, nil, nil) and are skipped, so the
 	// protocol can evolve; malformed or oversized frames drop the
-	// worker (its tasks are reissued).
+	// worker (its tasks are reissued). Reports the reader already holds
+	// are applied together (applyDone), and those read before an error
+	// are applied before the leave, so a finished task is never reissued.
+	var reports []*message
 	for {
 		line, err := readFrame(br)
-		if err != nil {
-			if !isClosedErr(err) {
-				p.Log.Warn("worker read error", "worker", name, "err", err)
+		var m *message
+		switch {
+		case err == nil:
+			if m, _, err = decodeWireMessage(line); err != nil {
+				p.met.decodeErrors.Inc()
+				p.Log.Warn("worker sent bad frame", "worker", name, "err", err)
 			}
-			break
+		case !isClosedErr(err):
+			p.Log.Warn("worker read error", "worker", name, "err", err)
 		}
-		m, _, err := decodeWireMessage(line)
-		if err != nil {
-			p.met.decodeErrors.Inc()
-			p.Log.Warn("worker sent bad frame", "worker", name, "err", err)
-			break
-		}
-		if m != nil && m.Type == msgDone {
-			now := time.Now()
-			p.Mu.Lock()
-			before := p.staged
-			p.doneLocked(w, m.Task, units.Seconds(m.Elapsed), m.Real, now)
-			staged := p.staged != before
-			p.cond.Broadcast()
-			p.Mu.Unlock()
-			if staged {
-				p.Emit()
+		if err == nil {
+			if m != nil && m.Type == msgDone {
+				reports = append(reports, m)
 			}
+			if frameBuffered(br) {
+				continue
+			}
+		}
+		if len(reports) > 0 {
+			p.applyDone(w, reports)
+			reports = reports[:0]
+		}
+		if err != nil {
+			break
 		}
 	}
 	conn.Close()
@@ -560,6 +578,35 @@ func (p *Pool) serveWorker(conn net.Conn, br *bufio.Reader, name string, claimed
 		})
 	}
 	p.Emit()
+}
+
+// frameBuffered reports whether br already holds another whole frame,
+// so reading it cannot block.
+func frameBuffered(br *bufio.Reader) bool {
+	b, _ := br.Peek(br.Buffered())
+	return bytes.IndexByte(b, '\n') >= 0
+}
+
+// applyDone applies one worker's done reports, read together, in one
+// hold of Mu at one now, and has the owner commit them before the hold
+// ends: one wake-up and one journal write per batch rather than per
+// report. The reader's buffer bounds a batch.
+func (p *Pool) applyDone(w *Worker, reports []*message) {
+	now := time.Now()
+	p.Mu.Lock()
+	before := p.staged
+	p.batching = true
+	for _, m := range reports {
+		p.doneLocked(w, m.Task, units.Seconds(m.Elapsed), m.Real, now)
+	}
+	p.batching = false
+	p.owner.CommitLocked()
+	staged := p.staged != before
+	p.cond.Broadcast()
+	p.Mu.Unlock()
+	if staged {
+		p.Emit()
+	}
 }
 
 // writeLoop drains a worker's outbound queue onto its connection as

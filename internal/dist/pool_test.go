@@ -184,6 +184,7 @@ func (o *fakeOwner) LostLocked(_ any, _ string, lost []task.Task, _ time.Time) i
 	o.q.PushAll(lost)
 	return len(lost)
 }
+func (o *fakeOwner) CommitLocked() {}
 func (o *fakeOwner) StatsLocked(s *dist.Snapshot) {
 	s.Completed, s.Reissued, s.Pending, s.Batches = o.finished, o.requeued, o.q.Len(), o.batches
 }

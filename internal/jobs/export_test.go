@@ -2,6 +2,12 @@ package jobs
 
 import "time"
 
+// encodeJournalRecord renders one record as its journal line, newline
+// included, in a buffer of its own: one allocation for a task record.
+func encodeJournalRecord(r *JournalRecord) ([]byte, error) {
+	return appendJournalRecord(make([]byte, 0, 128), r)
+}
+
 // NewRetainingForTest is New with the retention cap and grace window
 // given outright, in force from the start: recovery already trims to
 // them.

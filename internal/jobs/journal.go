@@ -26,11 +26,14 @@ package jobs
 // state has no second declaration or second arithmetic to disagree with.
 //
 // Appending under d.mu is deliberate: the journal is a plain
-// os.File write of an already-marshalled line (no connection I/O, no
+// os.File write of already-encoded lines (no connection I/O, no
 // channel sends), and doing it inside the critical section is what
 // makes "journaled before acknowledged" atomic with the transition
-// itself. Durability is against process death — records reach the
-// kernel on every append; only snapshots fsync.
+// itself. The done reports a worker's read finds together are applied
+// in one hold of the lock, and their records go out as one write at its
+// end (CommitLocked); every other append writes at once. Durability is
+// against process death — records reach the kernel before the lock
+// that applied them is released; only snapshots fsync.
 
 import (
 	"bytes"
@@ -39,10 +42,12 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 	"unicode"
@@ -176,15 +181,48 @@ type JournalSnapshot struct {
 	Jobs           []JournalJob       `json:"jobs,omitempty"`
 }
 
-// encodeJournalRecord renders one record as its canonical journal
-// line, newline included.
-func encodeJournalRecord(r *JournalRecord) ([]byte, error) {
-	b, err := json.Marshal(r)
-	if err != nil {
-		return nil, err
+// appendJournalRecord appends r's canonical journal line to b: the bytes
+// of json.Marshal(r) and a newline. A task record — one per finished
+// task, the journal's hot record — is written by hand, without
+// allocating, when its strings need no escaping and its numbers are
+// finite; every other record goes through encoding/json
+// (FuzzJournalRecord holds the two to the same bytes).
+func appendJournalRecord(b []byte, r *JournalRecord) ([]byte, error) {
+	if t := r.Task; t != nil && *r == (JournalRecord{LSN: r.LSN, Kind: JournalKindTask, Task: t}) &&
+		plain(t.ID) && plain(t.Worker) && finite(t.Elapsed) && finite(t.Work) {
+		b = append(b, `{"lsn":`...)
+		b = strconv.AppendUint(b, r.LSN, 10)
+		b = append(b, `,"kind":"task","task":{"id":"`...)
+		b = append(b, t.ID...)
+		b = append(b, `","task":`...)
+		b = strconv.AppendInt(b, int64(t.Task), 10)
+		b = append(b, `,"worker":"`...)
+		b = append(b, t.Worker...)
+		b = append(b, `","elapsed":`...)
+		b = dist.AppendFloat(b, t.Elapsed)
+		b = append(b, `,"work":`...)
+		b = dist.AppendFloat(b, t.Work)
+		return append(b, "}}\n"...), nil
 	}
-	return append(b, '\n'), nil
+	line, err := json.Marshal(r)
+	if err != nil {
+		return b, err
+	}
+	return append(append(b, line...), '\n'), nil
 }
+
+// plain reports whether encoding/json writes s as it is, between quotes:
+// printable ASCII with nothing it escapes.
+func plain(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return false
+		}
+	}
+	return true
+}
+
+func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
 
 // decodeJournalRecord parses and validates one journal line: the LSN
 // must be positive and exactly one payload must be present, matching
@@ -263,6 +301,10 @@ type journal struct {
 	tail    int    // bytes appended since the last snapshot
 	last    []byte // the last snapshot written; its buffer is reused by the next
 	failed  error  // why journaling stopped, once an append or snapshot failed
+	// pending holds the lines of records staged in this hold of the lock
+	// and not yet written, staged of them; CommitLocked writes them.
+	pending []byte
+	staged  int
 }
 
 // due reports whether the tail has paid for a snapshot. By default that
@@ -334,11 +376,14 @@ func openJournal(dir string, every int) (*journal, *JournalSnapshot, []*JournalR
 	return &journal{dir: dir, f: f, every: every}, snap, tail, nil
 }
 
-// appendLocked assigns the next LSN, writes the record, and triggers a
-// snapshot when one is due. A write failure permanently stops
-// journaling (better a loud degraded dispatcher than a journal with
-// holes) — it is logged once and reported by Health from then on.
-// Caller holds d.mu.
+// appendLocked assigns the next LSN and stages the record, writes what
+// is staged unless a done batch is open (the pool calls CommitLocked at
+// its end), and triggers a snapshot when one is due. A snapshot that
+// falls due inside a batch writes the staged records first: every
+// record reaches the journal, so its counters keep their meaning, for
+// one extra write per snapshot. A failure permanently stops journaling
+// (better a loud degraded dispatcher than a journal with holes) — it is
+// logged once and reported by Health from then on. Caller holds d.mu.
 func (d *Dispatcher) appendLocked(rec *JournalRecord) {
 	jr := d.jour
 	if jr == nil || jr.failed != nil || d.pool.ClosedLocked() {
@@ -346,23 +391,55 @@ func (d *Dispatcher) appendLocked(rec *JournalRecord) {
 	}
 	d.durable.LSN++
 	rec.LSN = d.durable.LSN
-	line, err := encodeJournalRecord(rec)
-	if err == nil {
-		_, err = jr.f.Write(line)
+	n := len(jr.pending)
+	var err error
+	if jr.pending, err = appendJournalRecord(jr.pending, rec); err != nil {
+		d.failLocked(err)
+		return
 	}
-	if err == nil {
-		d.met.journalRecords.Inc()
-		d.met.journalBytes.Add(float64(len(line)))
-		jr.appends++
-		jr.tail += len(line)
-		if jr.due() {
-			err = d.snapshotJournalLocked()
+	jr.staged++
+	jr.appends++
+	jr.tail += len(jr.pending) - n
+	due := jr.due()
+	if due || !d.pool.InBatchLocked() {
+		d.CommitLocked()
+	}
+	if due && jr.failed == nil {
+		if err := d.snapshotJournalLocked(); err != nil {
+			d.failLocked(err)
 		}
 	}
-	if err != nil {
-		jr.failed = fmt.Errorf("jobs: journal write failed, job state is no longer durable: %w", err)
-		d.pool.Log.Error("journal write failed; journaling disabled", "dir", jr.dir, "err", err)
+}
+
+// CommitLocked implements dist.Owner: the staged records go out in one
+// write, before the pool releases the lock that applied them. The
+// buffer is kept for the next batch unless a large submit record grew
+// it.
+func (d *Dispatcher) CommitLocked() {
+	jr := d.jour
+	if jr == nil || jr.staged == 0 {
+		return
 	}
+	if _, err := jr.f.Write(jr.pending); err != nil {
+		d.failLocked(err)
+		return
+	}
+	d.met.journalWrites.Inc()
+	d.met.journalRecords.Add(float64(jr.staged))
+	d.met.journalBytes.Add(float64(len(jr.pending)))
+	jr.pending, jr.staged = jr.pending[:0], 0
+	if cap(jr.pending) > 64<<10 {
+		jr.pending = nil
+	}
+}
+
+// failLocked stops journaling for err, dropping what is staged. Caller
+// holds d.mu.
+func (d *Dispatcher) failLocked(err error) {
+	jr := d.jour
+	jr.failed = fmt.Errorf("jobs: journal write failed, job state is no longer durable: %w", err)
+	jr.pending, jr.staged = nil, 0
+	d.pool.Log.Error("journal write failed; journaling disabled", "dir", jr.dir, "err", err)
 }
 
 // Health reports whether the dispatcher still keeps its promises: nil

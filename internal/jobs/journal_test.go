@@ -581,6 +581,9 @@ func TestDurableStateRoundTrips(t *testing.T) {
 //
 //   - decodeJournalRecord never panics — malformed JSON, unknown
 //     kinds, missing or doubled payloads all surface as errors;
+//   - anything accepted encodes to exactly json.Marshal's bytes and a
+//     newline, whichever path — the hand-written task record or
+//     encoding/json — wrote it;
 //   - anything accepted survives an encode→decode→encode round trip
 //     byte-identically (the record really is well-formed);
 //   - anything accepted, applied to a dispatcher holding one known
@@ -591,6 +594,10 @@ func FuzzJournalRecord(f *testing.F) {
 		`{"lsn":1,"kind":"submit","submit":{"job":{"id":"job-0001","seq":1,"tenant":"gold","spec":{"name":"PN"},"scheduler":"PN","state":"queued","total":2,"retry_budget":64,"submitted_at":1754560000000000000,"tasks":[{"id":0,"size":420.5},{"id":1,"size":33}]},"served":0}}`,
 		`{"lsn":2,"kind":"admit","admit":{"id":"job-0001","at":1754560001000000000,"charge":453.5,"served":453.5}}`,
 		`{"lsn":3,"kind":"task","task":{"id":"job-0001","task":0,"worker":"node7","elapsed":4.81,"work":420.5}}`,
+		`{"lsn":3,"kind":"task","task":{"id":"job-0001","task":1,"worker":"<w>","elapsed":1e-7,"work":1e21}}`,
+		`{"lsn":3,"kind":"task","task":{"id":"job-0001","task":2,"worker":"wé","elapsed":0,"work":-0}}`,
+		`{"lsn":3,"kind":"task","task":{"id":"job-0001","task":3,"worker":"w\"1","elapsed":-0,"work":0}}`,
+		`{"lsn":3,"kind":"task","task":{"id":"job-0001","task":4,"worker":"w1","elapsed":1e-7,"work":1e21}}`,
 		`{"lsn":4,"kind":"retry","retry":{"id":"job-0001","tasks":1}}`,
 		`{"lsn":5,"kind":"finish","finish":{"id":"job-0001","state":"done","at":1754560002000000000,"served":453.5}}`,
 		`{"lsn":6,"kind":"finish","finish":{"id":"job-0002","state":"failed","error":"retry budget exhausted","at":1754560003000000000}}`,
@@ -622,6 +629,9 @@ func FuzzJournalRecord(f *testing.F) {
 		enc, err := encodeJournalRecord(rec)
 		if err != nil {
 			t.Fatalf("accepted record does not encode: %v", err)
+		}
+		if want, _ := json.Marshal(rec); !bytes.Equal(enc, append(want, '\n')) {
+			t.Fatalf("encoding differs from json.Marshal:\n%s%s", enc, want)
 		}
 		rec2, err := decodeJournalRecord(enc)
 		if err != nil {

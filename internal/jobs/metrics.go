@@ -10,6 +10,7 @@ import (
 // instrument is nil and the telemetry instruments are nil-safe no-ops.
 type jobMetrics struct {
 	journalRecords   *telemetry.Counter
+	journalWrites    *telemetry.Counter
 	journalBytes     *telemetry.Counter
 	journalSnapshots *telemetry.Counter
 	snapshotBytes    *telemetry.Counter
@@ -37,6 +38,8 @@ func newJobMetrics(reg *telemetry.Registry, d *Dispatcher) *jobMetrics {
 	m := &jobMetrics{
 		journalRecords: reg.Counter("pnsched_jobs_journal_records_total",
 			"State-transition records appended to the job journal."),
+		journalWrites: reg.Counter("pnsched_jobs_journal_writes_total",
+			"Writes to the job journal; records per write is the group-commit ratio."),
 		journalBytes: reg.Counter("pnsched_jobs_journal_bytes_total",
 			"Bytes appended to the job journal."),
 		journalSnapshots: reg.Counter("pnsched_jobs_journal_snapshots_total",

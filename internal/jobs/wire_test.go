@@ -2,11 +2,14 @@ package jobs_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +19,7 @@ import (
 	"pnsched/internal/jobs"
 	"pnsched/internal/observe"
 	"pnsched/internal/task"
+	"pnsched/internal/telemetry"
 	"pnsched/internal/units"
 )
 
@@ -400,6 +404,55 @@ func TestJobEventsLeaveInCommitOrder(t *testing.T) {
 	defer mu.Unlock()
 	if got := strings.Join(kinds, ","); got != "queued,started,done" {
 		t.Errorf("observer saw %s, want queued,started,done", got)
+	}
+}
+
+// TestJournaledBeforeJobDone runs one journaled job on one worker. The
+// job's finish record is in journal.jsonl by the time job_done reaches
+// an observer, and the done reports go out in fewer writes than they
+// make records: the reports a read finds together are committed
+// together, and the last task's record shares its write with the
+// finish record at least.
+func TestJournaledBeforeJobDone(t *testing.T) {
+	dir := t.TempDir()
+	checked := make(chan error, 1)
+	obs := observe.Funcs{JobDone: func(ev observe.JobDone) {
+		b, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
+		if err == nil && !bytes.Contains(b, []byte(`"kind":"finish","finish":{"id":"`+ev.ID+`"`)) {
+			err = fmt.Errorf("no finish record for %s in the journal as job_done is delivered:\n%s", ev.ID, b)
+		}
+		checked <- err
+	}}
+	reg := telemetry.NewRegistry()
+	d, addr := startDispatcher(t, jobs.Config{JournalDir: dir, PoolConfig: dist.PoolConfig{Observer: obs, Metrics: reg}})
+	startWorkers(t, addr, 1, 100)
+	awaitWorkers(t, d, 1)
+
+	info, err := d.Submit(manyTasks("acme", 32, 10))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if got, err := d.Wait(info.ID, 10*time.Second); err != nil || got.State != jobs.StateDone {
+		t.Fatalf("Wait: %+v, %v; want done", got, err)
+	}
+	select {
+	case err := <-checked:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("job_done never delivered")
+	}
+	var b strings.Builder
+	reg.WritePrometheus(&b)
+	var records, writes int
+	for _, line := range strings.Split(b.String(), "\n") {
+		fmt.Sscanf(line, "pnsched_jobs_journal_records_total %d", &records)
+		fmt.Sscanf(line, "pnsched_jobs_journal_writes_total %d", &writes)
+	}
+	// submit, admit, 32 tasks, finish
+	if records != 35 || writes < 1 || writes >= records {
+		t.Errorf("%d records in %d writes, want 35 in fewer", records, writes)
 	}
 }
 

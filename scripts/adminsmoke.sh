@@ -223,6 +223,7 @@ fi
 metrics=$(fetch "$jrnlbase/metrics")
 for want in \
 	'^pnsched_jobs_journal_records_total [1-9]' \
+	'^pnsched_jobs_journal_writes_total [1-9]' \
 	'^pnsched_jobs_journal_bytes_total [1-9]' \
 	'^pnsched_jobs_journal_snapshots_total [1-9]' \
 	'^pnsched_jobs_journal_snapshot_bytes_total [1-9]' \
