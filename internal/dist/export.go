@@ -14,8 +14,8 @@ import (
 // as a Pool owner, and the benchmark's codec probes. The protocol
 // types stay unexported (their lowercase names are what the docs-drift
 // gate and the wire spec key on); aliases and thin wrappers re-export
-// exactly what those callers need: the envelope, framing, the
-// watch-serving loop and the hand codecs' number form.
+// exactly what those callers need: the envelope, framing and the
+// watch-serving loop.
 
 // Message is the control envelope of the JSON-lines protocol — the
 // exported name of the message type, for sibling runtimes building and
@@ -49,11 +49,6 @@ func ReadFrame(br *bufio.Reader) ([]byte, error) { return readFrame(br) }
 func DecodeWireMessage(line []byte) (*Message, *eventFrame, error) {
 	return decodeWireMessage(line)
 }
-
-// AppendFloat appends a finite x as encoding/json writes a float64: the
-// number form of the hand codecs, which the job journal's task record
-// shares. See appendFloat.
-func AppendFloat(b []byte, x float64) []byte { return appendFloat(b, x) }
 
 // TasksToWire returns a copy of ts: a task is its own wire form. Only
 // bench/ calls it (ROADMAP item 1(d)).

@@ -1,11 +1,17 @@
 package jobs
 
-import "time"
+import (
+	"bytes"
+	"encoding/json"
+	"time"
+)
 
 // encodeJournalRecord renders one record as its journal line, newline
-// included, in a buffer of its own: one allocation for a task record.
+// included, encoded as the journal stages it.
 func encodeJournalRecord(r *JournalRecord) ([]byte, error) {
-	return appendJournalRecord(make([]byte, 0, 128), r)
+	var b bytes.Buffer
+	err := json.NewEncoder(&b).Encode(r)
+	return b.Bytes(), err
 }
 
 // NewRetainingForTest is New with the retention cap and grace window

@@ -42,12 +42,10 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"math"
 	"os"
 	"path/filepath"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 	"unicode"
@@ -181,49 +179,6 @@ type JournalSnapshot struct {
 	Jobs           []JournalJob       `json:"jobs,omitempty"`
 }
 
-// appendJournalRecord appends r's canonical journal line to b: the bytes
-// of json.Marshal(r) and a newline. A task record — one per finished
-// task, the journal's hot record — is written by hand, without
-// allocating, when its strings need no escaping and its numbers are
-// finite; every other record goes through encoding/json
-// (FuzzJournalRecord holds the two to the same bytes).
-func appendJournalRecord(b []byte, r *JournalRecord) ([]byte, error) {
-	if t := r.Task; t != nil && *r == (JournalRecord{LSN: r.LSN, Kind: JournalKindTask, Task: t}) &&
-		plain(t.ID) && plain(t.Worker) && finite(t.Elapsed) && finite(t.Work) {
-		b = append(b, `{"lsn":`...)
-		b = strconv.AppendUint(b, r.LSN, 10)
-		b = append(b, `,"kind":"task","task":{"id":"`...)
-		b = append(b, t.ID...)
-		b = append(b, `","task":`...)
-		b = strconv.AppendInt(b, int64(t.Task), 10)
-		b = append(b, `,"worker":"`...)
-		b = append(b, t.Worker...)
-		b = append(b, `","elapsed":`...)
-		b = dist.AppendFloat(b, t.Elapsed)
-		b = append(b, `,"work":`...)
-		b = dist.AppendFloat(b, t.Work)
-		return append(b, "}}\n"...), nil
-	}
-	line, err := json.Marshal(r)
-	if err != nil {
-		return b, err
-	}
-	return append(append(b, line...), '\n'), nil
-}
-
-// plain reports whether encoding/json writes s as it is, between quotes:
-// printable ASCII with nothing it escapes.
-func plain(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			return false
-		}
-	}
-	return true
-}
-
-func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
-
 // decodeJournalRecord parses and validates one journal line: the LSN
 // must be positive and exactly one payload must be present, matching
 // the kind. Anything else — malformed JSON, unknown kinds, payload
@@ -302,8 +257,11 @@ type journal struct {
 	last    []byte // the last snapshot written; its buffer is reused by the next
 	failed  error  // why journaling stopped, once an append or snapshot failed
 	// pending holds the lines of records staged in this hold of the lock
-	// and not yet written, staged of them; CommitLocked writes them.
-	pending []byte
+	// and not yet written, staged of them; CommitLocked writes them. enc
+	// encodes into it: json.Marshal's bytes and a newline per record,
+	// with no buffer of the record's own.
+	pending bytes.Buffer
+	enc     *json.Encoder
 	staged  int
 }
 
@@ -373,7 +331,9 @@ func openJournal(dir string, every int) (*journal, *JournalSnapshot, []*JournalR
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("jobs: journal: %w", err)
 	}
-	return &journal{dir: dir, f: f, every: every}, snap, tail, nil
+	jr := &journal{dir: dir, f: f, every: every}
+	jr.enc = json.NewEncoder(&jr.pending)
+	return jr, snap, tail, nil
 }
 
 // appendLocked assigns the next LSN and stages the record, writes what
@@ -391,15 +351,14 @@ func (d *Dispatcher) appendLocked(rec *JournalRecord) {
 	}
 	d.durable.LSN++
 	rec.LSN = d.durable.LSN
-	n := len(jr.pending)
-	var err error
-	if jr.pending, err = appendJournalRecord(jr.pending, rec); err != nil {
+	n := jr.pending.Len()
+	if err := jr.enc.Encode(rec); err != nil { //pnanalyze:ok locksend — enc encodes into jr.pending, a bytes.Buffer, not a connection
 		d.failLocked(err)
 		return
 	}
 	jr.staged++
 	jr.appends++
-	jr.tail += len(jr.pending) - n
+	jr.tail += jr.pending.Len() - n
 	due := jr.due()
 	if due || !d.pool.InBatchLocked() {
 		d.CommitLocked()
@@ -420,16 +379,18 @@ func (d *Dispatcher) CommitLocked() {
 	if jr == nil || jr.staged == 0 {
 		return
 	}
-	if _, err := jr.f.Write(jr.pending); err != nil {
+	if _, err := jr.f.Write(jr.pending.Bytes()); err != nil {
 		d.failLocked(err)
 		return
 	}
 	d.met.journalWrites.Inc()
 	d.met.journalRecords.Add(float64(jr.staged))
-	d.met.journalBytes.Add(float64(len(jr.pending)))
-	jr.pending, jr.staged = jr.pending[:0], 0
-	if cap(jr.pending) > 64<<10 {
-		jr.pending = nil
+	d.met.journalBytes.Add(float64(jr.pending.Len()))
+	jr.staged = 0
+	if jr.pending.Cap() > 64<<10 {
+		jr.pending = bytes.Buffer{}
+	} else {
+		jr.pending.Reset()
 	}
 }
 
@@ -438,7 +399,7 @@ func (d *Dispatcher) CommitLocked() {
 func (d *Dispatcher) failLocked(err error) {
 	jr := d.jour
 	jr.failed = fmt.Errorf("jobs: journal write failed, job state is no longer durable: %w", err)
-	jr.pending, jr.staged = nil, 0
+	jr.pending, jr.staged = bytes.Buffer{}, 0
 	d.pool.Log.Error("journal write failed; journaling disabled", "dir", jr.dir, "err", err)
 }
 

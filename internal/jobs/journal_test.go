@@ -581,9 +581,8 @@ func TestDurableStateRoundTrips(t *testing.T) {
 //
 //   - decodeJournalRecord never panics — malformed JSON, unknown
 //     kinds, missing or doubled payloads all surface as errors;
-//   - anything accepted encodes to exactly json.Marshal's bytes and a
-//     newline, whichever path — the hand-written task record or
-//     encoding/json — wrote it;
+//   - anything accepted encodes, as the journal stages it, to exactly
+//     json.Marshal's bytes and a newline;
 //   - anything accepted survives an encode→decode→encode round trip
 //     byte-identically (the record really is well-formed);
 //   - anything accepted, applied to a dispatcher holding one known

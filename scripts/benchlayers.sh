@@ -12,12 +12,11 @@
 #   make bench-layers BASE=<rev> [PKG=<pkgs>] [RUN=<regexp>] [ROUNDS=<n>]
 #
 # PKGS defaults to "./internal/dist ./internal/jobs", RUN to every
-# benchmark, ROUNDS to 10, and each run lasts -test.benchtime=BENCHTIME
-# (environment, default 1s). The exit status is 1 when some row of a
-# time or allocation unit (ns/…, us/…, ms/…, B/…, allocs/…) has a change
-# median more than THRESHOLD (environment, default 0.25, the bound
-# BENCHMARK.json gives the end-to-end times) above the base median and
-# a first quartile above the base's third, so the two interquartile
+# benchmark, ROUNDS to 10, and each run lasts -test.benchtime=1s. The
+# exit status is 1 when some row of a time or allocation unit (ns/…,
+# us/…, ms/…, B/…, allocs/…) has a change median more than 25 % (the
+# bound BENCHMARK.json gives the end-to-end times) above the base median
+# and a first quartile above the base's third, so the two interquartile
 # ranges do not overlap; other units (records/write) print unjudged. A
 # row one side lacks prints with "-" there and is not judged. It is a
 # local tool, not a CI gate: on a shared 2-vCPU host an unchanged row's
@@ -31,8 +30,6 @@ base=${1:?$usage}
 pkgs=${2:-./internal/dist ./internal/jobs}
 run=${3:-.}
 rounds=${4:-10}
-benchtime=${BENCHTIME:-1s}
-threshold=${THRESHOLD:-0.25}
 
 # The same build environment as bench/run.sh and scripts/benchpairs.sh.
 export GOCACHE="$PWD/.bench_build/go-cache" XDG_CONFIG_HOME="$PWD/.bench_build/config" GOTOOLCHAIN=local
@@ -60,7 +57,7 @@ bench() {
 	local root=$top
 	[ "$1" = base ] && root=$top/$work/src
 	for pkg in $pkgs; do
-		(cd "$root/$pkg" && "$(bin "$1" "$pkg")" -test.run='^$' -test.bench="$run" -test.benchmem -test.benchtime="$benchtime") |
+		(cd "$root/$pkg" && "$(bin "$1" "$pkg")" -test.run='^$' -test.bench="$run" -test.benchmem -test.benchtime=1s) |
 			awk '/^Benchmark/ { sub(/-[0-9]+$/, "", $1); for (i = 3; i < NF; i += 2) print $1, $(i + 1), $i }' \
 				>>"$work/$1.txt"
 	done
@@ -89,7 +86,7 @@ stats() {
 stats base >"$work/base.stats"
 stats change >"$work/change.stats"
 
-awk -v thr="$threshold" '
+awk '
 	function cell(m, a, b) { return m == "" ? "-" : sprintf("%.4g [%.4g, %.4g]", m, a, b) }
 	FILENAME == ARGV[1] { bm[$1 " " $2] = $3; ba[$1 " " $2] = $4; bb[$1 " " $2] = $5; next }
 	{ key = $1 " " $2; seen[key]; cm[key] = $3; ca[key] = $4; cb[key] = $5 }
@@ -106,7 +103,7 @@ awk -v thr="$threshold" '
 			ratio = "-"; flag = ""
 			if ((key in bm) && (key in cm)) {
 				ratio = bm[key] > 0 ? sprintf("%.3f", cm[key] / bm[key]) : cm[key] > 0 ? "inf" : "1.000"
-				if (f[2] ~ /^(ns|us|ms|B|allocs)\// && cm[key] > bm[key] * (1 + thr) && ca[key] > bb[key]) { flag = "  worse"; bad = 1 }
+				if (f[2] ~ /^(ns|us|ms|B|allocs)\// && cm[key] > bm[key] * 1.25 && ca[key] > bb[key]) { flag = "  worse"; bad = 1 }
 			}
 			printf "%-34s %-14s %-30s %-30s %s%s\n", f[1], f[2], cell(bm[key], ba[key], bb[key]), cell(cm[key], ca[key], cb[key]), ratio, flag
 		}
