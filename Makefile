@@ -20,7 +20,9 @@ race:
 # decoder (malformed hellos, oversized frames, unknown event kinds
 # must error cleanly, never panic), as long over the hand codec of the
 # hot frames against encoding/json (the reflective decoder's values and
-# errors, json.Marshal's bytes), and as long over the job-journal
+# errors, json.Marshal's bytes), and as long over a read loop's reused
+# decoder against a fresh one (no field of one frame leaks into the
+# next), and as long over the job-journal
 # record decoder plus the apply functions behind it (a record that
 # decodes is refused or applied, never a panic or a negative counter)
 # and over the snapshot file recovery reads beside it (the same, and what
@@ -35,6 +37,7 @@ race:
 fuzz-smoke:
 	$(GO) test ./internal/dist -run='^FuzzWireMessage$$' -fuzz=FuzzWireMessage -fuzztime=10s
 	$(GO) test ./internal/dist -run='^FuzzWireCodec$$' -fuzz=FuzzWireCodec -fuzztime=10s
+	$(GO) test ./internal/dist -run='^FuzzDecoderReuse$$' -fuzz=FuzzDecoderReuse -fuzztime=10s
 	$(GO) test ./internal/jobs -run='^FuzzJournalRecord$$' -fuzz=FuzzJournalRecord -fuzztime=10s
 	$(GO) test ./internal/jobs -run='^FuzzJournalSnapshot$$' -fuzz=FuzzJournalSnapshot -fuzztime=10s
 	$(GO) test ./internal/ga -run='^FuzzCrossover$$' -fuzz=FuzzCrossover -fuzztime=10s

@@ -60,6 +60,34 @@ func FuzzWireCodec(f *testing.F) {
 	})
 }
 
+// FuzzDecoderReuse decodes b right after a on one decoder: the result
+// is exactly a fresh decode of b (reflect.DeepEqual, and the same
+// error), so nothing of a's frame — its tasks, its real time, its drop
+// count — leaks into the next one.
+func FuzzDecoderReuse(f *testing.F) {
+	frames := []string{
+		`{"type":"assign","tasks":[{"id":7,"size":420.5},{"id":12,"size":33}],"task":0,"elapsed":0}`,
+		`{"type":"done","task":7,"elapsed":1.338,"real":0.0013}`,
+		`{"type":"event","v":{"major":1,"minor":3},"seq":4,"dropped":7,"kind":"dispatch","dispatch":{"proc":12,"task":0,"at":18.25}}`,
+		`{"type":"done","task":8,"elapsed":2}`,
+		`{"type":"event","v":{"major":1,"minor":3},"seq":5,"kind":"dispatch","dispatch":{"proc":1,"task":3,"at":19}}`,
+	}
+	for _, a := range frames {
+		for _, b := range frames {
+			f.Add([]byte(a), []byte(b))
+		}
+	}
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		var dec decoder
+		dec.decode(a)
+		m1, ev1, err1 := dec.decode(b)
+		m2, ev2, err2 := decodeWireMessage(b)
+		if errText(err1) != errText(err2) || !reflect.DeepEqual(m1, m2) || !reflect.DeepEqual(ev1, ev2) {
+			t.Fatalf("decode of %q after %q:\n got (%+v, %+v, %v)\nwant (%+v, %+v, %v)", b, a, m1, ev1, err1, m2, ev2, err2)
+		}
+	})
+}
+
 // checkHotEncoding requires the hand encoder to write json.Marshal's
 // bytes for v (a *message or an *eventFrame), or to decline exactly
 // where json.Marshal fails, and decodeHot to read its frame back as v.
@@ -91,6 +119,12 @@ func encodeHot(v any) ([]byte, bool) {
 		return appendEvent(nil, v)
 	}
 	return nil, false
+}
+
+// decodeHot is the hand decoder on fresh storage.
+func decodeHot(line []byte) (*message, *eventFrame, bool) {
+	var dec decoder
+	return dec.hot(line)
 }
 
 // either is whichever of a decoder's two results is set.
@@ -155,6 +189,32 @@ func TestHotDecodeAllocations(t *testing.T) {
 			}
 		}); got != want {
 			t.Errorf("decoding %s: %v allocations, want %v", name, got, want)
+		}
+	}
+}
+
+// TestReusedDecoderAllocations pins what a read loop's decoder costs
+// once its storage is warm: nothing, for a done frame, a dispatch event
+// or an assign no longer than the ones before it.
+func TestReusedDecoderAllocations(t *testing.T) {
+	var dec decoder
+	frames := [][]byte{
+		[]byte(`{"type":"done","task":7,"elapsed":1.338,"real":0.0013}`),
+		[]byte(`{"type":"assign","tasks":[{"id":7,"size":420.5},{"id":12,"size":33}],"task":0,"elapsed":0}`),
+		[]byte(`{"type":"event","v":{"major":1,"minor":3},"seq":4,"dropped":7,"kind":"dispatch","dispatch":{"proc":12,"task":0,"at":18.25}}`),
+	}
+	for _, line := range frames {
+		if _, _, err := dec.decode(line); err != nil { // warms the storage
+			t.Fatal(err)
+		}
+	}
+	for _, line := range frames {
+		if got := testing.AllocsPerRun(100, func() {
+			if _, _, err := dec.decode(line); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("reused decoder on %s: %v allocations, want 0", line, got)
 		}
 	}
 }

@@ -106,7 +106,12 @@
 // one wake-up, ended by one Owner.CommitLocked (applyDone) — so the job
 // journal writes a batch's records at once. Reports read before a read
 // error or a bad frame are applied before the worker leaves, so none of
-// those tasks is reissued. Decoders accept any key order;
+// those tasks is reissued. Each long-lived read loop — the pool's
+// worker connection, the watch client, the worker — decodes the hot
+// frames into storage its decoder owns, and what it decodes is valid
+// only until the loop's next frame: the pool copies each done report
+// out, the worker's queue copies an assign's tasks, and a watcher's
+// observer is handed copies. Decoders accept any key order;
 // the three per-task frames, assign, done and the dispatch event, are
 // written in exactly json.Marshal's encoding by a hand encoder, and
 // decodeWireMessage parses that encoding by hand in one pass, handing

@@ -42,6 +42,13 @@ const DefaultEventReplay = 64
 // with, and the hand-off happens under the same lock publish takes,
 // so nothing can interleave between the last replayed frame and the
 // first live one.
+//
+// A frame's payload is shared by the ring and every queue that holds
+// the frame, and never written once published. Dispatch events, one per
+// task sent, take theirs from a chunk of dispatchChunk payloads carved
+// under the same lock, so a task's event costs a share of one
+// allocation rather than one of its own, watched or not; a chunk is
+// freed once no queued frame points into it.
 type Broadcaster struct {
 	queue int
 
@@ -61,7 +68,13 @@ type Broadcaster struct {
 	ring  []eventFrame
 	ringW int
 	ringN int
+
+	// dispatches is what remains of the current payload chunk.
+	dispatches []observe.Dispatch
 }
+
+// dispatchChunk is the number of dispatch payloads allocated together.
+const dispatchChunk = 64
 
 // eventSub is one subscriber: a bounded frame queue drained by the
 // subscriber's writer goroutine, plus the cumulative count of frames
@@ -160,13 +173,17 @@ func (b *Broadcaster) closeAll() {
 // (non-blocking channel sends only), so event emission stays cheap for
 // the scheduling and GA goroutines delivering the events.
 func (b *Broadcaster) publish(f eventFrame) {
-	f.Type = msgEvent
-	f.V = wireVersion{Major: ProtoMajor, Minor: ProtoMinor}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed {
-		return
+	if !b.closed {
+		b.publishLocked(f)
 	}
+}
+
+// publishLocked is publish on an open broadcaster. Caller holds mu.
+func (b *Broadcaster) publishLocked(f eventFrame) {
+	f.Type = msgEvent
+	f.V = wireVersion{Major: ProtoMajor, Minor: ProtoMinor}
 	b.seq++
 	f.Seq = b.seq
 	b.published.Add(1)
@@ -223,9 +240,21 @@ func (b *Broadcaster) OnMigration(e observe.Migration) {
 	b.publish(eventFrame{Kind: kindMigration, Migration: &e})
 }
 
-// OnDispatch implements observe.Observer.
+// OnDispatch implements observe.Observer. The payload is carved from
+// the current chunk.
 func (b *Broadcaster) OnDispatch(e observe.Dispatch) {
-	b.publish(eventFrame{Kind: kindDispatch, Dispatch: &e})
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return
+	}
+	if len(b.dispatches) == 0 {
+		b.dispatches = make([]observe.Dispatch, dispatchChunk)
+	}
+	d := &b.dispatches[0]
+	b.dispatches = b.dispatches[1:]
+	*d = e
+	b.publishLocked(eventFrame{Kind: kindDispatch, Dispatch: d})
 }
 
 // OnBudgetStop implements observe.Observer.

@@ -199,3 +199,26 @@ func TestBroadcasterReplayCappedAtQueue(t *testing.T) {
 		t.Fatalf("capped replay spans seq %d..%d, want the newest 17..20", frames[0].Seq, frames[3].Seq)
 	}
 }
+
+// TestDispatchPayloadsShareChunks: OnDispatch takes its payload from a
+// shared chunk, so with one subscriber it averages under 1/32
+// allocation per event.
+func TestDispatchPayloadsShareChunks(t *testing.T) {
+	b := NewBroadcaster(0, 0)
+	s := b.subscribe()
+	done := make(chan struct{})
+	go func() {
+		for range s.out {
+		}
+		close(done)
+	}()
+	defer func() { b.closeAll(); <-done }()
+	const events = 32
+	if got := testing.AllocsPerRun(100, func() {
+		for i := range events {
+			b.OnDispatch(observe.Dispatch{Proc: i % 4, Task: 7, At: 1.5})
+		}
+	}); got >= 1 {
+		t.Errorf("%d dispatch events allocate %v times, want under once", events, got)
+	}
+}

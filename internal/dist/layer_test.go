@@ -1,17 +1,22 @@
 package dist
 
 import (
+	"bufio"
 	"encoding/json"
+	"io"
+	"net"
 	"testing"
 
+	"pnsched/internal/observe"
 	"pnsched/internal/rng"
 	"pnsched/internal/task"
 	"pnsched/internal/units"
 )
 
-// Layer benchmarks of the wire codec, each named after the bench/
-// probe frame it mirrors (dist.decode_ns_per_frame and
-// dist.encode_ns_per_frame time the same frames end to end).
+// Layer benchmarks of the wire codec and the event fan-out, each named
+// after the bench/ probe it mirrors (dist.decode_ns_per_frame and
+// dist.encode_ns_per_frame time the same frames end to end,
+// dist.publish_ns_per_event_sub1/sub8 the same fan-out).
 
 // layerTasks returns n tasks with IDs 0..n-1 and seeded fractional
 // sizes, the worst case for the float codec.
@@ -68,5 +73,52 @@ func BenchmarkEncodeAssign16(b *testing.B) {
 	b.ResetTimer()
 	for range b.N {
 		buf, _ = appendMessage(buf[:0], m)
+	}
+}
+
+// BenchmarkDecodeDone decodes one done report, as the pool reads each
+// finished task.
+func BenchmarkDecodeDone(b *testing.B) {
+	benchDecode(b, []byte(`{"type":"done","task":5,"elapsed":10.5,"real":0.0105}`))
+}
+
+// BenchmarkDecodeDispatchEvent decodes one dispatch event, as a watch
+// client reads each task sent.
+func BenchmarkDecodeDispatchEvent(b *testing.B) {
+	benchDecode(b, []byte(`{"type":"event","v":{"major":1,"minor":3},"seq":41,"kind":"dispatch","dispatch":{"proc":3,"task":41,"at":12.5}}`))
+}
+
+// BenchmarkPublishSub1 and BenchmarkPublishSub8 publish dispatch events
+// to 1 and 8 watch subscribers, each served by ServeWatch over an
+// in-memory pipe and drained by its client.
+func BenchmarkPublishSub1(b *testing.B) { benchPublish(b, 1) }
+
+func BenchmarkPublishSub8(b *testing.B) { benchPublish(b, 8) }
+
+func benchPublish(b *testing.B, subs int) {
+	bc := NewBroadcaster(0, -1)
+	drained := make(chan struct{}, subs)
+	for range subs {
+		server, client := net.Pipe()
+		go ServeWatch(server, bufio.NewReader(server), bc, nil)
+		br := bufio.NewReader(client)
+		if _, err := readFrame(br); err != nil { // the welcome
+			b.Fatal(err)
+		}
+		go func() {
+			io.Copy(io.Discard, br)
+			client.Close()
+			drained <- struct{}{}
+		}()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		bc.OnDispatch(observe.Dispatch{Proc: i % 4, Task: task.ID(i), At: units.Seconds(i)})
+	}
+	b.StopTimer()
+	bc.Close()
+	for range subs {
+		<-drained
 	}
 }

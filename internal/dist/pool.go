@@ -532,13 +532,15 @@ func (p *Pool) serveWorker(conn net.Conn, br *bufio.Reader, name string, claimed
 	// worker (its tasks are reissued). Reports the reader already holds
 	// are applied together (applyDone), and those read before an error
 	// are applied before the leave, so a finished task is never reissued.
-	var reports []*message
+	// A report is copied out of the decoder, whose next frame reuses it.
+	var dec decoder
+	var reports []message
 	for {
 		line, err := readFrame(br)
 		var m *message
 		switch {
 		case err == nil:
-			if m, _, err = decodeWireMessage(line); err != nil {
+			if m, _, err = dec.decode(line); err != nil {
 				p.met.decodeErrors.Inc()
 				p.Log.Warn("worker sent bad frame", "worker", name, "err", err)
 			}
@@ -547,7 +549,7 @@ func (p *Pool) serveWorker(conn net.Conn, br *bufio.Reader, name string, claimed
 		}
 		if err == nil {
 			if m != nil && m.Type == msgDone {
-				reports = append(reports, m)
+				reports = append(reports, *m)
 			}
 			if frameBuffered(br) {
 				continue
@@ -591,12 +593,13 @@ func frameBuffered(br *bufio.Reader) bool {
 // hold of Mu at one now, and has the owner commit them before the hold
 // ends: one wake-up and one journal write per batch rather than per
 // report. The reader's buffer bounds a batch.
-func (p *Pool) applyDone(w *Worker, reports []*message) {
+func (p *Pool) applyDone(w *Worker, reports []message) {
 	now := time.Now()
 	p.Mu.Lock()
 	before := p.staged
 	p.batching = true
-	for _, m := range reports {
+	for i := range reports {
+		m := &reports[i]
 		p.doneLocked(w, m.Task, units.Seconds(m.Elapsed), m.Real, now)
 	}
 	p.batching = false

@@ -289,18 +289,47 @@ func (f *eventFrame) deliver(o observe.Observer) {
 // the forward-compatibility rule the protocol has always had — while
 // malformed JSON, oversized frames, and structurally invalid known
 // types error. It never panics, whatever the input (FuzzWireMessage).
-//
-// Each frame is parsed once: the hot frames by hand (decodeHot), any
-// other frame opening with its type by one json.Unmarshal into the
-// struct that type names. Whatever neither takes — a frame that does not
-// open with its type, an unknown type, a malformed frame — goes to
-// decodeProbe, the reference decoder, which also words every error.
-// The result is decodeProbe's in every case (FuzzWireCodec).
+// It is a decoder's decode on fresh storage, so what it returns is the
+// caller's to keep.
 func decodeWireMessage(line []byte) (msg *message, ev *eventFrame, err error) {
+	var dec decoder
+	return dec.decode(line)
+}
+
+// decoder decodes the frames of one long-lived read loop. A hot frame —
+// a done, an assign, a dispatch event — decodes into storage the
+// decoder owns, reused from frame to frame, so what decode returns for
+// it is valid only until the decoder's next frame: the loop copies what
+// it keeps, as the writers already reuse their frames. Once that
+// storage is warm, a hot frame decodes without allocating. Every other
+// frame decodes into fresh storage. The zero decoder is ready to use.
+type decoder struct {
+	m     *message       // the last hot control frame
+	ev    *dispatchEvent // the last dispatch event
+	tasks []task.Task    // the assign task buffer
+}
+
+// dispatchEvent is a dispatch event frame together with its payload, so
+// one allocation holds both.
+type dispatchEvent struct {
+	f eventFrame
+	d observe.Dispatch
+}
+
+// decode is decodeWireMessage into dec's storage.
+//
+// Each frame is parsed once: the hot frames by hand (hot), any other
+// frame opening with its type by one json.Unmarshal into the struct
+// that type names. Whatever neither takes — a frame that does not open
+// with its type, an unknown type, a malformed frame — goes to
+// decodeProbe, the reference decoder, which also words every error. The
+// result is decodeProbe's in every case (FuzzWireCodec), whatever dec
+// decoded before (FuzzDecoderReuse).
+func (dec *decoder) decode(line []byte) (*message, *eventFrame, error) {
 	if len(line) > maxFrame {
 		return nil, nil, errFrameTooBig
 	}
-	m, ev, ok := decodeHot(line)
+	m, ev, ok := dec.hot(line)
 	if !ok {
 		m, ev, ok = decodeTyped(line)
 	}
@@ -661,11 +690,14 @@ func appendFloat(b []byte, x float64) []byte {
 	return b
 }
 
-// decodeHot is the hand decoder of the hot frames. It declines (ok
-// false) anything but a frame exactly as appendMessage or appendEvent
-// would write it, newline excepted; the result is not yet validated.
-func decodeHot(line []byte) (m *message, ev *eventFrame, ok bool) {
+// hot is the hand decoder of the hot frames. It declines (ok false)
+// anything but a frame exactly as appendMessage or appendEvent would
+// write it, newline excepted; the result is not yet validated. A frame
+// is parsed into locals and copied into dec's storage once accepted,
+// which resets every field the frame leaves out.
+func (dec *decoder) hot(line []byte) (*message, *eventFrame, bool) {
 	s := scanner{b: line, ok: true}
+	var m message
 	switch {
 	case s.opt(`{"type":"event","v":{"major":`):
 		var f eventFrame
@@ -689,22 +721,27 @@ func decodeHot(line []byte) (m *message, ev *eventFrame, ok bool) {
 		if !s.end() {
 			return nil, nil, false
 		}
-		// One allocation holds the frame and its payload.
-		x := &struct {
-			f eventFrame
-			d observe.Dispatch
-		}{f, d}
+		if dec.ev == nil {
+			dec.ev = new(dispatchEvent)
+		}
+		x := dec.ev
+		x.f, x.d = f, d
 		x.f.Type, x.f.Kind, x.f.Dispatch = msgEvent, kindDispatch, &x.d
 		return nil, &x.f, true
 	case s.opt(`{"type":"done"`):
-		m = &message{Type: msgDone}
+		m.Type = msgDone
 	case s.opt(`{"type":"assign"`):
-		m = &message{Type: msgAssign}
+		m.Type = msgAssign
 	default:
 		return nil, nil, false
 	}
 	if s.opt(`,"tasks":[`) {
-		m.Tasks = make([]task.Task, 0, bytes.Count(line[s.i:], []byte(`{"id":`)))
+		// Sized for every task the frame can hold, so appending below
+		// never moves the buffer the decoder keeps.
+		if n := bytes.Count(line[s.i:], []byte(`{"id":`)); cap(dec.tasks) < n {
+			dec.tasks = make([]task.Task, 0, n)
+		}
+		m.Tasks = dec.tasks[:0]
 		for s.ok {
 			s.lit(`{"id":`)
 			id := s.parseInt(32)
@@ -730,10 +767,14 @@ func decodeHot(line []byte) (m *message, ev *eventFrame, ok bool) {
 	if !s.end() {
 		return nil, nil, false
 	}
-	return m, nil, true
+	if dec.m == nil {
+		dec.m = new(message)
+	}
+	*dec.m = m
+	return dec.m, nil, true
 }
 
-// scanner is decodeHot's cursor. Every step clears ok on a mismatch,
+// scanner is the hand decoder's cursor. Every step clears ok on a mismatch,
 // after which the remaining steps are no-ops; a number is taken only in
 // the exact form the encoder writes for the value it parses to.
 type scanner struct {

@@ -86,13 +86,14 @@ func WatchEvents(ctx context.Context, addr string, o observe.Observer) (*Watcher
 		defer close(w.done)
 		defer w.stop()
 		defer conn.Close()
+		var dec decoder // deliver hands o copies, so the frames can be reused
 		for {
 			line, err := readFrame(br)
 			if err != nil {
 				w.fail(ctx, err)
 				return
 			}
-			m, ev, err := decodeWireMessage(line)
+			m, ev, err := dec.decode(line)
 			if err != nil {
 				w.fail(ctx, err)
 				return

@@ -98,14 +98,16 @@ func serveTasks(ctx context.Context, conn net.Conn, cfg WorkerConfig) error {
 	// Reader: append assignments to the local FIFO queue, through the
 	// same bounded framing and validation as every other peer. Runs until
 	// the connection dies or a frame is refused, then wakes the
-	// processing loop with the error.
+	// processing loop with the error. push copies the tasks out, so the
+	// decoder keeps one task buffer for every assign.
 	go func() {
 		br := bufio.NewReader(conn)
+		var dec decoder
 		for {
 			line, err := readFrame(br)
 			var m *message
 			if err == nil {
-				m, _, err = decodeWireMessage(line)
+				m, _, err = dec.decode(line)
 			}
 			if err != nil {
 				q.fail(err, false)

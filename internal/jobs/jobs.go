@@ -376,7 +376,10 @@ func (d *Dispatcher) Submit(sub dist.JobSubmission) (dist.JobInfo, error) {
 	}
 	j.sch = sch
 	d.pending = append(d.pending, j)
+	// The submit record and, when the job is admitted at once, its admit
+	// record go out in one write before the lock is released.
 	if d.jour != nil {
+		d.jour.grouped = true
 		d.appendLocked(p.record())
 	}
 	d.pool.StageLocked(dist.JobEvent{Queued: &observe.JobQueued{
@@ -388,6 +391,10 @@ func (d *Dispatcher) Submit(sub dist.JobSubmission) (dist.JobInfo, error) {
 		At:       d.pool.Since(now),
 	}})
 	d.admitLocked(now)
+	if d.jour != nil {
+		d.jour.grouped = false
+		d.CommitLocked()
+	}
 	info := d.infoLocked(j)
 	d.pool.Broadcast()
 	d.mu.Unlock()

@@ -31,9 +31,10 @@ package jobs
 // makes "journaled before acknowledged" atomic with the transition
 // itself. The done reports a worker's read finds together are applied
 // in one hold of the lock, and their records go out as one write at its
-// end (CommitLocked); every other append writes at once. Durability is
-// against process death — records reach the kernel before the lock
-// that applied them is released; only snapshots fsync.
+// end (CommitLocked); so do a Submit's submit and admit records. Every
+// other append writes at once. Durability is against process death —
+// records reach the kernel before the lock that applied them is
+// released; only snapshots fsync.
 
 import (
 	"bytes"
@@ -221,29 +222,29 @@ func decodeJournalRecord(line []byte) (*JournalRecord, error) {
 	return &r, nil
 }
 
-// record wraps a payload as its journal record. The value receivers are
-// deliberate: it is the receiver's copy that escapes to the heap, so a
-// live transition builds its payload on the stack and, with no journal
-// open, allocates nothing for a record it never writes.
+// record wraps a payload as its journal record, pointing at it.
+// appendLocked copies the payload into the journal's own record before
+// encoding, so neither the record nor the payload leaves the caller's
+// stack, and with no journal open nothing is built at all.
 
-func (p JournalSubmit) record() *JournalRecord {
-	return &JournalRecord{Kind: JournalKindSubmit, Submit: &p}
+func (p *JournalSubmit) record() JournalRecord {
+	return JournalRecord{Kind: JournalKindSubmit, Submit: p}
 }
 
-func (p JournalAdmit) record() *JournalRecord {
-	return &JournalRecord{Kind: JournalKindAdmit, Admit: &p}
+func (p *JournalAdmit) record() JournalRecord {
+	return JournalRecord{Kind: JournalKindAdmit, Admit: p}
 }
 
-func (p JournalTask) record() *JournalRecord {
-	return &JournalRecord{Kind: JournalKindTask, Task: &p}
+func (p *JournalTask) record() JournalRecord {
+	return JournalRecord{Kind: JournalKindTask, Task: p}
 }
 
-func (p JournalRetry) record() *JournalRecord {
-	return &JournalRecord{Kind: JournalKindRetry, Retry: &p}
+func (p *JournalRetry) record() JournalRecord {
+	return JournalRecord{Kind: JournalKindRetry, Retry: p}
 }
 
-func (p JournalFinish) record() *JournalRecord {
-	return &JournalRecord{Kind: JournalKindFinish, Finish: &p}
+func (p *JournalFinish) record() JournalRecord {
+	return JournalRecord{Kind: JournalKindFinish, Finish: p}
 }
 
 // journal is the dispatcher's open journal. All fields are guarded by
@@ -263,6 +264,19 @@ type journal struct {
 	pending bytes.Buffer
 	enc     *json.Encoder
 	staged  int
+	// grouped holds Submit's records for one write, as a done batch
+	// holds its own (see Submit).
+	grouped bool
+	// rec is the one record every append is staged from, pointing at
+	// the payload of its kind in payload, where the caller's is copied.
+	rec     JournalRecord
+	payload struct {
+		submit JournalSubmit
+		admit  JournalAdmit
+		task   JournalTask
+		retry  JournalRetry
+		finish JournalFinish
+	}
 }
 
 // due reports whether the tail has paid for a snapshot. By default that
@@ -338,21 +352,40 @@ func openJournal(dir string, every int) (*journal, *JournalSnapshot, []*JournalR
 
 // appendLocked assigns the next LSN and stages the record, writes what
 // is staged unless a done batch is open (the pool calls CommitLocked at
-// its end), and triggers a snapshot when one is due. A snapshot that
-// falls due inside a batch writes the staged records first: every
-// record reaches the journal, so its counters keep their meaning, for
-// one extra write per snapshot. A failure permanently stops journaling
-// (better a loud degraded dispatcher than a journal with holes) — it is
-// logged once and reported by Health from then on. Caller holds d.mu.
-func (d *Dispatcher) appendLocked(rec *JournalRecord) {
+// its end) or Submit grouped its records, and triggers a snapshot when
+// one is due. A snapshot that falls due inside a batch writes the
+// staged records first: every record reaches the journal, so its
+// counters keep their meaning, for one extra write per snapshot. A
+// failure permanently stops journaling (better a loud degraded
+// dispatcher than a journal with holes) — it is logged once and
+// reported by Health from then on. Caller holds d.mu.
+func (d *Dispatcher) appendLocked(rec JournalRecord) {
 	jr := d.jour
 	if jr == nil || jr.failed != nil || d.pool.ClosedLocked() {
 		return // Close stops journaling at the instant it stops serving
 	}
 	d.durable.LSN++
-	rec.LSN = d.durable.LSN
+	// The payload is copied in by value, and Kind set from a constant:
+	// keeping anything of rec's own would take the caller's payload to
+	// the heap.
+	r, p := &jr.rec, &jr.payload
+	*r = JournalRecord{LSN: d.durable.LSN}
+	switch rec.Kind {
+	case JournalKindSubmit:
+		r.Kind, p.submit, r.Submit = JournalKindSubmit, *rec.Submit, &p.submit
+	case JournalKindAdmit:
+		r.Kind, p.admit, r.Admit = JournalKindAdmit, *rec.Admit, &p.admit
+	case JournalKindTask:
+		r.Kind, p.task, r.Task = JournalKindTask, *rec.Task, &p.task
+	case JournalKindRetry:
+		r.Kind, p.retry, r.Retry = JournalKindRetry, *rec.Retry, &p.retry
+	case JournalKindFinish:
+		r.Kind, p.finish, r.Finish = JournalKindFinish, *rec.Finish, &p.finish
+	}
 	n := jr.pending.Len()
-	if err := jr.enc.Encode(rec); err != nil { //pnanalyze:ok locksend — enc encodes into jr.pending, a bytes.Buffer, not a connection
+	err := jr.enc.Encode(r)    //pnanalyze:ok locksend — enc encodes into jr.pending, a bytes.Buffer, not a connection
+	p.submit = JournalSubmit{} // holds no submitted task list past its record
+	if err != nil {
 		d.failLocked(err)
 		return
 	}
@@ -360,7 +393,7 @@ func (d *Dispatcher) appendLocked(rec *JournalRecord) {
 	jr.appends++
 	jr.tail += jr.pending.Len() - n
 	due := jr.due()
-	if due || !d.pool.InBatchLocked() {
+	if due || !jr.grouped && !d.pool.InBatchLocked() {
 		d.CommitLocked()
 	}
 	if due && jr.failed == nil {

@@ -158,6 +158,49 @@ func TestJournalRestartExhaustsBudget(t *testing.T) {
 	}
 }
 
+// TestSubmitWritesOnce: a journaled Submit that admits its job at once
+// writes the submit and admit records, in that order, with one write.
+func TestSubmitWritesOnce(t *testing.T) {
+	dir := t.TempDir()
+	cfg := journalConfig(dir)
+	reg := telemetry.NewRegistry()
+	cfg.Metrics = reg
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer d.Close()
+	info := mustSubmit(t, d, "a", 1, 2)
+	if info.State != StateRunning {
+		t.Fatalf("job %s is %s, want it admitted at once", info.ID, info.State)
+	}
+	var b strings.Builder
+	reg.WritePrometheus(&b)
+	var records, writes int
+	for _, line := range strings.Split(b.String(), "\n") {
+		fmt.Sscanf(line, "pnsched_jobs_journal_records_total %d", &records)
+		fmt.Sscanf(line, "pnsched_jobs_journal_writes_total %d", &writes)
+	}
+	if records != 2 || writes != 1 {
+		t.Errorf("Submit wrote %d records in %d writes, want 2 in 1", records, writes)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds []string
+	for _, line := range bytes.Split(bytes.TrimSpace(raw), []byte("\n")) {
+		rec, err := decodeJournalRecord(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds = append(kinds, rec.Kind)
+	}
+	if want := []string{JournalKindSubmit, JournalKindAdmit}; !slices.Equal(kinds, want) {
+		t.Errorf("journal holds %v, want %v", kinds, want)
+	}
+}
+
 // TestJournalPreservesFairOrder: the per-tenant virtual time survives
 // a restart, so the stride walk after recovery is exactly the walk a
 // never-restarted dispatcher would produce.

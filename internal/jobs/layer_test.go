@@ -56,8 +56,8 @@ func BenchmarkSubmitJournal64(b *testing.B) {
 // finished task appends, as appendLocked does: encoded into a buffer
 // kept across records. Its allocs/op is the staging path's.
 func BenchmarkEncodeJournalTask(b *testing.B) {
-	rec := JournalTask{ID: "job-0042", Task: 17, Worker: "w3", Elapsed: 0.0123456789, Work: 1234.5678}.record()
-	rec.LSN = 123456
+	rec := &JournalRecord{LSN: 123456, Kind: JournalKindTask,
+		Task: &JournalTask{ID: "job-0042", Task: 17, Worker: "w3", Elapsed: 0.0123456789, Work: 1234.5678}}
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	b.ReportAllocs()

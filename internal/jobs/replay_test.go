@@ -345,3 +345,31 @@ func TestNoJournalBuildsNoRecord(t *testing.T) {
 		t.Errorf("DoneLocked without a journal allocates %v times per task, want 0", n)
 	}
 }
+
+// TestJournaledDoneBuildsNoRecord: with a journal open the per-task
+// transition stages its record from the journal's one reused record
+// and writes it, allocating nothing either.
+func TestJournaledDoneBuildsNoRecord(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes encoding/json's pooled state allocate")
+	}
+	cfg := journalConfig(t.TempDir())
+	cfg.SnapshotEvery = -1 // a snapshot is not the per-task cost
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer d.Close()
+	info := mustSubmit(t, d, "a", make([]float64, 2000)...)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	j, now := d.jobsByID[info.ID], time.Now()
+	done := func() { d.DoneLocked(j, "w", task.Task{ID: 1, Size: 1}, 1, now) }
+	done() // the worker's tally exists from here on
+	if n := testing.AllocsPerRun(1000, done); n != 0 {
+		t.Errorf("journaled DoneLocked allocates %v times per task, want 0", n)
+	}
+	if d.jour.failed != nil {
+		t.Fatal(d.jour.failed)
+	}
+}
