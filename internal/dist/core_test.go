@@ -67,7 +67,7 @@ type coreRig struct {
 	start time.Time
 }
 
-func newCoreRig(t *testing.T, backlog int) *coreRig {
+func newCoreRig(t testing.TB, backlog int) *coreRig {
 	t.Helper()
 	r := &coreRig{o: &coreOwner{}, q: task.NewQueue(8), reg: telemetry.NewRegistry(), start: time.Unix(1_000_000, 0)}
 	p, err := NewPool(PoolConfig{Metrics: r.reg}, r.o)

@@ -3,20 +3,24 @@ package dist
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"testing"
+	"time"
 
 	"pnsched/internal/observe"
 	"pnsched/internal/rng"
+	"pnsched/internal/sched"
 	"pnsched/internal/task"
 	"pnsched/internal/units"
 )
 
-// Layer benchmarks of the wire codec and the event fan-out, each named
-// after the bench/ probe it mirrors (dist.decode_ns_per_frame and
-// dist.encode_ns_per_frame time the same frames end to end,
-// dist.publish_ns_per_event_sub1/sub8 the same fan-out).
+// Layer benchmarks of the wire codec, the event fan-out and the pool
+// core, each named after the bench/ probe it mirrors where one exists
+// (dist.decode_ns_per_frame and dist.encode_ns_per_frame time the same
+// frames end to end, dist.publish_ns_per_event_sub1/sub8 the same
+// fan-out).
 
 // layerTasks returns n tasks with IDs 0..n-1 and seeded fractional
 // sizes, the worst case for the float codec.
@@ -120,5 +124,51 @@ func benchPublish(b *testing.B, subs int) {
 	bc.Close()
 	for range subs {
 		<-drained
+	}
+}
+
+// BenchmarkCoreTakeCommit200x8 is one batch through the core: the take
+// of 200 queued tasks and the commit of a decision spreading them
+// round-robin over 8 workers, then the release that empties the workers
+// for the next batch.
+func BenchmarkCoreTakeCommit200x8(b *testing.B) {
+	r := newCoreRig(b, DefaultBacklog)
+	for j := range 8 {
+		r.join(fmt.Sprintf("w%d", j), 100)
+	}
+	ts := layerTasks(200)
+	asg := sched.NewAssignment(8)
+	for i, t := range ts {
+		asg[i%8] = append(asg[i%8], t)
+	}
+	var frames [][]task.Task
+	var events []observe.Dispatch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		r.q.PushAll(ts)
+		_, snap := r.p.takeLocked(nil, r.q, batchOf(len(ts)), r.at(0))
+		frames, events = r.p.commitLocked(nil, snap.workers, asg, r.at(0), frames[:0], events[:0])
+		r.p.ReleaseLocked(nil)
+	}
+}
+
+// BenchmarkCoreDone is one done report through the core, per task. The
+// tasks reported are sent to one worker 1024 at a time, untimed.
+func BenchmarkCoreDone(b *testing.B) {
+	r := newCoreRig(b, DefaultBacklog)
+	w := r.join("w", 100)
+	ts := layerTasks(1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		k := i % len(ts)
+		if k == 0 {
+			b.StopTimer()
+			r.o.done = r.o.done[:0]
+			r.send(nil, r.at(0), 0, ts...)
+			b.StartTimer()
+		}
+		r.p.doneLocked(w, int32(k), 1, 0, r.at(time.Second))
 	}
 }
