@@ -3,15 +3,18 @@ package dist
 import (
 	"bufio"
 	"context"
+	"log/slog"
 	"net"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"pnsched/internal/observe"
 	"pnsched/internal/task"
+	"pnsched/internal/telemetry"
 	"pnsched/internal/units"
 )
 
@@ -193,11 +196,23 @@ func TestWorkerReportsCoalesce(t *testing.T) {
 // Owner.CommitLocked. The tests below serve one worker's connection
 // through serveWorker on a pipe, with tasks 1..n outstanding on it.
 
+// loopRig is the core rig wrapped in a Pool, instrumented on reg.
+type loopRig struct {
+	*coreRig
+	p   *Pool
+	reg *telemetry.Registry
+}
+
 // readLoopRig returns the rig, the worker's end of the pipe and a
 // channel closed once the pool has let the worker go.
-func readLoopRig(t *testing.T, n int) (*coreRig, net.Conn, <-chan struct{}) {
+func readLoopRig(t *testing.T, n int) (*loopRig, net.Conn, <-chan struct{}) {
 	t.Helper()
-	r := newCoreRig(t, n)
+	c := newCoreRig(t, n)
+	r := &loopRig{coreRig: c, reg: telemetry.NewRegistry()}
+	r.p = &Pool{poolCore: *c.c, Log: slog.New(slog.DiscardHandler)}
+	r.p.cond = sync.NewCond(&r.p.Mu)
+	r.p.instrument(r.reg)
+	c.c = &r.p.poolCore // the rig's helpers now drive the pool's core
 	server, client := net.Pipe()
 	deadline := time.Now().Add(10 * time.Second)
 	server.SetDeadline(deadline)
@@ -220,7 +235,7 @@ func readLoopRig(t *testing.T, n int) (*coreRig, net.Conn, <-chan struct{}) {
 }
 
 // await polls, under Mu, until ok holds.
-func (r *coreRig) await(t *testing.T, ok func() bool) {
+func (r *loopRig) await(t *testing.T, ok func() bool) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		r.p.Mu.Lock()

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"time"
@@ -9,12 +10,56 @@ import (
 	"pnsched/internal/sched"
 	"pnsched/internal/smoothing"
 	"pnsched/internal/task"
+	"pnsched/internal/telemetry"
 	"pnsched/internal/units"
 )
 
-// This file is the pool's core: its decisions, as …Locked methods that
-// take the time as a value and return what the shell (pool.go) must do.
-// The determinism analyzer checks it.
+// This file is the pool's core: poolCore, the state its decisions touch,
+// and the decisions themselves, as …Locked methods that take the time
+// as a value and return what the shell (pool.go) must do. The
+// determinism analyzer checks it, and TestCoreMethodsInCoreFile keeps
+// every poolCore method here.
+
+// poolCore is what the pool's decisions read and write, and nothing
+// else: no lock, connection, goroutine, clock or event sink. Pool embeds
+// it, and Pool.Mu guards it. A test builds one as a literal.
+type poolCore struct {
+	// Start is the epoch of every event and snapshot timestamp. An
+	// owner restoring persisted state may set it before the pool is
+	// shared.
+	Start time.Time
+
+	owner   Owner
+	backlog int         // DefaultBacklog; TestPoolCore's rig paces with 2
+	met     coreMetrics // the zero value's nil instruments no-op
+
+	workers []*Worker // connected, in registration order
+	closed  bool
+	frames  [][]task.Task // commitLocked's output, reused by every Run
+	// scheduling holds, per lease, the batch Run has popped from the
+	// queue and not yet dispatched — the scheduler is deciding it with
+	// the lock released. Invariant, under Mu: every unfinished task of a
+	// live lease is in exactly one of its queue, a worker's outstanding
+	// set, or this map, and InFlightLocked reports the last two, so a
+	// durable snapshot taken at any instant misses no task.
+	scheduling map[any][]task.Task
+
+	// latency is a sliding window of dispatch→done wall-clock round
+	// trips in seconds (written circularly at latW, latN valid) feeding
+	// the Snapshot quantiles. Bounded so a long-lived pool's snapshot
+	// reflects current behaviour, not its whole history.
+	latency    [latencyWindow]float64
+	latW, latN int
+}
+
+const latencyWindow = 512
+
+// coreMetrics holds the core's telemetry instruments, nil when
+// telemetry is off.
+type coreMetrics struct {
+	dispatched      *telemetry.Counter
+	dispatchLatency *telemetry.Histogram
+}
 
 // commNoiseFloor is the smallest round-trip slack, in real seconds,
 // accepted as a Γc link-overhead observation. Sub-millisecond slack on
@@ -37,12 +82,12 @@ func (w *Worker) believed() units.Rate {
 }
 
 // ClosedLocked reports whether Close has been called.
-func (p *Pool) ClosedLocked() bool { return p.closed }
+func (p *poolCore) ClosedLocked() bool { return p.closed }
 
 // Since converts an absolute time to the pool clock — seconds since
 // Start, the clock every event and timestamp uses. The zero time maps
 // to 0.
-func (p *Pool) Since(t time.Time) units.Seconds {
+func (p *poolCore) Since(t time.Time) units.Seconds {
 	if t.IsZero() {
 		return 0
 	}
@@ -51,13 +96,13 @@ func (p *Pool) Since(t time.Time) units.Seconds {
 
 // WorkersLocked returns the connected workers in registration order;
 // the slice is the pool's own and valid only while Mu is held.
-func (p *Pool) WorkersLocked() []*Worker { return p.workers }
+func (p *poolCore) WorkersLocked() []*Worker { return p.workers }
 
 // ReleaseLocked ends a lease: every worker carrying it becomes free and
 // forgets its in-flight tasks. Those cannot be recalled (the protocol
 // has no abort message) — their eventual done reports no longer resolve
 // and are ignored.
-func (p *Pool) ReleaseLocked(lease any) {
+func (p *poolCore) ReleaseLocked(lease any) {
 	for _, w := range p.workers {
 		if w.Lease == lease {
 			w.Lease = nil
@@ -70,7 +115,7 @@ func (p *Pool) ReleaseLocked(lease any) {
 // InFlightLocked returns the tasks that have left the lease's queue and
 // are not yet reported done — dispatched to a worker, or in the batch
 // the scheduler is deciding right now — in task-ID order.
-func (p *Pool) InFlightLocked(lease any) []task.Task {
+func (p *poolCore) InFlightLocked(lease any) []task.Task {
 	ts := slices.Clone(p.scheduling[lease])
 	for _, w := range p.workers {
 		if w.Lease == lease {
@@ -86,7 +131,7 @@ func (p *Pool) InFlightLocked(lease any) []task.Task {
 // joinLocked registers a worker that said hello, its §3.6 beliefs primed
 // with the claimed rating, and asks the owner for its lease. It returns
 // the worker, for the shell to connect, and the pool size.
-func (p *Pool) joinLocked(name string, claimed units.Rate) (*Worker, int) {
+func (p *poolCore) joinLocked(name string, claimed units.Rate) (*Worker, int) {
 	w := &Worker{
 		name:        name,
 		claimed:     claimed,
@@ -105,7 +150,7 @@ func (p *Pool) joinLocked(name string, claimed units.Rate) (*Worker, int) {
 // real is the worker's wall-clock processing time in seconds (0 if
 // absent). A report whose wire id no longer resolves (duplicate, or its
 // lease was released) is ignored.
-func (p *Pool) doneLocked(w *Worker, id int32, elapsed units.Seconds, real float64, now time.Time) {
+func (p *poolCore) doneLocked(w *Worker, id int32, elapsed units.Seconds, real float64, now time.Time) {
 	pt, ok := w.outstanding[id]
 	if !ok {
 		return
@@ -127,8 +172,10 @@ func (p *Pool) doneLocked(w *Worker, id int32, elapsed units.Seconds, real float
 		p.latN++
 	}
 	p.met.dispatchLatency.Observe(lat)
-	if elapsed > 0 {
-		w.rate.Observe(float64(pt.t.Size) / float64(elapsed))
+	// Only a positive, finite rate is a §3.6 observation: a zero-size
+	// task, or a subnormal elapsed, would drag or blow up the estimate.
+	if rate := float64(pt.t.Size) / float64(elapsed); rate > 0 && !math.IsInf(rate, 1) {
+		w.rate.Observe(rate)
 	}
 	if pt.solo && real > 0 && elapsed > 0 {
 		// For tasks that never queued, round-trip slack — wall time from
@@ -142,9 +189,12 @@ func (p *Pool) doneLocked(w *Worker, id int32, elapsed units.Seconds, real float
 		// magnitude the measurement is goroutine-scheduling noise, and
 		// the elapsed/real ratio would amplify it into a phantom link
 		// cost large enough to distort placement (loopback tests under
-		// the race detector hit exactly this).
+		// the race detector hit exactly this). A subnormal real would
+		// scale any slack to +Inf, so only a finite Γc is observed.
 		if slack := lat - real; slack > commNoiseFloor {
-			w.comm.Observe(slack * float64(elapsed) / real)
+			if gc := slack * float64(elapsed) / real; !math.IsInf(gc, 1) {
+				w.comm.Observe(gc)
+			}
 		}
 	}
 	p.owner.DoneLocked(w.Lease, w.name, pt.t, elapsed, now)
@@ -153,7 +203,7 @@ func (p *Pool) doneLocked(w *Worker, id int32, elapsed units.Seconds, real float
 // leaveLocked removes a worker that left at now, handing its unfinished
 // tasks to the owner in task-ID order. It returns how many the owner
 // requeued and the pool size left.
-func (p *Pool) leaveLocked(w *Worker, now time.Time) (requeued, pool int) {
+func (p *poolCore) leaveLocked(w *Worker, now time.Time) (requeued, pool int) {
 	w.gone = true
 	p.workers = slices.DeleteFunc(p.workers, func(x *Worker) bool { return x == w })
 	lost := make([]task.Task, 0, len(w.outstanding))
@@ -170,7 +220,7 @@ func (p *Pool) leaveLocked(w *Worker, now time.Time) (requeued, pool int) {
 
 // wantsWorkLocked reports whether some worker carrying the lease is
 // below its backlog — the pacing condition of the batch loop.
-func (p *Pool) wantsWorkLocked(lease any) bool {
+func (p *poolCore) wantsWorkLocked(lease any) bool {
 	for _, w := range p.workers {
 		if w.Lease == lease && len(w.outstanding) < p.backlog {
 			return true
@@ -182,7 +232,7 @@ func (p *Pool) wantsWorkLocked(lease any) bool {
 // takeLocked pops the lease's next batch from q — sized by §3.7 when
 // sch implements sched.BatchSizer — against a snapshot of its workers
 // at now, and holds it in scheduling until commitLocked.
-func (p *Pool) takeLocked(lease any, q *task.Queue, sch sched.Batch, now time.Time) ([]task.Task, *snapshot) {
+func (p *poolCore) takeLocked(lease any, q *task.Queue, sch sched.Batch, now time.Time) ([]task.Task, *snapshot) {
 	snap := p.snapshotLocked(lease, now)
 	n := sched.DefaultBatchSize
 	if bs, ok := sch.(sched.BatchSizer); ok {
@@ -194,11 +244,11 @@ func (p *Pool) takeLocked(lease any, q *task.Queue, sch sched.Batch, now time.Ti
 }
 
 // commitLocked applies the decision asg, computed for workers, at now,
-// appending one assign frame per worker to frames (nil for none) and,
-// when an observer listens, one dispatch event per task to events. Tasks
-// for a worker that left or changed lease while the scheduler ran go
-// back to the owner unsent, as does the batch of a dead lease.
-func (p *Pool) commitLocked(lease any, workers []*Worker, asg sched.Assignment, now time.Time,
+// appending one assign frame per worker to frames (nil for none) and
+// one dispatch event per task to events. Tasks for a worker that left
+// or changed lease while the scheduler ran go back to the owner unsent,
+// as does the batch of a dead lease.
+func (p *poolCore) commitLocked(lease any, workers []*Worker, asg sched.Assignment, now time.Time,
 	frames [][]task.Task, events []observe.Dispatch) ([][]task.Task, []observe.Dispatch) {
 	delete(p.scheduling, lease)
 	at := p.Since(now)
@@ -220,9 +270,7 @@ func (p *Pool) commitLocked(lease any, workers []*Worker, asg sched.Assignment, 
 				w.outstanding[id] = pendingTask{t: t, sentAt: now, solo: solo}
 				w.pending += t.Size
 				solo = false
-				if p.observer != nil {
-					events = append(events, observe.Dispatch{Proc: j, Task: t.ID, At: at})
-				}
+				events = append(events, observe.Dispatch{Proc: j, Task: t.ID, At: at})
 			}
 		}
 		frames = append(frames, wire)
@@ -232,7 +280,7 @@ func (p *Pool) commitLocked(lease any, workers []*Worker, asg sched.Assignment, 
 
 // statsLocked fills a stats snapshot as of now and copies out the
 // latency window, oldest first, for the caller to summarise.
-func (p *Pool) statsLocked(now time.Time) (Snapshot, []float64) {
+func (p *poolCore) statsLocked(now time.Time) (Snapshot, []float64) {
 	snap := Snapshot{Uptime: p.Since(now)}
 	p.owner.StatsLocked(&snap)
 	for _, w := range p.workers {
@@ -265,7 +313,7 @@ type snapshot struct {
 
 // snapshotLocked captures the scheduler-visible state for one lease at
 // now: the workers carrying it, in pool order.
-func (p *Pool) snapshotLocked(lease any, now time.Time) *snapshot {
+func (p *poolCore) snapshotLocked(lease any, now time.Time) *snapshot {
 	m := len(p.workers) // room for all: one allocation per slice, not a counting pass
 	v := &snapshot{
 		workers: make([]*Worker, 0, m),

@@ -3,14 +3,19 @@
 // processor assigning batches of independent tasks to heterogeneous
 // client processors — as a real TCP service.
 //
-// There is one runtime, in two layers. The Pool is the scheduling
-// processor's whole conversation with its client processors. core.go
-// holds its decisions — registration, done accounting with §3.6
-// smoothing, loss and reissue, §3.7 batch sizing and backlog pacing,
-// committing a decision, the sched.State snapshot — as …Locked methods
-// that take the time as a value and return what to do. pool.go alone
-// touches connections, goroutines, channels, the condition variable and
-// the wall clock. It queues assign frames while Pool.Mu is held, since
+// There is one runtime, in two layers: a core and its shell. The core,
+// poolCore in core.go, is a value holding only what the scheduling
+// processor's decisions touch — the workers and their outstanding
+// tasks, the batches being scheduled, the latency window — and it makes
+// them: registration, done accounting with §3.6 smoothing, loss and
+// reissue, §3.7 batch sizing and backlog pacing, committing a decision,
+// the sched.State snapshot. They are …Locked methods that take the time
+// as a value and return what to do, so a test builds a poolCore literal
+// and drives it with no Pool. The Pool embeds the core and is the shell,
+// the processor's whole conversation with its client processors: pool.go
+// alone touches the lock, connections, goroutines, channels, the
+// condition variable, the event sinks and the wall clock. It queues
+// assign frames while Pool.Mu is held, since
 // a departing worker's channel is closed under it, and hangs up on a
 // wedged worker only once Mu is free. The Pool decides nothing
 // about whose work a worker does; that is its Owner's job, and there is

@@ -147,9 +147,9 @@ func BenchmarkCoreTakeCommit200x8(b *testing.B) {
 	b.ResetTimer()
 	for range b.N {
 		r.q.PushAll(ts)
-		_, snap := r.p.takeLocked(nil, r.q, batchOf(len(ts)), r.at(0))
-		frames, events = r.p.commitLocked(nil, snap.workers, asg, r.at(0), frames[:0], events[:0])
-		r.p.ReleaseLocked(nil)
+		_, snap := r.c.takeLocked(nil, r.q, batchOf(len(ts)), r.at(0))
+		frames, events = r.c.commitLocked(nil, snap.workers, asg, r.at(0), frames[:0], events[:0])
+		r.c.ReleaseLocked(nil)
 	}
 }
 
@@ -169,6 +169,6 @@ func BenchmarkCoreDone(b *testing.B) {
 			r.send(nil, r.at(0), 0, ts...)
 			b.StartTimer()
 		}
-		r.p.doneLocked(w, int32(k), 1, 0, r.at(time.Second))
+		r.c.doneLocked(w, int32(k), 1, 0, r.at(time.Second))
 	}
 }

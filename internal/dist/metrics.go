@@ -7,27 +7,17 @@ import (
 	"pnsched/internal/telemetry"
 )
 
-// poolMetrics holds a pool's telemetry instruments. The zero value
-// (telemetry disabled) is fully usable: every instrument field is nil
-// and the telemetry instruments are nil-safe no-ops, so the hot paths
-// carry no conditionals.
-type poolMetrics struct {
-	dispatched   *telemetry.Counter
-	decodeErrors *telemetry.Counter
-
-	dispatchLatency *telemetry.Histogram
-	batchWall       *telemetry.Histogram
-}
-
-// newPoolMetrics registers the pool's counters and histograms and its
+// instrument registers the pool's counters and histograms and its
 // scrape-time collectors on reg. These are the pool-level series: one
 // name each, whichever owner sits on the pool. Every task, batch and
 // worker number is a read of Snapshot, the stats reply, so the two
 // cannot disagree. What an owner adds of its own (the job dispatcher's
-// pnsched_jobs_*) it registers itself.
-func newPoolMetrics(reg *telemetry.Registry, p *Pool) *poolMetrics {
+// pnsched_jobs_*) it registers itself. With reg nil (telemetry
+// disabled) every instrument stays nil, and the telemetry instruments
+// are nil-safe no-ops, so the hot paths carry no conditionals.
+func (p *Pool) instrument(reg *telemetry.Registry) {
 	if reg == nil {
-		return &poolMetrics{}
+		return
 	}
 	snap := func(field func(Snapshot) int) func() float64 {
 		return func() float64 { return float64(field(p.Snapshot())) }
@@ -36,16 +26,16 @@ func newPoolMetrics(reg *telemetry.Registry, p *Pool) *poolMetrics {
 		"Tasks acknowledged done by workers.", snap(func(s Snapshot) int { return s.Completed }))
 	reg.CounterFunc("pnsched_tasks_reissued_total",
 		"Tasks pulled back from departed workers and requeued.", snap(func(s Snapshot) int { return s.Reissued }))
-	m := &poolMetrics{dispatched: reg.Counter("pnsched_tasks_dispatched_total",
-		"Tasks sent to workers (reissues dispatch again).")}
+	p.met.dispatched = reg.Counter("pnsched_tasks_dispatched_total",
+		"Tasks sent to workers (reissues dispatch again).")
 	reg.CounterFunc("pnsched_batches_total",
 		"Committed batch-scheduling decisions.", snap(func(s Snapshot) int { return s.Batches }))
-	m.decodeErrors = reg.Counter("pnsched_protocol_decode_errors_total",
+	p.decodeErrors = reg.Counter("pnsched_protocol_decode_errors_total",
 		"Malformed or invalid wire frames received.")
-	m.dispatchLatency = reg.Histogram("pnsched_dispatch_latency_seconds",
+	p.met.dispatchLatency = reg.Histogram("pnsched_dispatch_latency_seconds",
 		"Dispatch-to-done wall-clock round trip per task.",
 		telemetry.ExpBuckets(0.001, 4, 10))
-	m.batchWall = reg.Histogram("pnsched_batch_wall_seconds",
+	p.batchWall = reg.Histogram("pnsched_batch_wall_seconds",
 		"Wall-clock time one ScheduleBatch call took.",
 		telemetry.ExpBuckets(0.0001, 4, 10))
 
@@ -79,7 +69,6 @@ func newPoolMetrics(reg *telemetry.Registry, p *Pool) *poolMetrics {
 			"Frames dropped per attached watcher.", false,
 			labelled(b.Watchers, "watcher", watcherIndex, func(w WatcherSnapshot) float64 { return float64(w.Dropped) }))
 	}
-	return m
 }
 
 // labelled returns a sample function reading one sample per element of

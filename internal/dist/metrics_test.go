@@ -116,10 +116,7 @@ func TestBroadcasterDropsSurfaceInMetrics(t *testing.T) {
 	const events = 10
 	b := NewBroadcaster(1, 0)
 	reg := telemetry.NewRegistry()
-	p, err := NewPool(PoolConfig{Events: b, Metrics: reg}, &coreOwner{})
-	if err != nil {
-		t.Fatalf("NewPool: %v", err)
-	}
+	p := NewPool(PoolConfig{Events: b, Metrics: reg}, &coreOwner{})
 	defer p.Close()
 
 	slow := b.subscribe() // queue of 1, nothing drains it

@@ -139,51 +139,35 @@ type JobEvent struct {
 
 // Pool is the paper's §3 scheduling processor minus the policy: it
 // serves the TCP endpoint, holds the conversation with every client
-// processor, and runs batch loops for its Owner. Create with NewPool;
-// all methods are safe for concurrent use except where a …Locked name
-// says the caller holds Mu.
+// processor, and runs batch loops for its Owner. It is the shell around
+// its embedded poolCore (core.go), which decides; the shell holds the
+// lock, the listener, the connections and the event sinks, and does the
+// I/O. Create with NewPool; all methods are safe for concurrent use
+// except where a …Locked name says the caller holds Mu.
 type Pool struct {
-	// Mu guards the pool's state and, by convention, its owner's: the
-	// owner hooks run under it, and an owner takes it around its own
-	// transitions so the two never disagree.
+	poolCore
+
+	// Mu guards the pool's state, the core's included, and, by
+	// convention, its owner's: the owner hooks run under it, and an
+	// owner takes it around its own transitions so the two never
+	// disagree.
 	Mu sync.Mutex
-	// Start is the epoch of every event and snapshot timestamp. An
-	// owner restoring persisted state may set it before the pool is
-	// shared.
-	Start time.Time
 	// Log is PoolConfig.Log, or a discarding logger when that was nil.
 	Log *slog.Logger
 
-	owner   Owner
-	backlog int          // DefaultBacklog; TestPoolCore's rig paces with 2
-	met     *poolMetrics // never nil; the zero value's nil instruments no-op
 	// observer is the effective event sink: PoolConfig.Observer fanned
 	// together with PoolConfig.Events, so every emitted event reaches
 	// both the in-process observer and the wire subscribers.
 	observer observe.Observer
 	events   *Broadcaster
 	traces   *TraceRecorder // PoolConfig.Traces
+	// The shell's telemetry instruments, nil when telemetry is off.
+	decodeErrors *telemetry.Counter
+	batchWall    *telemetry.Histogram
 
 	cond     *sync.Cond // broadcast on every state change
 	ln       net.Listener
-	workers  []*Worker // connected, in registration order
-	closed   bool
-	batching bool          // a done batch is being applied (InBatchLocked)
-	frames   [][]task.Task // commitLocked's output, reused by every Run; touched only under Mu
-	// scheduling holds, per lease, the batch Run has popped from the
-	// queue and not yet dispatched — the scheduler is deciding it with
-	// the lock released. Invariant, under Mu: every unfinished task of a
-	// live lease is in exactly one of its queue, a worker's outstanding
-	// set, or this map, and InFlightLocked reports the last two, so a
-	// durable snapshot taken at any instant misses no task.
-	scheduling map[any][]task.Task
-
-	// latency is a sliding window of dispatch→done wall-clock round
-	// trips in seconds (written circularly at latW, latN valid) feeding
-	// the Snapshot quantiles. Bounded so a long-lived pool's snapshot
-	// reflects current behaviour, not its whole history.
-	latency    [latencyWindow]float64
-	latW, latN int
+	batching bool // a done batch is being applied (InBatchLocked)
 
 	// Job events wait in outbox between StageLocked and Emit. outMu
 	// guards outbox and emitting, so a delivery never queues behind Mu,
@@ -194,8 +178,6 @@ type Pool struct {
 	emitting bool   // an Emit call is delivering outbox
 	staged   uint64 // events staged in all, under Mu
 }
-
-const latencyWindow = 512
 
 // Worker is the pool-side record of one connected client processor.
 // All fields are guarded by the owning Pool's Mu; the out channel is
@@ -224,24 +206,25 @@ type Worker struct {
 
 // NewPool returns a pool serving owner. It does not listen yet; call
 // Serve.
-func NewPool(cfg PoolConfig, owner Owner) (*Pool, error) {
+func NewPool(cfg PoolConfig, owner Owner) *Pool {
 	p := &Pool{
-		Start:    time.Now(),
+		poolCore: poolCore{
+			Start:      time.Now(),
+			owner:      owner,
+			backlog:    DefaultBacklog,
+			scheduling: map[any][]task.Task{},
+		},
 		Log:      cmp.Or(cfg.Log, slog.New(slog.DiscardHandler)),
-		owner:    owner,
-		backlog:  DefaultBacklog,
 		observer: cfg.Observer,
 		events:   cfg.Events,
 		traces:   cfg.Traces,
-
-		scheduling: map[any][]task.Task{},
 	}
 	if cfg.Events != nil {
 		p.observer = observe.Multi(cfg.Observer, cfg.Events)
 	}
 	p.cond = sync.NewCond(&p.Mu)
-	p.met = newPoolMetrics(cfg.Metrics, p)
-	return p, nil
+	p.instrument(cfg.Metrics)
+	return p
 }
 
 // Serve accepts connections on ln until Close. It takes ownership of
@@ -438,7 +421,7 @@ func (p *Pool) handleConn(conn net.Conn) {
 	}
 	if err != nil {
 		if !isClosedErr(err) {
-			p.met.decodeErrors.Inc()
+			p.decodeErrors.Inc()
 			p.Log.Warn("connection rejected", "remote", conn.RemoteAddr(), "err", err)
 		}
 		conn.Close()
@@ -459,7 +442,7 @@ func (p *Pool) handleConn(conn net.Conn) {
 		p.Reply(conn, &message{Type: msgTrace, Traces: p.traces.Traces()})
 	default:
 		if !p.owner.ServeRequest(conn, m) {
-			p.met.decodeErrors.Inc()
+			p.decodeErrors.Inc()
 			p.Log.Warn("connection rejected: first frame is not a handshake",
 				"remote", conn.RemoteAddr(), "type", m.Type)
 			conn.Close()
@@ -541,7 +524,7 @@ func (p *Pool) serveWorker(conn net.Conn, br *bufio.Reader, name string, claimed
 		switch {
 		case err == nil:
 			if m, _, err = dec.decode(line); err != nil {
-				p.met.decodeErrors.Inc()
+				p.decodeErrors.Inc()
 				p.Log.Warn("worker sent bad frame", "worker", name, "err", err)
 			}
 		case !isClosedErr(err):
@@ -654,7 +637,7 @@ func (p *Pool) Run(lease any, q *task.Queue, sch sched.Batch) {
 		t0 := time.Now()
 		asg, cost := sch.ScheduleBatch(batch, snap)
 		wall := time.Since(t0).Seconds()
-		p.met.batchWall.Observe(wall)
+		p.batchWall.Observe(wall)
 		p.Mu.Lock()
 		invocation := p.owner.BatchLocked(lease)
 		p.Mu.Unlock()

@@ -213,10 +213,7 @@ var runtimes = map[string]func(t *testing.T, batch int, events bool) *runtime{
 	"fake": func(t *testing.T, batch int, events bool) *runtime {
 		rt := newRuntime(batch)
 		o := &fakeOwner{q: task.NewQueue(8)}
-		pool, err := dist.NewPool(rt.config(events), o)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pool := dist.NewPool(rt.config(events), o)
 		go pool.Run(nil, o.q, rt.sch)
 		rt.serve(t, pool)
 		rt.submit = func(ts []task.Task) {

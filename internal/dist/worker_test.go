@@ -84,10 +84,7 @@ func TestWorkerTakesBatchOverFrameBound(t *testing.T) {
 	}
 
 	o := &coreOwner{}
-	p, err := NewPool(PoolConfig{}, o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := NewPool(PoolConfig{}, o)
 	q := task.NewQueue(n)
 	go p.Run(nil, q, oneBatch{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -288,10 +288,7 @@ func newRetaining(cfg Config, retain int, grace time.Duration) (*Dispatcher, err
 		retainGrace: grace,
 		jobsByID:    map[string]*job{},
 	}
-	d.pool, err = dist.NewPool(cfg.PoolConfig, d)
-	if err != nil {
-		return nil, err
-	}
+	d.pool = dist.NewPool(cfg.PoolConfig, d)
 	d.mu = &d.pool.Mu
 	if d.maxAct == 0 {
 		d.maxAct = DefaultMaxActive
