@@ -210,6 +210,7 @@ func readLoopRig(t *testing.T, n int) (*loopRig, net.Conn, <-chan struct{}) {
 	c := newCoreRig(t, n)
 	r := &loopRig{coreRig: c, reg: telemetry.NewRegistry()}
 	r.p = &Pool{poolCore: *c.c, Log: slog.New(slog.DiscardHandler)}
+	r.p.Mu.p = r.p
 	r.p.cond = sync.NewCond(&r.p.Mu)
 	r.p.instrument(r.reg)
 	c.c = &r.p.poolCore // the rig's helpers now drive the pool's core

@@ -24,7 +24,8 @@ type coreOwner struct {
 	done    []task.Task
 	lost    [][]task.Task
 	unsent  []task.Task
-	commits int // done batches ended
+	commits int // holds ended with done reports applied in them
+	applied int // len(done) at the last counted commit
 }
 
 func (o *coreOwner) LeaseLocked(*Worker) any            { return o.lease }
@@ -42,7 +43,11 @@ func (o *coreOwner) LostLocked(_ any, _ string, lost []task.Task, _ time.Time) i
 	o.lost = append(o.lost, lost)
 	return len(lost)
 }
-func (o *coreOwner) CommitLocked() { o.commits++ }
+func (o *coreOwner) CommitLocked() {
+	if len(o.done) > o.applied {
+		o.commits, o.applied = o.commits+1, len(o.done)
+	}
+}
 func (o *coreOwner) StatsLocked(s *Snapshot) {
 	for _, l := range o.lost {
 		s.Reissued += len(l)

@@ -108,10 +108,10 @@
 // other half: after a frame it keeps decoding while its reader already
 // holds another whole line, never waiting for more bytes, and applies
 // the done reports so gathered in one hold of Pool.Mu at one time, with
-// one wake-up, ended by one Owner.CommitLocked (applyDone) — so the job
-// journal writes a batch's records at once. Reports read before a read
-// error or a bad frame are applied before the worker leaves, so none of
-// those tasks is reissued. Each long-lived read loop — the pool's
+// one wake-up (applyDone); Mu's Unlock ends the hold with one
+// Owner.CommitLocked, so the job journal writes a batch's records at
+// once. Reports read before a read error or a bad frame are applied
+// before the worker leaves, so none of those tasks is reissued. Each long-lived read loop — the pool's
 // worker connection, the watch client, the worker — decodes the hot
 // frames into storage its decoder owns, and what it decodes is valid
 // only until the loop's next frame: the pool copies each done report

@@ -86,7 +86,7 @@ type PoolConfig struct {
 //
 // The …Locked methods run with Pool.Mu held and must not block (the
 // locksend analyzer checks them by name); job events they produce go
-// out through StageLocked.
+// out through StageLocked, and I/O they owe goes out in CommitLocked.
 type Owner interface {
 	// LeaseLocked answers who gets a worker that carries no lease; nil
 	// leaves it free. The pool asks when a worker joins.
@@ -100,8 +100,8 @@ type Owner interface {
 	// WireIDLocked names t in the assign frame; done reports come back
 	// under the same id.
 	WireIDLocked(t task.Task) int32
-	// DoneLocked records that worker finished t of the lease's work.
-	// While InBatchLocked holds it may leave its I/O to CommitLocked.
+	// DoneLocked records that worker finished t of the lease's work;
+	// the reports a read loop finds together share one hold of Mu.
 	DoneLocked(lease any, worker string, t task.Task, elapsed units.Seconds, now time.Time)
 	// LostLocked records that the named worker, which carried the lease,
 	// left with lost (in task-ID order, possibly empty) unfinished. It
@@ -111,12 +111,10 @@ type Owner interface {
 	// left or changed lease while the scheduler ran; they were never
 	// sent.
 	UnsentLocked(lease any, ts []task.Task)
-	// CommitLocked ends a done batch: every report a worker's read loop
-	// found buffered together has gone through DoneLocked in one hold of
-	// Mu, and the pool calls this once before releasing it. An owner that
-	// deferred the I/O of those reports while InBatchLocked held does it
-	// here, so it still happens before anything the batch changed can be
-	// observed.
+	// CommitLocked ends every hold of Mu: Mu's Unlock calls it while the
+	// lock is still held. The owner writes there whatever the hold
+	// staged, so the write happens before anything the hold changed can
+	// be observed and before its job events are delivered.
 	CommitLocked()
 	// StatsLocked fills in the owner's share of a stats snapshot: the
 	// task counters, Pending, Batches and Jobs.
@@ -128,9 +126,9 @@ type Owner interface {
 }
 
 // JobEvent is one job lifecycle event an owner staged under the pool
-// lock (exactly one field is set), delivered by Pool.Emit after the
-// lock is released, in staging order: the order the lock committed the
-// transitions, whichever goroutine delivers them.
+// lock (exactly one field is set), delivered after the lock is released,
+// in staging order: the order the lock committed the transitions,
+// whichever goroutine delivers them.
 type JobEvent struct {
 	Queued  *observe.JobQueued
 	Started *observe.JobStarted
@@ -150,8 +148,8 @@ type Pool struct {
 	// Mu guards the pool's state, the core's included, and, by
 	// convention, its owner's: the owner hooks run under it, and an
 	// owner takes it around its own transitions so the two never
-	// disagree.
-	Mu sync.Mutex
+	// disagree. Its Unlock ends the hold (poolLock).
+	Mu poolLock
 	// Log is PoolConfig.Log, or a discarding logger when that was nil.
 	Log *slog.Logger
 
@@ -165,18 +163,37 @@ type Pool struct {
 	decodeErrors *telemetry.Counter
 	batchWall    *telemetry.Histogram
 
-	cond     *sync.Cond // broadcast on every state change
-	ln       net.Listener
-	batching bool // a done batch is being applied (InBatchLocked)
+	cond *sync.Cond // broadcast on every state change
+	ln   net.Listener
 
-	// Job events wait in outbox between StageLocked and Emit. outMu
+	// Job events wait in outbox between StageLocked and emit. outMu
 	// guards outbox and emitting, so a delivery never queues behind Mu,
 	// which an owner may hold across a journal write; a stager takes it
 	// inside Mu, which keeps outbox in commit order.
 	outMu    sync.Mutex
 	outbox   []JobEvent
-	emitting bool   // an Emit call is delivering outbox
-	staged   uint64 // events staged in all, under Mu
+	emitting bool // an emit call is delivering outbox
+}
+
+// poolLock is Pool.Mu, whose Unlock ends the hold: the owner commits
+// what the hold staged (Owner.CommitLocked) while the lock is held, the
+// mutex is released, and then the hold's job events are delivered. So
+// nothing a hold staged outlives it; sync.Cond releases it the same way.
+type poolLock struct {
+	sync.Mutex
+	p      *Pool
+	staged bool // the hold staged job events (StageLocked)
+}
+
+// Unlock commits, releases and delivers, in that order.
+func (l *poolLock) Unlock() {
+	l.p.owner.CommitLocked()
+	staged := l.staged
+	l.staged = false
+	l.Mutex.Unlock()
+	if staged {
+		l.p.emit()
+	}
 }
 
 // Worker is the pool-side record of one connected client processor.
@@ -222,6 +239,7 @@ func NewPool(cfg PoolConfig, owner Owner) *Pool {
 	if cfg.Events != nil {
 		p.observer = observe.Multi(cfg.Observer, cfg.Events)
 	}
+	p.Mu.p = p
 	p.cond = sync.NewCond(&p.Mu)
 	p.instrument(cfg.Metrics)
 	return p
@@ -321,24 +339,20 @@ func (p *Pool) AwaitLocked(timeout time.Duration, ready func() bool) (closed, ex
 	}
 }
 
-// InBatchLocked reports whether the caller runs inside a done batch,
-// whose end calls Owner.CommitLocked before Mu is released.
-func (p *Pool) InBatchLocked() bool { return p.batching }
-
 // StageLocked queues a job event behind those staged before it, for
-// the Emit at the caller's release point to deliver.
+// the release of Mu that ends the hold to deliver.
 func (p *Pool) StageLocked(ev JobEvent) {
 	p.outMu.Lock()
 	p.outbox = append(p.outbox, ev)
 	p.outMu.Unlock()
-	p.staged++
+	p.Mu.staged = true
 }
 
-// Emit delivers the staged job events, one at a time and with no lock
-// held, so an observer may call back into the owner. Whoever staged some
-// calls it once Mu is released; one that finds another caller
+// emit delivers the staged job events, one at a time and with no lock
+// held, so an observer may call back into the owner. Mu's Unlock calls
+// it after a hold that staged some; a caller that finds another
 // delivering leaves its events to that one, which keeps staging order.
-func (p *Pool) Emit() {
+func (p *Pool) emit() {
 	p.outMu.Lock()
 	for !p.emitting && len(p.outbox) > 0 {
 		ev := p.outbox[0]
@@ -562,7 +576,6 @@ func (p *Pool) serveWorker(conn net.Conn, br *bufio.Reader, name string, claimed
 			At:       p.Since(now),
 		})
 	}
-	p.Emit()
 }
 
 // frameBuffered reports whether br already holds another whole frame,
@@ -573,26 +586,18 @@ func frameBuffered(br *bufio.Reader) bool {
 }
 
 // applyDone applies one worker's done reports, read together, in one
-// hold of Mu at one now, and has the owner commit them before the hold
-// ends: one wake-up and one journal write per batch rather than per
-// report. The reader's buffer bounds a batch.
+// hold of Mu at one now: one wake-up, and one owner commit when Mu is
+// released, per batch rather than per report. The reader's buffer
+// bounds a batch.
 func (p *Pool) applyDone(w *Worker, reports []message) {
 	now := time.Now()
 	p.Mu.Lock()
-	before := p.staged
-	p.batching = true
 	for i := range reports {
 		m := &reports[i]
 		p.doneLocked(w, m.Task, units.Seconds(m.Elapsed), m.Real, now)
 	}
-	p.batching = false
-	p.owner.CommitLocked()
-	staged := p.staged != before
 	p.cond.Broadcast()
 	p.Mu.Unlock()
-	if staged {
-		p.Emit()
-	}
 }
 
 // writeLoop drains a worker's outbound queue onto its connection as

@@ -223,9 +223,9 @@ type Dispatcher struct {
 	retainGrace time.Duration
 	met         *jobMetrics
 	// pool holds the workers and their conversation; mu is its lock,
-	// which guards everything below as well.
+	// Pool.Mu, which guards everything below as well.
 	pool *dist.Pool
-	mu   *sync.Mutex
+	mu   sync.Locker
 
 	jobsByID map[string]*job
 	order    []*job // every retained job, submission order, plus evicted ones not yet compacted
@@ -249,6 +249,10 @@ type Dispatcher struct {
 	// replaySec is how long the startup replay took (for telemetry).
 	jour      *journal
 	replaySec float64
+	// recovering holds back the job events recover stages, in held,
+	// until its snapshot is written: a New that fails delivers none.
+	recovering bool
+	held       []dist.JobEvent
 }
 
 // New returns a dispatcher ready to serve; call Serve.
@@ -308,9 +312,9 @@ func newRetaining(cfg Config, retain int, grace time.Duration) (*Dispatcher, err
 		err := d.recover(cfg.JournalDir, cfg.SnapshotEvery)
 		d.mu.Unlock()
 		if err != nil {
+			d.pool.Close() // ends the runners recovery admitted
 			return nil, err
 		}
-		d.pool.Emit()
 	}
 	return d, nil
 }
@@ -373,13 +377,8 @@ func (d *Dispatcher) Submit(sub dist.JobSubmission) (dist.JobInfo, error) {
 	}
 	j.sch = sch
 	d.pending = append(d.pending, j)
-	// The submit record and, when the job is admitted at once, its admit
-	// record go out in one write before the lock is released.
-	if d.jour != nil {
-		d.jour.grouped = true
-		d.appendLocked(p.record())
-	}
-	d.pool.StageLocked(dist.JobEvent{Queued: &observe.JobQueued{
+	d.appendLocked(p.record())
+	d.stageLocked(dist.JobEvent{Queued: &observe.JobQueued{
 		ID:       j.ID,
 		Tenant:   j.Tenant,
 		Priority: j.Priority,
@@ -388,15 +387,20 @@ func (d *Dispatcher) Submit(sub dist.JobSubmission) (dist.JobInfo, error) {
 		At:       d.pool.Since(now),
 	}})
 	d.admitLocked(now)
-	if d.jour != nil {
-		d.jour.grouped = false
-		d.CommitLocked()
-	}
 	info := d.infoLocked(j)
 	d.pool.Broadcast()
 	d.mu.Unlock()
-	d.pool.Emit()
 	return info, nil
+}
+
+// stageLocked stages a job event for the release of mu to deliver, or
+// holds it back while recover runs. Caller holds mu.
+func (d *Dispatcher) stageLocked(ev dist.JobEvent) {
+	if d.recovering {
+		d.held = append(d.held, ev)
+		return
+	}
+	d.pool.StageLocked(ev)
 }
 
 // liftedLocked implements the fair-share no-hoarding rule: a tenant
@@ -499,13 +503,11 @@ func (d *Dispatcher) admitLocked(now time.Time) {
 			p.Served = &v
 		}
 		d.applyAdmitLocked(j, &p)
-		if d.jour != nil {
-			d.appendLocked(p.record())
-		}
+		d.appendLocked(p.record())
 		d.rebalanceLocked()
 		waited := time.Duration(p.At - j.SubmittedAt).Seconds()
 		d.met.schedLatency.Observe(waited)
-		d.pool.StageLocked(dist.JobEvent{Started: &observe.JobStarted{
+		d.stageLocked(dist.JobEvent{Started: &observe.JobStarted{
 			ID:      j.ID,
 			Tenant:  j.Tenant,
 			Workers: j.leased,
@@ -540,7 +542,6 @@ func (d *Dispatcher) finishLocked(j *job, state, errMsg string, now time.Time) {
 	d.trimLocked(now)
 	d.admitLocked(now)
 	d.rebalanceLocked()
-	d.pool.Broadcast()
 }
 
 // retireLocked is the finish transition itself: the job leaves the
@@ -560,14 +561,12 @@ func (d *Dispatcher) retireLocked(j *job, state, errMsg string, now time.Time) {
 	d.pool.ReleaseLocked(j)
 	j.leased = 0
 	d.applyFinishLocked(j, &p)
-	if d.jour != nil {
-		d.appendLocked(p.record())
-	}
+	d.appendLocked(p.record())
 	var dur float64
 	if j.StartedAt != 0 {
 		dur = time.Duration(p.At - j.StartedAt).Seconds()
 	}
-	d.pool.StageLocked(dist.JobEvent{Done: &observe.JobDone{
+	d.stageLocked(dist.JobEvent{Done: &observe.JobDone{
 		ID:        j.ID,
 		Tenant:    j.Tenant,
 		State:     state,
@@ -684,7 +683,6 @@ func (d *Dispatcher) Cancel(id string) (dist.JobInfo, error) {
 	d.finishLocked(j, StateCancelled, "", now)
 	info := d.infoLocked(j)
 	d.mu.Unlock()
-	d.pool.Emit()
 	return info, nil
 }
 

@@ -25,15 +25,14 @@ package jobs
 // when a journal is open; replay calls the same function, so recovered
 // state has no second declaration or second arithmetic to disagree with.
 //
-// Appending under d.mu is deliberate: the journal is a plain
-// os.File write of already-encoded lines (no connection I/O, no
-// channel sends), and doing it inside the critical section is what
-// makes "journaled before acknowledged" atomic with the transition
-// itself. The done reports a worker's read finds together are applied
-// in one hold of the lock, and their records go out as one write at its
-// end (CommitLocked); so do a Submit's submit and admit records. Every
-// other append writes at once. Durability is against process death —
-// records reach the kernel before the lock that applied them is
+// Writing under d.mu is deliberate: the journal is a plain os.File
+// write of already-encoded lines (no connection I/O, no channel sends),
+// and doing it inside the critical section is what makes "journaled
+// before acknowledged" atomic with the transition itself. One rule
+// says when: every append stages its record, and releasing d.mu — the
+// pool's lock — writes what the hold staged in one write before the
+// mutex is released (CommitLocked). Durability is against process
+// death — records reach the kernel before the lock that applied them is
 // released; only snapshots fsync.
 
 import (
@@ -264,9 +263,6 @@ type journal struct {
 	pending bytes.Buffer
 	enc     *json.Encoder
 	staged  int
-	// grouped holds Submit's records for one write, as a done batch
-	// holds its own (see Submit).
-	grouped bool
 	// rec is the one record every append is staged from, pointing at
 	// the payload of its kind in payload, where the caller's is copied.
 	rec     JournalRecord
@@ -350,15 +346,14 @@ func openJournal(dir string, every int) (*journal, *JournalSnapshot, []*JournalR
 	return jr, snap, tail, nil
 }
 
-// appendLocked assigns the next LSN and stages the record, writes what
-// is staged unless a done batch is open (the pool calls CommitLocked at
-// its end) or Submit grouped its records, and triggers a snapshot when
-// one is due. A snapshot that falls due inside a batch writes the
-// staged records first: every record reaches the journal, so its
-// counters keep their meaning, for one extra write per snapshot. A
-// failure permanently stops journaling (better a loud degraded
-// dispatcher than a journal with holes) — it is logged once and
-// reported by Health from then on. Caller holds d.mu.
+// appendLocked assigns the next LSN and stages the record; the release
+// of d.mu that ends the hold writes it (CommitLocked). It writes early
+// only when a snapshot falls due: the staged records go out first, then
+// the snapshot, so every record reaches the journal and its counters
+// keep their meaning, for one extra write per snapshot. Without a
+// journal it does nothing. A failure permanently stops journaling
+// (better a loud degraded dispatcher than a journal with holes) — it is
+// logged once and reported by Health from then on. Caller holds d.mu.
 func (d *Dispatcher) appendLocked(rec JournalRecord) {
 	jr := d.jour
 	if jr == nil || jr.failed != nil || d.pool.ClosedLocked() {
@@ -392,21 +387,20 @@ func (d *Dispatcher) appendLocked(rec JournalRecord) {
 	jr.staged++
 	jr.appends++
 	jr.tail += jr.pending.Len() - n
-	due := jr.due()
-	if due || !jr.grouped && !d.pool.InBatchLocked() {
+	if jr.due() {
 		d.CommitLocked()
-	}
-	if due && jr.failed == nil {
-		if err := d.snapshotJournalLocked(); err != nil {
-			d.failLocked(err)
+		if jr.failed == nil {
+			if err := d.snapshotJournalLocked(); err != nil {
+				d.failLocked(err)
+			}
 		}
 	}
 }
 
-// CommitLocked implements dist.Owner: the staged records go out in one
-// write, before the pool releases the lock that applied them. The
-// buffer is kept for the next batch unless a large submit record grew
-// it.
+// CommitLocked implements dist.Owner: releasing d.mu, and a due
+// snapshot, call it, and the records the hold staged go out in one
+// write. The buffer is kept for the next hold unless a large submit
+// record grew it.
 func (d *Dispatcher) CommitLocked() {
 	jr := d.jour
 	if jr == nil || jr.staged == 0 {
@@ -714,9 +708,10 @@ func (d *Dispatcher) applyFinishLocked(j *job, p *JournalFinish) {
 // crash. The journal is installed only for that snapshot: nothing
 // recovery does is appended record by record, so a crash mid-recovery
 // leaves the directory as it was found. Called from New before the
-// dispatcher is shared; the events it stages are New's to emit.
+// dispatcher is shared; the job events it stages wait for the snapshot.
 func (d *Dispatcher) recover(dir string, every int) error {
 	t0 := time.Now()
+	d.recovering = true
 	jr, snap, tail, err := openJournal(dir, every)
 	if err != nil {
 		return err
@@ -774,6 +769,10 @@ func (d *Dispatcher) recover(dir string, every int) error {
 		jr.f.Close()
 		return err
 	}
+	for _, ev := range d.held {
+		d.pool.StageLocked(ev)
+	}
+	d.recovering, d.held = false, nil
 	d.replaySec = time.Since(t0).Seconds()
 	if snap != nil || len(tail) > 0 {
 		d.pool.Log.Info("journal replayed", "dir", dir, "jobs", len(d.jobsByID),

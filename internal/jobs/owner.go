@@ -59,9 +59,7 @@ func (d *Dispatcher) DoneLocked(lease any, worker string, t task.Task, elapsed u
 	j := lease.(*job)
 	p := JournalTask{ID: j.ID, Task: t.ID, Worker: worker, Elapsed: float64(elapsed), Work: float64(t.Size)}
 	d.applyTaskLocked(j, &p)
-	if d.jour != nil {
-		d.appendLocked(p.record())
-	}
+	d.appendLocked(p.record())
 	if j != d.open && j.State == StateRunning && j.Completed == j.Total {
 		d.finishLocked(j, StateDone, "", now)
 	}
@@ -84,9 +82,7 @@ func (d *Dispatcher) LostLocked(lease any, worker string, lost []task.Task, now 
 	j.queue.PushAll(lost)
 	p := JournalRetry{ID: j.ID, Tasks: len(lost)}
 	d.applyRetryLocked(j, &p)
-	if d.jour != nil {
-		d.appendLocked(p.record())
-	}
+	d.appendLocked(p.record())
 	if j.Retries > j.Budget {
 		d.finishLocked(j, StateFailed,
 			fmt.Sprintf("retry budget exhausted: %d reissues exceed budget %d (worker %q lost)",

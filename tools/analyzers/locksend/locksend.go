@@ -11,7 +11,9 @@
 // body is walked with a lock-state machine — Lock()/RLock() enter a
 // critical section, Unlock()/RUnlock() leave it, deferred unlocks hold
 // to function end — and any forbidden operation or call to a
-// blocking-summarized function inside a held region is reported.
+// blocking-summarized function inside a held region is reported. A
+// lock is a sync.Mutex or RWMutex, a sync.Locker, or a struct that
+// embeds a mutex (dist.Pool.Mu, whose Unlock ends the hold).
 //
 // The intra-package view has one blind spot: a function another
 // package calls with its lock held (the dist.Pool core invoking an
@@ -518,8 +520,8 @@ func (c *checker) reportDeferred(pos token.Pos, desc string) {
 	c.pass.Reportf(pos, "deferred after a deferred unlock, so it runs with the mutex held: %s", desc)
 }
 
-// lockCall recognizes <expr>.mu.Lock()-style calls on sync mutexes,
-// returning the mutex's source expression and the method name.
+// lockCall recognizes <expr>.mu.Lock()-style calls on locks (isLock),
+// returning the lock's source expression and the method name.
 func (c *checker) lockCall(e ast.Expr) (key, kind string, ok bool) {
 	call, isCall := ast.Unparen(e).(*ast.CallExpr)
 	if !isCall {
@@ -538,10 +540,33 @@ func (c *checker) lockCall(e ast.Expr) (key, kind string, ok bool) {
 	if t == nil {
 		return "", "", false
 	}
-	if !isNamed(t, "sync", "Mutex") && !isNamed(t, "sync", "RWMutex") {
+	if !isLock(t) {
 		return "", "", false
 	}
 	return types.ExprString(sel.X), sel.Sel.Name, true
+}
+
+// isLock reports whether t (or what it points to) is a sync.Mutex or
+// RWMutex, a sync.Locker, or a struct embedding a mutex, whose Lock and
+// Unlock — promoted or its own — take and release it.
+func isLock(t types.Type) bool {
+	mutex := func(t types.Type) bool {
+		return isNamed(t, "sync", "Mutex") || isNamed(t, "sync", "RWMutex")
+	}
+	if mutex(t) || isNamed(t, "sync", "Locker") {
+		return true
+	}
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if st, ok := t.Underlying().(*types.Struct); ok {
+		for i := range st.NumFields() {
+			if f := st.Field(i); f.Embedded() && mutex(f.Type()) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func heldNames(held map[string]token.Pos) string {

@@ -21,10 +21,25 @@ type Broadcaster struct{ ch chan int }
 // Publish forwards one event (queueing, possibly observable latency).
 func (b *Broadcaster) Publish(v int) { b.ch <- v }
 
+// holdLock mirrors dist.Pool.Mu: a mutex whose Unlock ends the hold,
+// releasing the mutex and then notifying with no lock held.
+type holdLock struct {
+	sync.Mutex
+	s *Server
+}
+
+// Unlock overrides the embedded mutex's.
+func (l *holdLock) Unlock() {
+	l.Mutex.Unlock()
+	l.s.obs.OnBatchDecided(0) // the mutex is released: fine
+}
+
 // Server mirrors the pool and the owner sharing its lock.
 type Server struct {
 	mu     sync.Mutex
 	rw     sync.RWMutex
+	hold   holdLock
+	locker sync.Locker
 	events *Broadcaster
 	obs    Observer
 	conn   net.Conn
@@ -38,6 +53,20 @@ func (s *Server) sendUnderLock() {
 	s.ch <- 1 // want `sends on a channel while s\.mu is held`
 	s.mu.Unlock()
 	s.ch <- 2 // after unlock: fine
+}
+
+func (s *Server) sendUnderEmbeddedMutex() {
+	s.hold.Lock()
+	s.ch <- 1 // want `sends on a channel while s\.hold is held`
+	s.hold.Unlock()
+	s.ch <- 2 // after its Unlock: fine
+}
+
+func (s *Server) sendUnderLocker() {
+	s.locker.Lock()
+	s.ch <- 1 // want `sends on a channel while s\.locker is held`
+	s.locker.Unlock()
+	s.ch <- 2 // after its Unlock: fine
 }
 
 func (s *Server) earlyReturnKeepsLock(cond bool) {
