@@ -32,7 +32,9 @@ race:
 # report equal to a four-way comparison of children and parents), and as
 # long over the incremental evaluator's crossover-child delta against a
 # from-scratch evaluation (bit-identical queues and fitness, never more
-# than one chromosome's genes charged).
+# than one chromosome's genes charged), and as long over the screened
+# §3.5 rebalance step against the unscreened standalone one (same
+# keep/revert decisions, chromosomes, probe counts and RNG draws).
 # The seed corpora live under internal/{dist,jobs,ga,core}/testdata/fuzz.
 fuzz-smoke:
 	$(GO) test ./internal/dist -run='^FuzzWireMessage$$' -fuzz=FuzzWireMessage -fuzztime=10s
@@ -42,6 +44,7 @@ fuzz-smoke:
 	$(GO) test ./internal/jobs -run='^FuzzJournalSnapshot$$' -fuzz=FuzzJournalSnapshot -fuzztime=10s
 	$(GO) test ./internal/ga -run='^FuzzCrossover$$' -fuzz=FuzzCrossover -fuzztime=10s
 	$(GO) test ./internal/core -run='^FuzzChildDelta$$' -fuzz=FuzzChildDelta -fuzztime=10s
+	$(GO) test ./internal/core -run='^FuzzRebalanceScreen$$' -fuzz=FuzzRebalanceScreen -fuzztime=10s
 
 lint:
 	$(GO) vet ./...

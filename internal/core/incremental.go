@@ -24,8 +24,11 @@ import (
 // The evaluator is the single gene-work ledger of a run: every full or
 // delta evaluation — including the §3.5 rebalancer's candidate probes,
 // which share the evaluator through Rebalancer.BindSlots — charges the
-// positions actually rescanned to GenesEvaluated, which the §3.4
-// budget model bills via Config.CostPerGene.
+// positions it rescans to GenesEvaluated, which the §3.4 budget model
+// bills via Config.CostPerGene. A probe StepSlot rejects in O(1)
+// without rescanning is charged the two queues it prices, as if
+// rescanned: the ledger models the §3.4 budget rather than counting the
+// host's work, so a screen that changes no decision changes no bill.
 //
 // Determinism guarantee: all cached values are produced by the same
 // segment-local arithmetic CompletionTimes uses, so a GA driven by an

@@ -250,4 +250,10 @@ func TestIncrementalRebalancerMatchesStandalone(t *testing.T) {
 			}
 		}
 	}
+	// StepSlot's screen, on every problem family of FuzzRebalanceScreen.
+	for kind := range screenKinds {
+		for seed := uint64(0); seed < 32; seed++ {
+			matchScreen(t, seed, kind, 64)
+		}
+	}
 }

@@ -35,18 +35,15 @@ func benchIslandEvolve(b *testing.B, islands int) {
 	cfg := DefaultConfig()
 	cfg.Generations = islandBenchGens / islands
 	icfg := IslandConfig{Islands: islands}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := rng.New(uint64(i))
+	cycleSeeds(b, "makespan-s", "fitness", func(r *rng.RNG) (float64, float64) {
 		var st EvolveStats
 		if islands == 1 {
 			st = Evolve(p, cfg, ListPopulation(p, cfg.Population, r), units.Inf(), r)
 		} else {
 			st = EvolveIsland(context.Background(), p, cfg, icfg, units.Inf(), r)
 		}
-		b.ReportMetric(float64(st.BestMakespan), "makespan-s")
-		b.ReportMetric(st.Result.BestFitness, "fitness")
-	}
+		return float64(st.BestMakespan), st.Result.BestFitness
+	})
 }
 
 // BenchmarkIslandEvolveSequential is the paper's sequential engine at

@@ -39,16 +39,21 @@ type Problem struct {
 	// Set is consulted.
 	sizes []units.MFlops
 	minID int
+	// maxSize is the largest task size in magnitude, the bound on one
+	// task's work the rebalancer's probe screen needs (rebalance.go).
+	maxSize units.MFlops
 }
 
 // indexSizes builds the dense size lookup when batch ids are compact
-// enough (the common case: ids are assigned sequentially).
+// enough (the common case: ids are assigned sequentially), and notes
+// the largest size.
 func (p *Problem) indexSizes() {
 	if len(p.Batch) == 0 {
 		return
 	}
 	lo, hi := int(p.Batch[0].ID), int(p.Batch[0].ID)
 	for _, t := range p.Batch {
+		p.maxSize = max(p.maxSize, units.MFlops(math.Abs(float64(t.Size))))
 		if int(t.ID) < lo {
 			lo = int(t.ID)
 		}

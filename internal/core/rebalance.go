@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 
 	"pnsched/internal/ga"
@@ -152,6 +153,20 @@ func (rb *Rebalancer) Apply(c ga.Chromosome, n int, r *rng.RNG) int {
 // RNG consumption and the keep/revert decision are identical to Step's
 // (same draws, bit-identical fitness values), so slot-mode evolution
 // reproduces standalone-mode evolution exactly.
+//
+// Most probes revert, so each is first screened in O(1): moving d
+// MFLOPs changes only the two queues' times, by −d/P_heavy and
+// +d/P_other, so the change Δ in Σⱼ(ψ − Cⱼ)² follows from the cached
+// times. When Δ exceeds a proven bound on the rounding error between
+// that estimate and the sums the two rescans would compare
+// (surelyWorse), the rescans could only find the schedule no fitter,
+// and the probe reverts without swapping or rescanning. Every other
+// probe — a candidate to keep, a near-tie, non-finite inputs — takes
+// the exact path. A screened probe still bills the gene ledger the two
+// queues it priced, as the rescans would have: the ledger is the §3.4
+// budget model, so a schedule, its cost and its decisions do not
+// depend on the screen. Step stays unscreened, the oracle StepSlot is
+// checked against.
 func (rb *Rebalancer) StepSlot(slot int, c ga.Chromosome, r *rng.RNG) bool {
 	p, ev := rb.p, rb.ev
 	if ev.ensureValid(slot, c) {
@@ -182,11 +197,31 @@ func (rb *Rebalancer) StepSlot(slot int, c ga.Chromosome, r *rng.RNG) bool {
 		return false
 	}
 
+	sizes, minID := p.sizes, p.minID
 	for probe := 0; probe < maxProbes; probe++ {
 		hi := heavyLo + r.Intn(heavyLen)
 		oi, oq := otherTask(s.delims, heavy, heavyLo, heavyLen, r.Intn(otherLen))
-		if p.sizeOf(c[oi]) >= p.sizeOf(c[hi]) {
+		// Sizes are read in place, as scan reads them: sizeOf is over
+		// the inliner's budget.
+		var hsize, osize units.MFlops
+		if k := uint(c[hi] - minID); k < uint(len(sizes)) {
+			hsize = sizes[k]
+		} else {
+			hsize = p.sizeOf(c[hi])
+		}
+		if k := uint(c[oi] - minID); k < uint(len(sizes)) {
+			osize = sizes[k]
+		} else {
+			osize = p.sizeOf(c[oi])
+		}
+		if osize >= hsize {
 			continue // the probed task is not smaller; search again
+		}
+		rb.Evals++
+		otherLo, otherHi := segmentSpan(c, s.delims, oq)
+		if p.surelyWorse(s, heavy, oq, heavyLen, otherHi-otherLo, hsize-osize, len(c)) {
+			ev.genes += heavyLen + otherHi - otherLo
+			return false
 		}
 		before := s.fitness
 		c[hi], c[oi] = c[oi], c[hi]
@@ -194,7 +229,6 @@ func (rb *Rebalancer) StepSlot(slot int, c ga.Chromosome, r *rng.RNG) bool {
 		ftimes[heavy] = ev.recomputeSegment(c, s.delims, heavy)
 		ftimes[oq] = ev.recomputeSegment(c, s.delims, oq)
 		after := fitnessFromError(p.relativeErrorFrom(ftimes))
-		rb.Evals++
 		if after > before {
 			s.times[heavy], s.times[oq] = ftimes[heavy], ftimes[oq]
 			s.fitness = after
@@ -204,6 +238,80 @@ func (rb *Rebalancer) StepSlot(slot int, c ga.Chromosome, r *rng.RNG) bool {
 		return false
 	}
 	return false
+}
+
+// screenSlack is the rounding allowance of surelyWorse per chromosome
+// position: 2⁻⁴⁰ = 2¹³·u, with u = 2⁻⁵³ the unit roundoff, 2048 times
+// the 4u per position the derivation there needs.
+const screenSlack = 0x1p-40
+
+// surelyWorse reports whether moving d > 0 MFLOPs of work from queue a
+// (na tasks) to queue b (nb tasks) of the schedule cached in s — a
+// chromosome of genes positions — leaves a fitness no higher than
+// s.fitness, which is what StepSlot's two rescans would find. It is
+// exact in the one direction that matters: a true result is proven;
+// a false one proves nothing, and the caller rescans.
+//
+// Write t for the cached times, f = s.fitness, P for rates, and
+// S = Σⱼ fl((ψ − tⱼ)²), summed in order, as relativeErrorFrom does.
+// The probe keeps only if fitnessFromError(√S′) > fitnessFromError(√S),
+// and that map is non-increasing, so S′ ≥ S, or a non-finite S′, means
+// a revert. The estimate is
+//
+//	Δ = dₐ(2(ψ − tₐ) + dₐ) + d_b(d_b − 2(ψ − t_b)),  dₐ = d/Pₐ, d_b = d/P_b,
+//
+// the exact change of the two terms if the queues lose and gain d/P
+// seconds. Rounding is bounded with the standard model (each operation
+// is exact times 1+θ, |θ| ≤ u; a fused multiply-add only drops a
+// rounding):
+//
+//   - A queue's time is δ + W/P + nΓ, W its summed sizes, and
+//     queueTime's float value is within γ_{n+2}·Â of it, where
+//     Â = |δ| + n·(σ/P + |Γ|) and σ = maxSize bounds every |size|. W
+//     changes by exactly ∓d, so each rescanned time is within 2γ_{n+2}·Â
+//     of t ∓ d/P.
+//   - With R = |ψ| + |t| + Â + d/P for each queue, the change of each
+//     queue's squared term differs from its part of Δ by at most
+//     (4n + 14)·u·R², and evaluating Δ itself errs by at most
+//     14·u·(Rₐ² + R_b²).
+//   - The two in-order sums of M non-negative terms err by γ_{M−1}
+//     times their sums, and S ≤ (1+7u)/f² follows from
+//     f = fl(1/fl(1 + fl(√S))). So S′ − S > 0 once the terms' change
+//     exceeds 2.001·(M−1)·u/f².
+//
+// Since M + na + nb ≤ genes + 1, Δ > 4·(genes + 8)·u·(Rₐ² + R_b² + 1/f²)
+// proves the revert; the bound below is 2048 times that, which also
+// covers the rounding in computing it and any underflow (f ≤ 1 keeps
+// the bound above 2⁻⁴⁰). Nothing here assumes a sign of Γ, of a prior
+// load or of a size, or a limit on M, for chromosomes shorter than 2³³
+// positions.
+//
+// Non-finite inputs fail the test, because a comparison with NaN or
+// with +Inf is false. f = 0 — some time, ψ or S is not finite, as a
+// stopped processor holding a task makes its time — gives a bound of
+// +Inf. When f > 0, every queue holding a task has a positive rate, so
+// dₐ, d_b > 0. An overflow inside Δ with a finite bound means Δ's exact
+// value exceeds the bound too.
+func (p *Problem) surelyWorse(s *slotState, a, b, na, nb int, d units.MFlops, genes int) bool {
+	psi, ta, tb := float64(p.psi), float64(s.times[a]), float64(s.times[b])
+	da := float64(d) / float64(p.Rates[a])
+	db := float64(d) / float64(p.Rates[b])
+	delta := da*(2*(psi-ta)+da) + db*(db-2*(psi-tb))
+	ra := math.Abs(psi) + math.Abs(ta) + p.spread(a, na) + da
+	rb := math.Abs(psi) + math.Abs(tb) + p.spread(b, nb) + db
+	bound := float64(genes+8) * screenSlack * (ra*ra + rb*rb + 1/(s.fitness*s.fitness))
+	return delta > bound
+}
+
+// spread is surelyWorse's Â for a queue of n tasks on processor j: the
+// magnitude of everything queueTime adds up, so a bound on its
+// rounding error.
+func (p *Problem) spread(j, n int) float64 {
+	a := math.Abs(float64(p.delta(j))) + float64(n)*float64(p.maxSize)/float64(p.Rates[j])
+	if p.IncludeComm {
+		a += float64(n) * math.Abs(float64(p.Comm[j]))
+	}
+	return a
 }
 
 // otherTask maps k — an index into the increasing sequence of task

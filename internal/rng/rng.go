@@ -11,7 +11,10 @@
 // sequences while remaining fully deterministic.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a xoshiro256** pseudo-random generator. It is not safe for
 // concurrent use; derive one stream per goroutine with Stream.
@@ -101,18 +104,7 @@ func (r *RNG) Intn(n int) int {
 }
 
 // mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += a0 * b1
-	hi = a1*b1 + w2 + (w1 >> 32)
-	lo = a * b
-	return
-}
+func mul64(a, b uint64) (hi, lo uint64) { return bits.Mul64(a, b) }
 
 // ShuffleInts permutes the slice in place (Fisher–Yates).
 func (r *RNG) ShuffleInts(p []int) {

@@ -303,10 +303,56 @@ func TestMul64(t *testing.T) {
 	}
 }
 
+// schoolMul64 is the four-multiply 128-bit product mul64 was before it
+// became bits.Mul64: the oracle TestMul64MatchesSchoolbook holds it to.
+func schoolMul64(a, b uint64) (hi, lo uint64) {
+	const mask32 = 1<<32 - 1
+	a0, a1 := a&mask32, a>>32
+	b0, b1 := b&mask32, b>>32
+	t := a1*b0 + (a0*b0)>>32
+	w1 := t & mask32
+	w2 := t >> 32
+	w1 += a0 * b1
+	hi = a1*b1 + w2 + (w1 >> 32)
+	lo = a * b
+	return
+}
+
+// TestMul64MatchesSchoolbook: mul64 returns the schoolbook product for
+// the edge operands (zero, one, the 32-bit boundaries, the maximum)
+// paired with each other and for a million random pairs, so every
+// Intn stream is unchanged.
+func TestMul64MatchesSchoolbook(t *testing.T) {
+	edges := []uint64{0, 1, 2, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1 << 63, math.MaxUint64 - 1, math.MaxUint64}
+	check := func(a, b uint64) {
+		hi, lo := mul64(a, b)
+		whi, wlo := schoolMul64(a, b)
+		if hi != whi || lo != wlo {
+			t.Fatalf("mul64(%d, %d) = (%d, %d), schoolbook (%d, %d)", a, b, hi, lo, whi, wlo)
+		}
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			check(a, b)
+		}
+	}
+	r := New(104)
+	for i := 0; i < 1_000_000; i++ {
+		check(r.Uint64(), r.Uint64())
+	}
+}
+
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.Uint64()
+	}
+}
+
+func BenchmarkIntn(b *testing.B) {
+	r := New(1)
+	for i := 0; i < b.N; i++ {
+		_ = r.Intn(200)
 	}
 }
 
