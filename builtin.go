@@ -31,9 +31,9 @@ func init() {
 	RegisterInfo(Info{Name: "PN", Batch: true, GA: true, Summary: "the paper's GA: permutation chromosome, §3.4 budget, §3.7 batching"},
 		func(s Spec, r *RNG) (Scheduler, error) { return core.NewPN(s.gaConfig(), r), nil })
 	RegisterInfo(Info{Name: "MM", Batch: true, Summary: "Min-min: repeatedly place the task with the smallest earliest finish (§4.1)"},
-		capped(sched.MM{}))
+		func(Spec, *RNG) (Scheduler, error) { return sched.MM{}, nil })
 	RegisterInfo(Info{Name: "MX", Batch: true, Summary: "Max-min: like Min-min but largest task first (§4.1)"},
-		capped(sched.MX{}))
+		func(Spec, *RNG) (Scheduler, error) { return sched.MX{}, nil })
 	RegisterInfo(Info{Name: islandName, Batch: true, GA: true, Summary: "PN on a migrating island-model ring, one GA per core"},
 		func(s Spec, r *RNG) (Scheduler, error) {
 			return core.NewPNIsland(s.gaConfig(), s.islandConfig(), r), nil
@@ -45,14 +45,5 @@ func init() {
 	RegisterInfo(Info{Name: "KPB", Summary: "k-percent best: earliest finish among the k% fastest processors"},
 		func(s Spec, _ *RNG) (Scheduler, error) { return sched.KPB{K: s.K}, nil })
 	RegisterInfo(Info{Name: "SUF", Batch: true, Summary: "Sufferage: place the task that would suffer most from losing its best processor"},
-		capped(sched.Sufferage{}))
-}
-
-// capped is the factory of a batch heuristic with no sizing of its own
-// (MM, MX, SUF): the scheduler sizing its batches by the spec's fixed
-// cap, so every runtime handed the scheduler honours Spec.Batch.
-func capped(b sched.Batch) Factory {
-	return func(s Spec, _ *RNG) (Scheduler, error) {
-		return sched.FixedBatch{Batch: b, Size: s.Batch}, nil
-	}
+		func(Spec, *RNG) (Scheduler, error) { return sched.Sufferage{}, nil })
 }

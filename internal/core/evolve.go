@@ -33,18 +33,10 @@ type EvolveStats struct {
 
 // IslandConfig parametrises the island-model variant of the PN
 // scheduler: how many populations evolve concurrently per batch
-// decision and how they exchange elites (see internal/island).
-type IslandConfig struct {
-	// Islands is the number of concurrent populations; values below 1
-	// (including zero) select runtime.NumCPU().
-	Islands int
-	// MigrationInterval is the generations between elite exchanges;
-	// values below 1 select island.DefaultMigrationInterval.
-	MigrationInterval int
-	// Migrants is the elites sent per exchange; 0 selects
-	// island.DefaultMigrants, negative disables migration.
-	Migrants int
-}
+// decision and how they exchange elites (see internal/island). With
+// an Observer configured, EvolveIsland reports rounds and migrations
+// to it in place of OnRound and OnMigration.
+type IslandConfig = island.Config
 
 // lane is one population of a GA run — the whole run under Evolve, one
 // island under EvolveIsland — and everything the paper's method keeps
@@ -62,7 +54,7 @@ type lane struct {
 	// rebalancer work included.
 	eval interface {
 		ga.Evaluator
-		ga.GeneCounter
+		GenesEvaluated() int
 	}
 	inc *IncrementalEvaluator // eval, unless cfg.NaiveEvaluation
 	rb  *Rebalancer
@@ -166,22 +158,17 @@ func (l *lane) overBudget(int, float64) bool {
 // EvolveDone. res carries the driver's best individual, generation
 // count, stop reason and engine evaluations.
 func finish(cfg Config, budget units.Seconds, lanes []*lane, res ga.Result) EvolveStats {
-	res.GenesEvaluated = 0
+	st := EvolveStats{Result: res, BestMakespan: lowestMakespan(lanes)}
 	busiest, rbEvals, budgetHit := 0, 0, false
 	for _, l := range lanes {
 		genes := l.eval.GenesEvaluated()
-		res.GenesEvaluated += genes
+		st.GenesEvaluated += genes
 		busiest = max(busiest, genes)
 		rbEvals += l.rb.Evals
 		budgetHit = budgetHit || l.budgetHit
 	}
-	st := EvolveStats{
-		Result:         res,
-		BestMakespan:   lowestMakespan(lanes),
-		Evals:          res.Evaluations + rbEvals,
-		GenesEvaluated: res.GenesEvaluated,
-		ModelledCost:   cfg.cost(busiest),
-	}
+	st.Evals = res.Evaluations + rbEvals
+	st.ModelledCost = cfg.cost(busiest)
 	if cfg.Observer == nil {
 		return st
 	}
@@ -239,7 +226,7 @@ func (e *countingEvaluator) Fitness(c ga.Chromosome) float64 {
 	return e.eval.Fitness(c)
 }
 
-// GenesEvaluated implements ga.GeneCounter.
+// GenesEvaluated is the lane's gene ledger.
 func (e *countingEvaluator) GenesEvaluated() int { return e.genes }
 
 func (e *countingEvaluator) add(genes int) { e.genes += genes }
@@ -282,15 +269,10 @@ func Evolve(p *Problem, cfg Config, initial []ga.Chromosome, budget units.Second
 // full contract.
 func EvolveIsland(ctx context.Context, p *Problem, cfg Config, icfg IslandConfig, budget units.Seconds, r *rng.RNG) EvolveStats {
 	cfg.applyDefaults()
-	islCfg := island.Config{
-		Islands:           icfg.Islands,
-		MigrationInterval: icfg.MigrationInterval,
-		Migrants:          icfg.Migrants,
-	}
 	// The per-round ring-migration injections (one full evaluation per
 	// migrant) are charged to the gene ledger outside the generation
 	// loop, so the budget predicate must reserve for them too.
-	reserve := ChromosomeLen(len(p.Batch), p.M) * min(islCfg.MigrantsPerExchange(), cfg.Population)
+	reserve := ChromosomeLen(len(p.Batch), p.M) * min(icfg.MigrantsPerExchange(), cfg.Population)
 
 	// island.Run sets the islands up one after another, before any of
 	// them evolves.
@@ -305,14 +287,14 @@ func EvolveIsland(ctx context.Context, p *Problem, cfg Config, icfg IslandConfig
 		}
 	}
 	if cfg.Observer != nil {
-		islCfg.OnRound = func(_, gens int) {
+		icfg.OnRound = func(_, gens int) {
 			cfg.Observer.OnGenerationBest(observe.GenerationBest{Generation: gens, Makespan: lowestMakespan(lanes)})
 		}
-		islCfg.OnMigration = func(round, migrated int) {
+		icfg.OnMigration = func(round, migrated int) {
 			cfg.Observer.OnMigration(observe.Migration{Round: round, Migrants: migrated})
 		}
 	}
-	res := island.Run(ctx, islCfg, setup, r)
+	res := island.Run(ctx, icfg, setup, r)
 	return finish(cfg, budget, lanes, ga.Result{
 		Best:        res.Best,
 		BestFitness: res.BestFitness,

@@ -41,7 +41,7 @@ func goldenHash(st EvolveStats) uint64 {
 	h := fnv.New64a()
 	hashChromosome(h, st.Result.Best)
 	hashWords(h, math.Float64bits(st.Result.BestFitness), uint64(st.Result.Generations),
-		uint64(st.Result.Evaluations), uint64(st.Result.GenesEvaluated))
+		uint64(st.Result.Evaluations), uint64(st.GenesEvaluated))
 	return h.Sum64()
 }
 

@@ -71,9 +71,9 @@ func NewIncrementalEvaluator(p *Problem) *IncrementalEvaluator {
 	return &IncrementalEvaluator{p: p}
 }
 
-// GenesEvaluated implements ga.GeneCounter: cumulative evaluation work
+// GenesEvaluated is the lane's gene ledger: cumulative evaluation work
 // in chromosome positions scanned, across the engine and every hook
-// sharing this evaluator.
+// sharing this evaluator. The engine keeps no count of its own.
 func (ev *IncrementalEvaluator) GenesEvaluated() int { return ev.genes }
 
 // Fitness implements ga.Evaluator with a plain (uncached) full

@@ -26,6 +26,9 @@ type Rebalancer struct {
 	times  []units.Seconds
 	ftimes []units.Seconds // separate scratch for fitness probes
 	segs   []int           // scratch: segment (processor) index per chromosome position
+	// heavyPos and otherPos are Step's scratch: task positions on the
+	// heavy processor and elsewhere.
+	heavyPos, otherPos []int
 	// Evals counts fitness evaluations performed by rebalancing, so
 	// the scheduler can charge their cost alongside the GA's own. In
 	// slot mode a candidate probe counts once (the cached "before"
@@ -104,7 +107,7 @@ func (rb *Rebalancer) Step(c ga.Chromosome, r *rng.RNG) bool {
 	}
 
 	// Collect task positions on the heavy processor and elsewhere.
-	var heavyPos, otherPos []int
+	heavyPos, otherPos := rb.heavyPos[:0], rb.otherPos[:0]
 	for i, s := range segs {
 		switch {
 		case s == heavy:
@@ -113,6 +116,7 @@ func (rb *Rebalancer) Step(c ga.Chromosome, r *rng.RNG) bool {
 			otherPos = append(otherPos, i)
 		}
 	}
+	rb.heavyPos, rb.otherPos = heavyPos, otherPos
 	if len(heavyPos) == 0 || len(otherPos) == 0 {
 		return false
 	}

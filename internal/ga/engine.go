@@ -95,16 +95,9 @@ type Result struct {
 	// With a SlotEvaluator, individuals whose fitness is known from
 	// provenance (roulette clones, the elitism reinsert, children and
 	// mutants the evaluator re-derived by delta) are not counted, so
-	// this is smaller than population × generations.
+	// this is smaller than population × generations. The evaluation
+	// work in genes is the evaluator's to count, not the engine's.
 	Evaluations int
-	// GenesEvaluated is the evaluation work in chromosome positions
-	// scanned: full evaluations charge the whole chromosome length,
-	// delta re-evaluations only the rescanned positions. When the
-	// evaluator implements GeneCounter the count is the evaluator's
-	// own (and includes work charged by hooks sharing it, such as the
-	// §3.5 rebalancer); otherwise it is evaluations × chromosome
-	// length.
-	GenesEvaluated int
 }
 
 // Engine exposes the generation loop of Run one step at a time, so
@@ -129,10 +122,14 @@ type Result struct {
 // callback returns; what it returns (Best, Result, Elites) is a clone
 // the caller owns, and what it is given (the seeds, Inject's migrants)
 // is copied in and never retained.
+//
+// Evaluation: the engine drives every evaluator through the slot
+// protocol (see SlotEvaluator). A plain Evaluator runs under fresh,
+// which keeps no provenance and so computes every slot every
+// generation.
 type Engine struct {
 	cfg     Config
-	eval    Evaluator
-	slots   SlotEvaluator // non-nil when eval tracks fitness provenance
+	slots   SlotEvaluator
 	r       *rng.RNG
 	pop     []Chromosome // current generation: n slots of the arena
 	next    []Chromosome // the n slots the next generation is bred into
@@ -143,7 +140,6 @@ type Engine struct {
 	bestFitness float64
 	gen         int // completed generations
 	evals       int
-	genes       int // gene work accumulated for plain evaluators
 
 	done        bool
 	reason      StopReason
@@ -168,8 +164,11 @@ func NewEngine(cfg Config, eval Evaluator, initial []Chromosome, r *rng.RNG) *En
 			panic(fmt.Sprintf("ga: initial chromosome %d has length %d, chromosome 0 has %d", i, len(c), length))
 		}
 	}
-	e := &Engine{cfg: cfg, eval: eval, r: r}
-	e.slots, _ = eval.(SlotEvaluator)
+	slots, ok := eval.(SlotEvaluator)
+	if !ok {
+		slots = fresh{eval}
+	}
+	e := &Engine{cfg: cfg, slots: slots, r: r}
 
 	// One array holds every slot: current generation, next generation,
 	// best-so-far. Each slot's capacity ends where the next begins.
@@ -185,16 +184,12 @@ func NewEngine(cfg Config, eval Evaluator, initial []Chromosome, r *rng.RNG) *En
 	e.best = slot(2 * n)
 	e.fitness = make([]float64, n)
 	e.scratch.reserve(n, e.pop[0])
-	if e.slots != nil {
-		e.slots.InitSlots(n)
-	}
+	e.slots.InitSlots(n)
 
 	bestIdx := e.evaluate()
 	copy(e.best, e.pop[bestIdx])
 	e.bestFitness = e.fitness[bestIdx]
-	if e.slots != nil {
-		e.slots.SaveBest(bestIdx)
-	}
+	e.slots.SaveBest(bestIdx)
 	if cfg.OnGeneration != nil {
 		cfg.OnGeneration(0, e.best, e.bestFitness)
 	}
@@ -202,8 +197,8 @@ func NewEngine(cfg Config, eval Evaluator, initial []Chromosome, r *rng.RNG) *En
 }
 
 // evaluate scores the whole population and returns the index of the
-// fittest individual. With a slot evaluator, individuals whose fitness
-// is already known from provenance are served from cache.
+// fittest individual. Individuals whose fitness the slot evaluator
+// knows from provenance are served from its cache.
 func (e *Engine) evaluate() (bestIdx int) {
 	for i, c := range e.pop {
 		e.fitness[i] = e.score(i, c)
@@ -215,22 +210,13 @@ func (e *Engine) evaluate() (bestIdx int) {
 }
 
 // score computes (or retrieves) the fitness of the individual in the
-// given population slot, maintaining the evaluation counters.
+// given population slot, counting the evaluations computed.
 func (e *Engine) score(slot int, c Chromosome) float64 {
-	if e.slots != nil {
-		f, computed := e.slots.FitnessSlot(slot, c)
-		if computed {
-			e.evals++
-			// Fallback ledger for slot evaluators without their own
-			// GeneCounter: a computed slot fitness is billed as one
-			// full evaluation.
-			e.genes += len(c)
-		}
-		return f
+	f, computed := e.slots.FitnessSlot(slot, c)
+	if computed {
+		e.evals++
 	}
-	e.evals++
-	e.genes += len(c)
-	return e.eval.Fitness(c)
+	return f
 }
 
 func (e *Engine) stop(generations int, reason StopReason) {
@@ -258,12 +244,10 @@ func (e *Engine) Step() bool {
 	}
 
 	n := len(e.pop)
-	if e.slots != nil {
-		e.slots.BeginGeneration()
-	}
+	e.slots.BeginGeneration()
 
 	// Crossover: pair roulette-selected parents and breed each pair
-	// into the next two free slots. A slot evaluator hears how each
+	// into the next two free slots. The slot evaluator hears how each
 	// child differs from the nearer of its parents, so it can re-derive
 	// the child from that parent's cached state.
 	filled := 0
@@ -276,36 +260,28 @@ func (e *Engine) Step() bool {
 	for k := 0; k < pairs; k++ {
 		pa, pb := parents[2*k], parents[2*k+1]
 		cross(e.next[filled], e.next[filled+1], e.pop[pa], e.pop[pb], &e.scratch, e.r)
-		if e.slots != nil {
-			e.deriveChildren(filled, pa, pb)
-		}
+		e.deriveChildren(filled, pa, pb)
 		filled += 2
 	}
 	// Fill the remainder by roulette-copying survivors (selection).
 	// Copies inherit their parent's known fitness.
 	for _, idx := range e.scratch.roulette(e.fitness, n-filled, e.r) {
-		if e.slots != nil {
-			e.slots.DeriveClone(filled, idx)
-		}
+		e.slots.DeriveClone(filled, idx)
 		copy(e.next[filled], e.pop[idx])
 		filled++
 	}
 
 	e.pop, e.next = e.next, e.pop
-	if e.slots != nil {
-		e.slots.CommitGeneration()
-	}
+	e.slots.CommitGeneration()
 
 	// Random mutation on a randomly chosen individual: SwapMutation,
-	// unrolled so the swapped positions reach a slot evaluator for a
+	// unrolled so the swapped positions reach the slot evaluator for a
 	// delta update.
 	idx := e.r.Intn(n)
 	if c := e.pop[idx]; len(c) >= 2 {
 		i, j := swapPositions(len(c), e.r)
 		c[i], c[j] = c[j], c[i]
-		if e.slots != nil {
-			e.slots.SwapAt(idx, c, i, j)
-		}
+		e.slots.SwapAt(idx, c, i, j)
 	}
 
 	if e.cfg.PostGeneration != nil {
@@ -317,18 +293,14 @@ func (e *Engine) Step() bool {
 	if e.cfg.Elitism {
 		slot := e.r.Intn(n)
 		copy(e.pop[slot], e.best)
-		if e.slots != nil {
-			e.slots.RestoreBest(slot)
-		}
+		e.slots.RestoreBest(slot)
 	}
 
 	genBest := e.evaluate()
 	if e.fitness[genBest] > e.bestFitness {
 		e.bestFitness = e.fitness[genBest]
 		copy(e.best, e.pop[genBest])
-		if e.slots != nil {
-			e.slots.SaveBest(genBest)
-		}
+		e.slots.SaveBest(genBest)
 	}
 	e.gen = gen
 	if e.cfg.OnGeneration != nil {
@@ -360,15 +332,6 @@ func (e *Engine) Done() bool { return e.done }
 // Generation returns the number of completed generations.
 func (e *Engine) Generation() int { return e.gen }
 
-// GenesEvaluated returns the evaluation work performed so far, in
-// chromosome positions scanned (see Result.GenesEvaluated).
-func (e *Engine) GenesEvaluated() int {
-	if gc, ok := e.eval.(GeneCounter); ok {
-		return gc.GenesEvaluated()
-	}
-	return e.genes
-}
-
 // Best returns a clone of the best individual found so far and its
 // fitness.
 func (e *Engine) Best() (Chromosome, float64) {
@@ -383,12 +346,11 @@ func (e *Engine) Result() Result {
 		generations = e.gen
 	}
 	return Result{
-		Best:           e.best.Clone(),
-		BestFitness:    e.bestFitness,
-		Generations:    generations,
-		Reason:         e.reason,
-		Evaluations:    e.evals,
-		GenesEvaluated: e.GenesEvaluated(),
+		Best:        e.best.Clone(),
+		BestFitness: e.bestFitness,
+		Generations: generations,
+		Reason:      e.reason,
+		Evaluations: e.evals,
 	}
 }
 
@@ -448,16 +410,12 @@ func (e *Engine) Inject(migrants []Chromosome) {
 	for i, m := range migrants {
 		slot := idx[i]
 		copy(e.pop[slot], m)
-		if e.slots != nil {
-			e.slots.Invalidate(slot)
-		}
+		e.slots.Invalidate(slot)
 		e.fitness[slot] = e.score(slot, e.pop[slot])
 		if e.fitness[slot] > e.bestFitness {
 			e.bestFitness = e.fitness[slot]
 			copy(e.best, e.pop[slot])
-			if e.slots != nil {
-				e.slots.SaveBest(slot)
-			}
+			e.slots.SaveBest(slot)
 		}
 	}
 }

@@ -30,8 +30,6 @@ func (e *cachingSlotEval) Fitness(c Chromosome) float64 {
 	return e.inner.Fitness(c)
 }
 
-func (e *cachingSlotEval) GenesEvaluated() int { return e.genes }
-
 func (e *cachingSlotEval) InitSlots(n int) {
 	e.cur = make([]slotFit, n)
 	e.nxt = make([]slotFit, n)
@@ -89,17 +87,31 @@ func TestSlotEvaluatorMatchesPlainRun(t *testing.T) {
 		t.Errorf("slot evaluator computed %d fitnesses, plain %d — provenance saved nothing",
 			slotted.Evaluations, plain.Evaluations)
 	}
-	if slotted.GenesEvaluated >= plain.GenesEvaluated {
-		t.Errorf("slot genes %d, plain genes %d", slotted.GenesEvaluated, plain.GenesEvaluated)
-	}
 }
 
-// TestGenesEvaluatedPlainEvaluator: without a GeneCounter, the engine
-// bills evaluations × chromosome length.
-func TestGenesEvaluatedPlainEvaluator(t *testing.T) {
+// TestPlainEvaluatorRunsFresh pins the two ways NewEngine drives an
+// evaluator. A plain Evaluator keeps no provenance, so every slot is
+// scored every generation: a run computes exactly population ×
+// (generations + 1) fitnesses. A SlotEvaluator is driven as it is, not
+// wrapped: its own counters see every computation the engine reports.
+func TestPlainEvaluatorRunsFresh(t *testing.T) {
+	const length, pop, gens = 10, 8, 20
+	cfg := Config{MaxGenerations: gens, PopulationSize: pop}
+
 	r := rng.New(33)
-	res := Run(Config{MaxGenerations: 20, PopulationSize: 8}, sortednessEvaluator{}, randomPopulation(10, 8, r), r)
-	if want := res.Evaluations * 10; res.GenesEvaluated != want {
-		t.Errorf("GenesEvaluated = %d, want evaluations × length = %d", res.GenesEvaluated, want)
+	plain := Run(cfg, sortednessEvaluator{}, randomPopulation(length, pop, r), r)
+	if want := pop * (gens + 1); plain.Evaluations != want {
+		t.Errorf("plain run computed %d fitnesses, want population × (generations + 1) = %d", plain.Evaluations, want)
+	}
+
+	r = rng.New(33)
+	ev := &cachingSlotEval{inner: sortednessEvaluator{}}
+	slotted := Run(cfg, ev, randomPopulation(length, pop, r), r)
+	if ev.computed != slotted.Evaluations || ev.genes != length*slotted.Evaluations {
+		t.Errorf("engine reports %d evaluations; the slot double computed %d and billed %d genes, want %d and %d",
+			slotted.Evaluations, ev.computed, ev.genes, slotted.Evaluations, length*slotted.Evaluations)
+	}
+	if slotted.Evaluations >= plain.Evaluations {
+		t.Errorf("slot double computed %d fitnesses, as many as the plain run's %d: it was wrapped", slotted.Evaluations, plain.Evaluations)
 	}
 }

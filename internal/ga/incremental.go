@@ -20,14 +20,15 @@ package ga
 // same chromosome, so an engine driven by one produces byte-identical
 // populations, best individuals and fitness trajectories to an engine
 // driven by a plain Evaluator (the equivalence is asserted by tests in
-// internal/core). Only the amount of evaluation work differs, which is
-// why GeneCounter exists: the §3.4 budget model wants the genes
-// actually evaluated, not the number of Fitness calls.
+// internal/core). Only the amount of evaluation work differs, and the
+// evaluator is the one place that work is counted: the §3.4 budget
+// model reads the genes actually evaluated from the evaluator it built,
+// not a count of Fitness calls from the engine.
 
 // SlotEvaluator is an optional Evaluator extension for engines that
-// track fitness provenance. NewEngine detects it with a type assertion
-// and, when present, drives the slot protocol around the generation
-// loop:
+// track fitness provenance. The engine drives the slot protocol around
+// the generation loop for every evaluator — NewEngine runs a plain
+// Evaluator under fresh, which keeps no provenance:
 //
 //   - InitSlots(n) once, before the initial population is scored;
 //   - each generation: BeginGeneration, then DeriveCross(dst, src, c,
@@ -89,14 +90,19 @@ type SlotEvaluator interface {
 	RestoreBest(slot int)
 }
 
-// GeneCounter is an optional Evaluator extension reporting evaluation
-// work in genes (chromosome positions scanned): a full evaluation of a
-// length-L chromosome costs L genes, a delta re-evaluation only the
-// positions actually rescanned. Engines surface it as
-// Result.GenesEvaluated so cost models can charge actual work rather
-// than call counts. The count is cumulative over the evaluator's
-// lifetime and includes work charged by hooks sharing the evaluator
-// (e.g. the §3.5 rebalancer).
-type GeneCounter interface {
-	GenesEvaluated() int
-}
+// fresh is the SlotEvaluator NewEngine runs a plain Evaluator under. It
+// keeps no provenance: every FitnessSlot computes, and every other slot
+// call is a no-op.
+type fresh struct{ Evaluator }
+
+func (f fresh) FitnessSlot(_ int, c Chromosome) (float64, bool) { return f.Fitness(c), true }
+
+func (fresh) InitSlots(int)                           {}
+func (fresh) BeginGeneration()                        {}
+func (fresh) DeriveCross(int, int, Chromosome, []int) {}
+func (fresh) DeriveClone(int, int)                    {}
+func (fresh) CommitGeneration()                       {}
+func (fresh) SwapAt(int, Chromosome, int, int)        {}
+func (fresh) Invalidate(int)                          {}
+func (fresh) SaveBest(int)                            {}
+func (fresh) RestoreBest(int)                         {}

@@ -113,9 +113,6 @@ type Result struct {
 	Migrated int
 	// Evaluations sums fitness evaluations across all islands.
 	Evaluations int
-	// GenesEvaluated sums evaluation work (chromosome positions
-	// scanned) across all islands; per-island ledgers are in Islands.
-	GenesEvaluated int
 	// Reason is the callback reason if any island stopped by callback
 	// (or cancellation), the generation cap otherwise.
 	Reason ga.StopReason
@@ -237,7 +234,6 @@ func Run(ctx context.Context, cfg Config, setup func(island int, r *rng.RNG) Set
 		ir := e.Result()
 		res.Islands[i] = ir
 		res.Evaluations += ir.Evaluations
-		res.GenesEvaluated += ir.GenesEvaluated
 		if ir.Reason == ga.StopCallback {
 			res.Reason = ga.StopCallback
 		}

@@ -18,7 +18,6 @@ type slotSortedness struct {
 	inner    sortedness
 	cur, nxt []slotFitness
 	best     slotFitness
-	genes    int
 }
 
 type slotFitness struct {
@@ -26,12 +25,7 @@ type slotFitness struct {
 	ok bool
 }
 
-func (e *slotSortedness) Fitness(c ga.Chromosome) float64 {
-	e.genes += len(c)
-	return e.inner.Fitness(c)
-}
-
-func (e *slotSortedness) GenesEvaluated() int { return e.genes }
+func (e *slotSortedness) Fitness(c ga.Chromosome) float64 { return e.inner.Fitness(c) }
 
 func (e *slotSortedness) InitSlots(n int) {
 	e.cur = make([]slotFitness, n)
@@ -76,10 +70,10 @@ func slotSetup(cfg ga.Config, symbols int) func(int, *rng.RNG) Setup {
 
 // TestSlotEvaluatedIslandsMatchPlain: provenance-tracked islands —
 // including migration's Inject path — must reproduce plain-evaluated
-// islands byte-identically, with fewer evaluations and genes. Under
-// -race (the CI default) this doubles as the concurrency check on the
-// incremental machinery: N engines with per-island slot caches,
-// stepping concurrently between migration barriers.
+// islands byte-identically, with fewer evaluations. Under -race (the
+// CI default) this doubles as the concurrency check on the incremental
+// machinery: N engines with per-island slot caches, stepping
+// concurrently between migration barriers.
 func TestSlotEvaluatedIslandsMatchPlain(t *testing.T) {
 	cfg := Config{Islands: 4, MigrationInterval: 5, Migrants: 2}
 	gaCfg := ga.Config{PopulationSize: 10, MaxGenerations: 80}
@@ -95,8 +89,29 @@ func TestSlotEvaluatedIslandsMatchPlain(t *testing.T) {
 		t.Errorf("slot islands computed %d fitnesses, plain %d — provenance saved nothing",
 			slotted.Evaluations, plain.Evaluations)
 	}
-	if slotted.GenesEvaluated >= plain.GenesEvaluated {
-		t.Errorf("slot genes %d, plain genes %d", slotted.GenesEvaluated, plain.GenesEvaluated)
+}
+
+// TestPlainIslandsEvaluateEverySlot: a plain evaluator keeps no
+// provenance, so each island scores its whole population every
+// generation, and migration adds exactly one evaluation per migrant
+// injected.
+func TestPlainIslandsEvaluateEverySlot(t *testing.T) {
+	cfg := Config{Islands: 3, MigrationInterval: 4, Migrants: 2}
+	gaCfg := ga.Config{PopulationSize: 8, MaxGenerations: 30}
+	res := Run(context.Background(), cfg, uniformSetup(gaCfg, 12), rng.New(17))
+	if res.Migrated == 0 {
+		t.Fatal("no migrant was injected")
+	}
+	want := res.Migrated
+	for i, ir := range res.Islands {
+		if ir.Generations != gaCfg.MaxGenerations {
+			t.Fatalf("island %d stopped at generation %d, want %d", i, ir.Generations, gaCfg.MaxGenerations)
+		}
+		want += gaCfg.PopulationSize * (ir.Generations + 1)
+	}
+	if res.Evaluations != want {
+		t.Errorf("islands computed %d fitnesses, want population × (generations + 1) per island plus %d migrants = %d",
+			res.Evaluations, res.Migrated, want)
 	}
 }
 

@@ -58,7 +58,8 @@ func canonicalName(name string) string {
 // paper's seven plus PN-ISLAND and the Maheswaran et al. heuristics)
 // self-register; external packages can add their own and have them
 // reachable from every construction surface in the repo (pnsim
-// -sched, scenario files, experiments).
+// -sched, scenario files, experiments). Spec.Batch caps a batch
+// scheduler that does not size its own batches (see SizerFor).
 func Register(name string, f Factory) {
 	RegisterInfo(Info{Name: name}, f)
 }
@@ -156,8 +157,9 @@ func Canonical(name string) (string, bool) {
 
 // New validates the spec and constructs the named scheduler. The
 // instance draws its randomness from the stream attached with WithRNG,
-// or from NewRNG(spec.Seed) when none was attached. Unknown names
-// produce an error listing every registered scheduler.
+// or from NewRNG(spec.Seed) when none was attached, and is wrapped in
+// SizerFor's sizer if it has one. Unknown names produce an error
+// listing every registered scheduler.
 func New(spec Spec) (Scheduler, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -170,7 +172,11 @@ func New(spec Spec) (Scheduler, error) {
 	if r == nil {
 		r = rng.New(spec.Seed)
 	}
-	return f(spec, r)
+	s, err := f(spec, r)
+	if sized, ok := SizerFor(s, spec).(Scheduler); err == nil && ok {
+		s = sized
+	}
+	return s, err
 }
 
 // MustNew is New panicking on error — for tests and examples where
@@ -184,12 +190,12 @@ func MustNew(spec Spec) Scheduler {
 }
 
 // SizerFor returns the batch sizer a runtime should drive the
-// scheduler with: nil when the scheduler sizes its own batches — every
-// built-in batch scheduler does: PN by the §3.7 rule, MM, MX and SUF
-// through the fixed cap of spec.Batch their factories wrap them in —
-// or is immediate-mode, and a fixed cap of spec.Batch (default
-// sched.DefaultBatchSize, the paper's 200) for Registered batch
-// schedulers with no sizing of their own.
+// scheduler with: nil when the scheduler sizes its own batches or is
+// immediate-mode, and a fixed cap of spec.Batch (default
+// sched.DefaultBatchSize, the paper's 200) for a batch scheduler with
+// no sizing of its own. New applies it to what every factory returns,
+// so Spec.Batch caps every registered batch scheduler that does not
+// size its own batches (MM, MX, SUF) under Run, Serve and ServeJobs.
 func SizerFor(s Scheduler, spec Spec) BatchSizer {
 	if _, own := s.(BatchSizer); own {
 		return nil

@@ -153,7 +153,6 @@ func Run(ctx context.Context, spec Spec, w Workload, opts ...RunOption) (Result,
 		Net:            w.Network,
 		Tasks:          w.Tasks,
 		Scheduler:      s,
-		BatchSizer:     SizerFor(s, spec),
 		ReissueTimeout: w.ReissueTimeout,
 		MaxTime:        w.MaxTime,
 		Observer:       spec.observer,

@@ -12,6 +12,7 @@ import (
 
 	"pnsched"
 	"pnsched/internal/dist"
+	"pnsched/internal/sched"
 )
 
 // fastServeSpec is a PN spec trimmed so every batch schedules in well
@@ -550,34 +551,47 @@ func TestLiveGAEvolvesOnDrainedWorkers(t *testing.T) {
 	})
 }
 
+// registerBareMM registers Min-min bare, as an external package
+// would: a batch scheduler with no sizing of its own.
+var registerBareMM = sync.OnceFunc(func() {
+	pnsched.Register("test-bare-mm", func(pnsched.Spec, *pnsched.RNG) (pnsched.Scheduler, error) { return sched.MM{}, nil })
+})
+
 // TestLiveRuntimesHonourSpecBatch is the regression for the batch cap
 // the live runtimes used to drop: they are handed only the scheduler,
 // never SizerFor's verdict, so a batch heuristic built from a Spec must
 // size its own batches or MM with Batch 64 runs at the default 200.
+// The built-in MM must, and so must a registered bare one (the bare
+// row).
 func TestLiveRuntimesHonourSpecBatch(t *testing.T) {
+	registerBareMM()
 	tasks := pnsched.GenerateTasks(256, pnsched.Uniform{Lo: 10, Hi: 1000}, pnsched.NewRNG(5))
-	forEachLiveRuntime(t, pnsched.Spec{Name: "MM", Batch: 64}, func(t *testing.T, start func(pnsched.Observer) runTasks) {
-		var mu sync.Mutex
-		var sizes []int
-		run := start(pnsched.ObserverFuncs{
-			BatchDecided: func(e pnsched.BatchDecision) {
-				mu.Lock()
-				sizes = append(sizes, e.Tasks)
-				mu.Unlock()
-			},
+	check := func(t *testing.T, spec pnsched.Spec) {
+		forEachLiveRuntime(t, spec, func(t *testing.T, start func(pnsched.Observer) runTasks) {
+			var mu sync.Mutex
+			var sizes []int
+			run := start(pnsched.ObserverFuncs{
+				BatchDecided: func(e pnsched.BatchDecision) {
+					mu.Lock()
+					sizes = append(sizes, e.Tasks)
+					mu.Unlock()
+				},
+			})
+			if err := run(tasks); err != nil {
+				t.Fatal(err)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			total, largest := 0, 0
+			for _, n := range sizes {
+				total += n
+				largest = max(largest, n)
+			}
+			if largest > 64 || total != len(tasks) {
+				t.Errorf("batch sizes %v: want all %d tasks in batches of at most Spec.Batch 64", sizes, len(tasks))
+			}
 		})
-		if err := run(tasks); err != nil {
-			t.Fatal(err)
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		total, largest := 0, 0
-		for _, n := range sizes {
-			total += n
-			largest = max(largest, n)
-		}
-		if largest > 64 || total != len(tasks) {
-			t.Errorf("batch sizes %v: want all %d tasks in batches of at most Spec.Batch 64", sizes, len(tasks))
-		}
-	})
+	}
+	check(t, pnsched.Spec{Name: "MM", Batch: 64})
+	t.Run("bare", func(t *testing.T) { check(t, pnsched.Spec{Name: "test-bare-mm", Batch: 64}) })
 }
