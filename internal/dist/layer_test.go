@@ -57,6 +57,37 @@ func BenchmarkDecodeJobSubmit64(b *testing.B) {
 	benchDecode(b, frame)
 }
 
+// BenchmarkEncodeJobSubmit64 encodes the 64-task job_submit request of
+// BenchmarkDecodeJobSubmit64, as a client sends each job.
+func BenchmarkEncodeJobSubmit64(b *testing.B) {
+	benchEncode(b, func(w *frameWriter) error {
+		return w.message(&message{Type: msgJobSubmit, Job: &layerSubmission})
+	})
+}
+
+// layerSubmission is the 64-task job of the job_submit rows.
+var layerSubmission = JobSubmission{
+	Tenant: "t1", Spec: json.RawMessage(`{"name":"MM"}`), Tasks: layerTasks(64),
+}
+
+// benchEncode writes one frame with write b.N times through a
+// frameWriter onto io.Discard, flushing after each frame as a writer
+// with an empty queue does.
+func benchEncode(b *testing.B, write func(w *frameWriter) error) {
+	bw := bufio.NewWriter(io.Discard)
+	w := &frameWriter{bw: bw, enc: json.NewEncoder(bw)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if err := write(w); err != nil {
+			b.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDecodeAssign16 decodes a 16-task assign, as a worker reads
 // each one.
 func BenchmarkDecodeAssign16(b *testing.B) {
@@ -86,10 +117,45 @@ func BenchmarkDecodeDone(b *testing.B) {
 	benchDecode(b, []byte(`{"type":"done","task":5,"elapsed":10.5,"real":0.0105}`))
 }
 
+// BenchmarkEncodeDone encodes one done report, as a worker sends each
+// finished task.
+func BenchmarkEncodeDone(b *testing.B) {
+	m := &message{Type: msgDone, Task: 5, Elapsed: 10.5, Real: 0.0105}
+	benchEncode(b, func(w *frameWriter) error { return w.message(m) })
+}
+
 // BenchmarkDecodeDispatchEvent decodes one dispatch event, as a watch
 // client reads each task sent.
 func BenchmarkDecodeDispatchEvent(b *testing.B) {
 	benchDecode(b, []byte(`{"type":"event","v":{"major":1,"minor":3},"seq":41,"kind":"dispatch","dispatch":{"proc":3,"task":41,"at":12.5}}`))
+}
+
+// BenchmarkEncodeDispatchEvent encodes one dispatch event, as the
+// broadcaster writes each task sent to each subscriber.
+func BenchmarkEncodeDispatchEvent(b *testing.B) {
+	f := &eventFrame{Type: msgEvent, V: wireVersion{Major: 1, Minor: 3}, Seq: 41, Kind: kindDispatch,
+		Dispatch: &observe.Dispatch{Proc: 3, Task: 41, At: 12.5}}
+	benchEncode(b, func(w *frameWriter) error { return w.event(f) })
+}
+
+// layerJobDone is the job_done event frame of the job-event rows.
+const layerJobDone = `{"type":"event","v":{"major":1,"minor":3},"seq":15,"kind":"job_done","finished":{"id":"job-0007","tenant":"t2","state":"done","completed":64,"duration":0.8732719523641254,"at":87.25194758327102}}`
+
+// BenchmarkDecodeJobDoneEvent decodes one job_done event, as a watch
+// client reads each finished job.
+func BenchmarkDecodeJobDoneEvent(b *testing.B) {
+	benchDecode(b, []byte(layerJobDone))
+}
+
+// BenchmarkEncodeJobDoneEvent encodes the job_done event of
+// BenchmarkDecodeJobDoneEvent, as the broadcaster writes each finished
+// job to each subscriber.
+func BenchmarkEncodeJobDoneEvent(b *testing.B) {
+	_, f, err := decodeWireMessage([]byte(layerJobDone))
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchEncode(b, func(w *frameWriter) error { return w.event(f) })
 }
 
 // BenchmarkPublishSub1 and BenchmarkPublishSub8 publish dispatch events
