@@ -19,8 +19,11 @@ race:
 # Ten seconds of coverage-guided fuzzing over the JSON-lines wire
 # decoder (malformed hellos, oversized frames, unknown event kinds
 # must error cleanly, never panic), as long over the hand codec of the
-# hot frames against encoding/json (the reflective decoder's values and
-# errors, json.Marshal's bytes), and as long over a read loop's reused
+# per-task hot frames against encoding/json (the reflective decoder's
+# values and errors, json.Marshal's bytes), as long over the same for
+# the per-job frames (job_submit and the batch_decided and job_* events,
+# with strings and specs in and out of the plain forms the hand codec
+# takes), and as long over a read loop's reused
 # decoder against a fresh one (no field of one frame leaks into the
 # next), and as long over the job-journal
 # record decoder plus the apply functions behind it (a record that
@@ -39,6 +42,7 @@ race:
 fuzz-smoke:
 	$(GO) test ./internal/dist -run='^FuzzWireMessage$$' -fuzz=FuzzWireMessage -fuzztime=10s
 	$(GO) test ./internal/dist -run='^FuzzWireCodec$$' -fuzz=FuzzWireCodec -fuzztime=10s
+	$(GO) test ./internal/dist -run='^FuzzJobCodec$$' -fuzz=FuzzJobCodec -fuzztime=10s
 	$(GO) test ./internal/dist -run='^FuzzDecoderReuse$$' -fuzz=FuzzDecoderReuse -fuzztime=10s
 	$(GO) test ./internal/jobs -run='^FuzzJournalRecord$$' -fuzz=FuzzJournalRecord -fuzztime=10s
 	$(GO) test ./internal/jobs -run='^FuzzJournalSnapshot$$' -fuzz=FuzzJournalSnapshot -fuzztime=10s

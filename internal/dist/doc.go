@@ -116,12 +116,21 @@
 // frames into storage its decoder owns, and what it decodes is valid
 // only until the loop's next frame: the pool copies each done report
 // out, the worker's queue copies an assign's tasks, and a watcher's
-// observer is handed copies. Decoders accept any key order;
-// the three per-task frames, assign, done and the dispatch event, are
-// written in exactly json.Marshal's encoding by a hand encoder, and
-// decodeWireMessage parses that encoding by hand in one pass, handing
-// any other form to encoding/json (FuzzWireCodec holds the two paths
-// together).
+// observer is handed copies. Decoders accept any key order; the hot
+// frames are written in exactly json.Marshal's encoding by a hand
+// encoder, and decodeWireMessage parses that encoding by hand in one
+// pass, handing any other form to encoding/json (FuzzWireCodec and
+// FuzzJobCodec hold the two paths together). They are the three
+// per-task frames — assign, done and the dispatch event — and the
+// per-job ones: the job_submit request, which decodes into fresh
+// storage, and the batch_decided, job_queued, job_started and job_done
+// events. A string is taken by hand only when every byte is printable
+// ASCII other than '"', '\\', '<', '>' and '&', which encoding/json
+// writes unescaped; a job's spec only when it is one compact, valid
+// value of such strings, numbers, literals, objects and arrays, nested
+// at most maxSpecDepth deep, which json.Encoder's compaction leaves
+// unchanged. Any other string or spec
+// takes the encoding/json path both ways.
 //
 // # Event streaming
 //

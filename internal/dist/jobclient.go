@@ -3,7 +3,6 @@ package dist
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -25,7 +24,12 @@ func exchange(ctx context.Context, addr string, req *message, since string) (*me
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
 
-	if encErr := json.NewEncoder(conn).Encode(req); encErr != nil {
+	w := newFrameWriter(conn)
+	encErr := w.message(req)
+	if encErr == nil {
+		encErr = w.bw.Flush()
+	}
+	if encErr != nil {
 		return nil, fmt.Errorf("dist: %s request: %w", req.Type, encErr)
 	}
 	line, err := readFrame(bufio.NewReader(conn))

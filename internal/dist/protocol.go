@@ -9,12 +9,10 @@ import (
 	"io"
 	"math"
 	"net"
-	"strconv"
 	"syscall"
 
 	"pnsched/internal/observe"
 	"pnsched/internal/task"
-	"pnsched/internal/units"
 )
 
 // Message types of the JSON-lines wire protocol (see the package
@@ -296,24 +294,25 @@ func decodeWireMessage(line []byte) (msg *message, ev *eventFrame, err error) {
 	return dec.decode(line)
 }
 
-// decoder decodes the frames of one long-lived read loop. A hot frame —
-// a done, an assign, a dispatch event — decodes into storage the
-// decoder owns, reused from frame to frame, so what decode returns for
-// it is valid only until the decoder's next frame: the loop copies what
-// it keeps, as the writers already reuse their frames. Once that
-// storage is warm, a hot frame decodes without allocating. Every other
-// frame decodes into fresh storage. The zero decoder is ready to use.
+// decoder decodes the frames of one long-lived read loop. A hot frame
+// other than job_submit — a done, an assign, a hot event — decodes into
+// storage the decoder owns, reused from frame to frame, so what decode
+// returns for it is valid only until the decoder's next frame: the loop
+// copies what it keeps, as the writers already reuse their frames (the
+// strings it holds are fresh each frame). Once that storage is warm, a
+// per-task frame decodes without allocating. A job_submit and every
+// other frame decode into fresh storage. The zero decoder is ready to
+// use.
 type decoder struct {
-	m     *message       // the last hot control frame
-	ev    *dispatchEvent // the last dispatch event
-	tasks []task.Task    // the assign task buffer
-}
+	m     *message    // the last hot control frame
+	tasks []task.Task // the assign task buffer
 
-// dispatchEvent is a dispatch event frame together with its payload, so
-// one allocation holds both.
-type dispatchEvent struct {
-	f eventFrame
-	d observe.Dispatch
+	// The last hot event frame of each kind.
+	dispatch *eventOf[observe.Dispatch]
+	batch    *eventOf[observe.BatchDecision]
+	queued   *eventOf[observe.JobQueued]
+	started  *eventOf[observe.JobStarted]
+	finished *eventOf[observe.JobDone]
 }
 
 // decode is decodeWireMessage into dec's storage.
@@ -472,8 +471,8 @@ func (m *message) validate() error {
 //
 // A frame that fits br's buffer is returned in place, without a copy, so
 // it is valid only until the next read from br; only longer frames are
-// copied out. Nothing decoded from a frame shares its bytes — encoding/json
-// copies strings and json.RawMessage, and the hand decoder yields numbers.
+// copied out. Nothing decoded from a frame shares its bytes: encoding/json
+// and the hand decoder both copy strings and json.RawMessage.
 func readFrame(br *bufio.Reader) ([]byte, error) {
 	var frame []byte
 	for {
@@ -580,278 +579,6 @@ func CheckTask(t task.Task) error {
 		return fmt.Errorf("invalid task {id %d, size %v}", t.ID, float64(t.Size))
 	}
 	return nil
-}
-
-// The hot frames — the dispatch event, done and assign, one or more of
-// each per task — have a hand codec; every other frame goes through
-// encoding/json. The hand encoder writes exactly the bytes json.Encoder
-// writes for the same value (FuzzWireCodec and the goldens hold it
-// there), and the hand decoder accepts a frame only in exactly that
-// form, so whatever it accepts the reflective decoder would decode to
-// the same value. Decoders still accept any key order and spacing: a
-// frame in another form simply takes the reflective path.
-
-// hot reports whether m is a hot control frame: an assign or done with
-// nothing set beyond the task list, task, elapsed and real, all of them
-// finite (encoding/json refuses the others).
-func (m *message) hot() bool {
-	if (m.Type != msgAssign && m.Type != msgDone) || m.Name != "" || m.Rate != 0 ||
-		m.Proto != nil || m.Stats != nil || len(m.Traces) != 0 || m.Job != nil ||
-		m.JobID != "" || len(m.Jobs) != 0 || m.Result != nil || m.Error != "" ||
-		!finite(m.Elapsed) || !finite(m.Real) {
-		return false
-	}
-	for _, t := range m.Tasks {
-		if !finite(float64(t.Size)) {
-			return false
-		}
-	}
-	return true
-}
-
-func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
-
-// appendMessage appends m's frame, newline included, when m is a hot
-// frame, and reports whether it did.
-func appendMessage(b []byte, m *message) ([]byte, bool) {
-	if !m.hot() {
-		return b, false
-	}
-	b = append(b, `{"type":"`...)
-	b = append(b, m.Type...)
-	b = append(b, '"')
-	if len(m.Tasks) > 0 {
-		b = append(b, `,"tasks":[`...)
-		for i, t := range m.Tasks {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = append(b, `{"id":`...)
-			b = strconv.AppendInt(b, int64(t.ID), 10)
-			b = append(b, `,"size":`...)
-			b = appendFloat(b, float64(t.Size))
-			b = append(b, '}')
-		}
-		b = append(b, ']')
-	}
-	b = append(b, `,"task":`...)
-	b = strconv.AppendInt(b, int64(m.Task), 10)
-	b = append(b, `,"elapsed":`...)
-	b = appendFloat(b, m.Elapsed)
-	if m.Real != 0 {
-		b = append(b, `,"real":`...)
-		b = appendFloat(b, m.Real)
-	}
-	return append(b, "}\n"...), true
-}
-
-// appendEvent appends f's frame, newline included, when f is a dispatch
-// event with a finite time and no other payload, and reports whether it
-// did.
-func appendEvent(b []byte, f *eventFrame) ([]byte, bool) {
-	d := f.Dispatch
-	if d == nil || !finite(float64(d.At)) || *f != (eventFrame{Type: msgEvent, V: f.V,
-		Seq: f.Seq, Dropped: f.Dropped, Kind: kindDispatch, Dispatch: d}) {
-		return b, false
-	}
-	b = append(b, `{"type":"event","v":{"major":`...)
-	b = strconv.AppendInt(b, int64(f.V.Major), 10)
-	b = append(b, `,"minor":`...)
-	b = strconv.AppendInt(b, int64(f.V.Minor), 10)
-	b = append(b, `},"seq":`...)
-	b = strconv.AppendUint(b, f.Seq, 10)
-	if f.Dropped != 0 {
-		b = append(b, `,"dropped":`...)
-		b = strconv.AppendUint(b, f.Dropped, 10)
-	}
-	b = append(b, `,"kind":"dispatch","dispatch":{"proc":`...)
-	b = strconv.AppendInt(b, int64(d.Proc), 10)
-	b = append(b, `,"task":`...)
-	b = strconv.AppendInt(b, int64(d.Task), 10)
-	b = append(b, `,"at":`...)
-	b = appendFloat(b, float64(d.At))
-	return append(b, "}}\n"...), true
-}
-
-// appendFloat appends a finite x as encoding/json writes a float64: the
-// shortest digits that round-trip, in exponent form only below 1e-6 or
-// from 1e21 up, with a two-digit negative exponent's leading zero
-// dropped (e-07 → e-7).
-func appendFloat(b []byte, x float64) []byte {
-	format := byte('f')
-	if a := math.Abs(x); a != 0 && (a < 1e-6 || a >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, x, format, -1, 64)
-	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
-	}
-	return b
-}
-
-// hot is the hand decoder of the hot frames. It declines (ok false)
-// anything but a frame exactly as appendMessage or appendEvent would
-// write it, newline excepted; the result is not yet validated. A frame
-// is parsed into locals and copied into dec's storage once accepted,
-// which resets every field the frame leaves out.
-func (dec *decoder) hot(line []byte) (*message, *eventFrame, bool) {
-	s := scanner{b: line, ok: true}
-	var m message
-	switch {
-	case s.opt(`{"type":"event","v":{"major":`):
-		var f eventFrame
-		var d observe.Dispatch
-		f.V.Major = int(s.parseInt(strconv.IntSize))
-		s.lit(`,"minor":`)
-		f.V.Minor = int(s.parseInt(strconv.IntSize))
-		s.lit(`},"seq":`)
-		f.Seq = s.parseUint()
-		if s.opt(`,"dropped":`) {
-			f.Dropped = s.parseUint()
-			s.ok = s.ok && f.Dropped != 0 // the encoder omits a zero
-		}
-		s.lit(`,"kind":"dispatch","dispatch":{"proc":`)
-		d.Proc = int(s.parseInt(strconv.IntSize))
-		s.lit(`,"task":`)
-		d.Task = task.ID(s.parseInt(32))
-		s.lit(`,"at":`)
-		d.At = units.Seconds(s.parseFloat())
-		s.lit(`}}`)
-		if !s.end() {
-			return nil, nil, false
-		}
-		if dec.ev == nil {
-			dec.ev = new(dispatchEvent)
-		}
-		x := dec.ev
-		x.f, x.d = f, d
-		x.f.Type, x.f.Kind, x.f.Dispatch = msgEvent, kindDispatch, &x.d
-		return nil, &x.f, true
-	case s.opt(`{"type":"done"`):
-		m.Type = msgDone
-	case s.opt(`{"type":"assign"`):
-		m.Type = msgAssign
-	default:
-		return nil, nil, false
-	}
-	if s.opt(`,"tasks":[`) {
-		// Sized for every task the frame can hold, so appending below
-		// never moves the buffer the decoder keeps.
-		if n := bytes.Count(line[s.i:], []byte(`{"id":`)); cap(dec.tasks) < n {
-			dec.tasks = make([]task.Task, 0, n)
-		}
-		m.Tasks = dec.tasks[:0]
-		for s.ok {
-			s.lit(`{"id":`)
-			id := s.parseInt(32)
-			s.lit(`,"size":`)
-			size := s.parseFloat()
-			s.lit(`}`)
-			m.Tasks = append(m.Tasks, task.Task{ID: task.ID(id), Size: units.MFlops(size)})
-			if !s.opt(`,`) {
-				break
-			}
-		}
-		s.lit(`]`)
-	}
-	s.lit(`,"task":`)
-	m.Task = int32(s.parseInt(32))
-	s.lit(`,"elapsed":`)
-	m.Elapsed = s.parseFloat()
-	if s.opt(`,"real":`) {
-		m.Real = s.parseFloat()
-		s.ok = s.ok && m.Real != 0 // the encoder omits a zero
-	}
-	s.lit(`}`)
-	if !s.end() {
-		return nil, nil, false
-	}
-	if dec.m == nil {
-		dec.m = new(message)
-	}
-	*dec.m = m
-	return dec.m, nil, true
-}
-
-// scanner is the hand decoder's cursor. Every step clears ok on a mismatch,
-// after which the remaining steps are no-ops; a number is taken only in
-// the exact form the encoder writes for the value it parses to.
-type scanner struct {
-	b  []byte
-	i  int
-	ok bool
-}
-
-// opt consumes lit if the input continues with it.
-func (s *scanner) opt(lit string) bool {
-	if s.ok && len(s.b)-s.i >= len(lit) && string(s.b[s.i:s.i+len(lit)]) == lit {
-		s.i += len(lit)
-		return true
-	}
-	return false
-}
-
-// lit consumes lit, which must come next.
-func (s *scanner) lit(lit string) {
-	if !s.opt(lit) {
-		s.ok = false
-	}
-}
-
-// end reports whether the whole input was consumed without a mismatch.
-func (s *scanner) end() bool { return s.ok && s.i == len(s.b) }
-
-// number consumes the run of number characters that comes next.
-func (s *scanner) number() []byte {
-	j := s.i
-	for ; j < len(s.b); j++ {
-		if c := s.b[j]; (c < '0' || c > '9') && c != '-' && c != '+' && c != '.' && c != 'e' && c != 'E' {
-			break
-		}
-	}
-	tok := s.b[s.i:j]
-	s.i = j
-	return tok
-}
-
-// canonical keeps ok only if the number was parsed without error and
-// re-encodes to exactly its token.
-func (s *scanner) canonical(tok, enc []byte, err error) {
-	s.ok = s.ok && err == nil && bytes.Equal(tok, enc)
-}
-
-func (s *scanner) parseInt(bits int) int64 {
-	if !s.ok {
-		return 0
-	}
-	tok := s.number()
-	v, err := strconv.ParseInt(string(tok), 10, bits)
-	var buf [24]byte
-	s.canonical(tok, strconv.AppendInt(buf[:0], v, 10), err)
-	return v
-}
-
-func (s *scanner) parseUint() uint64 {
-	if !s.ok {
-		return 0
-	}
-	tok := s.number()
-	v, err := strconv.ParseUint(string(tok), 10, 64)
-	var buf [24]byte
-	s.canonical(tok, strconv.AppendUint(buf[:0], v, 10), err)
-	return v
-}
-
-func (s *scanner) parseFloat() float64 {
-	if !s.ok {
-		return 0
-	}
-	tok := s.number()
-	v, err := strconv.ParseFloat(string(tok), 64)
-	var buf [32]byte
-	s.canonical(tok, appendFloat(buf[:0], v), err)
-	return v
 }
 
 // isClosedErr reports whether err looks like the normal teardown of an
