@@ -60,7 +60,9 @@ func (m *message) hot() bool {
 	return false
 }
 
-func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
+// finite reports whether x is neither a NaN nor an infinity, for which
+// x-x is a NaN.
+func finite(x float64) bool { return x-x == 0 }
 
 // encoder is the hand encoder's buffer. A value encoding/json would
 // refuse or write in another form clears ok, and the frame is declined.
@@ -81,11 +83,11 @@ func (e *encoder) frame(b []byte) ([]byte, bool) {
 func (e *encoder) lit(s string)  { e.b = append(e.b, s...) }
 func (e *encoder) int(x int64)   { e.b = strconv.AppendInt(e.b, x, 10) }
 func (e *encoder) uint(x uint64) { e.b = strconv.AppendUint(e.b, x, 10) }
+
+// float writes x. A NaN or an infinity, which encoding/json refuses,
+// clears ok; what is written for it is never sent.
 func (e *encoder) float(x float64) {
-	if !finite(x) {
-		e.ok = false
-		return
-	}
+	e.ok = e.ok && finite(x)
 	e.b = appendFloat(e.b, x)
 }
 

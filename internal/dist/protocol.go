@@ -515,10 +515,11 @@ func newFrameWriter(conn net.Conn) *frameWriter {
 	return &frameWriter{bw: bw, enc: json.NewEncoder(bw)}
 }
 
-// message writes m. A hot frame longer than maxFrame — only an assign of
-// tens of thousands of tasks gets there — goes out instead as
-// consecutive frames over the halves of its task list, so no peer is
-// ever sent a frame it must refuse.
+// message writes m. An assign longer than maxFrame — tens of thousands
+// of tasks get there — goes out instead as consecutive frames over the
+// halves of its task list, so no worker is ever sent a frame it must
+// refuse. A job_submit that long goes out whole, for the dispatcher to
+// refuse, as encoding/json would write it.
 func (w *frameWriter) message(m *message) error {
 	b, ok := appendMessage(w.bw.AvailableBuffer(), m)
 	switch {
