@@ -85,7 +85,8 @@ func FuzzJobCodec(f *testing.F) {
 		`{"type":"job_submit","task":0,"elapsed":0,"job":{"priority":2,"tenant":"gold","tasks":[]}}`,
 		`{"type":"job_submit","task":0,"elapsed":0,"job":{"Tenant":"gold","tasks":[]}}`,
 		`{"type":"job_submit","task":0,"elapsed":0,"job":{"tenant":"a","tenant":"b","tasks":[]}}`,
-		`{"type":"job_submit","task":0,"elapsed":0,"job":{"tenant":"","priority":0,"tasks":[]}}`,
+		`{"type":"job_submit","task":0,"elapsed":0,"job":{"tenant":"","tasks":[]}}`,
+		`{"type":"job_submit","task":0,"elapsed":0,"job":{"priority":0,"tasks":[]}}`,
 		`{"type":"job_submit","task":0,"elapsed":0,"job":{"spec":{"name": "PN"},"tasks":[]}}`,
 		`{"type":"job_submit","task":0,"elapsed":0,"job":{"spec":{"name":"\u003cPN\u003e"},"tasks":[]}}`,
 		`{"type":"job_submit","task":0,"elapsed":0,"job":{"spec":{"a":},"tasks":[]}}`,
@@ -108,6 +109,8 @@ func FuzzJobCodec(f *testing.F) {
 		`{"name": "PN"}`, ` {"name":"PN"}`, `{"name":"<PN>"}`, `{"name":"a&b"}`, `{"a":}`, `{"a":"b\"c"}`,
 		`{"a":"é"}`, `01`, `1.`, `-`, `1e`, `{"a":1}x`, strings.Repeat("[", 33) + strings.Repeat("]", 33),
 		strings.Repeat("[", 32) + strings.Repeat("]", 32),
+		strings.Repeat(`{"a":`, 33) + "1" + strings.Repeat("}", 33),
+		strings.Repeat(`{"a":`, 32) + "1" + strings.Repeat("}", 32),
 	}
 	for i, line := range lines {
 		f.Add([]byte(line), strs[i%len(strs)], "job-0007", "PN", []byte(specs[i%len(specs)]), i-3, 30.5, uint8(i))
