@@ -3,9 +3,11 @@ package dist
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 )
 
 // exchange runs one one-shot request/reply connection — the shape of
@@ -24,12 +26,7 @@ func exchange(ctx context.Context, addr string, req *message, since string) (*me
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
 
-	w := newFrameWriter(conn)
-	encErr := w.message(req)
-	if encErr == nil {
-		encErr = w.bw.Flush()
-	}
-	if encErr != nil {
+	if encErr := writeRequest(conn, req); encErr != nil {
 		return nil, fmt.Errorf("dist: %s request: %w", req.Type, encErr)
 	}
 	line, err := readFrame(bufio.NewReader(conn))
@@ -50,6 +47,24 @@ func exchange(ctx context.Context, addr string, req *message, since string) (*me
 		return nil, errors.New(m.Error)
 	}
 	return m, nil
+}
+
+// requestBufs holds the buffers requests are encoded into, so a client
+// sending request after request reuses one.
+var requestBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeRequest writes req in one write: by hand when it is a hot frame
+// (a job_submit), otherwise by encoding/json.
+func writeRequest(conn net.Conn, req *message) error {
+	buf := requestBufs.Get().(*[]byte)
+	defer requestBufs.Put(buf)
+	b, ok := appendMessage((*buf)[:0], req)
+	if !ok {
+		return json.NewEncoder(conn).Encode(req)
+	}
+	*buf = b
+	_, err := conn.Write(b)
+	return err
 }
 
 // jobExchange is exchange for the job_* requests of protocol 1.3.
