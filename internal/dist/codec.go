@@ -608,25 +608,31 @@ func (s *scanner) canonical(tok, enc []byte, err error) {
 	s.ok = s.ok && err == nil && bytes.Equal(tok, enc)
 }
 
+// parseInt consumes an integer in the form strconv.AppendInt writes — no
+// plus sign, no leading zero, no -0 — that fits in bits bits.
 func (s *scanner) parseInt(bits int) int64 {
-	if !s.ok {
-		return 0
+	neg := s.opt(`-`)
+	u := s.parseUint()
+	limit := uint64(1) << (bits - 1)
+	if neg {
+		s.ok = s.ok && u != 0 && u <= limit
+		return -int64(u)
 	}
-	tok := s.number()
-	v, err := strconv.ParseInt(string(tok), 10, bits)
-	var buf [24]byte
-	s.canonical(tok, strconv.AppendInt(buf[:0], v, 10), err)
-	return v
+	s.ok = s.ok && u < limit
+	return int64(u)
 }
 
+// parseUint consumes an integer in the form strconv.AppendUint writes —
+// digits only, no leading zero — that fits in 64 bits.
 func (s *scanner) parseUint() uint64 {
-	if !s.ok {
-		return 0
+	j, v := s.i, uint64(0)
+	for ; s.ok && j < len(s.b) && '0' <= s.b[j] && s.b[j] <= '9'; j++ {
+		d := uint64(s.b[j] - '0')
+		s.ok = v <= math.MaxUint64/10 && v*10 <= math.MaxUint64-d
+		v = v*10 + d
 	}
-	tok := s.number()
-	v, err := strconv.ParseUint(string(tok), 10, 64)
-	var buf [24]byte
-	s.canonical(tok, strconv.AppendUint(buf[:0], v, 10), err)
+	s.ok = s.ok && j > s.i && (j == s.i+1 || s.b[s.i] != '0')
+	s.i = j
 	return v
 }
 
