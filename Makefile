@@ -120,13 +120,14 @@ bench-pairs:
 # matching RUN run interleaved for ROUNDS rounds, median, IQR and ratio
 # per benchmark and unit; exit 1 when a time or allocation median is
 # more than 25 % worse and the interquartile ranges do not overlap. A
-# local tool, not part of ci:
+# local tool, not part of ci. RUN reaches the script unexpanded, so an
+# anchored regexp such as RUN='EncodeDone$|DecodeDone$' works as typed:
 #   make bench-layers BASE=HEAD~1 PKG=./internal/jobs RUN=DoneJournal64 ROUNDS=10
 PKG ?= ./internal/dist ./internal/jobs
 RUN ?= .
 ROUNDS ?= 10
 bench-layers:
-	bash scripts/benchlayers.sh $(BASE) "$(PKG)" '$(RUN)' $(ROUNDS)
+	bash scripts/benchlayers.sh $(BASE) "$(PKG)" '$(value RUN)' $(ROUNDS)
 
 # Smoke the HTTP admin endpoint: short-lived pnserver -admin, curl
 # /healthz and /metrics, assert the instrument families render.

@@ -57,7 +57,7 @@ func (q *Queue) Peek() (Item, bool) { //pnanalyze:ok surface ROADMAP item 6: the
 
 // NextTime returns the time of the earliest event, or units.Inf() if
 // the queue is empty.
-func (q *Queue) NextTime() units.Seconds { //pnanalyze:ok surface ROADMAP item 6: the stepped simulator loop's PeekNextEventTime
+func (q *Queue) NextTime() units.Seconds {
 	if len(q.items) == 0 {
 		return units.Inf()
 	}

@@ -133,8 +133,8 @@ func (Sufferage) Name() string { return "SUF" }
 
 // ScheduleBatch implements Batch.
 func (Sufferage) ScheduleBatch(batch []task.Task, s State) (Assignment, units.Seconds) {
-	loads := snapshotLoads(s)
-	out := NewAssignment(s.M())
+	loads, rates := snapshot(s)
+	out := NewAssignment(len(loads))
 	remaining := append([]task.Task(nil), batch...)
 	for len(remaining) > 0 {
 		bestIdx := -1
@@ -143,8 +143,8 @@ func (Sufferage) ScheduleBatch(batch []task.Task, s State) (Assignment, units.Se
 		for i, t := range remaining {
 			first, second := units.Inf(), units.Inf()
 			firstJ := -1
-			for j := 0; j < s.M(); j++ {
-				finish := (loads[j] + t.Size).TimeOn(s.Rate(j))
+			for j, l := range loads {
+				finish := (l + t.Size).TimeOn(rates[j])
 				switch {
 				case finish < first:
 					second = first

@@ -115,34 +115,36 @@ func (f FixedBatch) NextBatchSize(queued int, _ State) int {
 
 // earliestFinisher returns the processor on which a task of the given
 // size would complete earliest, considering existing loads: argmin_j
-// (loads[j] + size) / rate_j. Processors with zero believed rate are
-// skipped unless all are stopped, in which case index 0 is returned (the
-// task must be queued somewhere). Ties resolve to the lowest index,
-// keeping results deterministic.
-func earliestFinisher(size units.MFlops, loads []units.MFlops, s State) int {
-	bestJ := -1
+// (loads[j] + size) / rates[j], over the snapshot a batch heuristic took
+// of the state (rates has at least len(loads) entries). Processors with
+// zero believed rate are skipped unless all are stopped, in which case
+// index 0 is returned (the task must be queued somewhere). Ties resolve
+// to the lowest index, keeping results deterministic.
+func earliestFinisher(size units.MFlops, loads []units.MFlops, rates []units.Rate) int {
+	rates = rates[:len(loads)]
+	bestJ := 0
 	bestFinish := units.Inf()
-	for j := 0; j < s.M(); j++ {
-		finish := (loads[j] + size).TimeOn(s.Rate(j))
-		if finish < bestFinish {
+	for j, l := range loads {
+		if finish := (l + size).TimeOn(rates[j]); finish < bestFinish {
 			bestFinish = finish
 			bestJ = j
 		}
 	}
-	if bestJ < 0 {
-		return 0
-	}
 	return bestJ
 }
 
-// snapshotLoads copies the current pending loads out of the state so
-// batch heuristics can simulate their own incremental assignments.
-func snapshotLoads(s State) []units.MFlops {
-	loads := make([]units.MFlops, s.M())
+// snapshot copies the current pending loads and believed rates out of
+// the state, so a batch heuristic reads each once per batch and can
+// simulate its own incremental assignments on the loads.
+func snapshot(s State) ([]units.MFlops, []units.Rate) {
+	m := s.M()
+	loads := make([]units.MFlops, m)
+	rates := make([]units.Rate, m)
 	for j := range loads {
 		loads[j] = s.PendingLoad(j)
+		rates[j] = s.Rate(j)
 	}
-	return loads
+	return loads, rates
 }
 
 // EF is the immediate-mode earliest-first scheduler: each task goes to
@@ -153,9 +155,18 @@ type EF struct{}
 // Name implements Scheduler.
 func (EF) Name() string { return "EF" }
 
-// Assign implements Immediate.
+// Assign implements Immediate. It reads the state in place: one task
+// needs each load and rate once.
 func (EF) Assign(t task.Task, s State) int {
-	return earliestFinisher(t.Size, snapshotLoads(s), s)
+	bestJ := 0
+	bestFinish := units.Inf()
+	for j := 0; j < s.M(); j++ {
+		if finish := (s.PendingLoad(j) + t.Size).TimeOn(s.Rate(j)); finish < bestFinish {
+			bestFinish = finish
+			bestJ = j
+		}
+	}
+	return bestJ
 }
 
 // LL is the immediate-mode lightest-loaded scheduler: each task goes to
@@ -195,18 +206,34 @@ func (r *RR) Assign(_ task.Task, s State) int {
 	return j
 }
 
-// greedyBatch sorts the batch with the given comparator-order function
-// and assigns each task in order to its earliest-finishing processor,
-// accumulating loads locally.
+// greedyBatch sorts a copy of the batch with sortTasks and assigns each
+// task in order to its earliest-finishing processor, accumulating loads
+// locally. Loads and rates are read from s once, before the first task.
+// The processor queues share one backing array, each capped at its own
+// length; a processor given no task keeps a nil queue.
 func greedyBatch(batch []task.Task, s State, sortTasks func([]task.Task)) Assignment {
 	sorted := append([]task.Task(nil), batch...)
 	sortTasks(sorted)
-	loads := snapshotLoads(s)
-	out := NewAssignment(s.M())
-	for _, t := range sorted {
-		j := earliestFinisher(t.Size, loads, s)
-		out[j] = append(out[j], t)
+	loads, rates := snapshot(s)
+	procs := make([]int32, len(sorted))
+	counts := make([]int, len(loads))
+	for i, t := range sorted {
+		j := earliestFinisher(t.Size, loads, rates)
+		procs[i] = int32(j)
+		counts[j]++
 		loads[j] += t.Size
+	}
+	out := NewAssignment(len(loads))
+	backing := make([]task.Task, len(sorted))
+	off := 0
+	for j, c := range counts {
+		if c > 0 {
+			out[j] = backing[off : off : off+c]
+			off += c
+		}
+	}
+	for i, t := range sorted {
+		out[procs[i]] = append(out[procs[i]], t)
 	}
 	return out
 }

@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"reflect"
 	"testing"
 
+	"pnsched/internal/rng"
 	"pnsched/internal/task"
 	"pnsched/internal/units"
 )
@@ -171,6 +173,71 @@ func TestBatchSchedulersAssignEveryTaskOnce(t *testing.T) {
 		for id, n := range seen {
 			if n != 1 {
 				t.Errorf("%s assigned task %d %d times", b.Name(), id, n)
+			}
+		}
+	}
+}
+
+// greedyByState is greedy list scheduling read from the state task by
+// task: a Rate and a load per task and processor, each queue grown by
+// append. MM and MX must decide exactly as it does.
+func greedyByState(batch []task.Task, s State, sortTasks func([]task.Task)) Assignment {
+	sorted := append([]task.Task(nil), batch...)
+	sortTasks(sorted)
+	loads := make([]units.MFlops, s.M())
+	for j := range loads {
+		loads[j] = s.PendingLoad(j)
+	}
+	out := NewAssignment(s.M())
+	for _, t := range sorted {
+		bestJ, best := 0, units.Inf()
+		for j := 0; j < s.M(); j++ {
+			if f := (loads[j] + t.Size).TimeOn(s.Rate(j)); f < best {
+				bestJ, best = j, f
+			}
+		}
+		out[bestJ] = append(out[bestJ], t)
+		loads[bestJ] += t.Size
+	}
+	return out
+}
+
+// TestGreedyBatchMatchesPerTaskReads compares MM and MX with
+// greedyByState, and EF with earliestFinisher over a snapshot, on
+// random states with equal rates, equal loads and stopped processors.
+// Every queue must be capped at its length, so appending to one cannot
+// write into its neighbour's.
+func TestGreedyBatchMatchesPerTaskReads(t *testing.T) {
+	r := rng.New(3)
+	for round := 0; round < 300; round++ {
+		m := 1 + r.Intn(12)
+		s := newFake(make([]units.Rate, m), make([]units.MFlops, m))
+		for j := 0; j < m; j++ {
+			s.rates[j] = units.Rate(r.Intn(4) * 5) // a quarter stopped
+			s.loads[j] = units.MFlops(r.Intn(3) * 20)
+		}
+		batch := make([]task.Task, r.Intn(60))
+		for i := range batch {
+			batch[i] = tk(task.ID(i), units.MFlops(1+r.Intn(20)))
+		}
+		for _, tc := range []struct {
+			b    Batch
+			sort func([]task.Task)
+		}{{MM{}, task.SortBySizeAscending}, {MX{}, task.SortBySizeDescending}} {
+			got, _ := tc.b.ScheduleBatch(batch, s)
+			if want := greedyByState(batch, s, tc.sort); !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d %s: got %v, want %v", round, tc.b.Name(), got, want)
+			}
+			for j, q := range got {
+				if cap(q) != len(q) {
+					t.Fatalf("round %d %s: queue %d has len %d, cap %d", round, tc.b.Name(), j, len(q), cap(q))
+				}
+			}
+		}
+		for _, tsk := range batch {
+			loads, rates := snapshot(s)
+			if got, want := (EF{}).Assign(tsk, s), earliestFinisher(tsk.Size, loads, rates); got != want {
+				t.Fatalf("round %d: EF chose %d for %v, earliestFinisher %d", round, got, tsk, want)
 			}
 		}
 	}

@@ -44,3 +44,24 @@ func BenchmarkSimRunMM(b *testing.B) {
 		}
 	}
 }
+
+// TestSimRunAllocatesLessThanOncePerTask pins the loop's allocations on
+// BenchmarkSimRunMM's run: fewer than one per task. What is left is per
+// batch and per run; boxing a per-task event again (an arrival, a
+// completion's bookkeeping) or letting a task escape costs at least one
+// more per task.
+func TestSimRunAllocatesLessThanOncePerTask(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	const n = 10_000
+	cfg := heurConfig(n, 1)
+	allocs := testing.AllocsPerRun(2, func() {
+		if res := Run(cfg); res.Completed != n {
+			t.Fatalf("completed %d of %d", res.Completed, n)
+		}
+	})
+	if allocs >= n {
+		t.Errorf("a %d-task run allocates %v times, %.2f per task, want fewer than 1 per task", n, allocs, allocs/n)
+	}
+}

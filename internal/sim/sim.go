@@ -13,10 +13,20 @@
 // smoothed observed rates, outstanding loads and smoothed communication
 // estimates. The simulator's hidden truth (true link means, true
 // availability) is never exposed to schedulers.
+//
+// Arrivals never enter the event queue: a cursor walks the tasks in
+// (Arrival, index) order, and the next event is the earlier of the next
+// arrival and the queue's top, an arrival winning a tie. That is the
+// order a queue holding every arrival, pushed before anything else,
+// would pop, while the queue itself holds only O(M) events: at most
+// one ready, completion or reissue per processor, one invocation and
+// one assignment.
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"pnsched/internal/cluster"
 	"pnsched/internal/eventq"
@@ -118,14 +128,25 @@ type Result struct {
 	Invocations   int           // batch-scheduler invocations
 }
 
-// event payloads
+// Event payloads. Each is at most one word of plain data, so putting
+// one in an eventq.Item allocates nothing for processor indices below
+// 256; what a completion or an assignment needs is held by the
+// simulator.
 type (
-	evArrival struct{ t task.Task }
-	evReady   struct{ proc int }
-	evInvoke  struct{}
-	evAssign  struct{ a sched.Assignment }
-	evReissue struct{ proc int }
+	evReady    struct{ proc int }
+	evInvoke   struct{}
+	evAssign   struct{} // delivers simulator.decided
+	evComplete struct{ proc int }
+	evReissue  struct{ proc int }
 )
+
+// running is the task a processor holds: on the wire, being processed,
+// or stranded by an outage.
+type running struct {
+	t             task.Task
+	start, finish units.Seconds
+	held          bool
+}
 
 type simulator struct {
 	cfg   Config
@@ -133,16 +154,23 @@ type simulator struct {
 	queue eventq.Queue
 	now   units.Seconds
 
+	// order lists cfg.Tasks indices in (Arrival, index) order; nil when
+	// cfg.Tasks is already in that order. arrived counts the arrivals
+	// taken.
+	order   []int32
+	arrived int
+
 	unscheduled *task.Queue
 	procQueues  []*task.Queue
 	pending     []units.MFlops
-	inflight    []*task.Task // task currently on the wire/being processed
+	inflight    []running
 	idle        []bool
 	dead        []bool
 	rateEst     []*smoothing.Smoother
 
 	schedBusy     bool
 	invokePending bool
+	decided       sched.Assignment // the batch the pending evAssign delivers
 	immediate     sched.Immediate
 	batch         sched.Batch
 	sizer         sched.BatchSizer
@@ -204,7 +232,30 @@ func (v view) TimeUntilFirstIdle() units.Seconds {
 // Run executes the simulation to completion (or MaxTime) and returns the
 // metrics. It panics on configuration errors: a nil cluster or network,
 // mismatched link counts, or a scheduler implementing neither mode.
+//
+// Each step takes the earlier of the next arrival (from a cursor over
+// the tasks in arrival order, ties in slice order) and the top of the
+// event queue; an arrival wins a tie with a queued event.
 func Run(cfg Config) Result {
+	s := newSimulator(cfg)
+	maxTime := cfg.MaxTime
+	if maxTime <= 0 {
+		maxTime = units.Inf()
+	}
+	for s.completed < len(cfg.Tasks) {
+		if cfg.Interrupt != nil && cfg.Interrupt() {
+			break
+		}
+		if !s.step(maxTime) {
+			break
+		}
+	}
+	return s.result()
+}
+
+// newSimulator validates cfg and returns a simulator at time 0 with
+// nothing yet arrived.
+func newSimulator(cfg Config) *simulator {
 	if cfg.Cluster == nil || cfg.Cluster.M() == 0 {
 		panic("sim: missing cluster")
 	}
@@ -226,7 +277,7 @@ func Run(cfg Config) Result {
 	}
 	s.procQueues = make([]*task.Queue, s.m)
 	s.pending = make([]units.MFlops, s.m)
-	s.inflight = make([]*task.Task, s.m)
+	s.inflight = make([]running, s.m)
 	s.idle = make([]bool, s.m)
 	s.dead = make([]bool, s.m)
 	s.rateEst = make([]*smoothing.Smoother, s.m)
@@ -256,42 +307,74 @@ func Run(cfg Config) Result {
 		}
 	}
 
-	for _, t := range cfg.Tasks {
-		s.queue.Push(t.Arrival, evArrival{t: t})
-	}
-
-	maxTime := cfg.MaxTime
-	if maxTime <= 0 {
-		maxTime = units.Inf()
-	}
-
-	for s.completed < len(cfg.Tasks) {
-		if cfg.Interrupt != nil && cfg.Interrupt() {
-			break
+	byArrival := func(a, b task.Task) int { return cmp.Compare(a.Arrival, b.Arrival) }
+	if !slices.IsSortedFunc(cfg.Tasks, byArrival) {
+		s.order = make([]int32, len(cfg.Tasks))
+		for i := range s.order {
+			s.order[i] = int32(i)
 		}
-		item, ok := s.queue.Pop()
-		if !ok || item.Time > maxTime {
-			break
-		}
-		s.now = item.Time
-		switch ev := item.Payload.(type) {
-		case evArrival:
-			s.onArrival(ev.t)
-		case evReady:
-			s.onReady(ev.proc)
-		case evInvoke:
-			s.onInvoke()
-		case evAssign:
-			s.onAssign(ev.a)
-		case evComplete:
-			s.onComplete(ev)
-		case evReissue:
-			s.onReissue(ev.proc)
-		}
+		slices.SortStableFunc(s.order, func(a, b int32) int { return byArrival(cfg.Tasks[a], cfg.Tasks[b]) })
 	}
+	return s
+}
 
-	if cfg.Timeline != nil {
-		cfg.Timeline.Makespan = s.makespan
+// nextArrival returns the next task to arrive, if any is left.
+func (s *simulator) nextArrival() (task.Task, bool) {
+	i := s.arrived
+	if i == len(s.cfg.Tasks) {
+		return task.Task{}, false
+	}
+	if s.order != nil {
+		i = int(s.order[i])
+	}
+	return s.cfg.Tasks[i], true
+}
+
+// step processes the next event: the next arrival when it is due no
+// later than the queue's top, else the queue's top. Every queued event
+// was pushed after every arrival would have been, so taking the arrival
+// on a tie is the (time, insertion) order of one queue holding both.
+// step reports false, having done nothing, when no event is left at or
+// before maxTime.
+func (s *simulator) step(maxTime units.Seconds) bool {
+	if t, ok := s.nextArrival(); ok && t.Arrival <= s.queue.NextTime() {
+		if t.Arrival > maxTime {
+			return false
+		}
+		s.arrived++
+		s.now = t.Arrival
+		s.onArrival(t)
+		return true
+	}
+	item, ok := s.queue.Pop()
+	if !ok || item.Time > maxTime {
+		return false
+	}
+	s.now = item.Time
+	s.handle(item.Payload)
+	return true
+}
+
+// handle dispatches one queued event.
+func (s *simulator) handle(payload any) {
+	switch ev := payload.(type) {
+	case evReady:
+		s.onReady(ev.proc)
+	case evInvoke:
+		s.onInvoke()
+	case evAssign:
+		s.onAssign()
+	case evComplete:
+		s.onComplete(ev.proc)
+	case evReissue:
+		s.onReissue(ev.proc)
+	}
+}
+
+// result closes the run's books.
+func (s *simulator) result() Result {
+	if s.cfg.Timeline != nil {
+		s.cfg.Timeline.Makespan = s.makespan
 	}
 	res := Result{
 		Makespan:      s.makespan,
@@ -383,10 +466,13 @@ func (s *simulator) onInvoke() {
 			At:         s.now,
 		})
 	}
-	s.queue.Push(s.now+cost, evAssign{a: a})
+	s.decided = a
+	s.queue.Push(s.now+cost, evAssign{})
 }
 
-func (s *simulator) onAssign(a sched.Assignment) {
+func (s *simulator) onAssign() {
+	a := s.decided
+	s.decided = nil
 	s.trace(TraceAssign, -1, task.None)
 	for j, q := range a {
 		for _, t := range q {
@@ -411,7 +497,6 @@ func (s *simulator) onReady(j int) {
 		return
 	}
 	s.idle[j] = false
-	s.inflight[j] = &t
 
 	// Transfer the task over the link (request + delivery), observing
 	// the cost into the scheduler-visible estimator.
@@ -427,6 +512,7 @@ func (s *simulator) onReady(j int) {
 	}
 
 	finish := s.cfg.Cluster.Procs[j].CompletionTime(start, t.Size)
+	s.inflight[j] = running{t: t, start: start, finish: finish, held: true}
 	if finish.IsInf() {
 		// Permanent outage mid-assignment: without recovery the task is
 		// stranded (the paper's switched-off machine); with recovery a
@@ -436,22 +522,16 @@ func (s *simulator) onReady(j int) {
 		}
 		return
 	}
-	s.queue.Push(finish, evComplete{proc: j, start: start, finish: finish})
+	s.queue.Push(finish, evComplete{proc: j})
 }
 
-// evComplete carries completion bookkeeping through the event queue.
-type evComplete struct {
-	proc          int
-	start, finish units.Seconds
-}
-
-func (s *simulator) onComplete(e evComplete) {
-	j := e.proc
-	t := s.inflight[j]
-	if t == nil || s.dead[j] {
+func (s *simulator) onComplete(j int) {
+	e := s.inflight[j]
+	if !e.held || s.dead[j] {
 		return
 	}
-	s.inflight[j] = nil
+	s.inflight[j] = running{}
+	t := e.t
 	procTime := e.finish - e.start
 	s.stats[j].Busy += procTime
 	s.stats[j].Processed++
@@ -485,9 +565,9 @@ func (s *simulator) onReissue(j int) {
 
 	// Recover the in-flight task and everything queued behind it.
 	var recovered []task.Task
-	if t := s.inflight[j]; t != nil {
-		recovered = append(recovered, *t)
-		s.inflight[j] = nil
+	if e := s.inflight[j]; e.held {
+		recovered = append(recovered, e.t)
+		s.inflight[j] = running{}
 	}
 	recovered = append(recovered, s.procQueues[j].PopN(s.procQueues[j].Len())...)
 	s.pending[j] = 0

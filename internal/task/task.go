@@ -9,8 +9,9 @@
 package task
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pnsched/internal/units"
 )
@@ -40,13 +41,13 @@ func (t Task) String() string {
 // SortBySizeAscending orders tasks smallest first (min-min scheduling).
 // The sort is stable so equal-size tasks keep FCFS order.
 func SortBySizeAscending(ts []Task) {
-	sort.SliceStable(ts, func(i, j int) bool { return ts[i].Size < ts[j].Size })
+	slices.SortStableFunc(ts, func(a, b Task) int { return cmp.Compare(a.Size, b.Size) })
 }
 
 // SortBySizeDescending orders tasks largest first (max-min scheduling).
 // The sort is stable so equal-size tasks keep FCFS order.
 func SortBySizeDescending(ts []Task) {
-	sort.SliceStable(ts, func(i, j int) bool { return ts[i].Size > ts[j].Size })
+	slices.SortStableFunc(ts, func(a, b Task) int { return cmp.Compare(b.Size, a.Size) })
 }
 
 // Queue is a FIFO queue of tasks backed by a ring buffer. The scheduler

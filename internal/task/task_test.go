@@ -1,9 +1,12 @@
 package task
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"pnsched/internal/rng"
 	"pnsched/internal/units"
 )
 
@@ -130,6 +133,35 @@ func TestSortStability(t *testing.T) {
 	for i, tk := range ts {
 		if tk.ID != ID(i) {
 			t.Errorf("stable sort reordered equal elements: %v", ts)
+		}
+	}
+}
+
+// TestSortsMatchSliceStable compares both sorts with sort.SliceStable
+// over the same order, on inputs long enough to be merged in blocks and
+// with many equal sizes: a stable sort's output is unique, so they must
+// agree element for element.
+func TestSortsMatchSliceStable(t *testing.T) {
+	r := rng.New(5)
+	for round := 0; round < 200; round++ {
+		ts := make([]Task, 1+r.Intn(300))
+		for i := range ts {
+			ts[i] = mk(ID(i), units.MFlops(r.Intn(1+r.Intn(40))))
+		}
+		for _, tc := range []struct {
+			sort func([]Task)
+			less func(a, b Task) bool
+		}{
+			{SortBySizeAscending, func(a, b Task) bool { return a.Size < b.Size }},
+			{SortBySizeDescending, func(a, b Task) bool { return a.Size > b.Size }},
+		} {
+			got := append([]Task(nil), ts...)
+			tc.sort(got)
+			want := append([]Task(nil), ts...)
+			sort.SliceStable(want, func(i, j int) bool { return tc.less(want[i], want[j]) })
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d: got %v, want %v", round, got, want)
+			}
 		}
 	}
 }
