@@ -16,10 +16,10 @@ import (
 // per task before the run starts.
 type refArrival struct{ t task.Task }
 
-// runReference is the simulator loop before arrivals left the event
-// queue: every task's arrival is pushed, in slice order, before any
-// other event, and each step pops the queue's top. Run must reproduce
-// its order exactly.
+// runReference is the simulator loop with arrivals as queued events:
+// every task's arrival is pushed, in slice order, before any other
+// event, and each step pops the queue's top. Run must reproduce its
+// order exactly.
 func runReference(cfg Config) Result {
 	s := newSimulator(cfg)
 	for _, t := range cfg.Tasks {

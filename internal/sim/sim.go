@@ -26,6 +26,7 @@ package sim
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"pnsched/internal/cluster"
@@ -231,7 +232,8 @@ func (v view) TimeUntilFirstIdle() units.Seconds {
 
 // Run executes the simulation to completion (or MaxTime) and returns the
 // metrics. It panics on configuration errors: a nil cluster or network,
-// mismatched link counts, or a scheduler implementing neither mode.
+// mismatched link counts, a task arriving at NaN, or a scheduler
+// implementing neither mode.
 //
 // Each step takes the earlier of the next arrival (from a cursor over
 // the tasks in arrival order, ties in slice order) and the top of the
@@ -307,6 +309,13 @@ func newSimulator(cfg Config) *simulator {
 		}
 	}
 
+	// A NaN arrival has no place in the order: the cursor would never
+	// take it.
+	for _, t := range cfg.Tasks {
+		if math.IsNaN(float64(t.Arrival)) {
+			panic(fmt.Sprintf("sim: task %d arrives at NaN", t.ID))
+		}
+	}
 	byArrival := func(a, b task.Task) int { return cmp.Compare(a.Arrival, b.Arrival) }
 	if !slices.IsSortedFunc(cfg.Tasks, byArrival) {
 		s.order = make([]int32, len(cfg.Tasks))
@@ -331,11 +340,11 @@ func (s *simulator) nextArrival() (task.Task, bool) {
 }
 
 // step processes the next event: the next arrival when it is due no
-// later than the queue's top, else the queue's top. Every queued event
-// was pushed after every arrival would have been, so taking the arrival
-// on a tie is the (time, insertion) order of one queue holding both.
-// step reports false, having done nothing, when no event is left at or
-// before maxTime.
+// later than the queue's top, else the queue's top. One queue holding
+// the arrivals too would have had them all pushed before any other
+// event, so it would pop the arrival first on a tie; step keeps that
+// (time, insertion) order. It reports false, having done nothing, when
+// no event is left at or before maxTime.
 func (s *simulator) step(maxTime units.Seconds) bool {
 	if t, ok := s.nextArrival(); ok && t.Arrival <= s.queue.NextTime() {
 		if t.Arrival > maxTime {

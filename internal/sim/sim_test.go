@@ -323,6 +323,8 @@ func TestPanicsOnBadConfig(t *testing.T) {
 		"nil net":          {Cluster: good.Cluster, Scheduler: sched.EF{}},
 		"link mismatch":    {Cluster: cluster.New([]units.Rate{1, 2}), Net: freeNet(1), Scheduler: sched.EF{}},
 		"wrong sched type": {Cluster: good.Cluster, Net: freeNet(1), Scheduler: badScheduler{}},
+		"NaN arrival": {Cluster: good.Cluster, Net: freeNet(1), Scheduler: sched.EF{},
+			Tasks: []task.Task{{ID: 0, Size: 1}, {ID: 1, Size: 1, Arrival: units.Seconds(math.NaN())}}},
 	}
 	for name, cfg := range cases {
 		func() {

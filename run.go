@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"pnsched/internal/observe"
 	"pnsched/internal/sim"
@@ -140,6 +141,11 @@ func Run(ctx context.Context, spec Spec, w Workload, opts ...RunOption) (Result,
 	}
 	if len(w.Tasks) == 0 {
 		return Result{}, errors.New("pnsched: workload has no tasks")
+	}
+	for _, t := range w.Tasks {
+		if math.IsNaN(float64(t.Arrival)) {
+			return Result{}, fmt.Errorf("pnsched: task %d arrives at NaN", t.ID)
+		}
 	}
 	if ro.observer != nil {
 		spec.observer = observe.Multi(spec.observer, ro.observer)

@@ -2,6 +2,7 @@ package pnsched
 
 import (
 	"context"
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -252,10 +253,13 @@ func TestRunRejectsBadWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	nan := append([]Task(nil), good.Tasks...)
+	nan[3].Arrival = Seconds(math.NaN())
 	cases := map[string]Workload{
-		"no cluster": {Network: good.Network, Tasks: good.Tasks},
-		"no network": {Cluster: good.Cluster, Tasks: good.Tasks},
-		"no tasks":   {Cluster: good.Cluster, Network: good.Network},
+		"no cluster":  {Network: good.Network, Tasks: good.Tasks},
+		"no network":  {Cluster: good.Cluster, Tasks: good.Tasks},
+		"no tasks":    {Cluster: good.Cluster, Network: good.Network},
+		"NaN arrival": {Cluster: good.Cluster, Network: good.Network, Tasks: nan},
 	}
 	for name, w := range cases {
 		if _, err := Run(context.Background(), MustSpec("EF"), w); err == nil {
