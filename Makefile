@@ -37,7 +37,10 @@ race:
 # from-scratch evaluation (bit-identical queues and fitness, never more
 # than one chromosome's genes charged), and as long over the screened
 # §3.5 rebalance step against the unscreened standalone one (same
-# keep/revert decisions, chromosomes, probe counts and RNG draws).
+# keep/revert decisions, chromosomes, probe counts and RNG draws), and
+# as long over sequences of GA batch decisions of changing shapes in one
+# reused workspace against each in a fresh one (the same statistics,
+# gene ledger, assignments and observed events).
 # The seed corpora live under internal/{dist,jobs,ga,core}/testdata/fuzz.
 fuzz-smoke:
 	$(GO) test ./internal/dist -run='^FuzzWireMessage$$' -fuzz=FuzzWireMessage -fuzztime=10s
@@ -49,6 +52,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ga -run='^FuzzCrossover$$' -fuzz=FuzzCrossover -fuzztime=10s
 	$(GO) test ./internal/core -run='^FuzzChildDelta$$' -fuzz=FuzzChildDelta -fuzztime=10s
 	$(GO) test ./internal/core -run='^FuzzRebalanceScreen$$' -fuzz=FuzzRebalanceScreen -fuzztime=10s
+	$(GO) test ./internal/core -run='^FuzzWorkspaceReuse$$' -fuzz=FuzzWorkspaceReuse -fuzztime=10s
 
 lint:
 	$(GO) vet ./...

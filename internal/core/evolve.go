@@ -68,6 +68,11 @@ type lane struct {
 	// generation loop.
 	worstGen  int
 	budgetHit bool
+
+	// hooks holds the lane's engine callbacks (Stop, OnGeneration,
+	// PostGeneration), bound to this lane once, so a pooled lane is
+	// rebound without allocating them again.
+	hooks ga.Config
 }
 
 // newLane builds one lane over the problem and the engine configuration
@@ -77,20 +82,29 @@ type lane struct {
 // migration charge (each injected migrant is one full evaluation) — so
 // the budget predicate holds room for it.
 func newLane(p *Problem, cfg Config, budget units.Seconds, reserve int) (*lane, ga.Config) {
-	l := &lane{
-		p: p, cfg: cfg, budget: budget,
-		rb:     NewRebalancer(p),
-		bestMk: units.Inf(),
+	l := new(lane)
+	return l, l.bind(p, cfg, budget, reserve, new(Rebalancer), new(IncrementalEvaluator))
+}
+
+// bind (re)starts l as newLane describes, with rb as its rebalancer
+// and, unless cfg.NaiveEvaluation, inc as its evaluator; both are reset
+// to the problem with their ledgers zeroed and keep their buffers.
+func (l *lane) bind(p *Problem, cfg Config, budget units.Seconds, reserve int, rb *Rebalancer, inc *IncrementalEvaluator) ga.Config {
+	hooks := l.hooks
+	if hooks.Stop == nil {
+		hooks = ga.Config{Stop: l.overBudget, OnGeneration: l.track, PostGeneration: l.rebalance}
 	}
+	rb.reset(p)
+	*l = lane{p: p, cfg: cfg, budget: budget, rb: rb, bestMk: units.Inf(), hooks: hooks}
 	if cfg.NaiveEvaluation {
 		counting := &countingEvaluator{eval: p.Evaluator()}
-		l.rb.charge = counting.add
+		rb.charge = counting.add
 		l.eval = counting
 		l.mkScratch = make([]units.Seconds, p.M)
 	} else {
-		l.inc = NewIncrementalEvaluator(p)
-		l.rb.BindSlots(l.inc)
-		l.eval = l.inc
+		inc.bind(p)
+		rb.BindSlots(inc)
+		l.inc, l.eval = inc, inc
 	}
 	// One swap mutation per generation.
 	l.worstGen = ChromosomeLen(len(p.Batch), p.M)*(cfg.Population*(1+2*cfg.Rebalances)+1) + reserve
@@ -100,13 +114,13 @@ func newLane(p *Problem, cfg Config, budget units.Seconds, reserve int) (*lane, 
 		MaxGenerations: cfg.Generations,
 		Crossover:      cfg.Crossover,
 		Elitism:        true,
-		Stop:           l.overBudget,
-		OnGeneration:   l.track,
+		Stop:           hooks.Stop,
+		OnGeneration:   hooks.OnGeneration,
 	}
 	if cfg.Rebalances > 0 {
-		gaCfg.PostGeneration = l.rebalance
+		gaCfg.PostGeneration = hooks.PostGeneration
 	}
-	return l, gaCfg
+	return gaCfg
 }
 
 // track is the lane's ga.Config.OnGeneration: §3.4's lowest makespan
@@ -235,17 +249,37 @@ func (e *countingEvaluator) add(genes int) { e.genes += genes }
 // the supplied population, evolving under the paper's stopping
 // conditions (the generation cap and the budget — the modelled time
 // until the first processor goes idle). It returns the best schedule
-// found. It is one lane under ga.Run.
+// found. It is one lane driven by a ga.Engine to completion, as ga.Run
+// drives one.
+//
+// The run borrows a workspace from a package-level pool and returns it
+// when done: the engine with its population slots and Scratch, the
+// incremental evaluator's slot caches and the rebalancer's scratch
+// (see workspace). A run of a shape the pool has served before
+// allocates none of them; what it still allocates is the returned
+// best chromosome, plus the counting evaluator and completion-time
+// scratch of the naive path and the observer's hook when one is set.
 func Evolve(p *Problem, cfg Config, initial []ga.Chromosome, budget units.Seconds, r *rng.RNG) EvolveStats {
+	w := workspaces.Get().(*workspace)
+	defer workspaces.Put(w)
+	return w.evolve(p, cfg, initial, budget, r)
+}
+
+// evolve is Evolve in w.
+func (w *workspace) evolve(p *Problem, cfg Config, initial []ga.Chromosome, budget units.Seconds, r *rng.RNG) EvolveStats {
 	cfg.applyDefaults()
-	l, gaCfg := newLane(p, cfg, budget, 0)
+	l := &w.lane
+	gaCfg := l.bind(p, cfg, budget, 0, &w.rb, &w.inc)
 	if cfg.Observer != nil {
 		gaCfg.OnGeneration = func(gen int, best ga.Chromosome, fitness float64) {
 			l.track(gen, best, fitness)
 			cfg.Observer.OnGenerationBest(observe.GenerationBest{Generation: gen, Makespan: l.bestMk})
 		}
 	}
-	return finish(cfg, budget, []*lane{l}, ga.Run(gaCfg, l.eval, initial, r))
+	w.eng.Reset(gaCfg, l.eval, initial, r)
+	for w.eng.Step() {
+	}
+	return finish(cfg, budget, []*lane{l}, w.eng.Result())
 }
 
 // EvolveIsland runs the §3 genetic algorithm as a parallel island

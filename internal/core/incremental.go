@@ -42,6 +42,13 @@ type IncrementalEvaluator struct {
 	cur, nxt []slotState
 	best     slotState
 	genes    int
+
+	// The arrays InitSlots carves the slot states from, kept so a
+	// pooled evaluator serves the next run without laying them out
+	// again.
+	states []slotState
+	times  []units.Seconds
+	delims []int
 }
 
 // slotState is one individual's cached evaluation: its per-processor
@@ -71,6 +78,12 @@ func NewIncrementalEvaluator(p *Problem) *IncrementalEvaluator {
 	return &IncrementalEvaluator{p: p}
 }
 
+// bind points a pooled evaluator at the next run's problem with its
+// gene ledger zeroed; the engine's InitSlots then resets every slot.
+func (ev *IncrementalEvaluator) bind(p *Problem) {
+	ev.p, ev.genes = p, 0
+}
+
 // GenesEvaluated is the lane's gene ledger: cumulative evaluation work
 // in chromosome positions scanned, across the engine and every hook
 // sharing this evaluator. The engine keeps no count of its own.
@@ -86,17 +99,22 @@ func (ev *IncrementalEvaluator) Fitness(c ga.Chromosome) float64 {
 
 // InitSlots implements ga.SlotEvaluator: every slot state — the n
 // current, the n next-generation and the best-so-far — gets its M
-// completion times and room for M−1 delimiter positions here, once,
-// from one backing array each, so no evaluation allocates.
+// completion times and room for M−1 delimiter positions here, once per
+// run, from one backing array each, so no evaluation allocates. The
+// arrays are reused when the previous run left them large enough, and
+// every state starts invalid.
 func (ev *IncrementalEvaluator) InitSlots(n int) {
 	m := ev.p.M
-	times := make([]units.Seconds, (2*n+1)*m)
-	delims := make([]int, (2*n+1)*(m-1))
-	states := make([]slotState, 2*n+1)
-	for k := range states {
-		states[k].times = times[k*m : (k+1)*m : (k+1)*m]
-		states[k].delims = delims[k*(m-1) : k*(m-1) : (k+1)*(m-1)]
+	ev.times = resize(ev.times, (2*n+1)*m)
+	ev.delims = resize(ev.delims, (2*n+1)*(m-1))
+	ev.states = resize(ev.states, 2*n+1)
+	for k := range ev.states {
+		ev.states[k] = slotState{
+			times:  ev.times[k*m : (k+1)*m : (k+1)*m],
+			delims: ev.delims[k*(m-1) : k*(m-1) : (k+1)*(m-1)],
+		}
 	}
+	states := ev.states
 	ev.cur, ev.nxt, ev.best = states[:n:n], states[n:2*n:2*n], states[2*n]
 }
 

@@ -24,26 +24,51 @@ import (
 // and a second pass drops every task id into place. The chromosomes
 // share one backing array and the passes one scratch.
 func ListPopulation(p *Problem, size int, r *rng.RNG) []ga.Chromosome {
+	return new(seeding).list(p, size, r)
+}
+
+// seeding is ListPopulation's working memory: the population's genes
+// and chromosome headers, and the per-task and per-queue scratch of the
+// two passes. A batch decision's pooled workspace keeps one, so
+// seeding a population of a shape seen before allocates nothing; what
+// list returns is then a view of it, valid until the next call.
+type seeding struct {
+	genes  []int
+	out    []ga.Chromosome
+	order  []int // batch indices in draw order
+	proc   []int // processor drawn for order[k]
+	counts []int // tasks per queue
+	cursor []int // next free gene per queue
+	loads  []units.MFlops
+	// comm[j] is queue j's communication term for its next task,
+	// (counts[j]+1)·Γc(j), kept as counts[j] grows; read only when the
+	// problem includes Γc.
+	comm []units.Seconds
+}
+
+// list builds ListPopulation's population in s's buffers, drawing
+// exactly what ListPopulation draws.
+func (s *seeding) list(p *Problem, size int, r *rng.RNG) []ga.Chromosome {
 	if size < 1 {
 		size = 1
 	}
 	h, m := len(p.Batch), p.M
 	length := ChromosomeLen(h, m)
-	genes := make([]int, size*length)
-	order := make([]int, h)  // batch indices in draw order
-	proc := make([]int, h)   // processor drawn for order[k]
-	counts := make([]int, m) // tasks per queue
-	cursor := make([]int, m) // next free gene per queue
-	loads := make([]units.MFlops, m)
+	s.genes = resize(s.genes, size*length)
+	s.out = resize(s.out, size)
+	s.order, s.proc = resize(s.order, h), resize(s.proc, h)
+	s.counts, s.cursor = resize(s.counts, m), resize(s.cursor, m)
+	s.loads, s.comm = resize(s.loads, m), resize(s.comm, m)
+	order, proc, counts, cursor, loads := s.order, s.proc, s.counts, s.cursor, s.loads
 
-	out := make([]ga.Chromosome, size)
-	for i := range out {
+	for i := range s.out {
 		frac := 0.0
 		if size > 1 {
 			frac = float64(i) / float64(size-1)
 		}
 		copy(loads, p.Loads)
 		clear(counts)
+		copy(s.comm, p.Comm) // (0+1)·Γc(j)
 		for k := range order {
 			order[k] = k
 		}
@@ -54,14 +79,17 @@ func ListPopulation(p *Problem, size int, r *rng.RNG) []ga.Chromosome {
 			if r.Float64() < frac {
 				j = r.Intn(m)
 			} else {
-				j = p.earliestFinish(t.Size, loads, counts)
+				j = p.earliestFinish(t.Size, loads, s.comm)
 			}
 			proc[k] = j
 			loads[j] += t.Size
 			counts[j]++
+			if p.IncludeComm {
+				s.comm[j] = units.Seconds(float64(counts[j]+1) * float64(p.Comm[j]))
+			}
 		}
 
-		c := genes[i*length : (i+1)*length : (i+1)*length]
+		c := s.genes[i*length : (i+1)*length : (i+1)*length]
 		at := 0
 		for j := 0; j < m; j++ {
 			if j > 0 {
@@ -76,32 +104,36 @@ func ListPopulation(p *Problem, size int, r *rng.RNG) []ga.Chromosome {
 			c[cursor[j]] = int(p.Batch[idx].ID)
 			cursor[j]++
 		}
-		out[i] = c
+		s.out[i] = c
 	}
-	return out
+	return s.out
 }
 
 // earliestFinish returns the processor finishing a task of the given
-// size soonest: argmin_j (loads[j]+size)/Pⱼ + (counts[j]+1)·Γc(j).
-// Stopped processors (rate 0 → infinite finish) are avoided unless every
+// size soonest: argmin_j (loads[j]+size)/Pⱼ + comm[j], where comm[j] is
+// queue j's communication term (counts[j]+1)·Γc(j) — read only when the
+// problem includes Γc, which is tested once per task. Stopped
+// processors (rate 0 → infinite finish) are avoided unless every
 // processor is stopped, in which case index 0 is returned.
-func (p *Problem) earliestFinish(size units.MFlops, loads []units.MFlops, counts []int) int {
+func (p *Problem) earliestFinish(size units.MFlops, loads []units.MFlops, comm []units.Seconds) int {
 	bestJ := -1
 	bestFinish := units.Inf()
-	for j := 0; j < p.M; j++ {
-		finish := (loads[j] + size).TimeOn(p.Rates[j])
-		if p.IncludeComm {
-			finish += units.Seconds(float64(counts[j]+1) * float64(p.Comm[j]))
+	rates := p.Rates[:len(loads)]
+	if p.IncludeComm {
+		comm = comm[:len(loads)]
+		for j, l := range loads {
+			if finish := (l + size).TimeOn(rates[j]) + comm[j]; finish < bestFinish {
+				bestFinish, bestJ = finish, j
+			}
 		}
-		if finish < bestFinish {
-			bestFinish = finish
-			bestJ = j
+	} else {
+		for j, l := range loads {
+			if finish := (l + size).TimeOn(rates[j]); finish < bestFinish {
+				bestFinish, bestJ = finish, j
+			}
 		}
 	}
-	if bestJ < 0 {
-		return 0
-	}
-	return bestJ
+	return max(bestJ, 0)
 }
 
 // RandomPopulation builds an initial population of uniformly random

@@ -167,9 +167,10 @@ func (c *Config) cost(genes int) units.Seconds {
 type PN struct {
 	name        string
 	includeComm bool
-	// seed builds the initial population of a sequential run; island
-	// runs always list-seed each island from its own stream.
-	seed   func(p *Problem, size int, r *rng.RNG) []ga.Chromosome
+	// seed builds the initial population of a sequential run, in the
+	// decision's seeding scratch; island runs always list-seed each
+	// island from its own stream.
+	seed   func(s *seeding, p *Problem, size int, r *rng.RNG) []ga.Chromosome
 	island *IslandConfig // non-nil: evolve on an island ring
 
 	cfg Config
@@ -181,7 +182,7 @@ type PN struct {
 // other two constructors change its data.
 func newScheduler(name string, cfg Config, r *rng.RNG) *PN {
 	cfg.applyDefaults()
-	return &PN{name: name, includeComm: true, seed: ListPopulation, cfg: cfg, r: r, sp: smoothing.New(DefaultNu)}
+	return &PN{name: name, includeComm: true, seed: (*seeding).list, cfg: cfg, r: r, sp: smoothing.New(DefaultNu)}
 }
 
 // NewPN returns a PN scheduler with the given configuration; zero
@@ -207,7 +208,9 @@ func NewZO(cfg Config, r *rng.RNG) *PN {
 	cfg.FixedBatch = true
 	zo := newScheduler("ZO", cfg, r)
 	zo.includeComm = false
-	zo.seed = RandomPopulation
+	zo.seed = func(_ *seeding, p *Problem, size int, r *rng.RNG) []ga.Chromosome {
+		return RandomPopulation(p, size, r)
+	}
 	return zo
 }
 
@@ -233,14 +236,31 @@ func (pn *PN) NextBatchSize(queued int, s sched.State) int {
 // under the §3.4 stopping conditions — one seeded population, or one
 // per island — and return the best schedule plus the modelled scheduler
 // compute time.
+//
+// A sequential decision takes one workspace from the package-level pool
+// for its whole length — the list-seeded population is laid out in it,
+// and Evolve's engine, evaluator and rebalancer run in it — and puts it
+// back on return. The pool, not a field of PN, holds it because the
+// live dispatcher builds a scheduler per job, and a workspace per
+// scheduler would never be reused there. What a decision still
+// allocates is the Problem snapshot (its tables and its task.Set), the
+// best chromosome and the Assignment; ZO's random seeds and the island
+// variant's lanes and engines are not pooled.
 func (pn *PN) ScheduleBatch(batch []task.Task, s sched.State) (sched.Assignment, units.Seconds) {
-	p := NewProblem(batch, s, pn.includeComm)
-	budget := s.TimeUntilFirstIdle()
-	var st EvolveStats
 	if pn.island != nil {
-		st = EvolveIsland(context.Background(), p, pn.cfg, *pn.island, budget, pn.r)
-	} else {
-		st = Evolve(p, pn.cfg, pn.seed(p, pn.cfg.Population, pn.r), budget, pn.r)
+		p := NewProblem(batch, s, pn.includeComm)
+		st := EvolveIsland(context.Background(), p, pn.cfg, *pn.island, s.TimeUntilFirstIdle(), pn.r)
+		return p.Assignment(st.Result.Best), st.ModelledCost
 	}
+	w := workspaces.Get().(*workspace)
+	defer workspaces.Put(w)
+	return pn.scheduleIn(w, batch, s)
+}
+
+// scheduleIn is a sequential ScheduleBatch in w.
+func (pn *PN) scheduleIn(w *workspace, batch []task.Task, s sched.State) (sched.Assignment, units.Seconds) {
+	p := NewProblem(batch, s, pn.includeComm)
+	initial := pn.seed(&w.seeds, p, pn.cfg.Population, pn.r)
+	st := w.evolve(p, pn.cfg, initial, s.TimeUntilFirstIdle(), pn.r)
 	return p.Assignment(st.Result.Best), st.ModelledCost
 }

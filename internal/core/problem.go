@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
 	"pnsched/internal/ga"
@@ -320,14 +321,40 @@ func (p *Problem) Evaluator() ga.Evaluator {
 }
 
 // Assignment decodes chromosome c into the sched.Assignment the
-// simulator consumes, resolving task ids back to tasks.
+// simulator consumes, resolving task ids back to tasks. Queues come
+// out in Decode's order, but without Decode's per-task appends: one
+// count sizes a single backing array, and each queue is the chromosome
+// segment it fills, capped at its own length — a consumer appending to
+// one queue cannot write into the next — and nil when the processor
+// gets nothing. The assignment's two arrays are its only allocations.
+// Like Decode, it panics on a chromosome with more than M−1
+// delimiters.
 func (p *Problem) Assignment(c ga.Chromosome) sched.Assignment {
-	queues := Decode(c, p.M)
-	out := sched.NewAssignment(p.M)
-	for j, q := range queues {
-		for _, id := range q {
-			out[j] = append(out[j], p.Set.MustGet(id))
+	tasks := 0
+	for _, sym := range c {
+		if sym >= 0 {
+			tasks++
 		}
+	}
+	out := sched.NewAssignment(p.M)
+	backing := make([]task.Task, tasks)
+	j, lo, n := 0, 0, 0
+	for _, sym := range c {
+		if sym >= 0 {
+			backing[n] = p.Set.MustGet(task.ID(sym))
+			n++
+			continue
+		}
+		if n > lo {
+			out[j] = backing[lo:n:n]
+		}
+		if j++; j >= p.M {
+			panic(fmt.Sprintf("core: chromosome has too many delimiters for %d processors", p.M))
+		}
+		lo = n
+	}
+	if n > lo {
+		out[j] = backing[lo:n:n]
 	}
 	return out
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"pnsched/internal/ga"
 	"pnsched/internal/rng"
@@ -46,10 +45,22 @@ type Rebalancer struct {
 
 // NewRebalancer returns a standalone Rebalancer for the problem.
 func NewRebalancer(p *Problem) *Rebalancer {
-	return &Rebalancer{
-		p:      p,
-		times:  make([]units.Seconds, p.M),
-		ftimes: make([]units.Seconds, p.M),
+	rb := new(Rebalancer)
+	rb.reset(p)
+	return rb
+}
+
+// reset makes rb a standalone rebalancer for p with its count zeroed,
+// keeping its scratch buffers for reuse: a pooled rebalancer serves the
+// next run without allocating them again.
+func (rb *Rebalancer) reset(p *Problem) {
+	*rb = Rebalancer{
+		p:        p,
+		times:    resize(rb.times, p.M),
+		ftimes:   resize(rb.ftimes, p.M),
+		segs:     rb.segs,
+		heavyPos: rb.heavyPos,
+		otherPos: rb.otherPos,
 	}
 }
 
@@ -323,14 +334,24 @@ func (p *Problem) spread(j, n int) float64 {
 // heavyLo — to that task's position and queue. Skipping the heavy queue
 // makes k the g-th task of the whole chromosome; delims[d]−d tasks lie
 // before delimiter d, so one search over the delimiters finds the
-// queue, which is also the number of delimiters before the task.
+// queue, which is also the number of delimiters before the task. The
+// search is sort.Search's, written out so no closure is called per
+// step.
 func otherTask(delims []int, heavy, heavyLo, heavyLen, k int) (pos, queue int) {
 	g := k
 	if g >= heavyLo-heavy { // the tasks on the queues before the heavy one
 		g += heavyLen
 	}
-	queue = sort.Search(len(delims), func(d int) bool { return delims[d]-d > g })
-	return g + queue, queue
+	lo, hi := 0, len(delims) // the first d with delims[d]−d > g is in [lo, hi]
+	for lo < hi {
+		d := int(uint(lo+hi) >> 1)
+		if delims[d]-d > g {
+			hi = d
+		} else {
+			lo = d + 1
+		}
+	}
+	return g + lo, lo
 }
 
 // ApplySlot runs StepSlot n times, returning how many swaps were kept.

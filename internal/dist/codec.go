@@ -200,7 +200,13 @@ func appendMessage(b []byte, m *message) ([]byte, bool) {
 // appendEvent appends f's frame, newline included, when f is a hot event
 // — a dispatch, batch_decided, job_queued, job_started or job_done frame
 // carrying its kind's payload and no other — and reports whether it did.
+// The frame written holds f's version, sequence, drop count and kind, so
+// what else f could carry is a wrong Type or a second payload: both are
+// ruled out before anything is written.
 func appendEvent(b []byte, f *eventFrame) ([]byte, bool) {
+	if f.Type != msgEvent || f.payloads() != 1 {
+		return b, false
+	}
 	e := encoder{b: b, ok: true}
 	e.lit(`{"type":"event","v":{"major":`)
 	e.int(int64(f.V.Major))
@@ -212,12 +218,9 @@ func appendEvent(b []byte, f *eventFrame) ([]byte, bool) {
 		e.lit(`,"dropped":`)
 		e.uint(f.Dropped)
 	}
-	// hot is f as the frame written describes it; f must be no more.
-	hot := eventFrame{Type: msgEvent, V: f.V, Seq: f.Seq, Dropped: f.Dropped, Kind: f.Kind}
 	switch {
 	case f.Kind == kindDispatch && f.Dispatch != nil:
 		d := f.Dispatch
-		hot.Dispatch = d
 		e.lit(`,"kind":"dispatch","dispatch":{"proc":`)
 		e.int(int64(d.Proc))
 		e.lit(`,"task":`)
@@ -226,7 +229,6 @@ func appendEvent(b []byte, f *eventFrame) ([]byte, bool) {
 		e.float(float64(d.At))
 	case f.Kind == kindBatchDecided && f.Batch != nil:
 		d := f.Batch
-		hot.Batch = d
 		e.lit(`,"kind":"batch_decided","batch":{"invocation":`)
 		e.int(int64(d.Invocation))
 		e.lit(`,"scheduler":`)
@@ -245,7 +247,6 @@ func appendEvent(b []byte, f *eventFrame) ([]byte, bool) {
 		}
 	case f.Kind == kindJobQueued && f.Queued != nil:
 		d := f.Queued
-		hot.Queued = d
 		e.lit(`,"kind":"job_queued","queued":{"id":`)
 		e.str(d.ID)
 		e.lit(`,"tenant":`)
@@ -262,7 +263,6 @@ func appendEvent(b []byte, f *eventFrame) ([]byte, bool) {
 		e.float(float64(d.At))
 	case f.Kind == kindJobStarted && f.Started != nil:
 		d := f.Started
-		hot.Started = d
 		e.lit(`,"kind":"job_started","started":{"id":`)
 		e.str(d.ID)
 		e.lit(`,"tenant":`)
@@ -275,7 +275,6 @@ func appendEvent(b []byte, f *eventFrame) ([]byte, bool) {
 		e.float(float64(d.At))
 	case f.Kind == kindJobDone && f.Finished != nil:
 		d := f.Finished
-		hot.Finished = d
 		e.lit(`,"kind":"job_done","finished":{"id":`)
 		e.str(d.ID)
 		e.lit(`,"tenant":`)
@@ -296,8 +295,23 @@ func appendEvent(b []byte, f *eventFrame) ([]byte, bool) {
 		return b, false
 	}
 	e.lit("}}\n")
-	e.ok = e.ok && *f == hot
 	return e.frame(b)
+}
+
+// payloads counts f's non-nil payload pointers: a frame the hot encoder
+// writes has exactly one, its kind's.
+func (f *eventFrame) payloads() int {
+	n := 0
+	for _, set := range [...]bool{
+		f.Batch != nil, f.Generation != nil, f.Migration != nil, f.Dispatch != nil,
+		f.Budget != nil, f.Joined != nil, f.Left != nil, f.Evolve != nil,
+		f.Queued != nil, f.Started != nil, f.Finished != nil,
+	} {
+		if set {
+			n++
+		}
+	}
+	return n
 }
 
 // appendFloat appends a finite x as encoding/json writes a float64: the

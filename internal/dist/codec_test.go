@@ -444,6 +444,54 @@ func TestHotPayloadFields(t *testing.T) {
 	}
 }
 
+// TestHotEventDeclinesExtras: every hot event kind, carrying its own
+// payload, is taken by the hand encoder; the same frame with any one
+// other payload set as well, or with a Type other than "event", is
+// declined, so it reaches encoding/json, which writes what the frame
+// holds.
+func TestHotEventDeclinesExtras(t *testing.T) {
+	v := wireVersion{Major: ProtoMajor, Minor: ProtoMinor}
+	kinds := []eventFrame{
+		{Kind: kindDispatch, Dispatch: &observe.Dispatch{Proc: 1, Task: 2, At: 3}},
+		{Kind: kindBatchDecided, Batch: &observe.BatchDecision{Invocation: 1, Scheduler: "PN", Tasks: 4, Procs: 2}},
+		{Kind: kindJobQueued, Queued: &observe.JobQueued{ID: "j", Tenant: "t", Tasks: 3}},
+		{Kind: kindJobStarted, Started: &observe.JobStarted{ID: "j", Tenant: "t", Workers: 2}},
+		{Kind: kindJobDone, Finished: &observe.JobDone{ID: "j", Tenant: "t", State: "done", Completed: 3}},
+	}
+	payloads := 0
+	typ := reflect.TypeOf(eventFrame{})
+	for i := range typ.NumField() {
+		if typ.Field(i).Type.Kind() == reflect.Pointer {
+			payloads++
+		}
+	}
+	if payloads != 11 {
+		t.Fatalf("eventFrame has %d payload pointers, this table was written for 11", payloads)
+	}
+	for _, base := range kinds {
+		base.Type, base.V, base.Seq = msgEvent, v, 9
+		if _, ok := appendEvent(nil, &base); !ok {
+			t.Errorf("%s: hand encoder declined the plain frame", base.Kind)
+		}
+		wrong := base
+		wrong.Type = "evnt"
+		if _, ok := appendEvent(nil, &wrong); ok {
+			t.Errorf("%s: hand encoder took Type %q", base.Kind, wrong.Type)
+		}
+		for i := range typ.NumField() {
+			field := reflect.ValueOf(&base).Elem().Field(i)
+			if field.Kind() != reflect.Pointer || !field.IsNil() {
+				continue
+			}
+			extra := base
+			reflect.ValueOf(&extra).Elem().Field(i).Set(reflect.New(field.Type().Elem()))
+			if _, ok := appendEvent(nil, &extra); ok {
+				t.Errorf("%s: hand encoder took the frame with %s set as well", base.Kind, typ.Field(i).Name)
+			}
+		}
+	}
+}
+
 // TestHotJobFrames reads the golden frames of the hot job events and a
 // canonical job_submit through the hand decoder, which must take each,
 // and writes each back byte for byte with the hand encoder.

@@ -18,15 +18,18 @@
 //
 // Memory: an Engine owns every byte its generation loop touches, so a
 // generation allocates nothing. The population lives in slots the
-// engine lays out once; a Crossover writes its children into two of
-// them, working in the engine's Scratch; selection and elitism copy
-// between them. The boundary is explicit — chromosomes handed to a
-// callback (OnGeneration, PostGeneration) are views of those slots,
-// valid until the callback returns; chromosomes returned to the caller
-// (Best, Result, Elites) are clones; chromosomes handed in (the seeds,
-// Inject's migrants) are copied and never retained. CycleCrossover and
-// RouletteWheel are the allocating front doors to the same kernels for
-// callers outside a generation loop.
+// engine lays out when a run starts; a Crossover writes its children
+// into two of them, working in the engine's Scratch; selection and
+// elitism copy between them. Engine.Reset starts the next run in the
+// same slots and Scratch whenever they are large enough, so a pooled
+// engine allocates its population once, not once per run. The boundary
+// is explicit — chromosomes handed to a callback (OnGeneration,
+// PostGeneration) are views of those slots, valid until the callback
+// returns; chromosomes returned to the caller (Best, Result, Elites)
+// are clones; chromosomes handed in (the seeds, Inject's migrants) are
+// copied and never retained. CycleCrossover and RouletteWheel are the
+// allocating front doors to the same kernels for callers outside a
+// generation loop.
 package ga
 
 import "fmt"

@@ -106,22 +106,23 @@ type Result struct {
 // exchanges elites between steps. An Engine is single-goroutine; wrap
 // coordination around it, not inside it.
 //
-// The zero value is unusable; construct with NewEngine. Run is the
-// convenience wrapper that drives an Engine to completion, and
-// NewEngine + Step reproduces Run exactly (same random sequence, same
-// results).
+// The zero value is unusable until Reset starts a run on it; NewEngine
+// is new(Engine) plus Reset. Run is the convenience wrapper that drives
+// an Engine to completion, and NewEngine + Step reproduces Run exactly
+// (same random sequence, same results).
 //
 // Ownership: an Engine owns every byte its generation loop touches.
-// NewEngine lays the population out once — the current generation's n
-// slots, the next generation's n slots and the best-so-far, in one
-// array — and from then on individuals are copied between slots that
-// already exist, children are bred into them, and selection and
-// crossover work in the engine's Scratch, so Step allocates nothing.
-// What the engine passes to a callback (OnGeneration's best,
-// PostGeneration's pop) is a view of those slots, valid until the
-// callback returns; what it returns (Best, Result, Elites) is a clone
-// the caller owns, and what it is given (the seeds, Inject's migrants)
-// is copied in and never retained.
+// Reset lays the population out — the current generation's n slots,
+// the next generation's n slots and the best-so-far, in one array — and
+// from then on individuals are copied between slots that already exist,
+// children are bred into them, and selection and crossover work in the
+// engine's Scratch, so Step allocates nothing. The slots survive a
+// Reset: a later run of the same or a smaller shape reuses them, and
+// the Scratch, instead of laying them out again. What the engine passes
+// to a callback (OnGeneration's best, PostGeneration's pop) is a view
+// of those slots, valid until the callback returns; what it returns
+// (Best, Result, Elites) is a clone the caller owns, and what it is
+// given (the seeds, Inject's migrants) is copied in and never retained.
 //
 // Evaluation: the engine drives every evaluator through the slot
 // protocol (see SlotEvaluator). A plain Evaluator runs under fresh,
@@ -131,6 +132,7 @@ type Engine struct {
 	cfg     Config
 	slots   SlotEvaluator
 	r       *rng.RNG
+	arena   []int        // every slot's genes, kept across Reset
 	pop     []Chromosome // current generation: n slots of the arena
 	next    []Chromosome // the n slots the next generation is bred into
 	fitness []float64
@@ -154,6 +156,19 @@ type Engine struct {
 // construction (the paper seeds it with a list-scheduling heuristic),
 // so either is a programming error.
 func NewEngine(cfg Config, eval Evaluator, initial []Chromosome, r *rng.RNG) *Engine {
+	e := new(Engine)
+	e.Reset(cfg, eval, initial, r)
+	return e
+}
+
+// Reset starts a new run on e exactly as NewEngine would build it — the
+// same checks, the same copy of the seeds, the same generation 0 — and
+// reuses e's slots, fitness vector and Scratch wherever they are large
+// enough, so an engine kept between runs of one shape lays its
+// population out only once. Everything the previous run handed out as a
+// view is overwritten; its clones stay the caller's. initial must not
+// alias e's own slots.
+func (e *Engine) Reset(cfg Config, eval Evaluator, initial []Chromosome, r *rng.RNG) {
 	cfg.applyDefaults()
 	if len(initial) == 0 {
 		panic("ga: empty initial population")
@@ -168,21 +183,24 @@ func NewEngine(cfg Config, eval Evaluator, initial []Chromosome, r *rng.RNG) *En
 	if !ok {
 		slots = fresh{eval}
 	}
-	e := &Engine{cfg: cfg, slots: slots, r: r}
 
 	// One array holds every slot: current generation, next generation,
 	// best-so-far. Each slot's capacity ends where the next begins.
 	n := cfg.PopulationSize
-	arena := make([]int, (2*n+1)*length)
-	slot := func(k int) Chromosome { return arena[k*length : (k+1)*length : (k+1)*length] }
-	e.pop = make([]Chromosome, n)
-	e.next = make([]Chromosome, n)
+	*e = Engine{
+		cfg: cfg, slots: slots, r: r,
+		arena:   resize(e.arena, (2*n+1)*length),
+		pop:     resize(e.pop, n),
+		next:    resize(e.next, n),
+		fitness: resize(e.fitness, n),
+		scratch: e.scratch,
+	}
+	slot := func(k int) Chromosome { return e.arena[k*length : (k+1)*length : (k+1)*length] }
 	for i := range e.pop {
 		e.pop[i], e.next[i] = slot(i), slot(n+i)
 		copy(e.pop[i], initial[i%len(initial)])
 	}
 	e.best = slot(2 * n)
-	e.fitness = make([]float64, n)
 	e.scratch.reserve(n, e.pop[0])
 	e.slots.InitSlots(n)
 
@@ -193,7 +211,15 @@ func NewEngine(cfg Config, eval Evaluator, initial []Chromosome, r *rng.RNG) *En
 	if cfg.OnGeneration != nil {
 		cfg.OnGeneration(0, e.best, e.bestFitness)
 	}
-	return e
+}
+
+// resize returns s with length n, reusing its array when it has room;
+// what the reused elements held is left for the caller to overwrite.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // evaluate scores the whole population and returns the index of the
@@ -431,8 +457,9 @@ func (e *Engine) Inject(migrants []Chromosome) {
 //
 // Run is NewEngine followed by Step to completion; use the Engine
 // directly to interleave evolution with migration or other outside
-// work.
-func Run(cfg Config, eval Evaluator, initial []Chromosome, r *rng.RNG) Result {
+// work, or to keep its slots for the next run (internal/core's pooled
+// batch decisions Reset one engine instead).
+func Run(cfg Config, eval Evaluator, initial []Chromosome, r *rng.RNG) Result { //pnanalyze:ok surface reference oracle: the one-call run the island and engine tests check step-wise runs against
 	e := NewEngine(cfg, eval, initial, r)
 	for e.Step() {
 	}

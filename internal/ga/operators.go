@@ -3,7 +3,7 @@ package ga
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 
 	"pnsched/internal/rng"
 )
@@ -26,17 +26,20 @@ type Scratch struct {
 	picks []int
 	diffs [4][]int // the diff report: where each child differs from each parent
 	lists []int    // room for the report: four lists of a chromosome's length
+	ints  []int    // reserve's array behind picks, cxAt and lists
 }
 
 // reserve sizes every buffer for a population of n individuals shaped
 // like sample, so an engine's first generation allocates as little as
 // its thousandth. The picks and the position lists share one array.
+// Buffers already large enough are reused, so an engine Reset to the
+// same shape allocates nothing here.
 func (s *Scratch) reserve(n int, sample Chromosome) {
 	s.index.build(sample)
-	s.cum = make([]float64, n)
-	ints := make([]int, n+5*len(sample))
-	s.picks = ints[:n:n]
-	s.carve(ints[n:], len(sample))
+	s.cum = resize(s.cum, n)
+	s.ints = resize(s.ints, n+5*len(sample))
+	s.picks = s.ints[:n:n]
+	s.carve(s.ints[n:], len(sample))
 }
 
 // fit grows the position buffers for chromosomes of length l.
@@ -49,7 +52,7 @@ func (s *Scratch) fit(l int) {
 // carve lays the marks and the five position lists out for chromosomes
 // of length l, the lists on ints (5·l long).
 func (s *Scratch) carve(ints []int, l int) {
-	s.marks = make([]uint8, l)
+	s.marks = resize(s.marks, l)
 	s.cxAt, s.lists = ints[:l:l], ints[l:]
 }
 
@@ -135,8 +138,13 @@ func (s *Scratch) roulette(fitness []float64, count int, r *rng.RNG) []int {
 		x := r.Float64() * total
 		// Smallest index whose cumulative weight reaches x; duplicate
 		// cumulative values (zero-weight individuals) resolve to the
-		// first of the run, i.e. the individual owning the mass.
-		idx := sort.SearchFloat64s(cum, x)
+		// first of the run, i.e. the individual owning the mass. The
+		// wheel is a micro-GA's (20 weights by default), so a linear
+		// scan finds it sooner than a binary search.
+		idx := 0
+		for idx < n && cum[idx] < x {
+			idx++
+		}
 		if idx >= n { // x == total edge case
 			idx = n - 1
 		}
@@ -187,7 +195,9 @@ const (
 // over them writes the swaps and the diff report: the first child
 // differs from the first parent where a position was swapped and from
 // the second where it was kept, and the second child the other way
-// round.
+// round. That pass has no branch on the mark: every position is written
+// to both lists and counted in one, and the swap is a masked exchange,
+// so a population whose marks follow no pattern costs no mispredicts.
 func CX(c1, c2, p1, p2 Chromosome, s *Scratch, _ *rng.RNG) {
 	n := len(p1)
 	if n != len(p2) {
@@ -230,25 +240,29 @@ func CX(c1, c2, p1, p2 Chromosome, s *Scratch, _ *rng.RNG) {
 		}
 		walked++
 	}
-	swapped, kept := s.list(0, n), s.list(1, n)
+	swapped, kept := s.lists[:n:n], s.lists[n:2*n:2*n]
+	ns, nk := 0, 0
 	for _, i := range at {
-		if marks[i] == cxSwapped {
-			c1[i], c2[i] = p2[i], p1[i]
-			swapped = append(swapped, i)
-		} else {
-			kept = append(kept, i)
-		}
+		sw := int(marks[i] >> 1) // cxSwapped → 1, cxKept → 0
+		swapped[ns], kept[nk] = i, i
+		ns, nk = ns+sw, nk+1-sw
+		x, y := p1[i], p2[i]
+		d := (x ^ y) & -sw // all ones when swapped
+		c1[i], c2[i] = x^d, y^d
 	}
-	s.diffs = [4][]int{swapped, kept, kept, swapped}
+	s.diffs = [4][]int{swapped[:ns], kept[:nk], kept[:nk], swapped[:ns]}
 }
 
 // differing writes into at, in increasing order, the positions where a
 // and b differ, and returns them with the range of a's symbols there. at
 // and b must be at least as long as a. Four positions are compared per
-// branch: parents mostly agree, so most quads are skipped whole.
+// branch: parents mostly agree, so most quads are skipped whole. A quad
+// that differs is compacted without a branch per position — each one is
+// written at the next free index, which advances only past a differing
+// one — and the symbol range is taken over the compacted positions.
 func differing(at []int, a, b Chromosome) (_ []int, lo, hi int) {
 	at, b = at[:len(a)], b[:len(a)]
-	n, lo, hi := 0, math.MaxInt, math.MinInt
+	n := 0
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
 		x, y := a[i:i+4:i+4], b[i:i+4:i+4]
@@ -256,21 +270,26 @@ func differing(at []int, a, b Chromosome) (_ []int, lo, hi int) {
 			continue
 		}
 		for j, v := range x {
-			if v != y[j] {
-				lo, hi = min(lo, v), max(hi, v)
-				at[n] = i + j
-				n++
-			}
+			at[n] = i + j
+			n += differs(v, y[j])
 		}
 	}
 	for ; i < len(a); i++ {
-		if v := a[i]; v != b[i] {
-			lo, hi = min(lo, v), max(hi, v)
-			at[n] = i
-			n++
-		}
+		at[n] = i
+		n += differs(a[i], b[i])
+	}
+	lo, hi = math.MaxInt, math.MinInt
+	for _, k := range at[:n] {
+		lo, hi = min(lo, a[k]), max(hi, a[k])
 	}
 	return at[:n], lo, hi
+}
+
+// differs is 1 when u and v differ and 0 when they are equal, without a
+// branch.
+func differs(u, v int) int {
+	d := uint(u ^ v)
+	return int((d | -d) >> (bits.UintSize - 1))
 }
 
 // posIndex is a reusable symbol→position lookup for one chromosome at a
