@@ -16,9 +16,8 @@
 // -json writes every rendered table as machine-readable records (name,
 // profile, seed, column headers, data rows, wall-clock) so result
 // files can accumulate across runs — including the island experiment's
-// island-vs-sequential numbers, the evolve experiment's
-// naive-vs-incremental evaluation comparison and the ablation
-// experiment's design-choice rows. A CSV or JSON file that cannot be
+// island-vs-sequential numbers and the ablation experiment's
+// design-choice rows. A CSV or JSON file that cannot be
 // written in full fails the run with a non-zero exit status.
 package main
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -32,6 +33,29 @@ func TestResolveFiguresEverythingIncludesIsland(t *testing.T) {
 		if !slices.Contains(names, want) {
 			t.Errorf("everything did not include the %s experiment: %v", want, names)
 		}
+	}
+}
+
+// TestDocumentedFiguresResolve holds every `pnbench -figure <name>`
+// command in README.md and this command's package doc to a name
+// resolveFigures accepts, so a deleted study cannot stay documented.
+func TestDocumentedFiguresResolve(t *testing.T) {
+	command := regexp.MustCompile(`pnbench\s+-figure[ =]([^\s` + "`" + `]+)`)
+	seen := 0
+	for _, doc := range []string{"../../README.md", "main.go"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range command.FindAllStringSubmatch(string(data), -1) {
+			seen++
+			if _, err := resolveFigures(m[1]); err != nil {
+				t.Errorf("%s documents %q: %v", doc, m[0], err)
+			}
+		}
+	}
+	if seen == 0 {
+		t.Error("found no pnbench -figure commands to check")
 	}
 }
 

@@ -27,11 +27,10 @@
 // −1 … −(M−1). Decoding treats any negative symbol as a queue boundary,
 // so schedule semantics are unchanged.
 //
-// Fitness is evaluated incrementally by default: IncrementalEvaluator
-// caches each individual's per-processor completion times and
-// re-derives only the queues a swap or §3.5 rebalance move touched,
-// returning bit-identical values to a from-scratch evaluation (see its
-// documentation and Config.NaiveEvaluation for the legacy path).
+// Fitness is evaluated incrementally: IncrementalEvaluator caches each
+// individual's per-processor completion times and re-derives only the
+// queues a swap or §3.5 rebalance move touched, returning bit-identical
+// values to a from-scratch evaluation (see its documentation).
 package core
 
 import (

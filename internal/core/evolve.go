@@ -45,22 +45,21 @@ type IslandConfig = island.Config
 // seen so far (§3.4) and the §3.4 budget predicate. Only the goroutine
 // evolving a lane touches it while the run is in flight.
 type lane struct {
-	p      *Problem
 	cfg    Config        // defaults applied
 	budget units.Seconds // modelled time until the first processor idles
 
 	// eval is what the engine scores with and the one gene ledger of
 	// the lane: the budget predicate and the final bill both read it,
-	// rebalancer work included.
+	// rebalancer work included. It is inc; the interface is what lets
+	// the equivalence tests run a lane on a full-evaluation oracle.
 	eval interface {
 		ga.Evaluator
 		GenesEvaluated() int
 	}
-	inc *IncrementalEvaluator // eval, unless cfg.NaiveEvaluation
+	inc *IncrementalEvaluator
 	rb  *Rebalancer
 
-	bestMk    units.Seconds   // §3.4: the lowest makespan seen so far
-	mkScratch []units.Seconds // completion times, for the naive path's makespan
+	bestMk units.Seconds // §3.4: the lowest makespan seen so far
 	// worstGen upper-bounds the genes one more generation can bill: a
 	// full population sweep plus two evaluations per §3.5 rebalance
 	// attempt plus the mutation deltas (the incremental engine only
@@ -86,26 +85,18 @@ func newLane(p *Problem, cfg Config, budget units.Seconds, reserve int) (*lane, 
 	return l, l.bind(p, cfg, budget, reserve, new(Rebalancer), new(IncrementalEvaluator))
 }
 
-// bind (re)starts l as newLane describes, with rb as its rebalancer
-// and, unless cfg.NaiveEvaluation, inc as its evaluator; both are reset
-// to the problem with their ledgers zeroed and keep their buffers.
+// bind (re)starts l as newLane describes, with inc as its evaluator and
+// rb as its rebalancer bound to it; both are reset to the problem with
+// their ledgers zeroed and keep their buffers.
 func (l *lane) bind(p *Problem, cfg Config, budget units.Seconds, reserve int, rb *Rebalancer, inc *IncrementalEvaluator) ga.Config {
 	hooks := l.hooks
 	if hooks.Stop == nil {
 		hooks = ga.Config{Stop: l.overBudget, OnGeneration: l.track, PostGeneration: l.rebalance}
 	}
+	inc.bind(p)
 	rb.reset(p)
-	*l = lane{p: p, cfg: cfg, budget: budget, rb: rb, bestMk: units.Inf(), hooks: hooks}
-	if cfg.NaiveEvaluation {
-		counting := &countingEvaluator{eval: p.Evaluator()}
-		rb.charge = counting.add
-		l.eval = counting
-		l.mkScratch = make([]units.Seconds, p.M)
-	} else {
-		inc.bind(p)
-		rb.BindSlots(inc)
-		l.inc, l.eval = inc, inc
-	}
+	rb.BindSlots(inc)
+	*l = lane{cfg: cfg, budget: budget, eval: inc, inc: inc, rb: rb, bestMk: units.Inf(), hooks: hooks}
 	// One swap mutation per generation.
 	l.worstGen = ChromosomeLen(len(p.Batch), p.M)*(cfg.Population*(1+2*cfg.Rebalances)+1) + reserve
 
@@ -124,31 +115,19 @@ func (l *lane) bind(p *Problem, cfg Config, budget units.Seconds, reserve int, r
 }
 
 // track is the lane's ga.Config.OnGeneration: §3.4's lowest makespan
-// so far. The incremental engine already holds the best individual's
-// completion times; the naive path recomputes them (the duplicate work
-// the cache exists to avoid).
-func (l *lane) track(_ int, best ga.Chromosome, _ float64) {
-	mk, ok := units.Seconds(0), false
-	if l.inc != nil {
-		mk, ok = l.inc.BestMakespan()
-	}
-	if !ok {
-		mk = l.p.MakespanInto(best, l.mkScratch)
-	}
-	if mk < l.bestMk {
+// so far, read from the best individual's cached completion times (the
+// engine saves the best-so-far before every call).
+func (l *lane) track(int, ga.Chromosome, float64) {
+	if mk, ok := l.inc.BestMakespan(); ok && mk < l.bestMk {
 		l.bestMk = mk
 	}
 }
 
 // rebalance is the lane's ga.Config.PostGeneration: the §3.5 heuristic
-// over every individual, in the lane's evaluation mode.
+// over every individual, against its slot's cached state.
 func (l *lane) rebalance(pop []ga.Chromosome, r *rng.RNG) {
 	for i, ind := range pop {
-		if l.inc != nil {
-			l.rb.ApplySlot(i, ind, l.cfg.Rebalances, r)
-		} else {
-			l.rb.Apply(ind, l.cfg.Rebalances, r)
-		}
+		l.rb.ApplySlot(i, ind, l.cfg.Rebalances, r)
 	}
 }
 
@@ -227,24 +206,6 @@ func finiteOrZero(b units.Seconds) units.Seconds {
 	return b
 }
 
-// countingEvaluator wraps the naive Problem evaluator with the gene
-// ledger the budget model reads: every full evaluation charges the
-// whole chromosome.
-type countingEvaluator struct {
-	eval  ga.Evaluator
-	genes int
-}
-
-func (e *countingEvaluator) Fitness(c ga.Chromosome) float64 {
-	e.genes += len(c)
-	return e.eval.Fitness(c)
-}
-
-// GenesEvaluated is the lane's gene ledger.
-func (e *countingEvaluator) GenesEvaluated() int { return e.genes }
-
-func (e *countingEvaluator) add(genes int) { e.genes += genes }
-
 // Evolve runs the §3 genetic algorithm once over a problem: seeded with
 // the supplied population, evolving under the paper's stopping
 // conditions (the generation cap and the budget — the modelled time
@@ -257,8 +218,7 @@ func (e *countingEvaluator) add(genes int) { e.genes += genes }
 // incremental evaluator's slot caches and the rebalancer's scratch
 // (see workspace). A run of a shape the pool has served before
 // allocates none of them; what it still allocates is the returned
-// best chromosome, plus the counting evaluator and completion-time
-// scratch of the naive path and the observer's hook when one is set.
+// best chromosome, and the observer's hook when one is set.
 func Evolve(p *Problem, cfg Config, initial []ga.Chromosome, budget units.Seconds, r *rng.RNG) EvolveStats {
 	w := workspaces.Get().(*workspace)
 	defer workspaces.Put(w)

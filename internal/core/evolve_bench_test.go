@@ -52,10 +52,10 @@ func benchEvolveShape(b *testing.B, naive bool, tasks, procs, gens int) {
 	p := benchProblem(tasks, procs, 4242)
 	cfg := DefaultConfig()
 	cfg.Generations = gens
-	cfg.NaiveEvaluation = naive
+	evolve, _ := evolvers(naive)
 	chrom := ChromosomeLen(tasks, procs)
 	cycleSeeds(b, "full-evals/gen", "makespan-s", func(r *rng.RNG) (float64, float64) {
-		st := Evolve(p, cfg, ListPopulation(p, cfg.Population, r), units.Inf(), r)
+		st := evolve(p, cfg, ListPopulation(p, cfg.Population, r), units.Inf(), r)
 		return float64(st.GenesEvaluated) / float64(st.Result.Generations) / float64(chrom), float64(st.BestMakespan)
 	})
 }
@@ -83,7 +83,8 @@ func cycleSeeds(b *testing.B, unit1, unit2 string, op func(r *rng.RNG) (float64,
 	b.ReportMetric(sum2/float64(seen), unit2)
 }
 
-// BenchmarkEvolveNaive is the legacy full-re-evaluation engine.
+// BenchmarkEvolveNaive is the full-re-evaluation oracle lane
+// (oracle_test.go).
 func BenchmarkEvolveNaive(b *testing.B) { benchEvolveEngine(b, true) }
 
 // BenchmarkEvolveIncremental is the default cached-delta engine.
@@ -100,7 +101,7 @@ func BenchmarkEvolveIncrementalLive(b *testing.B) {
 func BenchmarkFitnessEvaluation(b *testing.B) {
 	p := benchProblem(evolveBenchTasks, evolveBenchProcs, 9)
 	pop := ListPopulation(p, 1, rng.New(9))
-	eval := p.Evaluator()
+	eval := newCountingEvaluator(p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = eval.Fitness(pop[0])

@@ -115,9 +115,10 @@ var goldenEvolve = map[string]uint64{
 	"OX/incremental/island/seed2":  0xdde8c878bb1eea02,
 }
 
-// TestGoldenEvolve: {CX, PMX, OX} × {plain evaluator, incremental
-// evaluator + one §3.5 rebalance} × {Evolve, EvolveIsland with two
-// islands} at two seeds reproduce the recorded runs bit for bit.
+// TestGoldenEvolve: {CX, PMX, OX} × {plain evaluator (the naive lane of
+// oracle_test.go), incremental evaluator + one §3.5 rebalance} ×
+// {Evolve, EvolveIsland with two islands} at two seeds reproduce the
+// recorded runs bit for bit.
 func TestGoldenEvolve(t *testing.T) {
 	crossovers := []struct {
 		name string
@@ -134,16 +135,16 @@ func TestGoldenEvolve(t *testing.T) {
 					cfg.Crossover = cx.op
 					cfg.Rebalances = 1
 					if evalName == "plain" {
-						cfg.NaiveEvaluation = true
 						cfg.Rebalances = 0
 					}
+					evolve, evolveIsland := evolvers(evalName == "plain")
 					r := rng.New(seed + 40)
 					var st EvolveStats
 					if runner == "island" {
-						st = EvolveIsland(context.Background(), p, cfg,
+						st = evolveIsland(context.Background(), p, cfg,
 							IslandConfig{Islands: 2, MigrationInterval: 5}, units.Inf(), r)
 					} else {
-						st = Evolve(p, cfg, ListPopulation(p, cfg.Population, r), units.Inf(), r)
+						st = evolve(p, cfg, ListPopulation(p, cfg.Population, r), units.Inf(), r)
 					}
 					key := fmt.Sprintf("%s/%s/%s/seed%d", cx.name, evalName, runner, seed)
 					want, ok := goldenEvolve[key]

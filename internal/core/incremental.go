@@ -7,8 +7,8 @@ import (
 	"pnsched/internal/units"
 )
 
-// IncrementalEvaluator is the incremental fitness engine behind the
-// default evaluation path: a ga.SlotEvaluator caching, per population
+// IncrementalEvaluator is the incremental fitness engine every GA run
+// scores with: a ga.SlotEvaluator caching, per population
 // slot, the chromosome's completion-time vector, its delimiter
 // positions and its fitness. Provenance reported by the GA engine
 // keeps the caches coherent — roulette clones and the elitism reinsert
@@ -33,8 +33,8 @@ import (
 // Determinism guarantee: all cached values are produced by the same
 // segment-local arithmetic CompletionTimes uses, so a GA driven by an
 // IncrementalEvaluator returns byte-identical best schedules and
-// fitness trajectories to one driven by the naive Problem.Evaluator
-// (asserted by TestIncrementalMatchesNaiveEvolve). One evaluator
+// fitness trajectories to one that scores every individual from
+// scratch (asserted by TestIncrementalMatchesNaiveEvolve). One evaluator
 // serves one engine on one goroutine; island runs build one per
 // island.
 type IncrementalEvaluator struct {

@@ -47,17 +47,19 @@ type evolveTrace struct {
 	history []units.Seconds
 }
 
-func traceEvolve(p *Problem, cfg Config, seed uint64, islands int) evolveTrace {
+// traceEvolve runs the shipped lane, or with naive the oracle's.
+func traceEvolve(p *Problem, cfg Config, seed uint64, islands int, naive bool) evolveTrace {
 	var tr evolveTrace
 	cfg.Observer = observe.Funcs{GenerationBest: func(e observe.GenerationBest) {
 		tr.history = append(tr.history, e.Makespan)
 	}}
+	evolve, evolveIsland := evolvers(naive)
 	r := rng.New(seed)
 	if islands > 1 {
-		tr.st = EvolveIsland(context.Background(), p, cfg, IslandConfig{Islands: islands, MigrationInterval: 5}, units.Inf(), r)
+		tr.st = evolveIsland(context.Background(), p, cfg, IslandConfig{Islands: islands, MigrationInterval: 5}, units.Inf(), r)
 	} else {
 		initial := ListPopulation(p, cfg.Population, r)
-		tr.st = Evolve(p, cfg, initial, units.Inf(), r)
+		tr.st = evolve(p, cfg, initial, units.Inf(), r)
 	}
 	return tr
 }
@@ -82,9 +84,9 @@ func freshChildGenes(p *Problem, cfg Config, seed uint64) int {
 }
 
 // TestIncrementalMatchesNaiveEvolve is the determinism guarantee of
-// the incremental evaluation engine: for a fixed seed, the incremental
-// and naive paths must return byte-identical best schedules, best
-// fitness values and per-generation makespan trajectories — over
+// the incremental evaluation engine: for a fixed seed, the shipped lane
+// and the naive oracle lane must return byte-identical best schedules,
+// best fitness values and per-generation makespan trajectories — over
 // randomized problems and all three crossover operators — while
 // evaluating strictly fewer genes.
 func TestIncrementalMatchesNaiveEvolve(t *testing.T) {
@@ -100,10 +102,8 @@ func TestIncrementalMatchesNaiveEvolve(t *testing.T) {
 			cfg.Crossover = ga.OX
 		}
 
-		naiveCfg := cfg
-		naiveCfg.NaiveEvaluation = true
-		inc := traceEvolve(p, cfg, seed^0xfeed, 1)
-		nai := traceEvolve(p, naiveCfg, seed^0xfeed, 1)
+		inc := traceEvolve(p, cfg, seed^0xfeed, 1, false)
+		nai := traceEvolve(p, cfg, seed^0xfeed, 1, true)
 
 		if !slices.Equal(inc.st.Result.Best, nai.st.Result.Best) {
 			t.Fatalf("seed %d: best schedules diverged", seed)
@@ -168,10 +168,8 @@ func TestIslandIncrementalMatchesNaive(t *testing.T) {
 		cfg.Generations = 30
 		cfg.Rebalances = int(seed % 2)
 
-		naiveCfg := cfg
-		naiveCfg.NaiveEvaluation = true
-		inc := traceEvolve(p, cfg, seed, 3)
-		nai := traceEvolve(p, naiveCfg, seed, 3)
+		inc := traceEvolve(p, cfg, seed, 3, false)
+		nai := traceEvolve(p, cfg, seed, 3, true)
 
 		if !slices.Equal(inc.st.Result.Best, nai.st.Result.Best) ||
 			inc.st.Result.BestFitness != nai.st.Result.BestFitness ||
@@ -235,7 +233,7 @@ func TestIncrementalRebalancerMatchesStandalone(t *testing.T) {
 		c1 := ListPopulation(p, 1, rng.New(seed))[0]
 		c2 := c1.Clone()
 
-		rbNaive := NewRebalancer(p)
+		rbNaive := newNaiveRebalancer(p)
 		ev := NewIncrementalEvaluator(p)
 		ev.InitSlots(1)
 		rbSlot := NewRebalancer(p)

@@ -39,11 +39,11 @@ const (
 	// gene evaluation, in seconds. Re-scoring a population of 20 over
 	// chromosomes of length 250 costs 20×250×200ns = 1 ms of simulated
 	// scheduler time, ~1 s per 1000-generation batch — the order of
-	// magnitude of the paper's Fig. 4 timings, and what the naive
-	// evaluation path bills per generation. The incremental engine
-	// re-derives most individuals by delta and bills about 3 of those
-	// 20 chromosomes per generation at that scale (≈0.15 ms) once the
-	// population converges.
+	// magnitude of the paper's Fig. 4 timings, and what scoring every
+	// individual from scratch would bill per generation. The
+	// incremental engine re-derives most individuals by delta and bills
+	// about 3 of those 20 chromosomes per generation at that scale
+	// (≈0.15 ms) once the population converges.
 	DefaultCostPerGene units.Seconds = 2e-7
 )
 
@@ -82,16 +82,6 @@ type Config struct {
 	// ModelledCost cannot overrun its budget by more than the cost of
 	// the single generation in flight when the budget ran out.
 	CostPerGene units.Seconds
-
-	// NaiveEvaluation selects the legacy evaluation path: every
-	// individual is fully re-evaluated every generation and the
-	// rebalancer recomputes every candidate move from scratch. The
-	// default (false) is the incremental engine — identical schedules
-	// and fitness trajectories for the same seed (asserted by
-	// equivalence tests), at a fraction of the evaluated genes. The
-	// switch exists for those equivalence tests and the
-	// BenchmarkEvolve{Naive,Incremental} comparison.
-	NaiveEvaluation bool
 
 	// Observer, when non-nil, receives the typed scheduling events a
 	// GA run emits: the best predicted makespan after every generation

@@ -66,12 +66,12 @@ func TestEvolveRespectsBudget(t *testing.T) {
 		r := rng.New(6)
 		initial := ListPopulation(p, 20, r)
 		cfg := DefaultConfig()
-		cfg.NaiveEvaluation = naive
 		// Budget of a few naive generations' modelled cost.
 		genes := ChromosomeLen(100, 10)
 		perGen := float64(cfg.CostPerGene) * float64(genes) * float64(cfg.Population)
 		budget := units.Seconds(3.5 * perGen)
-		st := Evolve(p, cfg, initial, budget, r)
+		evolve, _ := evolvers(naive)
+		st := evolve(p, cfg, initial, budget, r)
 		if st.Result.Generations >= cfg.Generations {
 			t.Errorf("naive=%v: budget ignored: ran %d generations", naive, st.Result.Generations)
 		}
@@ -96,10 +96,10 @@ func TestIncrementalBuysMoreGenerationsPerBudget(t *testing.T) {
 		r := rng.New(6)
 		initial := ListPopulation(p, 20, r)
 		cfg := DefaultConfig()
-		cfg.NaiveEvaluation = naive
 		genes := ChromosomeLen(100, 10)
 		perGen := float64(cfg.CostPerGene) * float64(genes) * float64(cfg.Population)
-		return Evolve(p, cfg, initial, units.Seconds(20*perGen), r).Result.Generations
+		evolve, _ := evolvers(naive)
+		return evolve(p, cfg, initial, units.Seconds(20*perGen), r).Result.Generations
 	}
 	incremental, naive := gens(false), gens(true)
 	if incremental <= naive {

@@ -229,21 +229,6 @@ func (p *Problem) queueTime(j int, work units.MFlops, count int) units.Seconds {
 	return ct
 }
 
-// MakespanInto returns max_j Cⱼ — the predicted total execution time
-// of the schedule encoded by c — using a caller-owned scratch buffer
-// (allocated when nil), so per-generation observers stay
-// allocation-free.
-func (p *Problem) MakespanInto(c ga.Chromosome, scratch []units.Seconds) units.Seconds {
-	times := p.CompletionTimes(c, scratch)
-	best := times[0]
-	for _, t := range times[1:] {
-		if t > best {
-			best = t
-		}
-	}
-	return best
-}
-
 // RelativeError computes the paper's §3.2 error metric for chromosome c:
 //
 //	E = sqrt( Σⱼ |ψ − Cⱼ|² )
@@ -268,7 +253,7 @@ func (p *Problem) relativeErrorFrom(times []units.Seconds) float64 {
 }
 
 // fitnessFromError maps a relative error onto the (0, 1] fitness scale
-// — the single conversion every evaluation path (naive, incremental,
+// — the single conversion every evaluation path (full, incremental,
 // rebalancer) shares, so cached and recomputed fitness values are
 // bit-identical. Non-finite errors (an unreachable schedule, or a
 // degenerate problem whose ψ is itself non-finite) score zero so the
@@ -308,16 +293,6 @@ func (p *Problem) segmentTime(c ga.Chromosome, j, lo, hi int) units.Seconds {
 // Larger values indicate fitter schedules.
 func (p *Problem) Fitness(c ga.Chromosome) float64 {
 	return fitnessFromError(p.RelativeError(c))
-}
-
-// Evaluator returns an allocation-free ga.Evaluator bound to this
-// problem. Each evaluator owns a scratch buffer, so use one evaluator
-// per goroutine.
-func (p *Problem) Evaluator() ga.Evaluator {
-	scratch := make([]units.Seconds, p.M)
-	return ga.EvaluatorFunc(func(c ga.Chromosome) float64 {
-		return fitnessFromError(p.relativeErrorFrom(p.CompletionTimes(c, scratch)))
-	})
 }
 
 // Assignment decodes chromosome c into the sched.Assignment the

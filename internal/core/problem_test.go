@@ -221,7 +221,7 @@ func TestEvaluatorMatchesFitness(t *testing.T) {
 		[]units.Seconds{1, 2, 3},
 		true,
 	)
-	eval := p.Evaluator()
+	eval := newCountingEvaluator(p)
 	chromos := []ga.Chromosome{
 		encode([][]task.ID{{0, 1}, {2}, {3}}),
 		encode([][]task.ID{{}, {0, 1, 2, 3}, {}}),

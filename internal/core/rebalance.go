@@ -8,166 +8,62 @@ import (
 	"pnsched/internal/units"
 )
 
-// Rebalancer applies the paper's §3.5 rebalancing heuristic to
-// chromosomes of one Problem. It keeps scratch buffers so repeated
-// application inside the GA's generation loop is cheap; use one
-// Rebalancer per goroutine.
-//
-// The rebalancer has two evaluation modes. Standalone (NewRebalancer),
-// every candidate move is scored with a full completion-time
-// computation. Bound to an IncrementalEvaluator (BindSlots), it reads
-// the individual's cached completion times instead — the "before"
-// fitness is already known, and a candidate swap re-derives only the
-// two affected queues — with all work charged to the shared evaluator
-// ledger. Both modes take bit-identical keep/revert decisions.
+// Rebalancer applies the paper's §3.5 rebalancing heuristic to the
+// individuals of one Problem's GA population. Bound to an
+// IncrementalEvaluator (BindSlots), it reads each individual's cached
+// completion times instead of recomputing them — the "before" fitness
+// is already known, and a candidate swap re-derives only the two
+// affected queues — with all work charged to the shared evaluator
+// ledger. Use one Rebalancer per goroutine.
 type Rebalancer struct {
 	p      *Problem
-	times  []units.Seconds
-	ftimes []units.Seconds // separate scratch for fitness probes
-	segs   []int           // scratch: segment (processor) index per chromosome position
-	// heavyPos and otherPos are Step's scratch: task positions on the
-	// heavy processor and elsewhere.
-	heavyPos, otherPos []int
+	ftimes []units.Seconds // scratch for a candidate's completion times
 	// Evals counts fitness evaluations performed by rebalancing, so
-	// the scheduler can charge their cost alongside the GA's own. In
-	// slot mode a candidate probe counts once (the cached "before"
-	// needs no work).
+	// the scheduler can charge their cost alongside the GA's own. A
+	// candidate probe counts once (the cached "before" needs no work).
 	Evals int
 
-	// charge, when non-nil, bills full-evaluation gene work in
-	// standalone mode (set by Evolve's naive path so the §3.4 budget
-	// sees rebalancing cost).
-	charge func(genes int)
-	// ev, when non-nil, is the shared incremental evaluator (slot
-	// mode).
+	// ev is the shared incremental evaluator.
 	ev *IncrementalEvaluator
 }
 
-// NewRebalancer returns a standalone Rebalancer for the problem.
+// NewRebalancer returns a Rebalancer for the problem; bind it to the
+// evaluator scoring the population with BindSlots before use.
 func NewRebalancer(p *Problem) *Rebalancer {
 	rb := new(Rebalancer)
 	rb.reset(p)
 	return rb
 }
 
-// reset makes rb a standalone rebalancer for p with its count zeroed,
-// keeping its scratch buffers for reuse: a pooled rebalancer serves the
-// next run without allocating them again.
+// reset makes rb an unbound rebalancer for p with its count zeroed,
+// keeping its scratch buffer for reuse: a pooled rebalancer serves the
+// next run without allocating it again.
 func (rb *Rebalancer) reset(p *Problem) {
-	*rb = Rebalancer{
-		p:        p,
-		times:    resize(rb.times, p.M),
-		ftimes:   resize(rb.ftimes, p.M),
-		segs:     rb.segs,
-		heavyPos: rb.heavyPos,
-		otherPos: rb.otherPos,
-	}
+	*rb = Rebalancer{p: p, ftimes: resize(rb.ftimes, p.M)}
 }
 
-// BindSlots switches the rebalancer to slot mode: candidate moves are
-// scored against ev's cached completion-time vectors and all work is
-// charged to ev's gene ledger. Use StepSlot/ApplySlot afterwards.
+// BindSlots binds the rebalancer to ev: candidate moves are scored
+// against ev's cached completion-time vectors and all work is charged
+// to ev's gene ledger.
 func (rb *Rebalancer) BindSlots(ev *IncrementalEvaluator) {
 	rb.ev = ev
-}
-
-// fitness evaluates c from scratch without allocating (standalone
-// mode).
-func (rb *Rebalancer) fitness(c ga.Chromosome) float64 {
-	rb.Evals++
-	if rb.charge != nil {
-		rb.charge(len(c))
-	}
-	times := rb.p.CompletionTimes(c, rb.ftimes)
-	return fitnessFromError(rb.p.relativeErrorFrom(times))
 }
 
 // maxProbes is the paper's bound: "We only allow a maximum of 5 random
 // searches for a smaller task."
 const maxProbes = 5
 
-// Step performs one rebalancing attempt on c in place: select the most
-// heavily loaded processor (largest predicted completion time), probe up
-// to five times for a task on another processor that is smaller than a
+// StepSlot performs one rebalancing attempt in place on c, the
+// individual in the given population slot: select the most heavily
+// loaded processor (largest predicted completion time), probe up to
+// five times for a task on another processor that is smaller than a
 // task on the heavy one, swap the pair, and keep the result only if the
-// schedule's fitness improved. It reports whether a swap was kept.
-func (rb *Rebalancer) Step(c ga.Chromosome, r *rng.RNG) bool {
-	p := rb.p
-
-	// Segment every position and find the heavy processor.
-	if cap(rb.segs) < len(c) {
-		rb.segs = make([]int, len(c))
-	}
-	segs := rb.segs[:len(c)]
-	seg := 0
-	for i, sym := range c {
-		if sym < 0 {
-			seg++
-			segs[i] = -1 // delimiter positions are not swappable
-			continue
-		}
-		segs[i] = seg
-	}
-
-	times := p.CompletionTimes(c, rb.times)
-	heavy := 0
-	for j := 1; j < p.M; j++ {
-		if times[j] > times[heavy] {
-			heavy = j
-		}
-	}
-
-	// Collect task positions on the heavy processor and elsewhere.
-	heavyPos, otherPos := rb.heavyPos[:0], rb.otherPos[:0]
-	for i, s := range segs {
-		switch {
-		case s == heavy:
-			heavyPos = append(heavyPos, i)
-		case s >= 0:
-			otherPos = append(otherPos, i)
-		}
-	}
-	rb.heavyPos, rb.otherPos = heavyPos, otherPos
-	if len(heavyPos) == 0 || len(otherPos) == 0 {
-		return false
-	}
-
-	for probe := 0; probe < maxProbes; probe++ {
-		hi := heavyPos[r.Intn(len(heavyPos))]
-		oi := otherPos[r.Intn(len(otherPos))]
-		if p.sizeOf(c[oi]) >= p.sizeOf(c[hi]) {
-			continue // the probed task is not smaller; search again
-		}
-		before := rb.fitness(c)
-		c[hi], c[oi] = c[oi], c[hi]
-		after := rb.fitness(c)
-		if after > before {
-			return true
-		}
-		c[hi], c[oi] = c[oi], c[hi] // revert: not fitter
-		return false
-	}
-	return false
-}
-
-// Apply runs Step n times on c, returning how many swaps were kept.
-func (rb *Rebalancer) Apply(c ga.Chromosome, n int, r *rng.RNG) int {
-	kept := 0
-	for i := 0; i < n; i++ {
-		if rb.Step(c, r) {
-			kept++
-		}
-	}
-	return kept
-}
-
-// StepSlot is Step against the bound evaluator's cached state for the
-// individual in the given population slot: the heavy processor comes
-// from the cached completion times, the "before" fitness is the cached
-// one, and a candidate swap re-derives only the two affected queues.
-// RNG consumption and the keep/revert decision are identical to Step's
-// (same draws, bit-identical fitness values), so slot-mode evolution
-// reproduces standalone-mode evolution exactly.
+// schedule's fitness improved. It reports whether a swap was kept. The
+// heavy processor comes from the bound evaluator's cached completion
+// times, the "before" fitness is the cached one, and a candidate swap
+// re-derives only the two affected queues. RNG consumption and the
+// keep/revert decision are those of the same step scored by full
+// evaluations (same draws, bit-identical fitness values).
 //
 // Most probes revert, so each is first screened in O(1): moving d
 // MFLOPs changes only the two queues' times, by −d/P_heavy and
@@ -180,8 +76,8 @@ func (rb *Rebalancer) Apply(c ga.Chromosome, n int, r *rng.RNG) int {
 // the exact path. A screened probe still bills the gene ledger the two
 // queues it priced, as the rescans would have: the ledger is the §3.4
 // budget model, so a schedule, its cost and its decisions do not
-// depend on the screen. Step stays unscreened, the oracle StepSlot is
-// checked against.
+// depend on the screen. The tests hold StepSlot to an unscreened
+// standalone step that scores every probe by full evaluation.
 func (rb *Rebalancer) StepSlot(slot int, c ga.Chromosome, r *rng.RNG) bool {
 	p, ev := rb.p, rb.ev
 	if ev.ensureValid(slot, c) {
@@ -200,10 +96,10 @@ func (rb *Rebalancer) StepSlot(slot int, c ga.Chromosome, r *rng.RNG) bool {
 		}
 	}
 
-	// Per-segment task counts replace Step's position lists: segments
-	// are contiguous spans, so the k-th task position on (or off) the
-	// heavy processor is recovered arithmetically, preserving Step's
-	// draw distribution and RNG consumption. A probe knows both queues
+	// Per-segment task counts stand in for lists of task positions:
+	// segments are contiguous spans, so the k-th task position on (or
+	// off) the heavy processor is recovered arithmetically, with the
+	// draw distribution and RNG consumption of drawing from the lists. A probe knows both queues
 	// it touches: heavy, and the one otherTask finds.
 	heavyLo, heavyHi := segmentSpan(c, s.delims, heavy)
 	heavyLen := heavyHi - heavyLo

@@ -113,7 +113,7 @@ func matchScreen(t *testing.T, seed uint64, kind, steps int) {
 	t.Helper()
 	p, c1 := screenCase(seed, kind)
 	c2 := c1.Clone()
-	naive := NewRebalancer(p)
+	naive := newNaiveRebalancer(p)
 	ev := NewIncrementalEvaluator(p)
 	ev.InitSlots(1)
 	ev.FitnessSlot(0, c2)

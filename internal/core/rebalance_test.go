@@ -21,7 +21,7 @@ func TestRebalanceImprovesLopsidedSchedule(t *testing.T) {
 	// One large task on each other queue so swaps have partners.
 	c := encode([][]task.ID{ids[:8], {ids[8]}, {ids[9]}})
 
-	rb := NewRebalancer(p)
+	rb := newNaiveRebalancer(p)
 	r := rng.New(1)
 	before := p.MakespanInto(c, nil)
 	kept := rb.Apply(c, 200, r)
@@ -41,7 +41,7 @@ func TestRebalancePreservesTaskSet(t *testing.T) {
 	batch := mkBatch(55, 44, 33, 22, 11, 66, 77, 88)
 	p := BuildProblem(batch, []units.Rate{5, 15}, nil, nil, false)
 	pop := ListPopulation(p, 5, rng.New(2))
-	rb := NewRebalancer(p)
+	rb := newNaiveRebalancer(p)
 	r := rng.New(3)
 	ref := pop[0].Clone()
 	for _, c := range pop {
@@ -57,7 +57,7 @@ func TestRebalanceNeverWorsensFitness(t *testing.T) {
 	// fitness after any number of steps must be >= before.
 	p := benchProblem(60, 6, 4)
 	pop := ListPopulation(p, 10, rng.New(5))
-	rb := NewRebalancer(p)
+	rb := newNaiveRebalancer(p)
 	r := rng.New(6)
 	for _, c := range pop {
 		before := p.Fitness(c)
@@ -75,7 +75,7 @@ func TestRebalanceNoSwapWhenUniform(t *testing.T) {
 	batch := mkBatch(50, 50, 50, 50)
 	p := BuildProblem(batch, []units.Rate{10, 10}, nil, nil, false)
 	c := encode([][]task.ID{{0, 1, 2}, {3}})
-	rb := NewRebalancer(p)
+	rb := newNaiveRebalancer(p)
 	if rb.Step(c, rng.New(7)) {
 		t.Error("swap kept despite all-equal task sizes")
 	}
@@ -87,7 +87,7 @@ func TestRebalanceEmptyQueues(t *testing.T) {
 	batch := mkBatch(10, 20, 30)
 	p := BuildProblem(batch, []units.Rate{10, 10}, nil, nil, false)
 	c := encode([][]task.ID{{0, 1, 2}, {}})
-	rb := NewRebalancer(p)
+	rb := newNaiveRebalancer(p)
 	if rb.Step(c, rng.New(8)) {
 		t.Error("swap reported with no partner tasks")
 	}
@@ -99,7 +99,7 @@ func TestRebalanceEmptyQueues(t *testing.T) {
 func TestRebalanceCountsEvals(t *testing.T) {
 	p := benchProblem(40, 4, 9)
 	pop := ListPopulation(p, 5, rng.New(10))
-	rb := NewRebalancer(p)
+	rb := newNaiveRebalancer(p)
 	r := rng.New(11)
 	for _, c := range pop {
 		rb.Apply(c, 10, r)
@@ -116,7 +116,7 @@ func TestRebalanceSingleProcessor(t *testing.T) {
 	batch := mkBatch(10, 20)
 	p := BuildProblem(batch, []units.Rate{5}, nil, nil, false)
 	c := encode([][]task.ID{{0, 1}})
-	rb := NewRebalancer(p)
+	rb := newNaiveRebalancer(p)
 	if rb.Step(c, rng.New(12)) {
 		t.Error("swap on single-processor schedule")
 	}
@@ -127,7 +127,7 @@ func TestRebalanceDeterministic(t *testing.T) {
 		p := benchProblem(50, 5, 13)
 		pop := ListPopulation(p, 1, rng.New(14))
 		c := pop[0]
-		NewRebalancer(p).Apply(c, 30, rng.New(15))
+		newNaiveRebalancer(p).Apply(c, 30, rng.New(15))
 		return c
 	}
 	if !slices.Equal(run(), run()) {
@@ -146,7 +146,7 @@ func TestRebalanceTargetsHeavyProcessor(t *testing.T) {
 	c := encode([][]task.ID{{0, 1, 2}, {3, 4}})
 	times := p.CompletionTimes(c, nil)
 	heavyBefore := max(times[0], times[1])
-	rb := NewRebalancer(p)
+	rb := newNaiveRebalancer(p)
 	r := rng.New(16)
 	for i := 0; i < 50; i++ {
 		rb.Step(c, r)

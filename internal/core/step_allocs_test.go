@@ -32,7 +32,7 @@ func TestEngineStepAllocatesNothing(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := rng.New(7)
 			cfg := ga.Config{PopulationSize: DefaultPopulation, MaxGenerations: 1 << 30, Elitism: true, Crossover: tc.op}
-			eval := p.Evaluator()
+			var eval ga.Evaluator = newCountingEvaluator(p)
 			if !tc.plain {
 				// The production shape: the lane Evolve and every
 				// island run under.

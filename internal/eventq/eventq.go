@@ -21,7 +21,7 @@ type Queue struct {
 }
 
 // Empty reports whether no events are pending.
-func (q *Queue) Empty() bool { return len(q.items) == 0 } //pnanalyze:ok surface ROADMAP item 6: the stepped simulator loop's HasPendingEvents
+func (q *Queue) Empty() bool { return len(q.items) == 0 } //pnanalyze:ok surface ROADMAP item 24(a): the stepped simulator loop's HasPendingEvents
 
 // Push schedules payload at time t.
 func (q *Queue) Push(t units.Seconds, payload any) {
@@ -48,7 +48,7 @@ func (q *Queue) Pop() (Item, bool) {
 }
 
 // Peek returns the earliest event without removing it.
-func (q *Queue) Peek() (Item, bool) { //pnanalyze:ok surface ROADMAP item 6: the stepped simulator loop's PeekNextEventTime
+func (q *Queue) Peek() (Item, bool) { //pnanalyze:ok surface ROADMAP item 24(a): the stepped simulator loop's PeekNextEventTime
 	if len(q.items) == 0 {
 		return Item{}, false
 	}

@@ -44,7 +44,6 @@ var table = []experiment{
 	entry("scalability", Scalability),
 	entry("dynamic", Dynamic),
 	entry("island", Island),
-	entry("evolve", Evolve),
 	entry("ablation", Ablation),
 }
 

@@ -274,7 +274,7 @@ func meanEfficiency(a metrics.Agg) float64 { return a.Efficiency.Mean }
 // An id must not be shared between studies, or their rows are not
 // independent samples. In use: 3, 4, 6, 8–11 (figures), 500–509 and
 // 700–709 (sweeps), 90 (extended), 91–96 (scalability), 95–98
-// (dynamic), 98 (island), 99 (evolve), 110–111 (ablation). The overlap
+// (dynamic), 98 (island), 110–111 (ablation). The overlap
 // on 95–98 is left to the reproduction ledger, because fixing it moves
 // published rows.
 func (p Profile) repeatSeed(id, repeat int) uint64 {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash"
 	"hash/fnv"
 	"math"
@@ -35,7 +34,6 @@ var goldenFigures = map[string]uint64{
 	"scalability": 0xb77b92d44a68adda,
 	"dynamic":     0xb869021fca77bf05,
 	"island":      0x7f18a684674a5ee2,
-	"evolve":      0x78c3058bcecbbc01,
 	"ablation":    0x82ae8969148a80aa,
 }
 
@@ -115,12 +113,6 @@ func figureHash(t *testing.T, fig Figure) uint64 {
 		hashInts(h, r.BatchTasks, r.Procs, r.Generations, r.Repeats)
 		hashInts(h, r.Islands...)
 		hashRows(h, [][]float64{r.Makespan, r.Evals})
-	case *EvolveStudy:
-		hashStrings(h, r.Profile)
-		hashStrings(h, r.Engines...)
-		hashInts(h, r.BatchTasks, r.Procs, r.Generations, r.Repeats)
-		hashRows(h, [][]float64{r.Makespan, r.FullEvalsGen, r.ModelledMS, {r.ReductionPct}})
-		hashStrings(h, fmt.Sprint(r.Identical))
 	case *AblationStudy:
 		hashStrings(h, r.Profile)
 		hashStrings(h, r.Variants...)

@@ -57,7 +57,7 @@ func TestIslandStudyDeterministicMakespans(t *testing.T) {
 }
 
 func TestKnownNames(t *testing.T) {
-	for _, name := range []string{"3", "11", "extended", "island", "evolve", "ablation"} {
+	for _, name := range []string{"3", "11", "extended", "island", "ablation"} {
 		if !Known(name) {
 			t.Errorf("Known(%q) = false", name)
 		}

@@ -84,9 +84,3 @@ func (c Chromosome) ValidatePermutation() error { //pnanalyze:ok surface referen
 type Evaluator interface {
 	Fitness(c Chromosome) float64
 }
-
-// EvaluatorFunc adapts a plain function to the Evaluator interface.
-type EvaluatorFunc func(c Chromosome) float64
-
-// Fitness implements Evaluator.
-func (f EvaluatorFunc) Fitness(c Chromosome) float64 { return f(c) }

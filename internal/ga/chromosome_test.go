@@ -45,10 +45,3 @@ func TestValidatePermutation(t *testing.T) {
 		t.Errorf("empty chromosome rejected: %v", err)
 	}
 }
-
-func TestEvaluatorFunc(t *testing.T) {
-	e := EvaluatorFunc(func(c Chromosome) float64 { return float64(len(c)) })
-	if got := e.Fitness(Chromosome{1, 2, 3}); got != 3 {
-		t.Errorf("EvaluatorFunc = %v", got)
-	}
-}

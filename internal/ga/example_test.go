@@ -21,21 +21,27 @@ func ExampleCycleCrossover() {
 	// [8 2 3 1 5 6 4 7]
 }
 
+// sortedness scores a permutation by its adjacent in-order pairs, plus
+// one so every score is positive.
+type sortedness struct{}
+
+func (sortedness) Fitness(c ga.Chromosome) float64 {
+	score := 1.0
+	for i := 1; i < len(c); i++ {
+		if c[i] > c[i-1] {
+			score++
+		}
+	}
+	return score
+}
+
 // The engine evolves permutations against any Evaluator; here fitness
 // counts adjacent in-order pairs, so evolution drives the permutation
 // toward sortedness. Elitism guarantees the best individual never
 // regresses, and the result is always a valid permutation.
 func ExampleRun() {
 	r := rng.New(42)
-	eval := ga.EvaluatorFunc(func(c ga.Chromosome) float64 {
-		score := 1.0
-		for i := 1; i < len(c); i++ {
-			if c[i] > c[i-1] {
-				score++
-			}
-		}
-		return score
-	})
+	var eval sortedness
 	initial := []ga.Chromosome{{0, 1, 2, 3, 4, 5, 6, 7}}
 	r.ShuffleInts(initial[0])
 	initialBest := eval.Fitness(initial[0])

@@ -133,9 +133,9 @@ type EvolveDone struct {
 	Generations int `json:"generations"`
 	// Evaluations is the number of full fitness evaluations performed.
 	Evaluations int `json:"evaluations"`
-	// Genes is the number of genes touched by fitness evaluation
-	// (full and incremental); Evaluations×genes() for the naive engine,
-	// less for the incremental one.
+	// Genes is the number of genes touched by fitness evaluation: a
+	// full evaluation touches the whole chromosome, an incremental one
+	// only the queues it rescans.
 	Genes int `json:"genes"`
 	// RebalanceEvals counts load-balancing evaluations by the §3.5
 	// rebalancer.

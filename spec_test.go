@@ -45,7 +45,7 @@ func TestSpecDefaultsLowering(t *testing.T) {
 	// (core's TestConfigDefaultsApplied pins those).
 	cfg := Spec{Name: "PN"}.gaConfig()
 	if cfg.Generations != 0 || cfg.Population != 0 || cfg.Rebalances != 1 ||
-		cfg.InitialBatch != 0 || !cfg.FixedBatch || cfg.NaiveEvaluation {
+		cfg.InitialBatch != 0 || !cfg.FixedBatch {
 		t.Errorf("zero Spec must lower onto paper defaults: %+v", cfg)
 	}
 	// Negative rebalances is the pure-GA ablation.
