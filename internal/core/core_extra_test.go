@@ -6,7 +6,6 @@ import (
 
 	"pnsched/internal/ga"
 	"pnsched/internal/rng"
-	"pnsched/internal/task"
 	"pnsched/internal/units"
 )
 
@@ -43,11 +42,11 @@ func TestFitnessInvariantToWithinQueueOrder(t *testing.T) {
 func TestPerfectBalanceIsLocalOptimum(t *testing.T) {
 	batch := mkBatch(100, 100, 100, 100)
 	p := BuildProblem(batch, []units.Rate{10, 10}, nil, nil, false)
-	balanced := encode([][]task.ID{{0, 1}, {2, 3}})
+	balanced := encode([][]int{{0, 1}, {2, 3}})
 	base := p.Fitness(balanced)
 	moves := []ga.Chromosome{
-		encode([][]task.ID{{0, 1, 2}, {3}}),
-		encode([][]task.ID{{0}, {1, 2, 3}}),
+		encode([][]int{{0, 1, 2}, {3}}),
+		encode([][]int{{0}, {1, 2, 3}}),
 	}
 	for _, c := range moves {
 		if p.Fitness(c) > base {

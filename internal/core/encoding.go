@@ -16,10 +16,12 @@
 // exists; after that the §3.7 dynamic rule sizes each batch, and
 // DefaultMaxBatch caps that rule only.
 //
-// A schedule is encoded as a permutation chromosome (§3.1): the unique
-// ids of the H tasks in the batch interleaved with M−1 delimiter
-// symbols partitioning the permutation into the M per-processor queues,
-// giving chromosomes of length H + M − 1.
+// A schedule is encoded as a permutation chromosome (§3.1): the
+// positions 0…H−1 of the H tasks in the batch (Problem.Batch), not
+// their IDs, interleaved with M−1 delimiter symbols partitioning the
+// permutation into the M per-processor queues, giving chromosomes of
+// length H + M − 1. A task's ID never enters the GA, so a batch may
+// carry any IDs, repeated or sparse.
 //
 // One deliberate deviation from the paper's notation: the paper writes
 // every delimiter as −1, but cycle crossover requires chromosomes to be
@@ -37,19 +39,19 @@ import (
 	"fmt"
 
 	"pnsched/internal/ga"
-	"pnsched/internal/task"
 )
 
 // Delimiter returns the k-th delimiter symbol (k in 1..M-1).
 func Delimiter(k int) int { return -k }
 
-// Decode splits a chromosome back into m per-processor queues. Any
-// negative symbol is a boundary; the i-th segment (in chromosome order)
-// becomes processor i's queue. It panics if the chromosome contains
-// more than m−1 delimiters — that chromosome was built for a different
-// cluster size and indicates a programming error.
-func Decode(c ga.Chromosome, m int) [][]task.ID {
-	queues := make([][]task.ID, m)
+// Decode splits a chromosome back into m per-processor queues of batch
+// positions. Any negative symbol is a boundary; the i-th segment (in
+// chromosome order) becomes processor i's queue. It panics if the
+// chromosome contains more than m−1 delimiters — that chromosome was
+// built for a different cluster size and indicates a programming
+// error.
+func Decode(c ga.Chromosome, m int) [][]int {
+	queues := make([][]int, m)
 	j := 0
 	for _, sym := range c {
 		if sym < 0 {
@@ -59,7 +61,7 @@ func Decode(c ga.Chromosome, m int) [][]task.ID {
 			}
 			continue
 		}
-		queues[j] = append(queues[j], task.ID(sym))
+		queues[j] = append(queues[j], sym)
 	}
 	return queues
 }

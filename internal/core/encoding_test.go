@@ -6,21 +6,18 @@ import (
 
 	"pnsched/internal/ga"
 	"pnsched/internal/rng"
-	"pnsched/internal/task"
 )
 
-// encode converts per-processor queues of task ids into a chromosome,
-// the inverse of Decode: queues[j] lists the tasks of processor j in
-// order.
-func encode(queues [][]task.ID) ga.Chromosome {
+// encode converts per-processor queues of batch positions into a
+// chromosome, the inverse of Decode: queues[j] lists the tasks of
+// processor j in order.
+func encode(queues [][]int) ga.Chromosome {
 	var c ga.Chromosome
 	for j, q := range queues {
 		if j > 0 {
 			c = append(c, Delimiter(j))
 		}
-		for _, id := range q {
-			c = append(c, int(id))
-		}
+		c = append(c, q...)
 	}
 	return c
 }
@@ -37,7 +34,7 @@ func numTasks(c ga.Chromosome) int {
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	queues := [][]task.ID{
+	queues := [][]int{
 		{3, 1},
 		{},
 		{0, 2, 4},
@@ -64,7 +61,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDelimitersDistinct(t *testing.T) {
-	c := encode([][]task.ID{{0}, {1}, {2}, {3}})
+	c := encode([][]int{{0}, {1}, {2}, {3}})
 	if err := c.ValidatePermutation(); err != nil {
 		t.Errorf("encoded chromosome not a permutation: %v", err)
 	}
@@ -87,7 +84,7 @@ func TestDecodeHandlesShuffledDelimiters(t *testing.T) {
 	// order; decoding must only care about positions.
 	c := ga.Chromosome{5, Delimiter(3), 2, 7, Delimiter(1), Delimiter(2), 9}
 	queues := Decode(c, 4)
-	wants := [][]task.ID{{5}, {2, 7}, {}, {9}}
+	wants := [][]int{{5}, {2, 7}, {}, {9}}
 	for j, want := range wants {
 		if len(queues[j]) != len(want) {
 			t.Fatalf("queue %d = %v, want %v", j, queues[j], want)
@@ -110,7 +107,7 @@ func TestDecodePanicsOnTooManyDelimiters(t *testing.T) {
 }
 
 func TestSingleProcessorNoDelimiters(t *testing.T) {
-	c := encode([][]task.ID{{0, 1, 2}})
+	c := encode([][]int{{0, 1, 2}})
 	if len(c) != 3 {
 		t.Fatalf("single-proc chromosome = %v", c)
 	}
@@ -126,10 +123,10 @@ func TestEncodeDecodeProperty(t *testing.T) {
 		m := int(mRaw%10) + 1
 		h := int(hRaw % 50)
 		r := rng.New(seed)
-		queues := make([][]task.ID, m)
+		queues := make([][]int, m)
 		for i := 0; i < h; i++ {
 			j := r.Intn(m)
-			queues[j] = append(queues[j], task.ID(i))
+			queues[j] = append(queues[j], i)
 		}
 		c := encode(queues)
 		if len(c) != ChromosomeLen(h, m) {

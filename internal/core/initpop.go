@@ -21,8 +21,8 @@ import (
 // uniformly at random, the rest earliest-finishing given the loads and
 // communication estimates accumulated so far) and counts each
 // processor's tasks, a prefix sum turns the counts into queue offsets,
-// and a second pass drops every task id into place. The chromosomes
-// share one backing array and the passes one scratch.
+// and a second pass drops every task's batch position into place. The
+// chromosomes share one backing array and the passes one scratch.
 func ListPopulation(p *Problem, size int, r *rng.RNG) []ga.Chromosome {
 	return new(seeding).list(p, size, r)
 }
@@ -101,7 +101,7 @@ func (s *seeding) list(p *Problem, size int, r *rng.RNG) []ga.Chromosome {
 		}
 		for k, idx := range order {
 			j := proc[k]
-			c[cursor[j]] = int(p.Batch[idx].ID)
+			c[cursor[j]] = idx
 			cursor[j]++
 		}
 		s.out[i] = c
@@ -143,10 +143,10 @@ func RandomPopulation(p *Problem, size int, r *rng.RNG) []ga.Chromosome {
 	if size < 1 {
 		size = 1
 	}
-	// Base symbol list: all task ids plus the M−1 delimiters.
+	// Base symbol list: every batch position plus the M−1 delimiters.
 	base := make([]int, 0, ChromosomeLen(len(p.Batch), p.M))
-	for _, t := range p.Batch {
-		base = append(base, int(t.ID))
+	for i := range p.Batch {
+		base = append(base, i)
 	}
 	for k := 1; k < p.M; k++ {
 		base = append(base, Delimiter(k))

@@ -114,7 +114,7 @@ func (rb *naiveRebalancer) Step(c ga.Chromosome, r *rng.RNG) bool {
 	for probe := 0; probe < maxProbes; probe++ {
 		hi := heavyPos[r.Intn(len(heavyPos))]
 		oi := otherPos[r.Intn(len(otherPos))]
-		if p.sizeOf(c[oi]) >= p.sizeOf(c[hi]) {
+		if p.sizes[c[oi]] >= p.sizes[c[hi]] {
 			continue // the probed task is not smaller; search again
 		}
 		before := rb.fitness(c)

@@ -233,7 +233,7 @@ func (pn *PN) NextBatchSize(queued int, s sched.State) int {
 // back on return. The pool, not a field of PN, holds it because the
 // live dispatcher builds a scheduler per job, and a workspace per
 // scheduler would never be reused there. What a decision still
-// allocates is the Problem snapshot (its tables and its task.Set), the
+// allocates is the Problem snapshot and its tables, the
 // best chromosome and the Assignment; ZO's random seeds and the island
 // variant's lanes and engines are not pooled.
 func (pn *PN) ScheduleBatch(batch []task.Task, s sched.State) (sched.Assignment, units.Seconds) {

@@ -15,8 +15,8 @@ import (
 // system at invocation time. The GA evaluates thousands of chromosomes
 // against a single Problem, so all quantities are captured once.
 type Problem struct {
+	// Batch is the batch's tasks; a chromosome names Batch[i] by i.
 	Batch []task.Task
-	Set   *task.Set
 	M     int
 	// Rates[j] is the believed execution rate Pⱼ of processor j.
 	Rates []units.Rate
@@ -35,74 +35,37 @@ type Problem struct {
 
 	psi units.Seconds // cached theoretical optimum
 
-	// Dense task-size index: sizes[sym-minID] for fast lookup in the
-	// GA's inner loop; nil when batch ids are too sparse, in which case
-	// Set is consulted.
+	// sizes[i] is Batch[i].Size, read by the GA's inner loops: a
+	// chromosome names a task by its position in Batch.
 	sizes []units.MFlops
-	minID int
 	// maxSize is the largest task size in magnitude, the bound on one
 	// task's work the rebalancer's probe screen needs (rebalance.go).
 	maxSize units.MFlops
 }
 
-// indexSizes builds the dense size lookup when batch ids are compact
-// enough (the common case: ids are assigned sequentially), and notes
-// the largest size.
+// indexSizes builds the size table the inner loops read and notes the
+// largest size.
 func (p *Problem) indexSizes() {
-	if len(p.Batch) == 0 {
-		return
-	}
-	lo, hi := int(p.Batch[0].ID), int(p.Batch[0].ID)
-	for _, t := range p.Batch {
+	p.sizes = make([]units.MFlops, len(p.Batch))
+	for i, t := range p.Batch {
+		p.sizes[i] = t.Size
 		p.maxSize = max(p.maxSize, units.MFlops(math.Abs(float64(t.Size))))
-		if int(t.ID) < lo {
-			lo = int(t.ID)
-		}
-		if int(t.ID) > hi {
-			hi = int(t.ID)
-		}
 	}
-	span := hi - lo + 1
-	if span > 4*len(p.Batch)+64 {
-		return // too sparse; fall back to the map
-	}
-	p.sizes = make([]units.MFlops, span)
-	p.minID = lo
-	for _, t := range p.Batch {
-		p.sizes[int(t.ID)-lo] = t.Size
-	}
-}
-
-// sizeOf returns the size of the task with the given chromosome symbol.
-// It is over the inliner's budget, so the per-gene loops (scan,
-// segmentTime) read the dense table in place and call it only for a
-// symbol outside the table.
-func (p *Problem) sizeOf(sym int) units.MFlops {
-	if p.sizes != nil {
-		if i := sym - p.minID; i >= 0 && i < len(p.sizes) {
-			return p.sizes[i]
-		}
-	}
-	return p.Set.MustGet(task.ID(sym)).Size
 }
 
 // NewProblem snapshots a scheduling decision from the scheduler's view.
 func NewProblem(batch []task.Task, s sched.State, includeComm bool) *Problem {
-	m := s.M()
-	rates := make([]units.Rate, m)
-	loads := make([]units.MFlops, m)
-	var comm []units.Seconds
-	if includeComm {
-		comm = make([]units.Seconds, m)
-	}
-	for j := 0; j < m; j++ {
-		rates[j] = s.Rate(j)
-		loads[j] = s.PendingLoad(j)
+	p := newProblem(batch, s.M(), includeComm)
+	for j := range p.M {
+		p.Rates[j] = s.Rate(j)
+		p.Loads[j] = s.PendingLoad(j)
 		if includeComm {
-			comm[j] = s.CommEstimate(j)
+			p.Comm[j] = s.CommEstimate(j)
 		}
 	}
-	return BuildProblem(batch, rates, loads, comm, includeComm)
+	p.indexSizes()
+	p.psi = p.computePsi()
+	return p
 }
 
 // BuildProblem constructs a Problem from explicit system beliefs — used
@@ -111,21 +74,26 @@ func NewProblem(batch []task.Task, s sched.State, includeComm bool) *Problem {
 // processor; loads and comm may be nil (all zero). The vectors are
 // copied: a Problem never changes under the GA evaluating against it.
 func BuildProblem(batch []task.Task, rates []units.Rate, loads []units.MFlops, comm []units.Seconds, includeComm bool) *Problem {
-	m := len(rates)
-	p := &Problem{
-		Batch:       batch,
-		Set:         task.NewSet(batch),
-		M:           m,
-		Rates:       append([]units.Rate(nil), rates...),
-		Loads:       make([]units.MFlops, m),
-		Comm:        make([]units.Seconds, m),
-		IncludeComm: includeComm,
-	}
+	p := newProblem(batch, len(rates), includeComm)
+	copy(p.Rates, rates)
 	copy(p.Loads, loads)
 	copy(p.Comm, comm)
 	p.indexSizes()
 	p.psi = p.computePsi()
 	return p
+}
+
+// newProblem allocates a Problem's per-processor vectors, all zero, for
+// its constructor to fill.
+func newProblem(batch []task.Task, m int, includeComm bool) *Problem {
+	return &Problem{
+		Batch:       batch,
+		M:           m,
+		Rates:       make([]units.Rate, m),
+		Loads:       make([]units.MFlops, m),
+		Comm:        make([]units.Seconds, m),
+		IncludeComm: includeComm,
+	}
 }
 
 // delta returns δⱼ = Lⱼ/Pⱼ, the finishing time of processor j's
@@ -190,14 +158,10 @@ func (p *Problem) CompletionTimes(c ga.Chromosome, out []units.Seconds) []units.
 func (p *Problem) scan(c ga.Chromosome, out []units.Seconds, delims []int) int {
 	var work units.MFlops
 	count, j := 0, 0
-	sizes, minID := p.sizes, p.minID
+	sizes := p.sizes
 	for i, sym := range c {
 		if sym >= 0 {
-			if k := uint(sym - minID); k < uint(len(sizes)) {
-				work += sizes[k]
-			} else {
-				work += p.sizeOf(sym)
-			}
+			work += sizes[sym]
 			count++
 			continue
 		}
@@ -272,13 +236,9 @@ func fitnessFromError(e float64) float64 {
 // only.
 func (p *Problem) segmentTime(c ga.Chromosome, j, lo, hi int) units.Seconds {
 	var work units.MFlops
-	sizes, minID := p.sizes, p.minID
+	sizes := p.sizes
 	for _, sym := range c[lo:hi] {
-		if k := uint(sym - minID); k < uint(len(sizes)) {
-			work += sizes[k]
-		} else {
-			work += p.sizeOf(sym)
-		}
+		work += sizes[sym]
 	}
 	return p.queueTime(j, work, hi-lo)
 }
@@ -296,7 +256,7 @@ func (p *Problem) Fitness(c ga.Chromosome) float64 {
 }
 
 // Assignment decodes chromosome c into the sched.Assignment the
-// simulator consumes, resolving task ids back to tasks. Queues come
+// simulator consumes, resolving batch positions back to tasks. Queues come
 // out in Decode's order, but without Decode's per-task appends: one
 // count sizes a single backing array, and each queue is the chromosome
 // segment it fills, capped at its own length — a consumer appending to
@@ -316,7 +276,7 @@ func (p *Problem) Assignment(c ga.Chromosome) sched.Assignment {
 	j, lo, n := 0, 0, 0
 	for _, sym := range c {
 		if sym >= 0 {
-			backing[n] = p.Set.MustGet(task.ID(sym))
+			backing[n] = p.Batch[sym]
 			n++
 			continue
 		}

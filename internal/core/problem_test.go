@@ -2,9 +2,12 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"pnsched/internal/ga"
+	"pnsched/internal/rng"
+	"pnsched/internal/sched"
 	"pnsched/internal/task"
 	"pnsched/internal/units"
 )
@@ -67,7 +70,7 @@ func TestCompletionTimesHandComputed(t *testing.T) {
 		[]units.Rate{10, 5},
 		nil, nil, false,
 	)
-	c := encode([][]task.ID{{0, 1}, {2}})
+	c := encode([][]int{{0, 1}, {2}})
 	times := p.CompletionTimes(c, nil)
 	if times[0] != 30 || times[1] != 10 {
 		t.Errorf("completion times = %v, want [30 10]", times)
@@ -89,7 +92,7 @@ func TestCompletionTimesWithCommAndLoads(t *testing.T) {
 		[]units.Seconds{2, 1},
 		true,
 	)
-	c := encode([][]task.ID{{0}, {1, 2}})
+	c := encode([][]int{{0}, {1, 2}})
 	times := p.CompletionTimes(c, nil)
 	if times[0] != 17 || times[1] != 52 {
 		t.Errorf("completion times = %v, want [17 52]", times)
@@ -104,7 +107,7 @@ func TestCommExcludedWhenDisabled(t *testing.T) {
 		[]units.Seconds{5},
 		false, // ZO mode: comm not considered
 	)
-	c := encode([][]task.ID{{0}})
+	c := encode([][]int{{0}})
 	if got := p.CompletionTimes(c, nil)[0]; got != 10 {
 		t.Errorf("completion = %v, want 10 (comm excluded)", got)
 	}
@@ -117,7 +120,7 @@ func TestEmptyQueueGetsDeltaOnly(t *testing.T) {
 		[]units.MFlops{0, 30},
 		nil, false,
 	)
-	c := encode([][]task.ID{{0}, {}})
+	c := encode([][]int{{0}, {}})
 	times := p.CompletionTimes(c, nil)
 	if times[1] != 3 {
 		t.Errorf("idle queue completion = %v, want δ = 3", times[1])
@@ -132,7 +135,7 @@ func TestRelativeErrorPerfectBalanceIsZero(t *testing.T) {
 		[]units.Rate{10, 10},
 		nil, nil, false,
 	)
-	c := encode([][]task.ID{{0}, {1}})
+	c := encode([][]int{{0}, {1}})
 	if e := p.RelativeError(c); e > 1e-9 {
 		t.Errorf("relative error of perfect schedule = %v, want 0", e)
 	}
@@ -147,8 +150,8 @@ func TestFitnessOrdersSchedulesByBalance(t *testing.T) {
 		[]units.Rate{10, 10},
 		nil, nil, false,
 	)
-	balanced := encode([][]task.ID{{0}, {1}})
-	lopsided := encode([][]task.ID{{0, 1}, {}})
+	balanced := encode([][]int{{0}, {1}})
+	lopsided := encode([][]int{{0, 1}, {}})
 	if p.Fitness(balanced) <= p.Fitness(lopsided) {
 		t.Errorf("balanced fitness %v not above lopsided %v",
 			p.Fitness(balanced), p.Fitness(lopsided))
@@ -167,8 +170,8 @@ func TestFitnessHeterogeneousRates(t *testing.T) {
 		[]units.Rate{90, 10},
 		nil, nil, false,
 	)
-	proportional := encode([][]task.ID{{0, 1, 2, 3, 4, 5, 6, 7, 8}, {9}})
-	uniform := encode([][]task.ID{{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}})
+	proportional := encode([][]int{{0, 1, 2, 3, 4, 5, 6, 7, 8}, {9}})
+	uniform := encode([][]int{{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}})
 	if p.Fitness(proportional) <= p.Fitness(uniform) {
 		t.Errorf("rate-proportional split %v not fitter than uniform %v",
 			p.Fitness(proportional), p.Fitness(uniform))
@@ -182,11 +185,11 @@ func TestFitnessZeroOnImpossibleSchedule(t *testing.T) {
 		[]units.Rate{0, 10},
 		nil, nil, false,
 	)
-	impossible := encode([][]task.ID{{0}, {}})
+	impossible := encode([][]int{{0}, {}})
 	if f := p.Fitness(impossible); f != 0 {
 		t.Errorf("fitness of impossible schedule = %v, want 0", f)
 	}
-	possible := encode([][]task.ID{{}, {0}})
+	possible := encode([][]int{{}, {0}})
 	if f := p.Fitness(possible); f <= 0 {
 		t.Errorf("fitness of feasible schedule = %v, want > 0", f)
 	}
@@ -201,9 +204,9 @@ func TestFitnessBounds(t *testing.T) {
 		true,
 	)
 	chromos := []ga.Chromosome{
-		encode([][]task.ID{{0, 1, 2, 3, 4}, {}}),
-		encode([][]task.ID{{}, {0, 1, 2, 3, 4}}),
-		encode([][]task.ID{{0, 2}, {1, 3, 4}}),
+		encode([][]int{{0, 1, 2, 3, 4}, {}}),
+		encode([][]int{{}, {0, 1, 2, 3, 4}}),
+		encode([][]int{{0, 2}, {1, 3, 4}}),
 	}
 	for _, c := range chromos {
 		f := p.Fitness(c)
@@ -223,8 +226,8 @@ func TestEvaluatorMatchesFitness(t *testing.T) {
 	)
 	eval := newCountingEvaluator(p)
 	chromos := []ga.Chromosome{
-		encode([][]task.ID{{0, 1}, {2}, {3}}),
-		encode([][]task.ID{{}, {0, 1, 2, 3}, {}}),
+		encode([][]int{{0, 1}, {2}, {3}}),
+		encode([][]int{{}, {0, 1, 2, 3}, {}}),
 	}
 	for _, c := range chromos {
 		if got, want := eval.Fitness(c), p.Fitness(c); math.Abs(got-want) > 1e-15 {
@@ -236,7 +239,7 @@ func TestEvaluatorMatchesFitness(t *testing.T) {
 func TestAssignmentDecodesToTasks(t *testing.T) {
 	batch := mkBatch(10, 20, 30)
 	p := BuildProblem(batch, []units.Rate{1, 1}, nil, nil, false)
-	c := encode([][]task.ID{{2, 0}, {1}})
+	c := encode([][]int{{2, 0}, {1}})
 	a := p.Assignment(c)
 	if len(a[0]) != 2 || a[0][0].ID != 2 || a[0][1].ID != 0 {
 		t.Errorf("assignment proc 0 = %v", a[0])
@@ -249,23 +252,76 @@ func TestAssignmentDecodesToTasks(t *testing.T) {
 	}
 }
 
-func TestSparseTaskIDsFallBackToSet(t *testing.T) {
-	// Widely spaced ids exercise the map fallback path.
-	batch := []task.Task{
-		{ID: 10, Size: 100},
-		{ID: 100000, Size: 200},
+// TestTaskIDsDoNotReachTheGA: a chromosome names a task by its
+// position in the batch, so one batch's sizes under IDs 0…n−1, sparse
+// IDs and shuffled IDs seed the same population and schedule alike.
+func TestTaskIDsDoNotReachTheGA(t *testing.T) {
+	const n = 40
+	r := rng.New(3)
+	sizes := make([]units.MFlops, n)
+	perm := make([]int, n)
+	for i := range sizes {
+		sizes[i] = units.MFlops(r.Uniform(10, 1000))
+		perm[i] = i
 	}
-	p := BuildProblem(batch, []units.Rate{10, 10}, nil, nil, false)
-	c := encode([][]task.ID{{10}, {100000}})
-	times := p.CompletionTimes(c, nil)
-	if times[0] != 10 || times[1] != 20 {
-		t.Errorf("sparse-id completion times = %v", times)
+	r.ShuffleInts(perm)
+	schemes := []struct {
+		name string
+		id   func(i int) task.ID
+	}{
+		{"dense", func(i int) task.ID { return task.ID(i) }},
+		{"sparse", func(i int) task.ID { return task.ID(i * 100003) }},
+		{"shuffled", func(i int) task.ID { return task.ID(perm[i]) }},
+	}
+	s := &stubState{
+		m:         3,
+		rates:     []units.Rate{20, 45, 90},
+		loads:     []units.MFlops{0, 300, 0},
+		comm:      []units.Seconds{0.5, 1, 2},
+		firstIdle: units.Inf(),
+	}
+	cfg := DefaultConfig()
+	cfg.Generations = 60
+
+	var wantPop []ga.Chromosome
+	var want sched.Assignment
+	var wantCost units.Seconds
+	for _, sc := range schemes {
+		batch := make([]task.Task, n)
+		for i := range batch {
+			batch[i] = task.Task{ID: sc.id(i), Size: sizes[i]}
+		}
+		pop := ListPopulation(NewProblem(batch, s, true), 8, rng.New(5))
+		a, cost := NewPN(cfg, rng.New(11)).ScheduleBatch(batch, s)
+		if wantPop == nil {
+			wantPop, want, wantCost = pop, a, cost
+			continue
+		}
+		for k := range pop {
+			if !slices.Equal(pop[k], wantPop[k]) {
+				t.Errorf("%s ids: chromosome %d is %v, want %v", sc.name, k, pop[k], wantPop[k])
+			}
+		}
+		if cost != wantCost {
+			t.Errorf("%s ids: modelled cost %v, want %v", sc.name, cost, wantCost)
+		}
+		for j := range want {
+			if len(a[j]) != len(want[j]) {
+				t.Fatalf("%s ids: queue %d holds %d tasks, want %d", sc.name, j, len(a[j]), len(want[j]))
+			}
+			for k, tk := range want[j] {
+				// Under the dense scheme a task's ID is its position.
+				if i := int(tk.ID); a[j][k] != batch[i] {
+					t.Errorf("%s ids: queue %d task %d is %v, want %v", sc.name, j, k, a[j][k], batch[i])
+				}
+			}
+		}
 	}
 }
 
 func TestCompletionTimesScratchReuse(t *testing.T) {
 	p := BuildProblem(mkBatch(100, 200), []units.Rate{10, 10}, nil, nil, false)
-	c := encode([][]task.ID{{0}, {1}})
+	c := encode([][]int{{0}, {1}})
 	scratch := make([]units.Seconds, 2)
 	out := p.CompletionTimes(c, scratch)
 	if &out[0] != &scratch[0] {

@@ -108,23 +108,10 @@ func (rb *Rebalancer) StepSlot(slot int, c ga.Chromosome, r *rng.RNG) bool {
 		return false
 	}
 
-	sizes, minID := p.sizes, p.minID
 	for probe := 0; probe < maxProbes; probe++ {
 		hi := heavyLo + r.Intn(heavyLen)
 		oi, oq := otherTask(s.delims, heavy, heavyLo, heavyLen, r.Intn(otherLen))
-		// Sizes are read in place, as scan reads them: sizeOf is over
-		// the inliner's budget.
-		var hsize, osize units.MFlops
-		if k := uint(c[hi] - minID); k < uint(len(sizes)) {
-			hsize = sizes[k]
-		} else {
-			hsize = p.sizeOf(c[hi])
-		}
-		if k := uint(c[oi] - minID); k < uint(len(sizes)) {
-			osize = sizes[k]
-		} else {
-			osize = p.sizeOf(c[oi])
-		}
+		hsize, osize := p.sizes[c[hi]], p.sizes[c[oi]]
 		if osize >= hsize {
 			continue // the probed task is not smaller; search again
 		}

@@ -19,7 +19,7 @@ var screenKinds = []string{
 	"huge-loads",    // prior loads dwarf the batch
 	"zero-rate",     // a stopped processor: non-finite times
 	"no-comm",       // IncludeComm false
-	"sparse-ids",    // ids too sparse for the dense table: map lookups
+	"sparse-ids",    // sparse task ids, which the GA never reads
 	"negative-comm", // Γc < 0, so times can cancel to near zero
 	"many-procs",    // M in the hundreds to thousands
 }
@@ -68,9 +68,9 @@ func screenCase(seed uint64, kind int) (*Problem, ga.Chromosome) {
 		for i := range sizes {
 			sizes[i] = units.MFlops(10 + 7*(i%per))
 		}
-		queues := make([][]task.ID, m)
+		queues := make([][]int, m)
 		for i := range sizes {
-			queues[i/per] = append(queues[i/per], task.ID(i))
+			queues[i/per] = append(queues[i/per], i)
 		}
 		for j := range rates {
 			rates[j], comm[j] = 30, 0.5

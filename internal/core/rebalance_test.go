@@ -14,12 +14,12 @@ func TestRebalanceImprovesLopsidedSchedule(t *testing.T) {
 	// Everything dumped on proc 0; rebalancing must spread it out.
 	batch := mkBatch(100, 90, 80, 70, 60, 50, 40, 30, 20, 10)
 	p := BuildProblem(batch, []units.Rate{10, 10, 10}, nil, nil, false)
-	var ids []task.ID
-	for _, tk := range batch {
-		ids = append(ids, tk.ID)
+	var ids []int
+	for i := range batch {
+		ids = append(ids, i)
 	}
 	// One large task on each other queue so swaps have partners.
-	c := encode([][]task.ID{ids[:8], {ids[8]}, {ids[9]}})
+	c := encode([][]int{ids[:8], {ids[8]}, {ids[9]}})
 
 	rb := newNaiveRebalancer(p)
 	r := rng.New(1)
@@ -74,7 +74,7 @@ func TestRebalanceNoSwapWhenUniform(t *testing.T) {
 	// possible.
 	batch := mkBatch(50, 50, 50, 50)
 	p := BuildProblem(batch, []units.Rate{10, 10}, nil, nil, false)
-	c := encode([][]task.ID{{0, 1, 2}, {3}})
+	c := encode([][]int{{0, 1, 2}, {3}})
 	rb := newNaiveRebalancer(p)
 	if rb.Step(c, rng.New(7)) {
 		t.Error("swap kept despite all-equal task sizes")
@@ -86,7 +86,7 @@ func TestRebalanceEmptyQueues(t *testing.T) {
 	// with (other queues have no tasks).
 	batch := mkBatch(10, 20, 30)
 	p := BuildProblem(batch, []units.Rate{10, 10}, nil, nil, false)
-	c := encode([][]task.ID{{0, 1, 2}, {}})
+	c := encode([][]int{{0, 1, 2}, {}})
 	rb := newNaiveRebalancer(p)
 	if rb.Step(c, rng.New(8)) {
 		t.Error("swap reported with no partner tasks")
@@ -115,7 +115,7 @@ func TestRebalanceCountsEvals(t *testing.T) {
 func TestRebalanceSingleProcessor(t *testing.T) {
 	batch := mkBatch(10, 20)
 	p := BuildProblem(batch, []units.Rate{5}, nil, nil, false)
-	c := encode([][]task.ID{{0, 1}})
+	c := encode([][]int{{0, 1}})
 	rb := newNaiveRebalancer(p)
 	if rb.Step(c, rng.New(12)) {
 		t.Error("swap on single-processor schedule")
@@ -143,7 +143,7 @@ func TestRebalanceTargetsHeavyProcessor(t *testing.T) {
 		{ID: 3, Size: 10}, {ID: 4, Size: 20},
 	}
 	p := BuildProblem(batch, []units.Rate{10, 10}, nil, nil, false)
-	c := encode([][]task.ID{{0, 1, 2}, {3, 4}})
+	c := encode([][]int{{0, 1, 2}, {3, 4}})
 	times := p.CompletionTimes(c, nil)
 	heavyBefore := max(times[0], times[1])
 	rb := newNaiveRebalancer(p)
@@ -210,14 +210,14 @@ func TestOtherTaskMatchesWalk(t *testing.T) {
 
 // randomQueues deals tasks 0…n−1 onto m queues, many of them left
 // empty.
-func randomQueues(n, m int, r *rng.RNG) [][]task.ID {
-	queues := make([][]task.ID, m)
+func randomQueues(n, m int, r *rng.RNG) [][]int {
+	queues := make([][]int, m)
 	for id := 0; id < n; id++ {
 		j := r.Intn(m)
 		if r.Intn(3) == 0 {
 			j = 0 // crowd the first queue so the others run empty
 		}
-		queues[j] = append(queues[j], task.ID(id))
+		queues[j] = append(queues[j], id)
 	}
 	return queues
 }

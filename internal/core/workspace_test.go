@@ -268,8 +268,8 @@ func TestAssignmentLayout(t *testing.T) {
 				t.Fatalf("chromosome %d: queue %d holds %d tasks, Decode %d", k, j, len(q), len(queues[j]))
 			}
 			for i, tk := range q {
-				if tk != p.Set.MustGet(queues[j][i]) {
-					t.Errorf("chromosome %d: queue %d task %d is %v, Decode has id %d", k, j, i, tk, queues[j][i])
+				if tk != p.Batch[queues[j][i]] {
+					t.Errorf("chromosome %d: queue %d task %d is %v, Decode has position %d", k, j, i, tk, queues[j][i])
 				}
 			}
 		}

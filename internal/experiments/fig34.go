@@ -11,7 +11,6 @@ import (
 	"pnsched/internal/observe"
 	"pnsched/internal/rng"
 	"pnsched/internal/stats"
-	"pnsched/internal/task"
 	"pnsched/internal/units"
 )
 
@@ -182,8 +181,8 @@ func fig4Time(p Profile, rebalances int) float64 {
 		// Accumulate the schedule into the loads the next batch sees,
 		// exactly as the live scheduler's queues would.
 		for j, q := range core.Decode(st.Result.Best, p.Procs) {
-			for _, id := range q {
-				loads[j] += problem.Set.MustGet(task.ID(id)).Size
+			for _, i := range q {
+				loads[j] += problem.Batch[i].Size
 			}
 		}
 	}

@@ -35,8 +35,9 @@ package ga
 import "fmt"
 
 // Chromosome is a permutation of distinct integer symbols. For the
-// scheduling problem the symbols are task ids plus negative queue
-// delimiters, but the GA machinery only relies on distinctness.
+// scheduling problem the symbols are the tasks' positions in their
+// batch plus negative queue delimiters, but the GA machinery only
+// relies on distinctness.
 type Chromosome []int
 
 // Clone returns an independent copy.

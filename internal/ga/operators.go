@@ -294,11 +294,11 @@ func differs(u, v int) int {
 
 // posIndex is a reusable symbol→position lookup for one chromosome at a
 // time, or for some of its positions (CX indexes only those where the
-// parents differ). For the common case of a compact symbol range (task
-// ids plus small negative delimiters) it is a dense table whose entries
-// belong to the current build only while their stamp is the build's,
-// so a rebuild writes the positions it indexes and nothing else; sparse
-// symbol sets fall back to a map. Both are kept between builds, so
+// parents differ). For the common case of a compact symbol range
+// (batch positions plus small negative delimiters) it is a dense table
+// whose entries belong to the current build only while their stamp is
+// the build's, so a rebuild writes the positions it indexes and nothing
+// else; sparse symbol sets fall back to a map. Both are kept between builds, so
 // rebuilding over chromosomes of one shape allocates nothing.
 type posIndex struct {
 	lo     int

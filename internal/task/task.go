@@ -16,9 +16,10 @@ import (
 	"pnsched/internal/units"
 )
 
-// ID identifies a task. IDs are non-negative; negative values are
-// reserved by the GA chromosome encoding for processor-queue delimiter
-// symbols (see internal/core).
+// ID identifies a task. IDs are non-negative: None is −1, and the wire,
+// the live runtimes and the simulator's entry point reject a negative
+// ID. The GA never reads an ID; a chromosome names a task by its
+// position in the batch (see internal/core).
 type ID int32
 
 // None is the sentinel for "no task".
@@ -146,34 +147,4 @@ func (q *Queue) grow() {
 	}
 	q.buf = nb
 	q.head = 0
-}
-
-// Set is a collection of tasks indexed by ID, used by the simulator to
-// verify the exactly-once processing invariant and by the GA to decode
-// chromosomes back into tasks.
-type Set struct {
-	byID map[ID]Task
-}
-
-// NewSet builds a Set from the given tasks. Duplicate IDs are a
-// programming error and panic.
-func NewSet(ts []Task) *Set {
-	s := &Set{byID: make(map[ID]Task, len(ts))}
-	for _, t := range ts {
-		if _, dup := s.byID[t.ID]; dup {
-			panic(fmt.Sprintf("task: duplicate id %d in set", t.ID))
-		}
-		s.byID[t.ID] = t
-	}
-	return s
-}
-
-// MustGet returns the task with the given id, panicking if absent —
-// used when the id provably came from the same batch.
-func (s *Set) MustGet(id ID) Task {
-	t, ok := s.byID[id]
-	if !ok {
-		panic(fmt.Sprintf("task: id %d not in set", id))
-	}
-	return t
 }

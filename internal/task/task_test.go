@@ -165,34 +165,3 @@ func TestSortsMatchSliceStable(t *testing.T) {
 		}
 	}
 }
-
-func TestSet(t *testing.T) {
-	s := NewSet([]Task{mk(0, 1), mk(5, 2)})
-	if len(s.byID) != 2 {
-		t.Errorf("Len = %d", len(s.byID))
-	}
-	if tk := s.MustGet(5); tk.Size != 2 {
-		t.Errorf("MustGet(5) = %v", tk)
-	}
-	if tk := s.MustGet(0); tk.Size != 1 {
-		t.Errorf("MustGet = %v", tk)
-	}
-}
-
-func TestSetDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate ids did not panic")
-		}
-	}()
-	NewSet([]Task{mk(3, 1), mk(3, 2)})
-}
-
-func TestMustGetPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustGet on absent id did not panic")
-		}
-	}()
-	NewSet(nil).MustGet(1)
-}

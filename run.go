@@ -143,6 +143,9 @@ func Run(ctx context.Context, spec Spec, w Workload, opts ...RunOption) (Result,
 		return Result{}, errors.New("pnsched: workload has no tasks")
 	}
 	for _, t := range w.Tasks {
+		if t.ID < 0 {
+			return Result{}, fmt.Errorf("pnsched: task %d has a negative id", t.ID)
+		}
 		if math.IsNaN(float64(t.Arrival)) {
 			return Result{}, fmt.Errorf("pnsched: task %d arrives at NaN", t.ID)
 		}

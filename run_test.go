@@ -3,6 +3,8 @@ package pnsched
 import (
 	"context"
 	"math"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -271,5 +273,56 @@ func TestRunRejectsBadWorkloads(t *testing.T) {
 	}
 	if _, err := GenerateWorkload(WorkloadConfig{MeanComm: -1, Seed: 1}); err == nil {
 		t.Error("negative comm accepted")
+	}
+}
+
+// TestRunGATaskIDsAreOpaque: a GA chromosome names a task by its
+// position in the batch, so the IDs a caller gives its tasks —
+// repeated, sparse or shuffled — leave a GA run's Result unchanged,
+// and a negative ID is refused with an error rather than a panic.
+func TestRunGATaskIDsAreOpaque(t *testing.T) {
+	const n = 300
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	rng.New(7).ShuffleInts(perm)
+	schemes := map[string]func(i int) TaskID{
+		"repeated": func(i int) TaskID { return TaskID(i / 2) },
+		"sparse":   func(i int) TaskID { return TaskID(i * 100003) },
+		"shuffled": func(i int) TaskID { return TaskID(perm[i]) },
+	}
+	workload := func(id func(i int) TaskID) Workload {
+		w, err := GenerateWorkload(WorkloadConfig{Tasks: n, Procs: 8, MeanComm: 1, Seed: 23})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range w.Tasks {
+			w.Tasks[i].ID = id(i)
+		}
+		return w
+	}
+	for _, name := range []string{"PN", "ZO", islandName} {
+		spec := Spec{Name: name, Generations: 40, Seed: 5}
+		if name == islandName {
+			spec.Islands = intp(2)
+		}
+		want, err := Run(context.Background(), spec, workload(func(i int) TaskID { return TaskID(i) }))
+		if err != nil || want.Completed != n {
+			t.Fatalf("%s: completed %d of %d tasks (%v)", name, want.Completed, n, err)
+		}
+		for scheme, id := range schemes {
+			got, err := Run(context.Background(), spec, workload(id))
+			if err != nil {
+				t.Fatalf("%s, %s ids: %v", name, scheme, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, %s ids: Result diverged from ids 0…n−1:\n got %+v\nwant %+v", name, scheme, got, want)
+			}
+		}
+		_, err = Run(context.Background(), spec, workload(func(i int) TaskID { return TaskID(-i - 2) }))
+		if err == nil || !strings.Contains(err.Error(), "task -2 ") {
+			t.Errorf("%s: negative ids gave %v, want an error naming task -2", name, err)
+		}
 	}
 }
